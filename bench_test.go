@@ -136,7 +136,7 @@ func BenchmarkAblation_VectorVsByteLZ(b *testing.B) {
 	quant.New(0.01).Quantize(codes, src)
 	var vCR, bCR float64
 	for i := 0; i < b.N; i++ {
-		vFrame, err := vlz.New(vlz.DefaultWindow).Encode(codes, 64)
+		vFrame, err := vlz.New(vlz.DefaultWindow).AppendEncode(nil, codes, 64)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func BenchmarkAblation_WindowThroughput(b *testing.B) {
 		b.Run(map[int]string{32: "w32", 255: "w255"}[w], func(b *testing.B) {
 			b.SetBytes(int64(len(codes) * 4))
 			for i := 0; i < b.N; i++ {
-				if _, err := enc.Encode(codes, 64); err != nil {
+				if _, err := enc.AppendEncode(nil, codes, 64); err != nil {
 					b.Fatal(err)
 				}
 			}

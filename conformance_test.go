@@ -1,6 +1,9 @@
 package dlrmcomp_test
 
 import (
+	"bytes"
+	"slices"
+	"sync"
 	"testing"
 
 	"dlrmcomp"
@@ -94,6 +97,66 @@ func TestConformanceBufferedPath(t *testing.T) {
 				t.Fatalf("%s: buffered reconstruction differs at %d", c.Name(), i)
 			}
 		}
+	}
+}
+
+// TestConformanceConcurrentUse holds every codec to the contract
+// codec.Codec documents: one instance is shared across goroutines (the
+// trainer shares a table's codec across rank goroutines and codec workers).
+// Eight goroutines compress and decompress through one instance — via the
+// buffered helpers too — and every frame and reconstruction must equal the
+// single-goroutine one. Run under -race this also catches a codec that keeps
+// a non-thread-safe encoder on the instance.
+func TestConformanceConcurrentUse(t *testing.T) {
+	rng := tensor.NewRNG(8)
+	src := make([]float32, 64*16)
+	rng.FillNormal(src, 0, 0.3)
+	for _, c := range allCodecs() {
+		t.Run(c.Name(), func(t *testing.T) {
+			wantFrame, err := c.Compress(src, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantVals, _, err := c.Decompress(wantFrame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// bad reports a concurrent result that errored or differs from
+			// the single-goroutine one.
+			bad := func(what string, err error, same bool) bool {
+				if err != nil || !same {
+					t.Errorf("concurrent %s: err %v, same as single-goroutine result: %v", what, err, same)
+				}
+				return err != nil || !same
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					dst := make([]float32, len(src))
+					for rep := 0; rep < 20; rep++ {
+						frame, err := c.Compress(src, 16)
+						if bad("Compress", err, bytes.Equal(frame, wantFrame)) {
+							return
+						}
+						appended, err := codec.CompressAppend(c, nil, src, 16)
+						if bad("CompressAppend", err, bytes.Equal(appended, wantFrame)) {
+							return
+						}
+						vals, _, err := c.Decompress(frame)
+						if bad("Decompress", err, slices.Equal(vals, wantVals)) {
+							return
+						}
+						_, err = codec.DecompressInto(c, dst, frame)
+						if bad("DecompressInto", err, slices.Equal(dst, wantVals)) {
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }
 

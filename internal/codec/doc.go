@@ -17,7 +17,10 @@
 // Controller drives per table per iteration), and BufferedCodec — the
 // optional allocation-free steady-state path (CompressAppend into a
 // caller-owned buffer, DecompressInto a caller-sized destination,
-// frame/value-identical to the allocating methods). The package-level
-// CompressAppend/DecompressInto helpers route through it when available
-// and fall back to Compress/Decompress otherwise.
+// frame/value-identical to Compress/Decompress). Only the hybrid codec
+// implements it — there it is the implementation, and Compress/Decompress
+// wrap it; the baseline codecs implement the allocating pair alone. The
+// package-level CompressAppend/DecompressInto helpers route through the
+// buffered path when a codec has one and fall back to Compress/Decompress
+// otherwise.
 package codec

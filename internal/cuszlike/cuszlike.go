@@ -115,14 +115,15 @@ func (c *Codec) Compress(src []float32, dim int) ([]byte, error) {
 	codes := make([]int32, len(src))
 	q.Quantize(codes, src)
 	res := predictResiduals(codes, dim, c.Pred)
-	payload := huffman.Encode(quant.ZigZagSlice(res))
 
-	out := make([]byte, 13, 13+len(payload))
+	out := make([]byte, 13)
 	binary.LittleEndian.PutUint32(out[0:], math.Float32bits(c.EB))
 	binary.LittleEndian.PutUint32(out[4:], uint32(dim))
 	binary.LittleEndian.PutUint32(out[8:], uint32(len(src)))
 	out[12] = byte(c.Pred)
-	return append(out, payload...), nil
+	// A huffman.Encoder is not safe for concurrent use and a Codec must be,
+	// so each call builds its own.
+	return huffman.NewEncoder().AppendEncode(out, quant.ZigZagSlice(res)), nil
 }
 
 // Decompress implements codec.Codec.
@@ -134,15 +135,21 @@ func (c *Codec) Decompress(frame []byte) ([]float32, int, error) {
 	dim := int(binary.LittleEndian.Uint32(frame[4:]))
 	n := int(binary.LittleEndian.Uint32(frame[8:]))
 	pred := Predictor(frame[12])
-	if eb <= 0 || dim <= 0 || n%dim != 0 {
+	if !(eb > 0) || math.IsInf(float64(eb), 1) || dim <= 0 || n < 0 || n%dim != 0 {
 		return nil, 0, errCorrupt
 	}
-	syms, err := huffman.Decode(frame[13:])
+	// The header's count is untrusted: allocate only once the Huffman
+	// frame's own count agrees with it.
+	count, err := huffman.SymbolCount(frame[13:])
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(syms) != n {
+	if count != n {
 		return nil, 0, errCorrupt
+	}
+	syms := make([]uint32, n)
+	if _, err := huffman.NewDecoder().DecodeInto(syms, frame[13:]); err != nil {
+		return nil, 0, err
 	}
 	codes := unpredict(quant.UnZigZagSlice(syms), dim, pred)
 	out := make([]float32, n)

@@ -1,6 +1,7 @@
 package cuszlike
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -126,8 +127,29 @@ func TestErrorBoundedInterface(t *testing.T) {
 }
 
 func TestDecompressCorrupt(t *testing.T) {
-	if _, _, err := New(0.01, Lorenzo1D).Decompress([]byte{1}); err == nil {
+	c := New(0.01, Lorenzo1D)
+	if _, _, err := c.Decompress([]byte{1}); err == nil {
 		t.Fatal("short frame should error")
+	}
+	valid, err := c.Compress([]float32{0.1, 0.2, 0.3, 0.4}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A non-finite error bound in the header must be rejected, not
+	// dequantized into NaN/Inf values.
+	for _, eb := range []float32{float32(math.NaN()), float32(math.Inf(1)), 0, -0.01} {
+		frame := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(frame[0:], math.Float32bits(eb))
+		if _, _, err := c.Decompress(frame); err == nil {
+			t.Fatalf("header eb %v should error", eb)
+		}
+	}
+	// A header count the Huffman frame does not back is rejected before
+	// anything is sized from it.
+	frame := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(frame[8:], 1<<31)
+	if _, _, err := c.Decompress(frame); err == nil {
+		t.Fatal("header count 1<<31 over a 4-symbol payload should error")
 	}
 }
 

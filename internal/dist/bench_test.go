@@ -14,7 +14,7 @@ import (
 // the thing Eq. (2) calls Tc/Td and the workspace refactor targets — as
 // opposed to the modelled sim-time the experiments report. Run with
 // -benchmem: B/op and allocs/op are the tracked regression metrics
-// (BENCH_before.json / BENCH_after.json hold the PR's before/after).
+// (BENCH_baseline.json is the committed reference the CI gate diffs).
 
 const benchBatch = 256
 

@@ -203,7 +203,7 @@ func runTable6(opts Options) (*Result, error) {
 			for _, sample := range samples {
 				codes := make([]int32, len(sample))
 				quant.New(eb).Quantize(codes, sample)
-				frame, err := vlz.New(w).Encode(codes, e.Dim)
+				frame, err := vlz.New(w).AppendEncode(nil, codes, e.Dim)
 				if err != nil {
 					return nil, err
 				}

@@ -6,12 +6,10 @@ import (
 	"slices"
 )
 
-// This file is the buffered twin of huffman.go: an Encoder/Decoder pair that
-// produces byte-identical frames to Encode/Decode while reusing every scratch
+// This file is the coder: an Encoder/Decoder pair that reuses every scratch
 // structure (frequency table, tree nodes, canonical tables, bit buffers)
 // across calls, so steady-state operation performs no heap allocation. The
-// allocating functions remain the reference implementation; parity between
-// the two paths is pinned by tests.
+// frame bytes are pinned against the allocating oracle in oracle_test.go.
 
 // symCode is one symbol's canonical code assignment.
 type symCode struct {
@@ -57,9 +55,10 @@ func NewEncoder() *Encoder {
 	}
 }
 
-// heapLess orders node indices by (freq, sym) — the same strict total order
-// codeLengths feeds container/heap, so the hand-rolled heap below pops nodes
-// in the identical sequence (a total order makes every correct heap agree).
+// heapLess orders node indices by (freq, sym). The order is strict and
+// total, so the pop sequence — and with it the code lengths and the frame
+// bytes — does not depend on the heap implementation (the test oracle runs
+// container/heap over the same order).
 func (e *Encoder) heapLess(a, b int32) bool {
 	na, nb := e.nodes[a], e.nodes[b]
 	if na.freq != nb.freq {
@@ -105,8 +104,8 @@ func (e *Encoder) heapPop() int32 {
 	return v
 }
 
-// AppendEncode compresses syms and appends the frame to dst, returning the
-// grown buffer. The frame bytes are identical to Encode(syms).
+// AppendEncode compresses syms and appends the self-contained frame to dst,
+// returning the grown buffer.
 func (e *Encoder) AppendEncode(dst []byte, syms []uint32) []byte {
 	var maxSym uint32
 	for _, s := range syms {
@@ -240,8 +239,8 @@ func (e *Encoder) appendEncodeDense(dst []byte, syms []uint32, maxSym uint32) []
 	// (symbol, len)*, numSymbols) plus padded code bits. Raw: mode, width,
 	// numSymbols, padded fixed-width bits. Both match the materialized
 	// frames exactly (BitWriter.Bytes pads to a whole byte), so the
-	// comparison picks the same winner Encode does — without paying for the
-	// loser's bit emission.
+	// comparison picks the winner the map path's materialize-both comparison
+	// picks — without paying for the loser's bit emission.
 	hufLen := 1 + uvarintLen(uint64(len(e.pairs))) + uvarintLen(uint64(len(syms)))
 	var hufBits uint64
 	for _, p := range e.pairs {
@@ -277,8 +276,8 @@ func (e *Encoder) appendEncodeDense(dst []byte, syms []uint32, maxSym uint32) []
 	return append(dst, e.w.Bytes()...)
 }
 
-// appendEncodeMap is the original map-based encoding path, kept for
-// alphabets too wide for the dense tables.
+// appendEncodeMap is the map-based encoding path, for alphabets too wide for
+// the dense tables.
 func (e *Encoder) appendEncodeMap(dst []byte, syms []uint32) []byte {
 	clear(e.freq)
 	for _, s := range syms {
@@ -294,7 +293,7 @@ func (e *Encoder) appendEncodeMap(dst []byte, syms []uint32) []byte {
 	}
 
 	// Code lengths: leaves in ascending symbol order, then (freq, sym)-heap
-	// merging — the construction codeLengths performs, minus its maps.
+	// merging.
 	e.syms = e.syms[:0]
 	for s := range e.freq {
 		e.syms = append(e.syms, s)
@@ -343,8 +342,7 @@ func (e *Encoder) appendEncodeMap(dst []byte, syms []uint32) []byte {
 	}
 	e.frame = append(e.frame, e.w.Bytes()...)
 
-	// If Huffman inflates (tiny inputs with wide alphabets), fall back —
-	// the same size comparison Encode performs.
+	// If Huffman inflates (tiny inputs with wide alphabets), fall back.
 	e.rawBuf = e.encodeRawInto(e.rawBuf[:0], syms)
 	if len(e.rawBuf) < len(e.frame) {
 		return append(dst, e.rawBuf...)
@@ -358,7 +356,8 @@ func (e *Encoder) appendRaw(dst []byte, syms []uint32) []byte {
 	return append(dst, e.rawBuf...)
 }
 
-// encodeRawInto is encodeRaw writing into a reusable buffer.
+// encodeRawInto stores symbols with a fixed bit width, into a reusable
+// buffer.
 func (e *Encoder) encodeRawInto(buf []byte, syms []uint32) []byte {
 	var maxSym uint32
 	for _, s := range syms {
@@ -392,7 +391,7 @@ type Decoder struct {
 // NewDecoder returns a decoder with empty (lazily grown) workspaces.
 func NewDecoder() *Decoder { return &Decoder{} }
 
-// DecodeInto reconstructs a frame produced by Encode/AppendEncode into dst,
+// DecodeInto reconstructs a frame produced by AppendEncode into dst,
 // whose length must equal the frame's symbol count (callers learn the count
 // from their own framing, as the hybrid codec header does). Returns the
 // number of symbols written.
@@ -467,7 +466,7 @@ func (d *Decoder) DecodeInto(dst []uint32, data []byte) (int, error) {
 		rest = rest[n:]
 
 		// Canonical order (len, sym); a duplicated symbol cannot come from
-		// the encoder, so reject it rather than mimic map-overwrite quirks.
+		// the encoder, so reject it.
 		slices.Sort(d.pairs)
 		for i := 1; i < len(d.pairs); i++ {
 			if uint32(d.pairs[i]) == uint32(d.pairs[i-1]) {

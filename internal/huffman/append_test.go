@@ -54,16 +54,13 @@ func TestAppendEncodeParity(t *testing.T) {
 	}
 }
 
-// TestDecodeIntoParity checks the workspace decoder reconstructs exactly
-// what Decode does, and that SymbolCount sizes the destination correctly.
+// TestDecodeIntoParity checks the workspace decoder reconstructs the oracle
+// encoder's input exactly, and that SymbolCount sizes the destination
+// correctly.
 func TestDecodeIntoParity(t *testing.T) {
 	dec := NewDecoder()
-	for name, syms := range appendTestInputs() {
-		frame := Encode(syms)
-		ref, err := Decode(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for name, ref := range appendTestInputs() {
+		frame := Encode(ref)
 		n, err := SymbolCount(frame)
 		if err != nil {
 			t.Fatalf("%s: SymbolCount: %v", name, err)

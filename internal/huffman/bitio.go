@@ -1,14 +1,12 @@
 package huffman
 
-// BitWriter accumulates bits MSB-first into a byte buffer.
+// BitWriter accumulates bits MSB-first into a byte buffer. The zero value is
+// an empty writer.
 type BitWriter struct {
 	buf  []byte
 	cur  uint64
 	nCur uint // bits currently held in cur
 }
-
-// NewBitWriter returns an empty writer.
-func NewBitWriter() *BitWriter { return &BitWriter{} }
 
 // Reset empties the writer, keeping the accumulated buffer's capacity so a
 // reused writer reaches a zero-allocation steady state.
@@ -42,9 +40,6 @@ func (w *BitWriter) Bytes() []byte {
 	return w.buf
 }
 
-// BitLen returns the number of bits written so far.
-func (w *BitWriter) BitLen() int { return len(w.buf)*8 + int(w.nCur) }
-
 // BitReader consumes bits MSB-first from a byte slice.
 type BitReader struct {
 	data []byte
@@ -52,9 +47,6 @@ type BitReader struct {
 	cur  uint64
 	nCur uint
 }
-
-// NewBitReader wraps data.
-func NewBitReader(data []byte) *BitReader { return &BitReader{data: data} }
 
 // Reset points the reader at data, clearing any buffered bits. A stack- or
 // workspace-held BitReader can be Reset per frame instead of reallocated.
@@ -77,26 +69,4 @@ func (r *BitReader) ReadBits(n uint) uint64 {
 	r.nCur -= n
 	v := (r.cur >> r.nCur) & ((1 << n) - 1)
 	return v
-}
-
-// Peek returns the next n bits without consuming them.
-func (r *BitReader) Peek(n uint) uint64 {
-	for r.nCur < n {
-		var b byte
-		if r.pos < len(r.data) {
-			b = r.data[r.pos]
-			r.pos++
-		}
-		r.cur = (r.cur << 8) | uint64(b)
-		r.nCur += 8
-	}
-	return (r.cur >> (r.nCur - n)) & ((1 << n) - 1)
-}
-
-// Skip consumes n bits previously Peeked.
-func (r *BitReader) Skip(n uint) {
-	if r.nCur < n {
-		r.Peek(n)
-	}
-	r.nCur -= n
 }

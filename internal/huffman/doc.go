@@ -14,11 +14,12 @@
 // internal/cuszlike. Pure compute — its cost enters the sim clock only
 // through the calibrated codec rates of the codec that wraps it.
 //
-// Key API: Encode/Decode over []uint32 symbols (zigzagged quantization
-// bins), CompressedSize for the selection models, plus the bitio
-// reader/writer primitives shared with the other entropy stages. The
-// buffered twins Encoder.AppendEncode and Decoder.DecodeInto (append.go)
-// emit and consume byte-identical frames with reusable workspaces (zero
-// steady-state allocation); SymbolCount sizes a DecodeInto destination
-// without decoding.
+// Key API: Encoder.AppendEncode (AppendEncodeMax when the caller already
+// knows the largest symbol) and Decoder.DecodeInto over []uint32 symbols
+// (zigzagged quantization bins), both with reusable workspaces — zero
+// steady-state allocation, one instance per goroutine; SymbolCount sizes a
+// DecodeInto destination without decoding; BitWriter/BitReader are the bit
+// I/O underneath. huffman.go holds the frame format, append.go the coder,
+// and oracle_test.go the original allocating Encode/Decode that the parity
+// tests hold the coder to byte for byte.
 package huffman

@@ -1,13 +1,6 @@
 package huffman
 
-import (
-	"container/heap"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"math/bits"
-	"sort"
-)
+import "errors"
 
 // Frame modes.
 const (
@@ -22,307 +15,9 @@ const maxCodeLen = 57
 
 var errCorrupt = errors.New("huffman: corrupt frame")
 
+// node is one Huffman-tree node in the encoder's reusable node slice.
 type node struct {
 	freq        uint64
 	sym         uint32
 	left, right int32 // indices into node slice, -1 for leaf
 }
-
-type nodeHeap struct {
-	nodes []node
-	order []int32
-}
-
-func (h *nodeHeap) Len() int { return len(h.order) }
-func (h *nodeHeap) Less(i, j int) bool {
-	a, b := h.nodes[h.order[i]], h.nodes[h.order[j]]
-	if a.freq != b.freq {
-		return a.freq < b.freq
-	}
-	return a.sym < b.sym // deterministic tie-break
-}
-func (h *nodeHeap) Swap(i, j int)      { h.order[i], h.order[j] = h.order[j], h.order[i] }
-func (h *nodeHeap) Push(x interface{}) { h.order = append(h.order, x.(int32)) }
-func (h *nodeHeap) Pop() interface{} {
-	n := len(h.order)
-	v := h.order[n-1]
-	h.order = h.order[:n-1]
-	return v
-}
-
-// codeLengths computes Huffman code lengths for each distinct symbol.
-func codeLengths(freq map[uint32]uint64) map[uint32]uint8 {
-	h := &nodeHeap{}
-	syms := make([]uint32, 0, len(freq))
-	for s := range freq {
-		syms = append(syms, s)
-	}
-	sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
-	for _, s := range syms {
-		h.nodes = append(h.nodes, node{freq: freq[s], sym: s, left: -1, right: -1})
-		h.order = append(h.order, int32(len(h.nodes)-1))
-	}
-	heap.Init(h)
-	for h.Len() > 1 {
-		a := heap.Pop(h).(int32)
-		b := heap.Pop(h).(int32)
-		h.nodes = append(h.nodes, node{
-			freq: h.nodes[a].freq + h.nodes[b].freq,
-			sym:  h.nodes[a].sym, // carry min symbol for deterministic ties
-			left: a, right: b,
-		})
-		heap.Push(h, int32(len(h.nodes)-1))
-	}
-	lens := make(map[uint32]uint8, len(freq))
-	if len(h.order) == 0 {
-		return lens
-	}
-	// Iterative depth-first traversal assigning depths.
-	type item struct {
-		idx   int32
-		depth uint8
-	}
-	stack := []item{{h.order[0], 0}}
-	for len(stack) > 0 {
-		it := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := h.nodes[it.idx]
-		if n.left < 0 {
-			d := it.depth
-			if d == 0 {
-				d = 1 // single-symbol tree still needs 1 bit
-			}
-			lens[n.sym] = d
-			continue
-		}
-		stack = append(stack, item{n.left, it.depth + 1}, item{n.right, it.depth + 1})
-	}
-	return lens
-}
-
-// canonicalCodes assigns canonical codes given lengths. Symbols are sorted
-// by (length, symbol).
-func canonicalCodes(lens map[uint32]uint8) (codes map[uint32]uint64, sorted []uint32) {
-	sorted = make([]uint32, 0, len(lens))
-	for s := range lens {
-		sorted = append(sorted, s)
-	}
-	sort.Slice(sorted, func(i, j int) bool {
-		if lens[sorted[i]] != lens[sorted[j]] {
-			return lens[sorted[i]] < lens[sorted[j]]
-		}
-		return sorted[i] < sorted[j]
-	})
-	codes = make(map[uint32]uint64, len(lens))
-	var code uint64
-	var prevLen uint8
-	for _, s := range sorted {
-		l := lens[s]
-		code <<= (l - prevLen)
-		codes[s] = code
-		code++
-		prevLen = l
-	}
-	return codes, sorted
-}
-
-// Encode compresses the symbol slice into a self-contained frame.
-func Encode(syms []uint32) []byte {
-	if len(syms) == 0 {
-		return []byte{modeConst, 0}
-	}
-	freq := make(map[uint32]uint64)
-	for _, s := range syms {
-		freq[s]++
-	}
-	if len(freq) == 1 {
-		out := []byte{modeConst}
-		var tmp [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(tmp[:], uint64(len(syms)))
-		out = append(out, tmp[:n]...)
-		n = binary.PutUvarint(tmp[:], uint64(syms[0]))
-		out = append(out, tmp[:n]...)
-		return out
-	}
-
-	lens := codeLengths(freq)
-	var maxLen uint8
-	for _, l := range lens {
-		if l > maxLen {
-			maxLen = l
-		}
-	}
-	if maxLen > maxCodeLen {
-		return encodeRaw(syms)
-	}
-	codes, sorted := canonicalCodes(lens)
-
-	// Header: mode, numDistinct, (symbol, len)*, numSymbols.
-	var out []byte
-	out = append(out, modeHuffman)
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(sorted)))
-	out = append(out, tmp[:n]...)
-	for _, s := range sorted {
-		n = binary.PutUvarint(tmp[:], uint64(s))
-		out = append(out, tmp[:n]...)
-		out = append(out, lens[s])
-	}
-	n = binary.PutUvarint(tmp[:], uint64(len(syms)))
-	out = append(out, tmp[:n]...)
-
-	w := NewBitWriter()
-	for _, s := range syms {
-		w.WriteBits(codes[s], uint(lens[s]))
-	}
-	payload := w.Bytes()
-	out = append(out, payload...)
-
-	// If Huffman inflates (tiny inputs with wide alphabets), fall back.
-	if raw := encodeRaw(syms); len(raw) < len(out) {
-		return raw
-	}
-	return out
-}
-
-// encodeRaw stores symbols with a fixed bit width.
-func encodeRaw(syms []uint32) []byte {
-	var maxSym uint32
-	for _, s := range syms {
-		if s > maxSym {
-			maxSym = s
-		}
-	}
-	width := uint(bits.Len32(maxSym))
-	if width == 0 {
-		width = 1
-	}
-	out := []byte{modeRaw, byte(width)}
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(syms)))
-	out = append(out, tmp[:n]...)
-	w := NewBitWriter()
-	for _, s := range syms {
-		w.WriteBits(uint64(s), width)
-	}
-	return append(out, w.Bytes()...)
-}
-
-// Decode reconstructs the symbol slice from a frame produced by Encode.
-func Decode(data []byte) ([]uint32, error) {
-	if len(data) == 0 {
-		return nil, errCorrupt
-	}
-	mode := data[0]
-	rest := data[1:]
-	switch mode {
-	case modeConst:
-		count, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, errCorrupt
-		}
-		if count == 0 {
-			return []uint32{}, nil
-		}
-		sym, n2 := binary.Uvarint(rest[n:])
-		if n2 <= 0 {
-			return nil, errCorrupt
-		}
-		out := make([]uint32, count)
-		for i := range out {
-			out[i] = uint32(sym)
-		}
-		return out, nil
-
-	case modeRaw:
-		if len(rest) < 1 {
-			return nil, errCorrupt
-		}
-		width := uint(rest[0])
-		if width == 0 || width > 32 {
-			return nil, errCorrupt
-		}
-		count, n := binary.Uvarint(rest[1:])
-		if n <= 0 {
-			return nil, errCorrupt
-		}
-		r := NewBitReader(rest[1+n:])
-		out := make([]uint32, count)
-		for i := range out {
-			out[i] = uint32(r.ReadBits(width))
-		}
-		return out, nil
-
-	case modeHuffman:
-		numDistinct, n := binary.Uvarint(rest)
-		if n <= 0 || numDistinct == 0 {
-			return nil, errCorrupt
-		}
-		rest = rest[n:]
-		lens := make(map[uint32]uint8, numDistinct)
-		for i := uint64(0); i < numDistinct; i++ {
-			sym, n2 := binary.Uvarint(rest)
-			if n2 <= 0 || len(rest) < n2+1 {
-				return nil, errCorrupt
-			}
-			l := rest[n2]
-			if l == 0 || l > maxCodeLen {
-				return nil, errCorrupt
-			}
-			lens[uint32(sym)] = l
-			rest = rest[n2+1:]
-		}
-		count, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, errCorrupt
-		}
-		rest = rest[n:]
-
-		_, sorted := canonicalCodes(lens)
-		// Canonical decode tables per length.
-		var maxLen uint8
-		for _, l := range lens {
-			if l > maxLen {
-				maxLen = l
-			}
-		}
-		firstCode := make([]uint64, maxLen+2)
-		firstIdx := make([]int, maxLen+2)
-		numAt := make([]int, maxLen+2)
-		for _, s := range sorted {
-			numAt[lens[s]]++
-		}
-		var code uint64
-		idx := 0
-		for l := uint8(1); l <= maxLen; l++ {
-			firstCode[l] = code
-			firstIdx[l] = idx
-			code = (code + uint64(numAt[l])) << 1
-			idx += numAt[l]
-		}
-
-		r := NewBitReader(rest)
-		out := make([]uint32, count)
-		for i := uint64(0); i < count; i++ {
-			var c uint64
-			var l uint8
-			for {
-				c = (c << 1) | r.ReadBits(1)
-				l++
-				if l > maxLen {
-					return nil, errCorrupt
-				}
-				if numAt[l] > 0 && c-firstCode[l] < uint64(numAt[l]) {
-					out[i] = sorted[firstIdx[l]+int(c-firstCode[l])]
-					break
-				}
-			}
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("huffman: unknown mode %d", mode)
-}
-
-// CompressedSize returns the frame size Encode would produce, without
-// retaining the frame (used by the offline compressor-selection pass).
-func CompressedSize(syms []uint32) int { return len(Encode(syms)) }

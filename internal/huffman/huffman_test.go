@@ -9,12 +9,26 @@ import (
 	"dlrmcomp/internal/tensor"
 )
 
+// decodeFrame sizes the destination with SymbolCount and decodes through a
+// fresh Decoder — the shipped way to read a frame of unknown length.
+func decodeFrame(frame []byte) ([]uint32, error) {
+	n, err := SymbolCount(frame)
+	if err != nil {
+		return nil, err
+	}
+	dst := make([]uint32, n)
+	if _, err := NewDecoder().DecodeInto(dst, frame); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
 func roundTrip(t *testing.T, syms []uint32) []byte {
 	t.Helper()
-	enc := Encode(syms)
-	dec, err := Decode(enc)
+	enc := NewEncoder().AppendEncode(nil, syms)
+	dec, err := decodeFrame(enc)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("DecodeInto: %v", err)
 	}
 	if len(dec) != len(syms) {
 		t.Fatalf("decoded %d symbols, want %d", len(dec), len(syms))
@@ -28,13 +42,14 @@ func roundTrip(t *testing.T, syms []uint32) []byte {
 }
 
 func TestBitIORoundTrip(t *testing.T) {
-	w := NewBitWriter()
+	var w BitWriter
 	w.WriteBits(0b101, 3)
 	w.WriteBits(0b1, 1)
 	w.WriteBits(0xDEAD, 16)
 	w.WriteBits(0x1FFFFFFFFFFFFF, 53)
 	data := w.Bytes()
-	r := NewBitReader(data)
+	var r BitReader
+	r.Reset(data)
 	if v := r.ReadBits(3); v != 0b101 {
 		t.Fatalf("got %b", v)
 	}
@@ -50,27 +65,15 @@ func TestBitIORoundTrip(t *testing.T) {
 }
 
 func TestBitWriterWideWrites(t *testing.T) {
-	w := NewBitWriter()
+	var w BitWriter
 	w.WriteBits(0xFFFFFFFFFFFFFFFF, 64)
-	r := NewBitReader(w.Bytes())
+	var r BitReader
+	r.Reset(w.Bytes())
 	if hi := r.ReadBits(32); hi != 0xFFFFFFFF {
 		t.Fatalf("hi = %x", hi)
 	}
 	if lo := r.ReadBits(32); lo != 0xFFFFFFFF {
 		t.Fatalf("lo = %x", lo)
-	}
-}
-
-func TestBitReaderPeekSkip(t *testing.T) {
-	w := NewBitWriter()
-	w.WriteBits(0b1100_1010, 8)
-	r := NewBitReader(w.Bytes())
-	if v := r.Peek(4); v != 0b1100 {
-		t.Fatalf("peek = %b", v)
-	}
-	r.Skip(4)
-	if v := r.ReadBits(4); v != 0b1010 {
-		t.Fatalf("after skip = %b", v)
 	}
 }
 
@@ -152,23 +155,32 @@ func TestDeterministicEncoding(t *testing.T) {
 	for i := range syms {
 		syms[i] = uint32(rng.Intn(32))
 	}
-	if !bytes.Equal(Encode(syms), Encode(syms)) {
+	enc := NewEncoder()
+	first := enc.AppendEncode(nil, syms)
+	if !bytes.Equal(first, enc.AppendEncode(nil, syms)) || !bytes.Equal(first, NewEncoder().AppendEncode(nil, syms)) {
 		t.Fatal("encoding must be deterministic")
 	}
 }
 
+// TestDecodeCorruptFrames runs damaged frames through the shipped decoder
+// (and SymbolCount, which sizes its destination): every one must be rejected.
 func TestDecodeCorruptFrames(t *testing.T) {
-	if _, err := Decode(nil); err == nil {
-		t.Fatal("nil frame should error")
-	}
-	if _, err := Decode([]byte{99}); err == nil {
-		t.Fatal("unknown mode should error")
-	}
-	if _, err := Decode([]byte{modeHuffman}); err == nil {
-		t.Fatal("truncated huffman header should error")
-	}
-	if _, err := Decode([]byte{modeRaw, 0, 1}); err == nil {
-		t.Fatal("zero width raw should error")
+	for name, frame := range map[string][]byte{
+		"nil frame":                nil,
+		"unknown mode":             {99},
+		"truncated huffman header": {modeHuffman},
+		"truncated huffman table":  {modeHuffman, 2, 5, 1},
+		"zero code length":         {modeHuffman, 1, 5, 0, 1, 0},
+		"over-long code length":    {modeHuffman, 1, 5, maxCodeLen + 1, 1, 0},
+		"duplicated table symbol":  {modeHuffman, 2, 5, 1, 5, 1, 1, 0},
+		"zero width raw":           {modeRaw, 0, 1},
+		"over-wide raw":            {modeRaw, 33, 1, 0, 0, 0, 0, 0},
+		"truncated raw count":      {modeRaw, 8},
+		"const without its symbol": {modeConst, 3},
+	} {
+		if _, err := decodeFrame(frame); err == nil {
+			t.Errorf("%s: decoder accepted the frame", name)
+		}
 	}
 }
 
@@ -178,22 +190,14 @@ func TestRoundTripProperty(t *testing.T) {
 		for i, v := range raw {
 			syms[i] = uint32(v)
 		}
-		enc := Encode(syms)
-		dec, err := Decode(enc)
+		dec, err := decodeFrame(NewEncoder().AppendEncode(nil, syms))
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(dec, syms) || (len(dec) == 0 && len(syms) == 0)
+		return reflect.DeepEqual(dec, syms)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCompressedSizeMatchesEncode(t *testing.T) {
-	syms := []uint32{1, 2, 3, 1, 1, 2}
-	if CompressedSize(syms) != len(Encode(syms)) {
-		t.Fatal("CompressedSize disagrees with Encode")
 	}
 }
 
@@ -204,10 +208,12 @@ func BenchmarkEncode64K(b *testing.B) {
 		v := int32(rng.NormFloat64() * 5)
 		syms[i] = uint32((v << 1) ^ (v >> 31))
 	}
+	enc := NewEncoder()
+	var frame []byte
 	b.SetBytes(int64(len(syms) * 4))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Encode(syms)
+		frame = enc.AppendEncode(frame[:0], syms)
 	}
 }
 
@@ -218,11 +224,13 @@ func BenchmarkDecode64K(b *testing.B) {
 		v := int32(rng.NormFloat64() * 5)
 		syms[i] = uint32((v << 1) ^ (v >> 31))
 	}
-	enc := Encode(syms)
+	enc := NewEncoder().AppendEncode(nil, syms)
+	dec := NewDecoder()
+	dst := make([]uint32, len(syms))
 	b.SetBytes(int64(len(syms) * 4))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(enc); err != nil {
+		if _, err := dec.DecodeInto(dst, enc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,38 +22,10 @@ func benchSample(rows, dim int) []float32 {
 	return out
 }
 
-func benchRoundTrip(b *testing.B, mode Mode) {
-	b.Helper()
-	src := benchSample(2048, 64)
-	c := New(0.01, mode)
-	frame, err := c.Compress(src, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, _, err := c.Decompress(frame); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(src) * 4))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := c.Compress(src, 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := c.Decompress(f); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRoundTrip_Auto(b *testing.B)     { benchRoundTrip(b, Auto) }
-func BenchmarkRoundTrip_VectorLZ(b *testing.B) { benchRoundTrip(b, VectorLZ) }
-func BenchmarkRoundTrip_Entropy(b *testing.B)  { benchRoundTrip(b, Entropy) }
-
-// benchRoundTripBuffered measures the same round trip through the buffered
-// (workspace-reusing) API — the trainer's steady-state path. The frames are
-// byte-identical to the allocating path; only B/op and allocs/op differ.
+// benchRoundTripBuffered measures the steady-state round trip the trainer
+// runs: CompressAppend into a reused frame, DecompressInto a reused batch.
+// (Compress/Decompress wrap the same code plus one make each; the root
+// BenchmarkCodec_Hybrid* rows cover them.)
 func benchRoundTripBuffered(b *testing.B, mode Mode) {
 	b.Helper()
 	src := benchSample(2048, 64)

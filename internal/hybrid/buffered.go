@@ -12,15 +12,15 @@ import (
 	"dlrmcomp/internal/vlz"
 )
 
-// This file implements codec.BufferedCodec for the hybrid compressor: the
-// same frames as Compress/Decompress (byte-identical, pinned by tests), but
-// with every scratch buffer — the quantize-code array, the zigzag symbol
-// array, the sub-encoder workspaces, and the Auto-mode candidate frame —
-// drawn from a pool and reused, so steady-state operation performs no heap
-// allocation. Pooling (rather than per-Codec fields) keeps one codec
-// instance safe for concurrent use, which the trainer relies on: a table's
-// codec is shared by every rank goroutine and by the intra-rank codec
-// workers.
+// This file is the compressor itself — the one quantize→encode body and the
+// one decode→dequantize body, exposed as codec.BufferedCodec (Compress and
+// Decompress in hybrid.go wrap them). Every scratch buffer — the
+// quantize-code array, the zigzag symbol array, the sub-encoder workspaces,
+// and the Auto-mode candidate frame — is drawn from a pool and reused, so
+// steady-state operation performs no heap allocation. Pooling (rather than
+// per-Codec fields) keeps one codec instance safe for concurrent use, which
+// the trainer relies on: a table's codec is shared by every rank goroutine
+// and by the intra-rank codec workers.
 
 // workspace bundles the reusable state of one in-flight compress or
 // decompress call.
@@ -59,21 +59,18 @@ func (ws *workspace) sizedSyms(n int) []uint32 {
 	return ws.syms
 }
 
-// CompressAppend implements codec.BufferedCodec: it appends exactly the
-// frame Compress would return. Quantization is fused with the mode's symbol
-// transform — one traversal of src produces the bin codes, the zigzag
-// symbols, and the alphabet bound the entropy coder wants, instead of the
-// quantize-then-zigzag double pass (compressAppendTwoPass keeps the
-// reference shape; parity tests pin the frames byte-for-byte). In Auto mode
-// both sub-encoders still run — the choice needs both sizes — but the loser
-// lives only in a reused candidate buffer instead of a fresh allocation. On
-// error the appended bytes are undefined; callers must discard dst.
+// CompressAppend implements codec.BufferedCodec. Quantization is fused with
+// the mode's symbol transform — one traversal of src produces the bin codes,
+// the zigzag symbols, and the alphabet bound the entropy coder wants. In Auto
+// mode both sub-encoders run — the choice needs both sizes — and the loser
+// lives only in a reused candidate buffer. On error the appended bytes are
+// undefined; callers must discard dst.
 func (c *Codec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, error) {
 	if dim <= 0 || len(src)%dim != 0 {
 		return nil, fmt.Errorf("hybrid: bad shape len=%d dim=%d", len(src), dim)
 	}
-	if c.EB <= 0 {
-		return nil, fmt.Errorf("hybrid: error bound %v must be positive", c.EB)
+	if !usableEB(c.EB) {
+		return nil, fmt.Errorf("hybrid: error bound %v must be positive and finite", c.EB)
 	}
 	ws := wsPool.Get().(*workspace)
 	defer wsPool.Put(ws)
@@ -81,7 +78,7 @@ func (c *Codec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, erro
 	codes := ws.sizedCodes(len(src))
 
 	base := len(dst)
-	var hdr [13]byte
+	var hdr [headerLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], math.Float32bits(c.EB))
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(dim))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(src)))
@@ -93,7 +90,6 @@ func (c *Codec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, erro
 	case VectorLZ:
 		// Vector-LZ consumes raw bin codes; no symbol pass to fuse with.
 		q.Quantize(codes, src)
-		ws.venc.Window = c.Window
 		var err error
 		dst, err = ws.venc.AppendEncode(dst, codes, dim)
 		if err != nil {
@@ -104,10 +100,9 @@ func (c *Codec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, erro
 		maxSym := q.QuantizeZigZag(codes, syms, src)
 		dst = ws.henc.AppendEncodeMax(dst, syms, maxSym)
 		sub = subEntropy
-	default: // Auto: pick the smaller frame, ties to vector-LZ as Compress does
+	default: // Auto: pick the smaller frame, ties to vector-LZ
 		syms := ws.sizedSyms(len(src))
 		maxSym := q.QuantizeZigZag(codes, syms, src)
-		ws.venc.Window = c.Window
 		var err error
 		dst, err = ws.venc.AppendEncode(dst, codes, dim)
 		if err != nil {
@@ -119,105 +114,49 @@ func (c *Codec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, erro
 			sub = subEntropy
 		}
 	}
-	dst[base+12] = sub
-	return dst, nil
-}
-
-// compressAppendTwoPass is the pre-fusion shape of CompressAppend — quantize
-// everything first, then zigzag for the entropy coder — kept unexported as
-// the executable reference for the fused path's parity test and benchmark.
-func (c *Codec) compressAppendTwoPass(dst []byte, src []float32, dim int) ([]byte, error) {
-	if dim <= 0 || len(src)%dim != 0 {
-		return nil, fmt.Errorf("hybrid: bad shape len=%d dim=%d", len(src), dim)
-	}
-	if c.EB <= 0 {
-		return nil, fmt.Errorf("hybrid: error bound %v must be positive", c.EB)
-	}
-	ws := wsPool.Get().(*workspace)
-	defer wsPool.Put(ws)
-	codes := ws.sizedCodes(len(src))
-	quant.New(c.EB).Quantize(codes, src)
-
-	base := len(dst)
-	var hdr [13]byte
-	binary.LittleEndian.PutUint32(hdr[0:], math.Float32bits(c.EB))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(dim))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(src)))
-	dst = append(dst, hdr[:]...)
-	payloadStart := len(dst)
-
-	sub := byte(subVLZ)
-	switch c.Mode {
-	case VectorLZ:
-		ws.venc.Window = c.Window
-		var err error
-		dst, err = ws.venc.AppendEncode(dst, codes, dim)
-		if err != nil {
-			return nil, err
-		}
-	case Entropy:
-		syms := ws.sizedSyms(len(codes))
-		quant.ZigZagInto(syms, codes)
-		dst = ws.henc.AppendEncode(dst, syms)
-		sub = subEntropy
-	default:
-		ws.venc.Window = c.Window
-		var err error
-		dst, err = ws.venc.AppendEncode(dst, codes, dim)
-		if err != nil {
-			return nil, err
-		}
-		syms := ws.sizedSyms(len(codes))
-		quant.ZigZagInto(syms, codes)
-		ws.alt = ws.henc.AppendEncode(ws.alt[:0], syms)
-		if len(ws.alt) < len(dst)-payloadStart {
-			dst = append(dst[:payloadStart], ws.alt...)
-			sub = subEntropy
-		}
-	}
-	dst[base+12] = sub
+	dst[base+headerLen-1] = sub
 	return dst, nil
 }
 
 // DecompressInto implements codec.BufferedCodec: dst must hold exactly the
-// frame's value count; the reconstruction is identical to Decompress.
+// frame's value count.
 func (c *Codec) DecompressInto(dst []float32, frame []byte) (int, error) {
-	if len(frame) < 13 {
-		return 0, errCorrupt
+	h, err := parseHeader(frame)
+	if err != nil {
+		return 0, err
 	}
-	eb := math.Float32frombits(binary.LittleEndian.Uint32(frame[0:]))
-	dim := int(binary.LittleEndian.Uint32(frame[4:]))
-	n := int(binary.LittleEndian.Uint32(frame[8:]))
-	sub := frame[12]
-	if eb <= 0 || dim <= 0 || n < 0 || n%max(dim, 1) != 0 {
-		return 0, errCorrupt
+	if h.n != len(dst) {
+		return 0, fmt.Errorf("hybrid: frame holds %d values, destination holds %d", h.n, len(dst))
 	}
-	if n != len(dst) {
-		return 0, fmt.Errorf("hybrid: frame holds %d values, destination holds %d", n, len(dst))
+	if err := decodeInto(dst, h, frame[headerLen:]); err != nil {
+		return 0, err
 	}
+	return h.dim, nil
+}
+
+// decodeInto runs the lossless stage h names over payload and dequantizes
+// into dst, whose length the caller has matched to h.n.
+func decodeInto(dst []float32, h header, payload []byte) error {
 	ws := wsPool.Get().(*workspace)
 	defer wsPool.Put(ws)
-	codes := ws.sizedCodes(n)
-	switch sub {
-	case subVLZ:
-		gotDim, err := ws.vdec.DecodeInto(codes, frame[13:])
+	codes := ws.sizedCodes(h.n)
+	if h.sub == subVLZ {
+		gotDim, err := ws.vdec.DecodeInto(codes, payload)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		if gotDim != dim {
-			return 0, errCorrupt
+		if gotDim != h.dim {
+			return errCorrupt
 		}
-	case subEntropy:
-		syms := ws.sizedSyms(n)
-		if _, err := ws.hdec.DecodeInto(syms, frame[13:]); err != nil {
-			return 0, err
+	} else {
+		syms := ws.sizedSyms(h.n)
+		if _, err := ws.hdec.DecodeInto(syms, payload); err != nil {
+			return err
 		}
 		quant.UnZigZagInto(codes, syms)
-	default:
-		return 0, errCorrupt
 	}
-	quant.New(eb).Dequantize(dst, codes)
-	return dim, nil
+	quant.New(h.eb).Dequantize(dst, codes)
+	return nil
 }
 
 var _ codec.BufferedCodec = (*Codec)(nil)

@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"dlrmcomp/internal/testutil"
@@ -122,6 +123,37 @@ func TestBufferedRoundTripAllocs(t *testing.T) {
 		roundTrip() // warm the pooled workspace and frame buffer
 		if allocs := testing.AllocsPerRun(100, roundTrip); allocs > 0 {
 			t.Errorf("mode %v: steady-state round trip allocates %.1f times per op, want 0", mode, allocs)
+		}
+	}
+}
+
+// TestDecompressBoundsAllocationByPayload pins that the allocating wrapper
+// never sizes anything from the header's untrusted value count: a real frame
+// whose header claims 1<<31 values, cut at every length from nothing through
+// header-only to complete, must be rejected — for both sub-encoders — without
+// a single allocation (the payload's own count is compared first).
+func TestDecompressBoundsAllocationByPayload(t *testing.T) {
+	src := benchSample(64, 16)
+	for _, mode := range []Mode{VectorLZ, Entropy} {
+		c := New(0.01, mode)
+		huge, err := c.Compress(src, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(huge[8:], 1<<31)
+		rejectAll := func() {
+			for cut := 0; cut <= len(huge); cut++ {
+				if _, _, err := c.Decompress(huge[:cut]); err == nil {
+					t.Fatalf("%v: frame claiming 1<<31 values, cut at %d/%d, decoded without error", mode, cut, len(huge))
+				}
+			}
+		}
+		rejectAll()
+		if testutil.RaceEnabled {
+			continue // alloc counts are meaningless under the race detector
+		}
+		if allocs := testing.AllocsPerRun(5, rejectAll); allocs > 0 {
+			t.Errorf("%v: rejecting the frames allocated %.1f times, want 0", mode, allocs)
 		}
 	}
 }

@@ -13,13 +13,15 @@
 //
 // Key types: Codec (New(eb, mode)), Mode (Auto / VectorLZ / Entropy),
 // SelectEncoder (Algorithm 2's offline per-table choice, timed best-of-3
-// through the buffered path so the decision is noise-stable), and
+// at steady state so the decision is noise-stable), and
 // Speedup/Throughput, the Eq. (2) communication speed-up model used by
 // both the offline phase and the fig11 experiment.
 //
-// Codec also implements codec.BufferedCodec: CompressAppend/DecompressInto
-// produce byte-identical frames and value-identical reconstructions to
-// Compress/Decompress while drawing every scratch buffer from a pooled
+// There is one implementation: CompressAppend/DecompressInto
+// (codec.BufferedCodec, buffered.go) draw every scratch buffer from a pooled
 // workspace, so the trainer's steady-state codec work performs no heap
-// allocation and one shared instance stays goroutine-safe.
+// allocation and one shared instance stays goroutine-safe. Compress is
+// CompressAppend into a fresh buffer; Decompress parses the header, checks
+// its value count against the payload's own before allocating, and calls
+// the same decode body. Frames are pinned by testdata/frames.golden.
 package hybrid

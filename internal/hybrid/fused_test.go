@@ -2,11 +2,74 @@ package hybrid
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"dlrmcomp/internal/quant"
 	"dlrmcomp/internal/tensor"
 )
+
+// compressAppendTwoPass is the pre-fusion shape of CompressAppend — quantize
+// everything first, then zigzag for the entropy coder, which finds the
+// alphabet bound itself. It ships nowhere; it is the executable reference for
+// the fused path's parity test and the TwoPass benchmark the perf-trend gate
+// tracks.
+func (c *Codec) compressAppendTwoPass(dst []byte, src []float32, dim int) ([]byte, error) {
+	if dim <= 0 || len(src)%dim != 0 {
+		return nil, fmt.Errorf("hybrid: bad shape len=%d dim=%d", len(src), dim)
+	}
+	if c.EB <= 0 {
+		return nil, fmt.Errorf("hybrid: error bound %v must be positive", c.EB)
+	}
+	ws := wsPool.Get().(*workspace)
+	defer wsPool.Put(ws)
+	codes := ws.sizedCodes(len(src))
+	quant.New(c.EB).Quantize(codes, src)
+
+	base := len(dst)
+	var hdr [13]byte
+	binary.LittleEndian.PutUint32(hdr[0:], math.Float32bits(c.EB))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(dim))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(src)))
+	dst = append(dst, hdr[:]...)
+	payloadStart := len(dst)
+
+	sub := byte(subVLZ)
+	switch c.Mode {
+	case VectorLZ:
+		var err error
+		dst, err = ws.venc.AppendEncode(dst, codes, dim)
+		if err != nil {
+			return nil, err
+		}
+	case Entropy:
+		syms := ws.sizedSyms(len(codes))
+		quant.ZigZagInto(syms, codes)
+		dst = ws.henc.AppendEncode(dst, syms)
+		sub = subEntropy
+	default:
+		var err error
+		dst, err = ws.venc.AppendEncode(dst, codes, dim)
+		if err != nil {
+			return nil, err
+		}
+		syms := ws.sizedSyms(len(codes))
+		quant.ZigZagInto(syms, codes)
+		ws.alt = ws.henc.AppendEncode(ws.alt[:0], syms)
+		if len(ws.alt) < len(dst)-payloadStart {
+			dst = append(dst[:payloadStart], ws.alt...)
+			sub = subEntropy
+		}
+	}
+	dst[base+12] = sub
+	return dst, nil
+}
 
 // TestFusedEncodeFrameParity pins the fused quantize+zigzag+entropy encoder
 // against the two-pass reference over the full conformance matrix: every
@@ -14,6 +77,13 @@ import (
 // data distribution (hot-key lookup batches, pure noise, constant blocks,
 // zero blocks, sign-alternating values that stress the zigzag mapping). The
 // frames must be byte-identical — the fusion changes traversal, not output.
+//
+// The same frames are pinned across commits: testdata/frames.golden holds
+// one "mode/eb/case length sha256" line per frame, generated through Compress
+// before the allocating encoders left the tree, and Compress and
+// CompressAppend must both still produce exactly those bytes. An intended
+// format change regenerates the file from the "got" block printed on
+// mismatch.
 func TestFusedEncodeFrameParity(t *testing.T) {
 	rng := tensor.NewRNG(42)
 	noise := func(n int, std float32) []float32 {
@@ -50,6 +120,7 @@ func TestFusedEncodeFrameParity(t *testing.T) {
 		{"alternating", alternating(96 * 12), 12},
 		{"empty", nil, 4},
 	}
+	var digests strings.Builder
 	for _, mode := range []Mode{Auto, VectorLZ, Entropy} {
 		for _, eb := range []float32{0.001, 0.01, 0.1} {
 			for _, tc := range cases {
@@ -66,8 +137,20 @@ func TestFusedEncodeFrameParity(t *testing.T) {
 				if !bytes.Equal(ref, got) {
 					t.Fatalf("%s: fused frame differs from two-pass (%d vs %d bytes)", label, len(got), len(ref))
 				}
+				if viaCompress, err := c.Compress(tc.src, tc.dim); err != nil || !bytes.Equal(viaCompress, got) {
+					t.Fatalf("%s: Compress differs from CompressAppend (err %v)", label, err)
+				}
+				fmt.Fprintf(&digests, "%s %d %x\n", label, len(got), sha256.Sum256(got))
 			}
 		}
+	}
+	golden := filepath.Join("testdata", "frames.golden")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if digests.String() != string(want) {
+		t.Fatalf("frames drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, digests.String(), want)
 	}
 }
 

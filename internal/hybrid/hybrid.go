@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dlrmcomp/internal/huffman"
-	"dlrmcomp/internal/quant"
 	"dlrmcomp/internal/vlz"
 )
 
@@ -40,9 +39,8 @@ func (m Mode) String() string {
 
 // Codec is the paper's compressor.
 type Codec struct {
-	EB     float32
-	Mode   Mode
-	Window int // vector-LZ window (rows); 0 = vlz.DefaultWindow
+	EB   float32
+	Mode Mode
 }
 
 // New returns the hybrid codec with the given error bound and mode.
@@ -66,102 +64,92 @@ const (
 	subEntropy = 1
 )
 
-// Compress implements codec.Codec.
-func (c *Codec) Compress(src []float32, dim int) ([]byte, error) {
-	if dim <= 0 || len(src)%dim != 0 {
-		return nil, fmt.Errorf("hybrid: bad shape len=%d dim=%d", len(src), dim)
-	}
-	if c.EB <= 0 {
-		return nil, fmt.Errorf("hybrid: error bound %v must be positive", c.EB)
-	}
-	codes := make([]int32, len(src))
-	quant.New(c.EB).Quantize(codes, src)
+// headerLen is the fixed frame prefix: error bound (float32 bits), row
+// length dim, value count n (all little-endian uint32), sub-encoder tag.
+const headerLen = 13
 
-	var payload []byte
-	var sub byte
-	switch c.Mode {
-	case VectorLZ:
-		p, err := vlz.New(c.Window).Encode(codes, dim)
-		if err != nil {
-			return nil, err
-		}
-		payload, sub = p, subVLZ
-	case Entropy:
-		payload, sub = huffman.Encode(quant.ZigZagSlice(codes)), subEntropy
-	default: // Auto: pick the smaller frame
-		pv, err := vlz.New(c.Window).Encode(codes, dim)
-		if err != nil {
-			return nil, err
-		}
-		ph := huffman.Encode(quant.ZigZagSlice(codes))
-		if len(pv) <= len(ph) {
-			payload, sub = pv, subVLZ
-		} else {
-			payload, sub = ph, subEntropy
-		}
-	}
-
-	out := make([]byte, 13, 13+len(payload))
-	binary.LittleEndian.PutUint32(out[0:], math.Float32bits(c.EB))
-	binary.LittleEndian.PutUint32(out[4:], uint32(dim))
-	binary.LittleEndian.PutUint32(out[8:], uint32(len(src)))
-	out[12] = sub
-	return append(out, payload...), nil
+// header is the parsed, validated frame prefix.
+type header struct {
+	eb  float32
+	dim int
+	n   int
+	sub byte
 }
 
-// Decompress implements codec.Codec.
+// usableEB reports whether eb can quantize: positive and finite. A NaN or
+// +Inf bound would turn every value into NaN/Inf with no error.
+func usableEB(eb float32) bool {
+	return eb > 0 && !math.IsInf(float64(eb), 1)
+}
+
+// parseHeader is the one place a frame prefix is read and checked; the
+// payload follows at frame[headerLen:].
+func parseHeader(frame []byte) (header, error) {
+	if len(frame) < headerLen {
+		return header{}, errCorrupt
+	}
+	h := header{
+		eb:  math.Float32frombits(binary.LittleEndian.Uint32(frame[0:])),
+		dim: int(binary.LittleEndian.Uint32(frame[4:])),
+		n:   int(binary.LittleEndian.Uint32(frame[8:])),
+		sub: frame[12],
+	}
+	if !usableEB(h.eb) || h.dim <= 0 || h.n < 0 || h.n%h.dim != 0 || h.sub > subEntropy {
+		return header{}, errCorrupt
+	}
+	return h, nil
+}
+
+// Compress implements codec.Codec: CompressAppend into a fresh buffer.
+func (c *Codec) Compress(src []float32, dim int) ([]byte, error) {
+	return c.CompressAppend(nil, src, dim)
+}
+
+// Decompress implements codec.Codec: DecompressInto a fresh buffer sized from
+// the header. The header's count is untrusted, so nothing is allocated until
+// the payload's own count agrees with it — a damaged or header-only frame
+// claiming billions of values is rejected for the price of two varints.
 func (c *Codec) Decompress(frame []byte) ([]float32, int, error) {
-	if len(frame) < 13 {
-		return nil, 0, errCorrupt
+	h, err := parseHeader(frame)
+	if err != nil {
+		return nil, 0, err
 	}
-	eb := math.Float32frombits(binary.LittleEndian.Uint32(frame[0:]))
-	dim := int(binary.LittleEndian.Uint32(frame[4:]))
-	n := int(binary.LittleEndian.Uint32(frame[8:]))
-	sub := frame[12]
-	if eb <= 0 || dim <= 0 || n < 0 || n%max(dim, 1) != 0 {
-		return nil, 0, errCorrupt
-	}
-	var codes []int32
-	switch sub {
-	case subVLZ:
-		decoded, gotDim, err := vlz.Decode(frame[13:])
+	payload := frame[headerLen:]
+	if h.sub == subVLZ {
+		rows, dim, err := vlz.RowCount(payload)
 		if err != nil {
 			return nil, 0, err
 		}
-		if gotDim != dim || len(decoded) != n {
+		if dim != h.dim || rows != h.n/h.dim {
 			return nil, 0, errCorrupt
 		}
-		codes = decoded
-	case subEntropy:
-		syms, err := huffman.Decode(frame[13:])
+	} else {
+		count, err := huffman.SymbolCount(payload)
 		if err != nil {
 			return nil, 0, err
 		}
-		if len(syms) != n {
+		if count != h.n {
 			return nil, 0, errCorrupt
 		}
-		codes = quant.UnZigZagSlice(syms)
-	default:
-		return nil, 0, errCorrupt
 	}
-	out := make([]float32, n)
-	quant.New(eb).Dequantize(out, codes)
-	return out, dim, nil
+	out := make([]float32, h.n)
+	if err := decodeInto(out, h, payload); err != nil {
+		return nil, 0, err
+	}
+	return out, h.dim, nil
 }
 
 // SubEncoderOf reports which lossless stage produced the frame ("vlz" or
 // "huffman"), for experiment reporting.
 func SubEncoderOf(frame []byte) (string, error) {
-	if len(frame) < 13 {
-		return "", errCorrupt
+	h, err := parseHeader(frame)
+	if err != nil {
+		return "", err
 	}
-	switch frame[12] {
-	case subVLZ:
+	if h.sub == subVLZ {
 		return "vlz", nil
-	case subEntropy:
-		return "huffman", nil
 	}
-	return "", errCorrupt
+	return "huffman", nil
 }
 
 // --- Eq. (2) speed-up model and compressor selection (Algorithm 2) --------

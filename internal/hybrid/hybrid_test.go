@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -144,11 +145,56 @@ func TestCompressValidation(t *testing.T) {
 	if _, err := New(0.01, Auto).Compress([]float32{1, 2, 3}, 2); err == nil {
 		t.Fatal("bad shape should error")
 	}
-	if _, err := New(0, Auto).Compress([]float32{1, 2}, 2); err == nil {
-		t.Fatal("zero eb should error")
+	for _, eb := range []float32{0, -0.01, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		if _, err := New(eb, Auto).Compress([]float32{1, 2}, 2); err == nil {
+			t.Fatalf("eb %v should error", eb)
+		}
 	}
 	if _, _, err := New(0.01, Auto).Decompress([]byte{1}); err == nil {
 		t.Fatal("short frame should error")
+	}
+}
+
+// TestHeaderValidation damages one header field of a valid frame at a time:
+// every entry point that reads the header must reject the frame instead of
+// decoding it (a NaN or +Inf error bound used to pass the eb <= 0 check and
+// dequantize to NaN/Inf values with a nil error).
+func TestHeaderValidation(t *testing.T) {
+	src := hotKeyBatch(tensor.NewRNG(9), 32, 8, 4, 0.5)
+	c := New(0.01, Auto)
+	valid, err := c.Compress(src, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f32 := func(v float64) []byte { return binary.LittleEndian.AppendUint32(nil, math.Float32bits(float32(v))) }
+	u32 := func(v int) []byte { return binary.LittleEndian.AppendUint32(nil, uint32(v)) }
+	cases := []struct {
+		name  string
+		off   int
+		patch []byte
+	}{
+		{"eb NaN", 0, f32(math.NaN())},
+		{"eb +Inf", 0, f32(math.Inf(1))},
+		{"eb -Inf", 0, f32(math.Inf(-1))},
+		{"eb zero", 0, f32(0)},
+		{"eb negative", 0, f32(-0.01)},
+		{"dim zero", 4, u32(0)},
+		{"count not a multiple of dim", 8, u32(len(src) + 1)},
+		{"unknown sub-encoder", 12, []byte{2}},
+	}
+	dst := make([]float32, len(src))
+	for _, tc := range cases {
+		frame := append([]byte(nil), valid...)
+		copy(frame[tc.off:], tc.patch)
+		if vals, _, err := c.Decompress(frame); err == nil {
+			t.Errorf("%s: Decompress returned %d values and no error", tc.name, len(vals))
+		}
+		if _, err := c.DecompressInto(dst, frame); err == nil {
+			t.Errorf("%s: DecompressInto returned no error", tc.name)
+		}
+		if _, err := SubEncoderOf(frame); err == nil {
+			t.Errorf("%s: SubEncoderOf returned no error", tc.name)
+		}
 	}
 }
 
@@ -206,35 +252,5 @@ func TestNames(t *testing.T) {
 		New(0.01, VectorLZ).Name() != "ours-vector" ||
 		New(0.01, Entropy).Name() != "ours-huffman" {
 		t.Fatal("mode names wrong")
-	}
-}
-
-func BenchmarkHybridCompress2048x64(b *testing.B) {
-	rng := tensor.NewRNG(7)
-	src := hotKeyBatch(rng, 2048, 64, 500, 0.3)
-	c := New(0.01, Auto)
-	b.SetBytes(int64(len(src) * 4))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Compress(src, 64); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHybridDecompress2048x64(b *testing.B) {
-	rng := tensor.NewRNG(8)
-	src := hotKeyBatch(rng, 2048, 64, 500, 0.3)
-	c := New(0.01, Auto)
-	frame, err := c.Compress(src, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(src) * 4))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Decompress(frame); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -7,8 +7,8 @@ package tensor
 // order (with the same skip-zero semantics the naive loops have), so the
 // results are bitwise identical to the naive triple loops at any tile
 // boundary. Parity tests pin the blocked kernels against the naive
-// references across ragged shapes; the naive loops stay in naive.go as the
-// executable specification.
+// references across ragged shapes; the naive loops live in naive_test.go as
+// the executable specification.
 //
 // Why tiling helps a scalar Go build: a single dot-product accumulator is a
 // serial dependency chain bounded by FP-add latency, while a 2×4 tile keeps

@@ -7,21 +7,18 @@ import (
 	"dlrmcomp/internal/quant"
 )
 
-// This file is the buffered twin of vlz.go: AppendEncode/DecodeInto produce
-// and consume frames byte-identical to Encode/Decode while reusing every
-// scratch structure across calls. The encoder also replaces Encode's
-// shift-the-whole-index eviction (O(window) per literal once the window is
-// full) with a sequence-numbered hash chain (O(1) amortized): literal rows
-// carry a monotonically increasing sequence number, the ring is addressed
-// modulo the window, and expired chain entries are skipped by comparing
-// against the window floor instead of being rewritten. Match selection order
-// (newest matching literal first) and therefore the emitted token stream are
-// unchanged — parity with Encode is pinned by tests.
+// This file is the coder: AppendEncode/DecodeInto reuse every scratch
+// structure across calls. Window eviction is a sequence-numbered hash chain
+// (O(1) amortized): literal rows carry a monotonically increasing sequence
+// number, the ring is addressed modulo the window, and expired chain entries
+// are skipped by comparing against the window floor instead of being
+// rewritten. Matching picks the newest matching literal first; the token
+// stream is pinned against the shift-the-index oracle in oracle_test.go.
 
 // AppendEncode compresses codes (numRows × dim, row-major) and appends the
-// frame to dst, returning the grown buffer. The frame bytes are identical to
-// Encode(codes, dim). The encoder's internal workspace is reused across
-// calls, so AppendEncode is not safe for concurrent use on one Encoder.
+// self-contained frame to dst, returning the grown buffer. The encoder's
+// internal workspace is reused across calls, so AppendEncode is not safe for
+// concurrent use on one Encoder.
 func (e *Encoder) AppendEncode(dst []byte, codes []int32, dim int) ([]byte, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("vlz: dim must be positive, got %d", dim)
@@ -68,6 +65,7 @@ func (e *Encoder) AppendEncode(dst []byte, codes []int32, dim int) ([]byte, erro
 			n = binary.PutUvarint(tmp[:], uint64(pendingOffset))
 			dst = append(dst, tmp[:n]...)
 		} else {
+			// Run token: 2, offset, count.
 			dst = append(dst, 2)
 			n = binary.PutUvarint(tmp[:], uint64(pendingOffset))
 			dst = append(dst, tmp[:n]...)
@@ -93,8 +91,9 @@ func (e *Encoder) AppendEncode(dst []byte, codes []int32, dim int) ([]byte, erro
 			}
 		}
 		if matchSeq >= 0 {
-			// Back-offset in literals from newest (1 = newest), exactly
-			// Encode's len(ring)-matchPos.
+			// Back-offset in literals from newest (1 = newest). The window
+			// does not advance on matches, so consecutive matches of the
+			// same row share the offset and run-length code.
 			offset := int(total - matchSeq)
 			if offset == pendingOffset {
 				pendingCount++
@@ -105,6 +104,7 @@ func (e *Encoder) AppendEncode(dst []byte, codes []int32, dim int) ([]byte, erro
 			continue
 		}
 		flushRun()
+		// Literal token: 0, then zigzag varints of each code.
 		dst = append(dst, 0)
 		for _, c := range row {
 			n = binary.PutUvarint(tmp[:], uint64(quant.ZigZag(c)))
@@ -124,10 +124,10 @@ func (e *Encoder) AppendEncode(dst []byte, codes []int32, dim int) ([]byte, erro
 	return dst, nil
 }
 
-// Decoder reconstructs frames with a reusable workspace. Unlike Decode it
-// writes straight into the caller's code buffer and keeps its literal-row
-// ring as offsets into that buffer, so steady-state decoding performs no
-// heap allocation. Not safe for concurrent use.
+// Decoder reconstructs frames with a reusable workspace. It writes straight
+// into the caller's code buffer and keeps its literal-row ring as offsets
+// into that buffer, so steady-state decoding performs no heap allocation.
+// Not safe for concurrent use.
 type Decoder struct {
 	ring []int32 // output offsets of literal rows, oldest first
 }
@@ -135,10 +135,10 @@ type Decoder struct {
 // NewDecoder returns a decoder with an empty (lazily grown) workspace.
 func NewDecoder() *Decoder { return &Decoder{} }
 
-// DecodeInto reconstructs the code rows of a frame produced by
-// Encode/AppendEncode into dst, whose length must equal rows×dim of the
-// frame (callers learn the count from their own framing, as the hybrid codec
-// header does). Returns the frame's row length dim.
+// DecodeInto reconstructs the code rows of a frame produced by AppendEncode
+// into dst, whose length must equal rows×dim of the frame (callers learn the
+// count from their own framing, as the hybrid codec header does, or from
+// RowCount). Returns the frame's row length dim.
 func (d *Decoder) DecodeInto(dst []int32, data []byte) (int, error) {
 	d64, n := binary.Uvarint(data)
 	if n <= 0 || d64 == 0 {

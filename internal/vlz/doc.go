@@ -21,10 +21,13 @@
 // internal/quant. Pure compute; its cost enters end-to-end projections
 // through the wrapping codec's calibrated rates ("ours-vector").
 //
-// Key API: Encoder (New(window)) with its Encode method, the package-level
-// Decode, and DefaultWindow — the paper's 255-row setting swept in table6.
-// The buffered twins AppendEncode and Decoder.DecodeInto (append.go) emit
-// and consume byte-identical frames with reusable workspaces — zero
-// steady-state allocation, and O(1) amortized window eviction via a
-// sequence-numbered hash chain instead of Encode's O(window) index shift.
+// Key API: Encoder (New(window)) with AppendEncode, Decoder.DecodeInto,
+// RowCount (sizes a DecodeInto destination without decoding), EncodeStats
+// (match/literal counts for Fig. 13), and DefaultWindow — the paper's
+// 255-row setting swept in table6. Both directions reuse their workspaces —
+// zero steady-state allocation, one instance per goroutine — and window
+// eviction is O(1) amortized via a sequence-numbered hash chain. The
+// original allocating Encode/Decode (O(window) index shift per eviction)
+// live in oracle_test.go, where the parity tests hold the coder to them
+// byte for byte.
 package vlz

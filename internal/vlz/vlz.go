@@ -3,9 +3,6 @@ package vlz
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-
-	"dlrmcomp/internal/quant"
 )
 
 // DefaultWindow is the row-granular window the paper found best (Table VI).
@@ -74,122 +71,9 @@ func rowsEqual(a, b []int32) bool {
 	return true
 }
 
-// Encode compresses codes (numRows × dim, row-major) into a self-contained
-// frame.
-func (e *Encoder) Encode(codes []int32, dim int) ([]byte, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("vlz: dim must be positive, got %d", dim)
-	}
-	if len(codes)%dim != 0 {
-		return nil, fmt.Errorf("vlz: %d codes not divisible by dim %d", len(codes), dim)
-	}
-	numRows := len(codes) / dim
-
-	var out []byte
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(dim))
-	out = append(out, tmp[:n]...)
-	n = binary.PutUvarint(tmp[:], uint64(numRows))
-	out = append(out, tmp[:n]...)
-
-	// ring holds the last Window *literal* rows (start offsets into codes);
-	// index maps row hash -> positions in ring.
-	ring := make([]int, 0, e.Window)
-	index := make(map[uint64][]int)
-	evict := func() {
-		if len(ring) < e.Window {
-			return
-		}
-		// Drop the oldest literal row from ring and index.
-		oldStart := ring[0]
-		oldHash := hashRow(codes[oldStart : oldStart+dim])
-		lst := index[oldHash]
-		for i, p := range lst {
-			if p == 0 {
-				lst = append(lst[:i], lst[i+1:]...)
-				break
-			}
-		}
-		// All remaining ring positions shift down by one.
-		for h, l := range index {
-			for i := range l {
-				l[i]--
-			}
-			index[h] = l
-		}
-		if len(lst) == 0 {
-			delete(index, oldHash)
-		} else {
-			index[oldHash] = lst
-		}
-		ring = ring[1:]
-	}
-
-	// Pending run of match tokens at the same offset.
-	pendingOffset := -1
-	pendingCount := 0
-	flushRun := func() {
-		if pendingCount == 0 {
-			return
-		}
-		if pendingCount == 1 {
-			out = append(out, 1)
-			n = binary.PutUvarint(tmp[:], uint64(pendingOffset))
-			out = append(out, tmp[:n]...)
-		} else {
-			// Run token: 2, offset, count.
-			out = append(out, 2)
-			n = binary.PutUvarint(tmp[:], uint64(pendingOffset))
-			out = append(out, tmp[:n]...)
-			n = binary.PutUvarint(tmp[:], uint64(pendingCount))
-			out = append(out, tmp[:n]...)
-		}
-		pendingOffset, pendingCount = -1, 0
-	}
-
-	for r := 0; r < numRows; r++ {
-		row := codes[r*dim : (r+1)*dim]
-		h := hashRow(row)
-		matchPos := -1
-		for i := len(index[h]) - 1; i >= 0; i-- {
-			p := index[h][i]
-			cand := codes[ring[p] : ring[p]+dim]
-			if rowsEqual(row, cand) {
-				matchPos = p
-				break
-			}
-		}
-		if matchPos >= 0 {
-			// Back-offset in ring slots from newest (1 = newest literal).
-			// The window does not advance on matches, so consecutive
-			// matches of the same row share the offset and run-length code.
-			offset := len(ring) - matchPos
-			if offset == pendingOffset {
-				pendingCount++
-			} else {
-				flushRun()
-				pendingOffset, pendingCount = offset, 1
-			}
-			continue
-		}
-		flushRun()
-		// Literal token: 0, then zigzag varints of each code.
-		out = append(out, 0)
-		for _, c := range row {
-			n = binary.PutUvarint(tmp[:], uint64(quant.ZigZag(c)))
-			out = append(out, tmp[:n]...)
-		}
-		evict()
-		ring = append(ring, r*dim)
-		index[h] = append(index[h], len(ring)-1)
-	}
-	flushRun()
-	return out, nil
-}
-
-// EncodeStats runs Encode and also returns batch statistics.
+// EncodeStats runs AppendEncode and also returns batch statistics.
 func (e *Encoder) EncodeStats(codes []int32, dim int) ([]byte, Stats, error) {
-	out, err := e.Encode(codes, dim)
+	out, err := e.AppendEncode(nil, codes, dim)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -261,80 +145,4 @@ func scanTokens(data []byte) (dim int, matched, literals int, err error) {
 		}
 	}
 	return int(d), matched, literals, nil
-}
-
-// Decode reconstructs the code rows from a frame produced by Encode.
-func Decode(data []byte) (codes []int32, dim int, err error) {
-	d64, n := binary.Uvarint(data)
-	if n <= 0 || d64 == 0 {
-		return nil, 0, errCorrupt
-	}
-	data = data[n:]
-	rows64, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, 0, errCorrupt
-	}
-	data = data[n:]
-	dim = int(d64)
-	numRows := int(rows64)
-	codes = make([]int32, 0, numRows*dim)
-
-	var ring [][]int32 // decoded literal rows, oldest first
-	for r := 0; r < numRows; {
-		if len(data) == 0 {
-			return nil, 0, errCorrupt
-		}
-		tok := data[0]
-		data = data[1:]
-		switch tok {
-		case 1:
-			off64, n := binary.Uvarint(data)
-			if n <= 0 {
-				return nil, 0, errCorrupt
-			}
-			data = data[n:]
-			off := int(off64)
-			if off <= 0 || off > len(ring) {
-				return nil, 0, errCorrupt
-			}
-			codes = append(codes, ring[len(ring)-off]...)
-			r++
-		case 2:
-			off64, n := binary.Uvarint(data)
-			if n <= 0 {
-				return nil, 0, errCorrupt
-			}
-			data = data[n:]
-			cnt64, n2 := binary.Uvarint(data)
-			if n2 <= 0 || cnt64 == 0 {
-				return nil, 0, errCorrupt
-			}
-			data = data[n2:]
-			off := int(off64)
-			if off <= 0 || off > len(ring) || uint64(numRows-r) < cnt64 {
-				return nil, 0, errCorrupt
-			}
-			rowData := ring[len(ring)-off]
-			for k := uint64(0); k < cnt64; k++ {
-				codes = append(codes, rowData...)
-			}
-			r += int(cnt64)
-		case 0:
-			row := make([]int32, dim)
-			for j := 0; j < dim; j++ {
-				u, n := binary.Uvarint(data)
-				if n <= 0 {
-					return nil, 0, errCorrupt
-				}
-				data = data[n:]
-				row[j] = quant.UnZigZag(uint32(u))
-			}
-			ring = append(ring, row)
-			codes = append(codes, row...)
-			r++
-		default:
-			return nil, 0, errCorrupt
-		}
-	}
-	return codes, dim, nil
 }

@@ -7,15 +7,29 @@ import (
 	"dlrmcomp/internal/tensor"
 )
 
+// decodeFrame sizes the destination with RowCount and decodes through a
+// fresh Decoder — the shipped way to read a frame of unknown shape.
+func decodeFrame(frame []byte) (codes []int32, dim int, err error) {
+	rows, dim, err := RowCount(frame)
+	if err != nil {
+		return nil, 0, err
+	}
+	codes = make([]int32, rows*dim)
+	if dim, err = NewDecoder().DecodeInto(codes, frame); err != nil {
+		return nil, 0, err
+	}
+	return codes, dim, nil
+}
+
 func roundTrip(t *testing.T, enc *Encoder, codes []int32, dim int) []byte {
 	t.Helper()
-	frame, err := enc.Encode(codes, dim)
+	frame, err := enc.AppendEncode(nil, codes, dim)
 	if err != nil {
-		t.Fatalf("Encode: %v", err)
+		t.Fatalf("AppendEncode: %v", err)
 	}
-	dec, gotDim, err := Decode(frame)
+	dec, gotDim, err := decodeFrame(frame)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("DecodeInto: %v", err)
 	}
 	if gotDim != dim {
 		t.Fatalf("dim %d, want %d", gotDim, dim)
@@ -156,36 +170,41 @@ func TestWindowSweepMonotoneCR(t *testing.T) {
 	}
 	prevSize := 1 << 30
 	for _, w := range []int{32, 64, 128, 255} {
-		frame, err := New(w).Encode(codes, dim)
-		if err != nil {
-			t.Fatal(err)
-		}
+		frame := roundTrip(t, New(w), codes, dim)
 		if len(frame) > prevSize {
 			t.Fatalf("window %d inflated frame: %d > %d", w, len(frame), prevSize)
 		}
 		prevSize = len(frame)
-		roundTrip(t, New(w), codes, dim)
 	}
 }
 
 func TestEncodeErrors(t *testing.T) {
-	if _, err := New(8).Encode([]int32{1, 2, 3}, 2); err == nil {
+	if _, err := New(8).AppendEncode(nil, []int32{1, 2, 3}, 2); err == nil {
 		t.Fatal("non-divisible length should error")
 	}
-	if _, err := New(8).Encode([]int32{1}, 0); err == nil {
+	if _, err := New(8).AppendEncode(nil, []int32{1}, 0); err == nil {
 		t.Fatal("zero dim should error")
 	}
 }
 
+// TestDecodeCorrupt runs damaged frames through the shipped decoder (and
+// RowCount, which sizes its destination): every one must be rejected.
 func TestDecodeCorrupt(t *testing.T) {
-	if _, _, err := Decode(nil); err == nil {
-		t.Fatal("nil frame should error")
-	}
-	if _, _, err := Decode([]byte{4, 10, 1, 200}); err == nil {
-		t.Fatal("offset beyond ring should error")
-	}
-	if _, _, err := Decode([]byte{4, 1, 9}); err == nil {
-		t.Fatal("unknown token should error")
+	for name, frame := range map[string][]byte{
+		"nil frame":              nil,
+		"zero dim":               {0, 1, 0},
+		"truncated row count":    {4},
+		"truncated token stream": {4, 2, 0, 1, 2, 3, 4},
+		"truncated literal":      {4, 1, 0, 1, 2},
+		"offset beyond ring":     {4, 10, 1, 200},
+		"zero offset":            {2, 2, 0, 1, 2, 1, 0},
+		"unknown token":          {4, 1, 9},
+		"run past the row count": {2, 3, 0, 1, 2, 2, 1, 200},
+		"zero-length run":        {2, 3, 0, 1, 2, 2, 1, 0},
+	} {
+		if _, _, err := decodeFrame(frame); err == nil {
+			t.Errorf("%s: decoder accepted the frame", name)
+		}
 	}
 }
 
@@ -198,11 +217,11 @@ func TestRoundTripProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			codes[i] = int32(raw[i]) % 64 // induce repeats
 		}
-		frame, err := New(win).Encode(codes, dim)
+		frame, err := New(win).AppendEncode(nil, codes, dim)
 		if err != nil {
 			return false
 		}
-		dec, gotDim, err := Decode(frame)
+		dec, gotDim, err := decodeFrame(frame)
 		if err != nil || gotDim != dim || len(dec) != len(codes) {
 			return false
 		}
@@ -246,10 +265,12 @@ func BenchmarkEncodeBatch2048x64(b *testing.B) {
 		codes = append(codes, vocab[rng.Intn(500)]...)
 	}
 	enc := New(255)
+	var frame []byte
+	var err error
 	b.SetBytes(int64(len(codes) * 4))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := enc.Encode(codes, dim); err != nil {
+		if frame, err = enc.AppendEncode(frame[:0], codes, dim); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -289,12 +310,5 @@ func TestRunTokenAlternatingOffsets(t *testing.T) {
 	}
 	if st.Literals != 2 || st.Matched != 126 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestDecodeRunTokenCorrupt(t *testing.T) {
-	// Run count exceeding the declared row count must error.
-	if _, _, err := Decode([]byte{2, 3, 0, 1, 2, 1, 200}); err == nil {
-		t.Fatal("oversized run should error")
 	}
 }
