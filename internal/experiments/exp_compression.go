@@ -242,7 +242,7 @@ func runFig13(opts Options) (*Result, error) {
 		sample := samples[t]
 		codes := make([]int32, len(sample))
 		quant.New(eb).Quantize(codes, sample)
-		_, st, err := vlz.New(vlz.DefaultWindow).EncodeStats(codes, e.Dim)
+		st, err := vlz.New(vlz.DefaultWindow).EncodeStats(codes, e.Dim)
 		if err != nil {
 			return nil, err
 		}
@@ -279,7 +279,7 @@ func pickRepresentativeTables(e *scenario.Env, samples [][]float32, eb float32) 
 	for t, sample := range samples {
 		codes := make([]int32, len(sample))
 		quant.New(eb).Quantize(codes, sample)
-		_, st, err := vlz.New(vlz.DefaultWindow).EncodeStats(codes, e.Dim)
+		st, err := vlz.New(vlz.DefaultWindow).EncodeStats(codes, e.Dim)
 		if err != nil {
 			continue
 		}

@@ -2,6 +2,8 @@ package huffman
 
 import (
 	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 
 	"dlrmcomp/internal/testutil"
@@ -33,6 +35,132 @@ func appendTestInputs() map[string][]uint32 {
 	}
 }
 
+func maxOf(syms []uint32) (m uint32) {
+	for _, s := range syms {
+		m = max(m, s)
+	}
+	return m
+}
+
+// fibonacciInput returns symbols 0..k-1 with Fibonacci frequencies, shuffled:
+// the input whose Huffman tree is a single spine, so the rarest symbols get
+// codes k-1 bits long.
+func fibonacciInput(k int) []uint32 {
+	var syms []uint32
+	a, b := 1, 1
+	for s := 0; s < k; s++ {
+		for i := 0; i < a; i++ {
+			syms = append(syms, uint32(s))
+		}
+		a, b = b, a+b
+	}
+	rng := tensor.NewRNG(5)
+	for i := len(syms) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		syms[i], syms[j] = syms[j], syms[i]
+	}
+	return syms
+}
+
+// TestLongCodes runs inputs whose codes outgrow the decode table (11 bits)
+// and the encoder's two-codes-per-store loop (28 bits) through the oracle
+// parity and the round trip, so the long-code halves of both loops are held
+// to the same bytes as the short ones.
+func TestLongCodes(t *testing.T) {
+	lens := []int{14, 24, 31}
+	if testing.Short() {
+		lens = lens[:2]
+	}
+	enc, dec := NewEncoder(), NewDecoder()
+	for _, k := range lens {
+		syms := fibonacciInput(k)
+		frame := enc.AppendEncode(nil, syms)
+		if !bytes.Equal(frame, Encode(syms)) {
+			t.Fatalf("%d symbols: AppendEncode differs from Encode", k)
+		}
+		if enc.plan.mode != modeHuffman || int(enc.plan.maxLen) != k-1 {
+			t.Fatalf("%d symbols: planned mode %d with codes up to %d bits, want Huffman up to %d", k, enc.plan.mode, enc.plan.maxLen, k-1)
+		}
+		got := make([]uint32, len(syms))
+		if _, err := dec.DecodeInto(got, frame); err != nil {
+			t.Fatalf("%d symbols: %v", k, err)
+		}
+		if !slices.Equal(got, syms) {
+			t.Fatalf("%d symbols: round trip differs", k)
+		}
+	}
+}
+
+// TestDecodeLongestCodes hand-builds the frame no encoder input of sane size
+// produces: a complete code with lengths 1, 2, …, 56, 57, 57, each symbol
+// sent once in both orders. The decoder must follow codes up to maxCodeLen
+// through its refill and slow path.
+func TestDecodeLongestCodes(t *testing.T) {
+	frame := []byte{modeHuffman, maxCodeLen + 1}
+	var codes []uint64
+	for s := 0; s <= maxCodeLen; s++ {
+		l := min(s+1, maxCodeLen)
+		frame = append(frame, byte(s), byte(l))
+		// Canonical: 0, 10, 110, …; the last two share the longest length.
+		code := uint64(1)<<l - 2
+		if s == maxCodeLen {
+			code++
+		}
+		codes = append(codes, code)
+	}
+	var want []uint32
+	var w BitWriter
+	send := func(s int) {
+		want = append(want, uint32(s))
+		w.WriteBits(codes[s], uint(min(s+1, maxCodeLen)))
+	}
+	for s := 0; s <= maxCodeLen; s++ {
+		send(s)
+	}
+	for s := maxCodeLen; s >= 0; s-- {
+		send(s)
+	}
+	frame = binary.AppendUvarint(frame, uint64(len(want)))
+	frame = append(frame, w.Bytes()...)
+	got := make([]uint32, len(want))
+	if _, err := NewDecoder().DecodeInto(got, frame); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("decoded %v, want %v", got, want)
+	}
+	for cut := len(frame) - 1; cut > len(frame)-len(w.Bytes()); cut-- {
+		if _, err := NewDecoder().DecodeInto(got, frame[:cut]); err == nil {
+			t.Fatalf("frame cut to %d of %d bytes decoded without error", cut, len(frame))
+		}
+	}
+}
+
+// TestDecodeTruncated cuts one frame of each mode at every length: a frame
+// that ends before its symbols do is corrupt, not a run of zero bits. (The
+// bit reader used to supply zeros past the end, and every cut inside the
+// bitstream decoded to plausible symbols with a nil error.)
+func TestDecodeTruncated(t *testing.T) {
+	inputs := appendTestInputs()
+	for name, wantMode := range map[string]byte{"skewed": modeHuffman, "wide-raw": modeRaw, "constant": modeConst} {
+		syms := inputs[name]
+		frame := NewEncoder().AppendEncode(nil, syms)
+		if frame[0] != wantMode {
+			t.Fatalf("%s: frame mode %d, want %d", name, frame[0], wantMode)
+		}
+		dst := make([]uint32, len(syms))
+		dec := NewDecoder()
+		if _, err := dec.DecodeInto(dst, frame); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for cut := 0; cut < len(frame); cut++ {
+			if _, err := dec.DecodeInto(dst, frame[:cut]); err == nil {
+				t.Errorf("%s: frame cut to %d of %d bytes decoded without error", name, cut, len(frame))
+			}
+		}
+	}
+}
+
 // TestAppendEncodeParity pins byte parity between the workspace encoder and
 // the reference Encode across all frame modes, including reuse of a dirty
 // encoder.
@@ -46,6 +174,13 @@ func TestAppendEncodeParity(t *testing.T) {
 				t.Fatalf("%s rep %d: AppendEncode differs from Encode (%d vs %d bytes)",
 					name, rep, len(got), len(ref))
 			}
+		}
+		// The size half alone must name the length the emit half then writes.
+		if n := enc.Plan(syms, maxOf(syms)); n != len(ref) {
+			t.Fatalf("%s: Plan sized the frame at %d bytes, Encode wrote %d", name, n, len(ref))
+		}
+		if got := enc.AppendPlanned(nil, syms); !bytes.Equal(ref, got) {
+			t.Fatalf("%s: AppendPlanned after Plan differs from Encode", name)
 		}
 		withPrefix := enc.AppendEncode([]byte{0xEE}, syms)
 		if withPrefix[0] != 0xEE || !bytes.Equal(withPrefix[1:], ref) {
@@ -112,23 +247,20 @@ func TestDensePathParity(t *testing.T) {
 	}
 	enc := NewEncoder()
 	for name, syms := range inputs {
-		var maxSym uint32
-		for _, s := range syms {
-			if s > maxSym {
-				maxSym = s
-			}
-		}
+		maxSym := maxOf(syms)
 		if maxSym >= maxDenseSym {
 			t.Fatalf("%s: test input does not qualify for the dense path", name)
 		}
 		ref := Encode(syms)
-		dense := enc.appendEncodeDense(nil, syms, maxSym)
-		if !bytes.Equal(ref, dense) {
-			t.Fatalf("%s: dense path differs from Encode (%d vs %d bytes)", name, len(dense), len(ref))
+		enc.planDense(syms, maxSym)
+		dense := enc.AppendPlanned(nil, syms)
+		if !bytes.Equal(ref, dense) || enc.plan.size != len(ref) {
+			t.Fatalf("%s: dense path differs from Encode (planned %d, emitted %d, want %d bytes)", name, enc.plan.size, len(dense), len(ref))
 		}
-		mapped := enc.appendEncodeMap(nil, syms)
-		if !bytes.Equal(ref, mapped) {
-			t.Fatalf("%s: map path differs from Encode (%d vs %d bytes)", name, len(mapped), len(ref))
+		enc.planMap(syms)
+		mapped := enc.AppendPlanned(nil, syms)
+		if !bytes.Equal(ref, mapped) || enc.plan.size != len(ref) {
+			t.Fatalf("%s: map path differs from Encode (planned %d, emitted %d, want %d bytes)", name, enc.plan.size, len(mapped), len(ref))
 		}
 		viaMax := enc.AppendEncodeMax(nil, syms, maxSym)
 		if !bytes.Equal(ref, viaMax) {

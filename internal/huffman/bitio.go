@@ -55,7 +55,9 @@ func (r *BitReader) Reset(data []byte) {
 }
 
 // ReadBits reads n bits (n <= 57), returning them right-aligned. Reading
-// past the end yields zero bits, which callers bound by symbol counts.
+// past the end yields zero bits without complaint, so a caller decoding
+// untrusted data checks the stream's length against what it will read
+// before it reads (as the raw-mode decoder does).
 func (r *BitReader) ReadBits(n uint) uint64 {
 	for r.nCur < n {
 		var b byte

@@ -17,9 +17,17 @@
 // Key API: Encoder.AppendEncode (AppendEncodeMax when the caller already
 // knows the largest symbol) and Decoder.DecodeInto over []uint32 symbols
 // (zigzagged quantization bins), both with reusable workspaces — zero
-// steady-state allocation, one instance per goroutine; SymbolCount sizes a
-// DecodeInto destination without decoding; BitWriter/BitReader are the bit
-// I/O underneath. huffman.go holds the frame format, append.go the coder,
-// and oracle_test.go the original allocating Encode/Decode that the parity
-// tests hold the coder to byte for byte.
+// steady-state allocation, one instance per goroutine. The encoder is two
+// halves, and AppendEncodeMax is the two in sequence: Plan counts the
+// symbols, builds the code and returns the exact frame length from
+// arithmetic alone (so a caller choosing between coders pays for no bits
+// it will discard); AppendPlanned emits that frame, code bits going into
+// the pre-grown destination a machine word at a time. The decoder reads
+// codes through a prefix table (one lookup for codes up to 11 bits, the
+// canonical first-code walk beyond) and rejects a bitstream that ends
+// before its symbols do. SymbolCount sizes a DecodeInto destination
+// without decoding; BitWriter/BitReader are the bit I/O of the cold paths
+// (raw frames, alphabets of 2¹⁶ symbols and up). huffman.go holds the
+// frame format, append.go the coder, and oracle_test.go the original
+// allocating Encode that the parity tests hold the coder to byte for byte.
 package huffman

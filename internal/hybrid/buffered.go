@@ -15,9 +15,9 @@ import (
 // This file is the compressor itself — the one quantize→encode body and the
 // one decode→dequantize body, exposed as codec.BufferedCodec (Compress and
 // Decompress in hybrid.go wrap them). Every scratch buffer — the
-// quantize-code array, the zigzag symbol array, the sub-encoder workspaces,
-// and the Auto-mode candidate frame — is drawn from a pool and reused, so
-// steady-state operation performs no heap allocation. Pooling (rather than
+// quantize-code array, the zigzag symbol array and the sub-encoder
+// workspaces — is drawn from a pool and reused, so steady-state operation
+// performs no heap allocation. Pooling (rather than
 // per-Codec fields) keeps one codec instance safe for concurrent use, which
 // the trainer relies on: a table's codec is shared by every rank goroutine
 // and by the intra-rank codec workers.
@@ -27,7 +27,6 @@ import (
 type workspace struct {
 	codes []int32
 	syms  []uint32
-	alt   []byte // Auto-mode second-candidate payload
 	venc  *vlz.Encoder
 	vdec  *vlz.Decoder
 	henc  *huffman.Encoder
@@ -61,10 +60,13 @@ func (ws *workspace) sizedSyms(n int) []uint32 {
 
 // CompressAppend implements codec.BufferedCodec. Quantization is fused with
 // the mode's symbol transform — one traversal of src produces the bin codes,
-// the zigzag symbols, and the alphabet bound the entropy coder wants. In Auto
-// mode both sub-encoders run — the choice needs both sizes — and the loser
-// lives only in a reused candidate buffer. On error the appended bytes are
-// undefined; callers must discard dst.
+// the zigzag symbols, and the alphabet bound the entropy coder wants. Auto
+// mode decides from sizes and emits only the winner: the entropy coder plans
+// its frame (histogram, code, exact length — no bits), vector-LZ encodes into
+// dst with that length as its byte budget and stops the moment it is strictly
+// longer, and only then is the planned entropy frame emitted in its place. A
+// tie keeps vector-LZ, so the frame is the one compress-both-keep-the-smaller
+// chose. On error the appended bytes are undefined; callers must discard dst.
 func (c *Codec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, error) {
 	if dim <= 0 || len(src)%dim != 0 {
 		return nil, fmt.Errorf("hybrid: bad shape len=%d dim=%d", len(src), dim)
@@ -83,7 +85,6 @@ func (c *Codec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, erro
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(dim))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(src)))
 	dst = append(dst, hdr[:]...)
-	payloadStart := len(dst)
 
 	sub := byte(subVLZ)
 	switch c.Mode {
@@ -100,17 +101,18 @@ func (c *Codec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, erro
 		maxSym := q.QuantizeZigZag(codes, syms, src)
 		dst = ws.henc.AppendEncodeMax(dst, syms, maxSym)
 		sub = subEntropy
-	default: // Auto: pick the smaller frame, ties to vector-LZ
+	default: // Auto: the smaller frame, ties to vector-LZ
 		syms := ws.sizedSyms(len(src))
 		maxSym := q.QuantizeZigZag(codes, syms, src)
+		budget := ws.henc.Plan(syms, maxSym)
+		var within bool
 		var err error
-		dst, err = ws.venc.AppendEncode(dst, codes, dim)
+		dst, within, err = ws.venc.AppendEncodeWithin(dst, codes, dim, budget)
 		if err != nil {
 			return nil, err
 		}
-		ws.alt = ws.henc.AppendEncodeMax(ws.alt[:0], syms, maxSym)
-		if len(ws.alt) < len(dst)-payloadStart {
-			dst = append(dst[:payloadStart], ws.alt...)
+		if !within {
+			dst = ws.henc.AppendPlanned(dst, syms)
 			sub = subEntropy
 		}
 	}

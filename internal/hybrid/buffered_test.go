@@ -100,7 +100,8 @@ func TestDecompressIntoWrongSize(t *testing.T) {
 
 // TestBufferedRoundTripAllocs pins the tentpole's codec half: a steady-state
 // round trip through the buffered API must not allocate, in any mode (Auto
-// runs both sub-encoders, so this also covers the reused candidate buffer).
+// plans one sub-encoder and runs the other into the frame, so this also
+// covers the emit loop's pre-grown destination).
 func TestBufferedRoundTripAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc pins are meaningless under the race detector (instrumented allocations, dropped pools)")

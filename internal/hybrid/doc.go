@@ -3,7 +3,9 @@
 // encoder (internal/quant) feeding one of two lossless encoders — the
 // vector-based LZ encoder (internal/vlz) or the optimized Huffman encoder
 // (internal/huffman) — with the per-table choice made offline by the
-// Eq. (2) speed-up model or online by smallest-output selection.
+// Eq. (2) speed-up model or online by smallest-output selection (Auto: the
+// Huffman encoder sizes its frame without emitting it, vector-LZ encodes
+// under that size as a byte budget, and only the winner is written).
 //
 // Layer: the headline codec of the reproduction, implementing
 // internal/codec.ErrorBounded. The distributed trainer compresses its

@@ -15,6 +15,11 @@ import (
 	"dlrmcomp/internal/tensor"
 )
 
+// twoPassAlt is the oracle's Auto-mode second-candidate buffer (the shipped
+// workspace no longer has one); the tests and benchmarks that run the oracle
+// do so from one goroutine.
+var twoPassAlt []byte
+
 // compressAppendTwoPass is the pre-fusion shape of CompressAppend — quantize
 // everything first, then zigzag for the entropy coder, which finds the
 // alphabet bound itself. It ships nowhere; it is the executable reference for
@@ -61,9 +66,9 @@ func (c *Codec) compressAppendTwoPass(dst []byte, src []float32, dim int) ([]byt
 		}
 		syms := ws.sizedSyms(len(codes))
 		quant.ZigZagInto(syms, codes)
-		ws.alt = ws.henc.AppendEncode(ws.alt[:0], syms)
-		if len(ws.alt) < len(dst)-payloadStart {
-			dst = append(dst[:payloadStart], ws.alt...)
+		twoPassAlt = ws.henc.AppendEncode(twoPassAlt[:0], syms)
+		if len(twoPassAlt) < len(dst)-payloadStart {
+			dst = append(dst[:payloadStart], twoPassAlt...)
 			sub = subEntropy
 		}
 	}
@@ -71,20 +76,20 @@ func (c *Codec) compressAppendTwoPass(dst []byte, src []float32, dim int) ([]byt
 	return dst, nil
 }
 
-// TestFusedEncodeFrameParity pins the fused quantize+zigzag+entropy encoder
-// against the two-pass reference over the full conformance matrix: every
-// mode, error bound, shape (including single-row and ragged widths), and
-// data distribution (hot-key lookup batches, pure noise, constant blocks,
-// zero blocks, sign-alternating values that stress the zigzag mapping). The
-// frames must be byte-identical — the fusion changes traversal, not output.
-//
-// The same frames are pinned across commits: testdata/frames.golden holds
-// one "mode/eb/case length sha256" line per frame, generated through Compress
-// before the allocating encoders left the tree, and Compress and
-// CompressAppend must both still produce exactly those bytes. An intended
-// format change regenerates the file from the "got" block printed on
-// mismatch.
-func TestFusedEncodeFrameParity(t *testing.T) {
+// parityCase is one input of the conformance matrix.
+type parityCase struct {
+	name string
+	src  []float32
+	dim  int
+}
+
+// parityCases builds the matrix's inputs: every shape (including single-row
+// and ragged widths) and data distribution (hot-key lookup batches, pure
+// noise, constant blocks, zero blocks, sign-alternating values that stress
+// the zigzag mapping). One generator feeds them in order, and
+// testdata/frames.golden pins the frames, so the order is part of the
+// contract.
+func parityCases() []parityCase {
 	rng := tensor.NewRNG(42)
 	noise := func(n int, std float32) []float32 {
 		v := make([]float32, n)
@@ -105,11 +110,7 @@ func TestFusedEncodeFrameParity(t *testing.T) {
 		}
 		return v
 	}
-	cases := []struct {
-		name string
-		src  []float32
-		dim  int
-	}{
+	return []parityCase{
 		{"hotkeys256x16", hotKeyBatch(rng, 256, 16, 32, 0.5), 16},
 		{"hotkeys33x7", hotKeyBatch(rng, 33, 7, 8, 0.3), 7},
 		{"noise128x16", noise(128*16, 1), 16},
@@ -120,6 +121,23 @@ func TestFusedEncodeFrameParity(t *testing.T) {
 		{"alternating", alternating(96 * 12), 12},
 		{"empty", nil, 4},
 	}
+}
+
+// TestFusedEncodeFrameParity pins the fused quantize+zigzag+entropy encoder
+// against the two-pass reference over the full conformance matrix: every
+// mode, error bound, shape (including single-row and ragged widths), and
+// data distribution (hot-key lookup batches, pure noise, constant blocks,
+// zero blocks, sign-alternating values that stress the zigzag mapping). The
+// frames must be byte-identical — the fusion changes traversal, not output.
+//
+// The same frames are pinned across commits: testdata/frames.golden holds
+// one "mode/eb/case length sha256" line per frame, generated through Compress
+// before the allocating encoders left the tree, and Compress and
+// CompressAppend must both still produce exactly those bytes. An intended
+// format change regenerates the file from the "got" block printed on
+// mismatch.
+func TestFusedEncodeFrameParity(t *testing.T) {
+	cases := parityCases()
 	var digests strings.Builder
 	for _, mode := range []Mode{Auto, VectorLZ, Entropy} {
 		for _, eb := range []float32{0.001, 0.01, 0.1} {

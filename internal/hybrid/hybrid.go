@@ -17,8 +17,10 @@ var errCorrupt = errors.New("hybrid: corrupt frame")
 type Mode int
 
 const (
-	// Auto compresses with both encoders and keeps the smaller frame
-	// (the per-table "hybrid" column of Table V).
+	// Auto emits whichever encoder's frame is smaller, ties to vector-LZ
+	// (the per-table "hybrid" column of Table V). It decides from sizes —
+	// the Huffman frame's planned length is vector-LZ's byte budget — so
+	// the losing frame is never written.
 	Auto Mode = iota
 	// VectorLZ forces the vector-based LZ encoder ("Ours-Vector").
 	VectorLZ

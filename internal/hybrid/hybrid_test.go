@@ -198,6 +198,28 @@ func TestHeaderValidation(t *testing.T) {
 	}
 }
 
+// TestHeaderCountsCannotWrap is the crafted frame that used to panic the
+// decoder: a header of {dim 1<<31, no values, vector-LZ} over a payload
+// claiming 1<<32 rows of 1<<32 codes. The payload's product wraps to zero in
+// a 64-bit int, matched the empty destination, and the first literal indexed
+// into it.
+func TestHeaderCountsCannotWrap(t *testing.T) {
+	frame := binary.LittleEndian.AppendUint32(nil, math.Float32bits(0.01))
+	frame = binary.LittleEndian.AppendUint32(frame, 1<<31)
+	frame = binary.LittleEndian.AppendUint32(frame, 0)
+	frame = append(frame, subVLZ)
+	frame = binary.AppendUvarint(frame, 1<<32)
+	frame = binary.AppendUvarint(frame, 1<<32)
+	frame = append(frame, 0, 0)
+	c := New(0.01, Auto)
+	if _, err := c.DecompressInto(nil, frame); err == nil {
+		t.Error("DecompressInto accepted the frame")
+	}
+	if vals, _, err := c.Decompress(frame); err == nil {
+		t.Errorf("Decompress returned %d values and no error", len(vals))
+	}
+}
+
 func TestSpeedupModel(t *testing.T) {
 	// Infinite codec throughput: speedup -> CR.
 	tp := Throughput{Compress: 1e18, Decompress: 1e18}

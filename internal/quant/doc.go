@@ -7,7 +7,9 @@
 //	recon_i = code_i · (2·eb)      ⇒ |v_i − recon_i| ≤ eb
 //
 // Codes are symmetric around zero; ZigZag mapping converts them to unsigned
-// symbols for the entropy stage.
+// symbols for the entropy stage. round is math.Round's half-away-from-zero,
+// computed branch-free (truncate x + copysign(pred(0.5), x)) and pinned to
+// math.Round value for value.
 //
 // Layer: first stage inside internal/hybrid (and the quantizer the
 // homogenization analysis in internal/adapt uses to compute Eq. 1's

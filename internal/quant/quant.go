@@ -27,9 +27,41 @@ func (q Quantizer) Quantize(dst []int32, src []float32) {
 	}
 	step := 2 * float64(q.ErrorBound)
 	for i, v := range src {
-		dst[i] = int32(math.Round(float64(v) / step))
+		x := float64(v) / step
+		c, ok := roundCode(x)
+		if !ok {
+			c = roundWide(x)
+		}
+		dst[i] = c
 	}
 }
+
+const (
+	signBit = 1 << 63
+	// halfPred is the largest float64 below 0.5. Adding it (not 0.5) with x's
+	// sign and truncating rounds half away from zero exactly: k+0.5+halfPred
+	// rounds up to k+1 under round-to-even, while pred(k+0.5)+halfPred stays
+	// below k+1, so no |x| < 2⁵² is misplaced — including pred(0.5), which
+	// x+0.5 would carry to 1.
+	halfPred = 0x3FDFFFFFFFFFFFFF
+	// roundLimit is 2³¹−1 as float64 bits: below it the biased sum truncates
+	// to a value int32 holds. Non-negative floats order like their bits, so
+	// one integer compare also sends NaN and ±Inf to the fallback.
+	roundLimit = 0x41DFFFFFFFC00000
+)
+
+// roundCode returns int32(math.Round(x)) without math.Round's software bit
+// surgery and the branch inside it; ok is false for magnitudes of 2³¹−1 and
+// up, NaN and ±Inf, which the caller hands to roundWide so that whatever the
+// platform's out-of-range conversion yields for them is unchanged. (Two
+// functions because one holding the math.Round call is over the inlining
+// budget, and the quantize loops need this inlined.)
+func roundCode(x float64) (c int32, ok bool) {
+	b := math.Float64bits(x)
+	return int32(x + math.Float64frombits(halfPred|b&signBit)), b&^signBit < roundLimit
+}
+
+func roundWide(x float64) int32 { return int32(math.Round(x)) }
 
 // QuantizeZigZag fuses Quantize and ZigZagInto into one pass over src:
 // codes[i] gets the bin code, syms[i] its zigzag symbol, and the returned
@@ -42,7 +74,11 @@ func (q Quantizer) QuantizeZigZag(codes []int32, syms []uint32, src []float32) (
 	}
 	step := 2 * float64(q.ErrorBound)
 	for i, v := range src {
-		c := int32(math.Round(float64(v) / step))
+		x := float64(v) / step
+		c, ok := roundCode(x)
+		if !ok {
+			c = roundWide(x)
+		}
 		codes[i] = c
 		s := uint32((c << 1) ^ (c >> 31))
 		syms[i] = s

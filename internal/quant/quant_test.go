@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -132,4 +133,78 @@ func TestNewPanicsOnBadEB(t *testing.T) {
 		}
 	}()
 	New(0)
+}
+
+// TestRoundingMatchesMathRound holds the quantize kernel to the expression it
+// replaced, int32(math.Round(float64(v)/step)), on the inputs where a
+// rounding shortcut goes wrong: every k+0.5 tie and its two float32
+// neighbours, the largest value below 0.5, signed zeros, denormals, the ±2³¹
+// conversion edge, non-finite values, and a few million random bit patterns.
+func TestRoundingMatchesMathRound(t *testing.T) {
+	maxK, random := 1<<23, 4<<20
+	if testing.Short() {
+		maxK, random = 1<<16, 1<<18
+	}
+	inf := float32(math.Inf(1))
+	const block = 1 << 15
+	src := make([]float32, 0, block+8)
+	codes := make([]int32, cap(src))
+	fused := make([]int32, cap(src))
+	syms := make([]uint32, cap(src))
+	for _, eb := range []float32{1e-4, 5e-3, 1e-2, 0.5} {
+		step := 2 * float64(eb)
+		q := New(eb)
+		check := func() {
+			q.Quantize(codes[:len(src)], src)
+			q.QuantizeZigZag(fused[:len(src)], syms[:len(src)], src)
+			for i, v := range src {
+				want := int32(math.Round(float64(v) / step))
+				if codes[i] != want || fused[i] != want || syms[i] != ZigZag(want) {
+					t.Fatalf("eb %v: value %v (bits %#08x) quantizes to %d (fused %d, symbol %d), math.Round gives %d",
+						eb, v, math.Float32bits(v), codes[i], fused[i], syms[i], want)
+				}
+			}
+			src = src[:0]
+		}
+		// add queues v and its two float32 neighbours.
+		add := func(v float32) {
+			src = append(src, math.Nextafter32(v, -inf), v, math.Nextafter32(v, inf))
+			if len(src) >= block {
+				check()
+			}
+		}
+		for k := 0; k <= maxK; k++ {
+			tie := float32((float64(k) + 0.5) * step)
+			add(tie)
+			add(-tie)
+		}
+		predHalf := math.Nextafter(0.5, 0)
+		edge := float32(math.Ldexp(1, 31) * step)
+		for _, v := range []float32{
+			0, float32(math.Copysign(0, -1)),
+			float32(predHalf * step), float32(-predHalf * step), float32(predHalf), float32(-predHalf),
+			math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-39, -1e-39,
+			edge, -edge, edge - float32(step), -edge + float32(step),
+			math.MaxFloat32, -math.MaxFloat32, inf, -inf, float32(math.NaN()),
+		} {
+			add(v)
+		}
+		rng := tensor.NewRNG(uint64(math.Float32bits(eb)))
+		for i := 0; i < random; i++ {
+			add(math.Float32frombits(uint32(rng.Uint64())))
+		}
+		check()
+	}
+}
+
+func BenchmarkQuantizeZigZag(b *testing.B) {
+	src := make([]float32, 1<<16)
+	tensor.NewRNG(3).FillNormal(src, 0, 0.05)
+	codes := make([]int32, len(src))
+	syms := make([]uint32, len(src))
+	q := New(0.01)
+	b.SetBytes(int64(len(src) * 4))
+	for i := 0; i < b.N; i++ {
+		q.QuantizeZigZag(codes, syms, src)
+	}
 }

@@ -3,6 +3,8 @@ package vlz
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"dlrmcomp/internal/quant"
 )
@@ -20,11 +22,21 @@ import (
 // internal workspace is reused across calls, so AppendEncode is not safe for
 // concurrent use on one Encoder.
 func (e *Encoder) AppendEncode(dst []byte, codes []int32, dim int) ([]byte, error) {
+	dst, _, err := e.AppendEncodeWithin(dst, codes, dim, math.MaxInt)
+	return dst, err
+}
+
+// AppendEncodeWithin is AppendEncode under a byte budget, for a caller that
+// already holds a competing frame of that length (the hybrid codec's Auto
+// mode): the moment the frame outgrows budget bytes the encoder stops, and
+// ok is false with dst returned at its original length. A frame of exactly
+// budget bytes is within it.
+func (e *Encoder) AppendEncodeWithin(dst []byte, codes []int32, dim, budget int) (out []byte, ok bool, err error) {
 	if dim <= 0 {
-		return nil, fmt.Errorf("vlz: dim must be positive, got %d", dim)
+		return nil, false, fmt.Errorf("vlz: dim must be positive, got %d", dim)
 	}
 	if len(codes)%dim != 0 {
-		return nil, fmt.Errorf("vlz: %d codes not divisible by dim %d", len(codes), dim)
+		return nil, false, fmt.Errorf("vlz: %d codes not divisible by dim %d", len(codes), dim)
 	}
 	numRows := len(codes) / dim
 	window := e.Window
@@ -32,26 +44,30 @@ func (e *Encoder) AppendEncode(dst []byte, codes []int32, dim int) ([]byte, erro
 		window = DefaultWindow
 	}
 
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(dim))
-	dst = append(dst, tmp[:n]...)
-	n = binary.PutUvarint(tmp[:], uint64(numRows))
-	dst = append(dst, tmp[:n]...)
+	base := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(dim))
+	dst = binary.AppendUvarint(dst, uint64(numRows))
 
-	// ring[s%window] is the codes-offset of literal sequence s; prev[s%window]
-	// chains to the previous literal with the same hash. A chain entry is
-	// live iff its sequence is ≥ total-window; anything older is skipped
-	// (its ring slot may already hold a newer row).
-	if cap(e.ring) < window {
-		e.ring = make([]int, window)
-		e.prev = make([]int32, window)
+	// ring[s&mask] is the codes-offset of literal sequence s; prev[s&mask]
+	// chains to the previous literal in the same head bucket. The ring is the
+	// window rounded up to a power of two, so a slot is a mask away and is
+	// not reused while its row is in the window. A chain entry is live iff
+	// its sequence is ≥ total-window; anything older is skipped (its slot may
+	// already hold a newer row). head is a flat table over the hash's top
+	// bits, twice the ring so chains stay short; sharing a bucket only
+	// lengthens a chain, rowsEqual decides every match.
+	if len(e.ring) < window {
+		size := 1 << bits.Len(uint(window-1))
+		e.ring = make([]int, size)
+		e.prev = make([]int32, size)
+		e.head = make([]int32, 2*size)
 	}
-	e.ring = e.ring[:window]
-	e.prev = e.prev[:window]
-	if e.head == nil {
-		e.head = make(map[uint64]int32)
+	ring, prev, head := e.ring, e.prev, e.head
+	mask := int32(len(ring) - 1)
+	headShift := 64 - bits.Len(uint(len(head)-1))
+	for i := range head {
+		head[i] = -1
 	}
-	clear(e.head)
 	total := int32(0) // literals appended so far = next sequence number
 
 	pendingOffset := -1
@@ -62,32 +78,26 @@ func (e *Encoder) AppendEncode(dst []byte, codes []int32, dim int) ([]byte, erro
 		}
 		if pendingCount == 1 {
 			dst = append(dst, 1)
-			n = binary.PutUvarint(tmp[:], uint64(pendingOffset))
-			dst = append(dst, tmp[:n]...)
+			dst = binary.AppendUvarint(dst, uint64(pendingOffset))
 		} else {
 			// Run token: 2, offset, count.
 			dst = append(dst, 2)
-			n = binary.PutUvarint(tmp[:], uint64(pendingOffset))
-			dst = append(dst, tmp[:n]...)
-			n = binary.PutUvarint(tmp[:], uint64(pendingCount))
-			dst = append(dst, tmp[:n]...)
+			dst = binary.AppendUvarint(dst, uint64(pendingOffset))
+			dst = binary.AppendUvarint(dst, uint64(pendingCount))
 		}
 		pendingOffset, pendingCount = -1, 0
 	}
 
 	for r := 0; r < numRows; r++ {
 		row := codes[r*dim : (r+1)*dim]
-		h := hashRow(row)
+		bucket := hashRow(row) >> headShift
 		matchSeq := int32(-1)
 		minSeq := total - int32(window)
-		if s, ok := e.head[h]; ok {
-			for s >= 0 && s >= minSeq {
-				start := e.ring[int(s)%window]
-				if rowsEqual(row, codes[start:start+dim]) {
-					matchSeq = s
-					break
-				}
-				s = e.prev[int(s)%window]
+		for s := head[bucket]; s >= 0 && s >= minSeq; s = prev[s&mask] {
+			start := ring[s&mask]
+			if rowsEqual(row, codes[start:start+dim]) {
+				matchSeq = s
+				break
 			}
 		}
 		if matchSeq >= 0 {
@@ -97,31 +107,33 @@ func (e *Encoder) AppendEncode(dst []byte, codes []int32, dim int) ([]byte, erro
 			offset := int(total - matchSeq)
 			if offset == pendingOffset {
 				pendingCount++
-			} else {
-				flushRun()
-				pendingOffset, pendingCount = offset, 1
+				continue
 			}
-			continue
-		}
-		flushRun()
-		// Literal token: 0, then zigzag varints of each code.
-		dst = append(dst, 0)
-		for _, c := range row {
-			n = binary.PutUvarint(tmp[:], uint64(quant.ZigZag(c)))
-			dst = append(dst, tmp[:n]...)
-		}
-		slot := int(total) % window
-		e.ring[slot] = r * dim
-		if p, ok := e.head[h]; ok {
-			e.prev[slot] = p
+			flushRun()
+			pendingOffset, pendingCount = offset, 1
 		} else {
-			e.prev[slot] = -1
+			flushRun()
+			// Literal token: 0, then zigzag varints of each code.
+			dst = append(dst, 0)
+			for _, c := range row {
+				dst = binary.AppendUvarint(dst, uint64(quant.ZigZag(c)))
+			}
+			ring[total&mask] = r * dim
+			prev[total&mask] = head[bucket]
+			head[bucket] = total
+			total++
 		}
-		e.head[h] = total
-		total++
+		// Bytes only accumulate (a pending run is yet to add its own), so a
+		// frame past the budget here is past it for good.
+		if len(dst)-base > budget {
+			return dst[:base], false, nil
+		}
 	}
 	flushRun()
-	return dst, nil
+	if len(dst)-base > budget {
+		return dst[:base], false, nil
+	}
+	return dst, true, nil
 }
 
 // Decoder reconstructs frames with a reusable workspace. It writes straight
@@ -150,11 +162,16 @@ func (d *Decoder) DecodeInto(dst []int32, data []byte) (int, error) {
 		return 0, errCorrupt
 	}
 	data = data[n:]
+	// Both counts are the frame's word: compare them with len(dst) without
+	// forming a product that could wrap onto it.
+	if have := uint64(len(dst)); have/d64 != rows64 || have%d64 != 0 {
+		return 0, fmt.Errorf("vlz: frame holds %dx%d codes, destination holds %d", rows64, d64, len(dst))
+	}
+	if d64 > math.MaxInt {
+		return 0, errCorrupt // an empty frame whose dim no int holds
+	}
 	dim := int(d64)
 	numRows := int(rows64)
-	if numRows*dim != len(dst) {
-		return 0, fmt.Errorf("vlz: frame holds %dx%d codes, destination holds %d", numRows, dim, len(dst))
-	}
 	d.ring = d.ring[:0]
 
 	o := 0 // write position in dst
@@ -227,8 +244,8 @@ func RowCount(data []byte) (rows, dim int, err error) {
 		return 0, 0, errCorrupt
 	}
 	rows64, n2 := binary.Uvarint(data[n:])
-	if n2 <= 0 {
-		return 0, 0, errCorrupt
+	if n2 <= 0 || d64 > math.MaxInt || rows64 > math.MaxInt/d64 {
+		return 0, 0, errCorrupt // rows×dim would not fit the destination's length
 	}
 	return int(rows64), int(d64), nil
 }

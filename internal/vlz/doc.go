@@ -21,13 +21,15 @@
 // internal/quant. Pure compute; its cost enters end-to-end projections
 // through the wrapping codec's calibrated rates ("ours-vector").
 //
-// Key API: Encoder (New(window)) with AppendEncode, Decoder.DecodeInto,
-// RowCount (sizes a DecodeInto destination without decoding), EncodeStats
-// (match/literal counts for Fig. 13), and DefaultWindow — the paper's
-// 255-row setting swept in table6. Both directions reuse their workspaces —
-// zero steady-state allocation, one instance per goroutine — and window
-// eviction is O(1) amortized via a sequence-numbered hash chain. The
-// original allocating Encode/Decode (O(window) index shift per eviction)
-// live in oracle_test.go, where the parity tests hold the coder to them
-// byte for byte.
+// Key API: Encoder (New(window)) with AppendEncode — and AppendEncodeWithin,
+// the same body under a byte budget, which stops the moment the frame has
+// outgrown a competing frame's length — Decoder.DecodeInto, RowCount (sizes
+// a DecodeInto destination without decoding), EncodeStats (match/literal
+// counts for Fig. 13), and DefaultWindow — the paper's 255-row setting swept
+// in table6. Both directions reuse their workspaces — zero steady-state
+// allocation, one instance per goroutine — and window eviction is O(1)
+// amortized via a sequence-numbered hash chain whose heads are a flat table
+// over a two-codes-per-multiply row hash. The original allocating Encode
+// (O(window) index shift per eviction) lives in oracle_test.go, where the
+// parity tests hold the coder to it byte for byte.
 package vlz

@@ -67,7 +67,7 @@ func TestAllIdenticalRows(t *testing.T) {
 	if len(frame) > 3+dim*2+rows*3 {
 		t.Fatalf("identical rows frame too large: %d bytes", len(frame))
 	}
-	_, st, err := New(64).EncodeStats(codes, dim)
+	st, err := New(64).EncodeStats(codes, dim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestAllDistinctRows(t *testing.T) {
 	for i := range codes {
 		codes[i] = int32(i)
 	}
-	_, st, err := New(32).EncodeStats(codes, dim)
+	st, err := New(32).EncodeStats(codes, dim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +134,11 @@ func TestWindowLimitsMatches(t *testing.T) {
 		base := int32(r % period)
 		codes = append(codes, base, base+1, base+2, base+3)
 	}
-	_, small, err := New(16).EncodeStats(codes, dim)
+	small, err := New(16).EncodeStats(codes, dim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, large, err := New(128).EncodeStats(codes, dim)
+	large, err := New(128).EncodeStats(codes, dim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +201,16 @@ func TestDecodeCorrupt(t *testing.T) {
 		"unknown token":          {4, 1, 9},
 		"run past the row count": {2, 3, 0, 1, 2, 2, 1, 200},
 		"zero-length run":        {2, 3, 0, 1, 2, 2, 1, 0},
+		// dim = rows = 1<<32: the product wraps to 0 in a 64-bit int, which
+		// used to match an empty destination and index into it.
+		"rows×dim wraps to zero": {0x80, 0x80, 0x80, 0x80, 0x10, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0},
 	} {
 		if _, _, err := decodeFrame(frame); err == nil {
 			t.Errorf("%s: decoder accepted the frame", name)
+		}
+		// None of them is an empty batch either, whatever RowCount said.
+		if _, err := NewDecoder().DecodeInto(nil, frame); err == nil {
+			t.Errorf("%s: decoder accepted the frame into an empty destination", name)
 		}
 	}
 }
@@ -239,7 +246,7 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestWindowOneStillCatchesAdjacentDuplicates(t *testing.T) {
 	codes := []int32{5, 5, 5, 5, 9, 9} // rows: [5 5] [5 5] [9 9]
-	_, st, err := New(1).EncodeStats(codes, 2)
+	st, err := New(1).EncodeStats(codes, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +311,7 @@ func TestRunTokenAlternatingOffsets(t *testing.T) {
 		codes = append(codes, b...)
 	}
 	roundTrip(t, New(8), codes, 2)
-	_, st, err := New(8).EncodeStats(codes, 2)
+	st, err := New(8).EncodeStats(codes, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
