@@ -2,7 +2,12 @@ package dlrmcomp_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,13 +18,10 @@ import (
 	"dlrmcomp/internal/tensor"
 )
 
-// allCodecs returns every codec in the repository with a mid-range error
+// baselineCodecs returns the seven comparator codecs with a mid-range error
 // bound where applicable.
-func allCodecs() []codec.Codec {
+func baselineCodecs() []codec.Codec {
 	return []codec.Codec{
-		dlrmcomp.NewCompressor(0.01, dlrmcomp.ModeAuto),
-		dlrmcomp.NewCompressor(0.01, dlrmcomp.ModeVectorLZ),
-		dlrmcomp.NewCompressor(0.01, dlrmcomp.ModeEntropy),
 		dlrmcomp.NewCuSZLikeCodec(0.01),
 		cuszlike.New(0.01, cuszlike.Lorenzo2D),
 		dlrmcomp.NewFZGPULikeCodec(0.01),
@@ -28,6 +30,28 @@ func allCodecs() []codec.Codec {
 		dlrmcomp.NewFP16Codec(),
 		dlrmcomp.NewFP8Codec(),
 	}
+}
+
+// allCodecs returns every codec in the repository: the hybrid family and the
+// baselines.
+func allCodecs() []codec.Codec {
+	return append([]codec.Codec{
+		dlrmcomp.NewCompressor(0.01, dlrmcomp.ModeAuto),
+		dlrmcomp.NewCompressor(0.01, dlrmcomp.ModeVectorLZ),
+		dlrmcomp.NewCompressor(0.01, dlrmcomp.ModeEntropy),
+	}, baselineCodecs()...)
+}
+
+// decodeNoPanic runs DecompressInto on a frame that may be damaged: an error
+// is fine, a panic is the bug.
+func decodeNoPanic(t *testing.T, c codec.Codec, dst []float32, frame []byte, what string) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("%s panicked on %s (%d bytes): %v", c.Name(), what, len(frame), r)
+		}
+	}()
+	_, _ = c.DecompressInto(dst, frame)
 }
 
 // TestConformanceRoundTrip checks every codec across a grid of shapes and
@@ -54,71 +78,127 @@ func TestConformanceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConformanceBufferedPath checks the buffered helpers against every
-// codec: for codec.BufferedCodec implementations (the hybrid family) the
-// appended frame must be byte-identical to Compress and the in-place
-// reconstruction identical to Decompress; for the rest the fallback path
-// must behave the same way.
+// TestConformanceBufferedPath is the append-path conformance every codec is
+// held to: CompressAppend preserves the bytes already in the destination and
+// appends exactly the frame a fresh CompressAppend(nil, …) returns;
+// DecompressInto fills a destination of the frame's value count, reports the
+// row length, and rejects a destination of any other length before decoding.
 func TestConformanceBufferedPath(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	src := make([]float32, 96*16)
 	rng.FillNormal(src, 0, 0.3)
+	prefix := []byte{0xA5, 0x5A, 0x00}
 	for _, c := range allCodecs() {
-		ref, err := c.Compress(src, 16)
+		ref, err := c.CompressAppend(nil, src, 16)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
-		frame, err := codec.CompressAppend(c, []byte{0xA5}, src, 16)
+		frame, err := c.CompressAppend(slices.Clone(prefix), src, 16)
 		if err != nil {
 			t.Fatalf("%s: CompressAppend: %v", c.Name(), err)
 		}
-		if frame[0] != 0xA5 || len(frame)-1 != len(ref) {
-			t.Fatalf("%s: CompressAppend corrupted the destination", c.Name())
+		if !bytes.HasPrefix(frame, prefix) {
+			t.Fatalf("%s: CompressAppend overwrote the destination's bytes", c.Name())
 		}
-		for i, b := range ref {
-			if frame[1+i] != b {
-				t.Fatalf("%s: buffered frame differs at byte %d", c.Name(), i)
-			}
+		if !bytes.Equal(frame[len(prefix):], ref) {
+			t.Fatalf("%s: frame appended behind a prefix differs from a fresh one", c.Name())
 		}
-		refVals, refDim, err := c.Decompress(ref)
+		want, _, err := codec.RoundTrip(c, src, 16)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
-		dst := make([]float32, len(refVals))
-		dim, err := codec.DecompressInto(c, dst, ref)
-		if err != nil {
-			t.Fatalf("%s: DecompressInto: %v", c.Name(), err)
+		dst := make([]float32, len(src))
+		dim, err := c.DecompressInto(dst, ref)
+		if err != nil || dim != 16 {
+			t.Fatalf("%s: DecompressInto: dim %d, err %v", c.Name(), dim, err)
 		}
-		if dim != refDim {
-			t.Fatalf("%s: DecompressInto dim %d, want %d", c.Name(), dim, refDim)
+		if !slices.Equal(dst, want) {
+			t.Fatalf("%s: two decodes of one frame differ", c.Name())
 		}
-		for i := range dst {
-			if dst[i] != refVals[i] {
-				t.Fatalf("%s: buffered reconstruction differs at %d", c.Name(), i)
+		for _, n := range []int{0, len(src) - 16, len(src) + 16} {
+			if _, err := c.DecompressInto(make([]float32, n), ref); err == nil {
+				t.Fatalf("%s: a %d-value frame decoded into %d values", c.Name(), len(src), n)
 			}
 		}
+	}
+}
+
+// TestConformanceBaselineFrames pins the baseline codecs' frames across
+// commits: testdata/frames.golden holds one "codec/case length sha256" line
+// per frame, captured through Compress before the baselines moved to the
+// append pair. DLCK checkpoints (lzss, deflate) and the size columns of
+// fig8/fig11/table5 rest on these bytes. An intended format change
+// regenerates the file from the "got" block printed on mismatch.
+func TestConformanceBaselineFrames(t *testing.T) {
+	rng := tensor.NewRNG(42)
+	noise := func(n int, std float32) []float32 {
+		v := make([]float32, n)
+		rng.FillNormal(v, 0, std)
+		return v
+	}
+	// 96 lookups over 12 hot rows: the repeated-vector shape of a real
+	// lookup batch.
+	keys := noise(12*16, 0.5)
+	hot := make([]float32, 0, 96*16)
+	for r := 0; r < 96; r++ {
+		k := rng.Intn(12)
+		hot = append(hot, keys[k*16:(k+1)*16]...)
+	}
+	constant := make([]float32, 64*8)
+	for i := range constant {
+		constant[i] = 0.42
+	}
+	cases := []struct {
+		name string
+		src  []float32
+		dim  int
+	}{
+		{"hotkeys96x16", hot, 16},
+		{"noise33x7", noise(33*7, 1), 7},
+		{"single-row", noise(16, 0.5), 16},
+		{"constant", constant, 8},
+		{"zeros", make([]float32, 64*8), 8},
+		{"empty", nil, 4},
+	}
+	var digests strings.Builder
+	for _, c := range baselineCodecs() {
+		for _, tc := range cases {
+			frame, err := c.CompressAppend(nil, tc.src, tc.dim)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.Name(), tc.name, err)
+			}
+			fmt.Fprintf(&digests, "%s/%s %d %x\n", c.Name(), tc.name, len(frame), sha256.Sum256(frame))
+		}
+	}
+	golden := filepath.Join("testdata", "frames.golden")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if digests.String() != string(want) {
+		t.Fatalf("frames drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, digests.String(), want)
 	}
 }
 
 // TestConformanceConcurrentUse holds every codec to the contract
 // codec.Codec documents: one instance is shared across goroutines (the
 // trainer shares a table's codec across rank goroutines and codec workers).
-// Eight goroutines compress and decompress through one instance — via the
-// buffered helpers too — and every frame and reconstruction must equal the
-// single-goroutine one. Run under -race this also catches a codec that keeps
-// a non-thread-safe encoder on the instance.
+// Eight goroutines compress and decompress through one instance and every
+// frame and reconstruction must equal the single-goroutine one. Run under
+// -race this also catches a codec that keeps a non-thread-safe encoder on
+// the instance.
 func TestConformanceConcurrentUse(t *testing.T) {
 	rng := tensor.NewRNG(8)
 	src := make([]float32, 64*16)
 	rng.FillNormal(src, 0, 0.3)
 	for _, c := range allCodecs() {
 		t.Run(c.Name(), func(t *testing.T) {
-			wantFrame, err := c.Compress(src, 16)
+			wantFrame, err := c.CompressAppend(nil, src, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantVals, _, err := c.Decompress(wantFrame)
-			if err != nil {
+			wantVals := make([]float32, len(src))
+			if _, err := c.DecompressInto(wantVals, wantFrame); err != nil {
 				t.Fatal(err)
 			}
 			// bad reports a concurrent result that errored or differs from
@@ -134,21 +214,15 @@ func TestConformanceConcurrentUse(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
+					var frame []byte
 					dst := make([]float32, len(src))
 					for rep := 0; rep < 20; rep++ {
-						frame, err := c.Compress(src, 16)
-						if bad("Compress", err, bytes.Equal(frame, wantFrame)) {
+						var err error
+						frame, err = c.CompressAppend(frame[:0], src, 16)
+						if bad("CompressAppend", err, bytes.Equal(frame, wantFrame)) {
 							return
 						}
-						appended, err := codec.CompressAppend(c, nil, src, 16)
-						if bad("CompressAppend", err, bytes.Equal(appended, wantFrame)) {
-							return
-						}
-						vals, _, err := c.Decompress(frame)
-						if bad("Decompress", err, slices.Equal(vals, wantVals)) {
-							return
-						}
-						_, err = codec.DecompressInto(c, dst, frame)
+						_, err = c.DecompressInto(dst, frame)
 						if bad("DecompressInto", err, slices.Equal(dst, wantVals)) {
 							return
 						}
@@ -197,11 +271,11 @@ func TestConformanceEmptyBatch(t *testing.T) {
 					t.Fatalf("%s panicked on empty batch: %v", c.Name(), r)
 				}
 			}()
-			frame, err := c.Compress(nil, 4)
+			frame, err := c.CompressAppend(nil, nil, 4)
 			if err != nil {
 				return // clean rejection is fine
 			}
-			if _, _, err := c.Decompress(frame); err != nil {
+			if _, err := c.DecompressInto(nil, frame); err != nil {
 				t.Fatalf("%s: cannot decode own empty frame: %v", c.Name(), err)
 			}
 		}()
@@ -209,25 +283,27 @@ func TestConformanceEmptyBatch(t *testing.T) {
 }
 
 // TestConformanceGarbageFrames feeds deterministic random bytes into every
-// decoder: errors are expected, panics are bugs.
+// decoder: errors are expected, panics are bugs. Pure noise rarely gets past
+// the header (its count must name the destination), so each trial also puts
+// noise behind a valid frame's first 13 bytes — every codec's header fits in
+// them — which is what reaches the payload parsers.
 func TestConformanceGarbageFrames(t *testing.T) {
 	rng := tensor.NewRNG(3)
+	src := make([]float32, 32*8)
+	rng.FillNormal(src, 0, 0.3)
+	dst := make([]float32, len(src))
 	for _, c := range allCodecs() {
+		valid, err := c.CompressAppend(nil, src, 8)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name(), err)
+		}
 		for trial := 0; trial < 200; trial++ {
-			n := rng.Intn(200)
-			frame := make([]byte, n)
-			for i := range frame {
-				frame[i] = byte(rng.Uint64())
+			noise := make([]byte, rng.Intn(200))
+			for i := range noise {
+				noise[i] = byte(rng.Uint64())
 			}
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("%s panicked on garbage frame (trial %d, %d bytes): %v",
-							c.Name(), trial, n, r)
-					}
-				}()
-				_, _, _ = c.Decompress(frame)
-			}()
+			decodeNoPanic(t, c, dst, noise, fmt.Sprintf("garbage frame (trial %d)", trial))
+			decodeNoPanic(t, c, dst, append(valid[:13:13], noise...), fmt.Sprintf("garbage payload (trial %d)", trial))
 		}
 	}
 }
@@ -238,8 +314,9 @@ func TestConformanceTruncatedFrames(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	src := make([]float32, 32*8)
 	rng.FillNormal(src, 0, 0.3)
+	dst := make([]float32, len(src))
 	for _, c := range allCodecs() {
-		frame, err := c.Compress(src, 8)
+		frame, err := c.CompressAppend(nil, src, 8)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
@@ -248,15 +325,7 @@ func TestConformanceTruncatedFrames(t *testing.T) {
 			step = len(frame) / 256
 		}
 		for cut := 0; cut < len(frame); cut += step {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("%s panicked on truncation at %d/%d: %v",
-							c.Name(), cut, len(frame), r)
-					}
-				}()
-				_, _, _ = c.Decompress(frame[:cut])
-			}()
+			decodeNoPanic(t, c, dst, frame[:cut], fmt.Sprintf("truncation at %d/%d", cut, len(frame)))
 		}
 	}
 }
@@ -269,24 +338,17 @@ func TestConformanceBitflips(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	src := make([]float32, 16*16)
 	rng.FillNormal(src, 0, 0.3)
+	dst := make([]float32, len(src))
 	for _, c := range allCodecs() {
-		frame, err := c.Compress(src, 16)
+		frame, err := c.CompressAppend(nil, src, 16)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
 		for trial := 0; trial < 100; trial++ {
-			corrupted := make([]byte, len(frame))
-			copy(corrupted, frame)
+			corrupted := slices.Clone(frame)
 			pos := rng.Intn(len(corrupted))
 			corrupted[pos] ^= 1 << uint(rng.Intn(8))
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("%s panicked on bitflip at byte %d: %v", c.Name(), pos, r)
-					}
-				}()
-				_, _, _ = c.Decompress(corrupted)
-			}()
+			decodeNoPanic(t, c, dst, corrupted, fmt.Sprintf("bitflip at byte %d", pos))
 		}
 	}
 }

@@ -48,19 +48,17 @@ import (
 	"dlrmcomp/internal/scenario"
 )
 
-// Codec is the interface implemented by every communication compressor.
+// Codec is the interface implemented by every communication compressor:
+// CompressAppend grows a caller-owned send buffer with the batch's frame,
+// and DecompressInto reconstructs into a caller-sized destination.
 type Codec = codec.Codec
-
-// BufferedCodec is a Codec with an allocation-free steady-state path:
-// CompressAppend grows a caller-owned buffer with exactly the bytes
-// Compress would return, and DecompressInto reconstructs into a
-// caller-sized destination. The hybrid Compressor implements it.
-type BufferedCodec = codec.BufferedCodec
 
 // ErrorBounded is a Codec with a tunable absolute error bound.
 type ErrorBounded = codec.ErrorBounded
 
-// Compressor is the paper's hybrid error-bounded compressor.
+// Compressor is the paper's hybrid error-bounded compressor. Beside the
+// Codec methods it has Compress and Decompress, which allocate their result
+// for callers that keep no buffers of their own.
 type Compressor = hybrid.Codec
 
 // Mode selects the hybrid compressor's lossless stage.
@@ -164,6 +162,25 @@ func PaperEBConfig() EBConfig { return adapt.PaperEBConfig() }
 // classification result.
 func NewController(classes []Class, cfg EBConfig, sched Schedule, phaseLen int, startFactor float64) (*Controller, error) {
 	return adapt.NewController(classes, cfg, sched, phaseLen, startFactor)
+}
+
+// TrialFunc evaluates one candidate error bound, returning the accuracy
+// degradation versus the uncompressed baseline.
+type TrialFunc = adapt.TrialFunc
+
+// AutoTuneResult records an error-bound search.
+type AutoTuneResult = adapt.AutoTuneResult
+
+// AutoTuneGlobalEB finds the largest candidate bound whose accuracy loss is
+// within tolerance (the paper's production criterion is 0.0002 = 0.02%) —
+// the automated error-bound selection the paper's §VI lists as future work.
+func AutoTuneGlobalEB(candidates []float32, tolerance float64, trial TrialFunc) (*AutoTuneResult, error) {
+	return adapt.AutoTuneGlobalEB(candidates, tolerance, trial)
+}
+
+// RefineGlobalEB bisects between a known-good and known-bad bound.
+func RefineGlobalEB(good, bad float32, tolerance float64, rounds int, trial TrialFunc) (*AutoTuneResult, error) {
+	return adapt.RefineGlobalEB(good, bad, tolerance, rounds, trial)
 }
 
 // --- training ---------------------------------------------------------------

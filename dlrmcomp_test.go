@@ -1,9 +1,6 @@
 package dlrmcomp
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestFacadeCompressor(t *testing.T) {
 	c := NewCompressor(0.01, ModeAuto)
@@ -36,12 +33,12 @@ func TestFacadeBaselines(t *testing.T) {
 		NewFP16Codec(), NewFP8Codec(), NewCuSZLikeCodec(0.01),
 		NewFZGPULikeCodec(0.01), NewLZ4LikeCodec(), NewDeflateCodec(),
 	} {
-		frame, err := c.Compress(src, 8)
+		frame, err := c.CompressAppend(nil, src, 8)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
-		if _, _, err := c.Decompress(frame); err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
+		if dim, err := c.DecompressInto(make([]float32, len(src)), frame); err != nil || dim != 8 {
+			t.Fatalf("%s: dim %d, err %v", c.Name(), dim, err)
 		}
 	}
 }
@@ -116,31 +113,5 @@ func TestFacadeExtensions(t *testing.T) {
 		func(eb float32) (float64, error) { return float64(eb), nil })
 	if err != nil || res.BestEB != 0.05 {
 		t.Fatalf("autotune: %v %+v", err, res)
-	}
-
-	// Batched compression round trip through the facade.
-	c := NewCompressor(0.01, ModeAuto)
-	chunks := []Chunk{
-		{Vals: []float32{1, 2, 3, 4}, Dim: 2},
-		{Vals: []float32{5, 6, 7, 8}, Dim: 2},
-	}
-	br, err := CompressBatch(c, chunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecompressBatch(c, br)
-	if err != nil || len(back) != 2 {
-		t.Fatalf("batch decompress: %v", err)
-	}
-
-	// Streaming exchange.
-	out, stats, err := StreamExchange(c, chunks)
-	if err != nil || len(out) != 2 || stats.Chunks != 2 {
-		t.Fatalf("stream: %v %+v", err, stats)
-	}
-
-	// Pipeline model: balanced 3-stage pipeline with many chunks ~ 3x.
-	if s := PipelineSpeedup(time.Millisecond, time.Millisecond, time.Millisecond, 1000); s < 2.9 {
-		t.Fatalf("pipeline speedup %v", s)
 	}
 }

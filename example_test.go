@@ -25,9 +25,11 @@ func exampleModel(spec dlrmcomp.DatasetSpec) dlrmcomp.ModelConfig {
 }
 
 // ExampleCodec compresses one batch of embedding lookups with the hybrid
-// error-bounded compressor and verifies the contract every Codec obeys:
-// the frame decodes to the original shape with every element within the
-// error bound.
+// error-bounded compressor through the contract every Codec obeys: the
+// caller owns the frame buffer and the reconstruction destination and reuses
+// both across steps (at steady state the hybrid compressor allocates
+// nothing), and the frame decodes to the original shape with every element
+// within the error bound.
 func ExampleCodec() {
 	spec := dlrmcomp.ScaledSpec(dlrmcomp.KaggleSpec(), 100000)
 	gen := dlrmcomp.NewGenerator(spec)
@@ -39,13 +41,17 @@ func ExampleCodec() {
 	batch := m.Emb.Tables[0].Lookup(b.Indices[0]).Data // row-major [256 x 8]
 
 	var c dlrmcomp.Codec = dlrmcomp.NewCompressor(0.01, dlrmcomp.ModeAuto)
-	frame, err := c.Compress(batch, 8)
-	if err != nil {
-		panic(err)
-	}
-	recon, dim, err := c.Decompress(frame)
-	if err != nil {
-		panic(err)
+	var frame []byte                     // reused across steps
+	recon := make([]float32, len(batch)) // reused across steps
+	var dim int
+	for step := 0; step < 3; step++ {
+		frame, err = c.CompressAppend(frame[:0], batch, 8)
+		if err != nil {
+			panic(err)
+		}
+		if dim, err = c.DecompressInto(recon, frame); err != nil {
+			panic(err)
+		}
 	}
 	var maxErr float64
 	for i := range batch {
@@ -60,38 +66,31 @@ func ExampleCodec() {
 	// compresses: true
 }
 
-// ExampleBufferedCodec shows the allocation-free steady-state path: the
-// frame buffer and the reconstruction destination are reused across
-// iterations, and the appended frame is byte-identical to Codec.Compress.
-func ExampleBufferedCodec() {
-	spec := dlrmcomp.ScaledSpec(dlrmcomp.KaggleSpec(), 100000)
-	gen := dlrmcomp.NewGenerator(spec)
-	m, err := dlrmcomp.NewModel(exampleModel(spec))
-	if err != nil {
-		panic(err)
-	}
-	b := gen.NextBatch(256)
-	batch := m.Emb.Tables[0].Lookup(b.Indices[0]).Data // row-major [256 x 8]
+// ExampleCompressor shows the hybrid compressor's convenience pair for
+// callers that keep no buffers: Compress returns a fresh frame —
+// byte-identical to what CompressAppend appends — and Decompress sizes the
+// reconstruction from the frame's own header.
+func ExampleCompressor() {
+	batch := []float32{0.11, 0.52, -0.31, 0.11, 0.52, -0.31, 0.9, -0.7, 0.25}
 
-	var c dlrmcomp.BufferedCodec = dlrmcomp.NewCompressor(0.01, dlrmcomp.ModeAuto)
-	var frame []byte                     // reused across steps
-	recon := make([]float32, len(batch)) // reused across steps
-	for step := 0; step < 3; step++ {    // steady state: no allocation
-		frame, err = c.CompressAppend(frame[:0], batch, 8)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := c.DecompressInto(recon, frame); err != nil {
-			panic(err)
-		}
-	}
-	direct, err := c.Compress(batch, 8)
+	c := dlrmcomp.NewCompressor(0.01, dlrmcomp.ModeAuto)
+	frame, err := c.Compress(batch, 3)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("frames identical:", string(frame) == string(direct))
+	appended, err := c.CompressAppend(nil, batch, 3)
+	if err != nil {
+		panic(err)
+	}
+	recon, dim, err := c.Decompress(frame)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("frames identical:", string(frame) == string(appended))
+	fmt.Println("values:", len(recon), "dim:", dim)
 	// Output:
 	// frames identical: true
+	// values: 9 dim: 3
 }
 
 // ExampleTrainer_Step runs a few synchronous hybrid-parallel training

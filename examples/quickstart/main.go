@@ -63,7 +63,7 @@ func main() {
 
 	// Baselines for contrast.
 	for _, bc := range []dlrmcomp.Codec{dlrmcomp.NewFP16Codec(), dlrmcomp.NewFP8Codec(), dlrmcomp.NewLZ4LikeCodec()} {
-		f, err := bc.Compress(batch, dim)
+		f, err := bc.CompressAppend(nil, batch, dim)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -28,7 +28,12 @@ type OfflineOptions struct {
 	EBConfig EBConfig
 	// NetBandwidth (bytes/s) drives Eq. (2) compressor selection.
 	NetBandwidth float64
-	// SelectEncoders disables Algorithm 2 when false (all tables use Auto).
+	// SelectEncoders runs Algorithm 2 (the timed per-table encoder choice)
+	// when true; otherwise every table uses Auto. It reproduces the paper's
+	// offline selection for cmd/offline and examples/codec_explorer, the
+	// only callers that set it. It is not a trainer speed feature: since
+	// Auto's per-chunk choice costs one histogram, the trainer runs Auto and
+	// nothing plumbs Modes into it.
 	SelectEncoders bool
 }
 

@@ -3,77 +3,38 @@ package codec
 import "fmt"
 
 // Codec compresses batches of embedding vectors (row-major float32 with a
-// fixed row length dim).
+// fixed row length dim) into self-contained frames. The caller owns both
+// buffers: compression appends to its send buffer, decompression fills a
+// destination it has sized, so a decoder never allocates on a count it read
+// from the frame. Every method must be safe for concurrent use on one
+// instance: the trainer shares one codec per table across rank goroutines
+// and its intra-rank codec workers.
 type Codec interface {
 	// Name identifies the codec in experiment output (e.g. "ours-hybrid").
 	Name() string
 	// Lossy reports whether reconstruction may differ from the input.
 	Lossy() bool
-	// Compress encodes the batch into a self-contained frame.
-	Compress(src []float32, dim int) ([]byte, error)
-	// Decompress reconstructs the batch and its row length.
-	Decompress(frame []byte) (vals []float32, dim int, err error)
+	// CompressAppend encodes the batch and appends the frame to dst,
+	// returning the grown buffer; the bytes already in dst are preserved.
+	// On error the appended bytes are undefined and dst must be discarded.
+	CompressAppend(dst []byte, src []float32, dim int) ([]byte, error)
+	// DecompressInto reconstructs the batch into dst and returns the row
+	// length dim. len(dst) must equal the frame's value count: a frame
+	// whose header says otherwise is rejected before any decoding, and
+	// scratch memory is sized from len(dst), never from a length read out
+	// of the frame.
+	DecompressInto(dst []float32, frame []byte) (int, error)
 }
 
 // ErrorBounded is implemented by codecs with a tunable absolute error bound
 // (the knob the adaptive strategy drives).
 type ErrorBounded interface {
 	Codec
-	// SetErrorBound updates the bound used by subsequent Compress calls.
+	// SetErrorBound updates the bound used by subsequent CompressAppend
+	// calls.
 	SetErrorBound(eb float32)
 	// ErrorBound returns the current bound.
 	ErrorBound() float32
-}
-
-// BufferedCodec is optionally implemented by codecs with an allocation-free
-// steady-state path: compression appends to a caller-owned buffer and
-// decompression writes into a caller-sized destination. Implementations must
-// be frame-compatible with their own Compress/Decompress — CompressAppend
-// appends exactly the bytes Compress would return, and DecompressInto
-// reconstructs exactly the values Decompress would. Both must be safe for
-// concurrent use on one instance (as Compress/Decompress are): the trainer
-// shares one codec per table across rank goroutines and its intra-rank
-// codec workers.
-type BufferedCodec interface {
-	Codec
-	// CompressAppend encodes the batch and appends the frame to dst,
-	// returning the grown buffer.
-	CompressAppend(dst []byte, src []float32, dim int) ([]byte, error)
-	// DecompressInto reconstructs the batch into dst, whose length must
-	// equal the frame's value count, and returns the row length dim.
-	DecompressInto(dst []float32, frame []byte) (int, error)
-}
-
-// CompressAppend encodes src through c's buffered path when it has one, and
-// otherwise falls back to Compress plus an append. The appended bytes are
-// identical either way; only the allocation behavior differs.
-func CompressAppend(c Codec, dst []byte, src []float32, dim int) ([]byte, error) {
-	if bc, ok := c.(BufferedCodec); ok {
-		return bc.CompressAppend(dst, src, dim)
-	}
-	frame, err := c.Compress(src, dim)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, frame...), nil
-}
-
-// DecompressInto reconstructs frame through c's buffered path when it has
-// one, falling back to Decompress plus a copy. dst must hold exactly the
-// frame's value count; the returned int is the row length dim.
-func DecompressInto(c Codec, dst []float32, frame []byte) (int, error) {
-	if bc, ok := c.(BufferedCodec); ok {
-		return bc.DecompressInto(dst, frame)
-	}
-	vals, dim, err := c.Decompress(frame)
-	if err != nil {
-		return 0, err
-	}
-	if len(vals) != len(dst) {
-		return 0, fmt.Errorf("%s: decompressed %d values into a %d-value destination", c.Name(), len(vals), len(dst))
-	}
-	copy(dst, vals)
-	return dim, nil
 }
 
 // Ratio returns the compression ratio achieved by frame for a batch of n
@@ -88,19 +49,17 @@ func Ratio(n int, frame []byte) float64 {
 // RoundTrip compresses and immediately decompresses src, returning the
 // reconstruction and the achieved ratio. Used by offline analysis.
 func RoundTrip(c Codec, src []float32, dim int) (recon []float32, ratio float64, err error) {
-	frame, err := c.Compress(src, dim)
+	frame, err := c.CompressAppend(nil, src, dim)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%s: compress: %w", c.Name(), err)
 	}
-	recon, gotDim, err := c.Decompress(frame)
+	recon = make([]float32, len(src))
+	gotDim, err := c.DecompressInto(recon, frame)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%s: decompress: %w", c.Name(), err)
 	}
 	if gotDim != dim {
 		return nil, 0, fmt.Errorf("%s: round trip dim %d != %d", c.Name(), gotDim, dim)
-	}
-	if len(recon) != len(src) {
-		return nil, 0, fmt.Errorf("%s: round trip length %d != %d", c.Name(), len(recon), len(src))
 	}
 	return recon, Ratio(len(src), frame), nil
 }

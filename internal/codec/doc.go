@@ -5,22 +5,21 @@
 //
 // Layer: the contract between the compressor implementations (internal/
 // hybrid, lowprec, cuszlike, fzgpulike, lz4like) and their consumers (the
-// distributed trainer's forward all-to-all, the buffer/pipeline
-// optimizations, and the experiment drivers). The package holds no
+// distributed trainer's forward all-to-all and DLCK checkpoints, the serving
+// tier's cold blocks, and the experiment drivers). The package holds no
 // algorithms and charges no sim time — implementations are priced by
 // netmodel.CodecRates under their Name().
 //
-// Key types: Codec (Compress/Decompress/Name — Compress takes the batch
-// and its row dimension, Decompress returns values and dimension, both
-// pure so instances may be shared across rank goroutines), ErrorBounded
-// (a Codec with a tunable absolute error bound, the hook the adaptive
-// Controller drives per table per iteration), and BufferedCodec — the
-// optional allocation-free steady-state path (CompressAppend into a
-// caller-owned buffer, DecompressInto a caller-sized destination,
-// frame/value-identical to Compress/Decompress). Only the hybrid codec
-// implements it — there it is the implementation, and Compress/Decompress
-// wrap it; the baseline codecs implement the allocating pair alone. The
-// package-level CompressAppend/DecompressInto helpers route through the
-// buffered path when a codec has one and fall back to Compress/Decompress
-// otherwise.
+// Key types: Codec — Name, Lossy and the append pair. CompressAppend grows a
+// send buffer the caller owns (the paper's §III-E buffer optimization: the
+// trainer's per-destination frames are filled in place, with no per-table
+// output to copy), and DecompressInto fills a destination the caller has
+// sized, so no decoder allocates on a count it read from a frame. There is
+// one path: every codec implements the pair, nothing type-asserts for a
+// faster one, and instances are safe to share across rank goroutines.
+// ErrorBounded is a Codec with a tunable absolute error bound, the hook the
+// adaptive Controller drives per table per iteration. RoundTrip is the one
+// generic helper (it knows len(src), so it can size the destination); the
+// hybrid codec alone keeps allocating Compress/Decompress wrappers, on its
+// concrete type, for the facade quick start.
 package codec

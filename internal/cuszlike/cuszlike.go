@@ -106,8 +106,12 @@ func unpredict(res []int32, dim int, pred Predictor) []int32 {
 	return codes
 }
 
-// Compress implements codec.Codec.
-func (c *Codec) Compress(src []float32, dim int) ([]byte, error) {
+// headerLen is the frame prefix: error bound (float32 bits), row length dim,
+// value count n (little-endian uint32 each), predictor tag.
+const headerLen = 13
+
+// CompressAppend implements codec.Codec.
+func (c *Codec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, error) {
 	if dim <= 0 || len(src)%dim != 0 {
 		return nil, fmt.Errorf("cuszlike: bad shape len=%d dim=%d", len(src), dim)
 	}
@@ -116,45 +120,34 @@ func (c *Codec) Compress(src []float32, dim int) ([]byte, error) {
 	q.Quantize(codes, src)
 	res := predictResiduals(codes, dim, c.Pred)
 
-	out := make([]byte, 13)
-	binary.LittleEndian.PutUint32(out[0:], math.Float32bits(c.EB))
-	binary.LittleEndian.PutUint32(out[4:], uint32(dim))
-	binary.LittleEndian.PutUint32(out[8:], uint32(len(src)))
-	out[12] = byte(c.Pred)
+	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(c.EB))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(dim))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
+	dst = append(dst, byte(c.Pred))
 	// A huffman.Encoder is not safe for concurrent use and a Codec must be,
 	// so each call builds its own.
-	return huffman.NewEncoder().AppendEncode(out, quant.ZigZagSlice(res)), nil
+	return huffman.NewEncoder().AppendEncode(dst, quant.ZigZagSlice(res)), nil
 }
 
-// Decompress implements codec.Codec.
-func (c *Codec) Decompress(frame []byte) ([]float32, int, error) {
-	if len(frame) < 13 {
-		return nil, 0, errCorrupt
+// DecompressInto implements codec.Codec.
+func (c *Codec) DecompressInto(dst []float32, frame []byte) (int, error) {
+	if len(frame) < headerLen {
+		return 0, errCorrupt
 	}
 	eb := math.Float32frombits(binary.LittleEndian.Uint32(frame[0:]))
 	dim := int(binary.LittleEndian.Uint32(frame[4:]))
 	n := int(binary.LittleEndian.Uint32(frame[8:]))
 	pred := Predictor(frame[12])
-	if !(eb > 0) || math.IsInf(float64(eb), 1) || dim <= 0 || n < 0 || n%dim != 0 {
-		return nil, 0, errCorrupt
-	}
-	// The header's count is untrusted: allocate only once the Huffman
-	// frame's own count agrees with it.
-	count, err := huffman.SymbolCount(frame[13:])
-	if err != nil {
-		return nil, 0, err
-	}
-	if count != n {
-		return nil, 0, errCorrupt
+	if !(eb > 0) || math.IsInf(float64(eb), 1) || dim <= 0 || n != len(dst) || n%dim != 0 {
+		return 0, errCorrupt
 	}
 	syms := make([]uint32, n)
-	if _, err := huffman.NewDecoder().DecodeInto(syms, frame[13:]); err != nil {
-		return nil, 0, err
+	if _, err := huffman.NewDecoder().DecodeInto(syms, frame[headerLen:]); err != nil {
+		return 0, err
 	}
 	codes := unpredict(quant.UnZigZagSlice(syms), dim, pred)
-	out := make([]float32, n)
-	quant.New(eb).Dequantize(out, codes)
-	return out, dim, nil
+	quant.New(eb).Dequantize(dst, codes)
+	return dim, nil
 }
 
 // ResidualEntropy returns the empirical zeroth-order entropy (bits/symbol)

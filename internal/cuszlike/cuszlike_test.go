@@ -128,10 +128,11 @@ func TestErrorBoundedInterface(t *testing.T) {
 
 func TestDecompressCorrupt(t *testing.T) {
 	c := New(0.01, Lorenzo1D)
-	if _, _, err := c.Decompress([]byte{1}); err == nil {
+	dst := make([]float32, 4)
+	if _, err := c.DecompressInto(dst, []byte{1}); err == nil {
 		t.Fatal("short frame should error")
 	}
-	valid, err := c.Compress([]float32{0.1, 0.2, 0.3, 0.4}, 2)
+	valid, err := c.CompressAppend(nil, []float32{0.1, 0.2, 0.3, 0.4}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,21 +141,25 @@ func TestDecompressCorrupt(t *testing.T) {
 	for _, eb := range []float32{float32(math.NaN()), float32(math.Inf(1)), 0, -0.01} {
 		frame := append([]byte(nil), valid...)
 		binary.LittleEndian.PutUint32(frame[0:], math.Float32bits(eb))
-		if _, _, err := c.Decompress(frame); err == nil {
+		if _, err := c.DecompressInto(dst, frame); err == nil {
 			t.Fatalf("header eb %v should error", eb)
 		}
 	}
-	// A header count the Huffman frame does not back is rejected before
-	// anything is sized from it.
+	// A header count that is not the destination's is rejected, whichever
+	// side is wrong: the damaged header against the right destination, and
+	// the intact frame against a destination of another length.
 	frame := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint32(frame[8:], 1<<31)
-	if _, _, err := c.Decompress(frame); err == nil {
+	if _, err := c.DecompressInto(dst, frame); err == nil {
 		t.Fatal("header count 1<<31 over a 4-symbol payload should error")
+	}
+	if _, err := c.DecompressInto(make([]float32, 6), valid); err == nil {
+		t.Fatal("a 4-value frame should not decode into 6 values")
 	}
 }
 
 func TestCompressShapeErrors(t *testing.T) {
-	if _, err := New(0.01, Lorenzo1D).Compress([]float32{1, 2, 3}, 2); err == nil {
+	if _, err := New(0.01, Lorenzo1D).CompressAppend(nil, []float32{1, 2, 3}, 2); err == nil {
 		t.Fatal("bad shape should error")
 	}
 }

@@ -13,8 +13,8 @@ import (
 // The Step benchmarks measure the real (wall-clock) train-step hot path —
 // the thing Eq. (2) calls Tc/Td and the workspace refactor targets — as
 // opposed to the modelled sim-time the experiments report. Run with
-// -benchmem: B/op and allocs/op are the tracked regression metrics
-// (BENCH_baseline.json is the committed reference the CI gate diffs).
+// -benchmem: B/op and allocs/op are the numbers to watch (alloc_test.go
+// pins the bounds; bench/ measures the end-to-end cost).
 
 const benchBatch = 256
 

@@ -16,8 +16,8 @@ import (
 // parameters (the replicas are bit-identical by construction, so one copy
 // restores them all), the adaptive controller's configuration, and the
 // step counter + compression accounting. Weight payloads are written
-// through the codec stack's buffered helpers with a *lossless* codec
-// (LZSS by default), so checkpoints are compressed without breaking the
+// through codec.Codec's append pair with a *lossless* codec (LZSS by
+// default), so checkpoints are compressed without breaking the
 // resume-parity guarantee:
 //
 //	save at step k → restore into a fresh trainer at the same world
@@ -182,7 +182,7 @@ func (t *Trainer) SaveCheckpoint(w io.Writer, opts CheckpointOptions) (Checkpoin
 		if cdc == nil {
 			frame = append(frame, floatsToBytes(vals)...)
 		} else {
-			if frame, err = codec.CompressAppend(cdc, frame, vals, dim); err != nil {
+			if frame, err = cdc.CompressAppend(frame, vals, dim); err != nil {
 				return err
 			}
 		}
@@ -287,7 +287,7 @@ func (h *ckptHeader) readFrame(d *ckptReader, dst []float32) error {
 	if h.cdc == nil {
 		return bytesToFloats(dst, frame)
 	}
-	if _, err := codec.DecompressInto(h.cdc, dst, frame); err != nil {
+	if _, err := h.cdc.DecompressInto(dst, frame); err != nil {
 		return err
 	}
 	return nil

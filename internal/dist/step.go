@@ -220,7 +220,7 @@ func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 					continue
 				}
 				framed, hdrOff := appendFrameHeader(buf, tb, encCodec)
-				out, err := codec.CompressAppend(c, framed, chunk.Data, dim)
+				out, err := c.CompressAppend(framed, chunk.Data, dim)
 				if err != nil {
 					// Record the failure but keep the exchange aligned by
 					// falling back to the raw payload.
@@ -298,7 +298,7 @@ func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 					ws.tblErr[tb] = err
 				}
 			case encCodec:
-				gotDim, err := codec.DecompressInto(t.codecFor(tb), m.Data, j.payload)
+				gotDim, err := t.codecFor(tb).DecompressInto(m.Data, j.payload)
 				switch {
 				case err != nil:
 					ws.tblErr[tb] = fmt.Errorf("dist: table %d decompress: %w", tb, err)

@@ -139,16 +139,16 @@ func TestControllerDrivesErrorBounds(t *testing.T) {
 	}
 }
 
-// failingCodec errors on every Compress call.
+// failingCodec errors on every call.
 type failingCodec struct{}
 
 func (failingCodec) Name() string { return "failing" }
 func (failingCodec) Lossy() bool  { return false }
-func (failingCodec) Compress([]float32, int) ([]byte, error) {
+func (failingCodec) CompressAppend([]byte, []float32, int) ([]byte, error) {
 	return nil, errors.New("boom")
 }
-func (failingCodec) Decompress([]byte) ([]float32, int, error) {
-	return nil, 0, errors.New("boom")
+func (failingCodec) DecompressInto([]float32, []byte) (int, error) {
+	return 0, errors.New("boom")
 }
 
 // TestFailedStepAppliesNoUpdates checks that a codec failure on one table

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -76,13 +75,14 @@ func runFig11(opts Options) (*Result, error) {
 			samples, _ := e.SampleLookups(batch)
 			for _, sample := range samples {
 				start := time.Now()
-				frame, err := c.Compress(sample, e.Dim)
+				frame, err := c.CompressAppend(nil, sample, e.Dim)
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", c.Name(), err)
 				}
 				compDur += time.Since(start)
+				recon := make([]float32, len(sample))
 				start = time.Now()
-				if _, _, err := c.Decompress(frame); err != nil {
+				if _, err := c.DecompressInto(recon, frame); err != nil {
 					return nil, fmt.Errorf("%s: %w", c.Name(), err)
 				}
 				decompDur += time.Since(start)
@@ -141,7 +141,7 @@ func runTable5(opts Options) (*Result, error) {
 			bestCol := -1
 			crs := make([]float64, len(codecs))
 			for ci, c := range codecs {
-				frame, err := c.Compress(sample, e.Dim)
+				frame, err := c.CompressAppend(nil, sample, e.Dim)
 				if err != nil {
 					return nil, err
 				}
@@ -349,30 +349,86 @@ func runFig14(opts Options) (*Result, error) {
 }
 
 // runFig15 reproduces Fig. 15: buffer-optimization speedup across chunk
-// counts and chunk sizes, plus a live measurement of the batched Go path.
-func runFig15(opts Options) (*Result, error) {
-	// Analytic sweep (the figure).
+// counts and chunk sizes, from the modelled GPU launch cost. (What the
+// optimization buys this repo's trainer — fused send frames filled by the
+// codec workers — is host time, measured by bench/'s train-comm8.)
+func runFig15(Options) (*Result, error) {
 	var rows [][]string
 	m := defaultLaunchModel()
 	for _, sizeMB := range []int64{8, 16, 32, 64} {
 		row := []string{fmt.Sprintf("%dMB", sizeMB)}
 		for _, k := range []int{2, 4, 8, 16} {
-			row = append(row, fmt.Sprintf("%.2fx", m.Speedup(sizeMB<<20, k)))
+			row = append(row, fmt.Sprintf("%.2fx", m.speedup(sizeMB<<20, k)))
 		}
 		rows = append(rows, row)
 	}
 	text := "single-launch speedup over per-chunk launches (analytic, Fig. 15)\n" +
 		table([]string{"total", "2 chunks", "4 chunks", "8 chunks", "16 chunks"}, rows)
-
-	// Live check: batched compression of many chunks through goroutines.
-	live, err := liveBatchedSpeedup(opts)
-	if err != nil {
-		return nil, err
-	}
-	text += fmt.Sprintf("\nlive Go batched-vs-serial compression speedup (16 chunks, %d hardware threads): %.2fx\n",
-		runtime.GOMAXPROCS(0), live)
-	text += "(the live figure scales with available cores; the analytic sweep above models the GPU)\n"
 	return &Result{Text: text}, nil
+}
+
+// launchModel captures the GPU execution costs the buffer optimization
+// (§III-E, Fig. 7) targets: per-kernel launch overhead plus a utilization
+// ramp for small chunks, which is what makes one batched launch writing
+// straight into the send buffer up to ~2× faster on many small chunks and
+// nearly neutral on few huge ones.
+type launchModel struct {
+	// launchOverhead is the fixed cost of one kernel launch.
+	launchOverhead time.Duration
+	// rate is the codec's saturated throughput (bytes/s).
+	rate float64
+	// rampBytes controls the utilization ramp: a chunk of b bytes runs at
+	// b/(b+rampBytes) of the saturated rate, so small chunks underutilize
+	// the GPU and huge chunks approach full speed.
+	rampBytes int64
+	// memBandwidth models the extra device-to-device memcpy the unoptimized
+	// path pays to pack per-chunk outputs into the send buffer.
+	memBandwidth float64
+}
+
+// defaultLaunchModel calibrates to an A100-class device.
+func defaultLaunchModel() launchModel {
+	return launchModel{
+		launchOverhead: netmodel.KernelLaunchOverhead,
+		rate:           50e9,
+		rampBytes:      512 << 10,
+		memBandwidth:   1.3e12,
+	}
+}
+
+// chunkTime is the kernel time for one chunk of the given size.
+func (m launchModel) chunkTime(bytes int64) time.Duration {
+	if bytes <= 0 {
+		return 0
+	}
+	util := float64(bytes) / float64(bytes+m.rampBytes)
+	return time.Duration(float64(bytes) / (m.rate * util) * float64(time.Second))
+}
+
+// chunkedTime models the unoptimized path: one launch per chunk, chunks run
+// sequentially (separate kernels on one stream), plus the packing memcpy.
+func (m launchModel) chunkedTime(totalBytes int64, numChunks int) time.Duration {
+	per := totalBytes / int64(numChunks)
+	var t time.Duration
+	for i := 0; i < numChunks; i++ {
+		t += m.launchOverhead + m.chunkTime(per)
+	}
+	// Pack compressed outputs into the send buffer (assume ~25% of input
+	// volume survives compression; only that is copied).
+	t += time.Duration(float64(totalBytes)*0.25/m.memBandwidth*float64(time.Second)) * 2 // D2D read+write
+	return t
+}
+
+// singleLaunchTime models the optimized path: one launch compressing
+// everything at (near-)full utilization, writing directly to the send
+// buffer — no packing copy.
+func (m launchModel) singleLaunchTime(totalBytes int64) time.Duration {
+	return m.launchOverhead + m.chunkTime(totalBytes)
+}
+
+// speedup returns chunkedTime / singleLaunchTime — the y-axis of Fig. 15.
+func (m launchModel) speedup(totalBytes int64, numChunks int) float64 {
+	return float64(m.chunkedTime(totalBytes, numChunks)) / float64(m.singleLaunchTime(totalBytes))
 }
 
 // runFig4 illustrates false prediction and vector homogenization on a tiny

@@ -1,14 +1,9 @@
 package experiments
 
 import (
-	"time"
-
 	"dlrmcomp/internal/adapt"
-	"dlrmcomp/internal/buffopt"
 	"dlrmcomp/internal/criteo"
-	"dlrmcomp/internal/hybrid"
 	"dlrmcomp/internal/scenario"
-	"dlrmcomp/internal/tensor"
 )
 
 // expSpec is the standard experiment scenario over a dataset: the
@@ -49,69 +44,7 @@ func timingSpec(base criteo.Spec, opts Options) scenario.Spec {
 	return sp
 }
 
-func defaultLaunchModel() buffopt.LaunchModel { return buffopt.DefaultLaunchModel() }
-
 // analyzeHomo is adapt.AnalyzeTable re-exported for the experiment drivers.
 func analyzeHomo(tableID int, sample []float32, dim int, eb float32) (adapt.PatternStats, error) {
 	return adapt.AnalyzeTable(tableID, sample, dim, eb)
-}
-
-// liveBatchedSpeedup measures the real Go implementation of the buffer
-// optimization: 16 chunks compressed serially vs through CompressBatch's
-// goroutine fan-out.
-func liveBatchedSpeedup(opts Options) (float64, error) {
-	rng := tensor.NewRNG(99)
-	rows := 2048
-	if opts.Quick {
-		rows = 512
-	}
-	dim := 32
-	chunks := make([]buffopt.Chunk, 16)
-	for i := range chunks {
-		vals := make([]float32, rows*dim)
-		rng.FillNormal(vals, 0, 0.2)
-		chunks[i] = buffopt.Chunk{Vals: vals, Dim: dim}
-	}
-	c := hybrid.New(0.01, hybrid.Auto)
-
-	// Warm once, then take the best of three trials per path to tame
-	// scheduler noise.
-	if _, err := buffopt.CompressBatch(c, chunks); err != nil {
-		return 0, err
-	}
-	best := func(f func() error) (time.Duration, error) {
-		var b time.Duration = 1 << 62
-		for trial := 0; trial < 3; trial++ {
-			start := time.Now()
-			if err := f(); err != nil {
-				return 0, err
-			}
-			if d := time.Since(start); d < b {
-				b = d
-			}
-		}
-		return b, nil
-	}
-	serial, err := best(func() error {
-		for _, ch := range chunks {
-			if _, err := c.Compress(ch.Vals, ch.Dim); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	batched, err := best(func() error {
-		_, err := buffopt.CompressBatch(c, chunks)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	if batched <= 0 {
-		return 1, nil
-	}
-	return float64(serial) / float64(batched), nil
 }

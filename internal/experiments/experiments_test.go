@@ -89,6 +89,40 @@ func TestFig15(t *testing.T) {
 	}
 }
 
+func TestLaunchModelSpeedupGrowsWithChunks(t *testing.T) {
+	m := defaultLaunchModel()
+	total := int64(16 << 20)
+	prev := 0.0
+	for _, k := range []int{2, 4, 8, 16} {
+		s := m.speedup(total, k)
+		if s <= prev {
+			t.Fatalf("speedup should grow with chunk count: %v at k=%d", s, k)
+		}
+		prev = s
+	}
+	if prev < 1.2 || prev > 4 {
+		t.Fatalf("16-chunk speedup %v outside the paper's plausible band (max 2.04x)", prev)
+	}
+}
+
+func TestLaunchModelSmallBlocksBenefitMore(t *testing.T) {
+	// §IV-D: 8MB blocks benefit ~1.86x more than 64MB blocks.
+	m := defaultLaunchModel()
+	small := m.speedup(8<<20, 8)
+	large := m.speedup(64<<20, 8)
+	if small <= large {
+		t.Fatalf("small blocks should benefit more: 8MB %.2fx vs 64MB %.2fx", small, large)
+	}
+}
+
+func TestLaunchModelSingleChunkNearNeutral(t *testing.T) {
+	m := defaultLaunchModel()
+	s := m.speedup(64<<20, 1)
+	if s < 1.0 || s > 1.5 {
+		t.Fatalf("single huge chunk should be near-neutral, got %.2fx", s)
+	}
+}
+
 func TestFig11ComparesCompressors(t *testing.T) {
 	res := runOK(t, "fig11")
 	for _, name := range []string{"ours-hybrid", "cusz-like", "fz-gpu-like", "lz4-like", "deflate"} {

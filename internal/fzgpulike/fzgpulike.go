@@ -72,10 +72,9 @@ func Unbitshuffle(planes []uint32, n int) []uint32 {
 	return out
 }
 
-// zeroRLE encodes a byte stream as alternating tokens:
+// zeroRLE appends src to out as alternating tokens:
 // 0x00 run -> (0, uvarint runLen); literal run -> (1, uvarint len, bytes).
-func zeroRLE(src []byte) []byte {
-	var out []byte
+func zeroRLE(out, src []byte) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	i := 0
 	for i < len(src) {
@@ -108,35 +107,40 @@ func zeroRLE(src []byte) []byte {
 	return out
 }
 
-func unZeroRLE(data []byte) ([]byte, error) {
-	var out []byte
+// unZeroRLE inverts zeroRLE into dst (zeroed by the caller), which the
+// stream must fill exactly; a run longer than the room left is rejected
+// before it is applied.
+func unZeroRLE(dst, data []byte) error {
+	pos := 0
 	for len(data) > 0 {
 		tok := data[0]
 		data = data[1:]
-		switch tok {
-		case 0:
-			l, n := binary.Uvarint(data)
-			if n <= 0 {
-				return nil, errCorrupt
-			}
-			data = data[n:]
-			out = append(out, make([]byte, l)...)
-		case 1:
-			l, n := binary.Uvarint(data)
-			if n <= 0 || uint64(len(data)-n) < l {
-				return nil, errCorrupt
-			}
-			out = append(out, data[n:n+int(l)]...)
-			data = data[n+int(l):]
-		default:
-			return nil, errCorrupt
+		l, n := binary.Uvarint(data)
+		if tok > 1 || n <= 0 || uint64(len(dst)-pos) < l {
+			return errCorrupt
 		}
+		data = data[n:]
+		if tok == 1 {
+			if uint64(len(data)) < l {
+				return errCorrupt
+			}
+			copy(dst[pos:], data[:l])
+			data = data[l:]
+		}
+		pos += int(l)
 	}
-	return out, nil
+	if pos != len(dst) {
+		return errCorrupt
+	}
+	return nil
 }
 
-// Compress implements codec.Codec.
-func (c *Codec) Compress(src []float32, dim int) ([]byte, error) {
+// headerLen is the frame prefix: error bound (float32 bits), row length dim,
+// value count n, little-endian uint32 each.
+const headerLen = 12
+
+// CompressAppend implements codec.Codec.
+func (c *Codec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, error) {
 	if dim <= 0 || len(src)%dim != 0 {
 		return nil, fmt.Errorf("fzgpulike: bad shape len=%d dim=%d", len(src), dim)
 	}
@@ -148,39 +152,33 @@ func (c *Codec) Compress(src []float32, dim int) ([]byte, error) {
 	for i, w := range planes {
 		binary.LittleEndian.PutUint32(raw[4*i:], w)
 	}
-	payload := zeroRLE(raw)
-
-	out := make([]byte, 12, 12+len(payload))
-	binary.LittleEndian.PutUint32(out[0:], math.Float32bits(c.EB))
-	binary.LittleEndian.PutUint32(out[4:], uint32(dim))
-	binary.LittleEndian.PutUint32(out[8:], uint32(len(src)))
-	return append(out, payload...), nil
+	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(c.EB))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(dim))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
+	return zeroRLE(dst, raw), nil
 }
 
-// Decompress implements codec.Codec.
-func (c *Codec) Decompress(frame []byte) ([]float32, int, error) {
-	if len(frame) < 12 {
-		return nil, 0, errCorrupt
+// DecompressInto implements codec.Codec.
+func (c *Codec) DecompressInto(dst []float32, frame []byte) (int, error) {
+	if len(frame) < headerLen {
+		return 0, errCorrupt
 	}
 	eb := math.Float32frombits(binary.LittleEndian.Uint32(frame[0:]))
 	dim := int(binary.LittleEndian.Uint32(frame[4:]))
 	n := int(binary.LittleEndian.Uint32(frame[8:]))
-	if eb <= 0 || dim <= 0 || n%dim != 0 {
-		return nil, 0, errCorrupt
+	if eb <= 0 || dim <= 0 || n != len(dst) || n%dim != 0 {
+		return 0, errCorrupt
 	}
-	raw, err := unZeroRLE(frame[12:])
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(raw)%4 != 0 || len(raw) < ((n+31)/32)*32*4 {
-		return nil, 0, errCorrupt
+	// The payload is the bit planes of whole 32-value blocks.
+	raw := make([]byte, (n+31)/32*32*4)
+	if err := unZeroRLE(raw, frame[headerLen:]); err != nil {
+		return 0, err
 	}
 	planes := make([]uint32, len(raw)/4)
 	for i := range planes {
 		planes[i] = binary.LittleEndian.Uint32(raw[4*i:])
 	}
 	codes := quant.UnZigZagSlice(Unbitshuffle(planes, n))
-	out := make([]float32, n)
-	quant.New(eb).Dequantize(out, codes)
-	return out, dim, nil
+	quant.New(eb).Dequantize(dst, codes)
+	return dim, nil
 }

@@ -61,11 +61,8 @@ func TestBitshuffleProperty(t *testing.T) {
 
 func TestZeroRLERoundTripProperty(t *testing.T) {
 	f := func(src []byte) bool {
-		dec, err := unZeroRLE(zeroRLE(src))
-		if err != nil {
-			return false
-		}
-		if len(dec) != len(src) {
+		dec := make([]byte, len(src))
+		if err := unZeroRLE(dec, zeroRLE(nil, src)); err != nil {
 			return false
 		}
 		for i := range src {
@@ -140,11 +137,25 @@ func TestErrorBoundedInterface(t *testing.T) {
 
 func TestDecompressCorrupt(t *testing.T) {
 	c := New(0.01)
-	if _, _, err := c.Decompress([]byte{1, 2}); err == nil {
+	dst := make([]float32, 4)
+	if _, err := c.DecompressInto(dst, []byte{1, 2}); err == nil {
 		t.Fatal("short frame should error")
 	}
-	if _, _, err := c.Decompress(make([]byte, 12)); err == nil {
+	if _, err := c.DecompressInto(nil, make([]byte, 12)); err == nil {
 		t.Fatal("zero eb frame should error")
+	}
+	valid, err := c.CompressAppend(nil, []float32{0.1, 0.2, 0.3, 0.4}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.DecompressInto(make([]float32, 6), valid); err == nil {
+		t.Fatal("a 4-value frame should not decode into 6 values")
+	}
+	// A zero run of 2^40 bytes is refused before it is applied: the planes
+	// buffer is sized from the destination, not from the token.
+	hostile := append(append([]byte(nil), valid[:headerLen]...), 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20)
+	if _, err := c.DecompressInto(dst, hostile); err == nil {
+		t.Fatal("a 2^40-byte zero run should error")
 	}
 }
 
@@ -156,7 +167,7 @@ func BenchmarkCompress8K(b *testing.B) {
 	b.SetBytes(int64(len(src) * 4))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Compress(src, 64); err != nil {
+		if _, err := c.CompressAppend(nil, src, 64); err != nil {
 			b.Fatal(err)
 		}
 	}

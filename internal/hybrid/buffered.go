@@ -13,8 +13,8 @@ import (
 )
 
 // This file is the compressor itself — the one quantize→encode body and the
-// one decode→dequantize body, exposed as codec.BufferedCodec (Compress and
-// Decompress in hybrid.go wrap them). Every scratch buffer — the
+// one decode→dequantize body, exposed as codec.Codec's append pair (Compress
+// and Decompress in hybrid.go wrap them). Every scratch buffer — the
 // quantize-code array, the zigzag symbol array and the sub-encoder
 // workspaces — is drawn from a pool and reused, so steady-state operation
 // performs no heap allocation. Pooling (rather than
@@ -58,7 +58,7 @@ func (ws *workspace) sizedSyms(n int) []uint32 {
 	return ws.syms
 }
 
-// CompressAppend implements codec.BufferedCodec. Quantization is fused with
+// CompressAppend implements codec.Codec. Quantization is fused with
 // the mode's symbol transform — one traversal of src produces the bin codes,
 // the zigzag symbols, and the alphabet bound the entropy coder wants. Auto
 // mode decides from sizes and emits only the winner: the entropy coder plans
@@ -120,7 +120,7 @@ func (c *Codec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, erro
 	return dst, nil
 }
 
-// DecompressInto implements codec.BufferedCodec: dst must hold exactly the
+// DecompressInto implements codec.Codec: dst must hold exactly the
 // frame's value count.
 func (c *Codec) DecompressInto(dst []float32, frame []byte) (int, error) {
 	h, err := parseHeader(frame)
@@ -161,4 +161,4 @@ func decodeInto(dst []float32, h header, payload []byte) error {
 	return nil
 }
 
-var _ codec.BufferedCodec = (*Codec)(nil)
+var _ codec.ErrorBounded = (*Codec)(nil)

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"dlrmcomp/internal/testutil"
-
-	"dlrmcomp/internal/codec"
 )
 
 // TestBufferedCompressParity pins the acceptance criterion that the
@@ -58,31 +56,6 @@ func TestBufferedCompressParity(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestBufferedHelperFallback checks the codec-package helpers route through
-// the buffered interface for hybrid and still work for plain codecs.
-func TestBufferedHelperFallback(t *testing.T) {
-	src := benchSample(64, 8)
-	c := New(0.01, Auto)
-	if _, ok := any(c).(codec.BufferedCodec); !ok {
-		t.Fatal("hybrid.Codec must implement codec.BufferedCodec")
-	}
-	frame, err := codec.CompressAppend(c, []byte{1, 2}, src, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := c.Compress(src, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(frame[2:], direct) {
-		t.Fatal("helper CompressAppend differs from Compress")
-	}
-	dst := make([]float32, len(src))
-	if _, err := codec.DecompressInto(c, dst, direct); err != nil {
-		t.Fatal(err)
 	}
 }
 

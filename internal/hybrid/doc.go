@@ -19,8 +19,8 @@
 // Speedup/Throughput, the Eq. (2) communication speed-up model used by
 // both the offline phase and the fig11 experiment.
 //
-// There is one implementation: CompressAppend/DecompressInto
-// (codec.BufferedCodec, buffered.go) draw every scratch buffer from a pooled
+// There is one implementation: CompressAppend/DecompressInto (codec.Codec's
+// append pair, buffered.go) draw every scratch buffer from a pooled
 // workspace, so the trainer's steady-state codec work performs no heap
 // allocation and one shared instance stays goroutine-safe. Compress is
 // CompressAppend into a fresh buffer; Decompress parses the header, checks

@@ -16,15 +16,14 @@ import (
 )
 
 // twoPassAlt is the oracle's Auto-mode second-candidate buffer (the shipped
-// workspace no longer has one); the tests and benchmarks that run the oracle
-// do so from one goroutine.
+// workspace no longer has one); the tests that run the oracle do so from one
+// goroutine.
 var twoPassAlt []byte
 
 // compressAppendTwoPass is the pre-fusion shape of CompressAppend — quantize
 // everything first, then zigzag for the entropy coder, which finds the
 // alphabet bound itself. It ships nowhere; it is the executable reference for
-// the fused path's parity test and the TwoPass benchmark the perf-trend gate
-// tracks.
+// the fused path's parity test.
 func (c *Codec) compressAppendTwoPass(dst []byte, src []float32, dim int) ([]byte, error) {
 	if dim <= 0 || len(src)%dim != 0 {
 		return nil, fmt.Errorf("hybrid: bad shape len=%d dim=%d", len(src), dim)
@@ -172,29 +171,19 @@ func TestFusedEncodeFrameParity(t *testing.T) {
 	}
 }
 
-func benchHybridEncode(b *testing.B, fn func(c *Codec, dst []byte, src []float32, dim int) ([]byte, error)) {
-	b.Helper()
+func BenchmarkHybridEncode_Fused(b *testing.B) {
 	c := New(0.01, Auto)
 	src := benchSample(2048, 64)
-	var frame []byte
-	var err error
-	if frame, err = fn(c, frame[:0], src, 64); err != nil { // warm pooled workspaces
+	frame, err := c.CompressAppend(nil, src, 64) // warm pooled workspaces
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(src) * 4))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if frame, err = fn(c, frame[:0], src, 64); err != nil {
+		if frame, err = c.CompressAppend(frame[:0], src, 64); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkHybridEncode_TwoPass(b *testing.B) {
-	benchHybridEncode(b, (*Codec).compressAppendTwoPass)
-}
-
-func BenchmarkHybridEncode_Fused(b *testing.B) {
-	benchHybridEncode(b, (*Codec).CompressAppend)
 }

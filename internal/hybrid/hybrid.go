@@ -102,15 +102,17 @@ func parseHeader(frame []byte) (header, error) {
 	return h, nil
 }
 
-// Compress implements codec.Codec: CompressAppend into a fresh buffer.
+// Compress is CompressAppend into a fresh buffer, for callers that keep no
+// send buffer of their own (the facade quick start).
 func (c *Codec) Compress(src []float32, dim int) ([]byte, error) {
 	return c.CompressAppend(nil, src, dim)
 }
 
-// Decompress implements codec.Codec: DecompressInto a fresh buffer sized from
-// the header. The header's count is untrusted, so nothing is allocated until
-// the payload's own count agrees with it — a damaged or header-only frame
-// claiming billions of values is rejected for the price of two varints.
+// Decompress is DecompressInto a fresh buffer sized from the header, for
+// callers that do not know the frame's value count. The header's count is
+// untrusted, so nothing is allocated until the payload's own count agrees
+// with it — a damaged or header-only frame claiming billions of values is
+// rejected for the price of two varints.
 func (c *Codec) Decompress(frame []byte) ([]float32, int, error) {
 	h, err := parseHeader(frame)
 	if err != nil {
@@ -198,6 +200,12 @@ const selectReps = 3
 // kernel speed rather than one-shot allocation and scheduling noise. The
 // returned candidates are sorted by evaluation order (VectorLZ, Entropy)
 // for reporting.
+//
+// This is the reproduction of the paper's Algorithm 2, reached through
+// adapt.OfflineOptions.SelectEncoders by cmd/offline and
+// examples/codec_explorer. It is not a trainer speed feature: Auto decides
+// per chunk from sizes for the price of one histogram, so the trainer runs
+// Auto and has no use for a timed offline choice.
 func SelectEncoder(sample []float32, dim int, eb float32, netBandwidth float64) (Mode, []Candidate, error) {
 	if len(sample) == 0 {
 		return Entropy, nil, fmt.Errorf("hybrid: empty sample")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 var errCorrupt = errors.New("lowprec: corrupt frame")
@@ -205,35 +206,34 @@ func (FP16Codec) Name() string { return "fp16" }
 // Lossy implements codec.Codec.
 func (FP16Codec) Lossy() bool { return true }
 
-// Compress casts every value to binary16.
-func (FP16Codec) Compress(src []float32, dim int) ([]byte, error) {
-	if dim <= 0 || len(src)%max(dim, 1) != 0 {
+// CompressAppend casts every value to binary16.
+func (FP16Codec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, error) {
+	if dim <= 0 || len(src)%dim != 0 {
 		return nil, fmt.Errorf("lowprec: bad shape len=%d dim=%d", len(src), dim)
 	}
-	out := make([]byte, 8+len(src)*2)
-	binary.LittleEndian.PutUint32(out[0:], uint32(dim))
-	binary.LittleEndian.PutUint32(out[4:], uint32(len(src)))
-	for i, v := range src {
-		binary.LittleEndian.PutUint16(out[8+2*i:], F32ToF16(v))
+	dst = slices.Grow(dst, 8+2*len(src))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(dim))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
+	for _, v := range src {
+		dst = binary.LittleEndian.AppendUint16(dst, F32ToF16(v))
 	}
-	return out, nil
+	return dst, nil
 }
 
-// Decompress casts back to float32.
-func (FP16Codec) Decompress(frame []byte) ([]float32, int, error) {
+// DecompressInto casts back to float32.
+func (FP16Codec) DecompressInto(dst []float32, frame []byte) (int, error) {
 	if len(frame) < 8 {
-		return nil, 0, errCorrupt
+		return 0, errCorrupt
 	}
 	dim := int(binary.LittleEndian.Uint32(frame[0:]))
 	n := int(binary.LittleEndian.Uint32(frame[4:]))
-	if len(frame) != 8+2*n || dim <= 0 {
-		return nil, 0, errCorrupt
+	if n != len(dst) || len(frame) != 8+2*n || dim <= 0 {
+		return 0, errCorrupt
 	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = F16ToF32(binary.LittleEndian.Uint16(frame[8+2*i:]))
+	for i := range dst {
+		dst[i] = F16ToF32(binary.LittleEndian.Uint16(frame[8+2*i:]))
 	}
-	return out, dim, nil
+	return dim, nil
 }
 
 // FP8Codec is the FP8 communication baseline (paper's SOTA low-precision
@@ -246,35 +246,34 @@ func (c FP8Codec) Name() string { return "fp8-" + c.Format.String() }
 // Lossy implements codec.Codec.
 func (FP8Codec) Lossy() bool { return true }
 
-// Compress casts every value to FP8.
-func (c FP8Codec) Compress(src []float32, dim int) ([]byte, error) {
-	if dim <= 0 || len(src)%max(dim, 1) != 0 {
+// CompressAppend casts every value to FP8.
+func (c FP8Codec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, error) {
+	if dim <= 0 || len(src)%dim != 0 {
 		return nil, fmt.Errorf("lowprec: bad shape len=%d dim=%d", len(src), dim)
 	}
-	out := make([]byte, 9+len(src))
-	binary.LittleEndian.PutUint32(out[0:], uint32(dim))
-	binary.LittleEndian.PutUint32(out[4:], uint32(len(src)))
-	out[8] = byte(c.Format)
-	for i, v := range src {
-		out[9+i] = F32ToF8(v, c.Format)
+	dst = slices.Grow(dst, 9+len(src))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(dim))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
+	dst = append(dst, byte(c.Format))
+	for _, v := range src {
+		dst = append(dst, F32ToF8(v, c.Format))
 	}
-	return out, nil
+	return dst, nil
 }
 
-// Decompress casts back to float32.
-func (FP8Codec) Decompress(frame []byte) ([]float32, int, error) {
+// DecompressInto casts back to float32.
+func (FP8Codec) DecompressInto(dst []float32, frame []byte) (int, error) {
 	if len(frame) < 9 {
-		return nil, 0, errCorrupt
+		return 0, errCorrupt
 	}
 	dim := int(binary.LittleEndian.Uint32(frame[0:]))
 	n := int(binary.LittleEndian.Uint32(frame[4:]))
 	format := FP8Format(frame[8])
-	if len(frame) != 9+n || dim <= 0 {
-		return nil, 0, errCorrupt
+	if n != len(dst) || len(frame) != 9+n || dim <= 0 {
+		return 0, errCorrupt
 	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = F8ToF32(frame[9+i], format)
+	for i := range dst {
+		dst[i] = F8ToF32(frame[9+i], format)
 	}
-	return out, dim, nil
+	return dim, nil
 }

@@ -184,13 +184,26 @@ func TestFP8CodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecCorruptFrames(t *testing.T) {
-	if _, _, err := (FP16Codec{}).Decompress([]byte{1, 2}); err == nil {
+	dst := make([]float32, 2)
+	if _, err := (FP16Codec{}).DecompressInto(dst, []byte{1, 2}); err == nil {
 		t.Fatal("short fp16 frame should error")
 	}
-	if _, _, err := (FP8Codec{}).Decompress([]byte{1}); err == nil {
+	if _, err := (FP8Codec{}).DecompressInto(dst, []byte{1}); err == nil {
 		t.Fatal("short fp8 frame should error")
 	}
-	if _, err := (FP16Codec{}).Compress([]float32{1, 2, 3}, 2); err == nil {
+	if _, err := (FP16Codec{}).CompressAppend(nil, []float32{1, 2, 3}, 2); err == nil {
 		t.Fatal("bad shape should error")
+	}
+	for _, c := range []codec.Codec{FP16Codec{}, FP8Codec{Format: E4M3}} {
+		valid, err := c.CompressAppend(nil, []float32{1, 2}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.DecompressInto(make([]float32, 4), valid); err == nil {
+			t.Fatalf("%s: a 2-value frame should not decode into 4 values", c.Name())
+		}
+		if _, err := c.DecompressInto(dst, valid[:len(valid)-1]); err == nil {
+			t.Fatalf("%s: truncated frame should error", c.Name())
+		}
 	}
 }

@@ -39,15 +39,32 @@ func toBytes(src []float32) []byte {
 	return out
 }
 
-func fromBytes(raw []byte) ([]float32, error) {
-	if len(raw)%4 != 0 {
-		return nil, errCorrupt
+// headerLen is the frame prefix both codecs share: row length dim and value
+// count n, little-endian uint32 each.
+const headerLen = 8
+
+func appendHeader(dst []byte, dim, n int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(dim))
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
+}
+
+// parseHeader returns the frame's dim and payload once its count matches the
+// destination: the byte scratch a decoder fills is 4*n and nothing larger.
+func parseHeader(frame []byte, n int) (dim int, payload []byte, err error) {
+	if len(frame) < headerLen {
+		return 0, nil, errCorrupt
 	}
-	out := make([]float32, len(raw)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+	dim = int(binary.LittleEndian.Uint32(frame[0:]))
+	if dim <= 0 || int(binary.LittleEndian.Uint32(frame[4:])) != n {
+		return 0, nil, errCorrupt
 	}
-	return out, nil
+	return dim, frame[headerLen:], nil
+}
+
+func fromBytes(dst []float32, raw []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+	}
 }
 
 func hash4(b []byte) uint32 {
@@ -55,11 +72,10 @@ func hash4(b []byte) uint32 {
 	return (v * 2654435761) >> (32 - hashBits)
 }
 
-// CompressBytes runs LZSS over an arbitrary byte slice. The format is a
-// token stream: control byte 0 = literal run (uvarint length + bytes),
+// CompressBytes runs LZSS over an arbitrary byte slice and appends the token
+// stream to out: control byte 0 = literal run (uvarint length + bytes),
 // 1 = match (uvarint distance, uvarint length).
-func CompressBytes(src []byte) []byte {
-	var out []byte
+func CompressBytes(out, src []byte) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 
 	head := make([]int32, 1<<hashBits)
@@ -122,78 +138,71 @@ func CompressBytes(src []byte) []byte {
 	return out
 }
 
-// DecompressBytes inverts CompressBytes.
-func DecompressBytes(data []byte) ([]byte, error) {
-	var out []byte
+// DecompressBytes inverts CompressBytes into dst, which the stream must fill
+// exactly: a literal run or match longer than the room left is rejected
+// before a byte of it is copied, so a damaged length cannot make the decoder
+// work or allocate past the destination.
+func DecompressBytes(dst, data []byte) error {
+	pos := 0
 	for len(data) > 0 {
 		tok := data[0]
 		data = data[1:]
 		switch tok {
 		case 0:
 			l, n := binary.Uvarint(data)
-			if n <= 0 || uint64(len(data)-n) < l {
-				return nil, errCorrupt
+			if n <= 0 || uint64(len(data)-n) < l || uint64(len(dst)-pos) < l {
+				return errCorrupt
 			}
-			out = append(out, data[n:n+int(l)]...)
+			pos += copy(dst[pos:], data[n:n+int(l)])
 			data = data[n+int(l):]
 		case 1:
 			dist, n := binary.Uvarint(data)
 			if n <= 0 {
-				return nil, errCorrupt
+				return errCorrupt
 			}
 			data = data[n:]
 			l, n := binary.Uvarint(data)
 			if n <= 0 {
-				return nil, errCorrupt
+				return errCorrupt
 			}
 			data = data[n:]
-			d := int(dist)
-			if d <= 0 || d > len(out) {
-				return nil, errCorrupt
+			if dist == 0 || dist > uint64(pos) || uint64(len(dst)-pos) < l {
+				return errCorrupt
 			}
 			// Byte-at-a-time copy supports overlapping matches.
-			start := len(out) - d
-			for k := 0; k < int(l); k++ {
-				out = append(out, out[start+k])
+			for end := pos + int(l); pos < end; pos++ {
+				dst[pos] = dst[pos-int(dist)]
 			}
 		default:
-			return nil, errCorrupt
+			return errCorrupt
 		}
 	}
-	return out, nil
+	if pos != len(dst) {
+		return errCorrupt
+	}
+	return nil
 }
 
-// Compress implements codec.Codec over the float batch bytes.
-func (LZSSCodec) Compress(src []float32, dim int) ([]byte, error) {
+// CompressAppend implements codec.Codec over the float batch bytes.
+func (LZSSCodec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("lz4like: bad dim %d", dim)
 	}
-	payload := CompressBytes(toBytes(src))
-	out := make([]byte, 8, 8+len(payload))
-	binary.LittleEndian.PutUint32(out[0:], uint32(dim))
-	binary.LittleEndian.PutUint32(out[4:], uint32(len(src)))
-	return append(out, payload...), nil
+	return CompressBytes(appendHeader(dst, dim, len(src)), toBytes(src)), nil
 }
 
-// Decompress implements codec.Codec.
-func (LZSSCodec) Decompress(frame []byte) ([]float32, int, error) {
-	if len(frame) < 8 {
-		return nil, 0, errCorrupt
-	}
-	dim := int(binary.LittleEndian.Uint32(frame[0:]))
-	n := int(binary.LittleEndian.Uint32(frame[4:]))
-	raw, err := DecompressBytes(frame[8:])
+// DecompressInto implements codec.Codec.
+func (LZSSCodec) DecompressInto(dst []float32, frame []byte) (int, error) {
+	dim, payload, err := parseHeader(frame, len(dst))
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	vals, err := fromBytes(raw)
-	if err != nil {
-		return nil, 0, err
+	raw := make([]byte, 4*len(dst))
+	if err := DecompressBytes(raw, payload); err != nil {
+		return 0, err
 	}
-	if len(vals) != n || dim <= 0 {
-		return nil, 0, errCorrupt
-	}
-	return vals, dim, nil
+	fromBytes(dst, raw)
+	return dim, nil
 }
 
 // DeflateCodec wraps compress/flate as the nvCOMP-Deflate stand-in.
@@ -205,17 +214,13 @@ func (DeflateCodec) Name() string { return "deflate" }
 // Lossy implements codec.Codec.
 func (DeflateCodec) Lossy() bool { return false }
 
-// Compress implements codec.Codec.
-func (DeflateCodec) Compress(src []float32, dim int) ([]byte, error) {
+// CompressAppend implements codec.Codec.
+func (DeflateCodec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("lz4like: bad dim %d", dim)
 	}
-	var buf bytes.Buffer
-	head := make([]byte, 8)
-	binary.LittleEndian.PutUint32(head[0:], uint32(dim))
-	binary.LittleEndian.PutUint32(head[4:], uint32(len(src)))
-	buf.Write(head)
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
+	buf := bytes.NewBuffer(appendHeader(dst, dim, len(src)))
+	w, err := flate.NewWriter(buf, flate.BestSpeed)
 	if err != nil {
 		return nil, err
 	}
@@ -228,24 +233,23 @@ func (DeflateCodec) Compress(src []float32, dim int) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decompress implements codec.Codec.
-func (DeflateCodec) Decompress(frame []byte) ([]float32, int, error) {
-	if len(frame) < 8 {
-		return nil, 0, errCorrupt
-	}
-	dim := int(binary.LittleEndian.Uint32(frame[0:]))
-	n := int(binary.LittleEndian.Uint32(frame[4:]))
-	r := flate.NewReader(bytes.NewReader(frame[8:]))
-	raw, err := io.ReadAll(r)
+// DecompressInto implements codec.Codec. The stream is read through a limit
+// of the destination's bytes plus one: the spare byte tells a stream that
+// ends cleanly where the header said from one that keeps inflating.
+func (DeflateCodec) DecompressInto(dst []float32, frame []byte) (int, error) {
+	dim, payload, err := parseHeader(frame, len(dst))
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	vals, err := fromBytes(raw)
-	if err != nil {
-		return nil, 0, err
+	r := flate.NewReader(bytes.NewReader(payload))
+	raw := make([]byte, 4*len(dst))
+	if _, err := io.ReadFull(r, raw); err != nil {
+		return 0, errCorrupt
 	}
-	if len(vals) != n || dim <= 0 {
-		return nil, 0, errCorrupt
+	var spare [1]byte
+	if n, err := r.Read(spare[:]); n != 0 || err != io.EOF {
+		return 0, errCorrupt
 	}
-	return vals, dim, nil
+	fromBytes(dst, raw)
+	return dim, nil
 }

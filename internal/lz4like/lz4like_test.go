@@ -2,6 +2,8 @@ package lz4like
 
 import (
 	"bytes"
+	"compress/flate"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -11,13 +13,13 @@ import (
 
 func byteRoundTrip(t *testing.T, src []byte) []byte {
 	t.Helper()
-	enc := CompressBytes(src)
-	dec, err := DecompressBytes(enc)
-	if err != nil {
+	enc := CompressBytes(nil, src)
+	dec := make([]byte, len(src))
+	if err := DecompressBytes(dec, enc); err != nil {
 		t.Fatalf("DecompressBytes: %v", err)
 	}
 	if !bytes.Equal(dec, src) {
-		t.Fatalf("round trip mismatch: got %d bytes want %d", len(dec), len(src))
+		t.Fatalf("round trip mismatch over %d bytes", len(src))
 	}
 	return enc
 }
@@ -71,24 +73,68 @@ func TestBytesWindowLimit(t *testing.T) {
 
 func TestBytesRoundTripProperty(t *testing.T) {
 	f := func(src []byte) bool {
-		enc := CompressBytes(src)
-		dec, err := DecompressBytes(enc)
-		return err == nil && bytes.Equal(dec, src)
+		dec := make([]byte, len(src))
+		return DecompressBytes(dec, CompressBytes(nil, src)) == nil && bytes.Equal(dec, src)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestDecompressCorrupt feeds both decoders damaged and hostile frames. Each
+// must be rejected, and rejected cheaply: the decoder is handed its
+// destination, so a length read from the frame can cost at most a scratch
+// buffer of the destination's size (plus flate's fixed reader state) — a
+// match of 2^40 bytes or a stream inflating to 16 MB is refused before it is
+// copied or read.
 func TestDecompressCorrupt(t *testing.T) {
-	if _, err := DecompressBytes([]byte{9}); err == nil {
-		t.Fatal("unknown token should error")
+	header := func(dim, n uint32, payload ...byte) []byte {
+		return append(appendHeader(nil, int(dim), int(n)), payload...)
 	}
-	if _, err := DecompressBytes([]byte{1, 10, 5}); err == nil {
-		t.Fatal("match before start should error")
+	deflated := func(dim, n uint32, raw []byte) []byte {
+		var buf bytes.Buffer
+		w, _ := flate.NewWriter(&buf, flate.BestSpeed)
+		w.Write(raw)
+		w.Close()
+		return header(dim, n, buf.Bytes()...)
 	}
-	if _, err := DecompressBytes([]byte{0, 200, 1}); err == nil {
-		t.Fatal("truncated literal run should error")
+	good, err := DeflateCodec{}.CompressAppend(nil, []float32{1, 2}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lzss, deflate codec.Codec = LZSSCodec{}, DeflateCodec{}
+	for _, tc := range []struct {
+		name  string
+		c     codec.Codec
+		n     int // destination length
+		frame []byte
+	}{
+		{"short header", lzss, 1, []byte{1, 0, 0}},
+		{"unknown token", lzss, 1, header(1, 1, 9)},
+		{"match before start", lzss, 1, header(1, 1, 1, 10, 5)},
+		{"truncated literal run", lzss, 64, header(1, 64, 0, 200, 1)},
+		{"literal run past destination", lzss, 1, header(1, 1, 0, 5, 1, 2, 3, 4, 5)},
+		{"2^40-byte match", lzss, 1, header(1, 1, 0, 1, 0xAB, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20)},
+		{"stream ends early", lzss, 2, header(1, 2, 0, 4, 1, 2, 3, 4)},
+		{"count differs from destination", lzss, 3, header(1, 1, 0, 4, 1, 2, 3, 4)},
+		{"zero dim", lzss, 1, header(0, 1, 0, 4, 1, 2, 3, 4)},
+		{"deflate inflates past count", deflate, 1, deflated(1, 1, make([]byte, 16<<20))},
+		{"deflate ends early", deflate, 2, deflated(1, 2, []byte{1, 2, 3, 4})},
+		{"deflate truncated", deflate, 2, good[:len(good)-3]},
+		{"deflate garbage", deflate, 1, header(1, 1, 0xFF, 0xFF, 0xFF)},
+		{"deflate count differs from destination", deflate, 3, good},
+	} {
+		dst := make([]float32, tc.n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := tc.c.DecompressInto(dst, tc.frame)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
+			t.Errorf("%s: rejecting a %d-value frame allocated %d bytes", tc.name, tc.n, got)
+		}
 	}
 }
 
@@ -122,7 +168,7 @@ func TestLZSSLowRatioOnRandomFloats(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	src := make([]float32, 4096)
 	rng.FillNormal(src, 0, 1)
-	frame, err := (LZSSCodec{}).Compress(src, 64)
+	frame, err := (LZSSCodec{}).CompressAppend(nil, src, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +210,6 @@ func BenchmarkCompressBytes64K(b *testing.B) {
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		CompressBytes(src)
+		CompressBytes(nil, src)
 	}
 }

@@ -12,13 +12,12 @@ import (
 	"dlrmcomp/internal/model"
 )
 
-// The BenchmarkServe_ScoreBatch* benchmarks are the perf-trend-gated
-// serving hot path: single goroutine, ComputeWorkers 1, so ns/op,
-// B/op, and allocs/op are machine-independent and CI diffs them against
-// BENCH_baseline.json (same contract as BenchmarkStep_). The
-// BenchmarkServeLoad_* closed-loop benchmarks report throughput and tail
-// latency (qps, p50-ns, p99-ns, hit-rate) — scheduler-dependent numbers
-// that inform but are deliberately outside the gate's diff pattern.
+// The BenchmarkServe_ScoreBatch* benchmarks are the serving hot path in
+// isolation: single goroutine, ComputeWorkers 1 (alloc_test.go pins its
+// allocation bounds). The BenchmarkServeLoad_* closed-loop benchmarks
+// report throughput and tail latency (qps, p50-ns, p99-ns, hit-rate) —
+// scheduler-dependent numbers that inform; bench/'s serve workloads are
+// the gated measurement.
 
 const benchServeBatch = 64
 

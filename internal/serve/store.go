@@ -23,9 +23,10 @@ func ColdCodecs() []string { return []string{"raw", "lzss", "deflate", "quant"} 
 const DefaultColdCodec = "raw"
 
 // coldCodec encodes/decodes one block of rows. A nil inner codec is the
-// raw (uncompressed bytes) path; the others go through the codec stack's
-// buffered helpers, so codecs implementing codec.BufferedCodec (hybrid)
-// decode without allocating.
+// raw (uncompressed bytes) path; the others append to and decode into
+// buffers the store owns (codec.Codec's one contract), so the hybrid codec
+// decodes without allocating and the lossless ones allocate only scratch
+// sized by the block.
 type coldCodec struct {
 	name string
 	c    codec.Codec
@@ -57,7 +58,7 @@ func (cc *coldCodec) encodeAppend(dst []byte, src []float32, dim int) ([]byte, e
 		}
 		return dst, nil
 	}
-	return codec.CompressAppend(cc.c, dst, src, dim)
+	return cc.c.CompressAppend(dst, src, dim)
 }
 
 func (cc *coldCodec) decodeInto(dst []float32, frame []byte) error {
@@ -70,7 +71,7 @@ func (cc *coldCodec) decodeInto(dst []float32, frame []byte) error {
 		}
 		return nil
 	}
-	_, err := codec.DecompressInto(cc.c, dst, frame)
+	_, err := cc.c.DecompressInto(dst, frame)
 	return err
 }
 
