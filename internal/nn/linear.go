@@ -32,6 +32,7 @@ type Linear struct {
 	// nothing here.
 	y, gw, dX *tensor.Matrix
 	gb        []float32
+	wt        tensor.Matrix // Wᵀ, packed by the forward matmul for batches big enough to want it
 }
 
 // NewLinear constructs a layer with He-uniform initialized weights, the
@@ -59,7 +60,7 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	}
 	l.x = x
 	l.y = l.y.Resize(x.Rows, l.Out)
-	tensor.MatMulTransBWorkers(l.Workers, l.y, x, l.W)
+	tensor.MatMulTransBWorkers(l.Workers, l.y, x, l.W, &l.wt)
 	tensor.AddRowVec(l.y, l.B)
 	return l.y
 }

@@ -1,50 +1,56 @@
 package nn
 
 import (
+	"math"
+
 	"dlrmcomp/internal/tensor"
 )
 
 // ReLU is the rectified-linear activation.
 type ReLU struct {
-	mask []bool
-
 	// Reused output buffers; see Linear for the scratch-ownership contract.
+	// y doubles as the backward mask, so it must reach Backward unmodified
+	// (layers downstream only read their input).
 	y, dX *tensor.Matrix
 }
 
-// Forward applies max(0, x) elementwise. The returned matrix is layer-owned
-// scratch, valid until the next Forward.
+// Forward applies max(0, x) elementwise: +0 for anything not above zero
+// (including -0), x itself otherwise, and a NaN kept bit for bit — which is
+// why this is integer code and not the max builtin, which drops a NaN's sign.
+// An element survives when its sign bit is clear or its magnitude is past
+// infinity's; both tests are stretched to whole words and ANDed in, so the
+// loop has no branch — on an activation the sign is a coin flip no predictor
+// learns. The returned matrix is layer-owned scratch, valid until the next
+// Forward.
 func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
+	const inf = 0x7f800000
 	r.y = r.y.Resize(x.Rows, x.Cols)
-	y := r.y
-	copy(y.Data, x.Data)
-	if cap(r.mask) < len(y.Data) {
-		r.mask = make([]bool, len(y.Data))
+	y := r.y.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		b := math.Float32bits(v)
+		negative := uint32(int32(b) >> 31)
+		nan := uint32(int32(inf-b&^(1<<31)) >> 31)
+		y[i] = math.Float32frombits(b & (^negative | nan))
 	}
-	r.mask = r.mask[:len(y.Data)]
-	for i, v := range y.Data {
-		if v <= 0 {
-			y.Data[i] = 0
-			r.mask[i] = false
-		} else {
-			r.mask[i] = true
-		}
-	}
-	return y
+	return r.y
 }
 
-// Backward zeroes gradient where the activation was clamped. The returned
-// matrix is layer-owned scratch, valid until the next Backward.
+// Backward zeroes gradient where the activation was clamped. Forward left y
+// as +0 exactly where it clamped and as something with a non-zero bit
+// pattern (positive, or NaN) everywhere else, so "bits(y) != 0", stretched
+// to a whole word and ANDed into bits(dY), is the mask — again without a
+// branch. The returned matrix is layer-owned scratch, valid until the next
+// Backward.
 func (r *ReLU) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	r.dX = r.dX.Resize(dY.Rows, dY.Cols)
-	dX := r.dX
-	copy(dX.Data, dY.Data)
-	for i := range dX.Data {
-		if !r.mask[i] {
-			dX.Data[i] = 0
-		}
+	dX := r.dX.Data[:len(dY.Data)]
+	y := r.y.Data[:len(dY.Data)]
+	for i, g := range dY.Data {
+		b := math.Float32bits(y[i])
+		keep := -((b | -b) >> 31) // all ones when b != 0, else zero
+		dX[i] = math.Float32frombits(math.Float32bits(g) & keep)
 	}
-	return dX
+	return r.dX
 }
 
 // Sigmoid computes the logistic function elementwise.
@@ -62,19 +68,11 @@ func mathExp(x float64) float64 {
 	return expImpl(x)
 }
 
-// MLP is a stack of Linear layers with ReLU between them. If SigmoidTop is
-// true the final layer output is passed through a sigmoid (used by the DLRM
-// top MLP to produce a CTR probability).
+// MLP is a stack of Linear layers with ReLU between them. The last layer's
+// output is left as logits; pair it with BCEWithLogits.
 type MLP struct {
 	Layers []*Linear
 	relus  []*ReLU
-
-	// SigmoidTop applies a sigmoid after the last layer. Backward then
-	// expects dL/d(prob) already folded: for BCE loss use BCEWithLogits and
-	// keep SigmoidTop false; SigmoidTop exists for inference-style use.
-	SigmoidTop bool
-
-	lastOut *tensor.Matrix
 }
 
 // NewMLP builds an MLP with the given layer sizes, e.g. {13, 512, 256, 64}
@@ -102,13 +100,6 @@ func (m *MLP) Forward(x *tensor.Matrix) *tensor.Matrix {
 			h = m.relus[i].Forward(h)
 		}
 	}
-	if m.SigmoidTop {
-		h = h.Clone()
-		for i, v := range h.Data {
-			h.Data[i] = Sigmoid(v)
-		}
-	}
-	m.lastOut = h
 	return h
 }
 
@@ -151,7 +142,7 @@ func (m *MLP) Params() []Param {
 // Clone returns an MLP with copied weights and fresh gradients, activation
 // masks, and caches (see Linear.Clone).
 func (m *MLP) Clone() *MLP {
-	c := &MLP{SigmoidTop: m.SigmoidTop}
+	c := &MLP{}
 	for _, l := range m.Layers {
 		c.Layers = append(c.Layers, l.Clone())
 		c.relus = append(c.relus, &ReLU{})

@@ -1,106 +1,146 @@
 package tensor
 
-// This file holds the register-tiled matmul kernels behind MatMul,
-// MatMulTransA, and MatMulTransB. The tiling exists for instruction-level
-// parallelism and cache reuse, not for changing the math: every output
-// element is still a single float32 accumulator fed its terms in ascending-p
-// order (with the same skip-zero semantics the naive loops have), so the
-// results are bitwise identical to the naive triple loops at any tile
-// boundary. Parity tests pin the blocked kernels against the naive
+// This file holds the matmul kernels behind MatMul, MatMulTransA and
+// MatMulTransB. All three are the same computation — rows of dst = A @ b,
+// accumulated as dst[i][:] += A[i][p]*b[p][:] for ascending p — and their
+// inner loops are the package's vector primitive (Axpy / Axpy4Skip /
+// Axpy4Rows, see axpy.go): SSE2 on amd64, plain Go elsewhere. MatMul and MatMulTransA,
+// which skip zero terms, share saxpyRows; MatMulTransB, which never skips,
+// hands whole tiles to Axpy4Rows.
+//
+// The vector lanes, the four-row tile and the row spans of the parallel
+// entry points all cut across *different* output elements. Every single
+// element is still one float32 accumulator that receives its terms one at a
+// time in ascending-p order, each term computed as the scalar loop computes
+// it, with the same skip-zero semantics the naive loops have. So the results
+// are bitwise identical to the naive triple loops at any tile boundary, lane
+// count and worker count. Parity tests pin the kernels against the naive
 // references across ragged shapes; the naive loops live in naive_test.go as
 // the executable specification.
 //
-// Why tiling helps a scalar Go build: a single dot-product accumulator is a
-// serial dependency chain bounded by FP-add latency, while a 2×4 tile keeps
-// eight independent chains in flight; and processing several output rows per
-// pass over a shared B row halves the memory traffic of the saxpy-form
-// kernels. The tile sizes below were picked with BenchmarkMatMul_* (64/256/
-// 1024) on the development machine; they are deliberately small enough that
-// the kernels never spill the accumulators.
+// Why four rows per pass: one load of a b vector feeds four multiply-adds,
+// which is what moves the loop from load-bound to arithmetic-bound.
 
-// mrMatMul is the output-row tile of the saxpy-form kernels (MatMul and
-// MatMulTransA): rows processed per pass over a B row.
+// mrMatMul is the output-row tile of the kernels: rows processed per pass
+// over a b row (the width of Axpy4Skip and Axpy4Rows).
 const mrMatMul = 4
 
-// matMulBlocked computes rows [lo, hi) of dst = a @ b.
-// Per output element (i, j) the accumulation is dst[i][j] += a[i][p]*b[p][j]
-// for ascending p, skipping terms with a[i][p] == 0 — exactly the naive
-// order, whichever branch of the tile runs.
+// transBPackRows is the number of a-rows from which MatMulTransB packs bᵀ
+// and runs saxpy-form. Packing costs one scalar move per weight per call;
+// below eight rows that is more than the one- or two-row product saves
+// (measured on the serving path: p50 of 1–2-row batches went 1.20 → 1.27 ms
+// without this guard), so small batches stay on the dot-form kernel. The two
+// forms are bitwise equal, so the switch is invisible in the results.
+const transBPackRows = 8
+
+// matMulBlocked computes rows [lo, hi) of dst = a @ b, skipping terms with
+// a[i][p] == 0 — exactly the naive order.
 func matMulBlocked(dst, a, b *Matrix, lo, hi int) {
-	k, n := a.Cols, b.Cols
+	saxpyRows(dst, a.Data, a.Cols, 1, a.Cols, b, lo, hi)
+}
+
+// matMulTransABlocked computes output rows [lo, hi) of dst = aᵀ @ b. It is
+// the naive p-outer loop interchanged to i-outer (so each dst row is written
+// once, streaming, instead of being revisited for every p). Loop interchange
+// does not reorder the terms of any single output element: dst[i][j] still
+// accumulates a[p][i]*b[p][j] for ascending p with the a[p][i] == 0 skip.
+func matMulTransABlocked(dst, a, b *Matrix, lo, hi int) {
+	saxpyRows(dst, a.Data, 1, a.Cols, a.Rows, b, lo, hi)
+}
+
+// matMulTransBPacked computes rows [lo, hi) of dst = a @ bᵀ given bt = bᵀ.
+// The naive kernel has no zero skip here, so every term of a four-row tile
+// is due and the tile is one Axpy4Rows: dst[i][j] = 0, then += a[i][p]*bt[p][j]
+// for ascending p, which is operation for operation the naive dot product.
+func matMulTransBPacked(dst, a, bt *Matrix, lo, hi int) {
+	k, n := a.Cols, bt.Cols
+	clear(dst.Data[lo*n : hi*n])
+	i := lo
+	for ; i+mrMatMul <= hi; i += mrMatMul {
+		Axpy4Rows(a.Data[(i+0)*k:(i+1)*k], a.Data[(i+1)*k:(i+2)*k], a.Data[(i+2)*k:(i+3)*k], a.Data[(i+3)*k:(i+4)*k],
+			bt.Data, n,
+			dst.Data[(i+0)*n:(i+1)*n], dst.Data[(i+1)*n:(i+2)*n], dst.Data[(i+2)*n:(i+3)*n], dst.Data[(i+3)*n:(i+4)*n])
+	}
+	for ; i < hi; i++ {
+		di := dst.Data[i*n : (i+1)*n]
+		for p, av := range a.Data[i*k : (i+1)*k] {
+			Axpy(av, bt.Data[p*n:(p+1)*n], di)
+		}
+	}
+}
+
+// packTranspose reshapes the caller-owned bt to b.Cols×b.Rows (growing its
+// backing array only when it is too small) and fills it with bᵀ.
+func packTranspose(bt, b *Matrix) {
+	m, k := b.Rows, b.Cols
+	if cap(bt.Data) < m*k {
+		bt.Data = make([]float32, m*k)
+	}
+	bt.Rows, bt.Cols, bt.Data = k, m, bt.Data[:m*k]
+	j := 0
+	for ; j+4 <= m; j += 4 {
+		Transpose4(bt.Data[j:], m, b.Data[j*k:(j+1)*k], b.Data[(j+1)*k:(j+2)*k], b.Data[(j+2)*k:(j+3)*k], b.Data[(j+3)*k:(j+4)*k])
+	}
+	for ; j < m; j++ {
+		col := bt.Data[j:]
+		for p, v := range b.Data[j*k : (j+1)*k] {
+			col[p*m] = v
+		}
+	}
+}
+
+// Transpose4 writes four equal-length rows as four adjacent columns of a
+// row-major destination: dst[p*stride+r] = s_r[p]. Moving four rows at once
+// makes every store run 16 contiguous bytes, which is what a transposition
+// costs least with; callers finish a ragged edge column by column.
+func Transpose4(dst []float32, stride int, s0, s1, s2, s3 []float32) {
+	s1, s2, s3 = s1[:len(s0)], s2[:len(s0)], s3[:len(s0)]
+	for p, v := range s0 {
+		q := dst[p*stride : p*stride+4 : p*stride+4]
+		q[0], q[1], q[2], q[3] = v, s1[p], s2[p], s3[p]
+	}
+}
+
+// saxpyRows computes rows [lo, hi) of dst = A @ b, where A is rows×k and
+// element A[i][p] is ad[i*rs+p*ps]: (rs, ps) = (k, 1) reads a row-major
+// matrix, (1, cols) reads the transpose of one. Per output element (i, j)
+// the accumulation is dst[i][j] += A[i][p]*b[p][j] for ascending p, skipping
+// terms whose A[i][p] == 0.
+func saxpyRows(dst *Matrix, ad []float32, rs, ps, k int, b *Matrix, lo, hi int) {
+	n := b.Cols
+	clear(dst.Data[lo*n : hi*n])
 	i := lo
 	for ; i+mrMatMul <= hi; i += mrMatMul {
 		d0 := dst.Data[(i+0)*n : (i+1)*n]
 		d1 := dst.Data[(i+1)*n : (i+2)*n]
 		d2 := dst.Data[(i+2)*n : (i+3)*n]
 		d3 := dst.Data[(i+3)*n : (i+4)*n]
-		clear(d0)
-		clear(d1)
-		clear(d2)
-		clear(d3)
-		a0 := a.Data[(i+0)*k : (i+1)*k]
-		a1 := a.Data[(i+1)*k : (i+2)*k]
-		a2 := a.Data[(i+2)*k : (i+3)*k]
-		a3 := a.Data[(i+3)*k : (i+4)*k]
+		a0, a1, a2, a3 := ad[(i+0)*rs:], ad[(i+1)*rs:], ad[(i+2)*rs:], ad[(i+3)*rs:]
 		for p := 0; p < k; p++ {
-			av0, av1, av2, av3 := a0[p], a1[p], a2[p], a3[p]
+			av0, av1, av2, av3 := a0[p*ps], a1[p*ps], a2[p*ps], a3[p*ps]
 			if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
 				continue
 			}
-			bp := b.Data[p*n : (p+1)*n]
-			if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
-				// Full tile: one pass over bp feeds four row accumulators.
-				for j, bv := range bp {
-					d0[j] += av0 * bv
-					d1[j] += av1 * bv
-					d2[j] += av2 * bv
-					d3[j] += av3 * bv
-				}
-				continue
-			}
-			// Mixed zeros: per-row passes keep the skip semantics exact.
-			if av0 != 0 {
-				for j, bv := range bp {
-					d0[j] += av0 * bv
-				}
-			}
-			if av1 != 0 {
-				for j, bv := range bp {
-					d1[j] += av1 * bv
-				}
-			}
-			if av2 != 0 {
-				for j, bv := range bp {
-					d2[j] += av2 * bv
-				}
-			}
-			if av3 != 0 {
-				for j, bv := range bp {
-					d3[j] += av3 * bv
-				}
-			}
+			Axpy4Skip(av0, av1, av2, av3, b.Data[p*n:(p+1)*n], d0, d1, d2, d3)
 		}
 	}
 	for ; i < hi; i++ {
 		di := dst.Data[i*n : (i+1)*n]
-		clear(di)
-		ai := a.Data[i*k : (i+1)*k]
-		for p, av := range ai {
-			if av == 0 {
-				continue
-			}
-			bp := b.Data[p*n : (p+1)*n]
-			for j, bv := range bp {
-				di[j] += av * bv
+		ai := ad[i*rs:]
+		for p := 0; p < k; p++ {
+			if av := ai[p*ps]; av != 0 {
+				Axpy(av, b.Data[p*n:(p+1)*n], di)
 			}
 		}
 	}
 }
 
-// matMulTransBBlocked computes rows [lo, hi) of dst = a @ bᵀ with a 2×4
-// register tile: eight dot-product accumulators, each a single chain in
-// ascending-p order (the naive kernel has no zero skip here, so neither does
-// this one).
+// matMulTransBBlocked computes rows [lo, hi) of dst = a @ bᵀ in dot form,
+// straight from b, with a 2×4 register tile: eight dot-product accumulators,
+// each a single chain in ascending-p order (the naive kernel has no zero skip
+// here, so neither does this one). It serves the products too small to pay
+// for packing bᵀ (see transBPackRows); a single accumulator is a serial chain
+// bound by FP-add latency, and the tile keeps eight of them in flight.
 func matMulTransBBlocked(dst, a, b *Matrix, lo, hi int) {
 	k, m := a.Cols, b.Rows
 	i := lo
@@ -167,78 +207,6 @@ func matMulTransBBlocked(dst, a, b *Matrix, lo, hi int) {
 				s += av * bj[p]
 			}
 			di[j] = s
-		}
-	}
-}
-
-// matMulTransABlocked computes output rows [lo, hi) of dst = aᵀ @ b. It is
-// the naive p-outer loop interchanged to i-outer (so each dst row is written
-// once, streaming, instead of being revisited for every p) and then tiled
-// mrMatMul output rows per pass over b. Loop interchange does not reorder
-// the terms of any single output element: dst[i][j] still accumulates
-// a[p][i]*b[p][j] for ascending p with the a[p][i] == 0 skip.
-func matMulTransABlocked(dst, a, b *Matrix, lo, hi int) {
-	kRows, aCols, n := a.Rows, a.Cols, b.Cols
-	i := lo
-	for ; i+mrMatMul <= hi; i += mrMatMul {
-		d0 := dst.Data[(i+0)*n : (i+1)*n]
-		d1 := dst.Data[(i+1)*n : (i+2)*n]
-		d2 := dst.Data[(i+2)*n : (i+3)*n]
-		d3 := dst.Data[(i+3)*n : (i+4)*n]
-		clear(d0)
-		clear(d1)
-		clear(d2)
-		clear(d3)
-		for p := 0; p < kRows; p++ {
-			ap := a.Data[p*aCols:]
-			av0, av1, av2, av3 := ap[i], ap[i+1], ap[i+2], ap[i+3]
-			if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
-				continue
-			}
-			bp := b.Data[p*n : (p+1)*n]
-			if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
-				for j, bv := range bp {
-					d0[j] += av0 * bv
-					d1[j] += av1 * bv
-					d2[j] += av2 * bv
-					d3[j] += av3 * bv
-				}
-				continue
-			}
-			if av0 != 0 {
-				for j, bv := range bp {
-					d0[j] += av0 * bv
-				}
-			}
-			if av1 != 0 {
-				for j, bv := range bp {
-					d1[j] += av1 * bv
-				}
-			}
-			if av2 != 0 {
-				for j, bv := range bp {
-					d2[j] += av2 * bv
-				}
-			}
-			if av3 != 0 {
-				for j, bv := range bp {
-					d3[j] += av3 * bv
-				}
-			}
-		}
-	}
-	for ; i < hi; i++ {
-		di := dst.Data[i*n : (i+1)*n]
-		clear(di)
-		for p := 0; p < kRows; p++ {
-			av := a.Data[p*aCols+i]
-			if av == 0 {
-				continue
-			}
-			bp := b.Data[p*n : (p+1)*n]
-			for j, bv := range bp {
-				di[j] += av * bv
-			}
 		}
 	}
 }

@@ -22,7 +22,8 @@ var raggedShapes = []struct{ m, k, n int }{
 	{16, 31, 17},
 	{33, 63, 29},
 	{64, 64, 64},
-	{65, 127, 66}, // crosses parallelThreshold for MatMul/TransA
+	{65, 127, 66},
+	{130, 257, 129}, // crosses parallelThreshold, so the span paths run
 }
 
 // sparseMatrix returns a rows×cols matrix where roughly a third of the
@@ -75,16 +76,27 @@ func TestMatMulBlockedBitwiseParity(t *testing.T) {
 
 func TestMatMulTransBBlockedBitwiseParity(t *testing.T) {
 	rng := NewRNG(102)
-	for _, s := range raggedShapes {
+	shapes := append([]struct{ m, k, n int }(nil), raggedShapes...)
+	// Both sides of the transBPackRows switch, below parallelThreshold and
+	// (from 7 rows on) above it, so the serial and the span paths of each
+	// form run.
+	const bigK = 1031
+	for _, m := range []int{1, 7, 8, 9} {
+		shapes = append(shapes, struct{ m, k, n int }{m, 13, 5}, struct{ m, k, n int }{m, bigK, parallelThreshold/(7*bigK) + 1})
+	}
+	var bt Matrix // reused across shapes, as a layer reuses it across batches
+	for _, s := range shapes {
 		a := sparseMatrix(rng, s.m, s.k)
 		b := sparseMatrix(rng, s.n, s.k)
 		want := NewMatrix(s.m, s.n)
 		matMulTransBNaive(want, a, b)
 		for _, workers := range []int{1, 2, 8} {
-			got := NewMatrix(s.m, s.n)
-			MatMulTransBWorkers(workers, got, a, b)
-			requireBitwiseEqual(t, got, want,
-				fmt.Sprintf("MatMulTransB %dx%d@(%dx%d)T workers=%d", s.m, s.k, s.n, s.k, workers))
+			for _, scratch := range []*Matrix{nil, &bt} {
+				got := NewMatrix(s.m, s.n)
+				MatMulTransBWorkers(workers, got, a, b, scratch)
+				requireBitwiseEqual(t, got, want,
+					fmt.Sprintf("MatMulTransB %dx%d@(%dx%d)T workers=%d packed=%v", s.m, s.k, s.n, s.k, workers, scratch != nil))
+			}
 		}
 	}
 }
@@ -153,4 +165,25 @@ func BenchmarkMatMul_Blocked_256(b *testing.B) {
 }
 func BenchmarkMatMul_Blocked_1024(b *testing.B) {
 	benchMatMulPair(b, 1024, func(dst, a, c *Matrix) { matMulBlocked(dst, a, c, 0, a.Rows) })
+}
+
+// BenchmarkMatMulTransB_MLP is Linear.Forward's product on the MLP shapes
+// the training benchmarks run (rows × in · out), packed scratch included, at
+// one and two workers: the numbers parallelThreshold is derived from.
+func BenchmarkMatMulTransB_MLP(b *testing.B) {
+	for _, s := range []struct{ m, k, n int }{{128, 383, 32}, {1024, 383, 256}, {1024, 256, 128}} {
+		rng := NewRNG(1)
+		a := randomMatrix(rng, s.m, s.k)
+		w := randomMatrix(rng, s.n, s.k)
+		dst := NewMatrix(s.m, s.n)
+		var wt Matrix
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%dx%dx%d/workers=%d", s.m, s.k, s.n, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					MatMulTransBWorkers(workers, dst, a, w, &wt)
+				}
+			})
+		}
+	}
 }

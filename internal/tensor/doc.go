@@ -2,9 +2,21 @@
 // DLRM substrate is built on: row-major matrices, matrix products (including
 // transposed forms used by backpropagation), and elementwise vector helpers.
 //
-// The kernels are deliberately simple and allocation-conscious; the large
-// products used by MLP layers are parallelized across goroutines when the
-// work is big enough to amortize scheduling.
+// All of the dense math sits on one vector primitive, d[j] += a*b[j] over
+// one destination row, four rows, or four rows through a run of terms (Axpy,
+// Axpy4Skip, Axpy4Rows; axpy.go). On amd64 its body is SSE2 assembly
+// (axpy_amd64.s — baseline amd64, so nothing is detected or selected at run
+// time); everywhere else it is the equivalent Go loop, which is also the
+// oracle the assembly is tested against. The three matrix products are
+// saxpy-form kernels over that primitive (blocked.go), and the large ones
+// are split by output row across a persistent worker pool (pool.go) when the
+// work is big enough to pay for the fan-out.
+//
+// Vector lanes, row tiles and worker spans all cut across different output
+// elements; each element is one float32 accumulator fed its terms one at a
+// time in ascending order, exactly as the scalar loop feeds it. Results are
+// therefore bitwise identical to the naive loop nests (naive_test.go) on
+// every path, which the trainer's reproducibility guarantees are built on.
 //
 // Layer: the bottom of the model substrate — internal/nn, internal/model,
 // and the codecs all build on it. It also hosts the deterministic RNG
@@ -14,5 +26,5 @@
 //
 // Key types: Matrix (row-major with MatMul/MatMulT* products), RNG
 // (splitmix-based, seeded everywhere a stream of randomness is needed),
-// and the Scale/Axpy-style vector helpers.
+// and the Axpy/Axpy4Skip/Axpy4Rows/Scale/Dot vector helpers.
 package tensor

@@ -39,19 +39,6 @@ func startPool() {
 	}
 }
 
-// ParallelSpans partitions [0, n) into up to workers contiguous spans and
-// runs fn on each, using the package's persistent worker pool for all but
-// the first span (which runs on the caller's goroutine). workers <= 0 means
-// GOMAXPROCS; with one worker (or n <= 1) it degenerates to a single inline
-// call and performs no allocation. When the pool's queue is full the caller
-// runs the span inline instead of blocking, so demand bursts degrade to
-// sequential execution rather than unbounded queuing.
-//
-// Spans are contiguous and disjoint, so fn calls for different spans must
-// not share mutable state; every caller in this codebase partitions output
-// rows, which are disjoint by construction. Results are bitwise independent
-// of the worker count for such callers — the partition changes which
-// goroutine computes a row, never the arithmetic within it.
 // EffectiveWorkers resolves a worker-count knob: non-positive means
 // GOMAXPROCS, anything else is taken as-is. Callers on allocation-free hot
 // paths use it to skip closure construction entirely when the resolved width
@@ -63,6 +50,20 @@ func EffectiveWorkers(workers int) int {
 	return workers
 }
 
+// ParallelSpans partitions [0, n) into up to workers contiguous spans and
+// runs fn on each, using the package's persistent worker pool for all but
+// the first span (which runs on the caller's goroutine). workers <= 0 means
+// GOMAXPROCS; with one worker (or n <= 1) it degenerates to a single inline
+// call and performs no allocation. When the pool's queue is full the caller
+// runs the span inline instead of blocking, so demand bursts degrade to
+// sequential execution rather than unbounded queuing.
+//
+// Spans are contiguous and disjoint, so fn calls for different spans must
+// not share mutable state; every caller in this codebase partitions output
+// rows (interaction hands out span indices, each owning a row range and a
+// workspace), which are disjoint by construction. Results are bitwise independent
+// of the worker count for such callers — the partition changes which
+// goroutine computes a row, never the arithmetic within it.
 func ParallelSpans(workers, n int, fn func(lo, hi int)) {
 	workers = EffectiveWorkers(workers)
 	if workers > n {

@@ -84,9 +84,24 @@ func (m *Matrix) Equal(n *Matrix, tol float32) bool {
 	return true
 }
 
-// parallelThreshold is the number of fused multiply-adds below which matmul
-// stays single-threaded.
-const parallelThreshold = 1 << 17
+// parallelThreshold is the number of multiply-adds below which a matmul stays
+// single-threaded at any width. A fan-out costs the caller 15–30 µs (queue a
+// span, wake a pool worker, wait for it), and the SSE2 kernels get through
+// 6–11 multiply-adds per nanosecond, so the work has to be worth about half a
+// millisecond before a second worker pays. Measured on the 2-core reference
+// box, best of four, 1 worker → 2 workers, for MatMulTransB / MatMul /
+// MatMulTransA on the MLP shapes (batch × in · out):
+//
+//	 128×383·32   (1.6M)  154→170 µs   167→187 µs   163→183 µs   slower
+//	  96×256·128  (3.1M)  292→271 µs   306→308 µs   305→314 µs   even
+//	 128×256·128  (4.2M)  418→328 µs   461→346 µs   444→343 µs   1.3x
+//	 256×256·128  (8.4M)  775→511 µs   797→509 µs   832→510 µs   1.5–1.6x
+//	1024×256·128   (34M)  3.06→1.65 ms 3.84→1.80 ms 3.83→1.78 ms 1.9–2.1x
+//	1024×383·256  (100M)  8.9→4.6 ms   10.5→5.6 ms  11.4→5.8 ms  1.9x
+//
+// The old value, 1<<17, was sized for the scalar kernels (~130 µs of work
+// then, ~20 µs now).
+const parallelThreshold = 1 << 22
 
 // MatMul computes dst = a @ b where a is m×k and b is k×n. dst must be m×n
 // and is overwritten. Panics on shape mismatch.
@@ -111,21 +126,32 @@ func MatMulWorkers(workers int, dst, a, b *Matrix) {
 }
 
 // MatMulTransB computes dst = a @ bᵀ where a is m×k and b is n×k.
-// dst must be m×n. This is the shape used by the backward pass for inputs.
-func MatMulTransB(dst, a, b *Matrix) { MatMulTransBWorkers(0, dst, a, b) }
+// dst must be m×n. This is the shape of a linear layer's forward pass.
+func MatMulTransB(dst, a, b *Matrix) { MatMulTransBWorkers(0, dst, a, b, nil) }
 
 // MatMulTransBWorkers is MatMulTransB with an explicit row-parallel width
-// (same contract as MatMulWorkers).
-func MatMulTransBWorkers(workers int, dst, a, b *Matrix) {
+// (same contract as MatMulWorkers) and an optional workspace. bt, when not
+// nil, is scratch the caller owns and passes again on every call: from
+// transBPackRows rows of a upward it is reshaped to k×n, filled with bᵀ and
+// the product runs saxpy-form on the vector primitive; it grows once to its
+// high-water size and is never allocated after that. With bt nil, or fewer
+// rows, the dot-form kernel reads b as it is. Both forms produce the same
+// bits.
+func MatMulTransBWorkers(workers int, dst, a, b, bt *Matrix) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransB shapes %dx%d @ (%dx%d)T -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
+	kernel, src := matMulTransBBlocked, b
+	if bt != nil && a.Rows >= transBPackRows {
+		packTranspose(bt, b)
+		kernel, src = matMulTransBPacked, bt
+	}
 	if workers = EffectiveWorkers(workers); workers <= 1 || a.Rows*a.Cols*b.Rows < parallelThreshold {
-		matMulTransBBlocked(dst, a, b, 0, a.Rows)
+		kernel(dst, a, src, 0, a.Rows)
 		return
 	}
-	ParallelSpans(workers, a.Rows, func(lo, hi int) { matMulTransBBlocked(dst, a, b, lo, hi) })
+	ParallelSpans(workers, a.Rows, func(lo, hi int) { kernel(dst, a, src, lo, hi) })
 }
 
 // MatMulTransA computes dst = aᵀ @ b where a is k×m and b is k×n.
@@ -175,16 +201,6 @@ func ColSums(dst []float32, m *Matrix) {
 		for j, v := range ri {
 			dst[j] += v
 		}
-	}
-}
-
-// Axpy computes y += alpha*x elementwise for equal-length slices.
-func Axpy(alpha float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic("tensor: Axpy length mismatch")
-	}
-	for i, v := range x {
-		y[i] += alpha * v
 	}
 }
 

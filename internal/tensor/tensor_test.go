@@ -118,9 +118,12 @@ func TestMatMulTransAAgainstNaive(t *testing.T) {
 func TestMatMulParallelMatchesSerial(t *testing.T) {
 	// Large enough to cross parallelThreshold.
 	rng := NewRNG(10)
-	a := randomMatrix(rng, 128, 64)
-	b := randomMatrix(rng, 64, 96)
-	dst := NewMatrix(128, 96)
+	a := randomMatrix(rng, 192, 128)
+	b := randomMatrix(rng, 128, 192)
+	if a.Rows*a.Cols*b.Cols < parallelThreshold {
+		t.Fatal("shape no longer crosses parallelThreshold")
+	}
+	dst := NewMatrix(192, 192)
 	MatMul(dst, a, b)
 	if !dst.Equal(naiveMul(a, b, false, false), 1e-3) {
 		t.Fatal("parallel MatMul mismatch with naive")
