@@ -1,8 +1,8 @@
 // Command dlrmserve loads a DLCK checkpoint (cmd/dlrmtrain -save) into the
 // sharded serving layer and drives it with a closed-loop Zipf-skewed load,
-// reporting throughput, latency percentiles, hot-cache hit rate, and the
-// resident-memory split between the decoded hot tier and the compressed
-// cold tier.
+// reporting throughput, latency percentiles, mean micro-batch size,
+// hot-cache hit rate, and the resident-memory split between the decoded
+// hot tier and the compressed cold tier.
 //
 // The scenario file must be the one the checkpoint was trained under — the
 // checkpoint carries shapes and weights, the scenario carries the model
@@ -152,6 +152,9 @@ func main() {
 	fmt.Printf("\nserved %d requests in %v (%d shed)\n", served, elapsed.Round(time.Millisecond), shed.Load())
 	fmt.Printf("qps        %.0f\n", float64(served)/elapsed.Seconds())
 	fmt.Printf("latency    p50 %v  p99 %v\n", pct(0.50), pct(0.99))
+	if batches := st.Batches - warm.Batches; batches > 0 {
+		fmt.Printf("batching   %.2f requests per micro-batch (%d batches)\n", float64(st.Requests-warm.Requests)/float64(batches), batches)
+	}
 	fmt.Printf("hit rate   %.4f (steady state; %d hits / %d misses)\n", hitRate, hits, misses)
 	fmt.Printf("memory     hot %d B + cold %d B = %d B resident vs %d B uncompressed (cold tier %.2fx)\n",
 		st.HotBytes, st.ColdBytes, st.HotBytes+st.ColdBytes, st.RawBytes, st.ColdRatio())

@@ -25,8 +25,9 @@ func init() {
 // layer under each cold-tier codec, and drive a closed-loop Zipf workload
 // through the micro-batching Score path. The table reports, per codec, the
 // steady-state hot-cache hit rate, throughput, latency percentiles, the
-// cold tier's capacity multiplier, and the maximum score deviation from an
-// uncompressed uncached reference server — zero for the lossless codecs
+// mean micro-batch size, the cold tier's capacity multiplier, and the
+// maximum score deviation from an uncompressed uncached reference server —
+// zero for the lossless codecs
 // (serving is bit-identical under compression and caching), bounded by the
 // quantization error for "quant", which is the mode that actually shrinks
 // resident memory (lossless codecs cannot compress trained float32 rows).
@@ -165,6 +166,7 @@ func runLoadtest(opts Options) (*Result, error) {
 			fmt.Sprintf("%.0f", float64(len(reqs))/elapsed.Seconds()),
 			pct(0.50).String(),
 			pct(0.99).String(),
+			fmt.Sprintf("%.2f", float64(st.Requests-warm.Requests)/float64(st.Batches-warm.Batches)),
 			fmt.Sprintf("%.2fx", st.ColdRatio()),
 			fmt.Sprintf("%d", st.HotBytes+st.ColdBytes),
 			fmt.Sprintf("%.2e", math.Float64frombits(maxDeltaBits.Load())),
@@ -174,7 +176,7 @@ func runLoadtest(opts Options) (*Result, error) {
 	fmt.Fprintf(&b, "checkpoint: %d -> %d bytes (%.2fx, codec %s); %d requests, %d clients per codec\n\n",
 		stats.RawBytes, stats.WireBytes, stats.Ratio(), dist.DefaultCheckpointCodec, requests, clients)
 	b.WriteString(table(
-		[]string{"cold codec", "hit rate", "qps", "p50", "p99", "cold tier", "resident B", "max |Δscore|"},
+		[]string{"cold codec", "hit rate", "qps", "p50", "p99", "batch", "cold tier", "resident B", "max |Δscore|"},
 		rows,
 	))
 	b.WriteString("\nlossless codecs serve bit-identical scores (Δ = 0); quant trades a bounded\n" +

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"io"
-	"time"
 
 	"dlrmcomp/internal/criteo"
 	"dlrmcomp/internal/model"
@@ -35,7 +34,6 @@ func (s Spec) ServeOptions() serve.Options {
 		BlockRows:  sv.BlockRows,
 		HotBytes:   sv.HotBytes,
 		MaxBatch:   sv.MaxBatch,
-		Linger:     time.Duration(sv.LingerUS) * time.Microsecond,
 		QueueDepth: sv.QueueDepth,
 		Workers:    sv.Workers,
 	}

@@ -163,10 +163,9 @@ type ServeSpec struct {
 	// HotBytes budgets the decoded-row hot cache (0 = a quarter of the
 	// uncompressed footprint; negative = no cache).
 	HotBytes int64 `json:"hot_bytes,omitempty"`
-	// MaxBatch and LingerUS close a micro-batch on size (0 = 64) or
-	// microseconds since its first request (0 = 200).
+	// MaxBatch caps a micro-batch (0 = 64); a free batcher scores whatever
+	// is queued, up to this many requests, without waiting for more.
 	MaxBatch int `json:"max_batch,omitempty"`
-	LingerUS int `json:"linger_us,omitempty"`
 	// QueueDepth bounds the intake queue (0 = 4×MaxBatch); Workers is the
 	// batcher count (0 = 1).
 	QueueDepth int `json:"queue_depth,omitempty"`
@@ -403,8 +402,8 @@ func (s Spec) Validate() error {
 			v    int
 		}{
 			{"serve shards", sv.Shards}, {"serve block_rows", sv.BlockRows},
-			{"serve max_batch", sv.MaxBatch}, {"serve linger_us", sv.LingerUS},
-			{"serve queue_depth", sv.QueueDepth}, {"serve workers", sv.Workers},
+			{"serve max_batch", sv.MaxBatch}, {"serve queue_depth", sv.QueueDepth},
+			{"serve workers", sv.Workers},
 			{"serve requests", sv.Requests}, {"serve clients", sv.Clients},
 		} {
 			if f.v < 0 {

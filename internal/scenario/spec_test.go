@@ -61,7 +61,7 @@ func fullSpec() Spec {
 		Checkpoint: &CheckpointSpec{Every: 5, Codec: "lzss", Verify: true},
 		Serve: &ServeSpec{
 			Shards: 2, Codec: "quant", QuantEB: 0.02, BlockRows: 32,
-			HotBytes: 1 << 20, MaxBatch: 32, LingerUS: 100,
+			HotBytes: 1 << 20, MaxBatch: 32,
 			QueueDepth: 256, Workers: 2, Requests: 5000, Clients: 8,
 		},
 	}

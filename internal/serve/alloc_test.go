@@ -64,3 +64,35 @@ func TestScoreBatchAllocsSteadyState(t *testing.T) {
 		})
 	}
 }
+
+// TestScoreAllocsSteadyState pins the request path the same way: a
+// sequential Score on a warm server — admission, the pooled request
+// record, the hand-off through the intake queue, the batcher's workspaces
+// and the reply — allocates nothing.
+func TestScoreAllocsSteadyState(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc pins are meaningless under the race detector (instrumented allocations, dropped pools)")
+	}
+	spec := testSpec()
+	m, err := model.New(testConfig(spec, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewFromModel(m, Options{ColdCodec: "raw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dense, idx := requestArgs(criteo.NewGenerator(spec).NextBatch(1))
+	score := func() {
+		if _, err := srv.Score(dense, idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ { // warm the pool and the lazily-grown workspaces
+		score()
+	}
+	if allocs := testing.AllocsPerRun(100, score); allocs > 0 {
+		t.Fatalf("Score allocates %.1f objects per call in steady state, want 0", allocs)
+	}
+}

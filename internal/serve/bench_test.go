@@ -143,8 +143,7 @@ func benchZipfLoad(b *testing.B, opts Options, clients int) {
 func benchLoadOpts(codec string, eb float32, clients int) Options {
 	return Options{
 		ColdCodec: codec, QuantEB: eb,
-		MaxBatch: clients, Linger: 50 * time.Microsecond,
-		Workers: 2, QueueDepth: 4 * clients,
+		MaxBatch: clients, Workers: 2, QueueDepth: 4 * clients,
 	}
 }
 

@@ -18,8 +18,10 @@
 // buffered codec paths, so steady-state scoring performs no heap
 // allocation (pinned by an AllocsPerRun gate). Server.Score adds admission
 // control: a bounded intake queue sheds with ErrOverloaded when full, and
-// batcher workers coalesce concurrent requests into micro-batches that
-// close on size or a short linger. Because the hot cache stores exactly
+// batcher workers coalesce concurrent requests into micro-batches. A free
+// worker takes whatever is queued (up to MaxBatch) and scores it at once —
+// no timer holds a batch open — so a lone request is never delayed, and
+// batches grow only as a backlog builds. Because the hot cache stores exactly
 // the decoded rows, a cache hit and a cache miss reconstruct identical
 // bits — caching never changes a score, for any cold codec.
 package serve

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"dlrmcomp/internal/criteo"
 	"dlrmcomp/internal/dist"
@@ -326,7 +328,7 @@ func TestServiceMatchesScoreBatch(t *testing.T) {
 	want := refScores(ref, reqs)
 
 	srv, err := New(cfg, bytes.NewReader(ckpt), Options{
-		ColdCodec: "lzss", Workers: 3, MaxBatch: 8, Linger: 100 * time.Microsecond,
+		ColdCodec: "lzss", Workers: 3, MaxBatch: 8,
 		QueueDepth: 1024,
 	})
 	if err != nil {
@@ -368,10 +370,13 @@ func TestServiceMatchesScoreBatch(t *testing.T) {
 	}
 }
 
-// TestServeOverload floods a one-deep intake queue and checks admission
-// control sheds with ErrOverloaded instead of queueing without bound, that
-// shed counts land in Stats, and that every admitted request still gets a
-// correct answer.
+// TestServeOverload floods a one-deep intake queue while the only worker is
+// stalled and checks admission control sheds with ErrOverloaded instead of
+// queueing without bound, that shed counts land in Stats, and that every
+// admitted request still gets an answer. Holding shard 0's lock blocks
+// table 0's gather, so the worker holds at most one request and the queue
+// one more: at least 510 of the 512 must be shed, whatever the scheduler
+// does.
 func TestServeOverload(t *testing.T) {
 	cfg, ckpt := trainedCheckpoint(t, "raw")
 	srv, err := New(cfg, bytes.NewReader(ckpt), Options{
@@ -382,44 +387,227 @@ func TestServeOverload(t *testing.T) {
 	}
 	defer srv.Close()
 
+	const flood = 512
 	dense := make([]float32, cfg.DenseFeatures)
 	idx := make([]int32, len(cfg.TableSizes))
 	var wg sync.WaitGroup
-	var scored, shed, other int64
-	var mu sync.Mutex
-	for i := 0; i < 512; i++ {
+	var scored, shed, other atomic.Int64
+	srv.shards[0].mu.Lock()
+	for i := 0; i < flood; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := srv.Score(dense, idx)
-			mu.Lock()
-			defer mu.Unlock()
-			switch err {
+			switch _, err := srv.Score(dense, idx); err {
 			case nil:
-				scored++
+				scored.Add(1)
 			case ErrOverloaded:
-				shed++
+				shed.Add(1)
 			default:
-				other++
+				other.Add(1)
 			}
 		}()
 	}
+	for srv.shed.Load()+other.Load() < flood-2 {
+		runtime.Gosched()
+	}
+	srv.shards[0].mu.Unlock()
 	wg.Wait()
-	if other != 0 {
-		t.Fatalf("%d requests failed with unexpected errors", other)
+
+	if n := other.Load(); n != 0 {
+		t.Fatalf("%d requests failed with unexpected errors", n)
 	}
-	if scored == 0 {
-		t.Fatal("no request was served")
-	}
-	if shed == 0 {
-		t.Fatal("flooding a 1-deep queue shed nothing; admission control is not bounding intake")
+	if s, d := scored.Load(), shed.Load(); s+d != flood || s < 1 || s > 2 {
+		t.Fatalf("%d scored + %d shed of %d: want every request answered, 1 or 2 of them scored", s, d, flood)
 	}
 	st := srv.Stats()
-	if st.Shed != shed {
-		t.Fatalf("stats report %d shed, callers saw %d", st.Shed, shed)
+	if st.Shed != shed.Load() {
+		t.Fatalf("stats report %d shed, callers saw %d", st.Shed, shed.Load())
 	}
-	if st.Requests != scored {
-		t.Fatalf("stats report %d scored, callers saw %d", st.Requests, scored)
+	if st.Requests != scored.Load() {
+		t.Fatalf("stats report %d scored, callers saw %d", st.Requests, scored.Load())
+	}
+}
+
+// requestArgs returns a one-sample batch as Score's arguments.
+func requestArgs(r *criteo.Batch) ([]float32, []int32) {
+	idx := make([]int32, len(r.Indices))
+	for t := range r.Indices {
+		idx[t] = r.Indices[t][0]
+	}
+	return r.Dense.Row(0), idx
+}
+
+// stallWorker parks a one-worker server's batcher between batches. It
+// enqueues r as a request whose reply slot is already taken and waits until
+// the worker has started scoring it; the worker is then past its drain of
+// the (empty) queue and will block on the reply, so every Score call made
+// from here on stays queued. release unblocks the worker and returns r's
+// score.
+func stallWorker(t *testing.T, srv *Server, r *criteo.Batch) (release func() float32) {
+	t.Helper()
+	dense, idx := requestArgs(r)
+	p := &pending{dense: dense, idx: idx, done: make(chan struct{}, 1)}
+	p.done <- struct{}{}
+	before := srv.batches.Load()
+	srv.intake <- p
+	for srv.batches.Load() == before {
+		runtime.Gosched()
+	}
+	return func() float32 {
+		<-p.done // the placeholder: the worker's reply can land now
+		<-p.done // the reply
+		if p.err != nil {
+			t.Fatalf("stalled request: %v", p.err)
+		}
+		return p.score
+	}
+}
+
+// TestServiceSequentialNeverWaits pins the batching policy with a counter,
+// not a clock: one goroutine's sequential Score calls never find a partner
+// in the queue, so each is scored as a batch of its own — nothing waits for
+// a batch-mate that is not coming.
+func TestServiceSequentialNeverWaits(t *testing.T) {
+	spec := testSpec()
+	cfg, ckpt := trainedCheckpoint(t, "raw")
+	reqs := requestStream(spec, 64)
+	want := refScores(referenceModel(t, cfg, ckpt), reqs)
+	srv, err := New(cfg, bytes.NewReader(ckpt), Options{ColdCodec: "lzss"})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer srv.Close()
+	for i, r := range reqs {
+		score, err := srv.Score(requestArgs(r))
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if math.Float32bits(score) != math.Float32bits(want[i]) {
+			t.Fatalf("request %d: service scored %v, reference %v", i, score, want[i])
+		}
+	}
+	if st := srv.Stats(); st.Batches != st.Requests || st.Requests != int64(len(reqs)) {
+		t.Fatalf("%d sequential requests scored in %d batches (%d samples); want one batch each", len(reqs), st.Batches, st.Requests)
+	}
+}
+
+// TestServiceCoalescesBacklog checks where batching does happen: requests
+// that queue while a batch is being scored form the next batch, capped at
+// MaxBatch, and coalescing changes no score's bits.
+func TestServiceCoalescesBacklog(t *testing.T) {
+	spec := testSpec()
+	cfg, ckpt := trainedCheckpoint(t, "raw")
+	reqs := requestStream(spec, 8)
+	want := refScores(referenceModel(t, cfg, ckpt), reqs)
+	for _, tc := range []struct {
+		maxBatch int
+		batches  int64 // the stalled request alone, then the backlog of 7
+	}{{0, 2}, {4, 3}} {
+		t.Run(fmt.Sprintf("max_batch_%d", tc.maxBatch), func(t *testing.T) {
+			srv, err := New(cfg, bytes.NewReader(ckpt), Options{MaxBatch: tc.maxBatch})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer srv.Close()
+			got := make([]float32, len(reqs))
+			errs := make([]error, len(reqs))
+			release := stallWorker(t, srv, reqs[0])
+			var wg sync.WaitGroup
+			for i := 1; i < len(reqs); i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					got[i], errs[i] = srv.Score(requestArgs(reqs[i]))
+				}(i)
+			}
+			for len(srv.intake) < len(reqs)-1 {
+				runtime.Gosched()
+			}
+			got[0] = release()
+			wg.Wait()
+			for i := range reqs {
+				if errs[i] != nil {
+					t.Fatalf("request %d: %v", i, errs[i])
+				}
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("request %d: service scored %v, reference %v", i, got[i], want[i])
+				}
+			}
+			if st := srv.Stats(); st.Batches != tc.batches || st.Requests != int64(len(reqs)) {
+				t.Fatalf("%d requests scored in %d batches, want %d", st.Requests, st.Batches, tc.batches)
+			}
+		})
+	}
+}
+
+// TestServiceBadRequestFailsAlone queues valid requests behind a stalled
+// worker together with requests naming rows outside their tables. The bad
+// ones must fail on their own; the valid ones, coalesced into one batch,
+// must score exactly what ScoreBatch gives them.
+func TestServiceBadRequestFailsAlone(t *testing.T) {
+	spec := testSpec()
+	cfg, ckpt := trainedCheckpoint(t, "raw")
+	srv, err := New(cfg, bytes.NewReader(ckpt), Options{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer srv.Close()
+
+	good := requestStream(spec, 4)
+	want := make([]float32, len(good))
+	for i, r := range good {
+		if err := srv.ScoreBatch(r.Dense, r.Indices, want[i:i+1]); err != nil {
+			t.Fatalf("ScoreBatch %d: %v", i, err)
+		}
+	}
+	// One row past the end of table 0, and a negative row in the last table.
+	var bad [2][]int32
+	for k := range bad {
+		_, bad[k] = requestArgs(good[0])
+	}
+	bad[0][0] = int32(cfg.TableSizes[0])
+	bad[1][len(cfg.TableSizes)-1] = -1
+
+	release := stallWorker(t, srv, good[0])
+	got := make([]float32, len(good))
+	goodErrs := make([]error, len(good))
+	var badErrs [len(bad)]error
+	var badDone atomic.Int64
+	var wg sync.WaitGroup
+	for i := 1; i < len(good); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], goodErrs[i] = srv.Score(requestArgs(good[i]))
+		}(i)
+	}
+	for k := range bad {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			_, badErrs[k] = srv.Score(good[0].Dense.Row(0), bad[k])
+			badDone.Add(1)
+		}(k)
+	}
+	// Every request is queued or already answered before the worker moves.
+	for len(srv.intake)+int(badDone.Load()) < len(good)-1+len(bad) {
+		runtime.Gosched()
+	}
+	got[0] = release()
+	wg.Wait()
+
+	for k, err := range badErrs {
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("bad request %d: err = %v, want out-of-range", k, err)
+		}
+	}
+	for i := range good {
+		if goodErrs[i] != nil {
+			t.Fatalf("valid request %d failed alongside the bad ones: %v", i, goodErrs[i])
+		}
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("valid request %d: service scored %v, ScoreBatch %v", i, got[i], want[i])
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dlrmcomp/internal/dist"
 	"dlrmcomp/internal/interaction"
@@ -39,13 +38,10 @@ type Options struct {
 	// negative = no hot cache (every lookup decodes its block — the
 	// uncached reference path the parity tests compare against).
 	HotBytes int64
-	// MaxBatch closes a micro-batch when this many requests have
-	// coalesced (0 = 64).
+	// MaxBatch caps a micro-batch (0 = 64). A worker never waits to fill
+	// one: it scores whatever is queued when it becomes free, up to this
+	// many requests.
 	MaxBatch int
-	// Linger closes a non-full micro-batch this long after its first
-	// request (0 = 200µs). The knob trades p50 latency against batching
-	// efficiency.
-	Linger time.Duration
 	// QueueDepth bounds the intake queue; a Score arriving with the
 	// queue full is shed with ErrOverloaded instead of queueing without
 	// bound. 0 = 4×MaxBatch.
@@ -82,9 +78,6 @@ func (o Options) resolved(rawBytes int64) Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
 	}
-	if o.Linger <= 0 {
-		o.Linger = 200 * time.Microsecond
-	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 4 * o.MaxBatch
 	}
@@ -118,6 +111,7 @@ type Server struct {
 
 	requests atomic.Int64
 	shed     atomic.Int64
+	batches  atomic.Int64
 }
 
 // scorer is one worker's private forward-pass workspace: MLP clones and a
@@ -347,6 +341,10 @@ type Stats struct {
 	// Requests counts scored samples; Shed counts requests dropped by
 	// admission control.
 	Requests, Shed int64
+	// Batches counts micro-batches scored by the Score service (ScoreBatch
+	// calls are not counted); over Score-only traffic, Requests/Batches is
+	// the mean batch size.
+	Batches int64
 	// Hits and Misses count hot-cache row lookups.
 	Hits, Misses int64
 	// HotBytes is the resident decoded-row cache footprint; ColdBytes
@@ -374,7 +372,7 @@ func (st Stats) ColdRatio() float64 {
 
 // Stats sums the per-shard counters.
 func (s *Server) Stats() Stats {
-	st := Stats{Requests: s.requests.Load(), Shed: s.shed.Load()}
+	st := Stats{Requests: s.requests.Load(), Shed: s.shed.Load(), Batches: s.batches.Load()}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		st.Hits += sh.hits

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // ErrOverloaded is returned by Score when the intake queue is full: the
@@ -26,17 +25,23 @@ type pending struct {
 }
 
 // Score runs one request through admission control and micro-batching:
-// enqueue (or shed with ErrOverloaded), coalesce with concurrent requests
-// until the batch closes on MaxBatch or Linger, score, reply. dense holds
-// the DenseFeatures inputs; indices one row id per table. Blocks until the
+// enqueue (or shed with ErrOverloaded), join whatever else is waiting in
+// the queue when a worker picks it up, score, reply. dense holds the
+// DenseFeatures inputs; indices one row id per table. Blocks until the
 // score is ready; safe for concurrent use — concurrency is what fills
-// batches.
+// batches. A malformed request is rejected here, before it can share a
+// batch (and so an error) with anyone else's.
 func (s *Server) Score(dense []float32, indices []int32) (float32, error) {
 	if len(dense) != s.cfg.DenseFeatures {
 		return 0, fmt.Errorf("serve: request has %d dense features, the model wants %d", len(dense), s.cfg.DenseFeatures)
 	}
 	if len(indices) != len(s.cfg.TableSizes) {
 		return 0, fmt.Errorf("serve: request has %d indices, the model has %d tables", len(indices), len(s.cfg.TableSizes))
+	}
+	for t, idx := range indices {
+		if rows := s.cfg.TableSizes[t]; idx < 0 || int(idx) >= rows {
+			return 0, fmt.Errorf("serve: index %d out of range [0,%d) in table %d", idx, rows, t)
+		}
 	}
 	p, _ := s.pool.Get().(*pending)
 	if p == nil {
@@ -92,16 +97,17 @@ func (s *Server) Close() {
 	}
 }
 
-// worker is one batcher goroutine: take the first request (blocking),
-// linger for more until the batch closes on size or timeout, score the
-// batch on a private scorer, reply to every caller.
+// worker is one batcher goroutine: block for the first request, take
+// whatever else is already queued (up to MaxBatch) without waiting, score
+// the batch on a private scorer, reply to every caller. There is no timer:
+// an idle server scores a lone request at once, and requests that arrive
+// while a batch is being scored wait in the queue and form the next one,
+// so batches grow with the backlog, not with a clock.
 func (s *Server) worker() {
 	defer func() { s.workers <- struct{}{} }()
 	sc := <-s.scorers
 	defer func() { s.scorers <- sc }()
 	batch := make([]*pending, 0, s.opts.MaxBatch)
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
 	for {
 		p := <-s.intake
 		if p == nil {
@@ -109,25 +115,17 @@ func (s *Server) worker() {
 		}
 		batch = append(batch[:0], p)
 		poisoned := false
-		if s.opts.MaxBatch > 1 {
-			timer.Reset(s.opts.Linger)
-			full := true
-		collect:
-			for len(batch) < s.opts.MaxBatch {
-				select {
-				case q := <-s.intake:
-					if q == nil {
-						poisoned = true
-						break collect
-					}
-					batch = append(batch, q)
-				case <-timer.C:
-					full = false
-					break collect
+	drain:
+		for len(batch) < s.opts.MaxBatch {
+			select {
+			case q := <-s.intake:
+				if q == nil {
+					poisoned = true
+					break drain
 				}
-			}
-			if full {
-				timer.Stop()
+				batch = append(batch, q)
+			default:
+				break drain
 			}
 		}
 		s.runBatch(sc, batch)
@@ -140,6 +138,7 @@ func (s *Server) worker() {
 // runBatch assembles the coalesced requests into sc's batch workspaces,
 // scores them, and replies.
 func (s *Server) runBatch(sc *scorer, batch []*pending) {
+	s.batches.Add(1)
 	n := len(batch)
 	sc.dense = sc.dense.Resize(n, s.cfg.DenseFeatures)
 	for t := range sc.cols {

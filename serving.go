@@ -15,7 +15,7 @@ import (
 
 // ServeOptions configures a Server: shard count, cold-tier codec and
 // quantization bound, hot-cache byte budget, and the micro-batching knobs
-// (batch size, linger, queue depth, workers).
+// (batch cap, queue depth, workers).
 type ServeOptions = serve.Options
 
 // ServeStats is a point-in-time snapshot of a Server's request, cache,
