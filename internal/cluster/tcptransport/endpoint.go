@@ -28,11 +28,19 @@ const (
 // connection has a single writer and no write lock.
 //
 // Failure model: the first connection-level error (EOF, short read,
-// oversized or unknown frame, a peer's close notify) poisons the
-// endpoint — the error is published, every connection is closed (which
-// surfaces at each peer as EOF and cascades the teardown group-wide),
-// inboxes are marked dead, and every blocked or future call returns the
-// error. Messages that arrived before the poison stay drainable.
+// oversized or unknown frame) poisons the endpoint — the error is
+// published, every connection is closed (which surfaces at each peer as
+// EOF and cascades the teardown group-wide), inboxes are marked dead, and
+// every blocked or future call returns the error. Messages that arrived
+// before the poison stay drainable.
+//
+// A peer's close notify is not a failure: that peer has finished and left,
+// and the ranks still running must be able to finish the step it already
+// sent its share of. It marks only that peer departed: its inbox drains
+// and then reports the departure, and its reader stops. Needing something
+// from a departed peer — a Recv past its drained inbox, a Send to it, or
+// a barrier it can no longer join — poisons the endpoint, so a group
+// whose member left too early still errors instead of deadlocking.
 type endpoint struct {
 	opts  Options
 	rank  int
@@ -46,9 +54,13 @@ type endpoint struct {
 	arrive  chan int      // rank 0: one token per peer arrival (cap world: ≤1 outstanding per peer)
 	release chan struct{} // workers: rank 0's release for the barrier in flight
 
+	gone    []chan struct{} // by peer rank: closed by that peer's reader on its close notify
+	anyGone chan struct{}   // closed on the first departure
+
 	mu       sync.Mutex
 	perr     error
 	poisoned chan struct{} // closed on first poison
+	departed bool          // anyGone is closed
 
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -64,10 +76,13 @@ func newEndpoint(o Options, conns []net.Conn) *endpoint {
 		inboxes:  make([]*inbox, o.World),
 		arrive:   make(chan int, o.World),
 		release:  make(chan struct{}, 1),
+		gone:     make([]chan struct{}, o.World),
+		anyGone:  make(chan struct{}),
 		poisoned: make(chan struct{}),
 	}
 	for r := range e.inboxes {
 		e.inboxes[r] = newInbox()
+		e.gone[r] = make(chan struct{})
 	}
 	for r, c := range conns {
 		if c == nil {
@@ -102,6 +117,12 @@ func (e *endpoint) Send(to int, buf []byte) error {
 		e.inboxes[to].push(cp)
 		return nil
 	}
+	select {
+	case <-e.gone[to]:
+		e.poison(fmt.Errorf("tcptransport: rank %d send to rank %d: %w", e.rank, to, errLeft(to)))
+		return e.err()
+	default:
+	}
 	if err := e.writeFrame(to, kData, buf); err != nil {
 		e.poison(fmt.Errorf("tcptransport: rank %d send to rank %d: %w", e.rank, to, err))
 		return e.err()
@@ -113,7 +134,14 @@ func (e *endpoint) Recv(from int) ([]byte, error) {
 	if from < 0 || from >= e.world {
 		return nil, fmt.Errorf("tcptransport: recv from rank %d outside world of %d", from, e.world)
 	}
-	return e.inboxes[from].pop(e)
+	buf, err := e.inboxes[from].pop()
+	if err != nil {
+		// Only a departure kills a single inbox; waiting on a rank that
+		// has left is a group failure, so it poisons like any other.
+		e.poison(err)
+		return nil, err
+	}
+	return buf, nil
 }
 
 // Barrier is a star through rank 0: workers post an arrive frame and
@@ -121,6 +149,14 @@ func (e *endpoint) Recv(from int) ([]byte, error) {
 // everyone. Per-pair FIFO means a worker's release cannot overtake data
 // rank 0 sent before it, and cap-1 release buffering suffices because a
 // worker cannot enter the next barrier before consuming this release.
+//
+// A departed rank can no longer arrive: a worker leaves only after
+// rank 0 released it, so a departure rank 0 sees while collecting means
+// the barrier cannot complete, and rank 0 poisons the group. A worker
+// fails only on rank 0's departure — another worker may legitimately
+// leave between its own release and this worker's — and checks for a
+// release first, because rank 0's reader delivers the release before
+// the notify behind it.
 func (e *endpoint) Barrier() error {
 	if err := e.errIfPoisoned(); err != nil {
 		return err
@@ -132,6 +168,9 @@ func (e *endpoint) Barrier() error {
 		for i := 0; i < e.world-1; i++ {
 			select {
 			case <-e.arrive:
+			case <-e.anyGone:
+				e.poison(fmt.Errorf("tcptransport: rank 0 barrier: a rank left the group before arriving"))
+				return e.err()
 			case <-e.poisoned:
 				return e.err()
 			}
@@ -151,6 +190,14 @@ func (e *endpoint) Barrier() error {
 	select {
 	case <-e.release:
 		return nil
+	case <-e.gone[0]:
+		select {
+		case <-e.release:
+			return nil
+		default:
+		}
+		e.poison(fmt.Errorf("tcptransport: rank %d barrier: %w", e.rank, errLeft(0)))
+		return e.err()
 	case <-e.poisoned:
 		return e.err()
 	}
@@ -158,8 +205,10 @@ func (e *endpoint) Barrier() error {
 
 // Close leaves the group gracefully: notify every peer under a bounded
 // write deadline, then poison locally (closing the connections) and join
-// the readers. Peers observe the notify — or the EOF right behind it —
-// and poison themselves; data they already received stays drainable.
+// the readers. Each peer marks this rank departed when the notify
+// arrives and stops reading its connection, so it never sees the EOF
+// behind it; data it already received stays drainable, and it keeps
+// talking to the ranks still in the group.
 func (e *endpoint) Close() error {
 	e.closeOnce.Do(func() {
 		deadline := time.Now().Add(e.opts.CloseTimeout)
@@ -190,20 +239,21 @@ func (e *endpoint) Kill() {
 }
 
 // writeFrame writes one frame to peer to. Callers run on the owning
-// rank's goroutine, so writes to a connection never interleave.
+// rank's goroutine, so writes to a connection never interleave. Header
+// and payload go out in one gathered write: a receiver that rejects the
+// header and closes cannot fail the sender's second write of the same
+// frame.
 func (e *endpoint) writeFrame(to int, kind byte, payload []byte) error {
-	var hdr [frameHeaderBytes]byte
+	hdr := make([]byte, frameHeaderBytes)
 	hdr[0] = kind
 	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	c := e.conns[to]
-	t0 := time.Now()
-	if _, err := c.Write(hdr[:]); err != nil {
-		return err
-	}
+	frame := net.Buffers{hdr}
 	if len(payload) > 0 {
-		if _, err := c.Write(payload); err != nil {
-			return err
-		}
+		frame = append(frame, payload)
+	}
+	t0 := time.Now()
+	if _, err := frame.WriteTo(e.conns[to]); err != nil {
+		return err
 	}
 	e.counters[to].countSend(frameHeaderBytes+len(payload), time.Since(t0))
 	return nil
@@ -259,7 +309,7 @@ func (e *endpoint) readLoop(from int, c net.Conn) {
 				return
 			}
 		case kCloseNotify:
-			e.poison(fmt.Errorf("tcptransport: rank %d closed the group", from))
+			e.depart(from)
 			return
 		default:
 			e.poison(fmt.Errorf("tcptransport: rank %d: unknown frame kind %d from rank %d", e.rank, kind, from))
@@ -281,13 +331,31 @@ func (e *endpoint) poison(err error) {
 	close(e.poisoned)
 	e.mu.Unlock()
 	for _, ib := range e.inboxes {
-		ib.kill()
+		ib.kill(err)
 	}
 	for _, c := range e.conns {
 		if c != nil {
 			c.Close()
 		}
 	}
+}
+
+// depart records that peer from left the group gracefully: its inbox
+// drains and then fails, and Send and Barrier see gone[from]. Called
+// once per peer, from that peer's reader.
+func (e *endpoint) depart(from int) {
+	e.inboxes[from].kill(fmt.Errorf("tcptransport: rank %d: %w", e.rank, errLeft(from)))
+	close(e.gone[from])
+	e.mu.Lock()
+	if !e.departed {
+		e.departed = true
+		close(e.anyGone)
+	}
+	e.mu.Unlock()
+}
+
+func errLeft(rank int) error {
+	return fmt.Errorf("rank %d left the group", rank)
 }
 
 func (e *endpoint) err() error {
@@ -310,15 +378,15 @@ func (e *endpoint) errIfPoisoned() error {
 
 // inbox is one source rank's delivered-message queue. Pushes (from the
 // reader goroutine) never block; pop blocks until a message arrives or
-// the endpoint is poisoned, draining queued messages before reporting
-// the poison — the same drain-then-fail semantics as the in-process
-// fabric.
+// the inbox is killed (by a poison or the source's departure), draining
+// queued messages before reporting the kill — the same drain-then-fail
+// semantics as the in-process fabric.
 type inbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	q    [][]byte
 	head int
-	dead bool
+	err  error // set by the first kill
 }
 
 func newInbox() *inbox {
@@ -334,16 +402,18 @@ func (ib *inbox) push(buf []byte) {
 	ib.cond.Signal()
 }
 
-func (ib *inbox) kill() {
+func (ib *inbox) kill(err error) {
 	ib.mu.Lock()
-	ib.dead = true
+	if ib.err == nil {
+		ib.err = err
+	}
 	ib.mu.Unlock()
 	ib.cond.Broadcast()
 }
 
-func (ib *inbox) pop(e *endpoint) ([]byte, error) {
+func (ib *inbox) pop() ([]byte, error) {
 	ib.mu.Lock()
-	for ib.head >= len(ib.q) && !ib.dead {
+	for ib.head >= len(ib.q) && ib.err == nil {
 		ib.cond.Wait()
 	}
 	if ib.head < len(ib.q) {
@@ -357,6 +427,7 @@ func (ib *inbox) pop(e *endpoint) ([]byte, error) {
 		ib.mu.Unlock()
 		return buf, nil
 	}
+	err := ib.err
 	ib.mu.Unlock()
-	return nil, e.err()
+	return nil, err
 }

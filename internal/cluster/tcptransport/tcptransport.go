@@ -5,7 +5,8 @@
 // internal/cluster and internal/dist holds both backends to bit-identical
 // losses and sim-time buckets.
 //
-// Rendezvous: rank 0 listens at Options.Addr; every other rank opens an
+// Rendezvous: rank 0 listens at Options.Addr (or accepts on an
+// already-bound Options.Listener); every other rank opens an
 // ephemeral listener for peer connections, dials rank 0 (retrying until
 // DialTimeout, so start order is free), and sends a hello carrying its
 // rank and listener address. Once all World-1 hellos are in, rank 0 mints
@@ -31,14 +32,18 @@
 // rank 0.
 //
 // Failure and shutdown: the first error on any connection — EOF, a
-// malformed or oversized frame, a peer's close notification — poisons the
-// endpoint: the stored error is published, every connection is closed
-// (which cascades the failure to all peers as EOF), and every blocked
-// Recv, Send, or Barrier returns the error instead of deadlocking.
-// Close is the graceful flavor: it sends a close-notify frame to each
-// peer under a CloseTimeout write deadline, then poisons locally and
-// joins the reader goroutines. Messages already delivered before a close
-// or failure remain drainable from Recv, matching the in-process fabric.
+// malformed or oversized frame — poisons the endpoint: the stored error
+// is published, every connection is closed (which cascades the failure
+// to all peers as EOF), and every blocked Recv, Send, or Barrier returns
+// the error instead of deadlocking. Close is the graceful flavor: it
+// sends a close-notify frame to each peer under a CloseTimeout write
+// deadline, then poisons locally and joins the reader goroutines. A
+// close notify marks only its sender departed, so the first rank to
+// finish does not tear down the sockets slower ranks still use; a rank
+// that then needs the departed peer — a Recv past its drained inbox, a
+// Send to it, a barrier — poisons as above. Messages already delivered
+// before a close or failure remain drainable from Recv, matching the
+// in-process fabric.
 //
 // Sim time is unchanged by this package: collectives charge the same
 // modelled netmodel costs whether frames cross a channel or a socket —
@@ -90,6 +95,13 @@ type Options struct {
 	// on it; other ranks dial it, and open their own pair listeners on
 	// the same host with an ephemeral port.
 	Addr string
+	// Listener, when set on rank 0, is the already-bound rendezvous
+	// listener, used instead of listening on Addr; Dial takes ownership
+	// and closes it after the rendezvous. Binding port 0 and passing the
+	// listener here, with its address as every rank's Addr, leaves no
+	// window in which another socket can take the port. Ignored on
+	// other ranks.
+	Listener net.Listener
 	// DialTimeout bounds how long a worker keeps retrying the rendezvous
 	// dial while rank 0 is still coming up. Default 10s.
 	DialTimeout time.Duration
@@ -127,6 +139,9 @@ func (o Options) withDefaults() Options {
 // call it (in any order); a worker retries the rendezvous dial until
 // rank 0 is up or DialTimeout expires.
 func Dial(o Options) (cluster.Transport, error) {
+	if o.Rank == 0 && o.Listener != nil {
+		defer o.Listener.Close() // once the rendezvous ends, or if it never starts
+	}
 	if o.World <= 0 {
 		return nil, fmt.Errorf("tcptransport: world must be positive, got %d", o.World)
 	}
@@ -152,11 +167,14 @@ func Dial(o Options) (cluster.Transport, error) {
 // garbled or duplicate hello (a stale worker from a previous run, a port
 // scanner) are dropped without failing the group.
 func rendezvousLead(o Options) (cluster.Transport, error) {
-	ln, err := net.Listen("tcp", o.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("tcptransport: rank 0 listen on %s: %w", o.Addr, err)
+	ln := o.Listener // Dial closes a passed listener
+	if ln == nil {
+		var err error
+		if ln, err = net.Listen("tcp", o.Addr); err != nil {
+			return nil, fmt.Errorf("tcptransport: rank 0 listen on %s: %w", o.Addr, err)
+		}
+		defer ln.Close()
 	}
-	defer ln.Close()
 	deadline := time.Now().Add(o.HandshakeTimeout)
 	conns := make([]net.Conn, o.World)
 	addrs := make([]string, o.World)

@@ -13,24 +13,23 @@ import (
 	"dlrmcomp/internal/cluster"
 )
 
-// freeAddr reserves a loopback port by binding and releasing it. The
-// tiny reuse window is acceptable for tests.
-func freeAddr(t *testing.T) string {
+// rendezvousListener binds rank 0's rendezvous port on loopback. It is
+// handed to rank 0 as Options.Listener, never released and re-bound, so
+// no other socket can take the port in between.
+func rendezvousListener(t *testing.T) (net.Listener, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("reserve port: %v", err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
+	return ln, ln.Addr().String()
 }
 
 // dialGroup brings up a world-rank group on loopback, all endpoints in
 // this process. mod, when non-nil, tweaks each rank's Options.
 func dialGroup(t *testing.T, world int, mod func(rank int, o *Options)) []cluster.Transport {
 	t.Helper()
-	addr := freeAddr(t)
+	ln, addr := rendezvousListener(t)
 	eps := make([]cluster.Transport, world)
 	errs := make([]error, world)
 	var wg sync.WaitGroup
@@ -45,6 +44,9 @@ func dialGroup(t *testing.T, world int, mod func(rank int, o *Options)) []cluste
 				DialTimeout:      5 * time.Second,
 				HandshakeTimeout: 5 * time.Second,
 				CloseTimeout:     time.Second,
+			}
+			if r == 0 {
+				o.Listener = ln
 			}
 			if mod != nil {
 				mod(r, &o)
@@ -306,6 +308,47 @@ func TestGracefulCloseDrains(t *testing.T) {
 	}
 }
 
+// TestPeerCloseLeavesGroupRunning: the first rank to finish and Close
+// must not tear down the ranks still running. Once ranks 0 and 1 have
+// seen rank 2's notify, they still exchange frames; rank 2's last frame
+// drains, and only a Recv past it fails, naming the departure.
+func TestPeerCloseLeavesGroupRunning(t *testing.T) {
+	eps := dialGroup(t, 3, nil)
+	for to := 0; to < 2; to++ {
+		if err := eps[2].Send(to, payload(2, to, 0, 16)); err != nil {
+			t.Fatalf("rank 2 send to %d: %v", to, err)
+		}
+	}
+	if err := eps[2].Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	for r := 0; r < 2; r++ {
+		select {
+		case <-eps[r].(*endpoint).gone[2]:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("rank %d never saw rank 2's close notify", r)
+		}
+	}
+	for r := 0; r < 2; r++ {
+		if err := eps[r].Send(1-r, payload(r, 1-r, 1, 64)); err != nil {
+			t.Fatalf("rank %d send after rank 2 left: %v", r, err)
+		}
+	}
+	for r := 0; r < 2; r++ {
+		got, err := eps[r].Recv(1 - r)
+		if err != nil || !bytes.Equal(got, payload(1-r, r, 1, 64)) {
+			t.Fatalf("rank %d recv after rank 2 left: %d bytes, %v", r, len(got), err)
+		}
+		got, err = eps[r].Recv(2)
+		if err != nil || !bytes.Equal(got, payload(2, r, 0, 16)) {
+			t.Fatalf("rank %d drain of rank 2's last frame: %d bytes, %v", r, len(got), err)
+		}
+		if _, err := eps[r].Recv(2); err == nil || !strings.Contains(err.Error(), "rank 2 left the group") {
+			t.Fatalf("rank %d recv past rank 2's drained inbox: got %v, want departure error", r, err)
+		}
+	}
+}
+
 // pipeEndpoint builds a bare endpoint over one side of a net.Pipe so
 // read-path edge cases can be driven byte by byte.
 func pipeEndpoint(t *testing.T) (*endpoint, net.Conn) {
@@ -362,7 +405,7 @@ func TestUnknownFrameKindPoisons(t *testing.T) {
 // protocol (wrong magic — e.g. a worker from a previous run restarted
 // against a reused port) is dropped without disturbing the rendezvous.
 func TestStaleRendezvousDialerRejected(t *testing.T) {
-	addr := freeAddr(t)
+	ln, addr := rendezvousListener(t)
 	opts := func(rank int) Options {
 		return Options{Rank: rank, World: 2, Addr: addr, DialTimeout: 5 * time.Second, HandshakeTimeout: 5 * time.Second}
 	}
@@ -370,19 +413,14 @@ func TestStaleRendezvousDialerRejected(t *testing.T) {
 	var ep0 cluster.Transport
 	var err0 error
 	go func() {
-		ep0, err0 = Dial(opts(0))
+		o := opts(0)
+		o.Listener = ln
+		ep0, err0 = Dial(o)
 		close(lead)
 	}()
-	// A stale/garbage dialer gets in first (retry until rank 0 listens).
-	var stale net.Conn
-	var err error
-	for i := 0; i < 100; i++ {
-		stale, err = net.Dial("tcp", addr)
-		if err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	// A stale/garbage dialer gets in first: the port is already bound, so
+	// it lands in the accept queue ahead of the real worker.
+	stale, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("stale dial: %v", err)
 	}

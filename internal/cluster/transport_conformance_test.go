@@ -149,20 +149,21 @@ func runInproc(t *testing.T, world int, topo netmodel.Topology) *progResult {
 	return res
 }
 
-func reserveAddr(t *testing.T) string {
+// reserveAddr binds rank 0's rendezvous port on loopback; the listener
+// goes to rank 0 as Options.Listener, so the port is never released
+// for another socket to take before the rendezvous.
+func reserveAddr(t *testing.T) (net.Listener, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("reserve port: %v", err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
+	return ln, ln.Addr().String()
 }
 
 func runTCP(t *testing.T, world int, topo netmodel.Topology) *progResult {
 	t.Helper()
-	addr := reserveAddr(t)
+	ln, addr := reserveAddr(t)
 	res := newProgResult(world)
 	errs := make([]error, world)
 	sims := make([]map[string]time.Duration, world)
@@ -175,6 +176,7 @@ func runTCP(t *testing.T, world int, topo netmodel.Topology) *progResult {
 				Rank:             rank,
 				World:            world,
 				Addr:             addr,
+				Listener:         ln, // used by rank 0 only
 				DialTimeout:      10 * time.Second,
 				HandshakeTimeout: 10 * time.Second,
 			})
@@ -281,7 +283,7 @@ func TestTransportConformance(t *testing.T) {
 // promptly — never deadlock them.
 func TestTCPMidCollectiveCloseErrors(t *testing.T) {
 	const world = 3
-	addr := reserveAddr(t)
+	ln, addr := reserveAddr(t)
 	topo := netmodel.PaperHierarchical(2)
 	eps := make([]cluster.Transport, world)
 	var dialWG sync.WaitGroup
@@ -291,7 +293,7 @@ func TestTCPMidCollectiveCloseErrors(t *testing.T) {
 		go func(rank int) {
 			defer dialWG.Done()
 			eps[rank], dialErrs[rank] = tcptransport.Dial(tcptransport.Options{
-				Rank: rank, World: world, Addr: addr,
+				Rank: rank, World: world, Addr: addr, Listener: ln,
 				DialTimeout: 10 * time.Second, HandshakeTimeout: 10 * time.Second,
 			})
 		}(rank)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"dlrmcomp/internal/adapt"
 	"dlrmcomp/internal/codec"
@@ -247,13 +248,13 @@ func readCkptHeader(d *ckptReader) (*ckptHeader, error) {
 	h.fwdRaw = d.u64()
 	h.fwdComp = d.u64()
 	h.dim = int(d.u32())
-	h.rows = make([]int, int(d.u32()))
-	for i := range h.rows {
-		h.rows[i] = int(d.u32())
+	// The list lengths come off the stream, so the lists grow by append as
+	// entries actually arrive rather than being sized from a damaged count.
+	for n := d.u32(); uint32(len(h.rows)) < n && d.err == nil; {
+		h.rows = append(h.rows, int(d.u32()))
 	}
-	h.denseLens = make([]int, int(d.u32()))
-	for i := range h.denseLens {
-		h.denseLens[i] = int(d.u32())
+	for n := d.u32(); uint32(len(h.denseLens)) < n && d.err == nil; {
+		h.denseLens = append(h.denseLens, int(d.u32()))
 	}
 	if flags&ckptHasController != 0 {
 		h.ctrl = &adapt.Controller{
@@ -261,9 +262,8 @@ func readCkptHeader(d *ckptReader) (*ckptHeader, error) {
 			PhaseLen:    int(d.u32()),
 			StartFactor: math.Float64frombits(d.u64()),
 		}
-		h.ctrl.BaseEB = make([]float32, d.u32())
-		for i := range h.ctrl.BaseEB {
-			h.ctrl.BaseEB[i] = math.Float32frombits(d.u32())
+		for n := d.u32(); uint32(len(h.ctrl.BaseEB)) < n && d.err == nil; {
+			h.ctrl.BaseEB = append(h.ctrl.BaseEB, math.Float32frombits(d.u32()))
 		}
 	}
 	if d.err != nil {
@@ -272,15 +272,17 @@ func readCkptHeader(d *ckptReader) (*ckptHeader, error) {
 	return h, nil
 }
 
-// readCkptFrame reads one length-prefixed weight frame and decodes it into
+// readFrame reads one length-prefixed weight frame and decodes it into
 // dst through the header's codec.
 func (h *ckptHeader) readFrame(d *ckptReader, dst []float32) error {
 	n := int(d.u32())
 	if d.err != nil {
 		return d.err
 	}
-	frame := make([]byte, n)
-	d.bytes(frame)
+	if h.cdc == nil && n != 4*len(dst) {
+		return fmt.Errorf("dist: raw frame is %d bytes, want %d", n, 4*len(dst))
+	}
+	frame := d.frame(n)
 	if d.err != nil {
 		return d.err
 	}
@@ -439,9 +441,10 @@ func (t *Trainer) Iter() int { return t.iter }
 
 // ckptReader wraps an io.Reader with sticky-error little-endian decoding.
 type ckptReader struct {
-	r   io.Reader
-	err error
-	buf [8]byte
+	r    io.Reader
+	err  error
+	buf  [8]byte
+	body []byte // frame body buffer, reused frame to frame
 }
 
 func (d *ckptReader) bytes(p []byte) {
@@ -449,6 +452,28 @@ func (d *ckptReader) bytes(p []byte) {
 		return
 	}
 	_, d.err = io.ReadFull(d.r, p)
+}
+
+// ckptFrameChunk is the largest single read of a frame body.
+const ckptFrameChunk = 1 << 20
+
+// frame reads an n-byte frame body into d's reused buffer. n comes off the
+// stream and may be damaged, so the buffer is never sized from it: it
+// grows, at most doubling, only as bytes arrive in reads of at most
+// ckptFrameChunk, so its memory stays within about twice what the stream
+// actually delivered. The result is valid until the next call.
+func (d *ckptReader) frame(n int) []byte {
+	buf := d.body[:0]
+	for len(buf) < n && d.err == nil {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), 4<<10)))
+		}
+		k := min(n, cap(buf), len(buf)+ckptFrameChunk)
+		d.bytes(buf[len(buf):k])
+		buf = buf[:k]
+	}
+	d.body = buf
+	return buf
 }
 
 func (d *ckptReader) u8() byte {

@@ -2,8 +2,10 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -316,6 +318,64 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 	}
 }
 
+// TestReadCheckpointDamagedLengthBounded: a real deflate checkpoint whose
+// first frame length is damaged to 0xFFFFFFF0 is an error, and reading it
+// allocates in proportion to the bytes the stream holds and the shapes it
+// declares — not the 4 GiB the damaged length names.
+func TestReadCheckpointDamagedLengthBounded(t *testing.T) {
+	spec := testSpec()
+	cfg := testConfig(spec, 8)
+	tr, err := NewTrainer(Options{Ranks: 2, Model: cfg})
+	if err != nil {
+		t.Fatalf("trainer: %v", err)
+	}
+	stepN(t, tr, criteo.NewGenerator(spec), 2)
+	var buf bytes.Buffer
+	if _, err := tr.SaveCheckpoint(&buf, CheckpointOptions{Codec: "deflate"}); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	tr.Close()
+	ckpt := buf.Bytes()
+
+	// The first frame's length prefix follows the header directly.
+	r := bytes.NewReader(ckpt)
+	h, err := readCkptHeader(&ckptReader{r: r})
+	if err != nil {
+		t.Fatalf("header: %v", err)
+	}
+	at := len(ckpt) - r.Len()
+	binary.LittleEndian.PutUint32(ckpt[at:], 0xFFFFFFF0)
+	shapes := 0
+	for _, n := range h.denseLens {
+		shapes += 4 * n
+	}
+	for _, rows := range h.rows {
+		shapes += 4 * rows * h.dim
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = ReadCheckpoint(bytes.NewReader(ckpt))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a checkpoint with a damaged frame length was read without error")
+	}
+	limit := uint64(4*len(ckpt) + shapes)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("reading a %d-byte checkpoint allocated %d bytes, want <= %d (4x the input plus %d bytes of shapes)",
+			len(ckpt), got, limit, shapes)
+	}
+
+	trR, err := NewTrainer(Options{Ranks: 2, Model: cfg})
+	if err != nil {
+		t.Fatalf("trainer: %v", err)
+	}
+	defer trR.Close()
+	if err := trR.RestoreCheckpoint(bytes.NewReader(ckpt)); err == nil {
+		t.Fatal("a checkpoint with a damaged frame length restored without error")
+	}
+}
+
 // TestFaultPlanKeepsTrainingMathIdentical: a trainer under jitter and a
 // 10x straggler produces bit-identical losses to the healthy run — the
 // injector only inflates the simulated clock.
@@ -372,7 +432,7 @@ func TestTrainerCloseIdempotent(t *testing.T) {
 func TestTrainerCloseAfterTransportFailure(t *testing.T) {
 	spec := testSpec()
 	cfg := testConfig(spec, 8)
-	addr := reserveLoopbackAddr(t)
+	ln, addr := reserveLoopbackAddr(t)
 	const world = 2
 	eps := make([]cluster.Transport, world)
 	var dialWG sync.WaitGroup
@@ -382,7 +442,7 @@ func TestTrainerCloseAfterTransportFailure(t *testing.T) {
 		go func(r int) {
 			defer dialWG.Done()
 			eps[r], dialErrs[r] = tcptransport.Dial(tcptransport.Options{
-				Rank: r, World: world, Addr: addr,
+				Rank: r, World: world, Addr: addr, Listener: ln,
 				DialTimeout: 10 * time.Second, HandshakeTimeout: 10 * time.Second,
 			})
 		}(r)

@@ -30,15 +30,16 @@ type trainRun struct {
 	sims   map[string]time.Duration
 }
 
-func reserveLoopbackAddr(t *testing.T) string {
+// reserveLoopbackAddr binds rank 0's rendezvous port on loopback; the
+// listener goes to rank 0 as Options.Listener, so the port is never
+// released for another socket to take before the rendezvous.
+func reserveLoopbackAddr(t *testing.T) (net.Listener, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("reserve port: %v", err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
+	return ln, ln.Addr().String()
 }
 
 // trainSteps drives transportParitySteps lockstep steps from a fresh
@@ -78,7 +79,7 @@ func runTrainInproc(t *testing.T, opts Options, spec criteo.Spec) trainRun {
 // returned run carries rank 0's view.
 func runTrainTCP(t *testing.T, opts Options, spec criteo.Spec) trainRun {
 	t.Helper()
-	addr := reserveLoopbackAddr(t)
+	ln, addr := reserveLoopbackAddr(t)
 	world := opts.Ranks
 	runs := make([]trainRun, world)
 	errs := make([]error, world)
@@ -91,6 +92,7 @@ func runTrainTCP(t *testing.T, opts Options, spec criteo.Spec) trainRun {
 				Rank:             rank,
 				World:            world,
 				Addr:             addr,
+				Listener:         ln, // used by rank 0 only
 				DialTimeout:      10 * time.Second,
 				HandshakeTimeout: 10 * time.Second,
 			})
@@ -258,7 +260,7 @@ func TestTrainerTransportWorldMismatch(t *testing.T) {
 func TestTrainerDistributedRejectsPipelined(t *testing.T) {
 	spec := testSpec()
 	cfg := testConfig(spec, 8)
-	addr := reserveLoopbackAddr(t)
+	ln, addr := reserveLoopbackAddr(t)
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for rank := 0; rank < 2; rank++ {
@@ -266,7 +268,7 @@ func TestTrainerDistributedRejectsPipelined(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			ep, err := tcptransport.Dial(tcptransport.Options{
-				Rank: rank, World: 2, Addr: addr,
+				Rank: rank, World: 2, Addr: addr, Listener: ln,
 				DialTimeout: 10 * time.Second, HandshakeTimeout: 10 * time.Second,
 			})
 			if err != nil {

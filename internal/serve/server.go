@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -29,14 +30,16 @@ type Options struct {
 	// QuantEB is the absolute error bound of the "quant" cold codec.
 	// Required (> 0) with ColdCodec "quant", rejected otherwise.
 	QuantEB float32
-	// BlockRows is the cold-frame granularity in rows (0 = 64). A miss
-	// decodes one block; smaller blocks cut miss latency, larger ones
+	// BlockRows is the cold-frame granularity in rows (0 = 64). Each
+	// missed block is decoded once per gather, however many of its rows
+	// the batch misses; smaller blocks cut miss latency, larger ones
 	// compress better.
 	BlockRows int
 	// HotBytes budgets the hot cache of decoded rows, in bytes across
 	// all shards. 0 = a quarter of the uncompressed table footprint;
-	// negative = no hot cache (every lookup decodes its block — the
-	// uncached reference path the parity tests compare against).
+	// negative = no hot cache (every gather decodes the blocks its rows
+	// live in — the uncached reference path the parity tests compare
+	// against).
 	HotBytes int64
 	// MaxBatch caps a micro-batch (0 = 64). A worker never waits to fill
 	// one: it scores whatever is queued when it becomes free, up to this
@@ -50,10 +53,12 @@ type Options struct {
 	// workspace (0 = 1).
 	Workers int
 	// ComputeWorkers is the intra-op parallel width of each scorer's
-	// matmuls (0 = 1). Serving scales by request concurrency (Workers,
-	// Shards), so single-threaded kernels — which also keep the request
-	// path allocation-free — are the right default; raise this only for
-	// very large micro-batches.
+	// matmuls (0 = 1). Serving scales by request concurrency instead:
+	// every concurrent ScoreBatch caller (up to GOMAXPROCS of them) and
+	// every Score worker gets a scorer of its own, and cold-block decodes
+	// run outside the shard locks. Single-threaded kernels — which also
+	// keep the request path allocation-free — are therefore the right
+	// default; raise this only for very large micro-batches.
 	ComputeWorkers int
 }
 
@@ -91,7 +96,7 @@ func (o Options) resolved(rawBytes int64) Options {
 }
 
 // Server scores requests against a checkpointed DLRM: sharded two-tier
-// embedding stores plus per-worker MLP/interaction workspaces. ScoreBatch
+// embedding stores plus per-caller MLP/interaction workspaces. ScoreBatch
 // is the synchronous path (caller-assembled batches); Score is the
 // admission-controlled micro-batching path. Both are safe for concurrent
 // use.
@@ -101,7 +106,9 @@ type Server struct {
 
 	shards  []*shard
 	byTable []*shard // table id -> owning shard
-	scorers chan *scorer
+	tmpl    *model.DLRM
+	scorers chan *scorer // idle scorers; its capacity caps how many are built
+	built   atomic.Int64 // scorers built so far
 
 	intake  chan *pending
 	pool    sync.Pool
@@ -114,12 +121,13 @@ type Server struct {
 	batches  atomic.Int64
 }
 
-// scorer is one worker's private forward-pass workspace: MLP clones and a
+// scorer is one caller's private forward-pass workspace: MLP clones and a
 // DotInteraction (their scratch matrices are layer-owned and not
 // goroutine-safe), plus reused gather/batch buffers.
 type scorer struct {
 	bottom, top *nn.MLP
 	di          *interaction.DotInteraction
+	gather      gatherScratch
 	lookups     []*tensor.Matrix
 	dense       *tensor.Matrix
 	cols        [][]int32
@@ -219,7 +227,6 @@ func newServer(cfg model.Config, dense [][]float32, tables [][]float32, opts Opt
 			tables: make([]*tableStore, numTables),
 			cc:     cc,
 			hot:    newHotCache(int(perShard/(int64(dim)*4)), dim),
-			block:  make([]float32, opts.BlockRows*dim),
 		}
 	}
 	for t, rows := range cfg.TableSizes {
@@ -240,30 +247,55 @@ func newServer(cfg model.Config, dense [][]float32, tables [][]float32, opts Opt
 		}
 	}
 
-	// Scorer pool: one per worker plus a spare for synchronous
-	// ScoreBatch callers.
-	s.scorers = make(chan *scorer, opts.Workers+1)
-	for i := 0; i < opts.Workers+1; i++ {
-		sc := &scorer{
-			bottom:  tmpl.Bottom.Clone(),
-			top:     tmpl.Top.Clone(),
-			di:      interaction.NewDotInteraction(numTables, dim),
-			lookups: make([]*tensor.Matrix, numTables),
-			cols:    make([][]int32, numTables),
-		}
-		sc.bottom.SetWorkers(opts.ComputeWorkers)
-		sc.top.SetWorkers(opts.ComputeWorkers)
-		sc.di.Workers = opts.ComputeWorkers
-		s.scorers <- sc
-	}
+	// Scorers: one per worker now, the rest on demand — one per
+	// concurrent ScoreBatch caller, up to GOMAXPROCS of them (see
+	// takeScorer). Each clones both MLPs, so building the cap up front
+	// would cost memory a one-caller server never uses.
+	s.tmpl = tmpl
+	s.scorers = make(chan *scorer, opts.Workers+runtime.GOMAXPROCS(0))
 
 	// Micro-batching service.
 	s.intake = make(chan *pending, opts.QueueDepth)
 	s.workers = make(chan struct{}, opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
-		go s.worker()
+		s.built.Add(1)
+		go s.worker(s.newScorer())
 	}
 	return s, nil
+}
+
+// newScorer builds one forward-pass workspace from the template model.
+func (s *Server) newScorer() *scorer {
+	n, dim := len(s.cfg.TableSizes), s.cfg.EmbeddingDim
+	sc := &scorer{
+		bottom:  s.tmpl.Bottom.Clone(),
+		top:     s.tmpl.Top.Clone(),
+		di:      interaction.NewDotInteraction(n, dim),
+		gather:  gatherScratch{block: make([]float32, s.opts.BlockRows*dim)},
+		lookups: make([]*tensor.Matrix, n),
+		cols:    make([][]int32, n),
+	}
+	sc.bottom.SetWorkers(s.opts.ComputeWorkers)
+	sc.top.SetWorkers(s.opts.ComputeWorkers)
+	sc.di.Workers = s.opts.ComputeWorkers
+	return sc
+}
+
+// takeScorer returns an idle scorer without waiting if there is one, a
+// newly built one if fewer than cap(s.scorers) exist, and otherwise the
+// next one returned. Scorers are never freed, so once the cap is reached
+// the failed increment is simply undone.
+func (s *Server) takeScorer() *scorer {
+	select {
+	case sc := <-s.scorers:
+		return sc
+	default:
+	}
+	if s.built.Add(1) <= int64(cap(s.scorers)) {
+		return s.newScorer()
+	}
+	s.built.Add(-1)
+	return <-s.scorers
 }
 
 // verifyQuantBlock is the lossy mode's load-time accuracy check: the first
@@ -296,9 +328,10 @@ func verifyQuantBlock(ts *tableStore, weights []float32, cc *coldCodec, eb float
 // ScoreBatch scores a caller-assembled batch synchronously: dense is
 // [n, DenseFeatures], indices holds one index per table per sample, out
 // receives the n sigmoid scores. Steady-state calls perform no heap
-// allocation. Safe for concurrent use (each call borrows a pooled scorer).
+// allocation. Safe for concurrent use: each call borrows a scorer of its
+// own, so up to GOMAXPROCS callers score in parallel.
 func (s *Server) ScoreBatch(dense *tensor.Matrix, indices [][]int32, out []float32) error {
-	sc := <-s.scorers
+	sc := s.takeScorer()
 	err := s.scoreInto(sc, dense, indices, out)
 	s.scorers <- sc
 	return err
@@ -322,7 +355,7 @@ func (s *Server) scoreInto(sc *scorer, dense *tensor.Matrix, indices [][]int32, 
 			return fmt.Errorf("serve: table %d has %d indices for a %d-sample batch", t, len(indices[t]), n)
 		}
 		sc.lookups[t] = sc.lookups[t].Resize(n, s.cfg.EmbeddingDim)
-		if err := s.byTable[t].gatherInto(sc.lookups[t], t, indices[t]); err != nil {
+		if err := s.byTable[t].gatherInto(sc.lookups[t], t, indices[t], &sc.gather); err != nil {
 			return err
 		}
 	}
@@ -345,7 +378,9 @@ type Stats struct {
 	// calls are not counted); over Score-only traffic, Requests/Batches is
 	// the mean batch size.
 	Batches int64
-	// Hits and Misses count hot-cache row lookups.
+	// Hits and Misses count row lookups: a miss is a distinct row a
+	// gather had to decode, a hit any other lookup — a hot-cache hit or a
+	// repeat of a row already decoded in the same gather.
 	Hits, Misses int64
 	// HotBytes is the resident decoded-row cache footprint; ColdBytes
 	// the resident compressed-frame footprint; RawBytes what the tables

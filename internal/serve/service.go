@@ -102,10 +102,10 @@ func (s *Server) Close() {
 // the batch on a private scorer, reply to every caller. There is no timer:
 // an idle server scores a lone request at once, and requests that arrive
 // while a batch is being scored wait in the queue and form the next one,
-// so batches grow with the backlog, not with a clock.
-func (s *Server) worker() {
+// so batches grow with the backlog, not with a clock. On exit the scorer
+// joins the idle pool, so ScoreBatch after Close can reuse it.
+func (s *Server) worker(sc *scorer) {
 	defer func() { s.workers <- struct{}{} }()
-	sc := <-s.scorers
 	defer func() { s.scorers <- sc }()
 	batch := make([]*pending, 0, s.opts.MaxBatch)
 	for {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"dlrmcomp/internal/codec"
@@ -24,9 +25,11 @@ const DefaultColdCodec = "raw"
 
 // coldCodec encodes/decodes one block of rows. A nil inner codec is the
 // raw (uncompressed bytes) path; the others append to and decode into
-// buffers the store owns (codec.Codec's one contract), so the hybrid codec
+// buffers the caller owns (codec.Codec's one contract), so the hybrid codec
 // decodes without allocating and the lossless ones allocate only scratch
-// sized by the block.
+// sized by the block. Every path is safe for concurrent use (the hybrid
+// codec pools its workspaces; the lz4like codecs are stateless), which is
+// what lets a shard decode outside its lock.
 type coldCodec struct {
 	name string
 	c    codec.Codec
@@ -122,52 +125,94 @@ func (ts *tableStore) blockLen(blk int) int {
 }
 
 // shard owns the tables assigned to it (table t lives on shard
-// t % Shards) plus one hot cache and one block-decode scratch buffer
-// shared by those tables. All access runs under mu; the gather loop takes
-// it once per (table, batch), not per row.
+// t % Shards) plus one hot cache shared by those tables. mu guards the
+// cache — the slot directories, the LRU list and slab, and the counters —
+// and nothing else: the cold frames are immutable after load and the cold
+// codecs are safe for concurrent use, so block decodes run outside it, on
+// the calling scorer's own scratch. A gather takes mu at most twice per
+// (table, batch), never per row.
 type shard struct {
 	mu     sync.Mutex
 	tables []*tableStore // indexed by global table id; nil = not ours
 	cc     *coldCodec
 	hot    hotCache
-	block  []float32 // decode scratch, blockRows × dim
 	hits   int64
 	misses int64
 }
 
-// gatherInto fills dst (a [len(indices), dim] matrix) with the rows of
-// table t named by indices, hot cache first, decoding cold blocks on miss.
-func (sh *shard) gatherInto(dst *tensor.Matrix, t int, indices []int32) error {
-	ts := sh.tables[t]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for i, idx := range indices {
-		if idx < 0 || int(idx) >= ts.rows {
-			return fmt.Errorf("serve: index %d out of range [0,%d) in table %d", idx, ts.rows, ts.id)
-		}
-		if err := sh.rowInto(dst.Row(i), ts, int(idx)); err != nil {
-			return err
-		}
-	}
-	return nil
+// gatherScratch is one scorer's private gather workspace, used outside
+// the shard lock.
+type gatherScratch struct {
+	miss  []uint64  // row<<32 | position of each missed lookup
+	block []float32 // decode scratch, blockRows × dim
 }
 
-// rowInto copies one row into dst. Callers hold sh.mu.
-func (sh *shard) rowInto(dst []float32, ts *tableStore, row int) error {
-	if slot := ts.slots[row]; slot >= 0 {
-		sh.hits++
-		copy(dst, sh.hot.row(slot))
-		sh.hot.touch(slot)
+// gatherInto fills dst (a [len(indices), dim] matrix) with the rows of
+// table t named by indices, in three phases:
+//
+//  1. Under mu: range-check every index, copy and touch the hot-cache
+//     hits, and list the misses.
+//  2. Without the lock: sort the misses, decode each distinct block once
+//     and copy out each distinct row once; a row repeated within the
+//     gather is copied from its first copy.
+//  3. Under mu again: count the distinct rows as misses and the repeats
+//     as hits — what a row-by-row loop that admits as it goes would count
+//     — and admit each distinct row another caller has not admitted
+//     meanwhile.
+func (sh *shard) gatherInto(dst *tensor.Matrix, t int, indices []int32, gs *gatherScratch) error {
+	ts := sh.tables[t]
+	miss := gs.miss[:0]
+	sh.mu.Lock()
+	for i, idx := range indices {
+		if idx < 0 || int(idx) >= ts.rows {
+			sh.mu.Unlock()
+			return fmt.Errorf("serve: index %d out of range [0,%d) in table %d", idx, ts.rows, ts.id)
+		}
+		if slot := ts.slots[idx]; slot >= 0 {
+			copy(dst.Row(i), sh.hot.row(slot))
+			sh.hot.touch(slot)
+			continue
+		}
+		miss = append(miss, uint64(idx)<<32|uint64(i))
+	}
+	sh.hits += int64(len(indices) - len(miss))
+	sh.mu.Unlock()
+	gs.miss = miss
+	if len(miss) == 0 {
 		return nil
 	}
-	sh.misses++
-	blk, off := ts.blockOf(row)
-	buf := sh.block[:ts.blockLen(blk)*ts.dim]
-	if err := sh.cc.decodeInto(buf, ts.frames[blk]); err != nil {
-		return fmt.Errorf("serve: table %d block %d: %w", ts.id, blk, err)
+
+	slices.Sort(miss)
+	distinct, prev, first, blk := 0, -1, 0, -1
+	var buf []float32
+	for _, m := range miss {
+		row, pos := int(m>>32), int(uint32(m))
+		if row == prev {
+			copy(dst.Row(pos), dst.Row(first))
+			continue
+		}
+		b, off := ts.blockOf(row)
+		if b != blk {
+			buf = gs.block[:ts.blockLen(b)*ts.dim]
+			if err := sh.cc.decodeInto(buf, ts.frames[b]); err != nil {
+				return fmt.Errorf("serve: table %d block %d: %w", ts.id, b, err)
+			}
+			blk = b
+		}
+		copy(dst.Row(pos), buf[off*ts.dim:(off+1)*ts.dim])
+		miss[distinct], prev, first = m, row, pos // compact to distinct rows for phase 3
+		distinct++
 	}
-	copy(dst, buf[off*ts.dim:(off+1)*ts.dim])
-	sh.admit(ts, row, dst)
+
+	sh.mu.Lock()
+	sh.misses += int64(distinct)
+	sh.hits += int64(len(miss) - distinct)
+	for _, m := range miss[:distinct] {
+		if row := int(m >> 32); ts.slots[row] < 0 {
+			sh.admit(ts, row, dst.Row(int(uint32(m))))
+		}
+	}
+	sh.mu.Unlock()
 	return nil
 }
 
