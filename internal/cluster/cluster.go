@@ -89,6 +89,7 @@ type rankScratch struct {
 	sizeRow []byte // payload-size row, sent to rank 0 each all-to-all
 	flagBuf []byte // 1-byte OrFlag contribution
 	sendBuf []byte // allreduce contribution, grown on demand
+	stage   []int  // two-phase all-to-all: bytes staged per bundle
 
 	// Rank 0 only: the global payload-size matrix the cost model reads,
 	// and the response buffers for the star collectives.
@@ -156,6 +157,7 @@ func newCluster(eps []Transport, net netmodel.Topology) (*Cluster, error) {
 		scr := &rankScratch{
 			sizeRow: make([]byte, sizeRowBytes(n)),
 			flagBuf: make([]byte, 1),
+			stage:   make([]int, n),
 		}
 		if id == 0 {
 			scr.sizes = make([][]int64, n)

@@ -20,8 +20,18 @@ import (
 // A bundle is a concatenation of envelopes. Empty payloads are never
 // enveloped: the direct path delivers them as empty, and skipping them
 // keeps the two paths' results identical.
+//
+// Every bundle is allocated once, at its final size: its envelopes are
+// counted first and copied second. A sender counts from send; a leader
+// receives every bundle of a hop before it stages any of their envelopes
+// onward, and counts from their headers. Each bundle is still a fresh buffer
+// that its receiver may alias, as the eager delivery of the nonblocking
+// collectives needs.
 
 const envelopeHeaderBytes = 12
+
+// envelopeBytes is the staged size of one payload: header plus payload.
+func envelopeBytes(payload []byte) int { return envelopeHeaderBytes + len(payload) }
 
 // appendEnvelope appends one routed payload to a bundle.
 func appendEnvelope(dst []byte, origFrom, origTo int, payload []byte) []byte {
@@ -34,25 +44,80 @@ func appendEnvelope(dst []byte, origFrom, origTo int, payload []byte) []byte {
 }
 
 // parseEnvelopes walks a bundle, invoking fn once per envelope. Payload
-// slices alias the bundle.
-func parseEnvelopes(bundle []byte, fn func(origFrom, origTo int, payload []byte) error) error {
+// slices alias the bundle. Both ids of every envelope are checked to name
+// one of the n ranks before fn sees them.
+func parseEnvelopes(bundle []byte, n int, fn func(origFrom, origTo int, payload []byte) error) error {
 	for len(bundle) > 0 {
 		if len(bundle) < envelopeHeaderBytes {
 			return fmt.Errorf("cluster: truncated envelope header (%d trailing bytes)", len(bundle))
 		}
-		from := int(binary.LittleEndian.Uint32(bundle[0:4]))
-		to := int(binary.LittleEndian.Uint32(bundle[4:8]))
-		n := int(binary.LittleEndian.Uint32(bundle[8:12]))
+		from := binary.LittleEndian.Uint32(bundle[0:4])
+		to := binary.LittleEndian.Uint32(bundle[4:8])
+		size := binary.LittleEndian.Uint32(bundle[8:12])
 		bundle = bundle[envelopeHeaderBytes:]
-		if len(bundle) < n {
-			return fmt.Errorf("cluster: envelope %d->%d wants %d payload bytes, have %d", from, to, n, len(bundle))
+		if uint64(len(bundle)) < uint64(size) {
+			return fmt.Errorf("cluster: envelope %d->%d wants %d payload bytes, have %d", from, to, size, len(bundle))
 		}
-		if err := fn(from, to, bundle[:n]); err != nil {
+		if uint64(from) >= uint64(n) || uint64(to) >= uint64(n) {
+			return fmt.Errorf("cluster: envelope %d->%d names a rank outside the %d of the cluster", from, to, n)
+		}
+		if err := fn(int(from), int(to), bundle[:size]); err != nil {
 			return err
 		}
-		bundle = bundle[n:]
+		bundle = bundle[size:]
 	}
 	return nil
+}
+
+// hop is the leg of the staged route a bundle arrived on.
+type hop int
+
+const (
+	hopLocal   hop = iota // phase 1: from a peer on the same node
+	hopLeaders            // phase 2: from the leader of another node
+	hopScatter            // phase 3: from the receiving rank's own leader
+)
+
+// checkRoute rejects an envelope origFrom->origTo that cannot have reached
+// rank me from rank from on hop h. Both ids are in range. A phase-1
+// envelope is the sender's own payload, for me or, at a leader, for another
+// node; a phase-2 envelope leaves the sending leader's node for mine; a
+// phase-3 envelope is for me, from another node.
+func (c *Cluster) checkRoute(h hop, from, me, origFrom, origTo int) error {
+	myNode := c.nodeOf[me]
+	var ok bool
+	switch h {
+	case hopLocal:
+		ok = origFrom == from && (origTo == me || me == c.leaders[myNode] && c.nodeOf[origTo] != myNode)
+	case hopLeaders:
+		ok = c.nodeOf[origFrom] == c.nodeOf[from] && c.nodeOf[origTo] == myNode
+	case hopScatter:
+		ok = origTo == me && c.nodeOf[origFrom] != myNode
+	}
+	if !ok {
+		return fmt.Errorf("cluster: rank %d got envelope %d->%d from rank %d on phase %d, which that hop never carries", me, origFrom, origTo, from, h+1)
+	}
+	return nil
+}
+
+// parseBundle is parseEnvelopes for a bundle that arrived at rank me from
+// rank from on hop h: fn sees only envelopes whose route is possible.
+func (c *Cluster) parseBundle(bundle []byte, h hop, from, me int, fn func(origFrom, origTo int, payload []byte) error) error {
+	return parseEnvelopes(bundle, c.N, func(origFrom, origTo int, payload []byte) error {
+		if err := c.checkRoute(h, from, me, origFrom, origTo); err != nil {
+			return err
+		}
+		return fn(origFrom, origTo, payload)
+	})
+}
+
+// allocBundles gives every bundle with a non-zero size its buffer.
+func allocBundles(bundles [][]byte, size []int) {
+	for b, n := range size {
+		if n > 0 {
+			bundles[b] = make([]byte, 0, n)
+		}
+	}
 }
 
 // twoPhase runs the hierarchical all-to-all (§III-A adapted to a two-level
@@ -79,37 +144,49 @@ func (r *Rank) twoPhase(send [][]byte, variable bool) ([][]byte, netmodel.LinkCo
 	me := r.ID
 	myNode := c.nodeOf[me]
 	myLeader := c.leaders[myNode]
+	leader := me == myLeader
 	recv := make([][]byte, c.N)
 	recv[me] = send[me]
 	var cost netmodel.LinkCost
+	deliver := func(origFrom int, payload []byte) error {
+		if recv[origFrom] != nil {
+			return fmt.Errorf("cluster: rank %d got a second payload from rank %d", me, origFrom)
+		}
+		recv[origFrom] = payload
+		return nil
+	}
 
 	if err := r.postSizeRow(send); err != nil {
 		return nil, cost, err
 	}
 
 	// --- phase 1 post: direct payloads to local peers, cross-node
-	// payloads bundled to the leader. Every same-node peer gets a message
-	// (possibly empty) — the receiver unconditionally reads one bundle per
-	// local peer.
-	bundles := make([][]byte, c.N)
-	for to := 0; to < c.N; to++ {
-		if to == me || len(send[to]) == 0 {
-			continue
-		}
+	// payloads bundled to the leader (a leader keeps its own for phase 2).
+	// Every same-node peer gets a message (possibly empty) — the receiver
+	// unconditionally reads one bundle per local peer.
+	firstHop := func(to int) int {
 		switch {
+		case to == me || len(send[to]) == 0:
+			return -1
 		case c.nodeOf[to] == myNode:
-			bundles[to] = appendEnvelope(bundles[to], me, to, send[to])
-		case me != myLeader:
-			bundles[myLeader] = appendEnvelope(bundles[myLeader], me, to, send[to])
+			return to
+		case leader:
+			return -1
+		}
+		return myLeader
+	}
+	size := r.scr.stage
+	clear(size)
+	for to := range c.N {
+		if h := firstHop(to); h >= 0 {
+			size[h] += envelopeBytes(send[to])
 		}
 	}
-	// Leaders queue their own cross-node payloads straight for phase 2.
-	crossByNode := make([][]byte, c.nodes)
-	if me == myLeader {
-		for to := 0; to < c.N; to++ {
-			if nd := c.nodeOf[to]; nd != myNode && len(send[to]) > 0 {
-				crossByNode[nd] = appendEnvelope(crossByNode[nd], me, to, send[to])
-			}
+	bundles := make([][]byte, c.N)
+	allocBundles(bundles, size)
+	for to := range c.N {
+		if h := firstHop(to); h >= 0 {
+			bundles[h] = appendEnvelope(bundles[h], me, to, send[to])
 		}
 	}
 	for to := 0; to < c.N; to++ {
@@ -130,8 +207,10 @@ func (r *Rank) twoPhase(send [][]byte, variable bool) ([][]byte, netmodel.LinkCo
 		}
 	}
 
-	// --- phase 1 read: unpack same-node bundles; leaders collect
-	// forwarded cross-node envelopes per destination node.
+	// --- phase 1 read: unpack same-node bundles. A leader receives them
+	// all before staging: crossByNode[nd] carries its own payloads for node
+	// nd and then everything its peers forwarded there, in arrival order.
+	inbound := make([][]byte, c.N)
 	for from := 0; from < c.N; from++ {
 		if from == me || c.nodeOf[from] != myNode {
 			continue
@@ -140,15 +219,43 @@ func (r *Rank) twoPhase(send [][]byte, variable bool) ([][]byte, netmodel.LinkCo
 		if err != nil {
 			return nil, cost, err
 		}
-		err = parseEnvelopes(bundle, func(origFrom, origTo int, payload []byte) error {
-			if origTo == me {
-				recv[origFrom] = payload
+		inbound[from] = bundle
+	}
+	var crossByNode [][]byte
+	if leader {
+		nodeSize := size[:c.nodes]
+		clear(nodeSize)
+		for to := range c.N {
+			if nd := c.nodeOf[to]; nd != myNode && len(send[to]) > 0 {
+				nodeSize[nd] += envelopeBytes(send[to])
+			}
+		}
+		for from, bundle := range inbound {
+			err := c.parseBundle(bundle, hopLocal, from, me, func(_, origTo int, payload []byte) error {
+				if origTo != me {
+					nodeSize[c.nodeOf[origTo]] += envelopeBytes(payload)
+				}
 				return nil
+			})
+			if err != nil {
+				return nil, cost, err
 			}
-			if me != myLeader {
-				return fmt.Errorf("cluster: rank %d received envelope for %d but is not a leader", me, origTo)
+		}
+		crossByNode = make([][]byte, c.nodes)
+		allocBundles(crossByNode, nodeSize)
+		for to := range c.N {
+			if nd := c.nodeOf[to]; nd != myNode && len(send[to]) > 0 {
+				crossByNode[nd] = appendEnvelope(crossByNode[nd], me, to, send[to])
 			}
-			crossByNode[c.nodeOf[origTo]] = appendEnvelope(crossByNode[c.nodeOf[origTo]], origFrom, origTo, payload)
+		}
+	}
+	for from, bundle := range inbound {
+		err := c.parseBundle(bundle, hopLocal, from, me, func(origFrom, origTo int, payload []byte) error {
+			if origTo == me {
+				return deliver(origFrom, payload)
+			}
+			nd := c.nodeOf[origTo]
+			crossByNode[nd] = appendEnvelope(crossByNode[nd], origFrom, origTo, payload)
 			return nil
 		})
 		if err != nil {
@@ -158,8 +265,8 @@ func (r *Rank) twoPhase(send [][]byte, variable bool) ([][]byte, netmodel.LinkCo
 
 	// --- phase 2: leaders trade node-to-node bundles, then unpack inbound
 	// ones — delivering their own payloads and rebundling the rest per
-	// local rank.
-	if me == myLeader {
+	// local rank, sized from every inbound bundle before any is copied.
+	if leader {
 		for nd, l := range c.leaders {
 			if l != me {
 				if err := r.tr.Send(l, crossByNode[nd]); err != nil {
@@ -167,7 +274,8 @@ func (r *Rank) twoPhase(send [][]byte, variable bool) ([][]byte, netmodel.LinkCo
 				}
 			}
 		}
-		scatter := make([][]byte, c.N)
+		clear(inbound)
+		clear(size)
 		for _, l := range c.leaders {
 			if l == me {
 				continue
@@ -176,12 +284,25 @@ func (r *Rank) twoPhase(send [][]byte, variable bool) ([][]byte, netmodel.LinkCo
 			if err != nil {
 				return nil, cost, err
 			}
-			err = parseEnvelopes(bundle, func(origFrom, origTo int, payload []byte) error {
-				if origTo == me {
-					recv[origFrom] = payload
-				} else {
-					scatter[origTo] = appendEnvelope(scatter[origTo], origFrom, origTo, payload)
+			inbound[l] = bundle
+			err = c.parseBundle(bundle, hopLeaders, l, me, func(_, origTo int, payload []byte) error {
+				if origTo != me {
+					size[origTo] += envelopeBytes(payload)
 				}
+				return nil
+			})
+			if err != nil {
+				return nil, cost, err
+			}
+		}
+		scatter := make([][]byte, c.N)
+		allocBundles(scatter, size)
+		for _, l := range c.leaders {
+			err := c.parseBundle(inbound[l], hopLeaders, l, me, func(origFrom, origTo int, payload []byte) error {
+				if origTo == me {
+					return deliver(origFrom, payload)
+				}
+				scatter[origTo] = appendEnvelope(scatter[origTo], origFrom, origTo, payload)
 				return nil
 			})
 			if err != nil {
@@ -203,12 +324,8 @@ func (r *Rank) twoPhase(send [][]byte, variable bool) ([][]byte, netmodel.LinkCo
 		if err != nil {
 			return nil, cost, err
 		}
-		err = parseEnvelopes(bundle, func(origFrom, origTo int, payload []byte) error {
-			if origTo != me {
-				return fmt.Errorf("cluster: rank %d received scatter envelope for %d", me, origTo)
-			}
-			recv[origFrom] = payload
-			return nil
+		err = c.parseBundle(bundle, hopScatter, myLeader, me, func(origFrom, _ int, payload []byte) error {
+			return deliver(origFrom, payload)
 		})
 		if err != nil {
 			return nil, cost, err

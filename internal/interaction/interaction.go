@@ -50,13 +50,16 @@ const accRows = 4
 // sample the span owns. With F = NumSparse+1 and fPad = F rounded up to the
 // vector width:
 //
-//	vt  [Dim][fPad]     forward: the sample's features transposed, vt[p][b] = v_b[p];
-//	                    columns from F-1 on only ever feed surplus lanes
-//	acc [accRows][fPad] forward: the dot accumulators of accRows output rows
-//	dz  [F][F]          backward: the sample's upstream dot gradients as a
-//	                    symmetric matrix; the diagonal is never written and stays zero
+//	vt   [Dim][fPad]      forward: the sample's features transposed, vt[p][b] = v_b[p];
+//	                      columns from F-1 on only ever feed surplus lanes.
+//	                      backward: the sample's features as rows, vt[b][p] = v_b[p]
+//	acc  [accRows][fPad]  forward: the dot accumulators of accRows output rows
+//	dz   [fPad][F]        backward: the sample's upstream dot gradients as a
+//	                      symmetric matrix; the diagonal is never written and
+//	                      stays zero, and the padding rows from F on are all ones
+//	sink [accRows-1][Dim] backward: the gradient rows of the padding rows, never read
 type spanScratch struct {
-	vt, acc, dz []float32
+	vt, acc, dz, sink []float32
 }
 
 // padTo4 rounds n up to a multiple of the four SSE lanes, so that a padded
@@ -71,9 +74,18 @@ func (di *DotInteraction) scratch(n int) []spanScratch {
 	f := di.NumSparse + 1
 	fPad := padTo4(f)
 	for len(di.spans) < w {
-		buf := make([]float32, di.Dim*fPad+accRows*fPad+f*f)
-		vt, rest := buf[:di.Dim*fPad], buf[di.Dim*fPad:]
-		di.spans = append(di.spans, spanScratch{vt: vt, acc: rest[:accRows*fPad], dz: rest[accRows*fPad:]})
+		d := di.Dim
+		buf := make([]float32, d*fPad+accRows*fPad+fPad*f+(accRows-1)*d)
+		take := func(n int) []float32 {
+			s := buf[:n:n]
+			buf = buf[n:]
+			return s
+		}
+		sc := spanScratch{vt: take(d * fPad), acc: take(accRows * fPad), dz: take(fPad * f), sink: take((accRows - 1) * d)}
+		for i := f * f; i < fPad*f; i++ {
+			sc.dz[i] = 1
+		}
+		di.spans = append(di.spans, sc)
 	}
 	return di.spans[:w]
 }
@@ -144,7 +156,9 @@ func (di *DotInteraction) Forward(dense *tensor.Matrix, sparse []*tensor.Matrix)
 // exact tensor.Dot accumulation order — while the vector lanes run across
 // the partners b. Four rows share each pass over vt (tensor.Axpy4Rows) and
 // accumulate over the widest of them, padded to whole vectors; the surplus
-// lanes are computed and not copied out.
+// lanes are computed and not copied out. The F-1 mod 4 leftover rows are one
+// padded tile the same way: a missing row repeats the last real one, and
+// its accumulator row is not copied out either.
 func (di *DotInteraction) forwardSpan(sc *spanScratch, lo, hi int) {
 	d, outDim, f := di.Dim, di.OutDim(), di.NumSparse+1
 	feats, out := di.featData[:f], di.out
@@ -168,24 +182,15 @@ func (di *DotInteraction) forwardSpan(sc *spanScratch, lo, hi int) {
 			}
 		}
 		pos := d
-		a := 1
-		for ; a+accRows <= f; a += accRows {
-			w := padTo4(a + accRows - 1)
+		for a := 1; a < f; a += accRows {
+			last := min(a+accRows, f) - 1
+			w := padTo4(last)
 			clear(sc.acc)
-			v0, v1, v2, v3 := feats[a][off:off+d], feats[a+1][off:off+d], feats[a+2][off:off+d], feats[a+3][off:off+d]
+			v0, v1, v2, v3 := feats[a][off:off+d], feats[min(a+1, last)][off:off+d], feats[min(a+2, last)][off:off+d], feats[min(a+3, last)][off:off+d]
 			tensor.Axpy4Rows(v0, v1, v2, v3, vt, fPad, acc0[:w], acc1[:w], acc2[:w], acc3[:w])
-			pos += copy(row[pos:], acc0[:a])
-			pos += copy(row[pos:], acc1[:a+1])
-			pos += copy(row[pos:], acc2[:a+2])
-			pos += copy(row[pos:], acc3[:a+3])
-		}
-		for ; a < f; a++ {
-			w := padTo4(a)
-			clear(acc0)
-			for p, v := range feats[a][off : off+d] {
-				tensor.Axpy(v, vt[p*fPad:p*fPad+w], acc0[:w])
+			for r := range last - a + 1 {
+				pos += copy(row[pos:], sc.acc[r*fPad:r*fPad+a+r])
 			}
-			pos += copy(row[pos:], acc0[:a])
 		}
 	}
 }
@@ -249,44 +254,54 @@ func (di *DotInteraction) Backward(dOut *tensor.Matrix) (dDense *tensor.Matrix, 
 // grad(v_a) its partners b < a first and the partners a' > a after — so each
 // gradient element receives the same terms in the same order, and the vector
 // lanes run across the elements p of a row.
+//
+// The sample's F feature rows are first copied into vt, so that the partners
+// are one strided source, and each four-row tile of G is then a single
+// tensor.Axpy4Skip over all F partners. Inside it a partner whose four
+// coefficients are all non-zero is one four-row pass; a partner holding an
+// exact zero — the tile's own diagonal block, or a zero upstream gradient —
+// updates only its non-zero rows, which is where the naive loop's skip
+// lives. The F mod 4 leftover rows are one padded tile: the padding rows of
+// dz are ones, so they never hold a partner back from the four-row pass,
+// and their gradient rows are the span's sink, which is never copied out.
 func (di *DotInteraction) backwardSpan(sc *spanScratch, lo, hi int) {
 	d, outDim, f := di.Dim, di.OutDim(), di.NumSparse+1
 	feats, grads, dOut := di.featData[:f], di.gradData[:f], di.dOut
-	dz := sc.dz
+	dz, v := sc.dz, sc.vt
+	// row returns gradient row a of the sample at off; a padding row is a
+	// row of the sink.
+	row := func(a, off int) []float32 {
+		if a < f {
+			return grads[a][off : off+d]
+		}
+		return sc.sink[(a-f)*d : (a-f+1)*d]
+	}
 	for i := lo; i < hi; i++ {
-		row := dOut.Data[i*outDim : (i+1)*outDim]
+		up := dOut.Data[i*outDim : (i+1)*outDim]
 		off := i * d
 		// Pass-through for the copied dense features; clear the sparse
 		// gradient rows this sample owns.
-		copy(grads[0][off:off+d], row[:d])
+		copy(grads[0][off:off+d], up[:d])
 		for t := 1; t < f; t++ {
 			clear(grads[t][off : off+d])
 		}
 		pos := d
 		for a := 1; a < f; a++ {
-			for b := 0; b < a; b++ {
-				dz[a*f+b], dz[b*f+a] = row[pos], row[pos]
-				pos++
+			lower := up[pos : pos+a]
+			za := dz[a*f : a*f+len(lower)]
+			for b, z := range lower {
+				za[b], dz[b*f+a] = z, z
 			}
+			pos += a
 		}
-		a := 0
-		for ; a+accRows <= f; a += accRows {
-			g0, g1, g2, g3 := grads[a][off:off+d], grads[a+1][off:off+d], grads[a+2][off:off+d], grads[a+3][off:off+d]
+		// The features as the rows of one strided source.
+		for b := range f {
+			copy(v[b*d:(b+1)*d], feats[b][off:off+d])
+		}
+		for a := 0; a < f; a += accRows {
+			g0, g1, g2, g3 := row(a, off), row(a+1, off), row(a+2, off), row(a+3, off)
 			z0, z1, z2, z3 := dz[a*f:(a+1)*f], dz[(a+1)*f:(a+2)*f], dz[(a+2)*f:(a+3)*f], dz[(a+3)*f:(a+4)*f]
-			for b := 0; b < f; b++ {
-				// The diagonal makes four terms per tile partly zero.
-				if c0, c1, c2, c3 := z0[b], z1[b], z2[b], z3[b]; c0 != 0 || c1 != 0 || c2 != 0 || c3 != 0 {
-					tensor.Axpy4Skip(c0, c1, c2, c3, feats[b][off:off+d], g0, g1, g2, g3)
-				}
-			}
-		}
-		for ; a < f; a++ {
-			ga := grads[a][off : off+d]
-			for b, c := range dz[a*f : (a+1)*f] {
-				if c != 0 {
-					tensor.Axpy(c, feats[b][off:off+d], ga)
-				}
-			}
+			tensor.Axpy4Skip(z0, z1, z2, z3, v, d, g0, g1, g2, g3)
 		}
 	}
 }

@@ -127,33 +127,86 @@ func requireBitwise(t *testing.T, got, want []float32, label string) {
 	}
 }
 
+// dzIndex is the position in a dOut row of the upstream gradient of the dot
+// z_ab, a > b.
+func dzIndex(d, a, b int) int { return d + a*(a-1)/2 + b }
+
+// poison plants, in two of the case's samples, the inputs where skipping a
+// zero term instead of adding it shows in the bits:
+//   - sample 3: +Inf, -Inf and NaN in feature k's row, and an exact zero (of
+//     alternating sign) in every second gradient facing it, so that a zero
+//     term added instead of skipped turns a finite gradient into NaN;
+//   - sample 5: -0 in the whole dense pass-through and a zero gradient on
+//     every dense dot, so that only skipping leaves the -0 in place (adding
+//     a +0 term would make it +0).
+func (c interactionCase) poison(k int) {
+	feats := c.feats()
+	f, d := len(feats), c.dense.Cols
+	row := c.dOut.Data[3*c.dOut.Cols : 4*c.dOut.Cols]
+	v := feats[k][3*d : 4*d]
+	// The NaN is made by arithmetic, so it has the payload of every NaN the
+	// loops make themselves (Inf-Inf, 0*Inf): an add of two NaNs keeps one
+	// operand's payload, and which one is a matter of operand roles, not of
+	// the accumulation order this test pins.
+	inf := float32(math.Inf(1))
+	for p, s := range []float32{inf, -inf, inf - inf} {
+		if p < d {
+			v[p] = s
+		}
+	}
+	negZero := float32(math.Copysign(0, -1))
+	for b := 0; b < f; b += 2 {
+		if b == k {
+			continue
+		}
+		z := float32(0)
+		if b%4 == 2 {
+			z = negZero
+		}
+		row[dzIndex(d, max(k, b), min(k, b))] = z
+	}
+
+	row = c.dOut.Data[5*c.dOut.Cols : 6*c.dOut.Cols]
+	for p := range d {
+		row[p] = negZero
+	}
+	for a := 1; a < f; a++ {
+		row[dzIndex(d, a, 0)] = 0
+	}
+}
+
 func TestInteractionBitwiseParity(t *testing.T) {
 	rng := tensor.NewRNG(77)
 	const n = 11 // not a multiple of any worker count below
-	for _, f := range []int{2, 5, 27} {
+	for _, f := range []int{2, 4, 5, 8, 27} {
 		for _, dim := range []int{1, 5, 13, 32} {
-			c := newInteractionCase(rng, n, f, dim)
-			feats := c.feats()
-			wantOut := tensor.NewMatrix(n, c.dOut.Cols)
-			forwardNaive(wantOut, feats, dim)
-			wantGrads := make([][]float32, f)
-			for k := range wantGrads {
-				wantGrads[k] = make([]float32, n*dim)
-			}
-			backwardNaive(wantGrads, c.dOut, feats, dim)
+			for _, poisoned := range []bool{false, true} {
+				c := newInteractionCase(rng, n, f, dim)
+				if poisoned {
+					c.poison(f / 2)
+				}
+				feats := c.feats()
+				wantOut := tensor.NewMatrix(n, c.dOut.Cols)
+				forwardNaive(wantOut, feats, dim)
+				wantGrads := make([][]float32, f)
+				for k := range wantGrads {
+					wantGrads[k] = make([]float32, n*dim)
+				}
+				backwardNaive(wantGrads, c.dOut, feats, dim)
 
-			for _, workers := range []int{1, 2, 8} {
-				di := NewDotInteraction(f-1, dim)
-				di.Workers = workers
-				// Two rounds: the second runs on warm, reused scratch.
-				for round := 0; round < 2; round++ {
-					label := fmt.Sprintf("F=%d dim=%d workers=%d round=%d", f, dim, workers, round)
-					out := di.Forward(c.dense, c.sparse)
-					requireBitwise(t, out.Data, wantOut.Data, label+" out")
-					dDense, dSparse := di.Backward(c.dOut)
-					requireBitwise(t, dDense.Data, wantGrads[0], label+" dDense")
-					for k, g := range dSparse {
-						requireBitwise(t, g.Data, wantGrads[k+1], fmt.Sprintf("%s dSparse[%d]", label, k))
+				for _, workers := range []int{1, 2, 8} {
+					di := NewDotInteraction(f-1, dim)
+					di.Workers = workers
+					// Two rounds: the second runs on warm, reused scratch.
+					for round := 0; round < 2; round++ {
+						label := fmt.Sprintf("F=%d dim=%d poisoned=%v workers=%d round=%d", f, dim, poisoned, workers, round)
+						out := di.Forward(c.dense, c.sparse)
+						requireBitwise(t, out.Data, wantOut.Data, label+" out")
+						dDense, dSparse := di.Backward(c.dOut)
+						requireBitwise(t, dDense.Data, wantGrads[0], label+" dDense")
+						for k, g := range dSparse {
+							requireBitwise(t, g.Data, wantGrads[k+1], fmt.Sprintf("%s dSparse[%d]", label, k))
+						}
 					}
 				}
 			}
@@ -169,6 +222,7 @@ func benchInteraction(b *testing.B, backward bool) {
 	di := NewDotInteraction(f-1, dim)
 	di.Workers = 1
 	di.Forward(c.dense, c.sparse)
+	di.Backward(c.dOut) // grows the gradient matrices outside the timed loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

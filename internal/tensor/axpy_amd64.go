@@ -9,4 +9,4 @@ package tensor
 func axpy1(d, b []float32, a float32)
 
 //go:noescape
-func axpy4Rows(d0, d1, d2, d3, b []float32, stride int, c0, c1, c2, c3 []float32)
+func axpy4Rows(d0, d1, d2, d3, b []float32, stride int, c0, c1, c2, c3 []float32, skip bool)

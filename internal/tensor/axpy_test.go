@@ -75,11 +75,11 @@ func TestAxpyMatchesGo(t *testing.T) {
 				bufs[r], got[r] = canaried(src[r], (off+r)%4, n)
 			}
 
-			axpy4RowsGo(want[0], want[1], want[2], want[3], b, 0, coef[0:1], coef[1:2], coef[2:3], coef[3:4])
-			axpy4(got[0], got[1], got[2], got[3], b, coef[0], coef[1], coef[2], coef[3])
+			axpy4RowsGo(want[0], want[1], want[2], want[3], b, 0, coef[0:1], coef[1:2], coef[2:3], coef[3:4], false)
+			axpy4Rows(got[0], got[1], got[2], got[3], b, 0, coef[0:1], coef[1:2], coef[2:3], coef[3:4], false)
 			for r := range got {
-				requireSameBits(t, got[r], want[r], fmt.Sprintf("axpy4 %s row %d", label, r))
-				requireCanaries(t, bufs[r], (off+r)%4, n, fmt.Sprintf("axpy4 %s row %d", label, r))
+				requireSameBits(t, got[r], want[r], fmt.Sprintf("axpy4Rows %s row %d", label, r))
+				requireCanaries(t, bufs[r], (off+r)%4, n, fmt.Sprintf("axpy4Rows %s row %d", label, r))
 			}
 
 			want1 := append([]float32(nil), src[0]...)
@@ -92,31 +92,44 @@ func TestAxpyMatchesGo(t *testing.T) {
 	}
 }
 
-// TestAxpy4RowsMatchesGo holds the term loop of Axpy4Rows to the same oracle:
-// k terms through the primitive must leave what k calls of the pure-Go
-// four-row loop leave, for every row length and tail, with source rows both
-// packed (stride = n) and spaced out.
+// TestAxpy4RowsMatchesGo holds the term loop of Axpy4Rows and Axpy4Skip to
+// the same oracle: k terms through the primitive must leave what the pure-Go
+// four-row loop leaves, for every row length and tail, with source rows both
+// packed (stride = n) and spaced out. Half the coefficients are zeros of
+// either sign, so the skip meets terms with no, some and only zero rows.
 func TestAxpy4RowsMatchesGo(t *testing.T) {
 	rng := NewRNG(8)
+	zeros := []float32{0, float32(math.Copysign(0, -1))}
 	for n := 0; n <= 35; n++ {
-		for _, k := range []int{0, 1, 2, 7} {
+		for _, k := range []int{0, 1, 2, 7, 16} {
 			for _, gap := range []int{0, 3} {
-				label := fmt.Sprintf("n=%d k=%d stride=%d", n, k, n+gap)
-				off := (n + k) % 4
-				stride := n + gap
-				_, b := canaried(axpyValues(rng, k*stride), off, k*stride)
-				var c, want, bufs, got [4][]float32
-				for r := range c {
-					c[r] = axpyValues(rng, k)
-					src := axpyValues(rng, n)
-					want[r] = append([]float32(nil), src...)
-					bufs[r], got[r] = canaried(src, (off+r)%4, n)
-				}
-				axpy4RowsGo(want[0], want[1], want[2], want[3], b, stride, c[0], c[1], c[2], c[3])
-				Axpy4Rows(c[0], c[1], c[2], c[3], b, stride, got[0], got[1], got[2], got[3])
-				for r := range got {
-					requireSameBits(t, got[r], want[r], fmt.Sprintf("Axpy4Rows %s row %d", label, r))
-					requireCanaries(t, bufs[r], (off+r)%4, n, fmt.Sprintf("Axpy4Rows %s row %d", label, r))
+				for _, skip := range []bool{false, true} {
+					label := fmt.Sprintf("n=%d k=%d stride=%d skip=%v", n, k, n+gap, skip)
+					off := (n + k) % 4
+					stride := n + gap
+					_, b := canaried(axpyValues(rng, k*stride), off, k*stride)
+					var c, want, bufs, got [4][]float32
+					for r := range c {
+						c[r] = axpyValues(rng, k)
+						for p := range c[r] {
+							if rng.Intn(2) == 0 {
+								c[r][p] = zeros[rng.Intn(2)]
+							}
+						}
+						src := axpyValues(rng, n)
+						want[r] = append([]float32(nil), src...)
+						bufs[r], got[r] = canaried(src, (off+r)%4, n)
+					}
+					axpy4RowsGo(want[0], want[1], want[2], want[3], b, stride, c[0], c[1], c[2], c[3], skip)
+					if skip {
+						Axpy4Skip(c[0], c[1], c[2], c[3], b, stride, got[0], got[1], got[2], got[3])
+					} else {
+						Axpy4Rows(c[0], c[1], c[2], c[3], b, stride, got[0], got[1], got[2], got[3])
+					}
+					for r := range got {
+						requireSameBits(t, got[r], want[r], fmt.Sprintf("%s row %d", label, r))
+						requireCanaries(t, bufs[r], (off+r)%4, n, fmt.Sprintf("%s row %d", label, r))
+					}
 				}
 			}
 		}
@@ -146,7 +159,7 @@ func TestAxpy4SkipLeavesZeroRows(t *testing.T) {
 				axpy1Go(want[r], x, coef[r])
 			}
 		}
-		Axpy4Skip(coef[0], coef[1], coef[2], coef[3], x, got[0], got[1], got[2], got[3])
+		Axpy4Skip(coef[0:1], coef[1:2], coef[2:3], coef[3:4], x, 0, got[0], got[1], got[2], got[3])
 		for r := range got {
 			requireSameBits(t, got[r], want[r], fmt.Sprintf("pattern %04b row %d", pattern, r))
 		}
@@ -179,7 +192,8 @@ func TestAxpyShortDestinationPanics(t *testing.T) {
 			}
 			bufs[r], d[r] = canaried(make([]float32, ln), 1, ln)
 		}
-		mustPanic(fmt.Sprintf("Axpy4Skip short row %d", short), func() { Axpy4Skip(1, 1, 1, 1, b, d[0], d[1], d[2], d[3]) })
+		one := []float32{1}
+		mustPanic(fmt.Sprintf("Axpy4Skip short row %d", short), func() { Axpy4Skip(one, one, one, one, b, 0, d[0], d[1], d[2], d[3]) })
 		for r := range d {
 			for _, v := range d[r] {
 				if v != 0 {

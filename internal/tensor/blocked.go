@@ -5,8 +5,8 @@ package tensor
 // accumulated as dst[i][:] += A[i][p]*b[p][:] for ascending p — and their
 // inner loops are the package's vector primitive (Axpy / Axpy4Skip /
 // Axpy4Rows, see axpy.go): SSE2 on amd64, plain Go elsewhere. MatMul and MatMulTransA,
-// which skip zero terms, share saxpyRows; MatMulTransB, which never skips,
-// hands whole tiles to Axpy4Rows.
+// which skip zero terms, share saxpyRows and hand Axpy4Skip one term per
+// call; MatMulTransB, which never skips, hands whole tiles to Axpy4Rows.
 //
 // The vector lanes, the four-row tile and the row spans of the parallel
 // entry points all cut across *different* output elements. Every single
@@ -117,11 +117,11 @@ func saxpyRows(dst *Matrix, ad []float32, rs, ps, k int, b *Matrix, lo, hi int) 
 		d3 := dst.Data[(i+3)*n : (i+4)*n]
 		a0, a1, a2, a3 := ad[(i+0)*rs:], ad[(i+1)*rs:], ad[(i+2)*rs:], ad[(i+3)*rs:]
 		for p := 0; p < k; p++ {
-			av0, av1, av2, av3 := a0[p*ps], a1[p*ps], a2[p*ps], a3[p*ps]
-			if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
+			av := [mrMatMul]float32{a0[p*ps], a1[p*ps], a2[p*ps], a3[p*ps]}
+			if av[0] == 0 && av[1] == 0 && av[2] == 0 && av[3] == 0 {
 				continue
 			}
-			Axpy4Skip(av0, av1, av2, av3, b.Data[p*n:(p+1)*n], d0, d1, d2, d3)
+			Axpy4Skip(av[0:1], av[1:2], av[2:3], av[3:4], b.Data[p*n:(p+1)*n], 0, d0, d1, d2, d3)
 		}
 	}
 	for ; i < hi; i++ {

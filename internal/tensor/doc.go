@@ -3,8 +3,9 @@
 // transposed forms used by backpropagation), and elementwise vector helpers.
 //
 // All of the dense math sits on one vector primitive, d[j] += a*b[j] over
-// one destination row, four rows, or four rows through a run of terms (Axpy,
-// Axpy4Skip, Axpy4Rows; axpy.go). On amd64 its body is SSE2 assembly
+// one destination row, or four rows through a run of terms that either adds
+// every term or skips zero coefficients (Axpy, Axpy4Rows, Axpy4Skip;
+// axpy.go). On amd64 its body is SSE2 assembly
 // (axpy_amd64.s — baseline amd64, so nothing is detected or selected at run
 // time); everywhere else it is the equivalent Go loop, which is also the
 // oracle the assembly is tested against. The three matrix products are
