@@ -188,10 +188,14 @@ func BenchmarkAblation_VariableAllToAll(b *testing.B) {
 			}
 		}
 	}
+	paddedTotals := make([]int64, ranks)
+	for i := range paddedTotals {
+		paddedTotals[i] = maxPair * int64(ranks-1)
+	}
 	var variable, padded float64
 	for i := 0; i < b.N; i++ {
 		v := net.AllToAllTime(ranks, totals) + net.MetadataTime(ranks, 8)
-		p := net.UniformAllToAllTime(ranks, maxPair*int64(ranks-1))
+		p := net.AllToAllTime(ranks, paddedTotals)
 		variable = v.Seconds()
 		padded = p.Seconds()
 	}

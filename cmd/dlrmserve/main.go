@@ -144,10 +144,7 @@ func main() {
 	}
 	hits := st.Hits - warm.Hits
 	misses := st.Misses - warm.Misses
-	hitRate := 0.0
-	if hits+misses > 0 {
-		hitRate = float64(hits) / float64(hits+misses)
-	}
+	hitRate := serve.Stats{Hits: hits, Misses: misses}.HitRate()
 
 	fmt.Printf("\nserved %d requests in %v (%d shed)\n", served, elapsed.Round(time.Millisecond), shed.Load())
 	fmt.Printf("qps        %.0f\n", float64(served)/elapsed.Seconds())

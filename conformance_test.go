@@ -14,8 +14,8 @@ import (
 	"dlrmcomp"
 	"dlrmcomp/internal/codec"
 	"dlrmcomp/internal/cuszlike"
-	"dlrmcomp/internal/quant"
 	"dlrmcomp/internal/tensor"
+	"dlrmcomp/internal/testutil"
 )
 
 // baselineCodecs returns the seven comparator codecs with a mid-range error
@@ -63,7 +63,7 @@ func TestConformanceRoundTrip(t *testing.T) {
 		for _, sh := range shapes {
 			src := make([]float32, sh.rows*sh.dim)
 			rng.FillNormal(src, 0, 0.3)
-			recon, _, err := codec.RoundTrip(c, src, sh.dim)
+			recon, _, err := testutil.RoundTrip(c, src, sh.dim)
 			if err != nil {
 				t.Fatalf("%s %dx%d: %v", c.Name(), sh.rows, sh.dim, err)
 			}
@@ -103,7 +103,7 @@ func TestConformanceBufferedPath(t *testing.T) {
 		if !bytes.Equal(frame[len(prefix):], ref) {
 			t.Fatalf("%s: frame appended behind a prefix differs from a fresh one", c.Name())
 		}
-		want, _, err := codec.RoundTrip(c, src, 16)
+		want, _, err := testutil.RoundTrip(c, src, 16)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
@@ -250,11 +250,11 @@ func TestConformanceErrorBounded(t *testing.T) {
 			if eb.ErrorBound() != bound {
 				t.Fatalf("%s: SetErrorBound did not stick", c.Name())
 			}
-			recon, _, err := codec.RoundTrip(c, src, 16)
+			recon, _, err := testutil.RoundTrip(c, src, 16)
 			if err != nil {
 				t.Fatalf("%s eb %v: %v", c.Name(), bound, err)
 			}
-			if e := quant.MaxError(src, recon); e > bound+1e-5 {
+			if e := testutil.MaxError(src, recon); e > bound+1e-5 {
 				t.Fatalf("%s: bound %v violated: %v", c.Name(), bound, e)
 			}
 		}

@@ -136,12 +136,6 @@ type EBConfig struct {
 // PaperEBConfig returns the configuration the paper selects.
 func PaperEBConfig() EBConfig { return EBConfig{Large: 0.05, Medium: 0.03, Small: 0.01} }
 
-// FromGlobal derives the config as Algorithm 1 does: Large = global·alpha,
-// Small = global/beta, Medium = global.
-func FromGlobal(global, alpha, beta float32) EBConfig {
-	return EBConfig{Large: global * alpha, Medium: global, Small: global / beta}
-}
-
 // For returns the bound for a class.
 func (c EBConfig) For(class Class) float32 {
 	switch class {

@@ -101,10 +101,6 @@ func TestEBConfig(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	g := FromGlobal(0.03, 2, 3)
-	if g.Large != 0.06 || g.Medium != 0.03 || g.Small != 0.01 {
-		t.Fatalf("FromGlobal wrong: %+v", g)
-	}
 	bad := EBConfig{Large: 0.01, Medium: 0.03, Small: 0.05}
 	if bad.Validate() == nil {
 		t.Fatal("inverted config should fail")

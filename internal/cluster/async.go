@@ -80,9 +80,6 @@ func (p *PendingAllToAll) Await() ([][]byte, error) {
 // schedulers read it from rank 0 and see a zero LinkCost elsewhere.
 func (p *PendingAllToAll) Cost() netmodel.LinkCost { return p.cost }
 
-// Awaited reports whether Await has been called on this handle.
-func (p *PendingAllToAll) Awaited() bool { return p.awaited }
-
 // PendingAllReduce is an in-flight nonblocking allreduce issued by one
 // rank. The reduction is already applied to the caller's slice (delivery is
 // eager); Await charges the collective's simulated cost on first call.
@@ -123,6 +120,3 @@ func (p *PendingAllReduce) Await() error {
 // Cost reports the allreduce's simulated duration (rank 0's handle only;
 // zero elsewhere).
 func (p *PendingAllReduce) Cost() time.Duration { return p.cost }
-
-// Awaited reports whether Await has been called on this handle.
-func (p *PendingAllReduce) Awaited() bool { return p.awaited }

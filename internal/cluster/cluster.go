@@ -308,33 +308,8 @@ type Rank struct {
 	scr *rankScratch
 }
 
-// N returns the cluster size.
-func (r *Rank) N() int { return r.c.N }
-
-// Node returns the node housing this rank under the cluster's topology.
-func (r *Rank) Node() int { return r.c.nodeOf[r.ID] }
-
 // Barrier blocks until every rank reaches it.
 func (r *Rank) Barrier() error { return r.tr.Barrier() }
-
-// AllToAll exchanges one buffer per peer with the direct algorithm: send[j]
-// goes to rank j, and the result's entry i holds the buffer rank i sent
-// here. send[r.ID] is delivered locally. If variable is true the simulated
-// cost includes the metadata exchange of the paper's stage ② (required
-// because compressed sizes differ per pair); fixed-size exchanges (the
-// uncompressed baseline) skip it.
-func (r *Rank) AllToAll(send [][]byte, variable bool, label string) ([][]byte, error) {
-	return r.AllToAllV(send, variable, label, A2ADirect)
-}
-
-// AllToAllV is AllToAll with an explicit algorithm choice. Every rank of a
-// collective must pass the same algo (as with any collective's arguments).
-// The two algorithms deliver bit-identical payloads; they differ in the
-// route cross-node payloads take and therefore in the simulated cost and
-// its intra/inter attribution.
-func (r *Rank) AllToAllV(send [][]byte, variable bool, label string, algo A2AAlgo) ([][]byte, error) {
-	return r.IAllToAllV(send, variable, label, algo).Await()
-}
 
 // postSizeRow publishes this rank's payload-size row for rank 0's cost
 // accounting: rank 0 fills its own matrix row in place, everyone else
@@ -430,12 +405,6 @@ func (r *Rank) direct(send [][]byte, variable bool) ([][]byte, netmodel.LinkCost
 		return nil, cost, err
 	}
 	return recv, cost, nil
-}
-
-// AllReduceSum sums x elementwise across ranks; every rank's x holds the
-// global sum on return.
-func (r *Rank) AllReduceSum(x []float32, label string) error {
-	return r.IAllReduceSum(x, label).Await()
 }
 
 // reduce runs the data movement of one allreduce (x holds the global sum on

@@ -37,7 +37,7 @@ func TestChaosMidCollectiveKill(t *testing.T) {
 						for i := range send {
 							send[i] = []byte{byte(r), byte(i)}
 						}
-						_, err := rk.AllToAll(send, false, "warm")
+						_, err := rk.IAllToAllV(send, false, "warm", cluster.A2ADirect).Await()
 						warm <- err
 					})
 				}(r)
@@ -61,7 +61,7 @@ func TestChaosMidCollectiveKill(t *testing.T) {
 						for i := range send {
 							send[i] = []byte{byte(r), byte(i), 2}
 						}
-						_, err := rk.AllToAll(send, false, "chaos")
+						_, err := rk.IAllToAllV(send, false, "chaos", cluster.A2ADirect).Await()
 						done <- err
 					})
 				}(r)

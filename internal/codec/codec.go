@@ -1,7 +1,5 @@
 package codec
 
-import "fmt"
-
 // Codec compresses batches of embedding vectors (row-major float32 with a
 // fixed row length dim) into self-contained frames. The caller owns both
 // buffers: compression appends to its send buffer, decompression fills a
@@ -44,22 +42,4 @@ func Ratio(n int, frame []byte) float64 {
 		return 0
 	}
 	return float64(n*4) / float64(len(frame))
-}
-
-// RoundTrip compresses and immediately decompresses src, returning the
-// reconstruction and the achieved ratio. Used by offline analysis.
-func RoundTrip(c Codec, src []float32, dim int) (recon []float32, ratio float64, err error) {
-	frame, err := c.CompressAppend(nil, src, dim)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%s: compress: %w", c.Name(), err)
-	}
-	recon = make([]float32, len(src))
-	gotDim, err := c.DecompressInto(recon, frame)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%s: decompress: %w", c.Name(), err)
-	}
-	if gotDim != dim {
-		return nil, 0, fmt.Errorf("%s: round trip dim %d != %d", c.Name(), gotDim, dim)
-	}
-	return recon, Ratio(len(src), frame), nil
 }

@@ -18,8 +18,7 @@
 // one path: every codec implements the pair, nothing type-asserts for a
 // faster one, and instances are safe to share across rank goroutines.
 // ErrorBounded is a Codec with a tunable absolute error bound, the hook the
-// adaptive Controller drives per table per iteration. RoundTrip is the one
-// generic helper (it knows len(src), so it can size the destination); the
-// hybrid codec alone keeps allocating Compress/Decompress wrappers, on its
-// concrete type, for the facade quick start.
+// adaptive Controller drives per table per iteration. The hybrid codec
+// alone keeps allocating Compress/Decompress wrappers, on its concrete
+// type, for the facade quick start.
 package codec

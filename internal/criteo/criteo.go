@@ -163,14 +163,3 @@ func (g *Generator) NextBatch(n int) *Batch {
 	}
 	return b
 }
-
-// BaseCTR estimates the positive rate of the generator's label distribution
-// from m samples (diagnostic helper).
-func (g *Generator) BaseCTR(m int) float64 {
-	b := g.NextBatch(m)
-	var s float64
-	for _, y := range b.Labels {
-		s += float64(y)
-	}
-	return s / float64(m)
-}

@@ -137,7 +137,10 @@ func TestGeneratorDeterminism(t *testing.T) {
 
 func TestGeneratorCTRReasonable(t *testing.T) {
 	g := NewGenerator(ScaledSpec(TerabyteSpec(), 10000))
-	ctr := g.BaseCTR(5000)
+	var ctr float64
+	for _, y := range g.NextBatch(5000).Labels {
+		ctr += float64(y) / 5000
+	}
 	if ctr < 0.1 || ctr > 0.6 {
 		t.Fatalf("base CTR %v outside plausible click-log range", ctr)
 	}

@@ -5,9 +5,9 @@ import (
 	"math"
 	"testing"
 
-	"dlrmcomp/internal/codec"
 	"dlrmcomp/internal/quant"
 	"dlrmcomp/internal/tensor"
+	"dlrmcomp/internal/testutil"
 )
 
 func TestRoundTripErrorBound(t *testing.T) {
@@ -17,11 +17,11 @@ func TestRoundTripErrorBound(t *testing.T) {
 	for _, pred := range []Predictor{Lorenzo1D, Lorenzo2D} {
 		for _, eb := range []float32{0.001, 0.01, 0.1} {
 			c := New(eb, pred)
-			recon, _, err := codec.RoundTrip(c, src, 32)
+			recon, _, err := testutil.RoundTrip(c, src, 32)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e := quant.MaxError(src, recon); e > eb+1e-5 {
+			if e := testutil.MaxError(src, recon); e > eb+1e-5 {
 				t.Fatalf("pred %d eb %v: max error %v", pred, eb, e)
 			}
 		}
@@ -36,7 +36,7 @@ func TestSmoothDataCompressesWell(t *testing.T) {
 		src[i] = float32(math.Sin(float64(i) * 0.01))
 	}
 	c := New(0.001, Lorenzo1D)
-	_, ratio, err := codec.RoundTrip(c, src, 64)
+	_, ratio, err := testutil.RoundTrip(c, src, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,7 @@ type Options struct {
 // all-to-all delivers, via ForwardFromLookups/Backward.
 type replica struct {
 	m   *model.DLRM
-	opt nn.Optimizer
+	opt *nn.SGD
 }
 
 // Trainer runs hybrid-parallel DLRM training on a simulated cluster.

@@ -156,6 +156,14 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
+// shardBounds is the allocating form of shardBoundsInto.
+func shardBounds(n, ranks int) (start, count []int) {
+	start = make([]int, ranks)
+	count = make([]int, ranks)
+	shardBoundsInto(n, start, count)
+	return start, count
+}
+
 func TestShardBounds(t *testing.T) {
 	start, count := shardBounds(10, 4)
 	wantStart, wantCount := []int{0, 3, 6, 8}, []int{3, 3, 2, 2}

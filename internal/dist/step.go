@@ -31,14 +31,6 @@ func shardBoundsInto(n int, start, count []int) {
 	}
 }
 
-// shardBounds is the allocating form of shardBoundsInto.
-func shardBounds(n, ranks int) (start, count []int) {
-	start = make([]int, ranks)
-	count = make([]int, ranks)
-	shardBoundsInto(n, start, count)
-	return start, count
-}
-
 // stepFlops models one rank's MLP forward+backward FLOPs for a shard of the
 // given size: samples × the per-sample MAC total computed once in
 // NewTrainer (each MAC costs 2 FLOPs forward and 4 backward, including the

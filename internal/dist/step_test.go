@@ -218,6 +218,14 @@ func TestSharedCodecWithControllerRejected(t *testing.T) {
 	}
 }
 
+// appendFrame appends one table frame to dst and returns the grown buffer.
+func appendFrame(dst []byte, table int, enc byte, payload []byte) []byte {
+	dst, off := appendFrameHeader(dst, table, enc)
+	dst = append(dst, payload...)
+	patchFrameLen(dst, off)
+	return dst
+}
+
 // TestWireRoundTrip exercises the fused frame format directly.
 func TestWireRoundTrip(t *testing.T) {
 	vals := []float32{1.5, -2.25, 0, 3e-7}

@@ -23,16 +23,6 @@ const (
 	frameHeaderBytes = 9
 )
 
-// appendFrame appends one table frame to dst and returns the grown buffer.
-func appendFrame(dst []byte, table int, enc byte, payload []byte) []byte {
-	var hdr [frameHeaderBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(table))
-	hdr[4] = enc
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
-
 // appendFrameHeader reserves a frame header at the end of dst, returning the
 // grown buffer and the header's offset. The payload length is unknown until
 // the payload is appended; patchFrameLen fills it in. This is how the
@@ -53,7 +43,8 @@ func patchFrameLen(dst []byte, off int) {
 
 // appendFrameFloats appends a raw-encoded frame holding vals, serializing
 // the floats straight into dst (the zero-allocation twin of
-// appendFrame(dst, table, encRaw, floatsToBytes(vals))): one grow, then
+// appendFrameHeader(dst, table, encRaw), appending floatsToBytes(vals) and
+// patchFrameLen): one grow, then
 // stores over every new byte, so nothing is cleared first. The floats go
 // through a four-byte cursor, which runs 1.3-1.4x faster than indexing
 // dst[o+4*i:] on 16 KB tables.

@@ -11,8 +11,9 @@
 // move through HBM is what internal/dist charges to the "lookup" sim-time
 // bucket (via netmodel.Device.LookupTime).
 //
-// Key types: Table (NewTable/Lookup/ApplySGD; rows are float32, updates
-// are scaled sparse SGD with duplicate-index accumulation in batch order),
+// Key types: Table (NewTableWithInitScale/Lookup/ApplySGD; rows are
+// float32, updates are scaled sparse SGD with duplicate-index accumulation
+// in batch order),
 // SparseGrad (indices + gradient rows for one table's scatter), and Group
 // (the per-model collection with one Table per categorical feature).
 package embedding

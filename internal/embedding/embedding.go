@@ -13,26 +13,17 @@ type Table struct {
 	NumRows int
 	Dim     int
 	Weights *tensor.Matrix // [NumRows, Dim]
-
-	// adagrad per-row accumulated squared gradient norms (DLRM-style
-	// row-wise Adagrad); lazily allocated on first sparse update.
-	adagradAcc []float32
-}
-
-// NewTable allocates a table with uniform(-1/sqrt(n), 1/sqrt(n))
-// initialization, the scheme the open-source DLRM reference uses (scaled by
-// table cardinality so hot small tables don't dominate the interaction
-// logits).
-func NewTable(id, numRows, dim int, rng *tensor.RNG) *Table {
-	return NewTableWithInitScale(id, numRows, dim, numRows, rng)
 }
 
 // NewTableWithInitScale allocates a table holding numRows rows but
-// initialized with the value range of a table of initRows rows
-// (uniform ±1/sqrt(initRows)). Scaled-down experiment datasets use this to
-// preserve the full-scale value statistics — in particular the vector
-// homogenization behaviour, which depends on the init range relative to the
-// quantization error bound — while storing far fewer rows.
+// initialized with the value range of a table of initRows rows:
+// uniform(-1/sqrt(initRows), 1/sqrt(initRows)), the open-source DLRM
+// reference's scheme (scaled by table cardinality so hot small tables don't
+// dominate the interaction logits) at initRows = numRows. Scaled-down
+// experiment datasets use this to preserve the full-scale value statistics
+// — in particular the vector homogenization behaviour, which depends on the
+// init range relative to the quantization error bound — while storing far
+// fewer rows.
 func NewTableWithInitScale(id, numRows, dim, initRows int, rng *tensor.RNG) *Table {
 	if numRows <= 0 || dim <= 0 || initRows <= 0 {
 		panic(fmt.Sprintf("embedding: invalid table shape %dx%d (init %d)", numRows, dim, initRows))
@@ -111,42 +102,9 @@ func (t *Table) ApplySGD(sg SparseGrad, lr float32) {
 	}
 }
 
-// ApplyAdagrad scatters the sparse gradient with DLRM-style row-wise
-// Adagrad: each row keeps one accumulator fed by the mean squared gradient
-// of that row's update.
-func (t *Table) ApplyAdagrad(sg SparseGrad, lr float32) {
-	if sg.Grad.Rows != len(sg.Indices) || sg.Grad.Cols != t.Dim {
-		panic("embedding: ApplyAdagrad shape mismatch")
-	}
-	if t.adagradAcc == nil {
-		t.adagradAcc = make([]float32, t.NumRows)
-	}
-	for i, idx := range sg.Indices {
-		g := sg.Grad.Row(i)
-		var sq float64
-		for _, gv := range g {
-			sq += float64(gv) * float64(gv)
-		}
-		t.adagradAcc[idx] += float32(sq / float64(t.Dim))
-		scale := lr / (float32(math.Sqrt(float64(t.adagradAcc[idx]))) + 1e-8)
-		row := t.Weights.Row(int(idx))
-		for j, gv := range g {
-			row[j] -= scale * gv
-		}
-	}
-}
-
-// SizeBytes returns the table's weight storage footprint.
-func (t *Table) SizeBytes() int64 { return int64(t.NumRows) * int64(t.Dim) * 4 }
-
 // Group is an ordered set of embedding tables (one per categorical feature).
 type Group struct {
 	Tables []*Table
-}
-
-// NewGroup builds one table per cardinality with a shared embedding dim.
-func NewGroup(cardinalities []int, dim int, rng *tensor.RNG) *Group {
-	return NewGroupWithInit(cardinalities, nil, dim, rng)
 }
 
 // NewGroupWithInit builds tables whose init range follows initCardinalities
@@ -174,13 +132,4 @@ func (g *Group) LookupAll(indices [][]int32) []*tensor.Matrix {
 		out[ti] = t.Lookup(indices[ti])
 	}
 	return out
-}
-
-// TotalBytes returns the summed weight footprint of all tables.
-func (g *Group) TotalBytes() int64 {
-	var n int64
-	for _, t := range g.Tables {
-		n += t.SizeBytes()
-	}
-	return n
 }

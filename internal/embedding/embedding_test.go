@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"dlrmcomp/internal/tensor"
+	"dlrmcomp/internal/testutil"
 )
 
 func TestLookupGathersRows(t *testing.T) {
 	rng := tensor.NewRNG(1)
-	tab := NewTable(0, 10, 4, rng)
+	tab := NewTableWithInitScale(0, 10, 4, 10, rng)
 	idx := []int32{3, 3, 7, 0}
 	out := tab.Lookup(idx)
 	if out.Rows != 4 || out.Cols != 4 {
@@ -32,7 +33,7 @@ func TestLookupGathersRows(t *testing.T) {
 
 func TestLookupOutOfRangePanics(t *testing.T) {
 	rng := tensor.NewRNG(2)
-	tab := NewTable(0, 5, 2, rng)
+	tab := NewTableWithInitScale(0, 5, 2, 5, rng)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for out-of-range index")
@@ -43,9 +44,9 @@ func TestLookupOutOfRangePanics(t *testing.T) {
 
 func TestApplySGD(t *testing.T) {
 	rng := tensor.NewRNG(3)
-	tab := NewTable(0, 4, 2, rng)
+	tab := NewTableWithInitScale(0, 4, 2, 4, rng)
 	before := tab.Weights.Clone()
-	grad := tensor.FromSlice(2, 2, []float32{1, 2, 3, 4})
+	grad := testutil.FromSlice(2, 2, []float32{1, 2, 3, 4})
 	tab.ApplySGD(SparseGrad{Indices: []int32{1, 3}, Grad: grad}, 0.1)
 	wantRow1 := []float32{before.At(1, 0) - 0.1, before.At(1, 1) - 0.2}
 	wantRow3 := []float32{before.At(3, 0) - 0.3, before.At(3, 1) - 0.4}
@@ -67,9 +68,9 @@ func TestApplySGD(t *testing.T) {
 
 func TestApplySGDDuplicateIndicesAccumulate(t *testing.T) {
 	rng := tensor.NewRNG(4)
-	tab := NewTable(0, 2, 1, rng)
+	tab := NewTableWithInitScale(0, 2, 1, 2, rng)
 	w0 := tab.Weights.At(0, 0)
-	grad := tensor.FromSlice(2, 1, []float32{1, 1})
+	grad := testutil.FromSlice(2, 1, []float32{1, 1})
 	tab.ApplySGD(SparseGrad{Indices: []int32{0, 0}, Grad: grad}, 0.5)
 	want := w0 - 0.5 - 0.5
 	if math.Abs(float64(tab.Weights.At(0, 0)-want)) > 1e-6 {
@@ -77,24 +78,9 @@ func TestApplySGDDuplicateIndicesAccumulate(t *testing.T) {
 	}
 }
 
-func TestApplyAdagradShrinksSteps(t *testing.T) {
-	rng := tensor.NewRNG(5)
-	tab := NewTable(0, 1, 1, rng)
-	g := tensor.FromSlice(1, 1, []float32{1})
-	w0 := tab.Weights.At(0, 0)
-	tab.ApplyAdagrad(SparseGrad{Indices: []int32{0}, Grad: g}, 0.1)
-	step1 := w0 - tab.Weights.At(0, 0)
-	w1 := tab.Weights.At(0, 0)
-	tab.ApplyAdagrad(SparseGrad{Indices: []int32{0}, Grad: g}, 0.1)
-	step2 := w1 - tab.Weights.At(0, 0)
-	if step2 >= step1 {
-		t.Fatalf("Adagrad step should shrink: %v then %v", step1, step2)
-	}
-}
-
 func TestGroupLookupAll(t *testing.T) {
 	rng := tensor.NewRNG(6)
-	g := NewGroup([]int{10, 20, 30}, 8, rng)
+	g := NewGroupWithInit([]int{10, 20, 30}, nil, 8, rng)
 	if len(g.Tables) != 3 {
 		t.Fatalf("group size %d", len(g.Tables))
 	}
@@ -110,26 +96,14 @@ func TestGroupLookupAll(t *testing.T) {
 	}
 }
 
-func TestSizeBytes(t *testing.T) {
-	rng := tensor.NewRNG(7)
-	tab := NewTable(0, 100, 32, rng)
-	if tab.SizeBytes() != 100*32*4 {
-		t.Fatalf("SizeBytes = %d", tab.SizeBytes())
-	}
-	g := NewGroup([]int{10, 20}, 4, rng)
-	if g.TotalBytes() != (10+20)*4*4 {
-		t.Fatalf("TotalBytes = %d", g.TotalBytes())
-	}
-}
-
 func TestInitScalesWithCardinality(t *testing.T) {
 	rng := tensor.NewRNG(8)
-	small := NewTable(0, 4, 16, rng)
-	large := NewTable(1, 1<<20, 16, rng)
-	if tensor.MaxAbs(small.Weights.Data) <= tensor.MaxAbs(large.Weights.Data) {
+	small := NewTableWithInitScale(0, 4, 16, 4, rng)
+	large := NewTableWithInitScale(1, 1<<20, 16, 1<<20, rng)
+	if testutil.MaxAbs(small.Weights.Data) <= testutil.MaxAbs(large.Weights.Data) {
 		t.Fatal("larger tables should have smaller init range")
 	}
-	if tensor.MaxAbs(small.Weights.Data) > 0.5 {
+	if testutil.MaxAbs(small.Weights.Data) > 0.5 {
 		t.Fatal("init out of expected range")
 	}
 }

@@ -208,13 +208,3 @@ func table(header []string, rows [][]string) string {
 	}
 	return sb.String()
 }
-
-// sortedCopy returns indices 0..n-1 ordered by less.
-func sortedCopy(n int, less func(i, j int) bool) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
-	return idx
-}

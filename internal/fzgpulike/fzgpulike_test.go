@@ -4,9 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"dlrmcomp/internal/codec"
-	"dlrmcomp/internal/quant"
 	"dlrmcomp/internal/tensor"
+	"dlrmcomp/internal/testutil"
 )
 
 func TestBitshuffleRoundTrip(t *testing.T) {
@@ -83,11 +82,11 @@ func TestRoundTripErrorBound(t *testing.T) {
 	rng.FillNormal(src, 0, 0.3)
 	for _, eb := range []float32{0.001, 0.01, 0.1} {
 		c := New(eb)
-		recon, _, err := codec.RoundTrip(c, src, 64)
+		recon, _, err := testutil.RoundTrip(c, src, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e := quant.MaxError(src, recon); e > eb+1e-5 {
+		if e := testutil.MaxError(src, recon); e > eb+1e-5 {
 			t.Fatalf("eb %v violated: %v", eb, e)
 		}
 	}
@@ -99,7 +98,7 @@ func TestCompressesSmallCodes(t *testing.T) {
 	src := make([]float32, 8192)
 	rng.FillNormal(src, 0, 0.02)
 	c := New(0.01)
-	_, ratio, err := codec.RoundTrip(c, src, 64)
+	_, ratio, err := testutil.RoundTrip(c, src, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +114,7 @@ func TestLowerRatioThanEntropyOnGaussian(t *testing.T) {
 	src := make([]float32, 8192)
 	rng.FillNormal(src, 0, 1)
 	c := New(0.01)
-	_, ratio, err := codec.RoundTrip(c, src, 64)
+	_, ratio, err := testutil.RoundTrip(c, src, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

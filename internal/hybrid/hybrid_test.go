@@ -7,8 +7,8 @@ import (
 	"testing/quick"
 
 	"dlrmcomp/internal/codec"
-	"dlrmcomp/internal/quant"
 	"dlrmcomp/internal/tensor"
+	"dlrmcomp/internal/testutil"
 )
 
 // hotKeyBatch builds a batch like embedding lookups under Zipf queries:
@@ -35,11 +35,11 @@ func TestRoundTripAllModes(t *testing.T) {
 	src := hotKeyBatch(rng, 256, 16, 32, 0.5)
 	for _, mode := range []Mode{Auto, VectorLZ, Entropy} {
 		c := New(0.01, mode)
-		recon, ratio, err := codec.RoundTrip(c, src, 16)
+		recon, ratio, err := testutil.RoundTrip(c, src, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e := quant.MaxError(src, recon); e > 0.01+1e-5 {
+		if e := testutil.MaxError(src, recon); e > 0.01+1e-5 {
 			t.Fatalf("mode %v: error bound violated: %v", mode, e)
 		}
 		if ratio < 1 {
@@ -130,11 +130,11 @@ func TestErrorBoundHonoredProperty(t *testing.T) {
 		src := make([]float32, rows*dim)
 		rng.FillNormal(src, 0, 1)
 		c := New(eb, mode)
-		recon, _, err := codec.RoundTrip(c, src, dim)
+		recon, _, err := testutil.RoundTrip(c, src, dim)
 		if err != nil {
 			return false
 		}
-		return quant.MaxError(src, recon) <= eb+1e-5
+		return testutil.MaxError(src, recon) <= eb+1e-5
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

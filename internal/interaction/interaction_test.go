@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dlrmcomp/internal/tensor"
+	"dlrmcomp/internal/testutil"
 )
 
 func TestOutDim(t *testing.T) {
@@ -17,9 +18,9 @@ func TestOutDim(t *testing.T) {
 
 func TestForwardValues(t *testing.T) {
 	di := NewDotInteraction(2, 2)
-	dense := tensor.FromSlice(1, 2, []float32{1, 2})
-	s1 := tensor.FromSlice(1, 2, []float32{3, 4})
-	s2 := tensor.FromSlice(1, 2, []float32{5, 6})
+	dense := testutil.FromSlice(1, 2, []float32{1, 2})
+	s1 := testutil.FromSlice(1, 2, []float32{3, 4})
+	s2 := testutil.FromSlice(1, 2, []float32{5, 6})
 	out := di.Forward(dense, []*tensor.Matrix{s1, s2})
 	// layout: [dense(2) | <s1,dense> | <s2,dense> | <s2,s1>]
 	want := []float32{1, 2, 1*3 + 2*4, 1*5 + 2*6, 3*5 + 4*6}
@@ -96,9 +97,9 @@ func TestForwardShapePanics(t *testing.T) {
 func TestInteractionSymmetry(t *testing.T) {
 	// Identical embedding vectors must yield identical interaction rows.
 	di := NewDotInteraction(2, 3)
-	dense := tensor.FromSlice(2, 3, []float32{1, 2, 3, 1, 2, 3})
-	s1 := tensor.FromSlice(2, 3, []float32{4, 5, 6, 4, 5, 6})
-	s2 := tensor.FromSlice(2, 3, []float32{7, 8, 9, 7, 8, 9})
+	dense := testutil.FromSlice(2, 3, []float32{1, 2, 3, 1, 2, 3})
+	s1 := testutil.FromSlice(2, 3, []float32{4, 5, 6, 4, 5, 6})
+	s2 := testutil.FromSlice(2, 3, []float32{7, 8, 9, 7, 8, 9})
 	out := di.Forward(dense, []*tensor.Matrix{s1, s2})
 	for j := 0; j < out.Cols; j++ {
 		if out.At(0, j) != out.At(1, j) {

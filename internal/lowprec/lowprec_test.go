@@ -7,6 +7,7 @@ import (
 
 	"dlrmcomp/internal/codec"
 	"dlrmcomp/internal/tensor"
+	"dlrmcomp/internal/testutil"
 )
 
 func TestF16KnownValues(t *testing.T) {
@@ -145,7 +146,7 @@ func TestFP16CodecRoundTrip(t *testing.T) {
 	src := make([]float32, 256)
 	rng.FillNormal(src, 0, 0.1)
 	c := FP16Codec{}
-	recon, ratio, err := codec.RoundTrip(c, src, 16)
+	recon, ratio, err := testutil.RoundTrip(c, src, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestFP8CodecRoundTrip(t *testing.T) {
 	if c.Name() != "fp8-e4m3" {
 		t.Fatalf("name %q", c.Name())
 	}
-	recon, ratio, err := codec.RoundTrip(c, src, 32)
+	recon, ratio, err := testutil.RoundTrip(c, src, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"dlrmcomp/internal/codec"
 	"dlrmcomp/internal/tensor"
+	"dlrmcomp/internal/testutil"
 )
 
 func byteRoundTrip(t *testing.T, src []byte) []byte {
@@ -149,7 +150,7 @@ func TestLZSSCodecRoundTrip(t *testing.T) {
 	for r := 0; r < 128; r++ {
 		src = append(src, row...)
 	}
-	recon, ratio, err := codec.RoundTrip(LZSSCodec{}, src, dim)
+	recon, ratio, err := testutil.RoundTrip(LZSSCodec{}, src, dim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestDeflateCodecRoundTrip(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	src := make([]float32, 1024)
 	rng.FillNormal(src, 0, 1)
-	recon, _, err := codec.RoundTrip(DeflateCodec{}, src, 32)
+	recon, _, err := testutil.RoundTrip(DeflateCodec{}, src, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func (m *DLRM) DenseParams() []nn.Param {
 // TrainStep runs one full local mini-batch update (no communication):
 // forward, BCE loss, backward, embedding scatter, optimizer step.
 // Returns the loss.
-func (m *DLRM) TrainStep(dense *tensor.Matrix, indices [][]int32, labels []float32, opt nn.Optimizer, embLR float32) float32 {
+func (m *DLRM) TrainStep(dense *tensor.Matrix, indices [][]int32, labels []float32, opt *nn.SGD, embLR float32) float32 {
 	m.ZeroGrad()
 	logits := m.Forward(dense, indices)
 	loss, dLogits := nn.BCEWithLogits(logits, labels)

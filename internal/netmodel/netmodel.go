@@ -75,19 +75,6 @@ func (n Network) MetadataTime(ranks int, bytesPerPair int64) time.Duration {
 	return wire + n.Latency
 }
 
-// UniformAllToAllTime is AllToAllTime with every rank sending the same
-// number of bytes. ranks <= 1 returns 0 (no peers, no exchange).
-func (n Network) UniformAllToAllTime(ranks int, bytesPerRank int64) time.Duration {
-	if ranks <= 1 {
-		return 0
-	}
-	sends := make([]int64, ranks)
-	for i := range sends {
-		sends[i] = bytesPerRank
-	}
-	return n.AllToAllTime(ranks, sends)
-}
-
 // AllReduceTime models a hierarchical (tree/ring hybrid) allreduce of bytes
 // payload per rank: 2(ranks-1)/ranks × bytes of wire traffic plus a
 // 2·ceil(log2 ranks) latency floor. ranks <= 1 returns 0: a lone rank

@@ -5,10 +5,20 @@ import (
 	"time"
 )
 
+// uniformSends is the per-rank send volume of an exchange in which every
+// rank sends b bytes.
+func uniformSends(ranks int, b int64) []int64 {
+	s := make([]int64, ranks)
+	for i := range s {
+		s[i] = b
+	}
+	return s
+}
+
 func TestAllToAllTimeScalesWithBytes(t *testing.T) {
 	n := Slingshot10()
-	t1 := n.UniformAllToAllTime(32, 1<<20)
-	t2 := n.UniformAllToAllTime(32, 1<<24)
+	t1 := n.AllToAllTime(32, uniformSends(32, 1<<20))
+	t2 := n.AllToAllTime(32, uniformSends(32, 1<<24))
 	if t2 <= t1 {
 		t.Fatal("more bytes must take longer")
 	}
@@ -36,9 +46,6 @@ func TestDegenerateRankCounts(t *testing.T) {
 	for _, ranks := range []int{0, 1} {
 		if got := n.AllToAllTime(ranks, nil); got != 0 {
 			t.Fatalf("AllToAllTime(%d) = %v, want 0", ranks, got)
-		}
-		if got := n.UniformAllToAllTime(ranks, 1<<30); got != 0 {
-			t.Fatalf("UniformAllToAllTime(%d) = %v, want 0", ranks, got)
 		}
 		if got := n.MetadataTime(ranks, 8); got != 0 {
 			t.Fatalf("MetadataTime(%d) = %v, want 0", ranks, got)
@@ -78,7 +85,7 @@ func TestLatencyFloorTable(t *testing.T) {
 		{32, 6 * time.Microsecond},
 		{128, 8 * time.Microsecond},
 	} {
-		if got := n.UniformAllToAllTime(c.ranks, 0); got != c.want {
+		if got := n.AllToAllTime(c.ranks, uniformSends(c.ranks, 0)); got != c.want {
 			t.Errorf("latency floor at %d ranks = %v, want %v", c.ranks, got, c.want)
 		}
 	}
@@ -132,7 +139,7 @@ func TestAllReduceTime(t *testing.T) {
 
 func TestLatencyDominatesSmallMessages(t *testing.T) {
 	n := Slingshot10()
-	tiny := n.UniformAllToAllTime(32, 8)
+	tiny := n.AllToAllTime(32, uniformSends(32, 8))
 	// Parallel posting: floor = (1 + ceil(log2 32)) latencies.
 	if tiny < 6*n.Latency {
 		t.Fatalf("latency floor missing: %v", tiny)

@@ -77,8 +77,5 @@ func (t *Timeline) ReserveLinkCost(ready time.Duration, c LinkCost) time.Duratio
 	return inter
 }
 
-// BusyUntil returns when the named resource frees up (0 if never reserved).
-func (t *Timeline) BusyUntil(res string) time.Duration { return t.busy[res] }
-
 // End returns the makespan: the completion time of the latest reservation.
 func (t *Timeline) End() time.Duration { return t.end }

@@ -56,7 +56,7 @@ func TestTimelineZeroCostThreadsDependency(t *testing.T) {
 	if start != 4*time.Millisecond {
 		t.Fatalf("zero-cost start %v, want 4ms (after busy-until)", start)
 	}
-	if got := tl.BusyUntil(ResIntra); got != 4*time.Millisecond {
+	if got := tl.busy[ResIntra]; got != 4*time.Millisecond {
 		t.Fatalf("zero-cost reservation moved busy-until to %v", got)
 	}
 	if got := tl.End(); got != 4*time.Millisecond {
@@ -74,9 +74,9 @@ func TestTimelineReserveLinkCost(t *testing.T) {
 	if done != 8*time.Millisecond {
 		t.Fatalf("link-cost completion %v, want 8ms", done)
 	}
-	if tl.BusyUntil(ResIntra) != 4*time.Millisecond || tl.BusyUntil(ResInter) != 8*time.Millisecond {
+	if tl.busy[ResIntra] != 4*time.Millisecond || tl.busy[ResInter] != 8*time.Millisecond {
 		t.Fatalf("per-link busy-until %v/%v, want 4ms/8ms",
-			tl.BusyUntil(ResIntra), tl.BusyUntil(ResInter))
+			tl.busy[ResIntra], tl.busy[ResInter])
 	}
 	// A second collective contends per link.
 	done2 := tl.ReserveLinkCost(0, LinkCost{Intra: time.Millisecond, Inter: time.Millisecond})

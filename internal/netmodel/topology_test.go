@@ -43,7 +43,7 @@ func TestFlatTopologyMatchesNetwork(t *testing.T) {
 	if cost.Intra != 0 {
 		t.Fatal("flat topology must attribute nothing to intra")
 	}
-	if want := n.UniformAllToAllTime(8, 7<<20); cost.Inter != want {
+	if want := n.AllToAllTime(8, uniformSends(8, 7<<20)); cost.Inter != want {
 		t.Fatalf("AllToAllCost = %v, want %v", cost.Inter, want)
 	}
 	if n.TwoPhaseAllToAllCost(m) != cost {

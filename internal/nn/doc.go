@@ -1,12 +1,12 @@
 // Package nn implements the neural-network substrate for DLRM: fully
 // connected layers, activations, multi-layer perceptrons, the binary
-// cross-entropy training criterion, and the SGD/Adagrad optimizers used by
-// the open-source DLRM reference implementation.
+// cross-entropy training criterion, and the SGD optimizer the open-source
+// DLRM reference implementation trains with.
 //
 // All layers follow the same contract: Forward consumes a batch (rows =
 // samples) and caches whatever it needs; Backward consumes dL/d(output) and
-// returns dL/d(input) while accumulating parameter gradients, which the
-// optimizer then applies in Step.
+// returns dL/d(input) while accumulating parameter gradients, which
+// SGD.Step then applies.
 //
 // Layer: bottom of the model substrate, over internal/tensor kernels.
 // Clone support on Linear/MLP is what lets internal/dist build
@@ -14,7 +14,6 @@
 // priced into the "mlp" sim-time bucket by the trainer, not here.
 //
 // Key types: Linear, MLP (with Clone), Param (value+gradient pair exposed
-// to optimizers and the distributed gradient flattener), Optimizer
-// (SGD/Adagrad), BCEWithLogits (loss + logit gradient), and the
-// Accuracy/LogLoss/AUC evaluation helpers.
+// to SGD and the distributed gradient flattener), SGD, BCEWithLogits
+// (loss + logit gradient), and the Accuracy/LogLoss evaluation helpers.
 package nn

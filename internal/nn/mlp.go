@@ -149,12 +149,3 @@ func (m *MLP) Clone() *MLP {
 	}
 	return c
 }
-
-// NumParams returns the total number of scalar parameters.
-func (m *MLP) NumParams() int {
-	n := 0
-	for _, p := range m.Params() {
-		n += len(p.Value)
-	}
-	return n
-}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dlrmcomp/internal/tensor"
+	"dlrmcomp/internal/testutil"
 )
 
 func TestLinearForwardShape(t *testing.T) {
@@ -21,12 +22,12 @@ func TestLinearForwardShape(t *testing.T) {
 func TestLinearForwardValues(t *testing.T) {
 	l := &Linear{
 		In: 2, Out: 1,
-		W:     tensor.FromSlice(1, 2, []float32{2, 3}),
+		W:     testutil.FromSlice(1, 2, []float32{2, 3}),
 		B:     []float32{1},
 		GradW: tensor.NewMatrix(1, 2),
 		GradB: make([]float32, 1),
 	}
-	x := tensor.FromSlice(1, 2, []float32{4, 5})
+	x := testutil.FromSlice(1, 2, []float32{4, 5})
 	y := l.Forward(x)
 	if y.Data[0] != 2*4+3*5+1 {
 		t.Fatalf("Forward = %v, want 24", y.Data[0])
@@ -35,14 +36,14 @@ func TestLinearForwardValues(t *testing.T) {
 
 func TestReLU(t *testing.T) {
 	r := &ReLU{}
-	x := tensor.FromSlice(1, 4, []float32{-1, 0, 2, -3})
+	x := testutil.FromSlice(1, 4, []float32{-1, 0, 2, -3})
 	y := r.Forward(x)
 	for i, w := range []float32{0, 0, 2, 0} {
 		if y.Data[i] != w {
 			t.Fatalf("ReLU[%d] = %v, want %v", i, y.Data[i], w)
 		}
 	}
-	dY := tensor.FromSlice(1, 4, []float32{1, 1, 1, 1})
+	dY := testutil.FromSlice(1, 4, []float32{1, 1, 1, 1})
 	dX := r.Backward(dY)
 	for i, w := range []float32{0, 0, 1, 0} {
 		if dX.Data[i] != w {
@@ -105,7 +106,7 @@ func TestMLPGradientCheck(t *testing.T) {
 }
 
 func TestBCEWithLogitsValues(t *testing.T) {
-	logits := tensor.FromSlice(2, 1, []float32{0, 0})
+	logits := testutil.FromSlice(2, 1, []float32{0, 0})
 	loss, grad := BCEWithLogits(logits, []float32{1, 0})
 	want := float32(math.Log(2))
 	if math.Abs(float64(loss-want)) > 1e-6 {
@@ -118,7 +119,7 @@ func TestBCEWithLogitsValues(t *testing.T) {
 }
 
 func TestBCENumericalStability(t *testing.T) {
-	logits := tensor.FromSlice(2, 1, []float32{1000, -1000})
+	logits := testutil.FromSlice(2, 1, []float32{1000, -1000})
 	loss, grad := BCEWithLogits(logits, []float32{1, 0})
 	if math.IsNaN(float64(loss)) || math.IsInf(float64(loss), 0) {
 		t.Fatalf("loss not finite: %v", loss)
@@ -134,7 +135,7 @@ func TestBCENumericalStability(t *testing.T) {
 }
 
 func TestAccuracy(t *testing.T) {
-	logits := tensor.FromSlice(4, 1, []float32{2, -2, 1, -1})
+	logits := testutil.FromSlice(4, 1, []float32{2, -2, 1, -1})
 	acc := Accuracy(logits, []float32{1, 0, 0, 1})
 	if acc != 0.5 {
 		t.Fatalf("Accuracy = %v, want 0.5", acc)
@@ -149,29 +150,12 @@ func TestSGDStep(t *testing.T) {
 	}
 }
 
-func TestAdagradStep(t *testing.T) {
-	p := Param{Value: []float32{1}, Grad: []float32{2}}
-	opt := NewAdagrad(0.1)
-	opt.Step([]Param{p})
-	// acc = 4, update = 0.1*2/2 = 0.1
-	if math.Abs(float64(p.Value[0]-0.9)) > 1e-5 {
-		t.Fatalf("first Adagrad step = %v, want 0.9", p.Value[0])
-	}
-	p.Grad[0] = 2
-	opt.Step([]Param{p})
-	// acc = 8, update = 0.2/sqrt(8)
-	want := 0.9 - 0.2/math.Sqrt(8)
-	if math.Abs(float64(p.Value[0])-want) > 1e-5 {
-		t.Fatalf("second Adagrad step = %v, want %v", p.Value[0], want)
-	}
-}
-
 // TestMLPLearnsXOR trains a tiny MLP on XOR to confirm the full
 // forward/backward/step loop actually optimizes.
 func TestMLPLearnsXOR(t *testing.T) {
 	rng := tensor.NewRNG(12)
 	m := NewMLP([]int{2, 8, 1}, rng)
-	x := tensor.FromSlice(4, 2, []float32{0, 0, 0, 1, 1, 0, 1, 1})
+	x := testutil.FromSlice(4, 2, []float32{0, 0, 0, 1, 1, 0, 1, 1})
 	labels := []float32{0, 1, 1, 0}
 	opt := &SGD{LR: 0.5}
 	var loss float32
@@ -194,9 +178,16 @@ func TestMLPLearnsXOR(t *testing.T) {
 func TestMLPNumParams(t *testing.T) {
 	rng := tensor.NewRNG(2)
 	m := NewMLP([]int{3, 4, 2}, rng)
-	// (3*4 + 4) + (4*2 + 2) = 16 + 10 = 26
-	if n := m.NumParams(); n != 26 {
-		t.Fatalf("NumParams = %d, want 26", n)
+	// (3*4 + 4) + (4*2 + 2) = 16 + 10 = 26 scalars, each with a gradient
+	n := 0
+	for _, p := range m.Params() {
+		if len(p.Grad) != len(p.Value) {
+			t.Fatalf("param of %d values has %d grads", len(p.Value), len(p.Grad))
+		}
+		n += len(p.Value)
+	}
+	if n != 26 {
+		t.Fatalf("Params hold %d scalars, want 26", n)
 	}
 }
 

@@ -1,22 +1,12 @@
 package nn
 
-import (
-	"math"
+import "dlrmcomp/internal/tensor"
 
-	"dlrmcomp/internal/tensor"
-)
-
-// Param couples a parameter slice with its gradient accumulator. Optimizers
-// update Value in place from Grad.
+// Param couples a parameter slice with its gradient accumulator. SGD
+// updates Value in place from Grad.
 type Param struct {
 	Value []float32
 	Grad  []float32
-}
-
-// Optimizer applies accumulated gradients to parameters.
-type Optimizer interface {
-	// Step applies one update using the current gradients.
-	Step(params []Param)
 }
 
 // SGD is plain stochastic gradient descent: w -= lr * g.
@@ -49,39 +39,5 @@ func (o *SGD) Step(params []Param) {
 				value[i] -= o.LR * grad[i]
 			}
 		})
-	}
-}
-
-// Adagrad implements the per-coordinate adaptive update used for DLRM
-// embedding tables: w -= lr * g / (sqrt(sum g²) + eps).
-type Adagrad struct {
-	LR  float32
-	Eps float32
-
-	state map[*float32][]float32 // keyed by &Value[0]
-}
-
-// NewAdagrad returns an Adagrad optimizer with the given learning rate.
-func NewAdagrad(lr float32) *Adagrad {
-	return &Adagrad{LR: lr, Eps: 1e-8, state: make(map[*float32][]float32)}
-}
-
-// Step applies the Adagrad update, lazily allocating accumulator state per
-// parameter slice.
-func (o *Adagrad) Step(params []Param) {
-	for _, p := range params {
-		if len(p.Value) == 0 {
-			continue
-		}
-		key := &p.Value[0]
-		acc, ok := o.state[key]
-		if !ok || len(acc) != len(p.Value) {
-			acc = make([]float32, len(p.Value))
-			o.state[key] = acc
-		}
-		for i, g := range p.Grad {
-			acc[i] += g * g
-			p.Value[i] -= o.LR * g / (float32(math.Sqrt(float64(acc[i]))) + o.Eps)
-		}
 	}
 }

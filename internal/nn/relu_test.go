@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dlrmcomp/internal/tensor"
+	"dlrmcomp/internal/testutil"
 )
 
 // reluForwardRef and reluBackwardRef are ReLU's loops as they stood when the
@@ -61,8 +62,8 @@ func TestReLUBitwise(t *testing.T) {
 	reluBackwardRef(wantDX, mask, gs)
 
 	r := &ReLU{}
-	y := r.Forward(tensor.FromSlice(1, n, xs))
-	dX := r.Backward(tensor.FromSlice(1, n, gs))
+	y := r.Forward(testutil.FromSlice(1, n, xs))
+	dX := r.Backward(testutil.FromSlice(1, n, gs))
 	for i := range xs {
 		if math.Float32bits(y.Data[i]) != math.Float32bits(wantY[i]) {
 			t.Fatalf("Forward(%x) = %x, want %x", math.Float32bits(xs[i]), math.Float32bits(y.Data[i]), math.Float32bits(wantY[i]))

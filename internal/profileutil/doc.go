@@ -10,7 +10,7 @@
 // them, and a Breakdown's Total is the serial schedule cost (the
 // overlapped end-to-end time lives on the trainer, not in the buckets).
 //
-// Key types: Breakdown (map of label → duration with Total/Share/Merge),
+// Key types: Breakdown (map of label → duration with Total/Share),
 // Row and Rows (share-sorted table rows), String (the aligned text table
 // the CLI prints).
 package profileutil

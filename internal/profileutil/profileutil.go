@@ -65,15 +65,3 @@ func (b Breakdown) String() string {
 	fmt.Fprintf(&sb, "%-16s %14v %7.1f%%\n", "total", b.Total().Round(time.Microsecond), 100.0)
 	return sb.String()
 }
-
-// Merge adds other's buckets into a copy of b.
-func (b Breakdown) Merge(other Breakdown) Breakdown {
-	out := make(Breakdown, len(b)+len(other))
-	for k, v := range b {
-		out[k] += v
-	}
-	for k, v := range other {
-		out[k] += v
-	}
-	return out
-}

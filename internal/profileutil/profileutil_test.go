@@ -37,15 +37,3 @@ func TestString(t *testing.T) {
 		t.Fatalf("table missing rows:\n%s", s)
 	}
 }
-
-func TestMerge(t *testing.T) {
-	a := Breakdown{"x": time.Second}
-	b := Breakdown{"x": time.Second, "y": 2 * time.Second}
-	m := a.Merge(b)
-	if m["x"] != 2*time.Second || m["y"] != 2*time.Second {
-		t.Fatalf("merge = %v", m)
-	}
-	if a["x"] != time.Second {
-		t.Fatal("merge must not mutate inputs")
-	}
-}

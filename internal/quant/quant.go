@@ -100,24 +100,6 @@ func (q Quantizer) Dequantize(dst []float32, codes []int32) {
 	}
 }
 
-// MaxError returns the largest absolute difference between orig and recon.
-func MaxError(orig, recon []float32) float32 {
-	if len(orig) != len(recon) {
-		panic("quant: MaxError length mismatch")
-	}
-	var m float32
-	for i, v := range orig {
-		d := v - recon[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // ZigZag maps a signed code to an unsigned symbol: 0,-1,1,-2,2 → 0,1,2,3,4.
 // Small-magnitude codes (the common case for embedding data) get small
 // symbols, which keeps entropy tables compact.

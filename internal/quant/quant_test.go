@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"dlrmcomp/internal/tensor"
+	"dlrmcomp/internal/testutil"
 )
 
 func TestRoundTripRespectsErrorBound(t *testing.T) {
@@ -18,7 +19,7 @@ func TestRoundTripRespectsErrorBound(t *testing.T) {
 		q.Quantize(codes, src)
 		recon := make([]float32, len(src))
 		q.Dequantize(recon, codes)
-		if e := MaxError(src, recon); e > eb*(1+1e-5) {
+		if e := testutil.MaxError(src, recon); e > eb*(1+1e-5) {
 			t.Fatalf("eb %v violated: max error %v", eb, e)
 		}
 	}
@@ -106,7 +107,7 @@ func TestQuantizeRoundTripProperty(t *testing.T) {
 		recon := make([]float32, len(src))
 		q.Dequantize(recon, codes)
 		// Allow one float32 ulp at the max magnitude (10) beyond the bound.
-		return MaxError(src, recon) <= eb+2e-6
+		return testutil.MaxError(src, recon) <= eb+2e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"io"
-
 	"dlrmcomp/internal/criteo"
 	"dlrmcomp/internal/model"
 	"dlrmcomp/internal/serve"
@@ -37,17 +35,4 @@ func (s Spec) ServeOptions() serve.Options {
 		QueueDepth: sv.QueueDepth,
 		Workers:    sv.Workers,
 	}
-}
-
-// BuildServer loads a serving layer for this scenario from a DLCK
-// checkpoint stream (cmd/dlrmtrain -save writes one). The model
-// architecture comes from the scenario — the checkpoint carries shapes and
-// weights only — so the spec must be the one the checkpoint was trained
-// under.
-func (s Spec) BuildServer(r io.Reader) (*serve.Server, error) {
-	rs, err := s.Resolved()
-	if err != nil {
-		return nil, err
-	}
-	return serve.New(rs.ModelConfig(), r, rs.ServeOptions())
 }

@@ -1,8 +1,9 @@
 package tensor
 
-// This file holds the matmul kernels behind MatMul, MatMulTransA and
-// MatMulTransB. All three are the same computation — rows of dst = A @ b,
-// accumulated as dst[i][:] += A[i][p]*b[p][:] for ascending p — and their
+// This file holds the matmul kernels behind MatMulWorkers,
+// MatMulTransAWorkers and MatMulTransBWorkers (MatMul, MatMulTransA and
+// MatMulTransB below). All three are the same computation — rows of
+// dst = A @ b, accumulated as dst[i][:] += A[i][p]*b[p][:] for ascending p — and their
 // inner loops are the package's vector primitive (Axpy / Axpy4Skip /
 // Axpy4Rows, see axpy.go): SSE2 on amd64, plain Go elsewhere. MatMul and MatMulTransA,
 // which skip zero terms, share saxpyRows and hand Axpy4Skip one term per

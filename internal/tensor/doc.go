@@ -25,7 +25,8 @@
 // experiment bitwise reproducible across runs, which the trainer parity
 // tests depend on.
 //
-// Key types: Matrix (row-major with MatMul/MatMulT* products), RNG
+// Key types: Matrix (row-major, with the MatMulWorkers and
+// MatMulTrans{A,B}Workers products), RNG
 // (splitmix-based, seeded everywhere a stream of randomness is needed),
 // and the Axpy/Axpy4Skip/Axpy4Rows/Scale/Dot vector helpers.
 package tensor

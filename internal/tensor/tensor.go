@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix is a dense row-major float32 matrix.
 type Matrix struct {
@@ -17,14 +14,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("tensor: invalid shape %dx%d", rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
-}
-
-// FromSlice wraps data (len rows*cols) in a Matrix without copying.
-func FromSlice(rows, cols int, data []float32) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: FromSlice len %d != %d*%d", len(data), rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
 // Resize reshapes m to rows×cols, reusing the backing array when it has the
@@ -54,9 +43,6 @@ func (m *Matrix) Row(i int) []float32 {
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
@@ -69,19 +55,6 @@ func (m *Matrix) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
-}
-
-// Equal reports whether m and n have the same shape and elements within tol.
-func (m *Matrix) Equal(n *Matrix, tol float32) bool {
-	if m.Rows != n.Rows || m.Cols != n.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		if d := v - n.Data[i]; d > tol || d < -tol {
-			return false
-		}
-	}
-	return true
 }
 
 // parallelThreshold is the number of multiply-adds below which a matmul stays
@@ -103,16 +76,13 @@ func (m *Matrix) Equal(n *Matrix, tol float32) bool {
 // then, ~20 µs now).
 const parallelThreshold = 1 << 22
 
-// MatMul computes dst = a @ b where a is m×k and b is k×n. dst must be m×n
-// and is overwritten. Panics on shape mismatch.
-func MatMul(dst, a, b *Matrix) { MatMulWorkers(0, dst, a, b) }
-
-// MatMulWorkers is MatMul with an explicit row-parallel width: 0 means
-// GOMAXPROCS (MatMul's behavior), 1 forces single-threaded. Products below
-// parallelThreshold stay single-threaded at any width, so small matmuls
-// never pay fan-out overhead (or allocate). Results are bitwise identical
-// at every width and tile boundary: rows are independent, and the blocked
-// kernel preserves the naive per-element accumulation order.
+// MatMulWorkers computes dst = a @ b where a is m×k and b is k×n. dst must
+// be m×n and is overwritten; it panics on shape mismatch. workers is the
+// row-parallel width: 0 means GOMAXPROCS, 1 forces single-threaded.
+// Products below parallelThreshold stay single-threaded at any width, so
+// small matmuls never pay fan-out overhead (or allocate). Results are
+// bitwise identical at every width and tile boundary: rows are independent,
+// and the blocked kernel preserves the naive per-element accumulation order.
 func MatMulWorkers(workers int, dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shapes %dx%d @ %dx%d -> %dx%d",
@@ -125,12 +95,9 @@ func MatMulWorkers(workers int, dst, a, b *Matrix) {
 	ParallelSpans(workers, a.Rows, func(lo, hi int) { matMulBlocked(dst, a, b, lo, hi) })
 }
 
-// MatMulTransB computes dst = a @ bᵀ where a is m×k and b is n×k.
-// dst must be m×n. This is the shape of a linear layer's forward pass.
-func MatMulTransB(dst, a, b *Matrix) { MatMulTransBWorkers(0, dst, a, b, nil) }
-
-// MatMulTransBWorkers is MatMulTransB with an explicit row-parallel width
-// (same contract as MatMulWorkers) and an optional workspace. bt, when not
+// MatMulTransBWorkers computes dst = a @ bᵀ where a is m×k and b is n×k;
+// dst must be m×n. This is the shape of a linear layer's forward pass. The
+// row-parallel width follows MatMulWorkers' contract. bt, when not
 // nil, is scratch the caller owns and passes again on every call: from
 // transBPackRows rows of a upward it is reshaped to k×n, filled with bᵀ and
 // the product runs saxpy-form on the vector primitive; it grows once to its
@@ -154,14 +121,10 @@ func MatMulTransBWorkers(workers int, dst, a, b, bt *Matrix) {
 	ParallelSpans(workers, a.Rows, func(lo, hi int) { kernel(dst, a, src, lo, hi) })
 }
 
-// MatMulTransA computes dst = aᵀ @ b where a is k×m and b is k×n.
+// MatMulTransAWorkers computes dst = aᵀ @ b where a is k×m and b is k×n;
 // dst must be m×n. This is the shape used by the backward pass for weights.
-func MatMulTransA(dst, a, b *Matrix) { MatMulTransAWorkers(0, dst, a, b) }
-
-// MatMulTransAWorkers is MatMulTransA with an explicit row-parallel width
-// over the output rows (same contract as MatMulWorkers). The historical
-// MatMulTransA was single-threaded; parallelism over output rows is safe
-// because the blocked kernel writes each dst row from exactly one span.
+// The width, over the output rows, follows MatMulWorkers' contract; it is
+// safe because the blocked kernel writes each dst row from exactly one span.
 func MatMulTransAWorkers(workers int, dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransA shapes (%dx%d)T @ %dx%d -> %dx%d",
@@ -221,27 +184,4 @@ func Dot(x, y []float32) float32 {
 		s += v * y[i]
 	}
 	return s
-}
-
-// MaxAbs returns the largest absolute value in x (0 for empty x).
-func MaxAbs(x []float32) float32 {
-	var m float32
-	for _, v := range x {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// L2Norm returns the Euclidean norm of x.
-func L2Norm(x []float32) float32 {
-	var s float64
-	for _, v := range x {
-		s += float64(v) * float64(v)
-	}
-	return float32(math.Sqrt(s))
 }

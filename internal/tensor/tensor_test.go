@@ -178,19 +178,6 @@ func TestAxpyScaleDot(t *testing.T) {
 	}
 }
 
-func TestMaxAbsAndL2(t *testing.T) {
-	x := []float32{-3, 1, 2}
-	if MaxAbs(x) != 3 {
-		t.Fatalf("MaxAbs = %v, want 3", MaxAbs(x))
-	}
-	if MaxAbs(nil) != 0 {
-		t.Fatal("MaxAbs(nil) != 0")
-	}
-	if n := L2Norm([]float32{3, 4}); math.Abs(float64(n)-5) > 1e-6 {
-		t.Fatalf("L2Norm = %v, want 5", n)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {
