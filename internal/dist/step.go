@@ -347,13 +347,19 @@ func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 		}
 
 		// --- stage 4: backward all-to-all routes lookup grads to owners ---
+		// The gradient rows of this rank's own tables never leave it: like
+		// the local lookups in stage 1 they skip the frame, straight into
+		// the scatter scratch.
 		for dst := 0; dst < ranks; dst++ {
 			ws.send2[dst] = ws.send2[dst][:0]
 		}
 		if dLookups != nil {
 			for tb := 0; tb < numTables; tb++ {
-				dst := t.owner(tb)
-				ws.send2[dst] = appendFrameFloats(ws.send2[dst], tb, dLookups[tb].Data)
+				if dst := t.owner(tb); dst != r {
+					ws.send2[dst] = appendFrameFloats(ws.send2[dst], tb, dLookups[tb].Data)
+				} else {
+					copy(ws.gradRows(tb, n, dim, start[r], cnt), dLookups[tb].Data)
+				}
 			}
 		}
 		bwdOp := rank.IAllToAllV(ws.send2, false, "bwd-a2a", t.opts.Algo)
@@ -371,14 +377,7 @@ func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 				if tb < 0 || tb >= numTables || t.owner(tb) != r || enc != encRaw {
 					return fmt.Errorf("dist: bad gradient frame (table %d, enc %d) at rank %d", tb, enc, r)
 				}
-				g := ws.gradOf[tb]
-				if !ws.gotGrad[tb] {
-					g = g.Resize(n, dim)
-					ws.gradOf[tb] = g
-					ws.gotGrad[tb] = true
-				}
-				rows := g.Data[start[from]*dim : (start[from]+count[from])*dim]
-				return bytesToFloats(rows, payload)
+				return bytesToFloats(ws.gradRows(tb, n, dim, start[from], count[from]), payload)
 			})
 			if err != nil {
 				fail(err)

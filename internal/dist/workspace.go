@@ -135,6 +135,17 @@ func newStepWorkspace(ranks, numTables, numParams int, params []nn.Param) *stepW
 	return ws
 }
 
+// gradRows returns rows [lo, lo+count) of owned table tb's gradient
+// scratch, sizing the scratch to the batch (n×dim) on its first use in a
+// step.
+func (ws *stepWorkspace) gradRows(tb, n, dim, lo, count int) []float32 {
+	if !ws.gotGrad[tb] {
+		ws.gradOf[tb] = ws.gradOf[tb].Resize(n, dim)
+		ws.gotGrad[tb] = true
+	}
+	return ws.gradOf[tb].Data[lo*dim : (lo+count)*dim]
+}
+
 // parallelDo runs fn(0..n-1), fanning the work across up to t.codecWorkers
 // goroutines. With one worker (the default when GOMAXPROCS gives each rank
 // no spare cores) it degenerates to the plain loop and performs no

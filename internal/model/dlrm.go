@@ -112,11 +112,12 @@ func (m *DLRM) Forward(dense *tensor.Matrix, indices [][]int32) *tensor.Matrix {
 
 // Backward propagates dLogits and returns the gradient of every embedding
 // lookup batch (the tensors that flow through the backward all-to-all).
-// MLP parameter gradients are accumulated internally.
+// MLP parameter gradients are accumulated internally; the gradient of the
+// dense input is never formed, since nothing reads it.
 func (m *DLRM) Backward(dLogits *tensor.Matrix) []*tensor.Matrix {
 	dZ := m.Top.Backward(dLogits)
 	dBot, dLookups := m.Interact.Backward(dZ)
-	m.Bottom.Backward(dBot)
+	m.Bottom.BackwardParams(dBot)
 	return dLookups
 }
 

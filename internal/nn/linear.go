@@ -69,10 +69,19 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 // returns dX (shape [n, In], layer-owned scratch valid until the next
 // Backward).
 func (l *Linear) Backward(dY *tensor.Matrix) *tensor.Matrix {
+	l.accumulateGrads(dY)
+	// dX = dY @ W
+	l.dX = l.dX.Resize(dY.Rows, l.In)
+	tensor.MatMulWorkers(l.Workers, l.dX, dY, l.W)
+	return l.dX
+}
+
+// accumulateGrads is the part of Backward that reaches the parameters:
+// GradW += dYᵀ @ x, GradB += colsums(dY).
+func (l *Linear) accumulateGrads(dY *tensor.Matrix) {
 	if l.x == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
-	// GradW += dYᵀ @ x ; GradB += colsums(dY) ; dX = dY @ W
 	l.gw = l.gw.Resize(l.Out, l.In)
 	tensor.MatMulTransAWorkers(l.Workers, l.gw, dY, l.x)
 	tensor.Axpy(1, l.gw.Data, l.GradW.Data)
@@ -82,9 +91,6 @@ func (l *Linear) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	l.gb = l.gb[:l.Out]
 	tensor.ColSums(l.gb, dY)
 	tensor.Axpy(1, l.gb, l.GradB)
-	l.dX = l.dX.Resize(dY.Rows, l.In)
-	tensor.MatMulWorkers(l.Workers, l.dX, dY, l.W)
-	return l.dX
 }
 
 // ZeroGrad clears accumulated gradients.

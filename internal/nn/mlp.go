@@ -112,11 +112,22 @@ func (m *MLP) SetWorkers(w int) {
 }
 
 // Backward propagates dY through the stack and returns dX.
-func (m *MLP) Backward(dY *tensor.Matrix) *tensor.Matrix {
+func (m *MLP) Backward(dY *tensor.Matrix) *tensor.Matrix { return m.backward(dY, true) }
+
+// BackwardParams is Backward for a caller that does not read dX: it
+// accumulates every parameter gradient, bit for bit as Backward does, and
+// skips the first layer's input gradient, the one product nothing consumes.
+func (m *MLP) BackwardParams(dY *tensor.Matrix) { m.backward(dY, false) }
+
+func (m *MLP) backward(dY *tensor.Matrix, wantDX bool) *tensor.Matrix {
 	d := dY
 	for i := len(m.Layers) - 1; i >= 0; i-- {
 		if i < len(m.Layers)-1 {
 			d = m.relus[i].Backward(d)
+		}
+		if i == 0 && !wantDX {
+			m.Layers[0].accumulateGrads(d)
+			return nil
 		}
 		d = m.Layers[i].Backward(d)
 	}

@@ -215,3 +215,27 @@ func TestMLPBackwardAccumulates(t *testing.T) {
 		}
 	}
 }
+
+// TestBackwardParamsMatchesBackward: stopping before the first layer's
+// input gradient leaves every parameter gradient bit as Backward leaves it.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	rng := tensor.NewRNG(5)
+	full := NewMLP([]int{13, 16, 8, 4}, rng)
+	params := full.Clone()
+	x := tensor.NewMatrix(9, 13)
+	rng.FillNormal(x.Data, 0, 1)
+	dY := tensor.NewMatrix(9, 4)
+	rng.FillNormal(dY.Data, 0, 1)
+	full.Forward(x)
+	full.Backward(dY)
+	params.Forward(x)
+	params.BackwardParams(dY)
+	want, got := full.Params(), params.Params()
+	for i := range want {
+		for j, g := range want[i].Grad {
+			if math.Float32bits(got[i].Grad[j]) != math.Float32bits(g) {
+				t.Fatalf("param %d grad %d: %v after BackwardParams, %v after Backward", i, j, got[i].Grad[j], g)
+			}
+		}
+	}
+}

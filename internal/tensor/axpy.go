@@ -5,12 +5,14 @@ package tensor
 // share each load of b, either adding every term (Axpy4Rows) or leaving
 // alone the rows of a term whose coefficient is zero (Axpy4Skip). The matmul
 // kernels in blocked.go, nn.Linear's gradient accumulation and the
-// dot-interaction are all expressed on it. On amd64 the bodies are the SSE2
-// loops in axpy_amd64.s; everywhere else they are the *Go functions at the
-// bottom of this file, which are also the oracle the assembly is tested
-// against. The assembly rounds the product and the sum separately, as the
-// compiler's code for the Go loops does on amd64, so on every architecture
-// the primitive computes, bit for bit, what the scalar loop there computes.
+// dot-interaction are all expressed on it. On amd64 the bodies are the loops
+// in axpy_amd64.s, eight-lane AVX where the host has it and four-lane SSE2
+// where it does not; everywhere else they are the *Go functions at the
+// bottom of this file, which are also the oracle every assembly body is
+// tested against. The assembly rounds the product and the sum separately,
+// as the compiler's code for the Go loops does on amd64, so on every
+// architecture and with either body the primitive computes, bit for bit,
+// what the scalar loop there computes.
 
 // Axpy computes y += alpha*x elementwise for equal-length slices that do
 // not overlap.
@@ -29,7 +31,7 @@ func Axpy(alpha float32, x, y []float32) {
 // holds every row read, and no y_r overlaps x or another y.
 func Axpy4Rows(c0, c1, c2, c3, x []float32, stride int, y0, y1, y2, y3 []float32) {
 	checkAxpy4(c0, c1, c2, c3, x, stride, y0, y1, y2, y3)
-	axpy4Rows(y0, y1, y2, y3, x, stride, c0, c1, c2, c3, false)
+	axpy4Rows(y0, y1, y2, y3, x, stride, c0, c1, c2, c3, len(c0), 1, false)
 }
 
 // Axpy4Skip is Axpy4Rows that, term by term, leaves alone every row whose
@@ -38,7 +40,7 @@ func Axpy4Rows(c0, c1, c2, c3, x []float32, stride int, y0, y1, y2, y3 []float32
 // with no zero among its four coefficients still takes one four-row pass.
 func Axpy4Skip(c0, c1, c2, c3, x []float32, stride int, y0, y1, y2, y3 []float32) {
 	checkAxpy4(c0, c1, c2, c3, x, stride, y0, y1, y2, y3)
-	axpy4Rows(y0, y1, y2, y3, x, stride, c0, c1, c2, c3, true)
+	axpy4Rows(y0, y1, y2, y3, x, stride, c0, c1, c2, c3, len(c0), 1, true)
 }
 
 // checkAxpy4 panics, before anything is written, unless the four-row
@@ -62,12 +64,13 @@ func axpy1Go(d, b []float32, a float32) {
 }
 
 // axpy4RowsGo is the portable body of Axpy4Rows (skip unset) and Axpy4Skip
-// (skip set).
-func axpy4RowsGo(d0, d1, d2, d3, b []float32, stride int, c0, c1, c2, c3 []float32, skip bool) {
+// (skip set), for k terms whose coefficients lie cstride apart: term p
+// scales row r by c_r[p*cstride].
+func axpy4RowsGo(d0, d1, d2, d3, b []float32, stride int, c0, c1, c2, c3 []float32, k, cstride int, skip bool) {
 	n := len(d0)
 	d1, d2, d3 = d1[:n], d2[:n], d3[:n]
-	for p, a0 := range c0 {
-		a1, a2, a3 := c1[p], c2[p], c3[p]
+	for p := 0; p < k; p++ {
+		a0, a1, a2, a3 := c0[p*cstride], c1[p*cstride], c2[p*cstride], c3[p*cstride]
 		x := b[p*stride : p*stride+n]
 		if skip && (a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0) {
 			c := [4]float32{a0, a1, a2, a3}

@@ -27,6 +27,27 @@ func axpyValues(rng *RNG, n int) []float32 {
 	return v
 }
 
+// Quiet NaNs whose payloads tell the operands apart. A multiply or an add
+// that meets two NaNs returns one of them (on amd64, its first operand's),
+// so a body that orders the operands otherwise than the scalar loop leaves
+// a different NaN, and the bitwise comparison sees it.
+const (
+	nanB    = 0x7fc0b000 // in the source b
+	nanCoef = 0x7fc0c000 // in the coefficients
+	nanD    = 0xffc0d000 // in the destination rows
+)
+
+// withNaNs replaces about one element of v in six with a quiet NaN whose
+// payload is base plus the element's index, and returns v.
+func withNaNs(rng *RNG, v []float32, base uint32) []float32 {
+	for i := range v {
+		if rng.Intn(6) == 0 {
+			v[i] = math.Float32frombits(base | uint32(i)&0xfff)
+		}
+	}
+	return v
+}
+
 const axpyCanary = 12345.5
 
 // canaried returns a fresh copy of src[:n] placed off elements into its own
@@ -56,84 +77,101 @@ func requireSameBits(t *testing.T, got, want []float32, label string) {
 	requireBitwiseEqual(t, FromSlice(1, len(got), got), FromSlice(1, len(want), want), label)
 }
 
-// TestAxpyMatchesGo holds the shipped bodies of Axpy and of the four-row term
-// (assembly on amd64) to the pure-Go loops bit for bit, at every length through two full
-// 8-lane iterations plus every tail, and at every 4-byte misalignment of
-// every operand.
+// TestAxpyMatchesGo holds every body of Axpy and of the four-row term that
+// the host can execute to the pure-Go loops bit for bit, at every length
+// through two full 16-element iterations plus every tail, at every 4-byte
+// misalignment of every operand, and with NaNs of distinct payloads in b,
+// the coefficients and d.
 func TestAxpyMatchesGo(t *testing.T) {
-	rng := NewRNG(7)
-	for n := 0; n <= 67; n++ {
-		for off := 0; off < 4; off++ {
-			label := fmt.Sprintf("n=%d off=%d", n, off)
-			_, b := canaried(axpyValues(rng, n), (off+1)%4, n)
-			coef := axpyValues(rng, 4)
-			var src, want [4][]float32
-			var bufs, got [4][]float32
-			for r := range src {
-				src[r] = axpyValues(rng, n)
-				want[r] = append([]float32(nil), src[r]...)
-				bufs[r], got[r] = canaried(src[r], (off+r)%4, n)
-			}
+	forEachBody(t, func(t *testing.T) {
+		rng := NewRNG(7)
+		for n := 0; n <= 67; n++ {
+			for off := 0; off < 4; off++ {
+				label := fmt.Sprintf("n=%d off=%d", n, off)
+				_, b := canaried(withNaNs(rng, axpyValues(rng, n), nanB), (off+1)%4, n)
+				coef := withNaNs(rng, axpyValues(rng, 4), nanCoef)
+				var src, want [4][]float32
+				var bufs, got [4][]float32
+				for r := range src {
+					src[r] = withNaNs(rng, axpyValues(rng, n), nanD)
+					want[r] = append([]float32(nil), src[r]...)
+					bufs[r], got[r] = canaried(src[r], (off+r)%4, n)
+				}
 
-			axpy4RowsGo(want[0], want[1], want[2], want[3], b, 0, coef[0:1], coef[1:2], coef[2:3], coef[3:4], false)
-			axpy4Rows(got[0], got[1], got[2], got[3], b, 0, coef[0:1], coef[1:2], coef[2:3], coef[3:4], false)
-			for r := range got {
-				requireSameBits(t, got[r], want[r], fmt.Sprintf("axpy4Rows %s row %d", label, r))
-				requireCanaries(t, bufs[r], (off+r)%4, n, fmt.Sprintf("axpy4Rows %s row %d", label, r))
-			}
+				axpy4RowsGo(want[0], want[1], want[2], want[3], b, 0, coef[0:1], coef[1:2], coef[2:3], coef[3:4], 1, 1, false)
+				axpy4Rows(got[0], got[1], got[2], got[3], b, 0, coef[0:1], coef[1:2], coef[2:3], coef[3:4], 1, 1, false)
+				for r := range got {
+					requireSameBits(t, got[r], want[r], fmt.Sprintf("axpy4Rows %s row %d", label, r))
+					requireCanaries(t, bufs[r], (off+r)%4, n, fmt.Sprintf("axpy4Rows %s row %d", label, r))
+				}
 
-			want1 := append([]float32(nil), src[0]...)
-			buf1, got1 := canaried(src[0], off, n)
-			axpy1Go(want1, b, coef[0])
-			Axpy(coef[0], b, got1)
-			requireSameBits(t, got1, want1, "Axpy "+label)
-			requireCanaries(t, buf1, off, n, "Axpy "+label)
+				want1 := append([]float32(nil), src[0]...)
+				buf1, got1 := canaried(src[0], off, n)
+				axpy1Go(want1, b, coef[0])
+				Axpy(coef[0], b, got1)
+				requireSameBits(t, got1, want1, "Axpy "+label)
+				requireCanaries(t, buf1, off, n, "Axpy "+label)
+			}
 		}
-	}
+	})
 }
 
-// TestAxpy4RowsMatchesGo holds the term loop of Axpy4Rows and Axpy4Skip to
-// the same oracle: k terms through the primitive must leave what the pure-Go
-// four-row loop leaves, for every row length and tail, with source rows both
-// packed (stride = n) and spaced out. Half the coefficients are zeros of
-// either sign, so the skip meets terms with no, some and only zero rows.
+// TestAxpy4RowsMatchesGo holds the term loop of every body to the same
+// oracle: k terms through the primitive must leave what the pure-Go
+// four-row loop leaves, for every row length through two full 16-element
+// iterations plus every tail, with source rows both packed (stride = n) and
+// spaced out, and with each row's coefficients both adjacent (Axpy4Rows,
+// Axpy4Skip) and cstride apart (as saxpyRows hands over a column). Half the
+// coefficients are zeros of either sign, so the skip meets terms with no,
+// some and only zero rows.
 func TestAxpy4RowsMatchesGo(t *testing.T) {
-	rng := NewRNG(8)
-	zeros := []float32{0, float32(math.Copysign(0, -1))}
-	for n := 0; n <= 35; n++ {
-		for _, k := range []int{0, 1, 2, 7, 16} {
-			for _, gap := range []int{0, 3} {
-				for _, skip := range []bool{false, true} {
-					label := fmt.Sprintf("n=%d k=%d stride=%d skip=%v", n, k, n+gap, skip)
-					off := (n + k) % 4
-					stride := n + gap
-					_, b := canaried(axpyValues(rng, k*stride), off, k*stride)
-					var c, want, bufs, got [4][]float32
-					for r := range c {
-						c[r] = axpyValues(rng, k)
-						for p := range c[r] {
-							if rng.Intn(2) == 0 {
-								c[r][p] = zeros[rng.Intn(2)]
+	forEachBody(t, func(t *testing.T) {
+		rng := NewRNG(8)
+		zeros := []float32{0, float32(math.Copysign(0, -1))}
+		for n := 0; n <= 50; n++ {
+			for _, k := range []int{0, 1, 2, 7, 16} {
+				for _, gap := range []int{0, 3} {
+					for _, cstride := range []int{1, 3} {
+						for _, skip := range []bool{false, true} {
+							label := fmt.Sprintf("n=%d k=%d stride=%d cstride=%d skip=%v", n, k, n+gap, cstride, skip)
+							off := (n + k) % 4
+							stride := n + gap
+							_, b := canaried(withNaNs(rng, axpyValues(rng, k*stride), nanB), off, k*stride)
+							span := 0
+							if k > 0 {
+								span = (k-1)*cstride + 1
+							}
+							var c, want, bufs, got [4][]float32
+							for r := range c {
+								c[r] = withNaNs(rng, axpyValues(rng, span), nanCoef)
+								for p := 0; p < k; p++ {
+									if rng.Intn(2) == 0 {
+										c[r][p*cstride] = zeros[rng.Intn(2)]
+									}
+								}
+								src := withNaNs(rng, axpyValues(rng, n), nanD)
+								want[r] = append([]float32(nil), src...)
+								bufs[r], got[r] = canaried(src, (off+r)%4, n)
+							}
+							axpy4RowsGo(want[0], want[1], want[2], want[3], b, stride, c[0], c[1], c[2], c[3], k, cstride, skip)
+							switch {
+							case cstride != 1:
+								axpy4Rows(got[0], got[1], got[2], got[3], b, stride, c[0], c[1], c[2], c[3], k, cstride, skip)
+							case skip:
+								Axpy4Skip(c[0], c[1], c[2], c[3], b, stride, got[0], got[1], got[2], got[3])
+							default:
+								Axpy4Rows(c[0], c[1], c[2], c[3], b, stride, got[0], got[1], got[2], got[3])
+							}
+							for r := range got {
+								requireSameBits(t, got[r], want[r], fmt.Sprintf("%s row %d", label, r))
+								requireCanaries(t, bufs[r], (off+r)%4, n, fmt.Sprintf("%s row %d", label, r))
 							}
 						}
-						src := axpyValues(rng, n)
-						want[r] = append([]float32(nil), src...)
-						bufs[r], got[r] = canaried(src, (off+r)%4, n)
-					}
-					axpy4RowsGo(want[0], want[1], want[2], want[3], b, stride, c[0], c[1], c[2], c[3], skip)
-					if skip {
-						Axpy4Skip(c[0], c[1], c[2], c[3], b, stride, got[0], got[1], got[2], got[3])
-					} else {
-						Axpy4Rows(c[0], c[1], c[2], c[3], b, stride, got[0], got[1], got[2], got[3])
-					}
-					for r := range got {
-						requireSameBits(t, got[r], want[r], fmt.Sprintf("%s row %d", label, r))
-						requireCanaries(t, bufs[r], (off+r)%4, n, fmt.Sprintf("%s row %d", label, r))
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestAxpy4SkipLeavesZeroRows: in every pattern of zero and non-zero
@@ -141,29 +179,31 @@ func TestAxpy4RowsMatchesGo(t *testing.T) {
 // was — x carries an Inf, so a multiplied-in zero would show as NaN — and
 // every other row gets exactly the single-row update.
 func TestAxpy4SkipLeavesZeroRows(t *testing.T) {
-	rng := NewRNG(11)
-	const n = 13
-	x := axpyValues(rng, n)
-	x[3] = float32(math.Inf(1))
-	zeros := []float32{0, float32(math.Copysign(0, -1))}
-	for pattern := 0; pattern < 16; pattern++ {
-		var coef [4]float32
-		var want, got [4][]float32
-		for r := range coef {
-			coef[r] = zeros[(pattern+r)%2]
-			want[r] = make([]float32, n)
-			rng.FillNormal(want[r], 0, 1)
-			got[r] = append([]float32(nil), want[r]...)
-			if pattern&(1<<r) != 0 {
-				coef[r] = float32(r) + 1.5
-				axpy1Go(want[r], x, coef[r])
+	forEachBody(t, func(t *testing.T) {
+		rng := NewRNG(11)
+		const n = 13
+		x := axpyValues(rng, n)
+		x[3] = float32(math.Inf(1))
+		zeros := []float32{0, float32(math.Copysign(0, -1))}
+		for pattern := 0; pattern < 16; pattern++ {
+			var coef [4]float32
+			var want, got [4][]float32
+			for r := range coef {
+				coef[r] = zeros[(pattern+r)%2]
+				want[r] = make([]float32, n)
+				rng.FillNormal(want[r], 0, 1)
+				got[r] = append([]float32(nil), want[r]...)
+				if pattern&(1<<r) != 0 {
+					coef[r] = float32(r) + 1.5
+					axpy1Go(want[r], x, coef[r])
+				}
+			}
+			Axpy4Skip(coef[0:1], coef[1:2], coef[2:3], coef[3:4], x, 0, got[0], got[1], got[2], got[3])
+			for r := range got {
+				requireSameBits(t, got[r], want[r], fmt.Sprintf("pattern %04b row %d", pattern, r))
 			}
 		}
-		Axpy4Skip(coef[0:1], coef[1:2], coef[2:3], coef[3:4], x, 0, got[0], got[1], got[2], got[3])
-		for r := range got {
-			requireSameBits(t, got[r], want[r], fmt.Sprintf("pattern %04b row %d", pattern, r))
-		}
-	}
+	})
 }
 
 // TestAxpyShortDestinationPanics: a destination shorter than the source is

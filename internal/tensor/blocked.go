@@ -5,9 +5,10 @@ package tensor
 // MatMulTransB below). All three are the same computation — rows of
 // dst = A @ b, accumulated as dst[i][:] += A[i][p]*b[p][:] for ascending p — and their
 // inner loops are the package's vector primitive (Axpy / Axpy4Skip /
-// Axpy4Rows, see axpy.go): SSE2 on amd64, plain Go elsewhere. MatMul and MatMulTransA,
-// which skip zero terms, share saxpyRows and hand Axpy4Skip one term per
-// call; MatMulTransB, which never skips, hands whole tiles to Axpy4Rows.
+// Axpy4Rows, see axpy.go): AVX or SSE2 on amd64, plain Go elsewhere. Each
+// four-row tile is one call over all its terms: MatMul and MatMulTransA,
+// which skip zero terms, share saxpyRows and the primitive's skipping form;
+// MatMulTransB, which never skips, hands its tiles to Axpy4Rows.
 //
 // The vector lanes, the four-row tile and the row spans of the parallel
 // entry points all cut across *different* output elements. Every single
@@ -106,31 +107,31 @@ func Transpose4(dst []float32, stride int, s0, s1, s2, s3 []float32) {
 // element A[i][p] is ad[i*rs+p*ps]: (rs, ps) = (k, 1) reads a row-major
 // matrix, (1, cols) reads the transpose of one. Per output element (i, j)
 // the accumulation is dst[i][j] += A[i][p]*b[p][j] for ascending p, skipping
-// terms whose A[i][p] == 0.
+// terms whose A[i][p] == 0. Each four-row tile is one call of the skipping
+// primitive over all k terms, its coefficients read ps apart where they lie;
+// every slice handed to it is cut to exactly what it reads, so their bounds
+// checks are its.
 func saxpyRows(dst *Matrix, ad []float32, rs, ps, k int, b *Matrix, lo, hi int) {
 	n := b.Cols
 	clear(dst.Data[lo*n : hi*n])
+	span := 0 // the elements of ad one row of A runs over
+	if k > 0 {
+		span = (k-1)*ps + 1
+	}
+	src := b.Data[:k*n]
 	i := lo
 	for ; i+mrMatMul <= hi; i += mrMatMul {
-		d0 := dst.Data[(i+0)*n : (i+1)*n]
-		d1 := dst.Data[(i+1)*n : (i+2)*n]
-		d2 := dst.Data[(i+2)*n : (i+3)*n]
-		d3 := dst.Data[(i+3)*n : (i+4)*n]
-		a0, a1, a2, a3 := ad[(i+0)*rs:], ad[(i+1)*rs:], ad[(i+2)*rs:], ad[(i+3)*rs:]
-		for p := 0; p < k; p++ {
-			av := [mrMatMul]float32{a0[p*ps], a1[p*ps], a2[p*ps], a3[p*ps]}
-			if av[0] == 0 && av[1] == 0 && av[2] == 0 && av[3] == 0 {
-				continue
-			}
-			Axpy4Skip(av[0:1], av[1:2], av[2:3], av[3:4], b.Data[p*n:(p+1)*n], 0, d0, d1, d2, d3)
-		}
+		axpy4Rows(dst.Data[(i+0)*n:(i+1)*n], dst.Data[(i+1)*n:(i+2)*n], dst.Data[(i+2)*n:(i+3)*n], dst.Data[(i+3)*n:(i+4)*n],
+			src, n,
+			ad[(i+0)*rs:(i+0)*rs+span], ad[(i+1)*rs:(i+1)*rs+span], ad[(i+2)*rs:(i+2)*rs+span], ad[(i+3)*rs:(i+3)*rs+span],
+			k, ps, true)
 	}
 	for ; i < hi; i++ {
 		di := dst.Data[i*n : (i+1)*n]
 		ai := ad[i*rs:]
 		for p := 0; p < k; p++ {
 			if av := ai[p*ps]; av != 0 {
-				Axpy(av, b.Data[p*n:(p+1)*n], di)
+				Axpy(av, src[p*n:(p+1)*n], di)
 			}
 		}
 	}

@@ -59,62 +59,68 @@ func requireBitwiseEqual(t *testing.T, got, want *Matrix, label string) {
 }
 
 func TestMatMulBlockedBitwiseParity(t *testing.T) {
-	rng := NewRNG(101)
-	for _, s := range raggedShapes {
-		a := sparseMatrix(rng, s.m, s.k)
-		b := sparseMatrix(rng, s.k, s.n)
-		want := NewMatrix(s.m, s.n)
-		matMulNaive(want, a, b)
-		for _, workers := range []int{1, 2, 8} {
-			got := NewMatrix(s.m, s.n)
-			MatMulWorkers(workers, got, a, b)
-			requireBitwiseEqual(t, got, want,
-				fmt.Sprintf("MatMul %dx%d@%dx%d workers=%d", s.m, s.k, s.k, s.n, workers))
+	forEachBody(t, func(t *testing.T) {
+		rng := NewRNG(101)
+		for _, s := range raggedShapes {
+			a := sparseMatrix(rng, s.m, s.k)
+			b := sparseMatrix(rng, s.k, s.n)
+			want := NewMatrix(s.m, s.n)
+			matMulNaive(want, a, b)
+			for _, workers := range []int{1, 2, 8} {
+				got := NewMatrix(s.m, s.n)
+				MatMulWorkers(workers, got, a, b)
+				requireBitwiseEqual(t, got, want,
+					fmt.Sprintf("MatMul %dx%d@%dx%d workers=%d", s.m, s.k, s.k, s.n, workers))
+			}
 		}
-	}
+	})
 }
 
 func TestMatMulTransBBlockedBitwiseParity(t *testing.T) {
-	rng := NewRNG(102)
-	shapes := append([]struct{ m, k, n int }(nil), raggedShapes...)
-	// Both sides of the transBPackRows switch, below parallelThreshold and
-	// (from 7 rows on) above it, so the serial and the span paths of each
-	// form run.
-	const bigK = 1031
-	for _, m := range []int{1, 7, 8, 9} {
-		shapes = append(shapes, struct{ m, k, n int }{m, 13, 5}, struct{ m, k, n int }{m, bigK, parallelThreshold/(7*bigK) + 1})
-	}
-	var bt Matrix // reused across shapes, as a layer reuses it across batches
-	for _, s := range shapes {
-		a := sparseMatrix(rng, s.m, s.k)
-		b := sparseMatrix(rng, s.n, s.k)
-		want := NewMatrix(s.m, s.n)
-		matMulTransBNaive(want, a, b)
-		for _, workers := range []int{1, 2, 8} {
-			for _, scratch := range []*Matrix{nil, &bt} {
-				got := NewMatrix(s.m, s.n)
-				MatMulTransBWorkers(workers, got, a, b, scratch)
-				requireBitwiseEqual(t, got, want,
-					fmt.Sprintf("MatMulTransB %dx%d@(%dx%d)T workers=%d packed=%v", s.m, s.k, s.n, s.k, workers, scratch != nil))
+	forEachBody(t, func(t *testing.T) {
+		rng := NewRNG(102)
+		shapes := append([]struct{ m, k, n int }(nil), raggedShapes...)
+		// Both sides of the transBPackRows switch, below parallelThreshold and
+		// (from 7 rows on) above it, so the serial and the span paths of each
+		// form run.
+		const bigK = 1031
+		for _, m := range []int{1, 7, 8, 9} {
+			shapes = append(shapes, struct{ m, k, n int }{m, 13, 5}, struct{ m, k, n int }{m, bigK, parallelThreshold/(7*bigK) + 1})
+		}
+		var bt Matrix // reused across shapes, as a layer reuses it across batches
+		for _, s := range shapes {
+			a := sparseMatrix(rng, s.m, s.k)
+			b := sparseMatrix(rng, s.n, s.k)
+			want := NewMatrix(s.m, s.n)
+			matMulTransBNaive(want, a, b)
+			for _, workers := range []int{1, 2, 8} {
+				for _, scratch := range []*Matrix{nil, &bt} {
+					got := NewMatrix(s.m, s.n)
+					MatMulTransBWorkers(workers, got, a, b, scratch)
+					requireBitwiseEqual(t, got, want,
+						fmt.Sprintf("MatMulTransB %dx%d@(%dx%d)T workers=%d packed=%v", s.m, s.k, s.n, s.k, workers, scratch != nil))
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestMatMulTransABlockedBitwiseParity(t *testing.T) {
-	rng := NewRNG(103)
-	for _, s := range raggedShapes {
-		a := sparseMatrix(rng, s.k, s.m)
-		b := sparseMatrix(rng, s.k, s.n)
-		want := NewMatrix(s.m, s.n)
-		matMulTransANaive(want, a, b)
-		for _, workers := range []int{1, 2, 8} {
-			got := NewMatrix(s.m, s.n)
-			MatMulTransAWorkers(workers, got, a, b)
-			requireBitwiseEqual(t, got, want,
-				fmt.Sprintf("MatMulTransA (%dx%d)T@%dx%d workers=%d", s.k, s.m, s.k, s.n, workers))
+	forEachBody(t, func(t *testing.T) {
+		rng := NewRNG(103)
+		for _, s := range raggedShapes {
+			a := sparseMatrix(rng, s.k, s.m)
+			b := sparseMatrix(rng, s.k, s.n)
+			want := NewMatrix(s.m, s.n)
+			matMulTransANaive(want, a, b)
+			for _, workers := range []int{1, 2, 8} {
+				got := NewMatrix(s.m, s.n)
+				MatMulTransAWorkers(workers, got, a, b)
+				requireBitwiseEqual(t, got, want,
+					fmt.Sprintf("MatMulTransA (%dx%d)T@%dx%d workers=%d", s.k, s.m, s.k, s.n, workers))
+			}
 		}
-	}
+	})
 }
 
 func TestParallelSpansCoversRange(t *testing.T) {
@@ -167,23 +173,53 @@ func BenchmarkMatMul_Blocked_1024(b *testing.B) {
 	benchMatMulPair(b, 1024, func(dst, a, c *Matrix) { matMulBlocked(dst, a, c, 0, a.Rows) })
 }
 
-// BenchmarkMatMulTransB_MLP is Linear.Forward's product on the MLP shapes
-// the training benchmarks run (rows × in · out), packed scratch included, at
-// one and two workers: the numbers parallelThreshold is derived from.
-func BenchmarkMatMulTransB_MLP(b *testing.B) {
-	for _, s := range []struct{ m, k, n int }{{128, 383, 32}, {1024, 383, 256}, {1024, 256, 128}} {
-		rng := NewRNG(1)
-		a := randomMatrix(rng, s.m, s.k)
-		w := randomMatrix(rng, s.n, s.k)
-		dst := NewMatrix(s.m, s.n)
-		var wt Matrix
+// mlpShapes are the products of the training benchmarks' MLPs (rows × in ·
+// out), from below parallelThreshold to the largest: the shapes its table
+// is measured on.
+var mlpShapes = []struct{ m, k, n int }{
+	{128, 383, 32}, {96, 256, 128}, {128, 256, 128}, {256, 256, 128}, {1024, 256, 128}, {1024, 383, 256},
+}
+
+// benchMLP times one of a linear layer's three products on every MLP shape
+// at one and two workers; build allocates one shape's operands and returns
+// the product over them.
+func benchMLP(b *testing.B, build func(rng *RNG, m, k, n int) func(workers int)) {
+	for _, s := range mlpShapes {
+		run := build(NewRNG(1), s.m, s.k, s.n)
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%dx%dx%d/workers=%d", s.m, s.k, s.n, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					MatMulTransBWorkers(workers, dst, a, w, &wt)
+					run(workers)
 				}
 			})
 		}
 	}
+}
+
+// BenchmarkMatMulTransB_MLP is Linear.Forward's product, y = x @ Wᵀ, packed
+// scratch included.
+func BenchmarkMatMulTransB_MLP(b *testing.B) {
+	benchMLP(b, func(rng *RNG, m, k, n int) func(int) {
+		x, w, y := randomMatrix(rng, m, k), randomMatrix(rng, n, k), NewMatrix(m, n)
+		var wt Matrix
+		return func(workers int) { MatMulTransBWorkers(workers, y, x, w, &wt) }
+	})
+}
+
+// BenchmarkMatMul_MLP is Linear.Backward's input gradient, dX = dY @ W.
+func BenchmarkMatMul_MLP(b *testing.B) {
+	benchMLP(b, func(rng *RNG, m, k, n int) func(int) {
+		dy, w, dx := randomMatrix(rng, m, n), randomMatrix(rng, n, k), NewMatrix(m, k)
+		return func(workers int) { MatMulWorkers(workers, dx, dy, w) }
+	})
+}
+
+// BenchmarkMatMulTransA_MLP is Linear.Backward's weight gradient,
+// gW = dYᵀ @ x.
+func BenchmarkMatMulTransA_MLP(b *testing.B) {
+	benchMLP(b, func(rng *RNG, m, k, n int) func(int) {
+		dy, x, gw := randomMatrix(rng, m, n), randomMatrix(rng, m, k), NewMatrix(n, k)
+		return func(workers int) { MatMulTransAWorkers(workers, gw, dy, x) }
+	})
 }

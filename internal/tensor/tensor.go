@@ -73,7 +73,10 @@ func (m *Matrix) Zero() {
 //	1024×383·256  (100M)  8.9→4.6 ms   10.5→5.6 ms  11.4→5.8 ms  1.9x
 //
 // The old value, 1<<17, was sized for the scalar kernels (~130 µs of work
-// then, ~20 µs now).
+// then, ~20 µs now). The table is the SSE2 body's; the AVX body shortens
+// the work and so moves the break-even up, and has not been re-measured
+// here (BenchmarkMatMulTransB_MLP, BenchmarkMatMul_MLP and
+// BenchmarkMatMulTransA_MLP are the runs to repeat).
 const parallelThreshold = 1 << 22
 
 // MatMulWorkers computes dst = a @ b where a is m×k and b is k×n. dst must
