@@ -23,15 +23,12 @@ func forEachBody(t *testing.T, fn func(t *testing.T)) {
 	}
 }
 
-// TestAVXSelectedWhereSupported: package init picks the AVX body exactly
-// where CPUID and XGETBV report AVX, and on Linux that agrees with the
-// kernel's own account, which lists "avx" among the CPU flags only where it
-// also saves the YMM registers. A detection bug fails here instead of
-// quietly running the four-lane body.
+// TestAVXSelectedWhereSupported: the body package init picked agrees with
+// the Linux kernel's own account, which lists "avx" among the CPU flags only
+// where the CPU has it and the kernel also saves the YMM registers. A
+// detection bug in hasAVX fails here instead of quietly running the
+// four-lane body.
 func TestAVXSelectedWhereSupported(t *testing.T) {
-	if useAVX != hasAVX() {
-		t.Fatalf("useAVX = %v, but CPUID and XGETBV say %v", useAVX, hasAVX())
-	}
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
 		t.Skipf("no /proc/cpuinfo to cross-check: %v", err)

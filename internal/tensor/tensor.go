@@ -59,24 +59,27 @@ func (m *Matrix) Zero() {
 
 // parallelThreshold is the number of multiply-adds below which a matmul stays
 // single-threaded at any width. A fan-out costs the caller 15–30 µs (queue a
-// span, wake a pool worker, wait for it), and the SSE2 kernels get through
-// 6–11 multiply-adds per nanosecond, so the work has to be worth about half a
-// millisecond before a second worker pays. Measured on the 2-core reference
-// box, best of four, 1 worker → 2 workers, for MatMulTransB / MatMul /
-// MatMulTransA on the MLP shapes (batch × in · out):
+// span, wake a pool worker, wait for it), and the AVX kernels get through
+// 9–17 multiply-adds per nanosecond, so the work has to be worth a few
+// hundred microseconds before a second worker pays. Measured on a 2-vCPU
+// Xeon (model 207) with the AVX body, best of four, 1 worker → 2 workers,
+// for MatMulTransB / MatMul / MatMulTransA on the MLP shapes (batch × in ·
+// out; BenchmarkMatMulTransB_MLP, BenchmarkMatMul_MLP,
+// BenchmarkMatMulTransA_MLP):
 //
-//	 128×383·32   (1.6M)  154→170 µs   167→187 µs   163→183 µs   slower
-//	  96×256·128  (3.1M)  292→271 µs   306→308 µs   305→314 µs   even
-//	 128×256·128  (4.2M)  418→328 µs   461→346 µs   444→343 µs   1.3x
-//	 256×256·128  (8.4M)  775→511 µs   797→509 µs   832→510 µs   1.5–1.6x
-//	1024×256·128   (34M)  3.06→1.65 ms 3.84→1.80 ms 3.83→1.78 ms 1.9–2.1x
-//	1024×383·256  (100M)  8.9→4.6 ms   10.5→5.6 ms  11.4→5.8 ms  1.9x
+//	 128×383·32   (1.6M)  125→137 µs   169→176 µs   154→160 µs   slower
+//	  96×256·128  (3.1M)  214→223 µs   240→209 µs   215→209 µs   even
+//	 128×256·128  (4.2M)  278→243 µs   276→222 µs   306→267 µs   1.1–1.2x
+//	 256×256·128  (8.4M)  606→384 µs   504→434 µs   767→355 µs   1.2–2.2x
+//	1024×256·128   (34M)  2.75→1.33 ms 2.18→1.59 ms 2.21→1.60 ms 1.4–2.1x
+//	1024×383·256  (100M)  9.2→5.6 ms   8.5→4.9 ms   10.5→6.0 ms  1.7–1.8x
 //
-// The old value, 1<<17, was sized for the scalar kernels (~130 µs of work
-// then, ~20 µs now). The table is the SSE2 body's; the AVX body shortens
-// the work and so moves the break-even up, and has not been re-measured
-// here (BenchmarkMatMulTransB_MLP, BenchmarkMatMul_MLP and
-// BenchmarkMatMulTransA_MLP are the runs to repeat).
+// The AVX body halves the work of each product, so the fixed fan-out cost
+// weighs twice as much, yet the break-even still lies between 3.1M and
+// 4.2M, where the SSE2 body also put it (the SSE2 body, interleaved in the
+// same runs: 1.6M slower or even, 3.1M 0.9–1.5x, 4.2M 1.3–1.5x). The old
+// value, 1<<17, was sized for the scalar kernels (~130 µs of work then,
+// ~10 µs now).
 const parallelThreshold = 1 << 22
 
 // MatMulWorkers computes dst = a @ b where a is m×k and b is k×n. dst must
