@@ -1,8 +1,13 @@
 package dist
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -264,5 +269,75 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if err := parseFrames(buf[:5], func(int, byte, []byte) error { return nil }); err == nil {
 		t.Fatal("truncated buffer must fail")
+	}
+}
+
+// TestStepWireGolden pins the trainer's wire bytes across commits: for each
+// of three steps it hashes every rank's fused forward (send) and backward
+// (send2) buffers and records the step's loss bits, at 4 ranks with the
+// hybrid codec under a decaying adaptive controller, at 4 ranks
+// uncompressed, and at 1 rank. testdata/wire.golden holds one line per
+// (configuration, step). A refactor of the exchange must leave it
+// unchanged; an intended wire change regenerates the file from the "got"
+// block printed on mismatch.
+func TestStepWireGolden(t *testing.T) {
+	spec := testSpec()
+	cfg := testConfig(spec, 8)
+	adaptive := func() Options {
+		classes := make([]adapt.Class, len(cfg.TableSizes))
+		for i := range classes {
+			classes[i] = []adapt.Class{adapt.ClassLarge, adapt.ClassMedium, adapt.ClassSmall}[i%3]
+		}
+		ctrl, err := adapt.NewController(classes, adapt.PaperEBConfig(), adapt.ScheduleStepwise, 2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codecs := make([]codec.Codec, len(classes))
+		for i := range codecs {
+			codecs[i] = hybrid.New(0.03, hybrid.Auto)
+		}
+		return Options{Ranks: 4, Model: cfg, CodecFor: func(tb int) codec.Codec { return codecs[tb] }, Controller: ctrl}
+	}
+	cases := []struct {
+		name string
+		opts Options
+	}{
+		{"4ranks_hybrid_adaptive", adaptive()},
+		{"4ranks_none", Options{Ranks: 4, Model: cfg}},
+		{"1rank_none", Options{Ranks: 1, Model: cfg}},
+	}
+	var got strings.Builder
+	for _, tc := range cases {
+		tr, err := NewTrainer(tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := criteo.NewGenerator(spec)
+		for step := 0; step < 3; step++ {
+			loss, err := tr.Step(gen.NextBatch(64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fwd, bwd := sha256.New(), sha256.New()
+			for _, ws := range tr.ws {
+				for dst := range ws.send {
+					fmt.Fprintf(fwd, "%d:", len(ws.send[dst]))
+					fwd.Write(ws.send[dst])
+					fmt.Fprintf(bwd, "%d:", len(ws.send2[dst]))
+					bwd.Write(ws.send2[dst])
+				}
+			}
+			fmt.Fprintf(&got, "%s step=%d loss=%08x fwd=%x bwd=%x\n",
+				tc.name, step, math.Float32bits(loss), fwd.Sum(nil), bwd.Sum(nil))
+		}
+		tr.Close()
+	}
+	golden := filepath.Join("testdata", "wire.golden")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v\n--- got ---\n%s", err, got.String())
+	}
+	if got.String() != string(want) {
+		t.Fatalf("wire drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got.String(), want)
 	}
 }
