@@ -124,12 +124,11 @@ type Trainer struct {
 	tmpl     *model.DLRM
 	replicas []*replica
 
-	// per-table codecs and their calibrated kernel rates (nil if
-	// Options.CodecFor is nil). anyCodec reports whether at least one
-	// table compresses, making the all-to-all variable-size.
-	codecs   []codec.Codec
-	rates    []netmodel.CodecRates
-	anyCodec bool
+	// per-table codecs and their calibrated kernel rates, both nil unless
+	// at least one table compresses (which makes the forward all-to-all
+	// variable-size).
+	codecs []codec.Codec
+	rates  []netmodel.CodecRates
 
 	numParams int // flattened dense-gradient length for the AllReduce
 	iter      int
@@ -238,13 +237,14 @@ func NewTrainer(opts Options) (*Trainer, error) {
 		def := netmodel.CodecRates{Compress: 50e9, Decompress: 100e9}
 		t.codecs = make([]codec.Codec, numTables)
 		t.rates = make([]netmodel.CodecRates, numTables)
+		anyCodec := false
 		for tb := 0; tb < numTables; tb++ {
 			c := opts.CodecFor(tb)
 			t.codecs[tb] = c
 			if c == nil {
 				continue
 			}
-			t.anyCodec = true
+			anyCodec = true
 			if r, ok := paper[c.Name()]; ok {
 				t.rates[tb] = r
 			} else {
@@ -269,6 +269,9 @@ func NewTrainer(opts Options) (*Trainer, error) {
 				}
 				seen[v.Pointer()] = tb
 			}
+		}
+		if !anyCodec {
+			t.codecs, t.rates = nil, nil
 		}
 	}
 
@@ -321,21 +324,13 @@ func NewTrainer(opts Options) (*Trainer, error) {
 	t.ws = make([]*stepWorkspace, opts.Ranks)
 	t.stepMacs = stepMacsFor(opts.Model)
 	for r := 0; r < opts.Ranks; r++ {
-		t.ws[r] = newStepWorkspace(opts.Ranks, numTables, t.numParams, t.replicas[r].m.DenseParams())
+		t.ws[r] = newStepWorkspace(t, r)
 	}
 	return t, nil
 }
 
 // owner returns the rank holding table tb's shard.
 func (t *Trainer) owner(tb int) int { return tb % t.opts.Ranks }
-
-// codecFor returns table tb's codec, or nil when running uncompressed.
-func (t *Trainer) codecFor(tb int) codec.Codec {
-	if t.codecs == nil {
-		return nil
-	}
-	return t.codecs[tb]
-}
 
 // Cluster exposes the simulated process group (for SimTimes breakdowns).
 func (t *Trainer) Cluster() *cluster.Cluster { return t.cl }

@@ -175,143 +175,45 @@ func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 			sc.fatal[r] = true
 		}
 
-		// --- stage 1: owners gather lookups, compress, fuse, exchange ---
+		// --- stages 1-2: owners gather lookups; the exchange delivers them ---
+		// Each owner gathers a table's rows for the whole batch once; every
+		// destination's shard is a row range of that gather. The rank's own
+		// shard never crosses the wire: its lookup slot is a view of those
+		// rows, so the exchange's self-route has nothing to move.
 		cnt := count[r]
-		for tb := range ws.got {
-			ws.got[tb] = false
-			ws.gotGrad[tb] = false
-		}
 		owned := t.owned[r]
-		t.parallelDo(len(owned), func(k int) {
-			tb := owned[k]
-			ws.tblErr[tb] = nil
-			ws.tblCompDur[tb] = 0
-			ws.tblRawBytes[tb], ws.tblCmpBytes[tb] = 0, 0
-			tab := t.tmpl.Emb.Tables[tb]
-			c := t.codecFor(tb)
-			for dst := 0; dst < ranks; dst++ {
-				buf := ws.tblFrame[tb][dst][:0]
-				ws.tblFrame[tb][dst] = buf
-				if count[dst] == 0 {
-					continue
-				}
-				idx := b.Indices[tb][start[dst] : start[dst]+count[dst]]
-				if dst == r {
-					// The local shard never crosses the wire (and is never
-					// compressed): gather it straight into the lookup slot.
-					ws.lookups[tb] = ws.lookups[tb].Resize(count[dst], dim)
-					tab.LookupIntoWorkers(ws.lookups[tb], idx, t.computeWorkers)
-					ws.got[tb] = true
-					continue
-				}
-				ws.tblChunk[tb] = ws.tblChunk[tb].Resize(count[dst], dim)
-				chunk := ws.tblChunk[tb]
-				tab.LookupIntoWorkers(chunk, idx, t.computeWorkers)
-				if c == nil {
-					ws.tblFrame[tb][dst] = appendFrameFloats(buf, tb, chunk.Data)
-					continue
-				}
-				framed, hdrOff := appendFrameHeader(buf, tb, encCodec)
-				out, err := c.CompressAppend(framed, chunk.Data, dim)
-				if err != nil {
-					// Record the failure but keep the exchange aligned by
-					// falling back to the raw payload.
-					if ws.tblErr[tb] == nil {
-						ws.tblErr[tb] = fmt.Errorf("dist: rank %d table %d compress: %w", r, tb, err)
-					}
-					ws.tblFrame[tb][dst] = appendFrameFloats(ws.tblFrame[tb][dst][:0], tb, chunk.Data)
-					continue
-				}
-				patchFrameLen(out, hdrOff)
-				ws.tblFrame[tb][dst] = out
-				raw := int64(len(chunk.Data)) * 4
-				ws.tblCompDur[tb] += netmodel.CodecTime(raw, t.rates[tb].Compress)
-				ws.tblRawBytes[tb] += raw
-				ws.tblCmpBytes[tb] += int64(len(out) - hdrOff - frameHeaderBytes)
-			}
-		})
-		// Fuse the per-table frames into one buffer per peer, in table
-		// order, so the wire bytes match the sequential path exactly.
-		for dst := 0; dst < ranks; dst++ {
-			ws.send[dst] = ws.send[dst][:0]
-		}
-		sc.lookupBytes[r] = int64(len(owned)) * int64(n) * int64(dim) * 4
+		x := ws.x
+		x.reset(t.codecs)
 		for _, tb := range owned {
-			if ws.tblErr[tb] != nil {
-				fail(ws.tblErr[tb])
-			}
-			sc.compDur[r] += ws.tblCompDur[tb]
-			sc.fwdRaw[r] += ws.tblRawBytes[tb]
-			sc.fwdComp[r] += ws.tblCmpBytes[tb]
+			g := ws.gather[tb].Resize(n, dim)
+			ws.gather[tb] = g
+			t.tmpl.Emb.Tables[tb].LookupIntoWorkers(g, b.Indices[tb], t.computeWorkers)
 			for dst := 0; dst < ranks; dst++ {
-				if len(ws.tblFrame[tb][dst]) > 0 {
-					ws.send[dst] = append(ws.send[dst], ws.tblFrame[tb][dst]...)
-				}
+				x.send(tb, dst, g.Data[start[dst]*dim:(start[dst]+count[dst])*dim])
 			}
+			v := ws.lookups[tb]
+			v.Rows, v.Cols, v.Data = cnt, dim, g.Data[start[r]*dim:(start[r]+cnt)*dim]
 		}
-		fwdOp := rank.IAllToAllV(ws.send, t.anyCodec, "fwd-a2a", t.opts.Algo)
-		recv, err := fwdOp.Await()
+		for tb := range ws.lookups {
+			if t.owner(tb) != r {
+				ws.lookups[tb] = ws.lookups[tb].Resize(cnt, dim)
+			}
+			x.expect(tb, t.owner(tb), ws.lookups[tb].Data)
+		}
+		rs := &sc.stats[r]
+		rs.lookupBytes = int64(len(owned)) * int64(n) * int64(dim) * 4
+		fwd, err := x.run(rank, "fwd-a2a", ws.send, fail)
 		if err != nil {
 			abort(err)
 			return
 		}
 		if r == 0 {
-			st.fwd = fwdOp.Cost()
+			st.fwd = fwd
 		}
-
-		// --- stage 2: reconstruct the local shard's lookups ---
-		ws.decJobs = ws.decJobs[:0]
-		for from := 0; from < ranks; from++ {
-			err := parseFrames(recv[from], func(tb int, enc byte, payload []byte) error {
-				if tb < 0 || tb >= numTables {
-					return fmt.Errorf("dist: frame for unknown table %d", tb)
-				}
-				if ws.got[tb] {
-					return fmt.Errorf("dist: duplicate lookup frame for table %d at rank %d", tb, r)
-				}
-				ws.got[tb] = true
-				ws.decJobs = append(ws.decJobs, decJob{tb: tb, enc: enc, payload: payload})
-				return nil
-			})
-			if err != nil {
-				fail(err)
-			}
-		}
-		t.parallelDo(len(ws.decJobs), func(k int) {
-			j := ws.decJobs[k]
-			tb := j.tb
-			ws.tblErr[tb] = nil
-			ws.tblDecDur[tb] = 0
-			m := ws.lookups[tb].Resize(cnt, dim)
-			ws.lookups[tb] = m
-			switch j.enc {
-			case encRaw:
-				if err := bytesToFloats(m.Data, j.payload); err != nil {
-					ws.tblErr[tb] = err
-				}
-			case encCodec:
-				gotDim, err := t.codecFor(tb).DecompressInto(m.Data, j.payload)
-				switch {
-				case err != nil:
-					ws.tblErr[tb] = fmt.Errorf("dist: table %d decompress: %w", tb, err)
-				case gotDim != dim:
-					ws.tblErr[tb] = fmt.Errorf("dist: table %d reconstruction has dim %d, want %d", tb, gotDim, dim)
-				default:
-					ws.tblDecDur[tb] = netmodel.CodecTime(int64(cnt*dim)*4, t.rates[tb].Decompress)
-				}
-			default:
-				ws.tblErr[tb] = fmt.Errorf("dist: unknown frame encoding %d", j.enc)
-			}
-		})
-		for _, j := range ws.decJobs {
-			if ws.tblErr[j.tb] != nil {
-				fail(ws.tblErr[j.tb])
-			}
-			sc.decompDur[r] += ws.tblDecDur[j.tb]
-		}
+		rs.compress, rs.decompress, rs.fwdRaw, rs.fwdComp = x.encode, x.decode, x.raw, x.comp
 		if cnt > 0 && sc.errs[r] == nil {
 			for tb := range ws.lookups {
-				if !ws.got[tb] {
+				if !x.arrived(tb, t.owner(tb)) {
 					fail(fmt.Errorf("dist: rank %d received no lookups for table %d", r, tb))
 					break
 				}
@@ -337,7 +239,7 @@ func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 			logits := rp.m.ForwardFromLookups(dense, ws.lookups)
 			ws.dLogits = ws.dLogits.Resize(cnt, 1)
 			loss := nn.BCEWithLogitsInto(ws.dLogits, logits, labels)
-			sc.losses[r] = loss
+			rs.loss = loss
 			// BCEWithLogits divides by the shard size; rescale so the
 			// summed gradients equal the global-batch mean.
 			if cnt != n {
@@ -346,42 +248,27 @@ func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 			dLookups = rp.m.Backward(ws.dLogits)
 		}
 
-		// --- stage 4: backward all-to-all routes lookup grads to owners ---
-		// The gradient rows of this rank's own tables never leave it: like
-		// the local lookups in stage 1 they skip the frame, straight into
-		// the scatter scratch.
-		for dst := 0; dst < ranks; dst++ {
-			ws.send2[dst] = ws.send2[dst][:0]
-		}
-		if dLookups != nil {
-			for tb := 0; tb < numTables; tb++ {
-				if dst := t.owner(tb); dst != r {
-					ws.send2[dst] = appendFrameFloats(ws.send2[dst], tb, dLookups[tb].Data)
-				} else {
-					copy(ws.gradRows(tb, n, dim, start[r], cnt), dLookups[tb].Data)
-				}
+		// --- stage 4: the same exchange, codec nil, routes lookup gradients
+		// to the owners; each lands in its source's row range of the owner's
+		// scatter scratch. A rank that has no rows or has failed sends none.
+		x.reset(nil)
+		for _, tb := range owned {
+			g := ws.gradOf[tb].Resize(n, dim)
+			ws.gradOf[tb] = g
+			for src := 0; src < ranks; src++ {
+				x.expect(tb, src, g.Data[start[src]*dim:(start[src]+count[src])*dim])
 			}
 		}
-		bwdOp := rank.IAllToAllV(ws.send2, false, "bwd-a2a", t.opts.Algo)
-		recv2, err := bwdOp.Await()
+		for tb, g := range dLookups {
+			x.send(tb, t.owner(tb), g.Data)
+		}
+		bwd, err := x.run(rank, "bwd-a2a", ws.send2, fail)
 		if err != nil {
 			abort(err)
 			return
 		}
 		if r == 0 {
-			st.bwd = bwdOp.Cost()
-		}
-
-		for from := 0; from < ranks; from++ {
-			err := parseFrames(recv2[from], func(tb int, enc byte, payload []byte) error {
-				if tb < 0 || tb >= numTables || t.owner(tb) != r || enc != encRaw {
-					return fmt.Errorf("dist: bad gradient frame (table %d, enc %d) at rank %d", tb, enc, r)
-				}
-				return bytesToFloats(ws.gradRows(tb, n, dim, start[from], count[from]), payload)
-			})
-			if err != nil {
-				fail(err)
-			}
+			st.bwd = bwd
 		}
 		// Agree fleet-wide on whether any rank failed in stages 1-4 (there
 		// are no failure sources between here and the optimizer): if one
@@ -394,10 +281,7 @@ func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 		if !stepBad {
 			// Scatter in table order so duplicate-index accumulation
 			// matches the single-process trainer.
-			for tb := 0; tb < numTables; tb++ {
-				if t.owner(tb) != r || !ws.gotGrad[tb] {
-					continue
-				}
+			for _, tb := range owned {
 				t.tmpl.Emb.Tables[tb].ApplySGD(
 					embedding.SparseGrad{Indices: b.Indices[tb], Grad: ws.gradOf[tb]}, t.opts.EmbLR)
 			}
@@ -420,19 +304,11 @@ func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 
 		// Publish this rank's statistics so every process aggregates the
 		// step's global accounting from identical inputs.
-		var errStr string
+		pub := *rs
 		if sc.errs[r] != nil {
-			errStr = sc.errs[r].Error()
+			pub.errStr = sc.errs[r].Error()
 		}
-		ws.statsBlob = appendRankStats(ws.statsBlob[:0], rankStats{
-			loss:        sc.losses[r],
-			lookupBytes: sc.lookupBytes[r],
-			compress:    sc.compDur[r],
-			decompress:  sc.decompDur[r],
-			fwdRaw:      sc.fwdRaw[r],
-			fwdComp:     sc.fwdComp[r],
-			errStr:      errStr,
-		})
+		ws.statsBlob = appendRankStats(ws.statsBlob[:0], pub)
 		if err := rank.GatherAll(ws.statsBlob, ws.gathered); err != nil {
 			abort(err)
 		}
@@ -454,12 +330,7 @@ func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 		if err != nil {
 			return 0, stepStats{}, fmt.Errorf("dist: rank %d step stats: %w", r, err)
 		}
-		sc.losses[r] = s.loss
-		sc.lookupBytes[r] = s.lookupBytes
-		sc.compDur[r] = s.compress
-		sc.decompDur[r] = s.decompress
-		sc.fwdRaw[r] = s.fwdRaw
-		sc.fwdComp[r] = s.fwdComp
+		sc.stats[r] = s
 		if sc.errs[r] == nil && s.errStr != "" {
 			sc.errs[r] = errors.New(s.errStr)
 		}
@@ -473,9 +344,14 @@ func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 
 	// Charge modelled compute once per step for the parallel device fleet
 	// (the busiest rank bounds the synchronous step).
-	maxCnt := 0
-	for _, c := range count {
-		maxCnt = max(maxCnt, c)
+	maxCnt, lookupBytes := 0, int64(0)
+	var loss float64
+	for r, s := range sc.stats {
+		maxCnt, lookupBytes = max(maxCnt, count[r]), max(lookupBytes, s.lookupBytes)
+		st.compress, st.decompress = max(st.compress, s.compress), max(st.decompress, s.decompress)
+		t.fwdRawBytes += s.fwdRaw
+		t.fwdCompBytes += s.fwdComp
+		loss += float64(s.loss) * float64(count[r])
 	}
 	st.mlp = t.opts.Device.MLPTime(t.stepFlops(maxCnt))
 	t.cl.AddSimTime("mlp", st.mlp)
@@ -483,27 +359,16 @@ func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 		st.other = time.Duration(t.opts.OtherComputeFactor * float64(st.mlp))
 		t.cl.AddSimTime("other", st.other)
 	}
-	st.lookup = t.opts.Device.LookupTime(maxInt64(sc.lookupBytes))
+	st.lookup = t.opts.Device.LookupTime(lookupBytes)
 	t.cl.AddSimTime("lookup", st.lookup)
-	if d := maxDur(sc.compDur); d > 0 {
-		st.compress = d
-		t.cl.AddSimTime("compress", d)
+	if st.compress > 0 {
+		t.cl.AddSimTime("compress", st.compress)
 	}
-	if d := maxDur(sc.decompDur); d > 0 {
-		st.decompress = d
-		t.cl.AddSimTime("decompress", d)
+	if st.decompress > 0 {
+		t.cl.AddSimTime("decompress", st.decompress)
 	}
-	for r := 0; r < ranks; r++ {
-		t.fwdRawBytes += sc.fwdRaw[r]
-		t.fwdCompBytes += sc.fwdComp[r]
-	}
-
 	if ranks == 1 {
-		return sc.losses[0], st, nil
-	}
-	var loss float64
-	for r := 0; r < ranks; r++ {
-		loss += float64(sc.losses[r]) * float64(count[r])
+		return sc.stats[0].loss, st, nil
 	}
 	return float32(loss / float64(n)), st, nil
 }
@@ -522,24 +387,4 @@ func unflattenGrads(buf []float32, params []nn.Param) {
 		copy(p.Grad, buf[o:o+len(p.Grad)])
 		o += len(p.Grad)
 	}
-}
-
-func maxInt64(xs []int64) int64 {
-	var m int64
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxDur(xs []time.Duration) time.Duration {
-	var m time.Duration
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -3,61 +3,44 @@ package dist
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dlrmcomp/internal/nn"
 	"dlrmcomp/internal/tensor"
 )
 
 // This file holds the per-rank step workspaces behind the allocation-free
-// hot path. Every buffer a step needs — fused send frames, per-table frame
-// scratch, lookup matrices, gradient scatter matrices, the flattened
-// allreduce buffer — is allocated once in NewTrainer (or lazily grown to
-// the first batch's size) and reused for the life of the trainer. Buffers
-// are strictly per rank, so the rank goroutines never share mutable state
-// through them; the per-table scratch inside a rank is indexed by table, so
-// the rank's codec workers never share slots either.
+// hot path. Every buffer a step needs — fused send frames, the exchange's
+// per-block frame scratch, lookup matrices, gradient scatter matrices, the
+// flattened allreduce buffer — is allocated once in NewTrainer (or lazily
+// grown to the first batch's size) and reused for the life of the trainer.
+// Buffers are strictly per rank, so the rank goroutines never share mutable
+// state through them; inside a rank the codec workers each touch only
+// their own block.
 
 // stepWorkspace is one rank's reusable per-step state.
 type stepWorkspace struct {
-	// Fused all-to-all payloads, one buffer per peer (length Ranks).
-	send  [][]byte // forward: owner-side compressed/raw lookup frames
+	// Fused all-to-all payloads, one buffer per peer (length Ranks). The
+	// directions keep separate sets: on the zero-copy in-process fabric a
+	// peer's received forward frames alias this rank's send buffers.
+	send  [][]byte // forward: compressed or raw lookup frames
 	send2 [][]byte // backward: raw lookup-gradient frames
+	x     *exchange
 
-	// Per-table state (length numTables). Owner-side slots are indexed by
-	// the owned table, receiver-side slots by the table a frame arrived
-	// for; a table index is touched by exactly one codec worker at a time.
-	tblFrame    [][][]byte       // [table][dst] wire frame scratch (header + payload)
-	tblChunk    []*tensor.Matrix // [table] owner-side gather scratch
-	tblErr      []error          // [table] codec failure, merged after the fan-out
-	tblCompDur  []time.Duration  // [table] modelled compress cost
-	tblDecDur   []time.Duration  // [table] modelled decompress cost
-	tblRawBytes []int64          // [table] uncompressed wire bytes
-	tblCmpBytes []int64          // [table] compressed wire bytes
+	// Per-table state (length numTables).
+	gather  []*tensor.Matrix // [table] owner-side whole-batch lookup gather
+	lookups []*tensor.Matrix // [table] this rank's shard; a view of gather for owned tables
+	gradOf  []*tensor.Matrix // [table] backward scatter scratch for owned tables
 
-	lookups []*tensor.Matrix // [table] this rank's reconstructed shard
-	got     []bool           // [table] lookup received this step
-	gotGrad []bool           // [table] gradient received this step (owned tables)
-	decJobs []decJob         // receive-side decode work list
-
-	gradOf    []*tensor.Matrix // [table] backward scatter scratch for owned tables
-	denseView *tensor.Matrix   // aliased view of the rank's b.Dense rows
-	dLogits   *tensor.Matrix   // BCE gradient scratch
-	gradBuf   []float32        // flattened dense gradients for the allreduce
-	params    []nn.Param       // cached DenseParams of this rank's replica
+	denseView *tensor.Matrix // aliased view of the rank's b.Dense rows
+	dLogits   *tensor.Matrix // BCE gradient scratch
+	gradBuf   []float32      // flattened dense gradients for the allreduce
+	params    []nn.Param     // cached DenseParams of this rank's replica
 
 	// Step-statistics allgather scratch: this rank's encoded contribution
 	// and the per-rank slot table GatherAll fills (slots alias
 	// transport-owned memory valid until the next gather).
 	statsBlob []byte
 	gathered  [][]byte
-}
-
-// decJob is one received frame awaiting decode.
-type decJob struct {
-	tb      int
-	enc     byte
-	payload []byte
 }
 
 // stepScratch is trainer-level (rank-indexed) per-step accounting, reused
@@ -67,83 +50,49 @@ type decJob struct {
 // ranks ran in this process or in peers.
 type stepScratch struct {
 	start, count []int
-	losses       []float32
+	stats        []rankStats // errStr unused: errs holds the error itself
 	errs         []error
 	fatal        []bool // transport failure: no coherent global stats exist
-	compDur      []time.Duration
-	decompDur    []time.Duration
-	lookupBytes  []int64
-	fwdRaw       []int64
-	fwdComp      []int64
 }
 
 func newStepScratch(ranks int) stepScratch {
 	return stepScratch{
-		start:       make([]int, ranks),
-		count:       make([]int, ranks),
-		losses:      make([]float32, ranks),
-		errs:        make([]error, ranks),
-		fatal:       make([]bool, ranks),
-		compDur:     make([]time.Duration, ranks),
-		decompDur:   make([]time.Duration, ranks),
-		lookupBytes: make([]int64, ranks),
-		fwdRaw:      make([]int64, ranks),
-		fwdComp:     make([]int64, ranks),
+		start: make([]int, ranks),
+		count: make([]int, ranks),
+		stats: make([]rankStats, ranks),
+		errs:  make([]error, ranks),
+		fatal: make([]bool, ranks),
 	}
 }
 
 // reset clears the accounting for a new step.
 func (s *stepScratch) reset() {
-	for r := range s.losses {
-		s.losses[r] = 0
-		s.errs[r] = nil
-		s.fatal[r] = false
-		s.compDur[r] = 0
-		s.decompDur[r] = 0
-		s.lookupBytes[r] = 0
-		s.fwdRaw[r] = 0
-		s.fwdComp[r] = 0
-	}
+	clear(s.stats)
+	clear(s.errs)
+	clear(s.fatal)
 }
 
 // newStepWorkspace builds rank r's workspace. Matrices are lazily sized on
-// first use (batch sizes are not known here); the allreduce buffer is fixed
-// by the model.
-func newStepWorkspace(ranks, numTables, numParams int, params []nn.Param) *stepWorkspace {
+// first use (batch sizes are not known here), except the lookup views of
+// the rank's own tables; the allreduce buffer is fixed by the model.
+func newStepWorkspace(t *Trainer, r int) *stepWorkspace {
+	ranks, numTables := t.opts.Ranks, len(t.opts.Model.TableSizes)
 	ws := &stepWorkspace{
-		send:        make([][]byte, ranks),
-		send2:       make([][]byte, ranks),
-		tblFrame:    make([][][]byte, numTables),
-		tblChunk:    make([]*tensor.Matrix, numTables),
-		tblErr:      make([]error, numTables),
-		tblCompDur:  make([]time.Duration, numTables),
-		tblDecDur:   make([]time.Duration, numTables),
-		tblRawBytes: make([]int64, numTables),
-		tblCmpBytes: make([]int64, numTables),
-		lookups:     make([]*tensor.Matrix, numTables),
-		got:         make([]bool, numTables),
-		gotGrad:     make([]bool, numTables),
-		gradOf:      make([]*tensor.Matrix, numTables),
-		denseView:   &tensor.Matrix{},
-		gradBuf:     make([]float32, numParams),
-		params:      params,
-		gathered:    make([][]byte, ranks),
+		send:      make([][]byte, ranks),
+		send2:     make([][]byte, ranks),
+		x:         newExchange(t, r, numTables),
+		gather:    make([]*tensor.Matrix, numTables),
+		lookups:   make([]*tensor.Matrix, numTables),
+		gradOf:    make([]*tensor.Matrix, numTables),
+		denseView: &tensor.Matrix{},
+		gradBuf:   make([]float32, t.numParams),
+		params:    t.replicas[r].m.DenseParams(),
+		gathered:  make([][]byte, ranks),
 	}
-	for tb := range ws.tblFrame {
-		ws.tblFrame[tb] = make([][]byte, ranks)
+	for _, tb := range t.owned[r] {
+		ws.lookups[tb] = &tensor.Matrix{}
 	}
 	return ws
-}
-
-// gradRows returns rows [lo, lo+count) of owned table tb's gradient
-// scratch, sizing the scratch to the batch (n×dim) on its first use in a
-// step.
-func (ws *stepWorkspace) gradRows(tb, n, dim, lo, count int) []float32 {
-	if !ws.gotGrad[tb] {
-		ws.gradOf[tb] = ws.gradOf[tb].Resize(n, dim)
-		ws.gotGrad[tb] = true
-	}
-	return ws.gradOf[tb].Data[lo*dim : (lo+count)*dim]
 }
 
 // parallelDo runs fn(0..n-1), fanning the work across up to t.codecWorkers
