@@ -17,8 +17,8 @@ import (
 // parameters (the replicas are bit-identical by construction, so one copy
 // restores them all), the adaptive controller's configuration, and the
 // step counter + compression accounting. Weight payloads are written
-// through codec.Codec's append pair with a *lossless* codec (LZSS by
-// default), so checkpoints are compressed without breaking the
+// raw by default, or through codec.Codec's append pair with a *lossless*
+// codec (LZSS or DEFLATE on request), so a compressed checkpoint keeps the
 // resume-parity guarantee:
 //
 //	save at step k → restore into a fresh trainer at the same world
@@ -67,8 +67,10 @@ const (
 )
 
 // DefaultCheckpointCodec is the codec SaveCheckpoint uses when
-// CheckpointOptions.Codec is empty.
-const DefaultCheckpointCodec = "lzss"
+// CheckpointOptions.Codec is empty. It is raw: on trained float32 tables
+// LZ finds almost nothing to match, so lzss writes a slightly larger file
+// several times slower.
+const DefaultCheckpointCodec = "raw"
 
 // CheckpointCodecs lists the accepted CheckpointOptions.Codec names. All
 // are lossless — a lossy checkpoint would silently break the resume
@@ -80,10 +82,10 @@ func CheckpointCodecs() []string { return []string{"raw", "lzss", "deflate"} }
 // for raw).
 func ckptCodecByName(name string) (byte, codec.Codec, error) {
 	switch name {
-	case "", DefaultCheckpointCodec:
-		return ckptCodecLZSS, lz4like.LZSSCodec{}, nil
-	case "raw":
+	case "", "raw":
 		return ckptCodecRaw, nil, nil
+	case "lzss":
+		return ckptCodecLZSS, lz4like.LZSSCodec{}, nil
 	case "deflate":
 		return ckptCodecDeflate, lz4like.DeflateCodec{}, nil
 	}
@@ -179,13 +181,10 @@ func (t *Trainer) SaveCheckpoint(w io.Writer, opts CheckpointOptions) (Checkpoin
 
 	frame := make([]byte, 0, 1<<16)
 	writeBlob := func(vals []float32, dim int) error {
-		frame = frame[:0]
 		if cdc == nil {
-			frame = append(frame, floatsToBytes(vals)...)
-		} else {
-			if frame, err = cdc.CompressAppend(frame, vals, dim); err != nil {
-				return err
-			}
+			frame = appendFloats(frame[:0], vals)
+		} else if frame, err = cdc.CompressAppend(frame[:0], vals, dim); err != nil {
+			return err
 		}
 		var lenHdr [4]byte
 		binary.LittleEndian.PutUint32(lenHdr[:], uint32(len(frame)))

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -235,7 +236,10 @@ func appendFrame(dst []byte, table int, enc byte, payload []byte) []byte {
 func TestWireRoundTrip(t *testing.T) {
 	vals := []float32{1.5, -2.25, 0, 3e-7}
 	var buf []byte
-	buf = appendFrame(buf, 7, encRaw, floatsToBytes(vals))
+	buf = appendFrame(buf, 7, encRaw, appendFloats(nil, vals))
+	if fused := appendFrameFloats(nil, 7, vals); !bytes.Equal(fused, buf) {
+		t.Fatalf("appendFrameFloats wrote %x, header+appendFloats %x", fused, buf)
+	}
 	buf = appendFrame(buf, 21, encCodec, []byte{9, 8, 7})
 
 	var seen int

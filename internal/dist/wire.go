@@ -42,19 +42,22 @@ func patchFrameLen(dst []byte, off int) {
 }
 
 // appendFrameFloats appends a raw-encoded frame holding vals, serializing
-// the floats straight into dst (the zero-allocation twin of
-// appendFrameHeader(dst, table, encRaw), appending floatsToBytes(vals) and
-// patchFrameLen): one grow, then
-// stores over every new byte, so nothing is cleared first. The floats go
-// through a four-byte cursor, which runs 1.3-1.4x faster than indexing
-// dst[o+4*i:] on 16 KB tables.
+// the floats straight into dst after one grow for header and payload.
 func appendFrameFloats(dst []byte, table int, vals []float32) []byte {
-	o, n := len(dst), frameHeaderBytes+4*len(vals)
-	dst = slices.Grow(dst, n)[:o+n]
-	binary.LittleEndian.PutUint32(dst[o:o+4], uint32(table))
-	dst[o+4] = encRaw
-	binary.LittleEndian.PutUint32(dst[o+5:o+9], uint32(4*len(vals)))
-	w := dst[o+frameHeaderBytes:]
+	dst, off := appendFrameHeader(slices.Grow(dst, frameHeaderBytes+4*len(vals)), table, encRaw)
+	dst = appendFloats(dst, vals)
+	patchFrameLen(dst, off)
+	return dst
+}
+
+// appendFloats appends vals as little-endian float32: one grow, then stores
+// over every new byte, so nothing is cleared first. The floats go through a
+// four-byte cursor, which runs 1.3-1.4x faster than indexing dst[o+4*i:] on
+// 16 KB tables.
+func appendFloats(dst []byte, vals []float32) []byte {
+	o := len(dst)
+	dst = slices.Grow(dst, 4*len(vals))[:o+4*len(vals)]
+	w := dst[o:]
 	for _, v := range vals {
 		binary.LittleEndian.PutUint32(w, math.Float32bits(v))
 		w = w[4:]
@@ -83,17 +86,8 @@ func parseFrames(buf []byte, fn func(table int, enc byte, payload []byte) error)
 	return nil
 }
 
-// floatsToBytes serializes vals as little-endian float32.
-func floatsToBytes(vals []float32) []byte {
-	out := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(v))
-	}
-	return out
-}
-
 // bytesToFloats deserializes b into dst, which must match exactly. It reads
-// through a four-byte cursor, as appendFrameFloats writes.
+// through a four-byte cursor, as appendFloats writes.
 func bytesToFloats(dst []float32, b []byte) error {
 	if len(b) != 4*len(dst) {
 		return fmt.Errorf("dist: raw payload is %d bytes, want %d", len(b), 4*len(dst))

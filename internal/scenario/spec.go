@@ -187,7 +187,7 @@ type CheckpointSpec struct {
 	// segment-boundary checkpoints an elastic run takes anyway).
 	Every int `json:"every,omitempty"`
 	// Codec is the lossless frame codec ("raw", "lzss", or "deflate";
-	// "" = lzss). Lossy codecs are not on the menu: a checkpoint must
+	// "" = raw). Lossy codecs are not on the menu: a checkpoint must
 	// restore bit-exactly or the resume-parity guarantee dies.
 	Codec string `json:"codec,omitempty"`
 	// Verify restores every saved checkpoint straight back into the live

@@ -282,8 +282,8 @@ func TestResolvedCheckpointCodecDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Checkpoint.Codec != "lzss" {
-		t.Fatalf("checkpoint codec = %q, want the lzss default", rs.Checkpoint.Codec)
+	if rs.Checkpoint.Codec != "raw" {
+		t.Fatalf("checkpoint codec = %q, want the raw default", rs.Checkpoint.Codec)
 	}
 	if orig.Checkpoint.Codec != "" {
 		t.Fatal("Resolved mutated the caller's Checkpoint through the shared pointer")
