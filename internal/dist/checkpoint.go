@@ -150,29 +150,29 @@ func (t *Trainer) SaveCheckpoint(w io.Writer, opts CheckpointOptions) (Checkpoin
 	hdr := make([]byte, 0, 256)
 	hdr = append(hdr, ckptMagic[:]...)
 	hdr = append(hdr, ckptVersion, codecID, flags, 0)
-	hdr = appendU64(hdr, uint64(t.iter))
-	hdr = appendU64(hdr, uint64(t.fwdRawBytes))
-	hdr = appendU64(hdr, uint64(t.fwdCompBytes))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(t.iter))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(t.fwdRawBytes))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(t.fwdCompBytes))
 
 	tables := t.tmpl.Emb.Tables
-	hdr = appendU32(hdr, uint32(t.opts.Model.EmbeddingDim))
-	hdr = appendU32(hdr, uint32(len(tables)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(t.opts.Model.EmbeddingDim))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(tables)))
 	for _, tab := range tables {
-		hdr = appendU32(hdr, uint32(tab.NumRows))
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(tab.NumRows))
 	}
 	params := t.replicas[0].m.DenseParams()
-	hdr = appendU32(hdr, uint32(len(params)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(params)))
 	for _, p := range params {
-		hdr = appendU32(hdr, uint32(len(p.Value)))
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(p.Value)))
 	}
 	if t.opts.Controller != nil {
 		c := t.opts.Controller
 		hdr = append(hdr, byte(c.Schedule))
-		hdr = appendU32(hdr, uint32(c.PhaseLen))
-		hdr = appendU64(hdr, math.Float64bits(c.StartFactor))
-		hdr = appendU32(hdr, uint32(len(c.BaseEB)))
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(c.PhaseLen))
+		hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(c.StartFactor))
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(c.BaseEB)))
 		for _, eb := range c.BaseEB {
-			hdr = appendU32(hdr, math.Float32bits(eb))
+			hdr = binary.LittleEndian.AppendUint32(hdr, math.Float32bits(eb))
 		}
 	}
 	if _, err := w.Write(hdr); err != nil {
@@ -494,16 +494,4 @@ func (d *ckptReader) u64() uint64 {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(d.buf[:8])
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	return append(b, tmp[:]...)
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	return append(b, tmp[:]...)
 }

@@ -9,7 +9,9 @@
 //   - each step performs the forward all-to-all that redistributes embedding
 //     lookups from table owners to the ranks holding the corresponding batch
 //     shard — the exchange the paper compresses — and the backward
-//     all-to-all that routes lookup gradients back to the owners.
+//     all-to-all that routes lookup gradients back to the owners. Both run
+//     through one exchange (exchange.go); the backward direction is the
+//     same exchange, codec nil.
 //
 // Layer: the top of the simulation stack. It consumes internal/model (the
 // network being trained), internal/codec implementations (per-table
@@ -24,12 +26,16 @@
 //     (Options.Algo), device rates, codec and controller hooks.
 //   - Trainer — NewTrainer validates the options and builds the sharded
 //     state plus the per-rank step workspaces (workspace.go: fused frame
-//     buffers, per-table codec scratch, lookup/gradient matrices, the
-//     flattened allreduce buffer), so steady-state stepping performs only
-//     a small bounded number of allocations (pinned by the allocs-gate
-//     tests). Step runs one synchronous iteration, fanning per-table
-//     codec work across Options.CodecWorkers intra-rank workers;
-//     Evaluate scores the trained weights single-process.
+//     buffers, the exchange and its frame scratch, lookup/gradient
+//     matrices, the flattened allreduce buffer), so steady-state stepping
+//     performs only a small bounded number of allocations (pinned by the
+//     allocs-gate tests). Step runs one synchronous iteration in five
+//     stages: owners gather lookups; the exchange delivers them, compressed
+//     per table; each rank runs its MLP replica on its shard; the same
+//     exchange with no codec returns the lookup gradients to the owners,
+//     who scatter them; the dense gradients are all-reduced. Codec work
+//     fans out across Options.CodecWorkers intra-rank workers; Evaluate
+//     scores the trained weights single-process.
 //
 // Two drivers share the same step internals and therefore the same math
 // and the same buckets:

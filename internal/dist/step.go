@@ -90,7 +90,7 @@ func (s stepStats) serial() time.Duration {
 //  2. every rank runs forward/backward over its batch shard on its MLP
 //     replica;
 //  3. lookup gradients return to the table owners through the backward
-//     all-to-all and are scattered into the sharded tables;
+//     all-to-all (the same exchange, codec nil) and are scattered;
 //  4. dense MLP gradients are all-reduced and applied in lockstep.
 //
 // The returned loss is the global-batch mean BCE. With one rank and no
@@ -102,8 +102,8 @@ func (s stepStats) serial() time.Duration {
 // Every buffer the step touches lives in per-rank workspaces allocated in
 // NewTrainer, so steady-state stepping performs only a small, bounded
 // number of allocations (goroutine fan-out and collective handles); the
-// per-table codec work inside a rank fans out across the trainer's codec
-// workers when cores are spare.
+// codec work inside a rank fans out across the trainer's codec workers
+// when cores are spare.
 func (t *Trainer) Step(b *criteo.Batch) (float32, error) {
 	loss, _, err := t.runStep(b)
 	return loss, err
