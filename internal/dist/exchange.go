@@ -33,11 +33,11 @@ type exchange struct {
 	r int // this rank
 
 	codecs []codec.Codec // per table; nil = every table raw
-	out    []sendBlock   // queued in ascending (table, destination) order
+	out    []block       // queued in ascending (table, destination) order
 	frames [][]byte      // [table*ranks+dst] codec frame scratch
 	slots  [][]float32   // [table*ranks+src] landing slot; empty = not expected
 	got    []bool        // [table*ranks+src] landed this call
-	jobs   []recvJob     // received codec frames awaiting decode
+	jobs   []block       // received codec frames awaiting decode
 
 	// What the last run moved through a codec: payload bytes before and
 	// after compression and the modelled codec time.
@@ -47,27 +47,24 @@ type exchange struct {
 	encodeFn, decodeFn func(k int)
 }
 
-// sendBlock is one outgoing block; frame is its codec frame once encoded.
-type sendBlock struct {
-	tb, dst int
-	vals    []float32
-	frame   []byte
-	err     error
-	dur     time.Duration
-}
-
-// recvJob is one received codec frame and the slot it decodes into.
-type recvJob struct {
-	tb      int
-	payload []byte
-	dst     []float32
-	err     error
-	dur     time.Duration
+// block is one (table, peer) block: outgoing, the floats and, once
+// encoded, their codec frame; received, the codec frame and its slot.
+type block struct {
+	tb, peer int
+	vals     []float32
+	frame    []byte
+	err      error
 }
 
 func newExchange(t *Trainer, r, numTables int) *exchange {
 	n := numTables * t.opts.Ranks
-	x := &exchange{t: t, r: r, frames: make([][]byte, n), slots: make([][]float32, n), got: make([]bool, n)}
+	x := &exchange{
+		t:      t,
+		r:      r,
+		frames: make([][]byte, n),
+		slots:  make([][]float32, n),
+		got:    make([]bool, n),
+	}
 	x.encodeFn, x.decodeFn = x.encodeBlock, x.decodeJob
 	return x
 }
@@ -82,7 +79,7 @@ func (x *exchange) reset(codecs []codec.Codec) {
 // send queues table tb's block for rank dst; empty blocks are not sent.
 func (x *exchange) send(tb, dst int, vals []float32) {
 	if len(vals) > 0 {
-		x.out = append(x.out, sendBlock{tb: tb, dst: dst, vals: vals})
+		x.out = append(x.out, block{tb: tb, peer: dst, vals: vals})
 	}
 }
 
@@ -111,20 +108,20 @@ func (x *exchange) run(rank *cluster.Rank, op string, send [][]byte, fail func(e
 		if b.err != nil {
 			fail(b.err)
 		}
-		switch {
-		case b.dst == x.r:
+		switch raw := 4 * int64(len(b.vals)); {
+		case b.peer == x.r:
 			// The forward gathers its own shard in place, so there the
 			// block is its slot and the copy moves nothing.
 			i := b.tb*x.t.opts.Ranks + x.r
 			copy(x.slots[i], b.vals)
 			x.got[i] = true
 		case b.frame != nil:
-			send[b.dst] = append(send[b.dst], b.frame...)
-			x.raw += 4 * int64(len(b.vals))
+			send[b.peer] = append(send[b.peer], b.frame...)
+			x.raw += raw
 			x.comp += int64(len(b.frame) - frameHeaderBytes)
-			x.encode += b.dur
+			x.encode += netmodel.CodecTime(raw, x.t.rates[b.tb].Compress)
 		default:
-			send[b.dst] = appendFrameFloats(send[b.dst], b.tb, b.vals)
+			send[b.peer] = appendFrameFloats(send[b.peer], b.tb, b.vals)
 		}
 	}
 
@@ -153,8 +150,9 @@ func (x *exchange) land(recv [][]byte, fail func(error)) {
 	for _, j := range x.jobs {
 		if j.err != nil {
 			fail(j.err)
+		} else {
+			x.decode += netmodel.CodecTime(4*int64(len(j.vals)), x.t.rates[j.tb].Decompress)
 		}
-		x.decode += j.dur
 	}
 }
 
@@ -176,7 +174,7 @@ func (x *exchange) receive(src, tb int, enc byte, payload []byte) error {
 	case enc == encRaw:
 		return bytesToFloats(x.slots[i], payload)
 	case enc == encCodec && x.codecs != nil && x.codecs[tb] != nil:
-		x.jobs = append(x.jobs, recvJob{tb: tb, payload: payload, dst: x.slots[i]})
+		x.jobs = append(x.jobs, block{tb: tb, peer: src, vals: x.slots[i], frame: payload})
 		return nil
 	}
 	return fmt.Errorf("dist: rank %d got table %d from rank %d in encoding %d, which its codec does not send", x.r, tb, src, enc)
@@ -187,10 +185,10 @@ func (x *exchange) receive(src, tb int, enc byte, payload []byte) error {
 func (x *exchange) encodeBlock(k int) {
 	b := &x.out[k]
 	c := x.codecs[b.tb]
-	if c == nil || b.dst == x.r {
+	if c == nil || b.peer == x.r {
 		return
 	}
-	i := b.tb*x.t.opts.Ranks + b.dst
+	i := b.tb*x.t.opts.Ranks + b.peer
 	frame, off := appendFrameHeader(x.frames[i][:0], b.tb, encCodec)
 	frame, err := c.CompressAppend(frame, b.vals, x.t.opts.Model.EmbeddingDim)
 	if err != nil {
@@ -199,20 +197,17 @@ func (x *exchange) encodeBlock(k int) {
 	}
 	patchFrameLen(frame, off)
 	x.frames[i], b.frame = frame, frame
-	b.dur = netmodel.CodecTime(4*int64(len(b.vals)), x.t.rates[b.tb].Compress)
 }
 
 // decodeJob reconstructs received codec frame k into its slot.
 func (x *exchange) decodeJob(k int) {
 	j := &x.jobs[k]
 	dim := x.t.opts.Model.EmbeddingDim
-	gotDim, err := x.codecs[j.tb].DecompressInto(j.dst, j.payload)
+	gotDim, err := x.codecs[j.tb].DecompressInto(j.vals, j.frame)
 	switch {
 	case err != nil:
 		j.err = fmt.Errorf("dist: table %d decompress: %w", j.tb, err)
 	case gotDim != dim:
 		j.err = fmt.Errorf("dist: table %d reconstruction has dim %d, want %d", j.tb, gotDim, dim)
-	default:
-		j.dur = netmodel.CodecTime(4*int64(len(j.dst)), x.t.rates[j.tb].Decompress)
 	}
 }

@@ -99,8 +99,8 @@ func newStepWorkspace(t *Trainer, r int) *stepWorkspace {
 // goroutines. With one worker (the default when GOMAXPROCS gives each rank
 // no spare cores) it degenerates to the plain loop and performs no
 // allocation; with more, multi-table owners use idle cores for the
-// per-table codec work. fn calls for distinct k must not share mutable
-// state (the step code indexes everything by table).
+// codec work. fn calls for distinct k must not share mutable state (the
+// exchange indexes everything by block).
 func (t *Trainer) parallelDo(n int, fn func(k int)) {
 	w := t.codecWorkers
 	if w > n {
