@@ -23,7 +23,7 @@ type stepWorkspace struct {
 	// directions keep separate sets: on the zero-copy in-process fabric a
 	// peer's received forward frames alias this rank's send buffers.
 	send  [][]byte // forward: compressed or raw lookup frames
-	send2 [][]byte // backward: raw lookup-gradient frames
+	send2 [][]byte // backward: lookup-gradient frames, raw (no codec in that direction)
 	x     *exchange
 
 	// Per-table state (length numTables).
