@@ -488,6 +488,26 @@ const maxTableBits = 11
 // number of symbols written. A frame whose bitstream ends before dst is full
 // is corrupt, like any other damage.
 func (d *Decoder) DecodeInto(dst []uint32, data []byte) (int, error) {
+	return d.decode(dst, data, false)
+}
+
+// DecodePrefixInto is DecodeInto for the first len(dst) symbols of a frame
+// holding at least that many: the bitstream is read only as far as those
+// symbols reach, so a caller that needs the front of a frame (the hybrid
+// codec's row-range decode) does not pay for the rest. Bytes past the
+// prefix are not examined — damage there goes unnoticed — but whenever
+// DecodeInto accepts a frame, DecodePrefixInto writes exactly the first
+// len(dst) symbols DecodeInto would.
+func (d *Decoder) DecodePrefixInto(dst []uint32, data []byte) (int, error) {
+	return d.decode(dst, data, true)
+}
+
+// decode is both decoders' one body: count is the frame's symbol count, and
+// it must equal len(dst), or with prefix be at least len(dst).
+func (d *Decoder) decode(dst []uint32, data []byte, prefix bool) (int, error) {
+	fits := func(count uint64) bool {
+		return count == uint64(len(dst)) || prefix && count > uint64(len(dst))
+	}
 	if len(data) == 0 {
 		return 0, errCorrupt
 	}
@@ -496,10 +516,10 @@ func (d *Decoder) DecodeInto(dst []uint32, data []byte) (int, error) {
 	switch mode {
 	case modeConst:
 		count, n := binary.Uvarint(rest)
-		if n <= 0 || count != uint64(len(dst)) {
+		if n <= 0 || !fits(count) {
 			return 0, errCorrupt
 		}
-		if count == 0 {
+		if len(dst) == 0 {
 			return 0, nil
 		}
 		sym, n2 := binary.Uvarint(rest[n:])
@@ -520,12 +540,11 @@ func (d *Decoder) DecodeInto(dst []uint32, data []byte) (int, error) {
 			return 0, errCorrupt
 		}
 		count, n := binary.Uvarint(rest[1:])
-		if n <= 0 || count != uint64(len(dst)) {
+		if n <= 0 || !fits(count) {
 			return 0, errCorrupt
 		}
 		rest = rest[1+n:]
-		// count ≤ len(dst) here, so the product cannot overflow.
-		if uint64(len(rest)) < (count*uint64(width)+7)/8 {
+		if len(rest) < (len(dst)*int(width)+7)/8 {
 			return 0, errCorrupt
 		}
 		var r BitReader
@@ -555,7 +574,7 @@ func (d *Decoder) DecodeInto(dst []uint32, data []byte) (int, error) {
 			rest = rest[n2+1:]
 		}
 		count, n := binary.Uvarint(rest)
-		if n <= 0 || count != uint64(len(dst)) {
+		if n <= 0 || !fits(count) {
 			return 0, errCorrupt
 		}
 		if err := d.decodeBits(dst, rest[n:]); err != nil {

@@ -62,6 +62,32 @@ func fibonacciInput(k int) []uint32 {
 	return syms
 }
 
+// TestDecodePrefixInto holds the prefix form to the whole-frame decode: for
+// every input (every frame mode) and every prefix length, DecodePrefixInto
+// writes exactly the first symbols DecodeInto does, and it rejects a
+// destination longer than the frame.
+func TestDecodePrefixInto(t *testing.T) {
+	dec := NewDecoder()
+	inputs := appendTestInputs()
+	inputs["long-codes"] = fibonacciInput(14)
+	for name, syms := range inputs {
+		frame := NewEncoder().AppendEncode(nil, syms)
+		step := max(1, len(syms)/200)
+		for k := 0; k <= len(syms); k += step {
+			dst := make([]uint32, k)
+			if n, err := dec.DecodePrefixInto(dst, frame); err != nil || n != k {
+				t.Fatalf("%s: prefix of %d: decoded %d, error %v", name, k, n, err)
+			}
+			if !slices.Equal(dst, syms[:k]) {
+				t.Fatalf("%s: prefix of %d differs from the input", name, k)
+			}
+		}
+		if _, err := dec.DecodePrefixInto(make([]uint32, len(syms)+1), frame); err == nil {
+			t.Fatalf("%s: a prefix one symbol past the frame decoded", name)
+		}
+	}
+}
+
 // TestLongCodes runs inputs whose codes outgrow the decode table (11 bits)
 // and the encoder's two-codes-per-store loop (28 bits) through the oracle
 // parity and the round trip, so the long-code halves of both loops are held

@@ -25,7 +25,10 @@
 // the pre-grown destination a machine word at a time. The decoder reads
 // codes through a prefix table (one lookup for codes up to 11 bits, the
 // canonical first-code walk beyond) and rejects a bitstream that ends
-// before its symbols do. SymbolCount sizes a DecodeInto destination
+// before its symbols do. Decoder.DecodePrefixInto is the same body for the
+// first len(dst) symbols of a longer frame: it stops reading the bitstream
+// there, which is what lets the hybrid codec decode a frame's leading rows
+// without the rest. SymbolCount sizes a DecodeInto destination
 // without decoding; BitWriter/BitReader are the bit I/O of the cold paths
 // (raw frames, alphabets of 2¹⁶ symbols and up). huffman.go holds the
 // frame format, append.go the coder, and oracle_test.go the original

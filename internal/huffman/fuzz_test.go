@@ -1,6 +1,7 @@
 package huffman
 
 import (
+	"hash/crc32"
 	"slices"
 	"testing"
 )
@@ -13,7 +14,10 @@ const fuzzMaxSymbols = 1 << 16
 // frames of every mode and with cuts of them. The decoder must not panic,
 // must either fail or fill exactly the destination, and whatever it accepts
 // must survive a re-encode: encoding the decoded symbols and decoding that
-// gives the same symbols.
+// gives the same symbols. The prefix form runs on the same input for a
+// prefix length derived from it: it must not panic, must either fail or
+// fill exactly its destination, and on a frame the whole decode accepts it
+// must write exactly the whole decode's first symbols.
 func FuzzDecodeInto(f *testing.F) {
 	// Short inputs: the engine minimizes every input that finds new coverage,
 	// and on kilobyte frames that takes longer than a smoke run lasts.
@@ -26,10 +30,20 @@ func FuzzDecodeInto(f *testing.F) {
 		f.Add(frame[:len(frame)-1])
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		n, err := SymbolCount(frame)
-		if err != nil || n < 0 || n > fuzzMaxSymbols {
-			n = 0 // still decode: a frame must not fit a destination it does not name
+		n, k := 0, 0 // still decode: a frame must not fit a destination it does not name
+		if count, err := SymbolCount(frame); err == nil && count >= 0 {
+			if count <= fuzzMaxSymbols {
+				n = count
+			}
+			// A prefix may be short of a frame too large to decode whole.
+			k = int(crc32.ChecksumIEEE(frame) % uint32(min(count, fuzzMaxSymbols)+1))
 		}
+		pre := make([]uint32, k)
+		preN, preErr := NewDecoder().DecodePrefixInto(pre, frame)
+		if preErr == nil && preN != k {
+			t.Fatalf("prefix decoded %d symbols into a destination of %d", preN, k)
+		}
+
 		dst := make([]uint32, n)
 		got, err := NewDecoder().DecodeInto(dst, frame)
 		if err != nil {
@@ -37,6 +51,9 @@ func FuzzDecodeInto(f *testing.F) {
 		}
 		if got != len(dst) {
 			t.Fatalf("decoded %d symbols into a destination of %d", got, len(dst))
+		}
+		if preErr != nil || !slices.Equal(pre, dst[:k]) {
+			t.Fatalf("prefix of %d symbols (error %v) differs from the whole decode's", k, preErr)
 		}
 		again := make([]uint32, len(dst))
 		if _, err := NewDecoder().DecodeInto(again, NewEncoder().AppendEncode(nil, dst)); err != nil {

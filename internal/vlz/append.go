@@ -152,6 +152,24 @@ func NewDecoder() *Decoder { return &Decoder{} }
 // count from their own framing, as the hybrid codec header does, or from
 // RowCount). Returns the frame's row length dim.
 func (d *Decoder) DecodeInto(dst []int32, data []byte) (int, error) {
+	return d.decode(dst, data, false)
+}
+
+// DecodePrefixInto is DecodeInto for the first len(dst)/dim rows of a frame
+// holding at least that many: tokens are read only until those rows are
+// written, and a run token that crosses the last of them is clipped there,
+// so a caller that needs the front of a frame (the hybrid codec's row-range
+// decode) does not pay for the rest. Tokens past the prefix are not
+// examined — damage there goes unnoticed — but whenever DecodeInto accepts
+// a frame, DecodePrefixInto writes exactly the first rows DecodeInto would.
+// len(dst) must be a multiple of the frame's dim.
+func (d *Decoder) DecodePrefixInto(dst []int32, data []byte) (int, error) {
+	return d.decode(dst, data, true)
+}
+
+// decode is both decoders' one body: the frame must hold exactly
+// len(dst)/dim rows, or with prefix at least that many.
+func (d *Decoder) decode(dst []int32, data []byte, prefix bool) (int, error) {
 	d64, n := binary.Uvarint(data)
 	if n <= 0 || d64 == 0 {
 		return 0, errCorrupt
@@ -164,14 +182,15 @@ func (d *Decoder) DecodeInto(dst []int32, data []byte) (int, error) {
 	data = data[n:]
 	// Both counts are the frame's word: compare them with len(dst) without
 	// forming a product that could wrap onto it.
-	if have := uint64(len(dst)); have/d64 != rows64 || have%d64 != 0 {
+	have := uint64(len(dst))
+	if want := have / d64; have%d64 != 0 || want > rows64 || want < rows64 && !prefix {
 		return 0, fmt.Errorf("vlz: frame holds %dx%d codes, destination holds %d", rows64, d64, len(dst))
 	}
 	if d64 > math.MaxInt {
 		return 0, errCorrupt // an empty frame whose dim no int holds
 	}
 	dim := int(d64)
-	numRows := int(rows64)
+	numRows := len(dst) / dim
 	d.ring = d.ring[:0]
 
 	o := 0 // write position in dst
@@ -208,15 +227,17 @@ func (d *Decoder) DecodeInto(dst []int32, data []byte) (int, error) {
 			}
 			data = data[n2:]
 			off := int(off64)
-			if off <= 0 || off > len(d.ring) || uint64(numRows-r) < cnt64 {
+			if off <= 0 || off > len(d.ring) || rows64-uint64(r) < cnt64 {
 				return 0, errCorrupt
 			}
+			// A run that crosses the end of a prefix stops there.
+			cnt := int(min(cnt64, uint64(numRows-r)))
 			src := int(d.ring[len(d.ring)-off])
-			for k := uint64(0); k < cnt64; k++ {
+			for range cnt {
 				copy(dst[o:o+dim], dst[src:src+dim])
 				o += dim
 			}
-			r += int(cnt64)
+			r += cnt
 		case 0:
 			for j := 0; j < dim; j++ {
 				u, n := binary.Uvarint(data)

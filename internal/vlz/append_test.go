@@ -2,6 +2,7 @@ package vlz
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"dlrmcomp/internal/testutil"
@@ -123,6 +124,37 @@ func TestDecodeIntoWrongSize(t *testing.T) {
 	rows, dim, err := RowCount(frame)
 	if err != nil || rows != 2 || dim != 2 {
 		t.Fatalf("RowCount = (%d, %d, %v), want (2, 2, nil)", rows, dim, err)
+	}
+}
+
+// TestDecodePrefixInto holds the prefix form to the whole-frame decode: for
+// every batch and every prefix length in rows, DecodePrefixInto writes
+// exactly the first rows DecodeInto does (the "runs" batch clips run tokens
+// at many of those cuts), and it rejects a destination longer than the
+// frame or not a whole number of rows.
+func TestDecodePrefixInto(t *testing.T) {
+	dec := NewDecoder()
+	for _, tc := range appendTestBatches() {
+		frame, err := New(16).AppendEncode(nil, tc.rows, tc.dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k*tc.dim <= len(tc.rows); k++ {
+			dst := make([]int32, k*tc.dim)
+			dim, err := dec.DecodePrefixInto(dst, frame)
+			if err != nil || dim != tc.dim {
+				t.Fatalf("%s: prefix of %d rows: dim %d, error %v", tc.name, k, dim, err)
+			}
+			if !slices.Equal(dst, tc.rows[:k*tc.dim]) {
+				t.Fatalf("%s: prefix of %d rows differs from the batch", tc.name, k)
+			}
+		}
+		if _, err := dec.DecodePrefixInto(make([]int32, len(tc.rows)+tc.dim), frame); err == nil {
+			t.Fatalf("%s: a prefix one row past the frame decoded", tc.name)
+		}
+		if _, err := dec.DecodePrefixInto(make([]int32, tc.dim-1), frame); err == nil {
+			t.Fatalf("%s: a prefix of part of a row decoded", tc.name)
+		}
 	}
 }
 

@@ -23,7 +23,9 @@
 //
 // Key API: Encoder (New(window)) with AppendEncode — and AppendEncodeWithin,
 // the same body under a byte budget, which stops the moment the frame has
-// outgrown a competing frame's length — Decoder.DecodeInto, RowCount (sizes
+// outgrown a competing frame's length — Decoder.DecodeInto and
+// DecodePrefixInto (the same body for a frame's first rows: it stops at the
+// last of them and clips a run token that crosses it), RowCount (sizes
 // a DecodeInto destination without decoding), EncodeStats (match/literal
 // counts for Fig. 13), and DefaultWindow — the paper's 255-row setting swept
 // in table6. Both directions reuse their workspaces — zero steady-state

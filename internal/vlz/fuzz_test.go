@@ -1,6 +1,7 @@
 package vlz
 
 import (
+	"hash/crc32"
 	"slices"
 	"testing"
 )
@@ -13,7 +14,10 @@ const fuzzMaxCodes = 1 << 16
 // frames of every batch shape, cuts of them, and the frame whose rows×dim
 // wraps to zero. The decoder must not panic, must either fail or fill exactly
 // the destination, and whatever it accepts must survive a re-encode: encoding
-// the decoded rows and decoding that gives the same rows.
+// the decoded rows and decoding that gives the same rows. The prefix form
+// runs on the same input for a prefix length derived from it: it must not
+// panic, and on a frame the whole decode accepts it must write exactly the
+// whole decode's first rows.
 func FuzzDecodeInto(f *testing.F) {
 	// Short inputs: the engine minimizes every input that finds new coverage,
 	// and on kilobyte frames that takes longer than a smoke run lasts.
@@ -27,17 +31,31 @@ func FuzzDecodeInto(f *testing.F) {
 	}
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x10, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0})
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		n := 0 // still decode on a bad header: no frame fits a destination it does not name
-		if rows, dim, err := RowCount(frame); err == nil && rows <= fuzzMaxCodes/dim {
-			n = rows * dim
+		n, k := 0, 0 // still decode on a bad header: no frame fits a destination it does not name
+		rows, dim, err := RowCount(frame)
+		if err == nil {
+			if rows <= fuzzMaxCodes/dim {
+				n = rows * dim
+			}
+			// A prefix may be short of a frame too large to decode whole.
+			k = int(crc32.ChecksumIEEE(frame)%uint32(min(rows, fuzzMaxCodes/dim)+1)) * dim
 		}
+		pre := make([]int32, k)
+		preDim, preErr := NewDecoder().DecodePrefixInto(pre, frame)
+		if err == nil && preErr == nil && preDim != dim {
+			t.Fatalf("prefix decoded dim %d, header says %d", preDim, dim)
+		}
+
 		dst := make([]int32, n)
-		dim, err := NewDecoder().DecodeInto(dst, frame)
+		dim, err = NewDecoder().DecodeInto(dst, frame)
 		if err != nil {
 			return
 		}
 		if dim <= 0 || len(dst)%dim != 0 {
 			t.Fatalf("decoded dim %d into a destination of %d codes", dim, len(dst))
+		}
+		if preErr != nil || !slices.Equal(pre, dst[:k]) {
+			t.Fatalf("prefix of %d codes (error %v) differs from the whole decode's", k, preErr)
 		}
 		again, err := New(0).AppendEncode(nil, dst, dim)
 		if err != nil {
