@@ -121,7 +121,7 @@ func (c *Codec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, erro
 }
 
 // DecompressInto implements codec.Codec: dst must hold exactly the
-// frame's value count.
+// frame's value count. It is the whole-frame case of DecompressRowsInto.
 func (c *Codec) DecompressInto(dst []float32, frame []byte) (int, error) {
 	h, err := parseHeader(frame)
 	if err != nil {
@@ -130,20 +130,46 @@ func (c *Codec) DecompressInto(dst []float32, frame []byte) (int, error) {
 	if h.n != len(dst) {
 		return 0, fmt.Errorf("hybrid: frame holds %d values, destination holds %d", h.n, len(dst))
 	}
-	if err := decodeInto(dst, h, frame[headerLen:]); err != nil {
+	if err := decodeRows(dst, h, frame[headerLen:], 0, h.n/h.dim); err != nil {
 		return 0, err
 	}
 	return h.dim, nil
 }
 
-// decodeInto runs the lossless stage h names over payload and dequantizes
-// into dst, whose length the caller has matched to h.n.
-func decodeInto(dst []float32, h header, payload []byte) error {
+// DecompressRowsInto fills dst with rows [lo, hi) of the frame: len(dst)
+// must be (hi-lo)·dim and 0 ≤ lo ≤ hi ≤ the frame's row count. The
+// lossless stage runs only to the end of row hi-1 and only rows [lo, hi)
+// are dequantized, so a caller that needs a few rows of a block (the
+// serving tier's cold gathers) pays for the block's prefix, not the block.
+// The bytes past row hi-1 are not examined, but on any frame DecompressInto
+// accepts, the rows written are bit-identical to that slice of its output.
+func (c *Codec) DecompressRowsInto(dst []float32, frame []byte, lo, hi int) error {
+	h, err := parseHeader(frame)
+	if err != nil {
+		return err
+	}
+	if rows := h.n / h.dim; lo < 0 || lo > hi || hi > rows || len(dst) != (hi-lo)*h.dim {
+		return fmt.Errorf("hybrid: rows [%d,%d) into %d values, frame holds %d rows of %d", lo, hi, len(dst), rows, h.dim)
+	}
+	return decodeRows(dst, h, frame[headerLen:], lo, hi)
+}
+
+// decodeRows runs the lossless stage h names over payload up to the end of
+// row hi-1 and dequantizes rows [lo, hi) into dst, whose length the caller
+// has matched to them. A range that ends at the frame's last row decodes
+// the whole payload through the exact-count decoders, so the whole-frame
+// path checks the payload's own count against the header's.
+func decodeRows(dst []float32, h header, payload []byte, lo, hi int) error {
 	ws := wsPool.Get().(*workspace)
 	defer wsPool.Put(ws)
-	codes := ws.sizedCodes(h.n)
+	prefix := hi < h.n/h.dim
+	codes := ws.sizedCodes(hi * h.dim)
 	if h.sub == subVLZ {
-		gotDim, err := ws.vdec.DecodeInto(codes, payload)
+		decode := ws.vdec.DecodeInto
+		if prefix {
+			decode = ws.vdec.DecodePrefixInto
+		}
+		gotDim, err := decode(codes, payload)
 		if err != nil {
 			return err
 		}
@@ -151,13 +177,17 @@ func decodeInto(dst []float32, h header, payload []byte) error {
 			return errCorrupt
 		}
 	} else {
-		syms := ws.sizedSyms(h.n)
-		if _, err := ws.hdec.DecodeInto(syms, payload); err != nil {
+		decode := ws.hdec.DecodeInto
+		if prefix {
+			decode = ws.hdec.DecodePrefixInto
+		}
+		syms := ws.sizedSyms(hi * h.dim)
+		if _, err := decode(syms, payload); err != nil {
 			return err
 		}
-		quant.UnZigZagInto(codes, syms)
+		quant.UnZigZagInto(codes[lo*h.dim:], syms[lo*h.dim:])
 	}
-	quant.New(h.eb).Dequantize(dst, codes)
+	quant.New(h.eb).Dequantize(dst, codes[lo*h.dim:])
 	return nil
 }
 

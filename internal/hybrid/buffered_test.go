@@ -3,6 +3,7 @@ package hybrid
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"dlrmcomp/internal/testutil"
@@ -71,8 +72,52 @@ func TestDecompressIntoWrongSize(t *testing.T) {
 	}
 }
 
-// TestBufferedRoundTripAllocs pins the tentpole's codec half: a steady-state
-// round trip through the buffered API must not allocate, in any mode (Auto
+// TestDecompressRowsInto holds the row-range decode to the whole-frame one
+// over the conformance matrix: for every mode, bound and batch, and every
+// range end hi (so every vector-LZ run and Huffman prefix cut), the rows
+// [lo, hi) it writes are bit-identical to that slice of DecompressInto's
+// output, for lo at the start, middle and end of the range. Ranges outside
+// the frame and destinations of the wrong length are rejected.
+func TestDecompressRowsInto(t *testing.T) {
+	for _, mode := range []Mode{Auto, VectorLZ, Entropy} {
+		for _, tc := range parityCases() {
+			for _, eb := range []float32{0.001, 0.1} {
+				c := New(eb, mode)
+				frame, err := c.Compress(tc.src, tc.dim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				whole := make([]float32, len(tc.src))
+				if _, err := c.DecompressInto(whole, frame); err != nil {
+					t.Fatal(err)
+				}
+				rows := len(tc.src) / tc.dim
+				for hi := 0; hi <= rows; hi++ {
+					for _, lo := range []int{0, hi / 2, max(hi-1, 0), hi} {
+						got := make([]float32, (hi-lo)*tc.dim)
+						if err := c.DecompressRowsInto(got, frame, lo, hi); err != nil {
+							t.Fatalf("%v/%s/eb%v rows [%d,%d): %v", mode, tc.name, eb, lo, hi, err)
+						}
+						for i, v := range got {
+							if want := whole[lo*tc.dim+i]; math.Float32bits(v) != math.Float32bits(want) {
+								t.Fatalf("%v/%s/eb%v rows [%d,%d): value %d is %v, want %v", mode, tc.name, eb, lo, hi, i, v, want)
+							}
+						}
+					}
+				}
+				for _, r := range [][3]int{{-1, 0, 1}, {1, 0, 0}, {0, rows + 1, rows + 1}, {0, 1, 2}} {
+					if err := c.DecompressRowsInto(make([]float32, r[2]*tc.dim), frame, r[0], r[1]); err == nil {
+						t.Fatalf("%v/%s/eb%v: rows [%d,%d) into %d rows decoded", mode, tc.name, eb, r[0], r[1], r[2])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBufferedRoundTripAllocs pins the codec's zero-allocation steady state:
+// a round trip through the buffered API, and a row-range decode, must not
+// allocate, in any mode (Auto
 // plans one sub-encoder and runs the other into the frame, so this also
 // covers the emit loop's pre-grown destination).
 func TestBufferedRoundTripAllocs(t *testing.T) {
@@ -91,6 +136,9 @@ func TestBufferedRoundTripAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := c.DecompressInto(dst, frame); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.DecompressRowsInto(dst[:3*16], frame, 100, 103); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -25,5 +25,12 @@
 // allocation and one shared instance stays goroutine-safe. Compress is
 // CompressAppend into a fresh buffer; Decompress parses the header, checks
 // its value count against the payload's own before allocating, and calls
-// the same decode body. Frames are pinned by testdata/frames.golden.
+// the same decode body. That body decodes rows [lo, hi) of a frame:
+// DecompressRowsInto exposes it for the serving tier's cold gathers — the
+// lossless stage runs through the prefix forms of the vector-LZ and
+// Huffman decoders only to the end of row hi-1, and only rows [lo, hi) are
+// un-zigzagged and dequantized — and DecompressInto is its whole-frame
+// case, which decodes through the exact-count forms so the payload's own
+// count is checked against the header's. Frames are pinned by
+// testdata/frames.golden.
 package hybrid

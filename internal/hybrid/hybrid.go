@@ -137,7 +137,7 @@ func (c *Codec) Decompress(frame []byte) ([]float32, int, error) {
 		}
 	}
 	out := make([]float32, h.n)
-	if err := decodeInto(out, h, payload); err != nil {
+	if err := decodeRows(out, h, payload, 0, h.n/h.dim); err != nil {
 		return nil, 0, err
 	}
 	return out, h.dim, nil
