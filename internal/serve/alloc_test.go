@@ -31,7 +31,10 @@ func TestScoreBatchAllocsSteadyState(t *testing.T) {
 	}{
 		// Hit-dominated: default cache, raw frames.
 		{"raw_cached", Options{ColdCodec: "raw"}, 0},
-		// Miss-every-row: no cache, every lookup decodes a quant block
+		// Miss-every-row: no cache, every lookup reads its row's bytes
+		// straight out of a raw frame.
+		{"raw_uncached", Options{ColdCodec: "raw", HotBytes: -1}, 0},
+		// Miss-every-row: no cache, every lookup decodes its block's rows
 		// through the hybrid codec's buffered path. sync.Pool can drop a
 		// workspace across a GC mid-run, so a small non-zero bound.
 		{"quant_uncached", Options{ColdCodec: "quant", QuantEB: 0.02, HotBytes: -1}, 4},

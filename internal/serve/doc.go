@@ -14,11 +14,16 @@
 // the decode cost lands only on the cold tail.
 //
 // A shard's lock guards its cache, not its codec. A gather copies the hits
-// and lists the misses under the lock, then sorts the misses and decodes
-// each distinct block once — and copies each distinct row once — without
-// it, into the calling scorer's own scratch (the cold frames are immutable
+// and lists the misses under the lock, then sorts the misses and, without
+// it, decodes each missed block's frame up to its last missed row and
+// dequantizes only the missed span — and copies each distinct row once —
+// into the calling scorer's own scratch (the cold frames are immutable
 // after load and every cold codec is safe for concurrent use), and finally
-// retakes the lock to count and admit the decoded rows. Concurrent callers
+// retakes the lock to count and admit the decoded rows. The sorted misses
+// of one block are adjacent, so the span is known before its decode: the
+// "quant" tier runs its lossless stage only to the span's end, "raw" reads
+// only the span's bytes, and "lzss"/"deflate", which have no random
+// access, decode the whole block. Concurrent callers
 // therefore overlap their cold decodes, and an all-hit gather never waits
 // behind another caller's decode.
 //

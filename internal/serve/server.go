@@ -32,8 +32,12 @@ type Options struct {
 	QuantEB float32
 	// BlockRows is the cold-frame granularity in rows (0 = 64). Each
 	// missed block is decoded once per gather, however many of its rows
-	// the batch misses; smaller blocks cut miss latency, larger ones
-	// compress better.
+	// the batch misses, and only as far as it must be: a "quant" miss
+	// pays the block's lossless prefix up to its last missed row and
+	// dequantizes only the missed span, "raw" reads just those rows, and
+	// "lzss"/"deflate" decode the whole block. Larger blocks compress
+	// better; they cost a "quant" miss only the longer prefix, not a
+	// whole-block dequantize.
 	BlockRows int
 	// HotBytes budgets the hot cache of decoded rows, in bytes across
 	// all shards. 0 = a quarter of the uncompressed table footprint;
@@ -304,9 +308,9 @@ func (s *Server) takeScorer() *scorer {
 // weights cannot honor) fails construction instead of silently serving
 // wrong scores.
 func verifyQuantBlock(ts *tableStore, weights []float32, cc *coldCodec, eb float32) error {
-	n := ts.blockLen(0) * ts.dim
-	got := make([]float32, n)
-	if err := cc.decodeInto(got, ts.frames[0]); err != nil {
+	rows := ts.blockLen(0)
+	got, err := cc.decodeRows(make([]float32, rows*ts.dim), ts.frames[0], rows, ts.dim, 0, rows)
+	if err != nil {
 		return fmt.Errorf("serve: table %d quant verify: %w", ts.id, err)
 	}
 	// A hair of slack over the bound for float rounding in the codec's

@@ -23,16 +23,20 @@ func ColdCodecs() []string { return []string{"raw", "lzss", "deflate", "quant"} 
 // DefaultColdCodec is the codec used when Options.ColdCodec is empty.
 const DefaultColdCodec = "raw"
 
-// coldCodec encodes/decodes one block of rows. A nil inner codec is the
-// raw (uncompressed bytes) path; the others append to and decode into
-// buffers the caller owns (codec.Codec's one contract), so the hybrid codec
-// decodes without allocating and the lossless ones allocate only scratch
-// sized by the block. Every path is safe for concurrent use (the hybrid
-// codec pools its workspaces; the lz4like codecs are stateless), which is
-// what lets a shard decode outside its lock.
+// coldCodec encodes one block of rows and decodes a span of them. With
+// quant and block both nil it is the raw (uncompressed bytes) path, which
+// reads only the span's bytes; quant decodes a frame only up to the span's
+// last row and dequantizes only the span; block (lzss, deflate: no random
+// access) decodes the whole block. The codecs append to and decode into
+// buffers the caller owns (codec.Codec's one contract), so the raw and
+// quant paths decode without allocating and lzss and deflate allocate only
+// scratch sized by the block. Every path is safe for concurrent use (the
+// hybrid codec pools its workspaces; the lz4like codecs are stateless),
+// which is what lets a shard decode outside its lock.
 type coldCodec struct {
-	name string
-	c    codec.Codec
+	name  string
+	quant *hybrid.Codec
+	block codec.Codec
 }
 
 func coldCodecByName(name string, quantEB float32) (*coldCodec, error) {
@@ -40,42 +44,55 @@ func coldCodecByName(name string, quantEB float32) (*coldCodec, error) {
 	case "", DefaultColdCodec:
 		return &coldCodec{name: "raw"}, nil
 	case "lzss":
-		return &coldCodec{name: name, c: lz4like.LZSSCodec{}}, nil
+		return &coldCodec{name: name, block: lz4like.LZSSCodec{}}, nil
 	case "deflate":
-		return &coldCodec{name: name, c: lz4like.DeflateCodec{}}, nil
+		return &coldCodec{name: name, block: lz4like.DeflateCodec{}}, nil
 	case "quant":
 		if quantEB <= 0 {
 			return nil, fmt.Errorf("serve: cold codec \"quant\" needs QuantEB > 0, got %v", quantEB)
 		}
-		return &coldCodec{name: name, c: hybrid.New(quantEB, hybrid.Auto)}, nil
+		return &coldCodec{name: name, quant: hybrid.New(quantEB, hybrid.Auto)}, nil
 	}
 	return nil, fmt.Errorf("serve: unknown cold codec %q (want one of %v)", name, ColdCodecs())
 }
 
-func (cc *coldCodec) lossless() bool { return cc.c == nil || !cc.c.Lossy() }
+func (cc *coldCodec) lossless() bool { return cc.quant == nil }
 
 func (cc *coldCodec) encodeAppend(dst []byte, src []float32, dim int) ([]byte, error) {
-	if cc.c == nil {
-		for _, v := range src {
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
-		}
-		return dst, nil
+	switch {
+	case cc.quant != nil:
+		return cc.quant.CompressAppend(dst, src, dim)
+	case cc.block != nil:
+		return cc.block.CompressAppend(dst, src, dim)
 	}
-	return cc.c.CompressAppend(dst, src, dim)
+	for _, v := range src {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
+	}
+	return dst, nil
 }
 
-func (cc *coldCodec) decodeInto(dst []float32, frame []byte) error {
-	if cc.c == nil {
-		if len(frame) != 4*len(dst) {
-			return fmt.Errorf("serve: raw frame is %d bytes, want %d", len(frame), 4*len(dst))
+// decodeRows returns rows [lo, hi) of a frame holding rows×dim values,
+// decoded into scratch (which holds at least rows×dim values); the result
+// aliases scratch.
+func (cc *coldCodec) decodeRows(scratch []float32, frame []byte, rows, dim, lo, hi int) ([]float32, error) {
+	span := scratch[:(hi-lo)*dim]
+	switch {
+	case cc.quant != nil:
+		return span, cc.quant.DecompressRowsInto(span, frame, lo, hi)
+	case cc.block != nil:
+		whole := scratch[:rows*dim]
+		if _, err := cc.block.DecompressInto(whole, frame); err != nil {
+			return nil, err
 		}
-		for i := range dst {
-			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(frame[i*4:]))
-		}
-		return nil
+		return whole[lo*dim : hi*dim], nil
 	}
-	_, err := cc.c.DecompressInto(dst, frame)
-	return err
+	if len(frame) != 4*rows*dim {
+		return nil, fmt.Errorf("serve: raw frame is %d bytes, want %d", len(frame), 4*rows*dim)
+	}
+	for i, b := 0, frame[4*lo*dim:]; i < len(span); i++ {
+		span[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return span, nil
 }
 
 // tableStore is one table's cold tier: rows grouped into blocks of
@@ -152,9 +169,11 @@ type gatherScratch struct {
 //
 //  1. Under mu: range-check every index, copy and touch the hot-cache
 //     hits, and list the misses.
-//  2. Without the lock: sort the misses, decode each distinct block once
-//     and copy out each distinct row once; a row repeated within the
-//     gather is copied from its first copy.
+//  2. Without the lock: sort the misses, decode each missed block's frame
+//     up to its last missed row and dequantize only the missed span (the
+//     sorted misses of one block are adjacent, so the span is known before
+//     the decode), and copy out each distinct row once; a row repeated
+//     within the gather is copied from its first copy.
 //  3. Under mu again: count the distinct rows as misses and the repeats
 //     as hits — what a row-by-row loop that admits as it goes would count
 //     — and admit each distinct row another caller has not admitted
@@ -183,9 +202,9 @@ func (sh *shard) gatherInto(dst *tensor.Matrix, t int, indices []int32, gs *gath
 	}
 
 	slices.Sort(miss)
-	distinct, prev, first, blk := 0, -1, 0, -1
-	var buf []float32
-	for _, m := range miss {
+	distinct, prev, first, blk, lo := 0, -1, 0, -1, 0
+	var span []float32
+	for i, m := range miss {
 		row, pos := int(m>>32), int(uint32(m))
 		if row == prev {
 			copy(dst.Row(pos), dst.Row(first))
@@ -193,13 +212,19 @@ func (sh *shard) gatherInto(dst *tensor.Matrix, t int, indices []int32, gs *gath
 		}
 		b, off := ts.blockOf(row)
 		if b != blk {
-			buf = gs.block[:ts.blockLen(b)*ts.dim]
-			if err := sh.cc.decodeInto(buf, ts.frames[b]); err != nil {
+			end := i // the block's last miss
+			for end+1 < len(miss) && int(miss[end+1]>>32)/ts.blockRows == b {
+				end++
+			}
+			_, last := ts.blockOf(int(miss[end] >> 32))
+			var err error
+			span, err = sh.cc.decodeRows(gs.block, ts.frames[b], ts.blockLen(b), ts.dim, off, last+1)
+			if err != nil {
 				return fmt.Errorf("serve: table %d block %d: %w", ts.id, b, err)
 			}
-			blk = b
+			blk, lo = b, off
 		}
-		copy(dst.Row(pos), buf[off*ts.dim:(off+1)*ts.dim])
+		copy(dst.Row(pos), span[(off-lo)*ts.dim:(off-lo+1)*ts.dim])
 		miss[distinct], prev, first = m, row, pos // compact to distinct rows for phase 3
 		distinct++
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"runtime"
 	"sync"
@@ -74,7 +75,7 @@ func TestGatherDecodesOutsideShardLock(t *testing.T) {
 	}
 
 	pc := &parkingCodec{Codec: lz4like.LZSSCodec{}, parked: make(chan struct{}), release: make(chan struct{})}
-	srv.shards[0].cc = &coldCodec{name: "lzss", c: pc}
+	srv.shards[0].cc = &coldCodec{name: "lzss", block: pc}
 	var releaseOnce sync.Once
 	release := func() { releaseOnce.Do(func() { close(pc.release) }) }
 	defer release()
@@ -121,6 +122,71 @@ func TestGatherDecodesOutsideShardLock(t *testing.T) {
 	}
 }
 
+// TestGatherRowRangeParity pins the miss path's span decode against
+// whole-block decodes of the same frames, for every cold codec, with no
+// hot cache and a block size that does not divide the table: gathers of a
+// block's first row, its last row, rows of the short last block, several
+// rows of one block, repeated rows, and rows spread over many blocks must
+// all return the rows a whole-block decode holds, bit for bit.
+func TestGatherRowRangeParity(t *testing.T) {
+	const rows, blockRows, dim = 23, 5, 4 // blocks of 5 rows, the last of 3
+	gathers := map[string][]int32{
+		"block-first":  {5},
+		"block-last":   {9},
+		"short-block":  {22, 20},
+		"one-block":    {13, 11, 12},
+		"repeats":      {14, 6, 14, 6, 6},
+		"spread":       {0, 4, 5, 9, 10, 22, 3, 17},
+		"whole-blocks": {0, 1, 2, 3, 4, 20, 21, 22},
+	}
+	for _, codecName := range ColdCodecs() {
+		t.Run(codecName, func(t *testing.T) {
+			opts := Options{ColdCodec: codecName, BlockRows: blockRows, HotBytes: -1}
+			if codecName == "quant" {
+				opts.QuantEB = 0.02
+			}
+			srv := oneTableServer(t, rows, opts)
+			sh := srv.shards[0]
+			ts := sh.tables[0]
+			want := make([]float32, 0, rows*dim)
+			for b, frame := range ts.frames {
+				whole := make([]float32, ts.blockLen(b)*dim)
+				switch {
+				case sh.cc.quant != nil:
+					_, err := sh.cc.quant.DecompressInto(whole, frame)
+					if err != nil {
+						t.Fatal(err)
+					}
+				case sh.cc.block != nil:
+					_, err := sh.cc.block.DecompressInto(whole, frame)
+					if err != nil {
+						t.Fatal(err)
+					}
+				default:
+					for i := range whole {
+						whole[i] = math.Float32frombits(binary.LittleEndian.Uint32(frame[4*i:]))
+					}
+				}
+				want = append(want, whole...)
+			}
+			gs := &gatherScratch{block: make([]float32, blockRows*dim)}
+			for name, idx := range gathers {
+				dst := tensor.NewMatrix(len(idx), dim)
+				if err := sh.gatherInto(dst, 0, idx, gs); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for i, row := range idx {
+					for j, v := range dst.Row(i) {
+						if w := want[int(row)*dim+j]; math.Float32bits(v) != math.Float32bits(w) {
+							t.Fatalf("%s: row %d value %d is %v, the whole-block decode's %v", name, row, j, v, w)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // countingCodec counts DecompressInto calls.
 type countingCodec struct {
 	codec.Codec
@@ -141,7 +207,7 @@ func TestGatherDecodesEachBlockOnce(t *testing.T) {
 	srv := oneTableServer(t, rows, Options{ColdCodec: "lzss", BlockRows: blockRows, HotBytes: rows * 4 * 4})
 	ref := oneTableServer(t, rows, Options{ColdCodec: "raw", HotBytes: -1})
 	cc := &countingCodec{Codec: lz4like.LZSSCodec{}}
-	srv.shards[0].cc = &coldCodec{name: "lzss", c: cc}
+	srv.shards[0].cc = &coldCodec{name: "lzss", block: cc}
 
 	// Rows 1, 2, 5, 9, 13 (blocks 0, 0, 1, 2, 3); 1 and 5 repeat.
 	idx := [][]int32{{5, 1, 5, 2, 9, 1, 5, 13}}
