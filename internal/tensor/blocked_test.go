@@ -43,6 +43,23 @@ func sparseMatrix(rng *RNG, rows, cols int) *Matrix {
 	return m
 }
 
+// nonFinite returns a copy of m with about one element in ten set to ±Inf
+// and one in six to a payload NaN (withNaNs), so that a source operand's
+// non-finite values meet zero coefficients: 0·Inf and 0·NaN are NaNs the
+// naive loops, which skip zero terms, never form, so a kernel that
+// multiplies those terms out instead of skipping them fails the bitwise
+// comparison.
+func nonFinite(rng *RNG, m *Matrix) *Matrix {
+	c := m.Clone()
+	for i := range c.Data {
+		if rng.Intn(10) == 0 {
+			c.Data[i] = float32(math.Inf(1 - 2*rng.Intn(2)))
+		}
+	}
+	withNaNs(rng, c.Data, nanB)
+	return c
+}
+
 // requireBitwiseEqual fails unless got and want match element-for-element at
 // the bit level (so -0 vs +0 and NaN payloads count as mismatches).
 func requireBitwiseEqual(t *testing.T, got, want *Matrix, label string) {
@@ -63,14 +80,16 @@ func TestMatMulBlockedBitwiseParity(t *testing.T) {
 		rng := NewRNG(101)
 		for _, s := range raggedShapes {
 			a := sparseMatrix(rng, s.m, s.k)
-			b := sparseMatrix(rng, s.k, s.n)
-			want := NewMatrix(s.m, s.n)
-			matMulNaive(want, a, b)
-			for _, workers := range []int{1, 2, 8} {
-				got := NewMatrix(s.m, s.n)
-				MatMulWorkers(workers, got, a, b)
-				requireBitwiseEqual(t, got, want,
-					fmt.Sprintf("MatMul %dx%d@%dx%d workers=%d", s.m, s.k, s.k, s.n, workers))
+			finite := sparseMatrix(rng, s.k, s.n)
+			for _, b := range []*Matrix{finite, nonFinite(rng, finite)} {
+				want := NewMatrix(s.m, s.n)
+				matMulNaive(want, a, b)
+				for _, workers := range []int{1, 2, 8} {
+					got := NewMatrix(s.m, s.n)
+					MatMulWorkers(workers, got, a, b)
+					requireBitwiseEqual(t, got, want,
+						fmt.Sprintf("MatMul %dx%d@%dx%d workers=%d finite=%v", s.m, s.k, s.k, s.n, workers, b == finite))
+				}
 			}
 		}
 	})
@@ -110,14 +129,16 @@ func TestMatMulTransABlockedBitwiseParity(t *testing.T) {
 		rng := NewRNG(103)
 		for _, s := range raggedShapes {
 			a := sparseMatrix(rng, s.k, s.m)
-			b := sparseMatrix(rng, s.k, s.n)
-			want := NewMatrix(s.m, s.n)
-			matMulTransANaive(want, a, b)
-			for _, workers := range []int{1, 2, 8} {
-				got := NewMatrix(s.m, s.n)
-				MatMulTransAWorkers(workers, got, a, b)
-				requireBitwiseEqual(t, got, want,
-					fmt.Sprintf("MatMulTransA (%dx%d)T@%dx%d workers=%d", s.k, s.m, s.k, s.n, workers))
+			finite := sparseMatrix(rng, s.k, s.n)
+			for _, b := range []*Matrix{finite, nonFinite(rng, finite)} {
+				want := NewMatrix(s.m, s.n)
+				matMulTransANaive(want, a, b)
+				for _, workers := range []int{1, 2, 8} {
+					got := NewMatrix(s.m, s.n)
+					MatMulTransAWorkers(workers, got, a, b)
+					requireBitwiseEqual(t, got, want,
+						fmt.Sprintf("MatMulTransA (%dx%d)T@%dx%d workers=%d finite=%v", s.k, s.m, s.k, s.n, workers, b == finite))
+				}
 			}
 		}
 	})
