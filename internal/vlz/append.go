@@ -183,7 +183,7 @@ func (d *Decoder) decode(dst []int32, data []byte, prefix bool) (int, error) {
 	// Both counts are the frame's word: compare them with len(dst) without
 	// forming a product that could wrap onto it.
 	have := uint64(len(dst))
-	if want := have / d64; have%d64 != 0 || want > rows64 || want < rows64 && !prefix {
+	if dstRows := have / d64; have%d64 != 0 || dstRows > rows64 || dstRows < rows64 && !prefix {
 		return 0, fmt.Errorf("vlz: frame holds %dx%d codes, destination holds %d", rows64, d64, len(dst))
 	}
 	if d64 > math.MaxInt {
