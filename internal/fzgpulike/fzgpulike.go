@@ -166,7 +166,7 @@ func (c *Codec) DecompressInto(dst []float32, frame []byte) (int, error) {
 	eb := math.Float32frombits(binary.LittleEndian.Uint32(frame[0:]))
 	dim := int(binary.LittleEndian.Uint32(frame[4:]))
 	n := int(binary.LittleEndian.Uint32(frame[8:]))
-	if eb <= 0 || dim <= 0 || n != len(dst) || n%dim != 0 {
+	if !(eb > 0) || math.IsInf(float64(eb), 1) || dim <= 0 || n != len(dst) || n%dim != 0 {
 		return 0, errCorrupt
 	}
 	// The payload is the bit planes of whole 32-value blocks.

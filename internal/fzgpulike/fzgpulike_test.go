@@ -1,6 +1,8 @@
 package fzgpulike
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -146,6 +148,15 @@ func TestDecompressCorrupt(t *testing.T) {
 	valid, err := c.CompressAppend(nil, []float32{0.1, 0.2, 0.3, 0.4}, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A non-finite error bound in the header must be rejected, not
+	// dequantized into NaN/Inf values.
+	for _, eb := range []float32{float32(math.NaN()), float32(math.Inf(1)), 0, -0.01} {
+		frame := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(frame[0:], math.Float32bits(eb))
+		if _, err := c.DecompressInto(dst, frame); err == nil {
+			t.Fatalf("header eb %v should error", eb)
+		}
 	}
 	if _, err := c.DecompressInto(make([]float32, 6), valid); err == nil {
 		t.Fatal("a 4-value frame should not decode into 6 values")

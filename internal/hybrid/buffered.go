@@ -163,12 +163,13 @@ func decodeRows(dst []float32, h header, payload []byte, lo, hi int) error {
 	ws := wsPool.Get().(*workspace)
 	defer wsPool.Put(ws)
 	prefix := hi < h.n/h.dim
-	codes := ws.sizedCodes(hi * h.dim)
+	q := quant.New(h.eb)
 	if h.sub == subVLZ {
 		decode := ws.vdec.DecodeInto
 		if prefix {
 			decode = ws.vdec.DecodePrefixInto
 		}
+		codes := ws.sizedCodes(hi * h.dim)
 		gotDim, err := decode(codes, payload)
 		if err != nil {
 			return err
@@ -176,18 +177,18 @@ func decodeRows(dst []float32, h header, payload []byte, lo, hi int) error {
 		if gotDim != h.dim {
 			return errCorrupt
 		}
-	} else {
-		decode := ws.hdec.DecodeInto
-		if prefix {
-			decode = ws.hdec.DecodePrefixInto
-		}
-		syms := ws.sizedSyms(hi * h.dim)
-		if _, err := decode(syms, payload); err != nil {
-			return err
-		}
-		quant.UnZigZagInto(codes[lo*h.dim:], syms[lo*h.dim:])
+		q.Dequantize(dst, codes[lo*h.dim:])
+		return nil
 	}
-	quant.New(h.eb).Dequantize(dst, codes[lo*h.dim:])
+	decode := ws.hdec.DecodeInto
+	if prefix {
+		decode = ws.hdec.DecodePrefixInto
+	}
+	syms := ws.sizedSyms(hi * h.dim)
+	if _, err := decode(syms, payload); err != nil {
+		return err
+	}
+	q.DequantizeZigZag(dst, syms[lo*h.dim:])
 	return nil
 }
 

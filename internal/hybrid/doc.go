@@ -15,7 +15,8 @@
 //
 // Key types: Codec (New(eb, mode)), Mode (Auto / VectorLZ / Entropy),
 // SelectEncoder (Algorithm 2's offline per-table choice, timed best-of-3
-// at steady state so the decision is noise-stable), and
+// after one untimed round trip per encoder, so the decision is taken at
+// steady state and is noise-stable), and
 // Speedup/Throughput, the Eq. (2) communication speed-up model used by
 // both the offline phase and the fig11 experiment.
 //
@@ -29,8 +30,11 @@
 // DecompressRowsInto exposes it for the serving tier's cold gathers — the
 // lossless stage runs through the prefix forms of the vector-LZ and
 // Huffman decoders only to the end of row hi-1, and only rows [lo, hi) are
-// un-zigzagged and dequantized — and DecompressInto is its whole-frame
-// case, which decodes through the exact-count forms so the payload's own
-// count is checked against the header's. Frames are pinned by
+// dequantized — and DecompressInto is its whole-frame case, which decodes
+// through the exact-count forms so the payload's own count is checked
+// against the header's. Huffman symbols are un-zigzagged and dequantized
+// in one pass (quant.DequantizeZigZag); like the quantize pass on the
+// encode side, it runs on the quantizer's AVX body where the host has one
+// and is bit for bit the Go loop either way. Frames are pinned by
 // testdata/frames.golden.
 package hybrid

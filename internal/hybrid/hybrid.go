@@ -188,8 +188,11 @@ type Candidate struct {
 
 // selectReps is how many timed round trips SelectEncoder runs per encoder.
 // A single time.Now sample on a batch-sized input is dominated by scheduler
-// and cache noise; taking the best of several reps makes Algorithm 2's mode
-// choice stable run to run (pinned by a determinism test).
+// and cache noise. So each encoder first makes one untimed round trip that
+// warms the workspace pool, the caches and the branch predictors; then the
+// encoders take turns, rep by rep, so that whatever else the host runs
+// slows both alike, and each keeps its best rep. That makes Algorithm 2's
+// mode choice stable run to run (pinned by a determinism test).
 const selectReps = 3
 
 // SelectEncoder implements Algorithm 2 for one table: it round-trips the
@@ -210,36 +213,41 @@ func SelectEncoder(sample []float32, dim int, eb float32, netBandwidth float64) 
 	if len(sample) == 0 {
 		return Entropy, nil, fmt.Errorf("hybrid: empty sample")
 	}
-	var cands []Candidate
-	var frame []byte
+	modes := []Mode{VectorLZ, Entropy}
+	frames := make([][]byte, len(modes))
+	ct := make([]time.Duration, len(modes))
+	dt := make([]time.Duration, len(modes))
 	recon := make([]float32, len(sample))
-	for _, mode := range []Mode{VectorLZ, Entropy} {
-		c := New(eb, mode)
-		var ct, dt time.Duration
-		for rep := 0; rep < selectReps; rep++ {
+	// Rep -1 is the warm-up: rep 0 overwrites whatever it measured.
+	for rep := -1; rep < selectReps; rep++ {
+		for i, mode := range modes {
+			c := New(eb, mode)
 			start := time.Now()
-			f, err := c.CompressAppend(frame[:0], sample, dim)
+			f, err := c.CompressAppend(frames[i][:0], sample, dim)
 			if err != nil {
 				return 0, nil, err
 			}
-			if d := time.Since(start); rep == 0 || d < ct {
-				ct = d
+			if d := time.Since(start); rep == 0 || d < ct[i] {
+				ct[i] = d
 			}
-			frame = f
+			frames[i] = f
 			start = time.Now()
-			if _, err := c.DecompressInto(recon, frame); err != nil {
+			if _, err := c.DecompressInto(recon, f); err != nil {
 				return 0, nil, err
 			}
-			if d := time.Since(start); rep == 0 || d < dt {
-				dt = d
+			if d := time.Since(start); rep == 0 || d < dt[i] {
+				dt[i] = d
 			}
 		}
-		bytesIn := float64(len(sample) * 4)
+	}
+	var cands []Candidate
+	bytesIn := float64(len(sample) * 4)
+	for i, mode := range modes {
 		tp := Throughput{
-			Compress:   bytesIn / secondsAtLeast(ct),
-			Decompress: bytesIn / secondsAtLeast(dt),
+			Compress:   bytesIn / secondsAtLeast(ct[i]),
+			Decompress: bytesIn / secondsAtLeast(dt[i]),
 		}
-		cr := bytesIn / float64(len(frame))
+		cr := bytesIn / float64(len(frames[i]))
 		cands = append(cands, Candidate{
 			Mode:       mode,
 			Ratio:      cr,

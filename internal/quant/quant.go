@@ -25,15 +25,7 @@ func (q Quantizer) Quantize(dst []int32, src []float32) {
 	if len(dst) != len(src) {
 		panic("quant: Quantize length mismatch")
 	}
-	step := 2 * float64(q.ErrorBound)
-	for i, v := range src {
-		x := float64(v) / step
-		c, ok := roundCode(x)
-		if !ok {
-			c = roundWide(x)
-		}
-		dst[i] = c
-	}
+	quantize(dst, nil, src, 2*float64(q.ErrorBound))
 }
 
 const (
@@ -72,7 +64,42 @@ func (q Quantizer) QuantizeZigZag(codes []int32, syms []uint32, src []float32) (
 	if len(codes) != len(src) || len(syms) != len(src) {
 		panic("quant: QuantizeZigZag length mismatch")
 	}
-	step := 2 * float64(q.ErrorBound)
+	return quantize(codes, syms, src, 2*float64(q.ErrorBound))
+}
+
+// Dequantize reconstructs values from bin codes.
+func (q Quantizer) Dequantize(dst []float32, codes []int32) {
+	if len(dst) != len(codes) {
+		panic("quant: Dequantize length mismatch")
+	}
+	dequantize(dst, codes, 2*float64(q.ErrorBound))
+}
+
+// DequantizeZigZag fuses UnZigZag and Dequantize into one pass: dst[i]
+// gets the value symbol syms[i] stands for, exactly what un-zigzagging
+// every symbol and then dequantizing the codes produces, without the
+// intermediate codes.
+func (q Quantizer) DequantizeZigZag(dst []float32, syms []uint32) {
+	if len(dst) != len(syms) {
+		panic("quant: DequantizeZigZag length mismatch")
+	}
+	dequantizeZigZag(dst, syms, 2*float64(q.ErrorBound))
+}
+
+// quantizeGo is the scalar body of Quantize (syms nil) and QuantizeZigZag,
+// and the oracle the assembly bodies are tested against.
+func quantizeGo(codes []int32, syms []uint32, src []float32, step float64) (maxSym uint32) {
+	if syms == nil {
+		for i, v := range src {
+			x := float64(v) / step
+			c, ok := roundCode(x)
+			if !ok {
+				c = roundWide(x)
+			}
+			codes[i] = c
+		}
+		return 0
+	}
 	for i, v := range src {
 		x := float64(v) / step
 		c, ok := roundCode(x)
@@ -89,14 +116,17 @@ func (q Quantizer) QuantizeZigZag(codes []int32, syms []uint32, src []float32) (
 	return maxSym
 }
 
-// Dequantize reconstructs values from bin codes.
-func (q Quantizer) Dequantize(dst []float32, codes []int32) {
-	if len(dst) != len(codes) {
-		panic("quant: Dequantize length mismatch")
-	}
-	step := 2 * float64(q.ErrorBound)
+// dequantizeGo is the scalar body of Dequantize and its oracle.
+func dequantizeGo(dst []float32, codes []int32, step float64) {
 	for i, c := range codes {
 		dst[i] = float32(float64(c) * step)
+	}
+}
+
+// dequantizeZigZagGo is the scalar body of DequantizeZigZag and its oracle.
+func dequantizeZigZagGo(dst []float32, syms []uint32, step float64) {
+	for i, s := range syms {
+		dst[i] = float32(float64(UnZigZag(s)) * step)
 	}
 }
 
@@ -134,16 +164,8 @@ func ZigZagInto(dst []uint32, codes []int32) {
 // UnZigZagSlice inverts ZigZagSlice.
 func UnZigZagSlice(syms []uint32) []int32 {
 	out := make([]int32, len(syms))
-	UnZigZagInto(out, syms)
-	return out
-}
-
-// UnZigZagInto inverts ZigZagInto; dst and syms must have equal length.
-func UnZigZagInto(dst []int32, syms []uint32) {
-	if len(dst) != len(syms) {
-		panic("quant: UnZigZagInto length mismatch")
-	}
 	for i, s := range syms {
-		dst[i] = UnZigZag(s)
+		out[i] = UnZigZag(s)
 	}
+	return out
 }

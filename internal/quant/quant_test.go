@@ -209,3 +209,16 @@ func BenchmarkQuantizeZigZag(b *testing.B) {
 		q.QuantizeZigZag(codes, syms, src)
 	}
 }
+
+func BenchmarkDequantizeZigZag(b *testing.B) {
+	src := make([]float32, 1<<16)
+	tensor.NewRNG(3).FillNormal(src, 0, 0.05)
+	codes := make([]int32, len(src))
+	syms := make([]uint32, len(src))
+	q := New(0.01)
+	q.QuantizeZigZag(codes, syms, src)
+	b.SetBytes(int64(len(src) * 4))
+	for i := 0; i < b.N; i++ {
+		q.DequantizeZigZag(src, syms)
+	}
+}

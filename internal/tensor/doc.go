@@ -6,7 +6,8 @@
 // one destination row, or four rows through a run of terms that either adds
 // every term or skips zero coefficients (Axpy, Axpy4Rows, Axpy4Skip;
 // axpy.go). On amd64 its bodies are assembly (axpy_amd64.s): eight-lane
-// AVX, selected once at package init where CPUID and XGETBV report it, and
+// AVX, selected once at package init where CPUID and XGETBV report it
+// (HasAVX, the probe internal/quant selects its AVX bodies by too), and
 // four-lane SSE2 everywhere else. On other architectures it is the
 // equivalent Go loop, which is also the oracle every assembly body is
 // tested against. The three matrix products are
