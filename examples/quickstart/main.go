@@ -30,7 +30,7 @@ func main() {
 	}
 	batch := make([]float32, 0, rows*dim)
 	for r := 0; r < rows; r++ {
-		v := int(uint(r*2654435761) % vocab)
+		v := int(uint64(r) * 2654435761 % vocab)
 		if r%3 != 0 {
 			v = v % 4 // hot head
 		}

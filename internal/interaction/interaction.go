@@ -62,8 +62,9 @@ type spanScratch struct {
 	vt, acc, dz, sink []float32
 }
 
-// padTo4 rounds n up to a multiple of the four SSE lanes, so that a padded
-// row is processed by whole vectors with no scalar tail.
+// padTo4 rounds n up to a multiple of four, the primitive's narrowest vector
+// step, so that a padded row is processed by whole vectors with no scalar
+// tail.
 func padTo4(n int) int { return (n + 3) &^ 3 }
 
 // scratch returns one workspace per span for a batch of n samples: Workers of

@@ -5,14 +5,13 @@ package tensor
 // share each load of b, either adding every term (Axpy4Rows) or leaving
 // alone the rows of a term whose coefficient is zero (Axpy4Skip). The matmul
 // kernels in blocked.go, nn.Linear's gradient accumulation and the
-// dot-interaction are all expressed on it. On amd64 the bodies are the loops
-// in axpy_amd64.s, eight-lane AVX where the host has it and four-lane SSE2
-// where it does not; everywhere else they are the *Go functions at the
-// bottom of this file, which are also the oracle every assembly body is
-// tested against. The assembly rounds the product and the sum separately,
-// as the compiler's code for the Go loops does on amd64, so on every
-// architecture and with either body the primitive computes, bit for bit,
-// what the scalar loop there computes.
+// dot-interaction are all expressed on it. Each function has one assembly
+// body, the eight-lane AVX loops in axpy_amd64.s, which amd64 hosts with AVX
+// run; every other host runs the *Go functions at the bottom of this file,
+// which are also the oracle the assembly is tested against. The assembly
+// rounds the product and the sum separately, as the compiler's code for the
+// Go loops does on amd64, so on every architecture and with either body the
+// primitive computes, bit for bit, what the scalar loop there computes.
 
 // Axpy computes y += alpha*x elementwise for equal-length slices that do
 // not overlap.

@@ -10,13 +10,13 @@ import (
 )
 
 // forEachBody runs fn once per body of the primitive this host can
-// execute, SSE2 always and AVX where HasAVX holds, by switching useAVX; the
-// selection package init made is put back afterwards.
+// execute, the Go loops always and AVX where HasAVX holds, by switching
+// useAVX; the selection package init made is put back afterwards.
 func forEachBody(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
 	defer func(selected bool) { useAVX = selected }(useAVX)
 	useAVX = false
-	t.Run("sse2", fn)
+	t.Run("go", fn)
 	if HasAVX() {
 		useAVX = true
 		t.Run("avx", fn)
@@ -27,7 +27,7 @@ func forEachBody(t *testing.T, fn func(t *testing.T)) {
 // the Linux kernel's own account, which lists "avx" among the CPU flags only
 // where the CPU has it and the kernel also saves the YMM registers. A
 // detection bug in HasAVX fails here instead of quietly running the
-// four-lane body.
+// Go loops.
 func TestAVXSelectedWhereSupported(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {

@@ -5,7 +5,7 @@ package tensor
 // MatMulTransB below). All three are the same computation — rows of
 // dst = A @ b, accumulated as dst[i][:] += A[i][p]*b[p][:] for ascending p — and their
 // inner loops are the package's vector primitive (Axpy / Axpy4Skip /
-// Axpy4Rows, see axpy.go): AVX or SSE2 on amd64, plain Go elsewhere. Each
+// Axpy4Rows, see axpy.go): AVX where the host has it, plain Go elsewhere. Each
 // four-row tile is one call over all its terms: MatMul and MatMulTransA,
 // which skip zero terms, share saxpyRows and the primitive's skipping form;
 // MatMulTransB, which never skips, hands its tiles to Axpy4Rows.

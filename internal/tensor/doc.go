@@ -5,15 +5,15 @@
 // All of the dense math sits on one vector primitive, d[j] += a*b[j] over
 // one destination row, or four rows through a run of terms that either adds
 // every term or skips zero coefficients (Axpy, Axpy4Rows, Axpy4Skip;
-// axpy.go). On amd64 its bodies are assembly (axpy_amd64.s): eight-lane
-// AVX, selected once at package init where CPUID and XGETBV report it
-// (HasAVX, the probe internal/quant selects its AVX bodies by too), and
-// four-lane SSE2 everywhere else. On other architectures it is the
-// equivalent Go loop, which is also the oracle every assembly body is
-// tested against. The three matrix products are
-// saxpy-form kernels over that primitive (blocked.go), and the large ones
-// are split by output row across a persistent worker pool (pool.go) when the
-// work is big enough to pay for the fan-out.
+// axpy.go). Each function has one assembly body, eight-lane AVX
+// (axpy_amd64.s), selected once at package init where CPUID and XGETBV
+// report it (HasAVX, the probe internal/quant selects its AVX bodies by
+// too). Every other host, amd64 without AVX included, runs the equivalent
+// Go loop, which is also the oracle the assembly is tested against. The
+// three matrix products are saxpy-form kernels over that primitive
+// (blocked.go), and the large ones are split by output row across a
+// persistent worker pool (pool.go) when the work is big enough to pay for
+// the fan-out.
 //
 // Vector lanes, row tiles and worker spans all cut across different output
 // elements; each element is one float32 accumulator fed its terms one at a

@@ -74,12 +74,10 @@ func (m *Matrix) Zero() {
 //	1024×256·128   (34M)  2.75→1.33 ms 2.18→1.59 ms 2.21→1.60 ms 1.4–2.1x
 //	1024×383·256  (100M)  9.2→5.6 ms   8.5→4.9 ms   10.5→6.0 ms  1.7–1.8x
 //
-// The AVX body halves the work of each product, so the fixed fan-out cost
-// weighs twice as much, yet the break-even still lies between 3.1M and
-// 4.2M, where the SSE2 body also put it (the SSE2 body, interleaved in the
-// same runs: 1.6M slower or even, 3.1M 0.9–1.5x, 4.2M 1.3–1.5x). The old
-// value, 1<<17, was sized for the scalar kernels (~130 µs of work then,
-// ~10 µs now).
+// The break-even lies between 3.1M and 4.2M. On hosts without AVX the Go
+// loops take longer over the same product, so there the threshold only
+// errs towards staying single-threaded. The old value, 1<<17, was sized
+// for the scalar kernels (~130 µs of work then, ~10 µs now).
 const parallelThreshold = 1 << 22
 
 // MatMulWorkers computes dst = a @ b where a is m×k and b is k×n. dst must
