@@ -37,7 +37,6 @@ func main() {
 	topology := flag.String("topology", "flat", "interconnect model: flat (single α-β link) or hier (two-level, two-phase all-to-all)")
 	nodes := flag.Int("nodes", 0, "node count; with -topology hier the rank count is nodes*ranks-per-node (inconsistent -ranks is an error)")
 	ranksPerNode := flag.Int("ranks-per-node", 4, "GPUs per node for -topology hier and -nodes")
-	a2a := flag.String("a2a", "auto", "all-to-all algorithm: auto, direct, or twophase")
 	steps := flag.Int("steps", 200, "training steps")
 	batch := flag.Int("batch", 0, "global batch size (0 = dataset default)")
 	scale := flag.Int("scale", 400, "cardinality scale-down factor")
@@ -90,7 +89,6 @@ func main() {
 			Steps:          *steps,
 			Eval:           *evalN,
 			Topology:       *topology,
-			A2A:            *a2a,
 			Codec:          *codecName,
 			ErrorBound:     *eb,
 			Overlap:        *overlap,

@@ -3,6 +3,7 @@ package dlrmcomp_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -40,6 +41,23 @@ func allCodecs() []codec.Codec {
 		dlrmcomp.NewCompressor(0.01, dlrmcomp.ModeVectorLZ),
 		dlrmcomp.NewCompressor(0.01, dlrmcomp.ModeEntropy),
 	}, baselineCodecs()...)
+}
+
+// shapeField is the offset of a frame's shape header: every codec writes the
+// row length dim and then the value count n as little-endian uint32s, at the
+// frame's start or behind a 4-byte error bound. frame is c's encoding of n
+// values at dim.
+func shapeField(t testing.TB, c codec.Codec, frame []byte, dim, n int) int {
+	t.Helper()
+	for _, off := range []int{0, 4} {
+		if len(frame) >= off+8 &&
+			binary.LittleEndian.Uint32(frame[off:]) == uint32(dim) &&
+			binary.LittleEndian.Uint32(frame[off+4:]) == uint32(n) {
+			return off
+		}
+	}
+	t.Fatalf("%s: no (dim %d, n %d) header in the frame", c.Name(), dim, n)
+	return 0
 }
 
 // decodeNoPanic runs DecompressInto on a frame that may be damaged: an error
@@ -83,6 +101,9 @@ func TestConformanceRoundTrip(t *testing.T) {
 // appends exactly the frame a fresh CompressAppend(nil, …) returns;
 // DecompressInto fills a destination of the frame's value count, reports the
 // row length, and rejects a destination of any other length before decoding.
+// Both halves hold the shape contract: a source that is not whole rows of dim
+// does not compress, and a frame whose dim does not divide its value count
+// does not decode.
 func TestConformanceBufferedPath(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	src := make([]float32, 96*16)
@@ -119,6 +140,14 @@ func TestConformanceBufferedPath(t *testing.T) {
 			if _, err := c.DecompressInto(make([]float32, n), ref); err == nil {
 				t.Fatalf("%s: a %d-value frame decoded into %d values", c.Name(), len(src), n)
 			}
+		}
+		if _, err := c.CompressAppend(nil, src[:len(src)-6], 16); err == nil {
+			t.Fatalf("%s: compressed %d values at dim 16", c.Name(), len(src)-6)
+		}
+		patched := slices.Clone(ref)
+		binary.LittleEndian.PutUint32(patched[shapeField(t, c, ref, 16, len(src)):], 7)
+		if _, err := c.DecompressInto(dst, patched); err == nil {
+			t.Fatalf("%s: a %d-value frame decoded at dim 7", c.Name(), len(src))
 		}
 	}
 }
@@ -351,6 +380,53 @@ func TestConformanceBitflips(t *testing.T) {
 			decodeNoPanic(t, c, dst, corrupted, fmt.Sprintf("bitflip at byte %d", pos))
 		}
 	}
+}
+
+// fuzzMaxValues bounds the destination a fuzz input may ask for: the count
+// in a header is the input's, the allocation is ours.
+const fuzzMaxValues = 1 << 16
+
+// FuzzBaselineDecompressInto feeds arbitrary frames to the decoder of the
+// baseline codec the first argument picks, seeded with short real frames of
+// each (whole and cut by a byte). The destination holds the
+// value count the frame's header names. A decoder must not panic, and a
+// frame it accepts must report a row length that divides the destination.
+func FuzzBaselineDecompressInto(f *testing.F) {
+	codecs := baselineCodecs()
+	rng := tensor.NewRNG(11)
+	shapeAt := make([]int, len(codecs))
+	for i, c := range codecs {
+		for _, sh := range []struct{ rows, dim int }{{1, 1}, {3, 4}, {6, 8}} {
+			src := make([]float32, sh.rows*sh.dim)
+			rng.FillNormal(src, 0, 0.3)
+			copy(src[len(src)/2:], src) // a repeated half, so the LZ seeds hold matches
+			frame, err := c.CompressAppend(nil, src, sh.dim)
+			if err != nil {
+				f.Fatalf("%s: %v", c.Name(), err)
+			}
+			shapeAt[i] = shapeField(f, c, frame, sh.dim, len(src))
+			f.Add(uint8(i), frame)
+			f.Add(uint8(i), frame[:len(frame)-1])
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint8, frame []byte) {
+		i := int(which) % len(codecs)
+		c, off := codecs[i], shapeAt[i]
+		n := 0 // still decode on a bad header: no frame fits a destination it does not name
+		if len(frame) >= off+8 {
+			if v := binary.LittleEndian.Uint32(frame[off+4:]); v <= fuzzMaxValues {
+				n = int(v)
+			}
+		}
+		dst := make([]float32, n)
+		dim, err := c.DecompressInto(dst, frame)
+		if err != nil {
+			return
+		}
+		if dim <= 0 || len(dst)%dim != 0 {
+			t.Fatalf("%s accepted a %d-value frame at dim %d", c.Name(), len(dst), dim)
+		}
+	})
 }
 
 // TestConformanceDistinctNames ensures experiment tables can key on names.

@@ -207,8 +207,8 @@ type (
 	// simulated time against (Network and Hierarchical implement it).
 	Topology = netmodel.Topology
 	// Hierarchical is the two-level (intra-/inter-node) interconnect model
-	// of the paper's testbed; the trainer pairs it with the two-phase
-	// all-to-all and splits all-to-all buckets per link.
+	// of the paper's testbed; it prices the trainer's all-to-alls as the
+	// two-phase algorithm and splits their buckets per link.
 	Hierarchical = netmodel.Hierarchical
 	// LinkCost attributes a collective's simulated time to the intra- and
 	// inter-node link classes of a hierarchical machine.

@@ -43,12 +43,15 @@ type PendingAllToAll struct {
 	awaited bool
 }
 
-// IAllToAllV issues a nonblocking all-to-all: identical data movement and
-// algorithm selection to AllToAllV, but the simulated cost is captured in
-// the returned handle instead of charged immediately. Every rank of the
-// collective must call it (and later Await), like any collective.
+// IAllToAllV issues a nonblocking all-to-all: send[j] goes to rank j, and
+// the result's entry i holds the buffer rank i sent here. If variable is
+// true the simulated cost includes the metadata exchange of the paper's
+// stage ②. The cost is captured in the returned handle and charged to
+// label's bucket at Await. Every rank of the collective must call it (and
+// later Await), like any collective. algo has one value, A2AAuto, which the
+// route does not read.
 func (r *Rank) IAllToAllV(send [][]byte, variable bool, label string, algo A2AAlgo) *PendingAllToAll {
-	recv, cost, err := r.exchange(send, variable, algo)
+	recv, cost, err := r.exchange(send, variable)
 	if err == nil && r.ID == 0 {
 		// Fault injection scales the cost at the one point it is known
 		// (rank 0), before it reaches the handle: Await's charge and any

@@ -20,35 +20,33 @@ func payload(tag string, from, to int) []byte {
 // issue ordering" contract: a second collective may be issued before the
 // first is awaited, and awaits may complete in any order.
 func TestAsyncAllToAllDeliveryMatchesSync(t *testing.T) {
-	for _, algo := range []A2AAlgo{A2ADirect, A2ATwoPhase} {
-		c := New(8, netmodel.PaperHierarchical(4))
-		c.Run(func(r *Rank) {
-			mk := func(tag string) [][]byte {
-				send := make([][]byte, r.N())
-				for to := range send {
-					send[to] = payload(tag, r.ID, to)
-				}
-				return send
+	c := New(8, netmodel.PaperHierarchical(4))
+	c.Run(func(r *Rank) {
+		mk := func(tag string) [][]byte {
+			send := make([][]byte, r.N())
+			for to := range send {
+				send[to] = payload(tag, r.ID, to)
 			}
-			opA := r.IAllToAllV(mk("a"), false, "a2a-a", algo)
-			opB := r.IAllToAllV(mk("b"), true, "a2a-b", algo)
-			// Await out of issue order.
-			recvB, errB := opB.Await()
-			recvA, errA := opA.Await()
-			if errA != nil || errB != nil {
-				t.Errorf("algo %v rank %d: await errors %v / %v", algo, r.ID, errA, errB)
-				return
+			return send
+		}
+		opA := r.IAllToAllV(mk("a"), false, "a2a-a", A2AAuto)
+		opB := r.IAllToAllV(mk("b"), true, "a2a-b", A2AAuto)
+		// Await out of issue order.
+		recvB, errB := opB.Await()
+		recvA, errA := opA.Await()
+		if errA != nil || errB != nil {
+			t.Errorf("rank %d: await errors %v / %v", r.ID, errA, errB)
+			return
+		}
+		for from := 0; from < r.N(); from++ {
+			if want := payload("a", from, r.ID); !bytes.Equal(recvA[from], want) {
+				t.Errorf("rank %d: op A recv[%d] = %q, want %q", r.ID, from, recvA[from], want)
 			}
-			for from := 0; from < r.N(); from++ {
-				if want := payload("a", from, r.ID); !bytes.Equal(recvA[from], want) {
-					t.Errorf("algo %v rank %d: op A recv[%d] = %q, want %q", algo, r.ID, from, recvA[from], want)
-				}
-				if want := payload("b", from, r.ID); !bytes.Equal(recvB[from], want) {
-					t.Errorf("algo %v rank %d: op B recv[%d] = %q, want %q", algo, r.ID, from, recvB[from], want)
-				}
+			if want := payload("b", from, r.ID); !bytes.Equal(recvB[from], want) {
+				t.Errorf("rank %d: op B recv[%d] = %q, want %q", r.ID, from, recvB[from], want)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestAsyncChargeDeferredToAwait pins the handle semantics: data is
@@ -60,7 +58,7 @@ func TestAsyncChargeDeferredToAwait(t *testing.T) {
 		for to := range send {
 			send[to] = payload("x", r.ID, to)
 		}
-		op := r.IAllToAllV(send, false, "deferred", A2ADirect)
+		op := r.IAllToAllV(send, false, "deferred", A2AAuto)
 		r.Barrier() // all ranks issued; none awaited yet
 		if r.ID == 0 {
 			if got := c.SimTime("deferred"); got != 0 {
@@ -87,7 +85,7 @@ func TestAsyncAwaitIdempotent(t *testing.T) {
 		for to := range send {
 			send[to] = payload("x", r.ID, to)
 		}
-		op := r.IAllToAllV(send, false, "idem", A2ADirect)
+		op := r.IAllToAllV(send, false, "idem", A2AAuto)
 		first, err := op.Await()
 		if err != nil {
 			t.Errorf("rank %d: %v", r.ID, err)
@@ -109,7 +107,7 @@ func TestAsyncAwaitIdempotent(t *testing.T) {
 		for to := range send {
 			send[to] = payload("x", r.ID, to)
 		}
-		r.AllToAllV(send, false, "sync", A2ADirect)
+		r.AllToAll(send, false, "sync")
 	})
 	if sync := c.SimTime("sync"); once != sync {
 		t.Fatalf("double Await charged %v, one sync collective charges %v", once, sync)
@@ -127,7 +125,7 @@ func TestAsyncCostMatchesSyncCharge(t *testing.T) {
 		for to := range send {
 			send[to] = make([]byte, 1024*(r.ID+1))
 		}
-		op := r.IAllToAllV(send, true, "cost", A2ATwoPhase)
+		op := r.IAllToAllV(send, true, "cost", A2AAuto)
 		cost := op.Cost()
 		if r.ID != 0 && cost != (netmodel.LinkCost{}) {
 			t.Errorf("rank %d carries cost %+v, want zero (rank 0 owns it)", r.ID, cost)
@@ -144,7 +142,7 @@ func TestAsyncCostMatchesSyncCharge(t *testing.T) {
 		for to := range send {
 			send[to] = make([]byte, 1024*(r.ID+1))
 		}
-		r.AllToAllV(send, true, "cost", A2ATwoPhase)
+		r.AllToAll(send, true, "cost")
 	})
 	want := c2.SimTime("cost-intra") + c2.SimTime("cost-inter")
 	if charged != want {
@@ -196,10 +194,10 @@ func TestAsyncManyInFlightUnderRace(t *testing.T) {
 				}
 				return send
 			}
-			a := r.IAllToAllV(mk("p"), true, "p", A2ATwoPhase)
+			a := r.IAllToAllV(mk("p"), true, "p", A2AAuto)
 			buf := []float32{float32(r.ID)}
 			ar := r.IAllReduceSum(buf, "r")
-			b := r.IAllToAllV(mk("q"), false, "q", A2ADirect)
+			b := r.IAllToAllV(mk("q"), false, "q", A2AAuto)
 			recvQ, err := b.Await()
 			if err != nil {
 				t.Errorf("step %d rank %d: q await: %v", step, r.ID, err)

@@ -15,45 +15,14 @@ import (
 // peer before a variable-size all-to-all (stage ② of the paper's pipeline).
 const MetadataBytesPerPair = 8
 
-// A2AAlgo selects the all-to-all algorithm for one collective.
+// A2AAlgo is the all-to-all algorithm parameter of IAllToAllV. It has one
+// value, A2AAuto, and the route does not read it: every all-to-all posts
+// its payloads straight to their destinations, and rank 0 prices it with
+// Net.TwoPhaseAllToAllCost.
 type A2AAlgo int
 
-const (
-	// A2AAuto picks the two-phase hierarchical algorithm whenever the
-	// topology spans more than one node, and the direct exchange otherwise.
-	A2AAuto A2AAlgo = iota
-	// A2ADirect posts every payload straight to its destination rank.
-	A2ADirect
-	// A2ATwoPhase stages cross-node payloads through node leaders. On a
-	// single-node (or flat) topology it degenerates to A2ADirect.
-	A2ATwoPhase
-)
-
-// String returns the parseable name of the algorithm.
-func (a A2AAlgo) String() string {
-	switch a {
-	case A2ADirect:
-		return "direct"
-	case A2ATwoPhase:
-		return "twophase"
-	default:
-		return "auto"
-	}
-}
-
-// ParseA2AAlgo maps a configuration string onto an A2AAlgo. The empty
-// string selects A2AAuto, mirroring the zero value.
-func ParseA2AAlgo(s string) (A2AAlgo, error) {
-	switch s {
-	case "", "auto":
-		return A2AAuto, nil
-	case "direct":
-		return A2ADirect, nil
-	case "twophase", "two-phase":
-		return A2ATwoPhase, nil
-	}
-	return A2AAuto, fmt.Errorf("cluster: unknown all-to-all algorithm %q (want auto, direct, or twophase)", s)
-}
+// A2AAuto is the only A2AAlgo value.
+const A2AAuto A2AAlgo = 0
 
 // Cluster is a process group. All collectives move data through the
 // Transport endpoints handed to the constructor, so the same collective
@@ -65,11 +34,8 @@ type Cluster struct {
 	N   int
 	Net netmodel.Topology
 
-	// Topology layout, precomputed at construction: rank -> node, node ->
-	// leader rank (the lowest rank in the node).
-	nodes   int
-	nodeOf  []int
-	leaders []int
+	// nodes is how many nodes the topology spans for N ranks.
+	nodes int
 
 	// eps and scratch are indexed by rank id; nil for ranks hosted in other
 	// processes. local lists the hosted ranks in ascending order.
@@ -89,7 +55,6 @@ type rankScratch struct {
 	sizeRow []byte // payload-size row, sent to rank 0 each all-to-all
 	flagBuf []byte // 1-byte OrFlag contribution
 	sendBuf []byte // allreduce contribution, grown on demand
-	stage   []int  // two-phase all-to-all: bytes staged per bundle
 
 	// Rank 0 only: the global payload-size matrix the cost model reads,
 	// and the response buffers for the star collectives.
@@ -99,33 +64,28 @@ type rankScratch struct {
 	gather   []byte // length-prefixed concatenation of all GatherAll blobs
 }
 
-// layout computes the node layout for n ranks over net.
-func layout(n int, net netmodel.Topology) (nodes int, nodeOf, leaders []int, err error) {
-	nodes = net.Nodes(n)
+// layout checks the topology's rank-to-node map for n ranks: every rank
+// lands on one of the nodes it reports, and no node is left empty. It
+// returns the node count.
+func layout(n int, net netmodel.Topology) (int, error) {
+	nodes := net.Nodes(n)
 	if nodes < 1 {
-		return 0, nil, nil, fmt.Errorf("cluster: topology reports %d nodes for %d ranks", nodes, n)
+		return 0, fmt.Errorf("cluster: topology reports %d nodes for %d ranks", nodes, n)
 	}
-	nodeOf = make([]int, n)
-	leaders = make([]int, nodes)
-	for i := range leaders {
-		leaders[i] = -1
-	}
+	used := make([]bool, nodes)
 	for r := 0; r < n; r++ {
 		nd := net.NodeOf(r)
 		if nd < 0 || nd >= nodes {
-			return 0, nil, nil, fmt.Errorf("cluster: topology maps rank %d to node %d outside [0,%d)", r, nd, nodes)
+			return 0, fmt.Errorf("cluster: topology maps rank %d to node %d outside [0,%d)", r, nd, nodes)
 		}
-		nodeOf[r] = nd
-		if leaders[nd] == -1 {
-			leaders[nd] = r
+		used[nd] = true
+	}
+	for nd, ok := range used {
+		if !ok {
+			return 0, fmt.Errorf("cluster: topology leaves node %d empty for %d ranks", nd, n)
 		}
 	}
-	for nd, l := range leaders {
-		if l == -1 {
-			return 0, nil, nil, fmt.Errorf("cluster: topology leaves node %d empty for %d ranks", nd, n)
-		}
-	}
-	return nodes, nodeOf, leaders, nil
+	return nodes, nil
 }
 
 // newCluster assembles a cluster over per-rank endpoints (nil entries are
@@ -135,7 +95,7 @@ func newCluster(eps []Transport, net netmodel.Topology) (*Cluster, error) {
 	if net == nil {
 		net = netmodel.Slingshot10()
 	}
-	nodes, nodeOf, leaders, err := layout(n, net)
+	nodes, err := layout(n, net)
 	if err != nil {
 		return nil, err
 	}
@@ -143,8 +103,6 @@ func newCluster(eps []Transport, net netmodel.Topology) (*Cluster, error) {
 		N:       n,
 		Net:     net,
 		nodes:   nodes,
-		nodeOf:  nodeOf,
-		leaders: leaders,
 		eps:     eps,
 		scratch: make([]*rankScratch, n),
 		simTime: make(map[string]time.Duration),
@@ -157,7 +115,6 @@ func newCluster(eps []Transport, net netmodel.Topology) (*Cluster, error) {
 		scr := &rankScratch{
 			sizeRow: make([]byte, sizeRowBytes(n)),
 			flagBuf: make([]byte, 1),
-			stage:   make([]int, n),
 		}
 		if id == 0 {
 			scr.sizes = make([][]int64, n)
@@ -346,24 +303,21 @@ func (r *Rank) gatherSizeRows() error {
 // (including the metadata exchange when variable). No sim time is charged
 // here — the caller decides when the cost lands (immediately for the
 // synchronous collectives, at Await for the nonblocking ones).
-func (r *Rank) exchange(send [][]byte, variable bool, algo A2AAlgo) ([][]byte, netmodel.LinkCost, error) {
+//
+// Every payload goes straight to its destination rank. The price is the
+// hierarchical two-phase all-to-all's (Net.TwoPhaseAllToAllCost, which is
+// the direct exchange's AllToAllCost on flat and single-node topologies),
+// computed once on rank 0 from the global payload-size matrix: the model
+// prices the staged route a multi-node fabric would take, and on one host
+// the bytes need not take it. The trailing barrier makes the collective a
+// fleet-wide synchronization point, which is what allows callers to reuse
+// their send buffers one collective later even though the in-process
+// fabric delivers by reference.
+func (r *Rank) exchange(send [][]byte, variable bool) ([][]byte, netmodel.LinkCost, error) {
 	c := r.c
 	if len(send) != c.N {
 		panic(fmt.Sprintf("cluster: rank %d sent %d buffers for %d ranks", r.ID, len(send), c.N))
 	}
-	if algo != A2ADirect && c.nodes > 1 {
-		return r.twoPhase(send, variable)
-	}
-	return r.direct(send, variable)
-}
-
-// direct implements the single-phase exchange: every payload goes straight
-// to its destination rank. The trailing barrier makes the collective a
-// fleet-wide synchronization point, which is what allows callers to reuse
-// their send buffers one collective later even though the in-process
-// fabric delivers by reference.
-func (r *Rank) direct(send [][]byte, variable bool) ([][]byte, netmodel.LinkCost, error) {
-	c := r.c
 	var cost netmodel.LinkCost
 	if err := r.postSizeRow(send); err != nil {
 		return nil, cost, err
@@ -377,13 +331,11 @@ func (r *Rank) direct(send [][]byte, variable bool) ([][]byte, netmodel.LinkCost
 		}
 	}
 
-	// Rank 0 computes the simulated cost once, from global knowledge of
-	// the pairwise payload matrix.
 	if r.ID == 0 {
 		if err := r.gatherSizeRows(); err != nil {
 			return nil, cost, err
 		}
-		cost = c.Net.AllToAllCost(r.scr.sizes)
+		cost = c.Net.TwoPhaseAllToAllCost(r.scr.sizes)
 		if variable {
 			cost = cost.Add(c.Net.MetadataCost(c.N, MetadataBytesPerPair))
 		}

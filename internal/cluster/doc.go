@@ -27,13 +27,14 @@
 //     each OS process hosts a single rank.
 //   - Rank — one simulated device's handle, passed to the function given
 //     to Cluster.Run. Collectives hang off it.
-//   - A2AAlgo — per-collective all-to-all algorithm choice: A2ADirect
-//     posts every payload straight to its destination; A2ATwoPhase stages
-//     cross-node payloads through node leaders (same-node pairs over the
-//     fast link, leader-to-leader bundles over the NIC — see twophase.go);
-//     A2AAuto picks two-phase whenever the topology spans multiple nodes.
-//     The two algorithms deliver bit-identical payloads and differ only in
-//     route, and therefore in cost attribution.
+//   - One all-to-all route: every payload goes straight to its
+//     destination rank, and rank 0 prices the collective with
+//     Net.TwoPhaseAllToAllCost — the hierarchical two-phase algorithm on a
+//     multi-node topology, the direct exchange on a flat or single-node
+//     one. The model prices the leader-staged route a multi-node fabric
+//     takes; the bytes need not take it on one host. A2AAlgo is the
+//     algorithm parameter of IAllToAllV; its one value, A2AAuto, is not
+//     read by the route.
 //   - PendingAllToAll / PendingAllReduce — awaitable handles returned by
 //     the nonblocking collectives IAllToAllV and IAllReduceSum. Data
 //     movement is eager (payloads are delivered before the handle

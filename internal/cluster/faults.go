@@ -16,9 +16,9 @@ import (
 // math is untouched, so losses under any fault plan are bit-identical to
 // the healthy run (the resume-parity tests lean on this). Scaling happens
 // at the single point where cost is known — rank 0's cost computation in
-// IAllToAllV / IAllReduceSum — so both transports, both all-to-all
-// algorithms, and the synchronous and nonblocking paths all pick it up,
-// and the inflated time lands in the existing accounting buckets.
+// IAllToAllV / IAllReduceSum — so both transports and the synchronous and
+// nonblocking paths all pick it up, and the inflated time lands in the
+// existing accounting buckets.
 //
 // Jitter is deterministic: the multiplier of the k-th cost-bearing
 // collective is a pure function of (Seed, k), with the sequence counter

@@ -194,12 +194,12 @@ func TestSetFaultPlanRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestFaultScaleConformsAcrossAlgos(t *testing.T) {
-	// The straggler multiplier applies identically to the direct and
-	// two-phase paths: each faulted bucket is exactly factor x its healthy
-	// counterpart on a hierarchical topology.
+func TestFaultScaleSplitsAcrossLinks(t *testing.T) {
+	// The straggler multiplier applies to both links of a hierarchical
+	// all-to-all: each faulted bucket is exactly factor x its healthy
+	// counterpart.
 	hier := netmodel.PaperHierarchical(2)
-	run := func(plan *FaultPlan, algo A2AAlgo) map[string]time.Duration {
+	run := func(plan *FaultPlan) map[string]time.Duration {
 		c := New(4, hier)
 		defer c.Close()
 		if err := c.SetFaultPlan(plan); err != nil {
@@ -210,23 +210,20 @@ func TestFaultScaleConformsAcrossAlgos(t *testing.T) {
 			for i := range send {
 				send[i] = make([]byte, 64)
 			}
-			if _, err := r.AllToAllV(send, true, "a2a", algo); err != nil {
+			if _, err := r.AllToAll(send, true, "a2a"); err != nil {
 				t.Errorf("rank %d: %v", r.ID, err)
 			}
 		})
 		return c.SimTimes()
 	}
-	plan := &FaultPlan{Slow: []SlowRank{{Rank: 3, Factor: 4}}}
-	for _, algo := range []A2AAlgo{A2ADirect, A2ATwoPhase} {
-		base := run(nil, algo)
-		faulted := run(plan, algo)
-		if len(base) == 0 {
-			t.Fatalf("algo %v charged nothing", algo)
-		}
-		for label, d := range base {
-			if got, want := faulted[label], 4*d; got != want {
-				t.Errorf("algo %v bucket %q = %v, want exactly 4x healthy %v", algo, label, got, d)
-			}
+	base := run(nil)
+	faulted := run(&FaultPlan{Slow: []SlowRank{{Rank: 3, Factor: 4}}})
+	if base["a2a-intra"] <= 0 || base["a2a-inter"] <= 0 {
+		t.Fatalf("healthy run did not charge both links: %v", base)
+	}
+	for label, d := range base {
+		if got, want := faulted[label], 4*d; got != want {
+			t.Errorf("bucket %q = %v, want exactly 4x healthy %v", label, got, d)
 		}
 	}
 }

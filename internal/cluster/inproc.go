@@ -15,8 +15,8 @@ import (
 // of deadlocking when a rank bails out mid-collective.
 
 // inprocChanCap bounds in-flight messages per directed pair. A collective
-// posts at most three messages per pair before the matching receives (size
-// row + staged bundles), and the trailing synchronization of each
+// posts at most two messages per pair before the matching receives (size
+// row + payload), and the trailing synchronization of each
 // collective keeps back-to-back collectives from stacking more than one
 // collective's worth, so a small constant suffices; sends never block in
 // practice.

@@ -37,7 +37,7 @@ func TestChaosMidCollectiveKill(t *testing.T) {
 						for i := range send {
 							send[i] = []byte{byte(r), byte(i)}
 						}
-						_, err := rk.IAllToAllV(send, false, "warm", cluster.A2ADirect).Await()
+						_, err := rk.IAllToAllV(send, false, "warm", cluster.A2AAuto).Await()
 						warm <- err
 					})
 				}(r)
@@ -61,7 +61,7 @@ func TestChaosMidCollectiveKill(t *testing.T) {
 						for i := range send {
 							send[i] = []byte{byte(r), byte(i), 2}
 						}
-						_, err := rk.IAllToAllV(send, false, "chaos", cluster.A2ADirect).Await()
+						_, err := rk.IAllToAllV(send, false, "chaos", cluster.A2AAuto).Await()
 						done <- err
 					})
 				}(r)

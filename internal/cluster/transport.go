@@ -6,8 +6,8 @@ import (
 )
 
 // Transport is one rank's endpoint onto the fabric that moves wire frames
-// between ranks. Every collective in this package — the direct and
-// two-phase all-to-alls, the rank-order allreduce, the flag/stats
+// between ranks. Every collective in this package — the
+// all-to-all, the rank-order allreduce, the flag/stats
 // exchanges — is written against this interface alone, so any fabric that
 // implements it (the in-process channel fabric, the TCP backend in
 // cluster/tcptransport) runs the same collective code and delivers

@@ -3,8 +3,7 @@ package cluster_test
 // Transport conformance: the collectives must behave identically over the
 // in-process channel fabric and the TCP backend — same delivered bytes,
 // same bitwise allreduce results, same sim-time buckets — at every world
-// size, for the direct and two-phase all-to-alls, for ragged and
-// zero-length payloads, and with nonblocking collectives in flight
+// size and topology, for ragged and zero-length payloads, and with nonblocking collectives in flight
 // concurrently. CI runs this file under -race over both transports; see
 // CONTRIBUTING.md for the invariant.
 
@@ -27,8 +26,7 @@ const progRounds = 3
 // progResult is everything a conformance program observes, per rank.
 // Slots are written only by their own rank, so no locking is needed.
 type progResult struct {
-	direct   [][]byte    // flattened direct-a2a deliveries
-	twoPhase [][]byte    // flattened two-phase deliveries
+	sync     [][]byte    // flattened deliveries of the synchronous a2as
 	async    [][]byte    // flattened deliveries of the interleaved nonblocking a2as
 	reduced  [][]float32 // allreduce outputs
 	flags    []bool      // OrFlag verdicts
@@ -38,8 +36,7 @@ type progResult struct {
 
 func newProgResult(world int) *progResult {
 	return &progResult{
-		direct:   make([][]byte, world),
-		twoPhase: make([][]byte, world),
+		sync:     make([][]byte, world),
 		async:    make([][]byte, world),
 		reduced:  make([][]float32, world),
 		flags:    make([]bool, world),
@@ -67,7 +64,7 @@ func appendFlat(dst []byte, recv [][]byte) []byte {
 }
 
 // program is the collective workload every conformance run executes: per
-// round a direct and a two-phase variable all-to-all, an interleaved
+// round a variable all-to-all, an interleaved
 // nonblocking pair (two a2as and an allreduce awaited out of issue
 // order), an OrFlag, and a GatherAll.
 func program(r *cluster.Rank, res *progResult) error {
@@ -77,28 +74,22 @@ func program(r *cluster.Rank, res *progResult) error {
 		for to := 0; to < n; to++ {
 			send[to] = raggedPayload(r.ID, to, round)
 		}
-		recv, err := r.AllToAllV(send, true, "fwd-a2a", cluster.A2ADirect)
+		recv, err := r.AllToAll(send, true, "fwd-a2a")
 		if err != nil {
-			return fmt.Errorf("rank %d round %d direct: %w", r.ID, round, err)
+			return fmt.Errorf("rank %d round %d a2a: %w", r.ID, round, err)
 		}
-		res.direct[r.ID] = appendFlat(res.direct[r.ID], recv)
-
-		recv, err = r.AllToAllV(send, true, "fwd-a2a", cluster.A2ATwoPhase)
-		if err != nil {
-			return fmt.Errorf("rank %d round %d two-phase: %w", r.ID, round, err)
-		}
-		res.twoPhase[r.ID] = appendFlat(res.twoPhase[r.ID], recv)
+		res.sync[r.ID] = appendFlat(res.sync[r.ID], recv)
 
 		x := make([]float32, 33)
 		for i := range x {
 			x[i] = float32(r.ID+1) * float32(i-7) * 0.125
 		}
-		opA := r.IAllToAllV(send, true, "bwd-a2a", cluster.A2ADirect)
+		opA := r.IAllToAllV(send, true, "bwd-a2a", cluster.A2AAuto)
 		ar := r.IAllReduceSum(x, "allreduce")
-		opB := r.IAllToAllV(send, false, "bwd-a2a", cluster.A2ATwoPhase)
+		opB := r.IAllToAllV(send, false, "bwd-a2a", cluster.A2AAuto)
 		recvB, err := opB.Await()
 		if err != nil {
-			return fmt.Errorf("rank %d round %d async two-phase: %w", r.ID, round, err)
+			return fmt.Errorf("rank %d round %d async B: %w", r.ID, round, err)
 		}
 		res.async[r.ID] = appendFlat(res.async[r.ID], recvB)
 		if err := ar.Await(); err != nil {
@@ -107,7 +98,7 @@ func program(r *cluster.Rank, res *progResult) error {
 		res.reduced[r.ID] = append(res.reduced[r.ID], x...)
 		recvA, err := opA.Await()
 		if err != nil {
-			return fmt.Errorf("rank %d round %d async direct: %w", r.ID, round, err)
+			return fmt.Errorf("rank %d round %d async A: %w", r.ID, round, err)
 		}
 		res.async[r.ID] = appendFlat(res.async[r.ID], recvA)
 
@@ -221,12 +212,9 @@ func sameSims(a, b map[string]time.Duration) bool {
 
 func compareResults(t *testing.T, want, got *progResult, label string) {
 	t.Helper()
-	for r := range want.direct {
-		if !bytes.Equal(want.direct[r], got.direct[r]) {
-			t.Errorf("%s: rank %d direct a2a deliveries differ", label, r)
-		}
-		if !bytes.Equal(want.twoPhase[r], got.twoPhase[r]) {
-			t.Errorf("%s: rank %d two-phase deliveries differ", label, r)
+	for r := range want.sync {
+		if !bytes.Equal(want.sync[r], got.sync[r]) {
+			t.Errorf("%s: rank %d a2a deliveries differ", label, r)
 		}
 		if !bytes.Equal(want.async[r], got.async[r]) {
 			t.Errorf("%s: rank %d nonblocking deliveries differ", label, r)
@@ -318,7 +306,7 @@ func TestTCPMidCollectiveCloseErrors(t *testing.T) {
 				for to := range send {
 					send[to] = raggedPayload(r.ID, to, 0)
 				}
-				_, err := r.AllToAllV(send, true, "fwd-a2a", cluster.A2ADirect)
+				_, err := r.AllToAll(send, true, "fwd-a2a")
 				survivors <- err
 			})
 		}(rank)

@@ -48,11 +48,6 @@ type Options struct {
 	// paper's two-level testbed — the embedding all-to-alls then charge
 	// separate "fwd-a2a-intra"/"fwd-a2a-inter" (and bwd) buckets.
 	Net netmodel.Topology
-	// Algo selects the all-to-all algorithm for the embedding exchanges.
-	// The default cluster.A2AAuto uses the hierarchical two-phase
-	// algorithm whenever Net spans more than one node and the direct
-	// exchange otherwise; payloads are bit-identical either way.
-	Algo cluster.A2AAlgo
 	// Device models per-GPU compute; the zero value means A100().
 	Device netmodel.Device
 	// OtherComputeFactor charges an "other" bucket of this fraction of the

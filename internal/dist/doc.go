@@ -22,8 +22,8 @@
 // Key types:
 //
 //   - Options — cluster size, model config, interconnect topology
-//     (Options.Net, a netmodel.Topology), all-to-all algorithm
-//     (Options.Algo), device rates, codec and controller hooks.
+//     (Options.Net, a netmodel.Topology, which also prices the embedding
+//     all-to-alls), device rates, codec and controller hooks.
 //   - Trainer — NewTrainer validates the options and builds the sharded
 //     state plus the per-rank step workspaces (workspace.go: fused frame
 //     buffers, the exchange and its frame scratch, lookup/gradient

@@ -125,7 +125,7 @@ func (x *exchange) run(rank *cluster.Rank, op string, send [][]byte, fail func(e
 		}
 	}
 
-	h := rank.IAllToAllV(send, x.codecs != nil, op, x.t.opts.Algo)
+	h := rank.IAllToAllV(send, x.codecs != nil, op, cluster.A2AAuto)
 	recv, err := h.Await()
 	if err != nil {
 		return netmodel.LinkCost{}, err

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"dlrmcomp/internal/cluster"
 	"dlrmcomp/internal/codec"
 	"dlrmcomp/internal/criteo"
 	"dlrmcomp/internal/hybrid"
@@ -14,7 +13,7 @@ import (
 )
 
 // TestSingleRankHierarchicalParity: a 1-rank trainer on the hierarchical
-// topology with the two-phase algorithm forced is still bit-identical to
+// topology is still bit-identical to
 // single-process model.DLRM training — the degenerate collectives are
 // no-ops, so the topology cannot leak into the math.
 func TestSingleRankHierarchicalParity(t *testing.T) {
@@ -25,7 +24,6 @@ func TestSingleRankHierarchicalParity(t *testing.T) {
 		Ranks: 1,
 		Model: cfg,
 		Net:   netmodel.PaperHierarchical(4),
-		Algo:  cluster.A2ATwoPhase,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,16 +56,16 @@ func TestSingleRankHierarchicalParity(t *testing.T) {
 	}
 }
 
-// TestHierarchicalLossParityWithFlat: the topology and all-to-all algorithm
-// only change the simulated clock, never the numerics — a multi-node
-// two-phase run must produce bit-identical losses to the flat direct run,
+// TestHierarchicalLossParityWithFlat: the topology only changes the
+// simulated clock, never the numerics — a multi-node run must produce
+// bit-identical losses to the flat run,
 // with and without compression.
 func TestHierarchicalLossParityWithFlat(t *testing.T) {
 	spec := testSpec()
 	cfg := testConfig(spec, 8)
 	for _, compressed := range []bool{false, true} {
-		run := func(net netmodel.Topology, algo cluster.A2AAlgo) []float32 {
-			o := Options{Ranks: 4, Model: cfg, Net: net, Algo: algo}
+		run := func(net netmodel.Topology) []float32 {
+			o := Options{Ranks: 4, Model: cfg, Net: net}
 			if compressed {
 				o.CodecFor = func(int) codec.Codec { return hybrid.New(0.01, hybrid.Auto) }
 			}
@@ -86,8 +84,8 @@ func TestHierarchicalLossParityWithFlat(t *testing.T) {
 			}
 			return losses
 		}
-		flat := run(netmodel.Slingshot10(), cluster.A2ADirect)
-		hier := run(netmodel.PaperHierarchical(2), cluster.A2ATwoPhase)
+		flat := run(netmodel.Slingshot10())
+		hier := run(netmodel.PaperHierarchical(2))
 		for i := range flat {
 			if flat[i] != hier[i] {
 				t.Fatalf("compressed=%v step %d: flat loss %v != hierarchical loss %v",
@@ -154,7 +152,7 @@ func TestZeroNetworkMeansDefault(t *testing.T) {
 	}
 }
 
-// TestHierarchicalConvergence: training under the staged algorithm still
+// TestHierarchicalConvergence: training on the hierarchical topology still
 // learns.
 func TestHierarchicalConvergence(t *testing.T) {
 	spec := testSpec()

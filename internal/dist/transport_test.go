@@ -157,8 +157,8 @@ func compareRuns(t *testing.T, want, got trainRun, label string) {
 }
 
 // TestTrainerTransportConformance is the headline matrix: 1/2/4/8 ranks,
-// direct over the flat topology and two-phase over the hierarchical one,
-// uncompressed and compressed.
+// over the flat topology and over the hierarchical one (whose all-to-alls
+// are priced by the two-phase model), uncompressed and compressed.
 func TestTrainerTransportConformance(t *testing.T) {
 	spec := testSpec()
 	cfg := testConfig(spec, 8)
@@ -166,19 +166,18 @@ func TestTrainerTransportConformance(t *testing.T) {
 		name       string
 		ranks      int
 		topo       netmodel.Topology
-		algo       cluster.A2AAlgo
 		compressed bool
 	}{
-		{"1rank_direct", 1, nil, cluster.A2ADirect, false},
-		{"2ranks_direct", 2, nil, cluster.A2ADirect, false},
-		{"4ranks_direct", 4, nil, cluster.A2ADirect, false},
-		{"4ranks_twophase_hier", 4, netmodel.PaperHierarchical(2), cluster.A2ATwoPhase, false},
-		{"4ranks_twophase_hier_compressed", 4, netmodel.PaperHierarchical(2), cluster.A2ATwoPhase, true},
-		{"8ranks_twophase_hier", 8, netmodel.PaperHierarchical(2), cluster.A2ATwoPhase, false},
+		{"1rank_direct", 1, nil, false},
+		{"2ranks_direct", 2, nil, false},
+		{"4ranks_direct", 4, nil, false},
+		{"4ranks_twophase_hier", 4, netmodel.PaperHierarchical(2), false},
+		{"4ranks_twophase_hier_compressed", 4, netmodel.PaperHierarchical(2), true},
+		{"8ranks_twophase_hier", 8, netmodel.PaperHierarchical(2), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Ranks: tc.ranks, Model: cfg, Net: tc.topo, Algo: tc.algo}
+			opts := Options{Ranks: tc.ranks, Model: cfg, Net: tc.topo}
 			if tc.compressed {
 				opts.CodecFor = func(int) codec.Codec { return hybrid.New(0.01, hybrid.Auto) }
 			}
@@ -206,20 +205,19 @@ func TestTrainerTransportFaultConformance(t *testing.T) {
 		name  string
 		ranks int
 		topo  netmodel.Topology
-		algo  cluster.A2AAlgo
 	}{
-		{"2ranks_direct_faults", 2, nil, cluster.A2ADirect},
-		{"4ranks_twophase_hier_faults", 4, netmodel.PaperHierarchical(2), cluster.A2ATwoPhase},
+		{"2ranks_direct_faults", 2, nil},
+		{"4ranks_twophase_hier_faults", 4, netmodel.PaperHierarchical(2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Ranks: tc.ranks, Model: cfg, Net: tc.topo, Algo: tc.algo, Faults: faults}
+			opts := Options{Ranks: tc.ranks, Model: cfg, Net: tc.topo, Faults: faults}
 			want := runTrainInproc(t, opts, spec)
 			got := runTrainTCP(t, opts, spec)
 			compareRuns(t, want, got, tc.name)
 
 			// The plan must actually have bitten: the same run without it
 			// charges strictly less simulated time and the same losses.
-			healthy := runTrainInproc(t, Options{Ranks: tc.ranks, Model: cfg, Net: tc.topo, Algo: tc.algo}, spec)
+			healthy := runTrainInproc(t, Options{Ranks: tc.ranks, Model: cfg, Net: tc.topo}, spec)
 			for i := range healthy.losses {
 				if math.Float32bits(healthy.losses[i]) != math.Float32bits(want.losses[i]) {
 					t.Fatalf("step %d: faults changed the loss (%v healthy, %v faulted)", i, healthy.losses[i], want.losses[i])

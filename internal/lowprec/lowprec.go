@@ -227,7 +227,7 @@ func (FP16Codec) DecompressInto(dst []float32, frame []byte) (int, error) {
 	}
 	dim := int(binary.LittleEndian.Uint32(frame[0:]))
 	n := int(binary.LittleEndian.Uint32(frame[4:]))
-	if n != len(dst) || len(frame) != 8+2*n || dim <= 0 {
+	if n != len(dst) || len(frame) != 8+2*n || dim <= 0 || n%dim != 0 {
 		return 0, errCorrupt
 	}
 	for i := range dst {
@@ -269,7 +269,10 @@ func (FP8Codec) DecompressInto(dst []float32, frame []byte) (int, error) {
 	dim := int(binary.LittleEndian.Uint32(frame[0:]))
 	n := int(binary.LittleEndian.Uint32(frame[4:]))
 	format := FP8Format(frame[8])
-	if n != len(dst) || len(frame) != 9+n || dim <= 0 {
+	if n != len(dst) || len(frame) != 9+n || dim <= 0 || n%dim != 0 {
+		return 0, errCorrupt
+	}
+	if format != E4M3 && format != E5M2 {
 		return 0, errCorrupt
 	}
 	for i := range dst {

@@ -208,3 +208,24 @@ func TestCodecCorruptFrames(t *testing.T) {
 		}
 	}
 }
+
+// TestFP8RejectsUnknownFormat: the format byte names E4M3 or E5M2; any other
+// value is a damaged frame, never a third decoding of the same bytes.
+func TestFP8RejectsUnknownFormat(t *testing.T) {
+	for _, format := range []FP8Format{E4M3, E5M2} {
+		frame, err := FP8Codec{Format: format}.CompressAppend(nil, []float32{0.5, -2}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]float32, 2)
+		if _, err := (FP8Codec{}).DecompressInto(dst, frame); err != nil || dst[0] != 0.5 || dst[1] != -2 {
+			t.Fatalf("%s frame: decoded %v, err %v", format, dst, err)
+		}
+		for _, b := range []byte{2, 7, 0xff} {
+			frame[8] = b
+			if _, err := (FP8Codec{}).DecompressInto(dst, frame); err == nil {
+				t.Fatalf("format byte %d decoded as %v", b, dst)
+			}
+		}
+	}
+}

@@ -49,13 +49,14 @@ func appendHeader(dst []byte, dim, n int) []byte {
 }
 
 // parseHeader returns the frame's dim and payload once its count matches the
-// destination: the byte scratch a decoder fills is 4*n and nothing larger.
+// destination, in whole rows of dim: the byte scratch a decoder fills is 4*n
+// and nothing larger.
 func parseHeader(frame []byte, n int) (dim int, payload []byte, err error) {
 	if len(frame) < headerLen {
 		return 0, nil, errCorrupt
 	}
 	dim = int(binary.LittleEndian.Uint32(frame[0:]))
-	if dim <= 0 || int(binary.LittleEndian.Uint32(frame[4:])) != n {
+	if dim <= 0 || n%dim != 0 || int(binary.LittleEndian.Uint32(frame[4:])) != n {
 		return 0, nil, errCorrupt
 	}
 	return dim, frame[headerLen:], nil
@@ -185,8 +186,8 @@ func DecompressBytes(dst, data []byte) error {
 
 // CompressAppend implements codec.Codec over the float batch bytes.
 func (LZSSCodec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("lz4like: bad dim %d", dim)
+	if dim <= 0 || len(src)%dim != 0 {
+		return nil, fmt.Errorf("lz4like: bad shape len=%d dim=%d", len(src), dim)
 	}
 	return CompressBytes(appendHeader(dst, dim, len(src)), toBytes(src)), nil
 }
@@ -216,8 +217,8 @@ func (DeflateCodec) Lossy() bool { return false }
 
 // CompressAppend implements codec.Codec.
 func (DeflateCodec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("lz4like: bad dim %d", dim)
+	if dim <= 0 || len(src)%dim != 0 {
+		return nil, fmt.Errorf("lz4like: bad shape len=%d dim=%d", len(src), dim)
 	}
 	buf := bytes.NewBuffer(appendHeader(dst, dim, len(src)))
 	w, err := flate.NewWriter(buf, flate.BestSpeed)

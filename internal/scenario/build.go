@@ -144,16 +144,11 @@ func (s Spec) BuildWorker(tr cluster.Transport) (*Built, error) {
 // slow multipliers and ignores its events, which only the elastic runner
 // acts on.
 func trainerOptions(rs Spec, cfg model.Config, net netmodel.Topology, tr cluster.Transport) (dist.Options, error) {
-	algo, err := cluster.ParseA2AAlgo(rs.A2A)
-	if err != nil {
-		return dist.Options{}, err
-	}
 	opts := dist.Options{
 		Ranks:              rs.Ranks,
 		Transport:          tr,
 		Model:              cfg,
 		Net:                net,
-		Algo:               algo,
 		OtherComputeFactor: rs.OtherComputeFactor,
 		CodecWorkers:       rs.CodecWorkers,
 		ComputeWorkers:     rs.ComputeWorkers,

@@ -72,10 +72,10 @@ func TestBuildMatchesHandConstruction(t *testing.T) {
 	}
 }
 
-func TestBuildHierTopologyAndAlgo(t *testing.T) {
+func TestBuildHierTopology(t *testing.T) {
 	sp := tinySpec()
 	sp.Ranks, sp.Batch = 8, 64
-	sp.Topology, sp.RanksPerNode, sp.A2A = "hier", 4, "twophase"
+	sp.Topology, sp.RanksPerNode = "hier", 4
 	b, err := sp.Build()
 	if err != nil {
 		t.Fatal(err)

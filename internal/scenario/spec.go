@@ -50,9 +50,6 @@ type Spec struct {
 	// Topology is "flat" (default; single α-β link) or "hier" (two-level,
 	// per-link sim-time attribution).
 	Topology string `json:"topology,omitempty"`
-	// A2A selects the all-to-all algorithm: "auto" (default), "direct", or
-	// "twophase".
-	A2A string `json:"a2a,omitempty"`
 	// Transport selects the collective fabric: "inproc" (default; every
 	// rank a goroutine in one process) or "tcp" (one OS process per rank
 	// over cluster/tcptransport; launch with cmd/dlrmworker). The two
@@ -293,9 +290,6 @@ func (s Spec) Validate() error {
 	if _, err := netmodel.ByName(s.Topology, s.RanksPerNode); err != nil {
 		errs = append(errs, err)
 	}
-	if _, err := cluster.ParseA2AAlgo(s.A2A); err != nil {
-		errs = append(errs, err)
-	}
 	if _, err := adapt.ParseSchedule(s.Schedule); err != nil {
 		errs = append(errs, err)
 	}
@@ -464,9 +458,6 @@ func (s Spec) Resolved() (Spec, error) {
 		s.RanksPerNode = 4
 	}
 	s.Ranks = s.resolvedRanks()
-	if s.A2A == "" {
-		s.A2A = "auto"
-	}
 	if s.Transport == "" {
 		s.Transport = "inproc"
 	}

@@ -25,7 +25,6 @@ func fullSpec() Spec {
 		Nodes:              2,
 		RanksPerNode:       4,
 		Topology:           "hier",
-		A2A:                "twophase",
 		Transport:          "inproc", // Overlap below; a tcp spec cannot overlap
 		Codec:              "hybrid",
 		ErrorBound:         0.02,
@@ -84,7 +83,6 @@ func TestValidate(t *testing.T) {
 		{"tcp cannot overlap", Spec{Transport: "tcp", Overlap: true}, []string{"transport tcp cannot overlap"}},
 		{"tcp cannot eval", Spec{Transport: "tcp", Eval: 100}, []string{"transport tcp cannot eval"}},
 		{"unknown topology", Spec{Topology: "torus"}, []string{"unknown topology"}},
-		{"unknown a2a", Spec{A2A: "ring"}, []string{"all-to-all algorithm"}},
 		{"unknown schedule", Spec{Schedule: "cosine"}, []string{"decay schedule"}},
 		{"unknown device", Spec{Device: "h100"}, []string{"unknown device"}},
 		{"unknown classes", Spec{Classes: "manual"}, []string{"unknown classes"}},
@@ -233,7 +231,7 @@ func TestResolvedDefaults(t *testing.T) {
 	}
 	want := Spec{
 		Dataset: "kaggle", Dim: 16, Steps: 10, Ranks: 8, RanksPerNode: 4,
-		Topology: "flat", A2A: "auto", Transport: "inproc", Codec: "none", Device: "a100",
+		Topology: "flat", Transport: "inproc", Codec: "none", Device: "a100",
 		Batch:     128, // kaggle default, already a multiple of 8
 		BottomMLP: []int{64, 32}, TopMLP: []int{64, 32},
 	}
