@@ -47,8 +47,6 @@ func main() {
 	adaptive := flag.Bool("adaptive", false, "enable dual-level adaptive error bounds")
 	phase := flag.Int("phase", 0, "decay phase length (0 = steps/2)")
 	evalN := flag.Int("eval", 4000, "evaluation sample count")
-	codecWorkers := flag.Int("codec-workers", 0, "intra-rank codec worker pool (0 = auto, negative = sequential)")
-	computeWorkers := flag.Int("compute-workers", 0, "intra-rank compute width: goroutines per rank for lookups, MLP matmuls, and the optimizer (0 = auto, 1 = single-threaded; bit-identical at any width)")
 	savePath := flag.String("save", "", "write the trained model as a DLCK checkpoint to this file (servable with dlrmserve)")
 	flag.Parse()
 
@@ -82,20 +80,18 @@ func main() {
 		}
 	} else {
 		spec = scenario.Spec{
-			Dataset:        *dataset,
-			Scale:          *scale,
-			Dim:            *dim,
-			Batch:          *batch,
-			Steps:          *steps,
-			Eval:           *evalN,
-			Topology:       *topology,
-			Codec:          *codecName,
-			ErrorBound:     *eb,
-			Overlap:        *overlap,
-			CodecWorkers:   *codecWorkers,
-			ComputeWorkers: *computeWorkers,
-			RanksPerNode:   *ranksPerNode,
-			Nodes:          *nodes,
+			Dataset:      *dataset,
+			Scale:        *scale,
+			Dim:          *dim,
+			Batch:        *batch,
+			Steps:        *steps,
+			Eval:         *evalN,
+			Topology:     *topology,
+			Codec:        *codecName,
+			ErrorBound:   *eb,
+			Overlap:      *overlap,
+			RanksPerNode: *ranksPerNode,
+			Nodes:        *nodes,
 		}
 		if *adaptive {
 			spec.Adaptive = true

@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -39,7 +38,6 @@ func main() {
 	full := flag.Bool("full", false, "use paper-scale workloads instead of quick mode")
 	smoke := flag.Bool("smoke", false, "run the scenario smoke sweep (one tiny Spec per topology×codec corner) and exit")
 	jsonOut := flag.Bool("json", false, "emit structured JSON instead of text (experiment results or, with -smoke, scenario.Results)")
-	workers := flag.Int("workers", 0, "intra-rank worker width for swept scenarios that don't pin their own (sets DLRMCOMP_WORKERS; 0 = leave the environment alone; results are bit-identical at any width)")
 	flag.Parse()
 
 	if *run == "" && flag.NArg() > 0 {
@@ -48,13 +46,6 @@ func main() {
 		// tail for flags that follow the positional id.
 		*run = flag.Arg(0)
 		flag.CommandLine.Parse(flag.Args()[1:]) // ExitOnError: exits on bad flags
-	}
-	if *workers > 0 {
-		// Every sweep below — the smoke grid here and the sweeps inside the
-		// experiment registry — reads DLRMCOMP_WORKERS through
-		// scenario.Sweep, so the environment is the one knob that reaches
-		// them all.
-		os.Setenv("DLRMCOMP_WORKERS", strconv.Itoa(*workers))
 	}
 	// Mode flags are honored wherever they appear, including after a
 	// positional id (`experiments scaling -list` lists, it doesn't run).

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"dlrmcomp/internal/codec"
 	"dlrmcomp/internal/criteo"
@@ -29,16 +31,15 @@ func TestStepAllocsSteadyState(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc pins are meaningless under the race detector (instrumented allocations, dropped pools)")
 	}
+	// GOMAXPROCS = Ranks derives an intra-rank width of 1, which keeps every
+	// fan-out a plain loop, so the count is machine-independent; width
+	// parity is covered separately.
+	testutil.SetGOMAXPROCS(t, 1)
 	spec := testSpec()
 	tr, err := NewTrainer(Options{
-		Ranks: 1,
-		Model: testConfig(spec, 8),
-		// One codec worker and one compute worker keep every fan-out a plain
-		// loop, so the count is machine-independent; worker parity is covered
-		// separately.
-		CodecWorkers:   1,
-		ComputeWorkers: 1,
-		CodecFor:       func(int) codec.Codec { return hybrid.New(0.01, hybrid.Auto) },
+		Ranks:    1,
+		Model:    testConfig(spec, 8),
+		CodecFor: func(int) codec.Codec { return hybrid.New(0.01, hybrid.Auto) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,8 +72,9 @@ func TestStepAllocsIndependentOfBatch(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc pins are meaningless under the race detector (instrumented allocations, dropped pools)")
 	}
+	testutil.SetGOMAXPROCS(t, 1) // width 1, as above
 	spec := testSpec()
-	tr, err := NewTrainer(Options{Ranks: 1, Model: testConfig(spec, 4), CodecWorkers: 1, ComputeWorkers: 1})
+	tr, err := NewTrainer(Options{Ranks: 1, Model: testConfig(spec, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,119 +97,73 @@ func TestStepAllocsIndependentOfBatch(t *testing.T) {
 	}
 }
 
-// TestCodecWorkersParity pins that the intra-rank codec worker pool is a
-// pure scheduling change: a trainer with parallel per-table codec work
-// produces bit-identical losses, compression ratio, and sim-time buckets
-// to the sequential one on the same stream.
-func TestCodecWorkersParity(t *testing.T) {
+// widthRun is what a width-parity test compares between two widths.
+type widthRun struct {
+	losses  []float32
+	ratio   float64
+	buckets map[string]time.Duration
+	acc, ll float64
+}
+
+// trainAtWidth trains 4 ranks with GOMAXPROCS set to procs, checks that
+// NewTrainer derived wantWidth from it (GOMAXPROCS/Ranks, clamped to
+// [1, 8]), and returns the six losses, the compression ratio, every
+// sim-time bucket and the final evaluation.
+func trainAtWidth(t *testing.T, procs, wantWidth int) widthRun {
+	t.Helper()
+	testutil.SetGOMAXPROCS(t, procs)
 	spec := testSpec()
-	mk := func(workers int) *Trainer {
-		tr, err := NewTrainer(Options{
-			Ranks:        4,
-			Model:        testConfig(spec, 8),
-			CodecWorkers: workers,
-			CodecFor:     func(int) codec.Codec { return hybrid.New(0.01, hybrid.Auto) },
-		})
+	tr, err := NewTrainer(Options{
+		Ranks:    4,
+		Model:    testConfig(spec, 8),
+		CodecFor: func(int) codec.Codec { return hybrid.New(0.01, hybrid.Auto) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if tr.width != wantWidth {
+		t.Fatalf("GOMAXPROCS=%d: derived width %d, want %d", procs, tr.width, wantWidth)
+	}
+	gen := criteo.NewGenerator(spec)
+	var r widthRun
+	for step := 0; step < 6; step++ {
+		loss, err := tr.Step(gen.NextBatch(33)) // uneven shards on purpose
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tr
+		r.losses = append(r.losses, loss)
 	}
-	seq, par := mk(-1), mk(4)
-	genS, genP := criteo.NewGenerator(spec), criteo.NewGenerator(spec)
-	for i := 0; i < 6; i++ {
-		lossS, err := seq.Step(genS.NextBatch(33)) // uneven shards on purpose
-		if err != nil {
-			t.Fatal(err)
-		}
-		lossP, err := par.Step(genP.NextBatch(33))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lossS != lossP {
-			t.Fatalf("step %d: parallel-codec loss %v != sequential loss %v", i, lossP, lossS)
-		}
-	}
-	if rs, rp := seq.CompressionRatio(), par.CompressionRatio(); rs != rp {
-		t.Fatalf("compression ratio differs: sequential %v, parallel %v", rs, rp)
-	}
-	st1, st2 := seq.Cluster().SimTimes(), par.Cluster().SimTimes()
-	if len(st1) != len(st2) {
-		t.Fatalf("bucket sets differ: %v vs %v", st1, st2)
-	}
-	for k, v := range st1 {
-		if st2[k] != v {
-			t.Fatalf("bucket %q differs: sequential %v, parallel %v", k, v, st2[k])
-		}
-	}
-	accS, llS := seq.Evaluate(genS.NextBatch(128))
-	accP, llP := par.Evaluate(genP.NextBatch(128))
-	if accS != accP || llS != llP {
-		t.Fatalf("eval differs: sequential (%v, %v), parallel (%v, %v)", accS, llS, accP, llP)
+	r.ratio = tr.CompressionRatio()
+	r.buckets = tr.Cluster().SimTimes()
+	r.acc, r.ll = tr.Evaluate(gen.NextBatch(128))
+	return r
+}
+
+// TestCodecWorkersParity pins that the per-table codec jobs are pure
+// scheduling: encoding and decoding them one after another (width 1) or
+// four at a time (width 4, one job per table at 4 ranks) gives bit-identical
+// losses, compression ratio, sim-time buckets and final evaluation. The
+// width is derived, so the test reaches it through GOMAXPROCS.
+func TestCodecWorkersParity(t *testing.T) {
+	seq := trainAtWidth(t, 4, 1)
+	if par := trainAtWidth(t, 16, 4); !reflect.DeepEqual(par, seq) {
+		t.Fatalf("width 4 diverged from width 1:\n got  %+v\n want %+v", par, seq)
 	}
 }
 
-// TestComputeWorkersParity pins the tentpole determinism invariant: the
-// intra-rank compute width (parallel matmul rows, interaction samples,
-// embedding gathers, optimizer spans) is a pure scheduling knob. Training at
-// widths 1, 2, and 8 must produce bit-identical losses, compression ratio,
-// sim-time buckets, and final evaluation. Runs under -race in CI, which also
-// makes it the data-race canary for the shared tensor worker pool.
+// TestComputeWorkersParity pins the determinism invariant of the intra-rank
+// compute width: the parallel matmul rows, interaction samples, embedding
+// gathers and optimizer spans fan out at the derived width, and training at
+// widths 1, 2 and 8 (GOMAXPROCS 4, 8 and 32 at 4 ranks) must give
+// bit-identical losses, compression ratio, sim-time buckets and final
+// evaluation. Runs under -race in CI, which also makes it the data-race
+// canary for the shared tensor worker pool.
 func TestComputeWorkersParity(t *testing.T) {
-	spec := testSpec()
-	mk := func(workers int) *Trainer {
-		tr, err := NewTrainer(Options{
-			Ranks:          4,
-			Model:          testConfig(spec, 8),
-			ComputeWorkers: workers,
-			CodecFor:       func(int) codec.Codec { return hybrid.New(0.01, hybrid.Auto) },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	widths := []int{1, 2, 8}
-	trainers := make([]*Trainer, len(widths))
-	gens := make([]*criteo.Generator, len(widths))
-	for i, w := range widths {
-		trainers[i] = mk(w)
-		gens[i] = criteo.NewGenerator(spec)
-	}
-	for step := 0; step < 6; step++ {
-		base, err := trainers[0].Step(gens[0].NextBatch(33)) // uneven shards on purpose
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i < len(widths); i++ {
-			loss, err := trainers[i].Step(gens[i].NextBatch(33))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if loss != base {
-				t.Fatalf("step %d: workers=%d loss %v != workers=1 loss %v", step, widths[i], loss, base)
-			}
-		}
-	}
-	baseRatio := trainers[0].CompressionRatio()
-	baseTimes := trainers[0].Cluster().SimTimes()
-	accB, llB := trainers[0].Evaluate(gens[0].NextBatch(128))
-	for i := 1; i < len(widths); i++ {
-		if r := trainers[i].CompressionRatio(); r != baseRatio {
-			t.Fatalf("workers=%d compression ratio %v != %v", widths[i], r, baseRatio)
-		}
-		st := trainers[i].Cluster().SimTimes()
-		if len(st) != len(baseTimes) {
-			t.Fatalf("workers=%d bucket sets differ: %v vs %v", widths[i], st, baseTimes)
-		}
-		for k, v := range baseTimes {
-			if st[k] != v {
-				t.Fatalf("workers=%d bucket %q differs: %v vs %v", widths[i], k, st[k], v)
-			}
-		}
-		acc, ll := trainers[i].Evaluate(gens[i].NextBatch(128))
-		if acc != accB || ll != llB {
-			t.Fatalf("workers=%d eval (%v, %v) != workers=1 (%v, %v)", widths[i], acc, ll, accB, llB)
+	base := trainAtWidth(t, 4, 1)
+	for _, c := range []struct{ procs, width int }{{8, 2}, {32, 8}} {
+		if got := trainAtWidth(t, c.procs, c.width); !reflect.DeepEqual(got, base) {
+			t.Fatalf("width %d diverged from width 1:\n got  %+v\n want %+v", c.width, got, base)
 		}
 	}
 }

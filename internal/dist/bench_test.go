@@ -59,41 +59,6 @@ func BenchmarkStep_8RanksHybrid(b *testing.B) {
 	benchStep(b, 8, true)
 }
 
-// benchStepComputeWorkers pins the intra-rank compute width so the
-// ComputeWorkers scaling curve is visible in the bench trajectory on
-// multi-core runners (on a single-core machine all three collapse to the
-// serial path, modulo span bookkeeping).
-func benchStepComputeWorkers(b *testing.B, workers int) {
-	b.Helper()
-	spec := testSpec()
-	tr, err := NewTrainer(Options{
-		Ranks:          8,
-		Model:          testConfig(spec, 16),
-		Net:            netmodel.PaperHierarchical(4),
-		ComputeWorkers: workers,
-		CodecFor:       func(int) codec.Codec { return hybrid.New(0.01, hybrid.Auto) },
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen := criteo.NewGenerator(spec)
-	batch := gen.NextBatch(benchBatch)
-	if _, err := tr.Step(batch); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Step(batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStep_8Ranks_ComputeWorkers1(b *testing.B) { benchStepComputeWorkers(b, 1) }
-func BenchmarkStep_8Ranks_ComputeWorkers4(b *testing.B) { benchStepComputeWorkers(b, 4) }
-func BenchmarkStep_8Ranks_ComputeWorkers8(b *testing.B) { benchStepComputeWorkers(b, 8) }
-
 // BenchmarkStep_Pipelined drives the overlap engine: same math as Step, but
 // the per-step costs are additionally replayed onto the occupancy timeline.
 func BenchmarkStep_Pipelined(b *testing.B) {

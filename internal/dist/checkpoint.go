@@ -52,9 +52,19 @@ import (
 // restores into a model of identical dim, table sizes, and dense layer
 // shapes (the rank count is deliberately absent — that is what elastic
 // restore varies).
+//
+// A compressed frame of n bytes may hold at most ckptMaxExpansion·n/4
+// values. SaveCheckpoint refuses to write one that holds more, and the
+// readers reject one before sizing a destination for it, so no reader
+// allocates more than a constant multiple of the bytes a stream delivers.
 const (
 	ckptVersion       = 1
 	ckptHasController = 1 << 0
+
+	// ckptMaxExpansion is DEFLATE's format limit on decoded/encoded bytes
+	// (1032:1). Trained float32 weights stay near 1:1 under both lossless
+	// codecs; only a long constant run under lzss could pass it.
+	ckptMaxExpansion = 1032
 )
 
 var ckptMagic = [4]byte{'D', 'L', 'C', 'K'}
@@ -185,6 +195,8 @@ func (t *Trainer) SaveCheckpoint(w io.Writer, opts CheckpointOptions) (Checkpoin
 			frame = appendFloats(frame[:0], vals)
 		} else if frame, err = cdc.CompressAppend(frame[:0], vals, dim); err != nil {
 			return err
+		} else if !ckptFrameCanHold(len(frame), len(vals)) {
+			return fmt.Errorf("dist: %d values compress to a %d-byte frame, past the %d:1 expansion checkpoint readers accept; save raw", len(vals), len(frame), ckptMaxExpansion)
 		}
 		var lenHdr [4]byte
 		binary.LittleEndian.PutUint32(lenHdr[:], uint32(len(frame)))
@@ -271,27 +283,53 @@ func readCkptHeader(d *ckptReader) (*ckptHeader, error) {
 	return h, nil
 }
 
-// readFrame reads one length-prefixed weight frame and decodes it into
-// dst through the header's codec.
-func (h *ckptHeader) readFrame(d *ckptReader, dst []float32) error {
+// readFrame reads the next length-prefixed weight frame, which must hold
+// want values, and decodes it into dst. A nil dst is allocated only after
+// the frame's bytes have arrived and shown they can fill want values, so a
+// damaged shape block costs at most what the stream itself delivers.
+func (h *ckptHeader) readFrame(d *ckptReader, want int, dst []float32) ([]float32, error) {
 	n := int(d.u32())
-	if d.err != nil {
-		return d.err
-	}
-	if h.cdc == nil && n != 4*len(dst) {
-		return fmt.Errorf("dist: raw frame is %d bytes, want %d", n, 4*len(dst))
+	switch {
+	case d.err != nil:
+		return nil, d.err
+	case n < 0: // a 32-bit int
+		return nil, fmt.Errorf("dist: frame length %d overflows an int", uint32(n))
+	case h.cdc == nil && n != 4*want:
+		return nil, fmt.Errorf("dist: raw frame is %d bytes, want %d", n, 4*want)
 	}
 	frame := d.frame(n)
 	if d.err != nil {
-		return d.err
+		return nil, d.err
+	}
+	if !ckptFrameCanHold(n, want) {
+		return nil, fmt.Errorf("dist: a %d-byte frame cannot hold %d values", n, want)
+	}
+	if dst == nil {
+		dst = make([]float32, want)
 	}
 	if h.cdc == nil {
-		return bytesToFloats(dst, frame)
+		return dst, bytesToFloats(dst, frame)
 	}
 	if _, err := h.cdc.DecompressInto(dst, frame); err != nil {
-		return err
+		return nil, err
 	}
-	return nil
+	return dst, nil
+}
+
+// ckptFrameCanHold reports whether an n-byte frame may hold want values:
+// exactly 4·want bytes raw, and within ckptMaxExpansion compressed.
+func ckptFrameCanHold(n, want int) bool {
+	return uint64(want) <= uint64(n)*ckptMaxExpansion/4
+}
+
+// ckptValues returns the value count of a rows×dim tensor read off the
+// shape block, or false when it is negative or its byte size overflows an
+// int — a damaged header, never a real model.
+func ckptValues(rows, dim int) (int, bool) {
+	if rows < 0 || dim < 0 || dim > 0 && rows > math.MaxInt/4/dim {
+		return 0, false
+	}
+	return rows * dim, true
 }
 
 // RestoreCheckpoint loads a checkpoint into the trainer, overwriting the
@@ -348,12 +386,12 @@ func (t *Trainer) RestoreCheckpoint(r io.Reader) error {
 	// already applied — restore is not transactional across frames, and
 	// callers treat a restore error as fatal to the trainer.
 	for i, p := range params {
-		if err := h.readFrame(d, p.Value); err != nil {
+		if _, err := h.readFrame(d, len(p.Value), p.Value); err != nil {
 			return fmt.Errorf("dist: checkpoint dense tensor %d: %w", i, err)
 		}
 	}
 	for i, tab := range tables {
-		if err := h.readFrame(d, tab.Weights.Data); err != nil {
+		if _, err := h.readFrame(d, len(tab.Weights.Data), tab.Weights.Data); err != nil {
 			return fmt.Errorf("dist: checkpoint table %d: %w", i, err)
 		}
 	}
@@ -419,14 +457,20 @@ func ReadCheckpoint(r io.Reader) (*CheckpointData, error) {
 		Tables:    make([][]float32, len(h.rows)),
 	}
 	for i, n := range h.denseLens {
-		ck.Dense[i] = make([]float32, n)
-		if err := h.readFrame(d, ck.Dense[i]); err != nil {
+		want, ok := ckptValues(n, 1)
+		if !ok {
+			return nil, fmt.Errorf("dist: checkpoint dense tensor %d declares %d values", i, n)
+		}
+		if ck.Dense[i], err = h.readFrame(d, want, nil); err != nil {
 			return nil, fmt.Errorf("dist: checkpoint dense tensor %d: %w", i, err)
 		}
 	}
 	for i, rows := range h.rows {
-		ck.Tables[i] = make([]float32, rows*h.dim)
-		if err := h.readFrame(d, ck.Tables[i]); err != nil {
+		want, ok := ckptValues(rows, h.dim)
+		if !ok {
+			return nil, fmt.Errorf("dist: checkpoint table %d declares %d rows of dim %d", i, rows, h.dim)
+		}
+		if ck.Tables[i], err = h.readFrame(d, want, nil); err != nil {
 			return nil, fmt.Errorf("dist: checkpoint table %d: %w", i, err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"dlrmcomp/internal/codec"
 	"dlrmcomp/internal/criteo"
 	"dlrmcomp/internal/hybrid"
+	"dlrmcomp/internal/model"
 )
 
 // stepN drives n steps from gen and returns the per-step losses.
@@ -374,6 +376,180 @@ func TestReadCheckpointDamagedLengthBounded(t *testing.T) {
 	if err := trR.RestoreCheckpoint(bytes.NewReader(ckpt)); err == nil {
 		t.Fatal("a checkpoint with a damaged frame length restored without error")
 	}
+}
+
+// ckptHeaderBytes hand-builds a DLCK header with codec id codecID and the
+// given shape block.
+func ckptHeaderBytes(codecID byte, dim uint32, rows, denseLens []uint32) []byte {
+	b := append([]byte(nil), ckptMagic[:]...)
+	b = append(b, ckptVersion, codecID, 0, 0)
+	b = append(b, make([]byte, 24)...) // iter, fwdRaw, fwdComp
+	b = binary.LittleEndian.AppendUint32(b, dim)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(rows)))
+	for _, r := range rows {
+		b = binary.LittleEndian.AppendUint32(b, r)
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(denseLens)))
+	for _, n := range denseLens {
+		b = binary.LittleEndian.AppendUint32(b, n)
+	}
+	return b
+}
+
+// TestReadCheckpointDamagedShape: a damaged shape block is an error that
+// costs a few kilobytes, never a panic or an allocation sized from the
+// declared shape.
+func TestReadCheckpointDamagedShape(t *testing.T) {
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{
+			// rows×dim overflows an int: this used to panic in makeslice.
+			"rows times dim overflows",
+			ckptHeaderBytes(ckptCodecRaw, 0xFFFFFFFF, []uint32{0xFFFFFFFF}, nil),
+			"declares",
+		},
+		{
+			// One 2^28-value dense tensor and its matching raw frame length,
+			// then EOF: this used to allocate 1 GiB before the read failed.
+			"declared tensor larger than the stream",
+			binary.LittleEndian.AppendUint32(ckptHeaderBytes(ckptCodecRaw, 0, nil, []uint32{1 << 28}), 1<<30),
+			"EOF",
+		},
+		{
+			// A 16-byte deflate frame cannot decode to 2^28 values.
+			"compressed frame past the expansion bound",
+			append(binary.LittleEndian.AppendUint32(ckptHeaderBytes(ckptCodecDeflate, 0, nil, []uint32{1 << 28}), 16), make([]byte, 16)...),
+			"cannot hold",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ReadCheckpoint(bytes.NewReader(tc.data))
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got error %v, want one containing %q", err, tc.want)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+				t.Fatalf("reading %d damaged bytes allocated %d bytes", len(tc.data), got)
+			}
+		})
+	}
+}
+
+// TestSaveCheckpointRefusesOverExpansion: a frame the readers would refuse
+// is not written. A zeroed 6,656-value weight matrix compresses past
+// ckptMaxExpansion under lzss; raw saves it, and the file reads back.
+func TestSaveCheckpointRefusesOverExpansion(t *testing.T) {
+	spec := testSpec()
+	cfg := testConfig(spec, 8)
+	cfg.BottomMLP = []int{512}
+	tr, err := NewTrainer(Options{Ranks: 1, Model: cfg})
+	if err != nil {
+		t.Fatalf("trainer: %v", err)
+	}
+	defer tr.Close()
+	clear(tr.replicas[0].m.DenseParams()[0].Value)
+	if _, err := tr.SaveCheckpoint(&bytes.Buffer{}, CheckpointOptions{Codec: "lzss"}); err == nil || !strings.Contains(err.Error(), "expansion") {
+		t.Fatalf("lzss save of a constant tensor: got %v, want an expansion error", err)
+	}
+	var raw bytes.Buffer
+	if _, err := tr.SaveCheckpoint(&raw, CheckpointOptions{Codec: "raw"}); err != nil {
+		t.Fatalf("raw save: %v", err)
+	}
+	if _, err := ReadCheckpoint(&raw); err != nil {
+		t.Fatalf("raw read: %v", err)
+	}
+}
+
+// FuzzReadCheckpoint feeds damaged checkpoints to ReadCheckpoint, seeded
+// with real raw, lzss and deflate files. Properties: no panic; the call
+// allocates at most ckptReadAllocBound(len(data)); and either an error or
+// a result whose shapes are exactly the header's and whose every tensor
+// is exactly what its frame decodes to.
+func FuzzReadCheckpoint(f *testing.F) {
+	// A tiny model keeps the seeds to a few hundred bytes: the engine
+	// minimizes every input that finds coverage, and kilobyte seeds starve
+	// a 10-second run.
+	tr, err := NewTrainer(Options{Ranks: 1, Model: model.Config{
+		DenseFeatures: 2, EmbeddingDim: 2, TableSizes: []int{3, 2},
+		BottomMLP: []int{2}, TopMLP: []int{2}, Seed: 1,
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer tr.Close()
+	for _, name := range CheckpointCodecs() {
+		var buf bytes.Buffer
+		if _, err := tr.SaveCheckpoint(&buf, CheckpointOptions{Codec: name}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ck, err := ReadCheckpoint(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, ckptReadAllocBound(len(data)); got > limit {
+			t.Fatalf("reading %d bytes allocated %d, bound %d", len(data), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		d := &ckptReader{r: bytes.NewReader(data)}
+		h, err := readCkptHeader(d)
+		if err != nil {
+			t.Fatalf("ReadCheckpoint accepted a header readCkptHeader rejects: %v", err)
+		}
+		if ck.Dim != h.dim || !slices.Equal(ck.TableRows, h.rows) || len(ck.Dense) != len(h.denseLens) || len(ck.Tables) != len(h.rows) {
+			t.Fatalf("shapes dim=%d rows=%v dense=%d differ from the header's dim=%d rows=%v dense=%v",
+				ck.Dim, ck.TableRows, len(ck.Dense), h.dim, h.rows, h.denseLens)
+		}
+		tensors := append(slices.Clone(ck.Dense), ck.Tables...)
+		for i, got := range tensors {
+			var want int
+			if i < len(h.denseLens) {
+				want = h.denseLens[i]
+			} else {
+				want = h.rows[i-len(h.denseLens)] * h.dim
+			}
+			if len(got) != want {
+				t.Fatalf("tensor %d holds %d values, its shape says %d", i, len(got), want)
+			}
+			frame := d.frame(int(d.u32()))
+			dec := make([]float32, want)
+			if h.cdc == nil {
+				err = bytesToFloats(dec, frame)
+			} else {
+				_, err = h.cdc.DecompressInto(dec, frame)
+			}
+			if err != nil || !slices.Equal(math32Bits(dec), math32Bits(got)) {
+				t.Fatalf("tensor %d is not what its frame decodes to (err %v)", i, err)
+			}
+		}
+	})
+}
+
+// ckptReadAllocBound is the most ReadCheckpoint may allocate for an n-byte
+// stream: a compressed frame's destination and its codec's byte scratch
+// (ckptMaxExpansion each per frame byte), an inflater (about 41 KB) per
+// deflate frame, which takes at least 14 bytes, and a constant.
+func ckptReadAllocBound(n int) uint64 {
+	return uint64(n)*(2*ckptMaxExpansion+3<<10) + 1<<20
+}
+
+// math32Bits returns the bit patterns of v, so NaN payloads compare equal.
+func math32Bits(v []float32) []uint32 {
+	out := make([]uint32, len(v))
+	for i, x := range v {
+		out[i] = math.Float32bits(x)
+	}
+	return out
 }
 
 // TestFaultPlanKeepsTrainingMathIdentical: a trainer under jitter and a

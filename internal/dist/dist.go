@@ -60,22 +60,6 @@ type Options struct {
 	// shared across rank goroutines, which is safe because Compress and
 	// Decompress are pure, but per-table error bounds mutate codec state.
 	CodecFor func(table int) codec.Codec
-	// CodecWorkers bounds the intra-rank worker pool that fans per-table
-	// compress/decompress work across idle cores (multi-table owners are
-	// the common case: Criteo has 26 tables). 0 picks
-	// clamp(GOMAXPROCS/Ranks, 1, 8) — one worker (a plain loop, no extra
-	// goroutines) unless the machine has spare cores per rank; negative
-	// forces the sequential path.
-	CodecWorkers int
-	// ComputeWorkers bounds the intra-rank parallel width for each rank's
-	// compute between the collective barriers: the MLP matmuls, the pairwise
-	// interaction, the local-shard embedding gathers, and the dense
-	// optimizer update all partition their rows across the shared tensor
-	// worker pool at this width. Results are bit-identical at any setting —
-	// the width only changes which goroutine computes a row. 0 picks
-	// clamp(GOMAXPROCS/Ranks, 1, 8) like CodecWorkers; negative forces the
-	// single-threaded path (no pool traffic at all).
-	ComputeWorkers int
 	// Controller, when non-nil, drives per-table per-iteration error bounds
 	// (the dual-level adaptive strategy): before each step, every
 	// error-bounded codec gets SetErrorBound(Controller.EBAt(table, iter)).
@@ -129,16 +113,15 @@ type Trainer struct {
 	iter      int
 
 	// Steady-state workspaces: per-rank step buffers, rank-indexed step
-	// accounting, the owned-table list per rank, the intra-rank codec
-	// worker budget, and the cached per-sample MAC count for stepFlops —
-	// all built once in NewTrainer so Step allocates only a bounded
-	// handful of objects (goroutine fan-out, collective handles).
-	ws             []*stepWorkspace
-	scr            stepScratch
-	owned          [][]int
-	codecWorkers   int
-	computeWorkers int
-	stepMacs       float64
+	// accounting, the owned-table list per rank, the intra-rank width, and
+	// the cached per-sample MAC count for stepFlops — all built once in
+	// NewTrainer so Step allocates only a bounded handful of objects
+	// (goroutine fan-out, collective handles).
+	ws       []*stepWorkspace
+	scr      stepScratch
+	owned    [][]int
+	width    int
+	stepMacs float64
 
 	// forward all-to-all volume accounting across all steps.
 	fwdRawBytes  int64
@@ -270,19 +253,17 @@ func NewTrainer(opts Options) (*Trainer, error) {
 		}
 	}
 
-	// Resolve the intra-rank compute width before building replicas so every
-	// model layer gets it at construction. Same clamp as the codec pool: one
-	// worker per rank unless the machine has spare cores, capped at 8.
-	t.computeWorkers = opts.ComputeWorkers
-	if t.computeWorkers == 0 {
-		t.computeWorkers = min(max(runtime.GOMAXPROCS(0)/opts.Ranks, 1), 8)
-	}
-	if t.computeWorkers < 0 {
-		t.computeWorkers = 1
-	}
+	// The intra-rank width: how many goroutines one rank's compute stages
+	// (matmul rows, interaction samples, local-shard gathers, the optimizer)
+	// and its per-table codec jobs fan out over. It is derived from the
+	// machine, never set: one per rank unless GOMAXPROCS leaves spare cores,
+	// capped at 8. Results are bit-identical at every width — the width only
+	// changes which goroutine computes a row or a block. Resolved before the
+	// replicas are built so every model layer gets it at construction.
+	t.width = min(max(runtime.GOMAXPROCS(0)/opts.Ranks, 1), 8)
 
 	for r := 0; r < opts.Ranks; r++ {
-		rp := &replica{opt: &nn.SGD{LR: opts.DenseLR, Workers: t.computeWorkers}}
+		rp := &replica{opt: &nn.SGD{LR: opts.DenseLR, Workers: t.width}}
 		if r == 0 {
 			rp.m = tmpl
 		} else {
@@ -294,26 +275,22 @@ func NewTrainer(opts Options) (*Trainer, error) {
 				Top:      tmpl.Top.Clone(),
 			}
 		}
-		rp.m.SetComputeWorkers(t.computeWorkers)
+		rp.m.SetComputeWorkers(t.width)
 		t.replicas = append(t.replicas, rp)
 	}
 	for _, p := range t.replicas[0].m.DenseParams() {
 		t.numParams += len(p.Value)
 	}
 
-	// Build the steady-state step machinery: owned-table lists, the codec
-	// worker budget, the rank-indexed accounting scratch, and one workspace
-	// per rank (each caching its replica's parameter list — the Param
-	// headers are rebuilt identically by every DenseParams call, but the
-	// underlying value/grad slices are stable for the trainer's lifetime).
+	// Build the steady-state step machinery: owned-table lists, the
+	// rank-indexed accounting scratch, and one workspace per rank (each
+	// caching its replica's parameter list — the Param headers are rebuilt
+	// identically by every DenseParams call, but the underlying value/grad
+	// slices are stable for the trainer's lifetime).
 	t.owned = make([][]int, opts.Ranks)
 	for tb := 0; tb < numTables; tb++ {
 		r := t.owner(tb)
 		t.owned[r] = append(t.owned[r], tb)
-	}
-	t.codecWorkers = opts.CodecWorkers
-	if t.codecWorkers == 0 {
-		t.codecWorkers = min(max(runtime.GOMAXPROCS(0)/opts.Ranks, 1), 8)
 	}
 	t.scr = newStepScratch(opts.Ranks)
 	t.ws = make([]*stepWorkspace, opts.Ranks)

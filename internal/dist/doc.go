@@ -33,9 +33,10 @@
 //     stages: owners gather lookups; the exchange delivers them, compressed
 //     per table; each rank runs its MLP replica on its shard; the same
 //     exchange with no codec returns the lookup gradients to the owners,
-//     who scatter them; the dense gradients are all-reduced. Codec work
-//     fans out across Options.CodecWorkers intra-rank workers; Evaluate
-//     scores the trained weights single-process.
+//     who scatter them; the dense gradients are all-reduced. Compute and
+//     codec work inside a rank fan out over one width that NewTrainer
+//     derives from GOMAXPROCS/Ranks; Evaluate scores the trained weights
+//     single-process.
 //
 // Two drivers share the same step internals and therefore the same math
 // and the same buckets:

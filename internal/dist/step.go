@@ -102,7 +102,7 @@ func (s stepStats) serial() time.Duration {
 // Every buffer the step touches lives in per-rank workspaces allocated in
 // NewTrainer, so steady-state stepping performs only a small, bounded
 // number of allocations (goroutine fan-out and collective handles); the
-// codec work inside a rank fans out across the trainer's codec workers
+// codec work inside a rank fans out at the trainer's intra-rank width
 // when cores are spare.
 func (t *Trainer) Step(b *criteo.Batch) (float32, error) {
 	loss, _, err := t.runStep(b)
@@ -187,7 +187,7 @@ func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 		for _, tb := range owned {
 			g := ws.gather[tb].Resize(n, dim)
 			ws.gather[tb] = g
-			t.tmpl.Emb.Tables[tb].LookupIntoWorkers(g, b.Indices[tb], t.computeWorkers)
+			t.tmpl.Emb.Tables[tb].LookupIntoWorkers(g, b.Indices[tb], t.width)
 			for dst := 0; dst < ranks; dst++ {
 				x.send(tb, dst, g.Data[start[dst]*dim:(start[dst]+count[dst])*dim])
 			}

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"dlrmcomp/internal/nn"
@@ -14,8 +13,8 @@ import (
 // flattened allreduce buffer — is allocated once in NewTrainer (or lazily
 // grown to the first batch's size) and reused for the life of the trainer.
 // Buffers are strictly per rank, so the rank goroutines never share mutable
-// state through them; inside a rank the codec workers each touch only
-// their own block.
+// state through them; inside a rank each parallelDo job touches only its
+// own block.
 
 // stepWorkspace is one rank's reusable per-step state.
 type stepWorkspace struct {
@@ -95,17 +94,17 @@ func newStepWorkspace(t *Trainer, r int) *stepWorkspace {
 	return ws
 }
 
-// parallelDo runs fn(0..n-1), fanning the work across up to t.codecWorkers
-// goroutines. With one worker (the default when GOMAXPROCS gives each rank
-// no spare cores) it degenerates to the plain loop and performs no
-// allocation; with more, multi-table owners use idle cores for the
-// codec work. fn calls for distinct k must not share mutable state (the
-// exchange indexes everything by block).
+// parallelDo runs fn(0..n-1) at up to the trainer's intra-rank width. At
+// width 1 (the default when GOMAXPROCS gives each rank no spare core) it is
+// the plain loop and performs no allocation. Wider, it hands w single-index
+// spans to the shared tensor pool and every span claims indices k from a
+// shared counter until none are left, so one slow block does not idle the
+// rest — the same dynamic claiming interaction does with ParallelSpans(w,
+// w, …). fn calls for distinct k must not share mutable state (the exchange
+// indexes everything by block), and fn must be a pool leaf: the encode and
+// decode jobs never call ParallelSpans.
 func (t *Trainer) parallelDo(n int, fn func(k int)) {
-	w := t.codecWorkers
-	if w > n {
-		w = n
-	}
+	w := min(t.width, n)
 	if w <= 1 {
 		for k := 0; k < n; k++ {
 			fn(k)
@@ -113,19 +112,9 @@ func (t *Trainer) parallelDo(n int, fn func(k int)) {
 		return
 	}
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= n {
-					return
-				}
-				fn(k)
-			}
-		}()
-	}
-	wg.Wait()
+	tensor.ParallelSpans(w, w, func(int, int) {
+		for k := int(next.Add(1)) - 1; k < n; k = int(next.Add(1)) - 1 {
+			fn(k)
+		}
+	})
 }

@@ -150,8 +150,6 @@ func trainerOptions(rs Spec, cfg model.Config, net netmodel.Topology, tr cluster
 		Model:              cfg,
 		Net:                net,
 		OtherComputeFactor: rs.OtherComputeFactor,
-		CodecWorkers:       rs.CodecWorkers,
-		ComputeWorkers:     rs.ComputeWorkers,
 		Faults:             rs.Faults,
 	}
 	if rs.Device == "paper" {

@@ -66,16 +66,6 @@ type Spec struct {
 	// ErrorBound is the absolute error bound for error-bounded codecs.
 	// Required (> 0) when Codec is error-bounded and Adaptive is off.
 	ErrorBound float64 `json:"eb,omitempty"`
-	// CodecWorkers bounds the intra-rank codec worker pool
-	// (dist.Options.CodecWorkers); 0 = auto, negative = sequential.
-	CodecWorkers int `json:"codec_workers,omitempty"`
-	// ComputeWorkers bounds the intra-rank compute width
-	// (dist.Options.ComputeWorkers): goroutines splitting each rank's
-	// embedding lookups, MLP matmuls, and optimizer update between
-	// collective barriers. 0 = auto, 1 = single-threaded; the training
-	// math is bit-identical at every width. Negative values are a
-	// validation error (use 1 for single-threaded).
-	ComputeWorkers int `json:"compute_workers,omitempty"`
 
 	// Adaptive enables the dual-level adaptive error-bound controller.
 	Adaptive bool `json:"adaptive,omitempty"`
@@ -306,9 +296,6 @@ func (s Spec) Validate() error {
 		if f.v < 0 {
 			add("%s must be >= 0, got %d", f.name, f.v)
 		}
-	}
-	if s.ComputeWorkers < 0 {
-		add("compute_workers must be >= 0 (0 = auto, 1 = single-threaded), got %d", s.ComputeWorkers)
 	}
 	if s.ErrorBound < 0 {
 		add("eb must be >= 0, got %v", s.ErrorBound)

@@ -28,8 +28,6 @@ func fullSpec() Spec {
 		Transport:          "inproc", // Overlap below; a tcp spec cannot overlap
 		Codec:              "hybrid",
 		ErrorBound:         0.02,
-		CodecWorkers:       2,
-		ComputeWorkers:     4,
 		Adaptive:           true,
 		Classes:            "offline",
 		Schedule:           "stepwise",
@@ -88,8 +86,6 @@ func TestValidate(t *testing.T) {
 		{"unknown classes", Spec{Classes: "manual"}, []string{"unknown classes"}},
 		{"negative steps", Spec{Steps: -1}, []string{"steps must be >= 0"}},
 		{"negative eb", Spec{ErrorBound: -0.1}, []string{"eb must be >= 0"}},
-		{"negative compute workers", Spec{ComputeWorkers: -1}, []string{"compute_workers must be >= 0"}},
-		{"pinned compute workers", Spec{ComputeWorkers: 8}, nil},
 		{"fractional decay factor", Spec{DecayFactor: 0.5}, []string{"decay_factor"}},
 		{
 			"ranks inconsistent with nodes (the old silent override)",
@@ -350,13 +346,21 @@ func TestSpecJSONGolden(t *testing.T) {
 	}
 }
 
+// TestLoadFileRejectsUnknownFields: a typoed key fails loudly, and so do
+// the deleted intra-rank width keys — the width is derived, not set.
 func TestLoadFileRejectsUnknownFields(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte(`{"dataset": "kaggle", "eror_bound": 0.02}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), "unknown field") {
-		t.Fatalf("typoed field must fail loudly, got: %v", err)
+	for _, doc := range []string{
+		`{"dataset": "kaggle", "eror_bound": 0.02}`,
+		`{"dataset": "kaggle", "compute_workers": 4}`,
+		`{"dataset": "kaggle", "codec_workers": 2}`,
+	} {
+		path := filepath.Join(t.TempDir(), "bad.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Fatalf("%s: an unknown field must fail loudly, got: %v", doc, err)
+		}
 	}
 }
 

@@ -3,9 +3,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
@@ -138,42 +136,6 @@ type SweepOptions struct {
 	// bit-identical at any worker count: every scenario seeds its own
 	// generator and model from its Spec alone.
 	Workers int `json:"workers,omitempty"`
-
-	// SpecWorkers sets the intra-rank width (both ComputeWorkers and
-	// CodecWorkers) of every swept spec that left both at 0 (auto); specs
-	// that pin either knob are never overridden. 0 defers to the
-	// DLRMCOMP_WORKERS environment variable (unset or unparsable = no
-	// override); negative disables the override, ignoring the environment.
-	// Like Workers, the setting cannot change results — the intra-rank
-	// parallel paths are bit-identical at every width — only wall-clock.
-	SpecWorkers int `json:"spec_workers,omitempty"`
-}
-
-// resolveSpecWorkers turns the SpecWorkers knob plus the DLRMCOMP_WORKERS
-// environment variable into the effective per-spec width (0 = no override).
-func resolveSpecWorkers(v int) int {
-	if v > 0 {
-		return v
-	}
-	if v < 0 {
-		return 0
-	}
-	if env := os.Getenv("DLRMCOMP_WORKERS"); env != "" {
-		if n, err := strconv.Atoi(env); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 0
-}
-
-// applySpecWorkers returns the spec with the sweep-level worker width
-// applied, leaving specs that pin their own width untouched.
-func applySpecWorkers(s Spec, w int) Spec {
-	if w > 0 && s.ComputeWorkers == 0 && s.CodecWorkers == 0 {
-		s.ComputeWorkers = w
-		s.CodecWorkers = w
-	}
-	return s
 }
 
 // Sweep runs every spec on a bounded worker pool and returns the results
@@ -188,7 +150,6 @@ func Sweep(specs []Spec, opts SweepOptions) ([]*Result, error) {
 	if workers > len(specs) {
 		workers = len(specs)
 	}
-	specWorkers := resolveSpecWorkers(opts.SpecWorkers)
 	results := make([]*Result, len(specs))
 	errs := make([]error, len(specs))
 	next := make(chan int)
@@ -198,7 +159,7 @@ func Sweep(specs []Spec, opts SweepOptions) ([]*Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				r, err := Run(applySpecWorkers(specs[i], specWorkers))
+				r, err := Run(specs[i])
 				if err != nil {
 					name := specs[i].Name
 					if name == "" {

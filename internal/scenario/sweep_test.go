@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"dlrmcomp/internal/testutil"
 )
 
 func TestAxesExpand(t *testing.T) {
@@ -81,58 +83,27 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSpecWorkersOverride pins the sweep-level width plumbing: the knob (or
-// the DLRMCOMP_WORKERS environment) reaches only specs that left both
-// intra-rank widths at auto, and the override cannot change results — the
-// overridden sweep must reproduce the serial sweep bit for bit.
-func TestSpecWorkersOverride(t *testing.T) {
-	pinned := tinySpec()
-	pinned.CodecWorkers = -1
-	if got := applySpecWorkers(pinned, 4); got.ComputeWorkers != 0 || got.CodecWorkers != -1 {
-		t.Fatalf("pinned spec must not be overridden: %+v", got)
-	}
-	if got := applySpecWorkers(tinySpec(), 4); got.ComputeWorkers != 4 || got.CodecWorkers != 4 {
-		t.Fatalf("auto spec must take the override: %+v", got)
-	}
-	if got := applySpecWorkers(tinySpec(), 0); got.ComputeWorkers != 0 {
-		t.Fatalf("zero width must leave the spec alone: %+v", got)
-	}
-
-	t.Setenv("DLRMCOMP_WORKERS", "3")
-	if got := resolveSpecWorkers(0); got != 3 {
-		t.Fatalf("env fallback = %d, want 3", got)
-	}
-	if got := resolveSpecWorkers(5); got != 5 {
-		t.Fatalf("explicit width must beat the env, got %d", got)
-	}
-	if got := resolveSpecWorkers(-1); got != 0 {
-		t.Fatalf("negative must disable the override even with the env set, got %d", got)
-	}
-	t.Setenv("DLRMCOMP_WORKERS", "not-a-number")
-	if got := resolveSpecWorkers(0); got != 0 {
-		t.Fatalf("unparsable env must mean no override, got %d", got)
-	}
-
-	// End to end: the widened sweep reproduces the serial one bit for bit,
-	// modulo WallClock and the Spec fields the override wrote.
+// TestSweepParityAcrossWidths pins that the intra-rank width the trainer
+// derives from the machine cannot change a sweep's results: the 8-rank
+// cells run at width 1 under GOMAXPROCS 8 and at width 2 under 16, and the
+// two sweeps must agree bit for bit, modulo WallClock.
+func TestSweepParityAcrossWidths(t *testing.T) {
 	specs := sweepSpecs()[:2]
-	serial, err := Sweep(specs, SweepOptions{Workers: 1, SpecWorkers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv("DLRMCOMP_WORKERS", "2")
-	wide, err := Sweep(specs, SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wide {
-		if wide[i].Spec.ComputeWorkers != 2 || wide[i].Spec.CodecWorkers != 2 {
-			t.Fatalf("cell %d: env override not recorded in the result spec: %+v", i, wide[i].Spec)
+	sweep := func(procs int) []*Result {
+		testutil.SetGOMAXPROCS(t, procs)
+		results, err := Sweep(specs, SweepOptions{Workers: 1})
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		wide[i].Spec.ComputeWorkers, wide[i].Spec.CodecWorkers = 0, 0
-		wide[i].WallClock, serial[i].WallClock = 0, 0
-		if !reflect.DeepEqual(wide[i], serial[i]) {
-			t.Fatalf("cell %d: widened sweep diverged from the serial sweep", i)
+		for _, r := range results {
+			r.WallClock = 0
+		}
+		return results
+	}
+	narrow, wide := sweep(8), sweep(16)
+	for i := range narrow {
+		if !reflect.DeepEqual(wide[i], narrow[i]) {
+			t.Fatalf("cell %d: the width-2 sweep diverged from the width-1 sweep", i)
 		}
 	}
 }

@@ -48,7 +48,7 @@ func TestScoreBatchAllocsSteadyState(t *testing.T) {
 			defer srv.Close()
 			gen := criteo.NewGenerator(spec)
 			// A batch small enough that every matmul stays under any
-			// parallel threshold; ComputeWorkers defaults to 1 anyway.
+			// parallel threshold; scorers run at width 1 anyway.
 			b := gen.NextBatch(16)
 			out := make([]float32, 16)
 			for i := 0; i < 3; i++ { // warm the lazily-grown workspaces

@@ -13,7 +13,7 @@ import (
 )
 
 // The BenchmarkServe_ScoreBatch* benchmarks are the serving hot path in
-// isolation: single goroutine, ComputeWorkers 1 (alloc_test.go pins its
+// isolation: single goroutine at scorer width 1 (alloc_test.go pins its
 // allocation bounds). The BenchmarkServeLoad_* closed-loop benchmarks
 // report throughput and tail latency (qps, p50-ns, p99-ns, hit-rate) —
 // scheduler-dependent numbers that inform; bench/'s serve workloads are

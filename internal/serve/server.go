@@ -56,14 +56,6 @@ type Options struct {
 	// Workers is the batcher-goroutine count, each with its own scorer
 	// workspace (0 = 1).
 	Workers int
-	// ComputeWorkers is the intra-op parallel width of each scorer's
-	// matmuls (0 = 1). Serving scales by request concurrency instead:
-	// every concurrent ScoreBatch caller (up to GOMAXPROCS of them) and
-	// every Score worker gets a scorer of its own, and cold-block decodes
-	// run outside the shard locks. Single-threaded kernels — which also
-	// keep the request path allocation-free — are therefore the right
-	// default; raise this only for very large micro-batches.
-	ComputeWorkers int
 }
 
 // resolved fills the documented defaults; rawBytes is the uncompressed
@@ -92,9 +84,6 @@ func (o Options) resolved(rawBytes int64) Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.ComputeWorkers <= 0 {
-		o.ComputeWorkers = 1
 	}
 	return o
 }
@@ -268,6 +257,14 @@ func newServer(cfg model.Config, dense [][]float32, tables [][]float32, opts Opt
 	return s, nil
 }
 
+// scorerWidth is the intra-op parallel width of every scorer's matmuls and
+// interaction. Serving scales by request concurrency instead: every
+// concurrent ScoreBatch caller (up to GOMAXPROCS of them) and every Score
+// worker gets a scorer of its own, and cold-block decodes run outside the
+// shard locks. Single-threaded kernels also keep the request path
+// allocation-free.
+const scorerWidth = 1
+
 // newScorer builds one forward-pass workspace from the template model.
 func (s *Server) newScorer() *scorer {
 	n, dim := len(s.cfg.TableSizes), s.cfg.EmbeddingDim
@@ -279,9 +276,9 @@ func (s *Server) newScorer() *scorer {
 		lookups: make([]*tensor.Matrix, n),
 		cols:    make([][]int32, n),
 	}
-	sc.bottom.SetWorkers(s.opts.ComputeWorkers)
-	sc.top.SetWorkers(s.opts.ComputeWorkers)
-	sc.di.Workers = s.opts.ComputeWorkers
+	sc.bottom.SetWorkers(scorerWidth)
+	sc.top.SetWorkers(scorerWidth)
+	sc.di.Workers = scorerWidth
 	return sc
 }
 

@@ -10,6 +10,7 @@
 //   - MaxAbs and MaxError are the error-bound checks over float32 slices.
 //   - RoundTrip compresses and decompresses a batch through any
 //     codec.Codec and returns the reconstruction and the ratio.
+//   - SetGOMAXPROCS pins GOMAXPROCS for one test, restoring it on cleanup.
 //
 // The shipped packages must not carry helpers only tests call: the root
 // reachability gate (deadcode_test.go) exempts this package and no other.

@@ -2,6 +2,8 @@ package testutil
 
 import (
 	"fmt"
+	"runtime"
+	"testing"
 
 	"dlrmcomp/internal/codec"
 	"dlrmcomp/internal/tensor"
@@ -63,4 +65,14 @@ func RoundTrip(c codec.Codec, src []float32, dim int) (recon []float32, ratio fl
 		return nil, 0, fmt.Errorf("%s: round trip dim %d != %d", c.Name(), gotDim, dim)
 	}
 	return recon, codec.Ratio(len(src), frame), nil
+}
+
+// SetGOMAXPROCS sets runtime.GOMAXPROCS to n for the rest of the test and
+// restores the previous value when it ends. Tests that vary a derived
+// width (the trainer's intra-rank width is GOMAXPROCS/Ranks) use it instead
+// of a knob.
+func SetGOMAXPROCS(t testing.TB, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
