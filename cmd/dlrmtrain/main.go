@@ -138,8 +138,7 @@ func main() {
 			r.Step, r.FromRanks, r.ToRanks, r.MovedTables, r.MovedBytes)
 	}
 	if ck := res.Checkpoints; ck != nil {
-		fmt.Printf("checkpoints: %d saved, %d -> %d bytes (%.2fx)\n",
-			ck.Count, ck.RawBytes, ck.WireBytes, ck.Ratio)
+		fmt.Printf("checkpoints: %d saved, %d bytes\n", ck.Count, ck.Bytes)
 	}
 	if sp.Eval > 0 {
 		fmt.Printf("\neval: accuracy %.4f  logloss %.4f\n", res.Accuracy, res.LogLoss)
@@ -160,8 +159,7 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("saved checkpoint %s: %d -> %d bytes (%.2fx, codec %s)\n",
-			*savePath, stats.RawBytes, stats.WireBytes, stats.Ratio(), dist.DefaultCheckpointCodec)
+		fmt.Printf("saved checkpoint %s: %d bytes\n", *savePath, stats.Bytes)
 	}
 	fmt.Printf("\nsimulated time breakdown:\n%s", res.SimTime.String())
 	if sp.Overlap {

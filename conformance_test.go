@@ -155,7 +155,7 @@ func TestConformanceBufferedPath(t *testing.T) {
 // TestConformanceBaselineFrames pins the baseline codecs' frames across
 // commits: testdata/frames.golden holds one "codec/case length sha256" line
 // per frame, captured through Compress before the baselines moved to the
-// append pair. DLCK checkpoints (lzss, deflate) and the size columns of
+// append pair. The cold tier's lzss frames and the size columns of
 // fig8/fig11/table5 rest on these bytes. An intended format change
 // regenerates the file from the "got" block printed on mismatch.
 func TestConformanceBaselineFrames(t *testing.T) {

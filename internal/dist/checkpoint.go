@@ -3,23 +3,21 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"slices"
 
 	"dlrmcomp/internal/adapt"
-	"dlrmcomp/internal/codec"
-	"dlrmcomp/internal/lz4like"
 )
 
 // This file implements checkpoint/restore of the full trainer state: the
 // model-parallel embedding shards, one copy of the data-parallel MLP
 // parameters (the replicas are bit-identical by construction, so one copy
 // restores them all), the adaptive controller's configuration, and the
-// step counter + compression accounting. Weight payloads are written
-// raw by default, or through codec.Codec's append pair with a *lossless*
-// codec (LZSS or DEFLATE on request), so a compressed checkpoint keeps the
-// resume-parity guarantee:
+// step counter + compression accounting. Weights are written raw, as
+// little-endian float32 frames, each with a CRC-32, so a checkpoint keeps
+// the resume-parity guarantee:
 //
 //	save at step k → restore into a fresh trainer at the same world
 //	size → train on — the losses are bitwise identical to the
@@ -40,102 +38,47 @@ import (
 
 // Checkpoint wire format (all integers little-endian):
 //
-//	magic "DLCK" | version u8 | codec u8 | flags u8 | reserved u8
+//	magic "DLCK" | version u8 (2) | reserved u8 (0) | flags u8 | reserved u8 (0)
 //	iter u64 | fwdRawBytes u64 | fwdCompBytes u64
 //	dim u32 | numTables u32 | rows u32 × numTables
 //	numDense u32 | len u32 × numDense
 //	[flags&ckptHasController] schedule u8 | phaseLen u32 |
 //	    startFactor f64 | nEB u32 | baseEB f32 × nEB
-//	frame (u32 length | bytes) × numDense, then × numTables
+//	frame (u32 length | f32 × length/4 | u32 CRC-32 of the f32 bytes)
+//	    × numDense, then × numTables
 //
 // The shape block doubles as a restore-target check: a checkpoint only
 // restores into a model of identical dim, table sizes, and dense layer
 // shapes (the rank count is deliberately absent — that is what elastic
-// restore varies).
-//
-// A compressed frame of n bytes may hold at most ckptMaxExpansion·n/4
-// values. SaveCheckpoint refuses to write one that holds more, and the
-// readers reject one before sizing a destination for it, so no reader
-// allocates more than a constant multiple of the bytes a stream delivers.
+// restore varies). A frame's length must be exactly four bytes per value
+// its shape declares, and its CRC (IEEE polynomial) must match before any
+// of it is decoded, so a flipped bit is an error, never a changed weight.
+// Lossy compression never applies here (it would break resume parity),
+// and the lossless codecs do not shrink trained float32 weights, so the
+// frames carry no codec.
 const (
-	ckptVersion       = 1
+	ckptVersion       = 2
 	ckptHasController = 1 << 0
 
-	// ckptMaxExpansion is DEFLATE's format limit on decoded/encoded bytes
-	// (1032:1). Trained float32 weights stay near 1:1 under both lossless
-	// codecs; only a long constant run under lzss could pass it.
-	ckptMaxExpansion = 1032
+	// ckptMaxEntries caps each list of the shape block (tables, dense
+	// tensors, controller error bounds). The counts come off the stream,
+	// so the cap is what bounds the lists' memory before their entries
+	// arrive; real models have tens of tables.
+	ckptMaxEntries = 1 << 16
 )
 
 var ckptMagic = [4]byte{'D', 'L', 'C', 'K'}
 
-// Checkpoint codec ids (the codec byte of the header).
-const (
-	ckptCodecRaw = iota
-	ckptCodecLZSS
-	ckptCodecDeflate
-)
-
-// DefaultCheckpointCodec is the codec SaveCheckpoint uses when
-// CheckpointOptions.Codec is empty. It is raw: on trained float32 tables
-// LZ finds almost nothing to match, so lzss writes a slightly larger file
-// several times slower.
-const DefaultCheckpointCodec = "raw"
-
-// CheckpointCodecs lists the accepted CheckpointOptions.Codec names. All
-// are lossless — a lossy checkpoint would silently break the resume
-// bit-parity guarantee — so the communication codecs (hybrid, fp16, …)
-// are not on the menu.
-func CheckpointCodecs() []string { return []string{"raw", "lzss", "deflate"} }
-
-// ckptCodecByName maps a codec name to its header id and instance (nil
-// for raw).
-func ckptCodecByName(name string) (byte, codec.Codec, error) {
-	switch name {
-	case "", "raw":
-		return ckptCodecRaw, nil, nil
-	case "lzss":
-		return ckptCodecLZSS, lz4like.LZSSCodec{}, nil
-	case "deflate":
-		return ckptCodecDeflate, lz4like.DeflateCodec{}, nil
-	}
-	return 0, nil, fmt.Errorf("dist: unknown checkpoint codec %q (want one of %v)", name, CheckpointCodecs())
-}
-
-func ckptCodecByID(id byte) (codec.Codec, error) {
-	switch id {
-	case ckptCodecRaw:
-		return nil, nil
-	case ckptCodecLZSS:
-		return lz4like.LZSSCodec{}, nil
-	case ckptCodecDeflate:
-		return lz4like.DeflateCodec{}, nil
-	}
-	return nil, fmt.Errorf("dist: checkpoint carries unknown codec id %d", id)
-}
-
-// CheckpointOptions configures SaveCheckpoint.
-type CheckpointOptions struct {
-	// Codec names the lossless frame codec ("raw", "lzss", or "deflate");
-	// empty means DefaultCheckpointCodec.
-	Codec string
-}
+// CheckpointOptions configures SaveCheckpoint. It has no fields: frames
+// are always raw. The type stays because the bench harness passes
+// CheckpointOptions{}; ROADMAP.md's bench item drops the parameter with
+// the harness's next change.
+type CheckpointOptions struct{}
 
 // CheckpointStats reports what a save moved.
 type CheckpointStats struct {
-	// RawBytes is the uncompressed footprint of the serialized weights.
-	RawBytes int64
-	// WireBytes is what the weight frames occupied after the codec
-	// (headers and shape metadata excluded; they are a few dozen bytes).
-	WireBytes int64
-}
-
-// Ratio returns RawBytes/WireBytes (1 when nothing was written).
-func (s CheckpointStats) Ratio() float64 {
-	if s.WireBytes == 0 {
-		return 1
-	}
-	return float64(s.RawBytes) / float64(s.WireBytes)
+	// Bytes is the size of the written checkpoint, header included.
+	Bytes int64
 }
 
 // SaveCheckpoint serializes the full trainer state to w. It requires
@@ -143,14 +86,10 @@ func (s CheckpointStats) Ratio() float64 {
 // local process holds fresh state only for its own rank's tables, and a
 // checkpoint of half-stale weights is exactly the corruption this check
 // exists to prevent.
-func (t *Trainer) SaveCheckpoint(w io.Writer, opts CheckpointOptions) (CheckpointStats, error) {
+func (t *Trainer) SaveCheckpoint(w io.Writer, _ CheckpointOptions) (CheckpointStats, error) {
 	var stats CheckpointStats
 	if t.cl.Distributed() {
 		return stats, fmt.Errorf("dist: SaveCheckpoint needs every rank in-process; this trainer hosts %d of %d ranks", len(t.cl.Local()), t.opts.Ranks)
-	}
-	codecID, cdc, err := ckptCodecByName(opts.Codec)
-	if err != nil {
-		return stats, err
 	}
 
 	var flags byte
@@ -159,7 +98,7 @@ func (t *Trainer) SaveCheckpoint(w io.Writer, opts CheckpointOptions) (Checkpoin
 	}
 	hdr := make([]byte, 0, 256)
 	hdr = append(hdr, ckptMagic[:]...)
-	hdr = append(hdr, ckptVersion, codecID, flags, 0)
+	hdr = append(hdr, ckptVersion, 0, flags, 0)
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(t.iter))
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(t.fwdRawBytes))
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(t.fwdCompBytes))
@@ -188,35 +127,26 @@ func (t *Trainer) SaveCheckpoint(w io.Writer, opts CheckpointOptions) (Checkpoin
 	if _, err := w.Write(hdr); err != nil {
 		return stats, err
 	}
+	stats.Bytes = int64(len(hdr))
 
 	frame := make([]byte, 0, 1<<16)
-	writeBlob := func(vals []float32, dim int) error {
-		if cdc == nil {
-			frame = appendFloats(frame[:0], vals)
-		} else if frame, err = cdc.CompressAppend(frame[:0], vals, dim); err != nil {
-			return err
-		} else if !ckptFrameCanHold(len(frame), len(vals)) {
-			return fmt.Errorf("dist: %d values compress to a %d-byte frame, past the %d:1 expansion checkpoint readers accept; save raw", len(vals), len(frame), ckptMaxExpansion)
-		}
-		var lenHdr [4]byte
-		binary.LittleEndian.PutUint32(lenHdr[:], uint32(len(frame)))
-		if _, err := w.Write(lenHdr[:]); err != nil {
-			return err
-		}
+	writeFrame := func(vals []float32) error {
+		frame = binary.LittleEndian.AppendUint32(frame[:0], uint32(4*len(vals)))
+		frame = appendFloats(frame, vals)
+		frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame[4:]))
 		if _, err := w.Write(frame); err != nil {
 			return err
 		}
-		stats.RawBytes += int64(4 * len(vals))
-		stats.WireBytes += int64(len(frame))
+		stats.Bytes += int64(len(frame))
 		return nil
 	}
 	for _, p := range params {
-		if err := writeBlob(p.Value, len(p.Value)); err != nil {
+		if err := writeFrame(p.Value); err != nil {
 			return stats, err
 		}
 	}
 	for _, tab := range tables {
-		if err := writeBlob(tab.Weights.Data, tab.Dim); err != nil {
+		if err := writeFrame(tab.Weights.Data); err != nil {
 			return stats, err
 		}
 	}
@@ -227,7 +157,6 @@ func (t *Trainer) SaveCheckpoint(w io.Writer, opts CheckpointOptions) (Checkpoin
 // frames, shared by RestoreCheckpoint (which checks it against a live
 // trainer) and ReadCheckpoint (which hands the shapes to the caller).
 type ckptHeader struct {
-	cdc                   codec.Codec // nil = raw frames
 	iter, fwdRaw, fwdComp uint64
 	dim                   int
 	rows                  []int // per-table row counts
@@ -235,12 +164,12 @@ type ckptHeader struct {
 	ctrl                  *adapt.Controller
 }
 
-// readCkptHeader decodes the magic, version, codec, accounting, shape
-// block, and optional controller block from d.
+// readCkptHeader decodes the magic, version, accounting, shape block, and
+// optional controller block from d.
 func readCkptHeader(d *ckptReader) (*ckptHeader, error) {
 	var magic [4]byte
 	d.bytes(magic[:])
-	version, codecID, flags, _ := d.u8(), d.u8(), d.u8(), d.u8()
+	version, reserved, flags, reserved2 := d.u8(), d.u8(), d.u8(), d.u8()
 	if d.err != nil {
 		return nil, fmt.Errorf("dist: checkpoint header: %w", d.err)
 	}
@@ -250,31 +179,26 @@ func readCkptHeader(d *ckptReader) (*ckptHeader, error) {
 	if version != ckptVersion {
 		return nil, fmt.Errorf("dist: checkpoint version %d, this build reads %d", version, ckptVersion)
 	}
-	cdc, err := ckptCodecByID(codecID)
-	if err != nil {
-		return nil, err
+	if reserved != 0 || reserved2 != 0 {
+		return nil, fmt.Errorf("dist: checkpoint header reserved bytes are %d and %d, want 0", reserved, reserved2)
 	}
-	h := &ckptHeader{cdc: cdc}
+	h := &ckptHeader{}
 	h.iter = d.u64()
 	h.fwdRaw = d.u64()
 	h.fwdComp = d.u64()
 	h.dim = int(d.u32())
-	// The list lengths come off the stream, so the lists grow by append as
-	// entries actually arrive rather than being sized from a damaged count.
-	for n := d.u32(); uint32(len(h.rows)) < n && d.err == nil; {
-		h.rows = append(h.rows, int(d.u32()))
-	}
-	for n := d.u32(); uint32(len(h.denseLens)) < n && d.err == nil; {
-		h.denseLens = append(h.denseLens, int(d.u32()))
-	}
+	h.rows = d.ints()
+	h.denseLens = d.ints()
 	if flags&ckptHasController != 0 {
 		h.ctrl = &adapt.Controller{
 			Schedule:    adapt.Schedule(d.u8()),
 			PhaseLen:    int(d.u32()),
 			StartFactor: math.Float64frombits(d.u64()),
 		}
-		for n := d.u32(); uint32(len(h.ctrl.BaseEB)) < n && d.err == nil; {
-			h.ctrl.BaseEB = append(h.ctrl.BaseEB, math.Float32frombits(d.u32()))
+		ebs := d.ints()
+		h.ctrl.BaseEB = make([]float32, len(ebs))
+		for i, b := range ebs {
+			h.ctrl.BaseEB[i] = math.Float32frombits(uint32(b))
 		}
 	}
 	if d.err != nil {
@@ -283,43 +207,31 @@ func readCkptHeader(d *ckptReader) (*ckptHeader, error) {
 	return h, nil
 }
 
-// readFrame reads the next length-prefixed weight frame, which must hold
-// want values, and decodes it into dst. A nil dst is allocated only after
-// the frame's bytes have arrived and shown they can fill want values, so a
-// damaged shape block costs at most what the stream itself delivers.
-func (h *ckptHeader) readFrame(d *ckptReader, want int, dst []float32) ([]float32, error) {
-	n := int(d.u32())
+// readFrame reads the next weight frame, which must hold want values,
+// checks its CRC, and decodes it into dst. A nil dst is allocated only
+// after the frame's bytes have arrived and passed the check, so a damaged
+// shape block costs at most what the stream itself delivers, and a
+// damaged frame never reaches dst.
+func readFrame(d *ckptReader, want int, dst []float32) ([]float32, error) {
+	n := d.u32()
 	switch {
 	case d.err != nil:
 		return nil, d.err
-	case n < 0: // a 32-bit int
-		return nil, fmt.Errorf("dist: frame length %d overflows an int", uint32(n))
-	case h.cdc == nil && n != 4*want:
-		return nil, fmt.Errorf("dist: raw frame is %d bytes, want %d", n, 4*want)
+	case uint64(n) != 4*uint64(want):
+		return nil, fmt.Errorf("frame is %d bytes, want %d", n, 4*uint64(want))
 	}
-	frame := d.frame(n)
+	frame := d.frame(int(n))
+	sum := d.u32()
 	if d.err != nil {
 		return nil, d.err
 	}
-	if !ckptFrameCanHold(n, want) {
-		return nil, fmt.Errorf("dist: a %d-byte frame cannot hold %d values", n, want)
+	if got := crc32.ChecksumIEEE(frame); got != sum {
+		return nil, fmt.Errorf("frame CRC is %#08x, its bytes hash to %#08x: damaged", sum, got)
 	}
 	if dst == nil {
 		dst = make([]float32, want)
 	}
-	if h.cdc == nil {
-		return dst, bytesToFloats(dst, frame)
-	}
-	if _, err := h.cdc.DecompressInto(dst, frame); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// ckptFrameCanHold reports whether an n-byte frame may hold want values:
-// exactly 4·want bytes raw, and within ckptMaxExpansion compressed.
-func ckptFrameCanHold(n, want int) bool {
-	return uint64(want) <= uint64(n)*ckptMaxExpansion/4
+	return dst, bytesToFloats(dst, frame)
 }
 
 // ckptValues returns the value count of a rows×dim tensor read off the
@@ -380,18 +292,19 @@ func (t *Trainer) RestoreCheckpoint(r io.Reader) error {
 		return fmt.Errorf("dist: checkpoint controller covers %d tables, the model has %d", len(ctrl.BaseEB), len(tables))
 	}
 
-	// Shape verified; now the payload frames. Reads land directly in the
-	// live buffers only after each frame decodes cleanly, so a truncated
-	// stream cannot leave the trainer half-restored... except for frames
-	// already applied — restore is not transactional across frames, and
-	// callers treat a restore error as fatal to the trainer.
+	// Shape verified; now the payload frames. A frame lands in its live
+	// buffer only after all of it has arrived and passed its CRC, so a
+	// truncated or damaged stream cannot leave a tensor half-written...
+	// but frames already applied stay applied — restore is not
+	// transactional across frames, and callers treat a restore error as
+	// fatal to the trainer.
 	for i, p := range params {
-		if _, err := h.readFrame(d, len(p.Value), p.Value); err != nil {
+		if _, err := readFrame(d, len(p.Value), p.Value); err != nil {
 			return fmt.Errorf("dist: checkpoint dense tensor %d: %w", i, err)
 		}
 	}
 	for i, tab := range tables {
-		if _, err := h.readFrame(d, len(tab.Weights.Data), tab.Weights.Data); err != nil {
+		if _, err := readFrame(d, len(tab.Weights.Data), tab.Weights.Data); err != nil {
 			return fmt.Errorf("dist: checkpoint table %d: %w", i, err)
 		}
 	}
@@ -438,8 +351,8 @@ type CheckpointData struct {
 }
 
 // ReadCheckpoint decodes a full checkpoint stream into fresh buffers. It
-// accepts exactly what SaveCheckpoint writes — same magic, version, codec
-// menu, and frame layout as RestoreCheckpoint — but binds to no trainer:
+// accepts exactly what SaveCheckpoint writes — same magic, version, and
+// frame layout as RestoreCheckpoint — but binds to no trainer:
 // the caller checks the shapes against whatever model it is assembling.
 // Checkpoints with an adaptive-controller block load fine; the controller
 // configuration is training state and is not surfaced here.
@@ -461,7 +374,7 @@ func ReadCheckpoint(r io.Reader) (*CheckpointData, error) {
 		if !ok {
 			return nil, fmt.Errorf("dist: checkpoint dense tensor %d declares %d values", i, n)
 		}
-		if ck.Dense[i], err = h.readFrame(d, want, nil); err != nil {
+		if ck.Dense[i], err = readFrame(d, want, nil); err != nil {
 			return nil, fmt.Errorf("dist: checkpoint dense tensor %d: %w", i, err)
 		}
 	}
@@ -470,7 +383,7 @@ func ReadCheckpoint(r io.Reader) (*CheckpointData, error) {
 		if !ok {
 			return nil, fmt.Errorf("dist: checkpoint table %d declares %d rows of dim %d", i, rows, h.dim)
 		}
-		if ck.Tables[i], err = h.readFrame(d, want, nil); err != nil {
+		if ck.Tables[i], err = readFrame(d, want, nil); err != nil {
 			return nil, fmt.Errorf("dist: checkpoint table %d: %w", i, err)
 		}
 	}
@@ -517,6 +430,23 @@ func (d *ckptReader) frame(n int) []byte {
 	}
 	d.body = buf
 	return buf
+}
+
+// ints reads a u32 count, at most ckptMaxEntries, then that many u32
+// entries.
+func (d *ckptReader) ints() []int {
+	n := d.u32()
+	if d.err == nil && n > ckptMaxEntries {
+		d.err = fmt.Errorf("a list of %d entries, past the format's %d", n, ckptMaxEntries)
+	}
+	if d.err != nil {
+		return nil
+	}
+	out := make([]int, n)
+	for i := range out {
+		out[i] = int(d.u32())
+	}
+	return out
 }
 
 func (d *ckptReader) u8() byte {

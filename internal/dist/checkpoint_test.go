@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"runtime"
 	"slices"
@@ -61,9 +62,8 @@ func uniformController(tables int) *adapt.Controller {
 // TestCheckpointResumeBitParity is the headline guarantee: save at step k,
 // restore into a fresh trainer at the same world size, train to step n —
 // the losses from k on are bitwise identical to the uninterrupted run.
-// Exercised across codecs none/hybrid, 1 and 4 ranks, every checkpoint
-// codec, and (separately) with adaptive-controller state restored
-// mid-decay-phase.
+// Exercised across codecs none/hybrid, 1 and 4 ranks, and (separately)
+// with adaptive-controller state restored mid-decay-phase.
 func TestCheckpointResumeBitParity(t *testing.T) {
 	spec := testSpec()
 	cfg := testConfig(spec, 8)
@@ -74,15 +74,12 @@ func TestCheckpointResumeBitParity(t *testing.T) {
 		ranks      int
 		compressed bool
 		adaptive   bool
-		ckptCodec  string
 	}{
-		{"1rank_none_lzss", 1, false, false, "lzss"},
-		{"1rank_hybrid_lzss", 1, true, false, "lzss"},
-		{"4ranks_none_lzss", 4, false, false, "lzss"},
-		{"4ranks_hybrid_lzss", 4, true, false, "lzss"},
-		{"4ranks_hybrid_raw", 4, true, false, "raw"},
-		{"4ranks_hybrid_deflate", 4, true, false, "deflate"},
-		{"4ranks_adaptive_middecay", 4, true, true, "lzss"},
+		{"1rank_none", 1, false, false},
+		{"1rank_hybrid", 1, true, false},
+		{"4ranks_none", 4, false, false},
+		{"4ranks_hybrid", 4, true, false},
+		{"4ranks_adaptive_middecay", 4, true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,12 +135,12 @@ func TestCheckpointResumeBitParity(t *testing.T) {
 			head := stepN(t, trB, genB, saveAt)
 			sameBits(t, "pre-checkpoint", full[:saveAt], head)
 			var ckpt bytes.Buffer
-			stats, err := trB.SaveCheckpoint(&ckpt, CheckpointOptions{Codec: tc.ckptCodec})
+			stats, err := trB.SaveCheckpoint(&ckpt, CheckpointOptions{})
 			if err != nil {
 				t.Fatalf("save: %v", err)
 			}
-			if stats.RawBytes <= 0 || stats.WireBytes <= 0 {
-				t.Fatalf("checkpoint stats not populated: %+v", stats)
+			if stats.Bytes != int64(ckpt.Len()) {
+				t.Fatalf("checkpoint stats report %d bytes, %d were written", stats.Bytes, ckpt.Len())
 			}
 			trB.Close()
 
@@ -287,10 +284,6 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 		t.Fatalf("save: %v", err)
 	}
 
-	if _, err := tr.SaveCheckpoint(&bytes.Buffer{}, CheckpointOptions{Codec: "hybrid"}); err == nil {
-		t.Error("a lossy codec name was accepted for a checkpoint")
-	}
-
 	wide := cfg
 	wide.EmbeddingDim = 16
 	trWide, err := NewTrainer(Options{Ranks: 2, Model: wide})
@@ -320,7 +313,7 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestReadCheckpointDamagedLengthBounded: a real deflate checkpoint whose
+// TestReadCheckpointDamagedLengthBounded: a real checkpoint whose
 // first frame length is damaged to 0xFFFFFFF0 is an error, and reading it
 // allocates in proportion to the bytes the stream holds and the shapes it
 // declares — not the 4 GiB the damaged length names.
@@ -333,7 +326,7 @@ func TestReadCheckpointDamagedLengthBounded(t *testing.T) {
 	}
 	stepN(t, tr, criteo.NewGenerator(spec), 2)
 	var buf bytes.Buffer
-	if _, err := tr.SaveCheckpoint(&buf, CheckpointOptions{Codec: "deflate"}); err != nil {
+	if _, err := tr.SaveCheckpoint(&buf, CheckpointOptions{}); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 	tr.Close()
@@ -378,11 +371,10 @@ func TestReadCheckpointDamagedLengthBounded(t *testing.T) {
 	}
 }
 
-// ckptHeaderBytes hand-builds a DLCK header with codec id codecID and the
-// given shape block.
-func ckptHeaderBytes(codecID byte, dim uint32, rows, denseLens []uint32) []byte {
+// ckptHeaderBytes hand-builds a DLCK header with the given shape block.
+func ckptHeaderBytes(dim uint32, rows, denseLens []uint32) []byte {
 	b := append([]byte(nil), ckptMagic[:]...)
-	b = append(b, ckptVersion, codecID, 0, 0)
+	b = append(b, ckptVersion, 0, 0, 0)
 	b = append(b, make([]byte, 24)...) // iter, fwdRaw, fwdComp
 	b = binary.LittleEndian.AppendUint32(b, dim)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(rows)))
@@ -396,33 +388,47 @@ func ckptHeaderBytes(codecID byte, dim uint32, rows, denseLens []uint32) []byte 
 	return b
 }
 
-// TestReadCheckpointDamagedShape: a damaged shape block is an error that
-// costs a few kilobytes, never a panic or an allocation sized from the
-// declared shape.
+// TestReadCheckpointDamagedShape: a damaged header or shape block is an
+// error that costs a few kilobytes, never a panic or an allocation sized
+// from the declared shape.
 func TestReadCheckpointDamagedShape(t *testing.T) {
+	withByte := func(b []byte, at int, v byte) []byte {
+		b[at] = v
+		return b
+	}
 	cases := []struct {
 		name string
 		data []byte
 		want string
 	}{
+		{"version 1 header", withByte(ckptHeaderBytes(1, nil, nil), 4, 1), "version 1"},
+		{"nonzero reserved byte", withByte(ckptHeaderBytes(1, nil, nil), 5, 1), "reserved"},
+		{"nonzero trailing reserved byte", withByte(ckptHeaderBytes(1, nil, nil), 7, 0x80), "reserved"},
 		{
 			// rows×dim overflows an int: this used to panic in makeslice.
 			"rows times dim overflows",
-			ckptHeaderBytes(ckptCodecRaw, 0xFFFFFFFF, []uint32{0xFFFFFFFF}, nil),
+			ckptHeaderBytes(0xFFFFFFFF, []uint32{0xFFFFFFFF}, nil),
 			"declares",
 		},
 		{
 			// One 2^28-value dense tensor and its matching raw frame length,
 			// then EOF: this used to allocate 1 GiB before the read failed.
 			"declared tensor larger than the stream",
-			binary.LittleEndian.AppendUint32(ckptHeaderBytes(ckptCodecRaw, 0, nil, []uint32{1 << 28}), 1<<30),
+			binary.LittleEndian.AppendUint32(ckptHeaderBytes(0, nil, []uint32{1 << 28}), 1<<30),
 			"EOF",
 		},
 		{
-			// A 16-byte deflate frame cannot decode to 2^28 values.
-			"compressed frame past the expansion bound",
-			append(binary.LittleEndian.AppendUint32(ckptHeaderBytes(ckptCodecDeflate, 0, nil, []uint32{1 << 28}), 16), make([]byte, 16)...),
-			"cannot hold",
+			// A frame length that is not four bytes per declared value.
+			"frame length off the shape",
+			binary.LittleEndian.AppendUint32(ckptHeaderBytes(0, nil, []uint32{4}), 12),
+			"want 16",
+		},
+		{
+			// A table count past the format's cap (the header cut after
+			// dim), then EOF: refused before a list is sized from it.
+			"table count past the cap",
+			binary.LittleEndian.AppendUint32(ckptHeaderBytes(1, nil, nil)[:36], ckptMaxEntries+1),
+			"past the format",
 		},
 	}
 	for _, tc := range cases {
@@ -441,54 +447,115 @@ func TestReadCheckpointDamagedShape(t *testing.T) {
 	}
 }
 
-// TestSaveCheckpointRefusesOverExpansion: a frame the readers would refuse
-// is not written. A zeroed 6,656-value weight matrix compresses past
-// ckptMaxExpansion under lzss; raw saves it, and the file reads back.
-func TestSaveCheckpointRefusesOverExpansion(t *testing.T) {
+// ckptFrameSpans returns the [start, end) byte span of each weight frame's
+// payload in a checkpoint, dense tensors first, then tables.
+func ckptFrameSpans(t testing.TB, ckpt []byte) [][2]int {
+	t.Helper()
+	r := bytes.NewReader(ckpt)
+	h, err := readCkptHeader(&ckptReader{r: r})
+	if err != nil {
+		t.Fatalf("header: %v", err)
+	}
+	at := len(ckpt) - r.Len()
+	spans := make([][2]int, 0, len(h.denseLens)+len(h.rows))
+	for range cap(spans) {
+		n := int(binary.LittleEndian.Uint32(ckpt[at:]))
+		spans = append(spans, [2]int{at + 4, at + 4 + n})
+		at += 4 + n + 4
+	}
+	if at != len(ckpt) {
+		t.Fatalf("frames end at byte %d of %d", at, len(ckpt))
+	}
+	return spans
+}
+
+// TestCheckpointFrameCRC: one flipped bit in any frame of a real
+// checkpoint is an error from both readers that names the tensor, and
+// RestoreCheckpoint leaves that tensor's live weights as they were.
+func TestCheckpointFrameCRC(t *testing.T) {
 	spec := testSpec()
 	cfg := testConfig(spec, 8)
-	cfg.BottomMLP = []int{512}
-	tr, err := NewTrainer(Options{Ranks: 1, Model: cfg})
+	tr, err := NewTrainer(Options{Ranks: 2, Model: cfg})
 	if err != nil {
 		t.Fatalf("trainer: %v", err)
 	}
-	defer tr.Close()
-	clear(tr.replicas[0].m.DenseParams()[0].Value)
-	if _, err := tr.SaveCheckpoint(&bytes.Buffer{}, CheckpointOptions{Codec: "lzss"}); err == nil || !strings.Contains(err.Error(), "expansion") {
-		t.Fatalf("lzss save of a constant tensor: got %v, want an expansion error", err)
+	stepN(t, tr, criteo.NewGenerator(spec), 2)
+	var buf bytes.Buffer
+	if _, err := tr.SaveCheckpoint(&buf, CheckpointOptions{}); err != nil {
+		t.Fatalf("save: %v", err)
 	}
-	var raw bytes.Buffer
-	if _, err := tr.SaveCheckpoint(&raw, CheckpointOptions{Codec: "raw"}); err != nil {
-		t.Fatalf("raw save: %v", err)
+	tr.Close()
+	ckpt := buf.Bytes()
+
+	cfgR := cfg
+	cfgR.Seed = cfg.Seed + 1 // weights that differ from the checkpoint's
+	trR, err := NewTrainer(Options{Ranks: 2, Model: cfgR})
+	if err != nil {
+		t.Fatalf("trainer: %v", err)
 	}
-	if _, err := ReadCheckpoint(&raw); err != nil {
-		t.Fatalf("raw read: %v", err)
+	defer trR.Close()
+	params := trR.replicas[0].m.DenseParams()
+	for i, span := range ckptFrameSpans(t, ckpt) {
+		var name string
+		var live []float32
+		if i < len(params) {
+			name, live = fmt.Sprintf("dense tensor %d", i), params[i].Value
+		} else {
+			tb := i - len(params)
+			name, live = fmt.Sprintf("table %d", tb), trR.tmpl.Emb.Tables[tb].Weights.Data
+		}
+		bad := slices.Clone(ckpt)
+		bad[(span[0]+span[1])/2] ^= 1 << (i % 8)
+		if _, err := ReadCheckpoint(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), name+": ") || !strings.Contains(err.Error(), "CRC") {
+			t.Fatalf("ReadCheckpoint of a flipped bit in %s: got %v", name, err)
+		}
+		before := slices.Clone(live)
+		if err := trR.RestoreCheckpoint(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), name+": ") || !strings.Contains(err.Error(), "CRC") {
+			t.Fatalf("RestoreCheckpoint of a flipped bit in %s: got %v", name, err)
+		}
+		if !slices.Equal(math32Bits(before), math32Bits(live)) {
+			t.Fatalf("RestoreCheckpoint wrote the damaged %s into the live weights", name)
+		}
 	}
 }
 
 // FuzzReadCheckpoint feeds damaged checkpoints to ReadCheckpoint, seeded
-// with real raw, lzss and deflate files. Properties: no panic; the call
-// allocates at most ckptReadAllocBound(len(data)); and either an error or
-// a result whose shapes are exactly the header's and whose every tensor
-// is exactly what its frame decodes to.
+// with real files with and without the adaptive-controller block, and one
+// with a flipped weight bit. Properties: no panic; the call allocates at
+// most ckptReadAllocBound(len(data)); and either an error or a result
+// whose shapes are exactly the header's and whose every tensor is exactly
+// the bytes of its frame.
 func FuzzReadCheckpoint(f *testing.F) {
 	// A tiny model keeps the seeds to a few hundred bytes: the engine
 	// minimizes every input that finds coverage, and kilobyte seeds starve
 	// a 10-second run.
-	tr, err := NewTrainer(Options{Ranks: 1, Model: model.Config{
+	cfg := model.Config{
 		DenseFeatures: 2, EmbeddingDim: 2, TableSizes: []int{3, 2},
 		BottomMLP: []int{2}, TopMLP: []int{2}, Seed: 1,
-	}})
-	if err != nil {
-		f.Fatal(err)
 	}
-	defer tr.Close()
-	for _, name := range CheckpointCodecs() {
-		var buf bytes.Buffer
-		if _, err := tr.SaveCheckpoint(&buf, CheckpointOptions{Codec: name}); err != nil {
+	for _, ctrl := range []*adapt.Controller{nil, {
+		BaseEB: []float32{0.01, 0.02}, Schedule: adapt.ScheduleStepwise, PhaseLen: 4, StartFactor: 2,
+	}} {
+		opts := Options{Ranks: 1, Model: cfg}
+		if ctrl != nil {
+			opts.Controller = ctrl
+			opts.CodecFor = func(int) codec.Codec { return hybrid.New(0.01, hybrid.Auto) }
+		}
+		tr, err := NewTrainer(opts)
+		if err != nil {
 			f.Fatal(err)
 		}
+		var buf bytes.Buffer
+		if _, err := tr.SaveCheckpoint(&buf, CheckpointOptions{}); err != nil {
+			f.Fatal(err)
+		}
+		tr.Close()
 		f.Add(buf.Bytes())
+		if ctrl != nil {
+			bad := slices.Clone(buf.Bytes())
+			bad[ckptFrameSpans(f, bad)[0][0]] ^= 1
+			f.Add(bad)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -522,25 +589,31 @@ func FuzzReadCheckpoint(f *testing.F) {
 				t.Fatalf("tensor %d holds %d values, its shape says %d", i, len(got), want)
 			}
 			frame := d.frame(int(d.u32()))
-			dec := make([]float32, want)
-			if h.cdc == nil {
-				err = bytesToFloats(dec, frame)
-			} else {
-				_, err = h.cdc.DecompressInto(dec, frame)
+			if sum := d.u32(); sum != crc32.ChecksumIEEE(frame) {
+				t.Fatalf("tensor %d was read from a frame whose CRC does not match", i)
 			}
-			if err != nil || !slices.Equal(math32Bits(dec), math32Bits(got)) {
-				t.Fatalf("tensor %d is not what its frame decodes to (err %v)", i, err)
+			dec := make([]float32, want)
+			if err := bytesToFloats(dec, frame); err != nil || !slices.Equal(math32Bits(dec), math32Bits(got)) {
+				t.Fatalf("tensor %d is not its frame's bytes (err %v)", i, err)
 			}
 		}
 	})
 }
 
 // ckptReadAllocBound is the most ReadCheckpoint may allocate for an n-byte
-// stream: a compressed frame's destination and its codec's byte scratch
-// (ckptMaxExpansion each per frame byte), an inflater (about 41 KB) per
-// deflate frame, which takes at least 14 bytes, and a constant.
+// stream. The shape block's lists hold at most ckptMaxEntries entries
+// each, so they and the tensor list they size cost a constant: 2^16 ×
+// (8 B per row count + 8 per dense length + 4 per error bound + 2 × 24 per
+// tensor slice header) ≈ 4.3 MiB, under the 8 MiB term. The rest is per
+// frame byte. The reused body buffer's capacities at least double, so
+// together they total under twice the last one, and the last is under
+// 2.5 times the longest frame's delivered bytes (a doubling, plus the
+// runtime's rounding up to a size class or page): ≤ 5 per byte. Each
+// destination is allocated once, after its frame has arrived whole, at
+// 4 bytes per 4-byte value (plus size-class rounding): ≤ 1.25 per byte.
+// That is under 6.25 per stream byte; the bound allows 7.
 func ckptReadAllocBound(n int) uint64 {
-	return uint64(n)*(2*ckptMaxExpansion+3<<10) + 1<<20
+	return 7*uint64(n) + 8<<20
 }
 
 // math32Bits returns the bit patterns of v, so NaN payloads compare equal.

@@ -93,7 +93,6 @@ func runLoadtest(opts Options) (*Result, error) {
 	}{
 		{"raw", serve.Options{Shards: 2}},
 		{"lzss", serve.Options{Shards: 2, ColdCodec: "lzss"}},
-		{"deflate", serve.Options{Shards: 2, ColdCodec: "deflate"}},
 		{"quant eb=0.02", serve.Options{Shards: 2, ColdCodec: "quant", QuantEB: 0.02}},
 	}
 	var rows [][]string
@@ -173,8 +172,8 @@ func runLoadtest(opts Options) (*Result, error) {
 		})
 	}
 
-	fmt.Fprintf(&b, "checkpoint: %d -> %d bytes (%.2fx, codec %s); %d requests, %d clients per codec\n\n",
-		stats.RawBytes, stats.WireBytes, stats.Ratio(), dist.DefaultCheckpointCodec, requests, clients)
+	fmt.Fprintf(&b, "checkpoint: %d bytes; %d requests, %d clients per codec\n\n",
+		stats.Bytes, requests, clients)
 	b.WriteString(table(
 		[]string{"cold codec", "hit rate", "qps", "p50", "p99", "batch", "cold tier", "resident B", "max |Δscore|"},
 		rows,

@@ -37,17 +37,12 @@ func newCheckpointer(spec *CheckpointSpec) *checkpointer {
 // save checkpoints tr into the (reused) buffer and accounts the traffic.
 func (c *checkpointer) save(tr *dist.Trainer) error {
 	c.buf.Reset()
-	var codecName string
-	if c.spec != nil {
-		codecName = c.spec.Codec
-	}
-	stats, err := tr.SaveCheckpoint(&c.buf, dist.CheckpointOptions{Codec: codecName})
+	stats, err := tr.SaveCheckpoint(&c.buf, dist.CheckpointOptions{})
 	if err != nil {
 		return fmt.Errorf("scenario: checkpoint at step %d: %w", tr.Iter(), err)
 	}
 	c.rep.Count++
-	c.rep.RawBytes += stats.RawBytes
-	c.rep.WireBytes += stats.WireBytes
+	c.rep.Bytes += stats.Bytes
 	return nil
 }
 
@@ -78,10 +73,6 @@ func (c *checkpointer) report() *CheckpointReport {
 		return nil
 	}
 	r := c.rep
-	r.Ratio = 1
-	if r.WireBytes > 0 {
-		r.Ratio = float64(r.RawBytes) / float64(r.WireBytes)
-	}
 	return &r
 }
 

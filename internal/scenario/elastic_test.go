@@ -67,7 +67,7 @@ func TestElasticRunSegments(t *testing.T) {
 	if res.Checkpoints == nil || res.Checkpoints.Count != 2 {
 		t.Fatalf("checkpoint report = %+v, want 2 boundary saves", res.Checkpoints)
 	}
-	if res.Checkpoints.RawBytes <= 0 || res.Checkpoints.WireBytes <= 0 {
+	if res.Checkpoints.Bytes <= 0 {
 		t.Fatalf("checkpoint accounting empty: %+v", res.Checkpoints)
 	}
 
@@ -112,9 +112,7 @@ func TestCheckpointVerifyParity(t *testing.T) {
 	if rv.Checkpoints == nil || rv.Checkpoints.Count != 3 {
 		t.Fatalf("checkpoint report = %+v, want 3 periodic saves", rv.Checkpoints)
 	}
-	// Trained float weights are near-incompressible for a lossless LZSS,
-	// so pin only that the accounting is sane, not a ratio win.
-	if rv.Checkpoints.Ratio <= 0 || rv.Checkpoints.WireBytes <= 0 {
+	if rv.Checkpoints.Bytes <= 0 {
 		t.Fatalf("checkpoint accounting broken: %+v", rv.Checkpoints)
 	}
 }

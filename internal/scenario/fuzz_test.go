@@ -50,7 +50,7 @@ func FuzzSpecRoundTrip(f *testing.F) {
 	addScenarioSeeds(f)
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"steps": 10, "faults": {"jitter": 0.5, "slow": [{"rank": 0, "factor": 2}]}}`))
-	f.Add([]byte(`{"checkpoint": {"every": 3, "codec": "deflate", "verify": true}}`))
+	f.Add([]byte(`{"checkpoint": {"every": 3, "verify": true}}`))
 	f.Add([]byte(`{"serve": {"shards": 2, "codec": "quant", "quant_eb": 0.02, "hot_bytes": -1}}`))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -107,11 +107,10 @@ func FuzzSpecRoundTrip(f *testing.F) {
 // Validate gate in FuzzSpecBuild.
 func fuzzSpec(terabyte bool, scale uint16, dim, ranks, batch uint8, codecIdx uint8, eb float64,
 	adaptive, uniform, hier, overlap bool, schedIdx uint8, jitter float64, slowRank uint8, slowFactor float64,
-	withEvents bool, every uint8, ckCodecIdx uint8, verify bool) Spec {
+	withEvents bool, every uint8, verify bool) Spec {
 
 	codecs := []string{"", "none", "hybrid", "vector", "fp16", "lz4"}
 	scheds := []string{"", "none", "stepwise", "linear"}
-	ckCodecs := []string{"", "raw", "lzss", "deflate"}
 
 	s := Spec{
 		Dataset:   "kaggle",
@@ -164,7 +163,6 @@ func fuzzSpec(terabyte bool, scale uint16, dim, ranks, batch uint8, codecIdx uin
 	if every%3 != 0 && !s.Overlap {
 		s.Checkpoint = &CheckpointSpec{
 			Every:  int(every) % 3,
-			Codec:  ckCodecs[int(ckCodecIdx)%len(ckCodecs)],
 			Verify: verify,
 		}
 	}
@@ -176,21 +174,21 @@ func FuzzSpecBuild(f *testing.F) {
 	// argument tuple, plus hand seeds covering the elastic and checkpoint
 	// paths.
 	f.Add(false, uint16(0), uint8(0), uint8(4), uint8(32), uint8(1), 0.0,
-		false, false, false, false, uint8(0), 0.0, uint8(0), 0.0, false, uint8(0), uint8(0), false)
+		false, false, false, false, uint8(0), 0.0, uint8(0), 0.0, false, uint8(0), false)
 	f.Add(false, uint16(100), uint8(8), uint8(8), uint8(60), uint8(2), 0.02,
-		true, false, true, false, uint8(2), 0.2, uint8(5), 10.0, true, uint8(1), uint8(2), true)
+		true, false, true, false, uint8(2), 0.2, uint8(5), 10.0, true, uint8(1), true)
 	f.Add(true, uint16(999), uint8(16), uint8(2), uint8(16), uint8(4), 0.0,
-		false, false, false, true, uint8(0), 0.0, uint8(0), 0.0, false, uint8(0), uint8(0), false)
+		false, false, false, true, uint8(0), 0.0, uint8(0), 0.0, false, uint8(0), false)
 	f.Add(false, uint16(7), uint8(4), uint8(3), uint8(9), uint8(5), 0.0,
-		false, true, false, false, uint8(1), 1.5, uint8(1), 3.0, true, uint8(2), uint8(1), false)
+		false, true, false, false, uint8(1), 1.5, uint8(1), 3.0, true, uint8(2), false)
 
 	f.Fuzz(func(t *testing.T, terabyte bool, scale uint16, dim, ranks, batch uint8, codecIdx uint8, eb float64,
 		adaptive, uniform, hier, overlap bool, schedIdx uint8, jitter float64, slowRank uint8, slowFactor float64,
-		withEvents bool, every uint8, ckCodecIdx uint8, verify bool) {
+		withEvents bool, every uint8, verify bool) {
 
 		s := fuzzSpec(terabyte, scale, dim, ranks, batch, codecIdx, eb,
 			adaptive, uniform, hier, overlap, schedIdx, jitter, slowRank, slowFactor,
-			withEvents, every, ckCodecIdx, verify)
+			withEvents, every, verify)
 		if s.Validate() != nil {
 			t.Skip("clamps could not reconcile this combination")
 		}

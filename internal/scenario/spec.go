@@ -10,7 +10,6 @@ import (
 	"dlrmcomp/internal/adapt"
 	"dlrmcomp/internal/cluster"
 	"dlrmcomp/internal/criteo"
-	"dlrmcomp/internal/dist"
 	"dlrmcomp/internal/netmodel"
 	"dlrmcomp/internal/serve"
 )
@@ -138,9 +137,9 @@ type Spec struct {
 type ServeSpec struct {
 	// Shards is the embedding-server count (0 = 1).
 	Shards int `json:"shards,omitempty"`
-	// Codec is the cold-tier frame codec: "raw" (default), "lzss",
-	// "deflate" (lossless — serving scores are bit-identical to
-	// uncompressed tables), or "quant" (lossy, bounded by QuantEB).
+	// Codec is the cold-tier frame codec: "raw" (default), "lzss"
+	// (lossless — serving scores are bit-identical to uncompressed
+	// tables), or "quant" (lossy, bounded by QuantEB).
 	Codec string `json:"codec,omitempty"`
 	// QuantEB is the absolute error bound of the "quant" codec. Required
 	// (> 0) with codec "quant", rejected otherwise.
@@ -173,10 +172,6 @@ type CheckpointSpec struct {
 	// Every saves a checkpoint after every Every-th step (0 = only the
 	// segment-boundary checkpoints an elastic run takes anyway).
 	Every int `json:"every,omitempty"`
-	// Codec is the lossless frame codec ("raw", "lzss", or "deflate";
-	// "" = raw). Lossy codecs are not on the menu: a checkpoint must
-	// restore bit-exactly or the resume-parity guarantee dies.
-	Codec string `json:"codec,omitempty"`
 	// Verify restores every saved checkpoint straight back into the live
 	// trainer. Restoring round-tripped state is a no-op exactly when
 	// save/restore is bit-faithful, so a verified run's losses are
@@ -204,16 +199,6 @@ var codecNames = map[string]bool{
 	"": true, "none": true, "hybrid": true, "vector": true, "huffman": true,
 	"fp16": true, "fp8": true, "cusz": true, "fzgpu": true, "lz4": true, "deflate": true,
 }
-
-// checkpointCodecNames is every accepted CheckpointSpec.Codec value, taken
-// from the dist layer's menu so the two cannot drift ("" = the default).
-var checkpointCodecNames = func() map[string]bool {
-	m := map[string]bool{"": true}
-	for _, n := range dist.CheckpointCodecs() {
-		m[n] = true
-	}
-	return m
-}()
 
 // serveCodecNames is every accepted ServeSpec.Codec value, taken from the
 // serve layer's menu so the two cannot drift ("" = the default).
@@ -362,9 +347,6 @@ func (s Spec) Validate() error {
 		if c.Every < 0 {
 			add("checkpoint every must be >= 0, got %d", c.Every)
 		}
-		if !checkpointCodecNames[c.Codec] {
-			add("unknown checkpoint codec %q (want raw, lzss, or deflate)", c.Codec)
-		}
 		if s.Transport == "tcp" {
 			add("checkpoints need the in-process transport: a worker process holds fresh state only for its own rank")
 		}
@@ -376,7 +358,7 @@ func (s Spec) Validate() error {
 	// Serving.
 	if sv := s.Serve; sv != nil {
 		if !serveCodecNames[sv.Codec] {
-			add("unknown serve codec %q (want raw, lzss, deflate, or quant)", sv.Codec)
+			add("unknown serve codec %q (want one of %v)", sv.Codec, serve.ColdCodecs())
 		}
 		for _, f := range []struct {
 			name string
@@ -493,15 +475,9 @@ func (s Spec) Resolved() (Spec, error) {
 			s.OfflineEB = s.ErrorBound
 		}
 	}
-	if s.Checkpoint != nil && s.Checkpoint.Codec == "" {
+	if s.Serve != nil && s.Serve.Codec == "" {
 		// Clone before filling the default: Resolved returns a copy, and
 		// writing through the shared pointer would mutate the caller's spec.
-		c := *s.Checkpoint
-		c.Codec = dist.DefaultCheckpointCodec
-		s.Checkpoint = &c
-	}
-	if s.Serve != nil && s.Serve.Codec == "" {
-		// Same pointer-clone discipline as Checkpoint above.
 		sv := *s.Serve
 		sv.Codec = serve.DefaultColdCodec
 		s.Serve = &sv

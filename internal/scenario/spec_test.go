@@ -55,7 +55,7 @@ func fullSpec() Spec {
 				{Step: 8, Kind: "rejoin", Rank: 5},
 			},
 		},
-		Checkpoint: &CheckpointSpec{Every: 5, Codec: "lzss", Verify: true},
+		Checkpoint: &CheckpointSpec{Every: 5, Verify: true},
 		Serve: &ServeSpec{
 			Shards: 2, Codec: "quant", QuantEB: 0.02, BlockRows: 32,
 			HotBytes: 1 << 20, MaxBatch: 32,
@@ -150,11 +150,6 @@ func TestValidate(t *testing.T) {
 			nil,
 		},
 		{"checkpointed run", Spec{Steps: 10, Checkpoint: &CheckpointSpec{Every: 5, Verify: true}}, nil},
-		{
-			"checkpoint codec must be lossless",
-			Spec{Checkpoint: &CheckpointSpec{Codec: "hybrid"}},
-			[]string{"unknown checkpoint codec"},
-		},
 		{
 			"negative checkpoint cadence",
 			Spec{Checkpoint: &CheckpointSpec{Every: -1}},
@@ -270,20 +265,6 @@ func TestResolvedAdaptiveDefaults(t *testing.T) {
 	}
 }
 
-func TestResolvedCheckpointCodecDefault(t *testing.T) {
-	orig := Spec{Steps: 10, Checkpoint: &CheckpointSpec{Every: 5}}
-	rs, err := orig.Resolved()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Checkpoint.Codec != "raw" {
-		t.Fatalf("checkpoint codec = %q, want the raw default", rs.Checkpoint.Codec)
-	}
-	if orig.Checkpoint.Codec != "" {
-		t.Fatal("Resolved mutated the caller's Checkpoint through the shared pointer")
-	}
-}
-
 func TestResolvedServeCodecDefault(t *testing.T) {
 	orig := Spec{Steps: 10, Serve: &ServeSpec{Shards: 2}}
 	rs, err := orig.Resolved()
@@ -347,12 +328,14 @@ func TestSpecJSONGolden(t *testing.T) {
 }
 
 // TestLoadFileRejectsUnknownFields: a typoed key fails loudly, and so do
-// the deleted intra-rank width keys — the width is derived, not set.
+// the deleted intra-rank width keys — the width is derived, not set — and
+// the deleted checkpoint codec key — checkpoints are always raw.
 func TestLoadFileRejectsUnknownFields(t *testing.T) {
 	for _, doc := range []string{
 		`{"dataset": "kaggle", "eror_bound": 0.02}`,
 		`{"dataset": "kaggle", "compute_workers": 4}`,
 		`{"dataset": "kaggle", "codec_workers": 2}`,
+		`{"checkpoint": {"every": 5, "codec": "lzss"}}`,
 	} {
 		path := filepath.Join(t.TempDir(), "bad.json")
 		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {

@@ -60,12 +60,8 @@ type ReshardReport struct {
 type CheckpointReport struct {
 	// Count is how many checkpoints were saved.
 	Count int `json:"count"`
-	// RawBytes and WireBytes sum the uncompressed and encoded weight
-	// payloads across all saves.
-	RawBytes  int64 `json:"raw_bytes"`
-	WireBytes int64 `json:"wire_bytes"`
-	// Ratio is RawBytes/WireBytes (1 when nothing was saved).
-	Ratio float64 `json:"ratio"`
+	// Bytes sums the written checkpoint sizes across all saves.
+	Bytes int64 `json:"bytes"`
 }
 
 // OfflineCounts are the table counts per error-bound class.

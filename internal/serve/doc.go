@@ -22,10 +22,10 @@
 // retakes the lock to count and admit the decoded rows. The sorted misses
 // of one block are adjacent, so the span is known before its decode: the
 // "quant" tier runs its lossless stage only to the span's end, "raw" reads
-// only the span's bytes, and "lzss"/"deflate", which have no random
-// access, decode the whole block. Concurrent callers
-// therefore overlap their cold decodes, and an all-hit gather never waits
-// behind another caller's decode.
+// only the span's bytes, and "lzss", which has no random access, decodes
+// the whole block. Concurrent callers therefore overlap their cold
+// decodes, and an all-hit gather never waits behind another caller's
+// decode.
 //
 // The request path — dense features → sharded gather → DotInteraction →
 // top MLP → sigmoid — runs on preallocated per-scorer workspaces and the

@@ -34,7 +34,7 @@ func testConfig(spec criteo.Spec, dim int) model.Config {
 // trainedCheckpoint trains a small 2-rank model for a few steps and returns
 // its config plus the serialized DLCK checkpoint — the artifact the serving
 // layer loads.
-func trainedCheckpoint(t testing.TB, ckptCodec string) (model.Config, []byte) {
+func trainedCheckpoint(t testing.TB) (model.Config, []byte) {
 	t.Helper()
 	spec := testSpec()
 	cfg := testConfig(spec, 8)
@@ -50,7 +50,7 @@ func trainedCheckpoint(t testing.TB, ckptCodec string) (model.Config, []byte) {
 		}
 	}
 	var buf bytes.Buffer
-	if _, err := tr.SaveCheckpoint(&buf, dist.CheckpointOptions{Codec: ckptCodec}); err != nil {
+	if _, err := tr.SaveCheckpoint(&buf, dist.CheckpointOptions{}); err != nil {
 		t.Fatalf("SaveCheckpoint: %v", err)
 	}
 	return cfg, buf.Bytes()
@@ -114,7 +114,7 @@ func refScores(m *model.DLRM, reqs []*criteo.Batch) []float32 {
 // a score. The quant codec is checked for bounded divergence instead.
 func TestServeParity(t *testing.T) {
 	spec := testSpec()
-	cfg, ckpt := trainedCheckpoint(t, "lzss")
+	cfg, ckpt := trainedCheckpoint(t)
 	ref := referenceModel(t, cfg, ckpt)
 	reqs := requestStream(spec, 200)
 	want := refScores(ref, reqs)
@@ -125,8 +125,7 @@ func TestServeParity(t *testing.T) {
 	}{
 		{"raw_uncached", Options{ColdCodec: "raw", HotBytes: -1}},
 		{"raw_cached", Options{ColdCodec: "raw"}},
-		{"lzss_cached", Options{ColdCodec: "lzss"}},
-		{"deflate_cached", Options{ColdCodec: "deflate", Shards: 3}},
+		{"lzss_cached", Options{ColdCodec: "lzss", Shards: 3}},
 		{"lzss_tiny_cache_4shards", Options{ColdCodec: "lzss", Shards: 4, HotBytes: 4096, BlockRows: 16}},
 	}
 	for _, tc := range cases {
@@ -182,7 +181,7 @@ func TestServeParity(t *testing.T) {
 // server and an uncached quant server serve bit-identical scores.
 func TestServeCachedMatchesUncachedQuant(t *testing.T) {
 	spec := testSpec()
-	cfg, ckpt := trainedCheckpoint(t, "raw")
+	cfg, ckpt := trainedCheckpoint(t)
 	reqs := requestStream(spec, 200)
 
 	mk := func(hotBytes int64) []float32 {
@@ -214,7 +213,7 @@ func TestServeCachedMatchesUncachedQuant(t *testing.T) {
 // hot tier absorbs at least 90% of row lookups.
 func TestServeHitRate(t *testing.T) {
 	spec := testSpec()
-	cfg, ckpt := trainedCheckpoint(t, "lzss")
+	cfg, ckpt := trainedCheckpoint(t)
 	srv, err := New(cfg, bytes.NewReader(ckpt), Options{ColdCodec: "lzss"})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -322,7 +321,7 @@ func TestServeLRUExact(t *testing.T) {
 // the arithmetic of any single request.
 func TestServiceMatchesScoreBatch(t *testing.T) {
 	spec := testSpec()
-	cfg, ckpt := trainedCheckpoint(t, "raw")
+	cfg, ckpt := trainedCheckpoint(t)
 	ref := referenceModel(t, cfg, ckpt)
 	reqs := requestStream(spec, 300)
 	want := refScores(ref, reqs)
@@ -378,7 +377,7 @@ func TestServiceMatchesScoreBatch(t *testing.T) {
 // one more: at least 510 of the 512 must be shed, whatever the scheduler
 // does.
 func TestServeOverload(t *testing.T) {
-	cfg, ckpt := trainedCheckpoint(t, "raw")
+	cfg, ckpt := trainedCheckpoint(t)
 	srv, err := New(cfg, bytes.NewReader(ckpt), Options{
 		QueueDepth: 1, MaxBatch: 1, Workers: 1,
 	})
@@ -469,7 +468,7 @@ func stallWorker(t *testing.T, srv *Server, r *criteo.Batch) (release func() flo
 // a batch-mate that is not coming.
 func TestServiceSequentialNeverWaits(t *testing.T) {
 	spec := testSpec()
-	cfg, ckpt := trainedCheckpoint(t, "raw")
+	cfg, ckpt := trainedCheckpoint(t)
 	reqs := requestStream(spec, 64)
 	want := refScores(referenceModel(t, cfg, ckpt), reqs)
 	srv, err := New(cfg, bytes.NewReader(ckpt), Options{ColdCodec: "lzss"})
@@ -496,7 +495,7 @@ func TestServiceSequentialNeverWaits(t *testing.T) {
 // MaxBatch, and coalescing changes no score's bits.
 func TestServiceCoalescesBacklog(t *testing.T) {
 	spec := testSpec()
-	cfg, ckpt := trainedCheckpoint(t, "raw")
+	cfg, ckpt := trainedCheckpoint(t)
 	reqs := requestStream(spec, 8)
 	want := refScores(referenceModel(t, cfg, ckpt), reqs)
 	for _, tc := range []struct {
@@ -546,7 +545,7 @@ func TestServiceCoalescesBacklog(t *testing.T) {
 // must score exactly what ScoreBatch gives them.
 func TestServiceBadRequestFailsAlone(t *testing.T) {
 	spec := testSpec()
-	cfg, ckpt := trainedCheckpoint(t, "raw")
+	cfg, ckpt := trainedCheckpoint(t)
 	srv, err := New(cfg, bytes.NewReader(ckpt), Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -615,7 +614,7 @@ func TestServiceBadRequestFailsAlone(t *testing.T) {
 // after Close returns ErrClosed, in-flight requests complete, and
 // ScoreBatch keeps working.
 func TestServeClose(t *testing.T) {
-	cfg, ckpt := trainedCheckpoint(t, "raw")
+	cfg, ckpt := trainedCheckpoint(t)
 	srv, err := New(cfg, bytes.NewReader(ckpt), Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -649,7 +648,7 @@ func TestServeClose(t *testing.T) {
 
 // TestServeOptionErrors pins construction-time validation.
 func TestServeOptionErrors(t *testing.T) {
-	cfg, ckpt := trainedCheckpoint(t, "raw")
+	cfg, ckpt := trainedCheckpoint(t)
 	cases := []struct {
 		name string
 		opts Options

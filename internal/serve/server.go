@@ -22,7 +22,7 @@ type Options struct {
 	// ranks. 0 = 1.
 	Shards int
 	// ColdCodec names the cold-tier frame codec: "raw" (default),
-	// "lzss", "deflate" (lossless — serving scores are bit-identical to
+	// "lzss" (lossless — serving scores are bit-identical to
 	// uncompressed tables), or "quant" (lossy: rows quantized through
 	// the hybrid codec within QuantEB; verified against the source
 	// weights at load time).
@@ -35,7 +35,7 @@ type Options struct {
 	// the batch misses, and only as far as it must be: a "quant" miss
 	// pays the block's lossless prefix up to its last missed row and
 	// dequantizes only the missed span, "raw" reads just those rows, and
-	// "lzss"/"deflate" decode the whole block. Larger blocks compress
+	// "lzss" decodes the whole block. Larger blocks compress
 	// better; they cost a "quant" miss only the longer prefix, not a
 	// whole-block dequantize.
 	BlockRows int

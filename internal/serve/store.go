@@ -14,11 +14,11 @@ import (
 )
 
 // ColdCodecs lists the accepted Options.ColdCodec names. The lossless
-// entries ("raw", "lzss", "deflate") reconstruct the checkpoint bits
-// exactly, so serving scores match an uncompressed in-memory table
-// bit-for-bit; "quant" trades that for capacity — rows are quantized
-// through the hybrid codec within Options.QuantEB of the original.
-func ColdCodecs() []string { return []string{"raw", "lzss", "deflate", "quant"} }
+// entries ("raw", "lzss") reconstruct the checkpoint bits exactly, so
+// serving scores match an uncompressed in-memory table bit-for-bit;
+// "quant" trades that for capacity — rows are quantized through the
+// hybrid codec within Options.QuantEB of the original.
+func ColdCodecs() []string { return []string{"raw", "lzss", "quant"} }
 
 // DefaultColdCodec is the codec used when Options.ColdCodec is empty.
 const DefaultColdCodec = "raw"
@@ -26,13 +26,13 @@ const DefaultColdCodec = "raw"
 // coldCodec encodes one block of rows and decodes a span of them. With
 // quant and block both nil it is the raw (uncompressed bytes) path, which
 // reads only the span's bytes; quant decodes a frame only up to the span's
-// last row and dequantizes only the span; block (lzss, deflate: no random
-// access) decodes the whole block. The codecs append to and decode into
-// buffers the caller owns (codec.Codec's one contract), so the raw and
-// quant paths decode without allocating and lzss and deflate allocate only
-// scratch sized by the block. Every path is safe for concurrent use (the
-// hybrid codec pools its workspaces; the lz4like codecs are stateless),
-// which is what lets a shard decode outside its lock.
+// last row and dequantizes only the span; block (lzss: no random access)
+// decodes the whole block. The codecs append to and decode into buffers
+// the caller owns (codec.Codec's one contract), so the raw and quant paths
+// decode without allocating and lzss allocates only scratch sized by the
+// block. Every path is safe for concurrent use (the hybrid codec pools its
+// workspaces; the lzss codec is stateless), which is what lets a shard
+// decode outside its lock.
 type coldCodec struct {
 	name  string
 	quant *hybrid.Codec
@@ -45,8 +45,6 @@ func coldCodecByName(name string, quantEB float32) (*coldCodec, error) {
 		return &coldCodec{name: "raw"}, nil
 	case "lzss":
 		return &coldCodec{name: name, block: lz4like.LZSSCodec{}}, nil
-	case "deflate":
-		return &coldCodec{name: name, block: lz4like.DeflateCodec{}}, nil
 	case "quant":
 		if quantEB <= 0 {
 			return nil, fmt.Errorf("serve: cold codec \"quant\" needs QuantEB > 0, got %v", quantEB)

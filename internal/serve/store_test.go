@@ -254,7 +254,7 @@ func TestGatherDecodesEachBlockOnce(t *testing.T) {
 // account for every lookup exactly once.
 func TestScoreBatchConcurrentParity(t *testing.T) {
 	spec := testSpec()
-	cfg, ckpt := trainedCheckpoint(t, "raw")
+	cfg, ckpt := trainedCheckpoint(t)
 	const callers, perCaller, batch = 4, 8, 16
 	gen := criteo.NewGenerator(spec)
 	batches := make([]*criteo.Batch, callers*perCaller)
