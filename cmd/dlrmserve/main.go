@@ -6,14 +6,13 @@
 //
 // The scenario file must be the one the checkpoint was trained under — the
 // checkpoint carries shapes and weights, the scenario carries the model
-// architecture and the serve block (shards, cold codec, cache budget,
-// micro-batching knobs).
+// architecture and the serve block (shards, cold codec, cache budget, and
+// the load: requests issued by concurrent clients).
 //
 // Usage:
 //
 //	dlrmtrain -scenario examples/scenarios/serve_smoke.json -save model.ckpt
-//	dlrmserve -scenario examples/scenarios/serve_smoke.json -checkpoint model.ckpt
-//	dlrmserve -scenario ... -checkpoint ... -requests 100000 -clients 16
+//	dlrmserve -scenario examples/scenarios/serve_smoke.json -checkpoint model.ckpt [-min-hit-rate f] [-parity]
 //
 // CI smoke flags: -min-hit-rate fails the run when the steady-state hit
 // rate lands below the floor, and -parity re-scores every request through
@@ -22,30 +21,24 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"dlrmcomp/internal/criteo"
 	"dlrmcomp/internal/scenario"
 	"dlrmcomp/internal/serve"
 )
 
 func main() {
-	scenarioFile := flag.String("scenario", "", "JSON scenario.Spec file the checkpoint was trained under (required)")
+	scenarioFile := flag.String("scenario", "", "JSON scenario.Spec file the checkpoint was trained under (required); its serve block sets the load")
 	ckptPath := flag.String("checkpoint", "", "DLCK checkpoint file written by dlrmtrain -save (required)")
-	requests := flag.Int("requests", 0, "total requests to issue (0 = the scenario's serve.requests, else 20000)")
-	clients := flag.Int("clients", 0, "closed-loop client goroutines (0 = the scenario's serve.clients, else 8)")
 	minHitRate := flag.Float64("min-hit-rate", 0, "fail when the steady-state hot-cache hit rate is below this floor (0 = report only)")
 	parity := flag.Bool("parity", false, "re-score every request through an uncached raw server and fail on any mismatch")
 	flag.Parse()
 	if *scenarioFile == "" || *ckptPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: dlrmserve -scenario <spec.json> -checkpoint <model.ckpt> [flags]")
+		fmt.Fprintln(os.Stderr, "usage: dlrmserve -scenario <spec.json> -checkpoint <model.ckpt> [-min-hit-rate f] [-parity]")
 		os.Exit(2)
 	}
 
@@ -58,189 +51,74 @@ func main() {
 		fmt.Fprintf(os.Stderr, "invalid scenario:\n  %v\n", err)
 		os.Exit(2)
 	}
-	if *requests == 0 {
-		if rs.Serve != nil && rs.Serve.Requests > 0 {
-			*requests = rs.Serve.Requests
-		} else {
-			*requests = 20000
-		}
+	ckpt, err := os.ReadFile(*ckptPath)
+	if err != nil {
+		fatal(err)
 	}
-	if *clients == 0 {
-		if rs.Serve != nil && rs.Serve.Clients > 0 {
-			*clients = rs.Serve.Clients
-		} else {
-			*clients = 8
-		}
-	}
-
-	srv := load(rs, *ckptPath, rs.ServeOptions())
-	defer srv.Close()
+	requests, clients := rs.ServeLoad()
 	opts := rs.ServeOptions()
+	srv, err := serve.New(rs.ModelConfig(), bytes.NewReader(ckpt), opts)
+	if err != nil {
+		fatal(err)
+	}
+	defer srv.Close()
 	fmt.Printf("serving %s: %d shard(s), cold codec %s, %d requests from %d client(s)\n",
-		rs.Name, max(opts.Shards, 1), coldCodecName(rs), *requests, *clients)
+		rs.Name, max(opts.Shards, 1), coldCodecName(rs), requests, clients)
 
-	// The request stream replays the dataset generator's Zipf-skewed
-	// traffic — the same skew training saw, which is what makes the hot
-	// cache earn its budget.
-	reqs := genRequests(rs, *requests)
+	reqs := rs.ServeRequests(requests)
+	// Warm: one sequential pass over a slice of the stream fills caches
+	// and pools before the measured window.
+	if _, err := serve.Drive(srv, reqs[:min(len(reqs), 2048)], 1); err != nil {
+		fatal(err)
+	}
+	res, err := serve.Drive(srv, reqs, clients)
+	if err != nil {
+		fatal(err)
+	}
 
-	// Warm: one pass over a slice of the stream fills caches and pools
-	// before the measured window.
-	warmN := min(len(reqs), 2048)
-	for _, r := range reqs[:warmN] {
-		if _, err := srv.Score(r.dense, r.idx); err != nil {
-			fatal(err)
-		}
+	st := res.Stats
+	fmt.Printf("\nserved %d requests in %v (%d shed)\n", len(reqs)-res.Shed, res.Elapsed.Round(time.Millisecond), res.Shed)
+	fmt.Printf("qps        %.0f\n", res.QPS())
+	fmt.Printf("latency    p50 %v  p99 %v\n", res.Percentile(0.50), res.Percentile(0.99))
+	if st.Batches > 0 {
+		fmt.Printf("batching   %.2f requests per micro-batch (%d batches)\n", float64(st.Requests)/float64(st.Batches), st.Batches)
 	}
-	warm := srv.Stats()
-
-	lats := make([]int64, len(reqs))
-	var next atomic.Int64
-	var shed atomic.Int64
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < *clients; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(len(reqs)) {
-					return
-				}
-				r := reqs[i]
-				t0 := time.Now()
-				score, err := srv.Score(r.dense, r.idx)
-				switch err {
-				case nil:
-					reqs[i].score, reqs[i].scored = score, true
-					lats[i] = int64(time.Since(t0))
-				case serve.ErrOverloaded:
-					shed.Add(1)
-					lats[i] = -1
-				default:
-					fatal(err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	st := srv.Stats()
-	served := int64(len(reqs)) - shed.Load()
-	ok := make([]int64, 0, served)
-	for _, l := range lats {
-		if l >= 0 {
-			ok = append(ok, l)
-		}
-	}
-	sort.Slice(ok, func(i, j int) bool { return ok[i] < ok[j] })
-	pct := func(p float64) time.Duration {
-		if len(ok) == 0 {
-			return 0
-		}
-		return time.Duration(ok[int(p*float64(len(ok)-1))])
-	}
-	hits := st.Hits - warm.Hits
-	misses := st.Misses - warm.Misses
-	hitRate := serve.Stats{Hits: hits, Misses: misses}.HitRate()
-
-	fmt.Printf("\nserved %d requests in %v (%d shed)\n", served, elapsed.Round(time.Millisecond), shed.Load())
-	fmt.Printf("qps        %.0f\n", float64(served)/elapsed.Seconds())
-	fmt.Printf("latency    p50 %v  p99 %v\n", pct(0.50), pct(0.99))
-	if batches := st.Batches - warm.Batches; batches > 0 {
-		fmt.Printf("batching   %.2f requests per micro-batch (%d batches)\n", float64(st.Requests-warm.Requests)/float64(batches), batches)
-	}
-	fmt.Printf("hit rate   %.4f (steady state; %d hits / %d misses)\n", hitRate, hits, misses)
+	fmt.Printf("hit rate   %.4f (steady state; %d hits / %d misses)\n", st.HitRate(), st.Hits, st.Misses)
 	fmt.Printf("memory     hot %d B + cold %d B = %d B resident vs %d B uncompressed (cold tier %.2fx)\n",
 		st.HotBytes, st.ColdBytes, st.HotBytes+st.ColdBytes, st.RawBytes, st.ColdRatio())
 
-	if *minHitRate > 0 && hitRate < *minHitRate {
-		fmt.Fprintf(os.Stderr, "FAIL: steady-state hit rate %.4f below the -min-hit-rate floor %.4f\n", hitRate, *minHitRate)
+	if *minHitRate > 0 && st.HitRate() < *minHitRate {
+		fmt.Fprintf(os.Stderr, "FAIL: steady-state hit rate %.4f below the -min-hit-rate floor %.4f\n", st.HitRate(), *minHitRate)
 		os.Exit(1)
 	}
 	if *parity {
-		checkParity(rs, *ckptPath, reqs)
+		checkParity(rs, ckpt, reqs, res)
 	}
 }
 
-type request struct {
-	dense  []float32
-	idx    []int32
-	score  float32
-	scored bool
-}
-
-// genRequests replays n single-sample batches from the scenario's dataset
-// generator.
-func genRequests(rs scenario.Spec, n int) []request {
-	data := rs.Data()
-	gen := criteo.NewGenerator(data)
-	reqs := make([]request, n)
-	for i := range reqs {
-		b := gen.NextBatch(1)
-		idx := make([]int32, len(b.Indices))
-		for t := range b.Indices {
-			idx[t] = b.Indices[t][0]
-		}
-		reqs[i] = request{dense: b.Dense.Row(0), idx: idx}
-	}
-	return reqs
-}
-
-// load builds a server from the checkpoint file with the given options.
-func load(rs scenario.Spec, path string, opts serve.Options) *serve.Server {
-	f, err := os.Open(path)
+// checkParity holds the served scores against the uncached raw reference.
+// Lossless cold codecs must match bit-for-bit; "quant" gets a small
+// tolerance on the sigmoid output.
+func checkParity(rs scenario.Spec, ckpt []byte, reqs []serve.Request, res *serve.Load) {
+	want, err := serve.Reference(rs.ModelConfig(), bytes.NewReader(ckpt), reqs)
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	srv, err := serve.New(rs.ModelConfig(), f, opts)
-	if err != nil {
-		fatal(err)
-	}
-	return srv
-}
-
-// checkParity re-scores every request synchronously through an uncached raw
-// server — the reference path — and compares. Lossless cold codecs must
-// match bit-for-bit; "quant" gets a small tolerance on the sigmoid output.
-func checkParity(rs scenario.Spec, path string, reqs []request) {
-	ref := load(rs, path, serve.Options{ColdCodec: "raw", HotBytes: -1})
-	defer ref.Close()
-	lossless := coldCodecName(rs) != "quant"
-	var maxDelta float64
-	checked := 0
-	for i := range reqs {
-		if !reqs[i].scored { // shed by admission control
-			continue
-		}
-		checked++
-		want, err := ref.Score(reqs[i].dense, reqs[i].idx)
-		if err != nil {
-			fatal(err)
-		}
-		got := reqs[i].score
-		if lossless {
-			if math.Float32bits(got) != math.Float32bits(want) {
-				fmt.Fprintf(os.Stderr, "FAIL: request %d scored %v, the uncompressed reference %v — lossless serving must be bit-identical\n", i, got, want)
-				os.Exit(1)
-			}
-		} else if d := math.Abs(float64(got - want)); d > maxDelta {
-			maxDelta = d
-		}
-	}
-	if lossless {
-		fmt.Printf("parity     PASS: all %d scores bit-identical to the uncompressed reference\n", checked)
-	} else {
-		const tol = 0.05
-		if maxDelta > tol {
-			fmt.Fprintf(os.Stderr, "FAIL: quant scores drifted %.4f from the uncompressed reference (tolerance %.2f)\n", maxDelta, tol)
+	p := res.Compare(want)
+	if coldCodecName(rs) != "quant" {
+		if p.Mismatched > 0 {
+			fmt.Fprintf(os.Stderr, "FAIL: %d of %d scores differ from the uncompressed reference (max |Δ| %.3g) — lossless serving must be bit-identical\n", p.Mismatched, p.Checked, p.MaxDelta)
 			os.Exit(1)
 		}
-		fmt.Printf("parity     PASS: quant scores within %.4f of the uncompressed reference (tolerance %.2f)\n", maxDelta, tol)
+		fmt.Printf("parity     PASS: all %d scores bit-identical to the uncompressed reference\n", p.Checked)
+		return
 	}
+	const tol = 0.05
+	if p.MaxDelta > tol {
+		fmt.Fprintf(os.Stderr, "FAIL: quant scores drifted %.4f from the uncompressed reference (tolerance %.2f)\n", p.MaxDelta, tol)
+		os.Exit(1)
+	}
+	fmt.Printf("parity     PASS: quant scores within %.4f of the uncompressed reference (tolerance %.2f)\n", p.MaxDelta, tol)
 }
 
 func coldCodecName(rs scenario.Spec) string {

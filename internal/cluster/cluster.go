@@ -549,13 +549,21 @@ func (r *Rank) GatherAll(blob []byte, into [][]byte) error {
 			return err
 		}
 	}
-	for i := 0; i < c.N; i++ {
+	return splitGatherBundle(all, into)
+}
+
+// splitGatherBundle parses a GatherAll bundle — one u32 little-endian
+// length then that many bytes, per slot — into into, which must end up
+// exactly filled: each slot aliases its bytes of all, and a short, long or
+// truncated bundle is an error.
+func splitGatherBundle(all []byte, into [][]byte) error {
+	for i := range into {
 		if len(all) < 4 {
 			return fmt.Errorf("cluster: truncated GatherAll bundle at slot %d", i)
 		}
-		n := int(binary.LittleEndian.Uint32(all))
+		n := binary.LittleEndian.Uint32(all)
 		all = all[4:]
-		if len(all) < n {
+		if uint64(len(all)) < uint64(n) {
 			return fmt.Errorf("cluster: GatherAll slot %d wants %d bytes, have %d", i, n, len(all))
 		}
 		into[i] = all[:n]

@@ -159,3 +159,34 @@ func TestTable1(t *testing.T) {
 		t.Fatalf("table1 text:\n%s", res.Text)
 	}
 }
+
+// TestLoadtest runs the serving experiment's quick mode through the shared
+// load driver: the lossless cold tiers serve the uncompressed reference's
+// scores bit for bit, quant stays within the CI smoke's tolerance, and the
+// closed loop never outruns the queue.
+func TestLoadtest(t *testing.T) {
+	_, rows, err := loadtest(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("loadtest measured %d cold codecs, want 3", len(rows))
+	}
+	for _, r := range rows {
+		if r.load.Shed != 0 {
+			t.Errorf("%s: %d requests shed", r.label, r.load.Shed)
+		}
+		if r.parity.Checked != len(r.load.Scores) {
+			t.Errorf("%s: %d of %d scores compared", r.label, r.parity.Checked, len(r.load.Scores))
+		}
+		tol := 0.0
+		if strings.HasPrefix(r.label, "quant") {
+			tol = 0.05
+		} else if r.parity.Mismatched != 0 {
+			t.Errorf("%s: %d scores differ from the reference in some bit", r.label, r.parity.Mismatched)
+		}
+		if r.parity.MaxDelta > tol {
+			t.Errorf("%s: max |Δscore| %.3g, want <= %v", r.label, r.parity.MaxDelta, tol)
+		}
+	}
+}

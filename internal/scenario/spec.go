@@ -132,8 +132,8 @@ type Spec struct {
 
 // ServeSpec configures internal/serve for a scenario's model: how the
 // embedding tables shard, how the cold tier compresses, how large the hot
-// cache runs, and how the micro-batching service admits load. The zero
-// value of every field means the serve package's documented default.
+// cache runs, and how much load the closed-loop driver offers. The zero
+// value of every field means the documented default.
 type ServeSpec struct {
 	// Shards is the embedding-server count (0 = 1).
 	Shards int `json:"shards,omitempty"`
@@ -144,21 +144,12 @@ type ServeSpec struct {
 	// QuantEB is the absolute error bound of the "quant" codec. Required
 	// (> 0) with codec "quant", rejected otherwise.
 	QuantEB float64 `json:"quant_eb,omitempty"`
-	// BlockRows is the cold-frame granularity in rows (0 = 64).
-	BlockRows int `json:"block_rows,omitempty"`
 	// HotBytes budgets the decoded-row hot cache (0 = a quarter of the
 	// uncompressed footprint; negative = no cache).
 	HotBytes int64 `json:"hot_bytes,omitempty"`
-	// MaxBatch caps a micro-batch (0 = 64); a free batcher scores whatever
-	// is queued, up to this many requests, without waiting for more.
-	MaxBatch int `json:"max_batch,omitempty"`
-	// QueueDepth bounds the intake queue (0 = 4×MaxBatch); Workers is the
-	// batcher count (0 = 1).
-	QueueDepth int `json:"queue_depth,omitempty"`
-	Workers    int `json:"workers,omitempty"`
-	// Requests and Clients size the closed-loop load drivers
-	// (cmd/dlrmserve, the loadtest experiment): total requests issued
-	// (0 = driver default) by this many concurrent clients (0 = 8).
+	// Requests and Clients size the closed-loop load (cmd/dlrmserve, the
+	// loadtest experiment; see Spec.ServeLoad): total requests issued by
+	// this many concurrent clients (0 = 20000 and 8).
 	Requests int `json:"requests,omitempty"`
 	Clients  int `json:"clients,omitempty"`
 }
@@ -364,9 +355,7 @@ func (s Spec) Validate() error {
 			name string
 			v    int
 		}{
-			{"serve shards", sv.Shards}, {"serve block_rows", sv.BlockRows},
-			{"serve max_batch", sv.MaxBatch}, {"serve queue_depth", sv.QueueDepth},
-			{"serve workers", sv.Workers},
+			{"serve shards", sv.Shards},
 			{"serve requests", sv.Requests}, {"serve clients", sv.Clients},
 		} {
 			if f.v < 0 {

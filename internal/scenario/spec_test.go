@@ -57,9 +57,8 @@ func fullSpec() Spec {
 		},
 		Checkpoint: &CheckpointSpec{Every: 5, Verify: true},
 		Serve: &ServeSpec{
-			Shards: 2, Codec: "quant", QuantEB: 0.02, BlockRows: 32,
-			HotBytes: 1 << 20, MaxBatch: 32,
-			QueueDepth: 256, Workers: 2, Requests: 5000, Clients: 8,
+			Shards: 2, Codec: "quant", QuantEB: 0.02,
+			HotBytes: 1 << 20, Requests: 5000, Clients: 8,
 		},
 	}
 }
@@ -185,8 +184,8 @@ func TestValidate(t *testing.T) {
 		},
 		{
 			"negative serve knobs",
-			Spec{Serve: &ServeSpec{Shards: -1, Workers: -2}},
-			[]string{"serve shards must be >= 0", "serve workers must be >= 0"},
+			Spec{Serve: &ServeSpec{Shards: -1, Clients: -2}},
+			[]string{"serve shards must be >= 0", "serve clients must be >= 0"},
 		},
 		{
 			"multiple errors reported together",
@@ -328,14 +327,17 @@ func TestSpecJSONGolden(t *testing.T) {
 }
 
 // TestLoadFileRejectsUnknownFields: a typoed key fails loudly, and so do
-// the deleted intra-rank width keys — the width is derived, not set — and
-// the deleted checkpoint codec key — checkpoints are always raw.
+// the deleted intra-rank width keys — the width is derived, not set —, the
+// deleted checkpoint codec key — checkpoints are always raw — and the
+// deleted serve batcher keys — the serving shape is fixed.
 func TestLoadFileRejectsUnknownFields(t *testing.T) {
 	for _, doc := range []string{
 		`{"dataset": "kaggle", "eror_bound": 0.02}`,
 		`{"dataset": "kaggle", "compute_workers": 4}`,
 		`{"dataset": "kaggle", "codec_workers": 2}`,
 		`{"checkpoint": {"every": 5, "codec": "lzss"}}`,
+		`{"serve": {"workers": 2}}`,
+		`{"serve": {"max_batch": 8}}`,
 	} {
 		path := filepath.Join(t.TempDir(), "bad.json")
 		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {

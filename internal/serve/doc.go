@@ -30,16 +30,20 @@
 // The request path — dense features → sharded gather → DotInteraction →
 // top MLP → sigmoid — runs on preallocated per-scorer workspaces and the
 // buffered codec paths, so steady-state scoring performs no heap
-// allocation (pinned by an AllocsPerRun gate). Each Score worker owns a
+// allocation (pinned by an AllocsPerRun gate). The Score batcher owns a
 // scorer; ScoreBatch callers borrow one each, built on first demand up to
 // GOMAXPROCS of them, so that many callers score in parallel.
 //
-// Server.Score adds admission control: a bounded intake queue sheds with
-// ErrOverloaded when full, and batcher workers coalesce concurrent requests
-// into micro-batches. A free worker takes whatever is queued (up to
-// MaxBatch) and scores it at once — no timer holds a batch open — so a
-// lone request is never delayed, and batches grow only as a backlog
-// builds. Because the hot cache stores exactly the decoded rows, a cache
-// hit and a cache miss reconstruct identical bits — caching never changes
-// a score, for any cold codec.
+// Server.Score adds admission control: a bounded intake queue (4×64
+// requests) sheds with ErrOverloaded when full, and one batcher goroutine
+// coalesces concurrent requests into micro-batches. When free it takes
+// whatever is queued (up to 64 requests) and scores it at once — no timer
+// holds a batch open — so a lone request is never delayed, and batches
+// grow only as a backlog builds. Because the hot cache stores exactly the
+// decoded rows, a cache hit and a cache miss reconstruct identical bits —
+// caching never changes a score, for any cold codec.
+//
+// Drive is the closed-loop load driver cmd/dlrmserve and the loadtest
+// experiment share; Reference and Load.Compare hold its scores to an
+// uncached raw server's.
 package serve

@@ -126,7 +126,7 @@ func TestServeParity(t *testing.T) {
 		{"raw_uncached", Options{ColdCodec: "raw", HotBytes: -1}},
 		{"raw_cached", Options{ColdCodec: "raw"}},
 		{"lzss_cached", Options{ColdCodec: "lzss", Shards: 3}},
-		{"lzss_tiny_cache_4shards", Options{ColdCodec: "lzss", Shards: 4, HotBytes: 4096, BlockRows: 16}},
+		{"lzss_tiny_cache_4shards", Options{ColdCodec: "lzss", Shards: 4, HotBytes: 4096}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -268,9 +268,9 @@ func TestServeLRUExact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("model.New: %v", err)
 	}
-	// Two-entry cache: 2 rows × dim 4 × 4 bytes. BlockRows 1 so a miss
-	// decodes exactly the missed row's block.
-	srv, err := NewFromModel(m, Options{HotBytes: 2 * 4 * 4, BlockRows: 1})
+	// Two-entry cache: 2 rows × dim 4 × 4 bytes. The 8 rows share one
+	// cold block, but a miss admits only the rows it looked up.
+	srv, err := NewFromModel(m, Options{HotBytes: 2 * 4 * 4})
 	if err != nil {
 		t.Fatalf("NewFromModel: %v", err)
 	}
@@ -318,18 +318,16 @@ func TestServeLRUExact(t *testing.T) {
 // TestServiceMatchesScoreBatch runs the admission-controlled micro-batching
 // path concurrently and checks every score matches the synchronous path
 // bit-for-bit — coalescing requests into shared batches must not change
-// the arithmetic of any single request.
+// the arithmetic of any single request. All queueDepth requests are in
+// flight at once, so the queue can hold every one and none is shed.
 func TestServiceMatchesScoreBatch(t *testing.T) {
 	spec := testSpec()
 	cfg, ckpt := trainedCheckpoint(t)
 	ref := referenceModel(t, cfg, ckpt)
-	reqs := requestStream(spec, 300)
+	reqs := requestStream(spec, queueDepth)
 	want := refScores(ref, reqs)
 
-	srv, err := New(cfg, bytes.NewReader(ckpt), Options{
-		ColdCodec: "lzss", Workers: 3, MaxBatch: 8,
-		QueueDepth: 1024,
-	})
+	srv, err := New(cfg, bytes.NewReader(ckpt), Options{ColdCodec: "lzss"})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -369,29 +367,27 @@ func TestServiceMatchesScoreBatch(t *testing.T) {
 	}
 }
 
-// TestServeOverload floods a one-deep intake queue while the only worker is
-// stalled and checks admission control sheds with ErrOverloaded instead of
+// TestServeOverload floods the intake queue while the batcher is stalled
+// and checks admission control sheds with ErrOverloaded instead of
 // queueing without bound, that shed counts land in Stats, and that every
-// admitted request still gets an answer. Holding shard 0's lock blocks
-// table 0's gather, so the worker holds at most one request and the queue
-// one more: at least 510 of the 512 must be shed, whatever the scheduler
-// does.
+// admitted request still gets an answer. With the batcher parked on the
+// stalled request's reply, exactly queueDepth of the flood queue and the
+// rest are shed, whatever the scheduler does.
 func TestServeOverload(t *testing.T) {
+	spec := testSpec()
 	cfg, ckpt := trainedCheckpoint(t)
-	srv, err := New(cfg, bytes.NewReader(ckpt), Options{
-		QueueDepth: 1, MaxBatch: 1, Workers: 1,
-	})
+	srv, err := New(cfg, bytes.NewReader(ckpt), Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer srv.Close()
 
-	const flood = 512
+	const flood = queueDepth + 256
 	dense := make([]float32, cfg.DenseFeatures)
 	idx := make([]int32, len(cfg.TableSizes))
 	var wg sync.WaitGroup
 	var scored, shed, other atomic.Int64
-	srv.shards[0].mu.Lock()
+	release := stallWorker(t, srv, requestStream(spec, 1)[0])
 	for i := 0; i < flood; i++ {
 		wg.Add(1)
 		go func() {
@@ -406,24 +402,25 @@ func TestServeOverload(t *testing.T) {
 			}
 		}()
 	}
-	for srv.shed.Load()+other.Load() < flood-2 {
+	for len(srv.intake) < queueDepth || srv.shed.Load()+other.Load() < flood-queueDepth {
 		runtime.Gosched()
 	}
-	srv.shards[0].mu.Unlock()
+	release()
 	wg.Wait()
 
 	if n := other.Load(); n != 0 {
 		t.Fatalf("%d requests failed with unexpected errors", n)
 	}
-	if s, d := scored.Load(), shed.Load(); s+d != flood || s < 1 || s > 2 {
-		t.Fatalf("%d scored + %d shed of %d: want every request answered, 1 or 2 of them scored", s, d, flood)
+	if s, d := scored.Load(), shed.Load(); s != queueDepth || d != flood-queueDepth {
+		t.Fatalf("%d scored + %d shed of %d: want the %d queued scored and the rest shed", s, d, flood, queueDepth)
 	}
 	st := srv.Stats()
 	if st.Shed != shed.Load() {
 		t.Fatalf("stats report %d shed, callers saw %d", st.Shed, shed.Load())
 	}
-	if st.Requests != scored.Load() {
-		t.Fatalf("stats report %d scored, callers saw %d", st.Requests, scored.Load())
+	// The stalled request, then the queue in full batches.
+	if st.Requests != queueDepth+1 || st.Batches != 1+queueDepth/maxBatch {
+		t.Fatalf("stats report %d scored in %d batches, want %d in %d", st.Requests, st.Batches, queueDepth+1, 1+queueDepth/maxBatch)
 	}
 }
 
@@ -436,12 +433,12 @@ func requestArgs(r *criteo.Batch) ([]float32, []int32) {
 	return r.Dense.Row(0), idx
 }
 
-// stallWorker parks a one-worker server's batcher between batches. It
-// enqueues r as a request whose reply slot is already taken and waits until
-// the worker has started scoring it; the worker is then past its drain of
-// the (empty) queue and will block on the reply, so every Score call made
-// from here on stays queued. release unblocks the worker and returns r's
-// score.
+// stallWorker parks a server's batcher between batches. It enqueues r as a
+// request whose reply slot is already taken and waits until the batcher has
+// started scoring it; the batcher is then past its drain of the (empty)
+// queue and will block on the reply, so every Score call made from here on
+// stays queued or, once the queue is full, is shed. release unblocks the
+// batcher and returns r's score.
 func stallWorker(t *testing.T, srv *Server, r *criteo.Batch) (release func() float32) {
 	t.Helper()
 	dense, idx := requestArgs(r)
@@ -453,7 +450,7 @@ func stallWorker(t *testing.T, srv *Server, r *criteo.Batch) (release func() flo
 		runtime.Gosched()
 	}
 	return func() float32 {
-		<-p.done // the placeholder: the worker's reply can land now
+		<-p.done // the placeholder: the batcher's reply can land now
 		<-p.done // the reply
 		if p.err != nil {
 			t.Fatalf("stalled request: %v", p.err)
@@ -492,18 +489,19 @@ func TestServiceSequentialNeverWaits(t *testing.T) {
 
 // TestServiceCoalescesBacklog checks where batching does happen: requests
 // that queue while a batch is being scored form the next batch, capped at
-// MaxBatch, and coalescing changes no score's bits.
+// maxBatch, and coalescing changes no score's bits.
 func TestServiceCoalescesBacklog(t *testing.T) {
 	spec := testSpec()
 	cfg, ckpt := trainedCheckpoint(t)
-	reqs := requestStream(spec, 8)
-	want := refScores(referenceModel(t, cfg, ckpt), reqs)
+	all := requestStream(spec, 1+maxBatch+6)
+	wantAll := refScores(referenceModel(t, cfg, ckpt), all)
 	for _, tc := range []struct {
-		maxBatch int
-		batches  int64 // the stalled request alone, then the backlog of 7
-	}{{0, 2}, {4, 3}} {
-		t.Run(fmt.Sprintf("max_batch_%d", tc.maxBatch), func(t *testing.T) {
-			srv, err := New(cfg, bytes.NewReader(ckpt), Options{MaxBatch: tc.maxBatch})
+		backlog int
+		batches int64 // the stalled request alone, then the backlog
+	}{{7, 2}, {maxBatch + 6, 3}} {
+		t.Run(fmt.Sprintf("backlog_%d", tc.backlog), func(t *testing.T) {
+			reqs, want := all[:1+tc.backlog], wantAll[:1+tc.backlog]
+			srv, err := New(cfg, bytes.NewReader(ckpt), Options{})
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
@@ -540,7 +538,7 @@ func TestServiceCoalescesBacklog(t *testing.T) {
 }
 
 // TestServiceBadRequestFailsAlone queues valid requests behind a stalled
-// worker together with requests naming rows outside their tables. The bad
+// batcher together with requests naming rows outside their tables. The bad
 // ones must fail on their own; the valid ones, coalesced into one batch,
 // must score exactly what ScoreBatch gives them.
 func TestServiceBadRequestFailsAlone(t *testing.T) {
@@ -588,7 +586,7 @@ func TestServiceBadRequestFailsAlone(t *testing.T) {
 			badDone.Add(1)
 		}(k)
 	}
-	// Every request is queued or already answered before the worker moves.
+	// Every request is queued or already answered before the batcher moves.
 	for len(srv.intake)+int(badDone.Load()) < len(good)-1+len(bad) {
 		runtime.Gosched()
 	}
@@ -615,7 +613,7 @@ func TestServiceBadRequestFailsAlone(t *testing.T) {
 // ScoreBatch keeps working.
 func TestServeClose(t *testing.T) {
 	cfg, ckpt := trainedCheckpoint(t)
-	srv, err := New(cfg, bytes.NewReader(ckpt), Options{Workers: 2})
+	srv, err := New(cfg, bytes.NewReader(ckpt), Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -692,4 +690,47 @@ func TestServeOptionErrors(t *testing.T) {
 			t.Fatalf("err = %v, want out-of-range", err)
 		}
 	})
+}
+
+// TestDriveMatchesReference runs the shared load driver against a cached
+// lzss server: every request is served, the window's counters are its own
+// (the warm-up before it does not leak in), and Compare finds every score
+// bit-identical to the uncached raw Reference. A shed request is skipped
+// by Compare, not counted as a mismatch.
+func TestDriveMatchesReference(t *testing.T) {
+	spec := testSpec()
+	cfg, ckpt := trainedCheckpoint(t)
+	reqs := make([]Request, 200)
+	for i, r := range requestStream(spec, len(reqs)) {
+		reqs[i].Dense, reqs[i].Indices = requestArgs(r)
+	}
+	srv, err := New(cfg, bytes.NewReader(ckpt), Options{ColdCodec: "lzss"})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer srv.Close()
+	if _, err := Drive(srv, reqs[:50], 1); err != nil {
+		t.Fatalf("warm: %v", err)
+	}
+	l, err := Drive(srv, reqs, 4)
+	if err != nil {
+		t.Fatalf("Drive: %v", err)
+	}
+	want, err := Reference(cfg, bytes.NewReader(ckpt), reqs)
+	if err != nil {
+		t.Fatalf("Reference: %v", err)
+	}
+	if l.Shed != 0 || l.Stats.Requests != int64(len(reqs)) || l.Stats.Shed != 0 {
+		t.Fatalf("%d shed, window counted %d requests (%d shed); want all %d served", l.Shed, l.Stats.Requests, l.Stats.Shed, len(reqs))
+	}
+	if lookups := int64(len(reqs) * len(cfg.TableSizes)); l.Stats.Hits+l.Stats.Misses != lookups {
+		t.Fatalf("window counted %d hits + %d misses, want the %d lookups it made", l.Stats.Hits, l.Stats.Misses, lookups)
+	}
+	if p := l.Compare(want); p.Checked != len(reqs) || p.Mismatched != 0 || p.MaxDelta != 0 {
+		t.Fatalf("Compare = %+v, want all %d bit-identical", p, len(reqs))
+	}
+	l.Latency[0], l.Scores[0], l.Shed = -1, want[0]+1, 1
+	if p := l.Compare(want); p.Checked != len(reqs)-1 || p.Mismatched != 0 {
+		t.Fatalf("with request 0 shed, Compare = %+v", p)
+	}
 }

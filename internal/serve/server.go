@@ -30,33 +30,31 @@ type Options struct {
 	// QuantEB is the absolute error bound of the "quant" cold codec.
 	// Required (> 0) with ColdCodec "quant", rejected otherwise.
 	QuantEB float32
-	// BlockRows is the cold-frame granularity in rows (0 = 64). Each
-	// missed block is decoded once per gather, however many of its rows
-	// the batch misses, and only as far as it must be: a "quant" miss
-	// pays the block's lossless prefix up to its last missed row and
-	// dequantizes only the missed span, "raw" reads just those rows, and
-	// "lzss" decodes the whole block. Larger blocks compress
-	// better; they cost a "quant" miss only the longer prefix, not a
-	// whole-block dequantize.
-	BlockRows int
 	// HotBytes budgets the hot cache of decoded rows, in bytes across
 	// all shards. 0 = a quarter of the uncompressed table footprint;
 	// negative = no hot cache (every gather decodes the blocks its rows
 	// live in — the uncached reference path the parity tests compare
 	// against).
 	HotBytes int64
-	// MaxBatch caps a micro-batch (0 = 64). A worker never waits to fill
-	// one: it scores whatever is queued when it becomes free, up to this
-	// many requests.
-	MaxBatch int
-	// QueueDepth bounds the intake queue; a Score arriving with the
-	// queue full is shed with ErrOverloaded instead of queueing without
-	// bound. 0 = 4×MaxBatch.
-	QueueDepth int
-	// Workers is the batcher-goroutine count, each with its own scorer
-	// workspace (0 = 1).
-	Workers int
 }
+
+// The serving shape every Server shares.
+const (
+	// blockRows is the cold-frame granularity in rows. Each missed block
+	// is decoded once per gather, however many of its rows the batch
+	// misses, and only as far as it must be: a "quant" miss pays the
+	// block's lossless prefix up to its last missed row and dequantizes
+	// only the missed span, "raw" reads just those rows, and "lzss"
+	// decodes the whole block.
+	blockRows = 64
+	// maxBatch caps a micro-batch. The batcher never waits to fill one:
+	// it scores whatever is queued when it becomes free, up to this many
+	// requests.
+	maxBatch = 64
+	// queueDepth bounds the intake queue; a Score arriving with the queue
+	// full is shed with ErrOverloaded instead of queueing without bound.
+	queueDepth = 4 * maxBatch
+)
 
 // resolved fills the documented defaults; rawBytes is the uncompressed
 // table footprint HotBytes defaults against.
@@ -67,23 +65,11 @@ func (o Options) resolved(rawBytes int64) Options {
 	if o.ColdCodec == "" {
 		o.ColdCodec = DefaultColdCodec
 	}
-	if o.BlockRows <= 0 {
-		o.BlockRows = 64
-	}
 	if o.HotBytes == 0 {
 		o.HotBytes = rawBytes / 4
 	}
 	if o.HotBytes < 0 {
 		o.HotBytes = 0
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 64
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 4 * o.MaxBatch
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
 	}
 	return o
 }
@@ -94,8 +80,7 @@ func (o Options) resolved(rawBytes int64) Options {
 // admission-controlled micro-batching path. Both are safe for concurrent
 // use.
 type Server struct {
-	cfg  model.Config
-	opts Options
+	cfg model.Config
 
 	shards  []*shard
 	byTable []*shard // table id -> owning shard
@@ -105,7 +90,7 @@ type Server struct {
 
 	intake  chan *pending
 	pool    sync.Pool
-	workers chan struct{} // exited-worker tokens for Close to join
+	stopped chan struct{} // closed when the batcher exits
 	closeMu sync.RWMutex
 	closed  bool
 
@@ -181,7 +166,7 @@ func newServer(cfg model.Config, dense [][]float32, tables [][]float32, opts Opt
 		return nil, err
 	}
 
-	s := &Server{cfg: cfg, opts: opts}
+	s := &Server{cfg: cfg}
 
 	// The MLP stack: build a throwaway model for its layer shapes (with
 	// 1-row tables, so no real embedding storage), then overwrite every
@@ -227,7 +212,7 @@ func newServer(cfg model.Config, dense [][]float32, tables [][]float32, opts Opt
 			return nil, fmt.Errorf("serve: table %d carries %d values, want %d", t, len(tables[t]), rows*dim)
 		}
 		sh := s.shards[t%opts.Shards]
-		ts, err := newTableStore(t, tables[t], rows, dim, opts.BlockRows, cc)
+		ts, err := newTableStore(t, tables[t], rows, dim, blockRows, cc)
 		if err != nil {
 			return nil, err
 		}
@@ -240,27 +225,25 @@ func newServer(cfg model.Config, dense [][]float32, tables [][]float32, opts Opt
 		}
 	}
 
-	// Scorers: one per worker now, the rest on demand — one per
+	// Scorers: the batcher's now, the rest on demand — one per
 	// concurrent ScoreBatch caller, up to GOMAXPROCS of them (see
 	// takeScorer). Each clones both MLPs, so building the cap up front
 	// would cost memory a one-caller server never uses.
 	s.tmpl = tmpl
-	s.scorers = make(chan *scorer, opts.Workers+runtime.GOMAXPROCS(0))
+	s.scorers = make(chan *scorer, 1+runtime.GOMAXPROCS(0))
 
-	// Micro-batching service.
-	s.intake = make(chan *pending, opts.QueueDepth)
-	s.workers = make(chan struct{}, opts.Workers)
-	for i := 0; i < opts.Workers; i++ {
-		s.built.Add(1)
-		go s.worker(s.newScorer())
-	}
+	// Micro-batching service: one batcher.
+	s.intake = make(chan *pending, queueDepth)
+	s.stopped = make(chan struct{})
+	s.built.Add(1)
+	go s.batcher(s.newScorer())
 	return s, nil
 }
 
 // scorerWidth is the intra-op parallel width of every scorer's matmuls and
 // interaction. Serving scales by request concurrency instead: every
-// concurrent ScoreBatch caller (up to GOMAXPROCS of them) and every Score
-// worker gets a scorer of its own, and cold-block decodes run outside the
+// concurrent ScoreBatch caller (up to GOMAXPROCS of them) and the Score
+// batcher get a scorer of their own, and cold-block decodes run outside the
 // shard locks. Single-threaded kernels also keep the request path
 // allocation-free.
 const scorerWidth = 1
@@ -272,7 +255,7 @@ func (s *Server) newScorer() *scorer {
 		bottom:  s.tmpl.Bottom.Clone(),
 		top:     s.tmpl.Top.Clone(),
 		di:      interaction.NewDotInteraction(n, dim),
-		gather:  gatherScratch{block: make([]float32, s.opts.BlockRows*dim)},
+		gather:  gatherScratch{block: make([]float32, blockRows*dim)},
 		lookups: make([]*tensor.Matrix, n),
 		cols:    make([][]int32, n),
 	}
@@ -404,6 +387,16 @@ func (st Stats) ColdRatio() float64 {
 		return 0
 	}
 	return float64(st.RawBytes) / float64(st.ColdBytes)
+}
+
+// since returns st's counters less before's; the footprints stay st's.
+func (st Stats) since(before Stats) Stats {
+	st.Requests -= before.Requests
+	st.Shed -= before.Shed
+	st.Batches -= before.Batches
+	st.Hits -= before.Hits
+	st.Misses -= before.Misses
+	return st
 }
 
 // Stats sums the per-shard counters.

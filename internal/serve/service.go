@@ -26,7 +26,7 @@ type pending struct {
 
 // Score runs one request through admission control and micro-batching:
 // enqueue (or shed with ErrOverloaded), join whatever else is waiting in
-// the queue when a worker picks it up, score, reply. dense holds the
+// the queue when the batcher picks it up, score, reply. dense holds the
 // DenseFeatures inputs; indices one row id per table. Blocks until the
 // score is ready; safe for concurrent use — concurrency is what fills
 // batches. A malformed request is rejected here, before it can share a
@@ -52,7 +52,7 @@ func (s *Server) Score(dense []float32, indices []int32) (float32, error) {
 	p.err = nil
 
 	// The read lock pins the closing flag across the enqueue, so a
-	// request can never land in the queue after Close's poison pills
+	// request can never land in the queue after Close's poison pill
 	// (which would strand the caller on p.done).
 	s.closeMu.RLock()
 	if s.closed {
@@ -75,9 +75,9 @@ func (s *Server) Score(dense []float32, indices []int32) (float32, error) {
 	return score, err
 }
 
-// Close stops the batcher workers (flushing any batch in flight) and
-// fails subsequent Score calls with ErrClosed. Idempotent. ScoreBatch
-// stays usable — it holds no service state.
+// Close stops the batcher (flushing any batch in flight) and fails
+// subsequent Score calls with ErrClosed. Idempotent. ScoreBatch stays
+// usable — it holds no service state.
 func (s *Server) Close() {
 	s.closeMu.Lock()
 	if s.closed {
@@ -86,28 +86,24 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	s.closeMu.Unlock()
-	// One poison pill per worker. The intake channel is FIFO, so every
-	// request admitted before the flag flipped is received — and
-	// answered — before a worker sees its pill.
-	for i := 0; i < s.opts.Workers; i++ {
-		s.intake <- nil
-	}
-	for i := 0; i < s.opts.Workers; i++ {
-		<-s.workers
-	}
+	// One poison pill. The intake channel is FIFO, so every request
+	// admitted before the flag flipped is received — and answered —
+	// before the batcher sees it.
+	s.intake <- nil
+	<-s.stopped
 }
 
-// worker is one batcher goroutine: block for the first request, take
-// whatever else is already queued (up to MaxBatch) without waiting, score
-// the batch on a private scorer, reply to every caller. There is no timer:
-// an idle server scores a lone request at once, and requests that arrive
-// while a batch is being scored wait in the queue and form the next one,
-// so batches grow with the backlog, not with a clock. On exit the scorer
-// joins the idle pool, so ScoreBatch after Close can reuse it.
-func (s *Server) worker(sc *scorer) {
-	defer func() { s.workers <- struct{}{} }()
+// batcher is the service's one goroutine: block for the first request,
+// take whatever else is already queued (up to maxBatch) without waiting,
+// score the batch on its own scorer, reply to every caller. There is no
+// timer: an idle server scores a lone request at once, and requests that
+// arrive while a batch is being scored wait in the queue and form the next
+// one, so batches grow with the backlog, not with a clock. On exit the
+// scorer joins the idle pool, so ScoreBatch after Close can reuse it.
+func (s *Server) batcher(sc *scorer) {
+	defer close(s.stopped)
 	defer func() { s.scorers <- sc }()
-	batch := make([]*pending, 0, s.opts.MaxBatch)
+	batch := make([]*pending, 0, maxBatch)
 	for {
 		p := <-s.intake
 		if p == nil {
@@ -116,7 +112,7 @@ func (s *Server) worker(sc *scorer) {
 		batch = append(batch[:0], p)
 		poisoned := false
 	drain:
-		for len(batch) < s.opts.MaxBatch {
+		for len(batch) < maxBatch {
 			select {
 			case q := <-s.intake:
 				if q == nil {

@@ -19,7 +19,10 @@ import (
 
 // oneTableServer builds a server over a hand-built single-table model with
 // dim 4 and two dense features, so a test can name every row it touches.
-func oneTableServer(t *testing.T, rows int, opts Options) *Server {
+// A blockRows below the blockRows constant rebuilds the table's cold store
+// at that granularity, so a test can also name block boundaries; 0 keeps
+// the server's own.
+func oneTableServer(t *testing.T, rows, blockRows int, opts Options) *Server {
 	t.Helper()
 	m, err := model.New(model.Config{
 		DenseFeatures: 2, EmbeddingDim: 4,
@@ -35,6 +38,12 @@ func oneTableServer(t *testing.T, rows int, opts Options) *Server {
 		t.Fatalf("NewFromModel: %v", err)
 	}
 	t.Cleanup(srv.Close)
+	if blockRows > 0 {
+		sh := srv.shards[0]
+		if sh.tables[0], err = newTableStore(0, m.Emb.Tables[0].Weights.Data, rows, 4, blockRows, sh.cc); err != nil {
+			t.Fatalf("newTableStore: %v", err)
+		}
+	}
 	return srv
 }
 
@@ -62,7 +71,7 @@ func TestGatherDecodesOutsideShardLock(t *testing.T) {
 	// Two concurrent ScoreBatch callers need two scorers, whatever -cpu
 	// the suite runs at.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	srv := oneTableServer(t, 8, Options{ColdCodec: "lzss", BlockRows: 1})
+	srv := oneTableServer(t, 8, 0, Options{ColdCodec: "lzss"})
 	dense := tensor.NewMatrix(1, 2)
 	score := func(row int32) (float32, error) {
 		out := make([]float32, 1)
@@ -141,11 +150,11 @@ func TestGatherRowRangeParity(t *testing.T) {
 	}
 	for _, codecName := range ColdCodecs() {
 		t.Run(codecName, func(t *testing.T) {
-			opts := Options{ColdCodec: codecName, BlockRows: blockRows, HotBytes: -1}
+			opts := Options{ColdCodec: codecName, HotBytes: -1}
 			if codecName == "quant" {
 				opts.QuantEB = 0.02
 			}
-			srv := oneTableServer(t, rows, opts)
+			srv := oneTableServer(t, rows, blockRows, opts)
 			sh := srv.shards[0]
 			ts := sh.tables[0]
 			want := make([]float32, 0, rows*dim)
@@ -204,8 +213,8 @@ func (c *countingCodec) DecompressInto(dst []float32, frame []byte) (int, error)
 // repeat as a hit, and scores every sample as the uncached reference does.
 func TestGatherDecodesEachBlockOnce(t *testing.T) {
 	const rows, blockRows = 16, 4
-	srv := oneTableServer(t, rows, Options{ColdCodec: "lzss", BlockRows: blockRows, HotBytes: rows * 4 * 4})
-	ref := oneTableServer(t, rows, Options{ColdCodec: "raw", HotBytes: -1})
+	srv := oneTableServer(t, rows, blockRows, Options{ColdCodec: "lzss", HotBytes: rows * 4 * 4})
+	ref := oneTableServer(t, rows, 0, Options{ColdCodec: "raw", HotBytes: -1})
 	cc := &countingCodec{Codec: lz4like.LZSSCodec{}}
 	srv.shards[0].cc = &coldCodec{name: "lzss", block: cc}
 

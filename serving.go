@@ -14,8 +14,8 @@ import (
 // actually-compressed resident cold tier.
 
 // ServeOptions configures a Server: shard count, cold-tier codec and
-// quantization bound, hot-cache byte budget, and the micro-batching knobs
-// (batch cap, queue depth, workers).
+// quantization bound, and hot-cache byte budget. The micro-batching shape
+// (one batcher, batches of up to 64, a 256-deep queue) is fixed.
 type ServeOptions = serve.Options
 
 // ServeStats is a point-in-time snapshot of a Server's request, cache,
