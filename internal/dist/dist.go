@@ -17,9 +17,9 @@ import (
 	"dlrmcomp/internal/tensor"
 )
 
-// Default learning rates, matching the single-process recipe the
-// experiment drivers use (SGD on the dense MLPs, scaled SGD on the sparse
-// embedding rows).
+// The trainer's learning rates, the single-process recipe the experiment
+// drivers use too: SGD on the dense MLPs, scaled SGD on the sparse
+// embedding rows.
 const (
 	DefaultDenseLR float32 = 0.05
 	DefaultEmbLR   float32 = 0.3
@@ -74,12 +74,6 @@ type Options struct {
 	// Under a wire transport every process must pass the same plan so
 	// rank 0 (where cost is computed) always has it.
 	Faults *cluster.FaultPlan
-	// DenseLR is the SGD learning rate for the data-parallel MLPs
-	// (0 = DefaultDenseLR).
-	DenseLR float32
-	// EmbLR is the sparse-SGD learning rate for embedding rows
-	// (0 = DefaultEmbLR).
-	EmbLR float32
 }
 
 // replica is one rank's data-parallel model state: a DLRM whose MLPs are
@@ -167,12 +161,6 @@ func NewTrainer(opts Options) (*Trainer, error) {
 	}
 	if (opts.Device == netmodel.Device{}) {
 		opts.Device = netmodel.A100()
-	}
-	if opts.DenseLR == 0 {
-		opts.DenseLR = DefaultDenseLR
-	}
-	if opts.EmbLR == 0 {
-		opts.EmbLR = DefaultEmbLR
 	}
 	numTables := len(opts.Model.TableSizes)
 	if opts.Controller != nil {
@@ -263,7 +251,7 @@ func NewTrainer(opts Options) (*Trainer, error) {
 	t.width = min(max(runtime.GOMAXPROCS(0)/opts.Ranks, 1), 8)
 
 	for r := 0; r < opts.Ranks; r++ {
-		rp := &replica{opt: &nn.SGD{LR: opts.DenseLR, Workers: t.width}}
+		rp := &replica{opt: &nn.SGD{LR: DefaultDenseLR, Workers: t.width}}
 		if r == 0 {
 			rp.m = tmpl
 		} else {

@@ -283,7 +283,7 @@ func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 			// matches the single-process trainer.
 			for _, tb := range owned {
 				t.tmpl.Emb.Tables[tb].ApplySGD(
-					embedding.SparseGrad{Indices: b.Indices[tb], Grad: ws.gradOf[tb]}, t.opts.EmbLR)
+					embedding.SparseGrad{Indices: b.Indices[tb], Grad: ws.gradOf[tb]}, DefaultEmbLR)
 			}
 		}
 

@@ -32,7 +32,7 @@ type Linear struct {
 	// nothing here.
 	y, gw, dX *tensor.Matrix
 	gb        []float32
-	wt        tensor.Matrix // Wᵀ, packed by the forward matmul for batches big enough to want it
+	pk        tensor.Panels // the packed operand of whichever product ran last
 }
 
 // NewLinear constructs a layer with He-uniform initialized weights, the
@@ -60,7 +60,7 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	}
 	l.x = x
 	l.y = l.y.Resize(x.Rows, l.Out)
-	tensor.MatMulTransBWorkers(l.Workers, l.y, x, l.W, &l.wt)
+	tensor.MatMulTransBWorkers(l.Workers, l.y, x, l.W, &l.pk)
 	tensor.AddRowVec(l.y, l.B)
 	return l.y
 }
@@ -72,7 +72,7 @@ func (l *Linear) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	l.accumulateGrads(dY)
 	// dX = dY @ W
 	l.dX = l.dX.Resize(dY.Rows, l.In)
-	tensor.MatMulWorkers(l.Workers, l.dX, dY, l.W)
+	tensor.MatMulWorkers(l.Workers, l.dX, dY, l.W, &l.pk)
 	return l.dX
 }
 
@@ -83,7 +83,7 @@ func (l *Linear) accumulateGrads(dY *tensor.Matrix) {
 		panic("nn: Linear.Backward before Forward")
 	}
 	l.gw = l.gw.Resize(l.Out, l.In)
-	tensor.MatMulTransAWorkers(l.Workers, l.gw, dY, l.x)
+	tensor.MatMulTransAWorkers(l.Workers, l.gw, dY, l.x, &l.pk)
 	tensor.Axpy(1, l.gw.Data, l.GradW.Data)
 	if cap(l.gb) < l.Out {
 		l.gb = make([]float32, l.Out)

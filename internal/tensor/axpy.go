@@ -3,15 +3,22 @@ package tensor
 // This file is the package's one vector primitive: d[j] = d[j] + a*b[j]
 // over one destination row (Axpy) or four rows through a run of terms that
 // share each load of b, either adding every term (Axpy4Rows) or leaving
-// alone the rows of a term whose coefficient is zero (Axpy4Skip). The matmul
-// kernels in blocked.go, nn.Linear's gradient accumulation and the
-// dot-interaction are all expressed on it. Each function has one assembly
-// body, the eight-lane AVX loops in axpy_amd64.s, which amd64 hosts with AVX
-// run; every other host runs the *Go functions at the bottom of this file,
-// which are also the oracle the assembly is tested against. The assembly
-// rounds the product and the sum separately, as the compiler's code for the
-// Go loops does on amd64, so on every architecture and with either body the
-// primitive computes, bit for bit, what the scalar loop there computes.
+// alone the rows of a term whose coefficient is zero (Axpy4Skip). Sixteen
+// columns of four rows that add every term are a tile (axpy4Tile), whose
+// AVX body keeps the 4×16 sums in registers across the whole run; the
+// panel pack the matmul kernels feed it (packPanels) is here too. The
+// matmul kernels in blocked.go, nn.Linear's gradient accumulation and the
+// dot-interaction are all expressed on these. Each function has one
+// assembly body, the eight-lane AVX loops in axpy_amd64.s, which amd64
+// hosts with AVX run; every other host runs the *Go functions at the
+// bottom of this file, which are also the oracle the assembly is tested
+// against. The assembly rounds the product and the sum separately, as the
+// compiler's code for the Go loops does on amd64, so on every architecture
+// and with either body the primitive computes, bit for bit, what the
+// scalar loop there computes.
+
+// nrTile is the column width of a tile: two eight-lane vectors per row.
+const nrTile = 16
 
 // Axpy computes y += alpha*x elementwise for equal-length slices that do
 // not overlap.
@@ -26,11 +33,16 @@ func Axpy(alpha float32, x, y []float32) {
 // y_r += c_r[p]*x[p*stride:][:len(y0)]. It is a whole four-row tile of a
 // product whose terms are never skipped; keeping the loop over p inside the
 // primitive matters when the rows are short, where a call per term costs as
-// much as the term. The y_r share a length, the c_r share a length, x
-// holds every row read, and no y_r overlaps x or another y.
+// much as the term. Each full sixteen columns run as one register-held
+// tile, the rest as four-row passes. The y_r share a length, the c_r share
+// a length, x holds every row read, and no y_r overlaps x or another y.
 func Axpy4Rows(c0, c1, c2, c3, x []float32, stride int, y0, y1, y2, y3 []float32) {
 	checkAxpy4(c0, c1, c2, c3, x, stride, y0, y1, y2, y3)
-	axpy4Rows(y0, y1, y2, y3, x, stride, c0, c1, c2, c3, len(c0), 1, false)
+	k, j := len(c0), 0
+	for ; k > 0 && j+nrTile <= len(y0); j += nrTile {
+		axpy4Tile(y0[j:j+nrTile], y1[j:j+nrTile], y2[j:j+nrTile], y3[j:j+nrTile], x[j:], stride, c0, c1, c2, c3, k, 1)
+	}
+	axpy4Rows(y0[j:], y1[j:], y2[j:], y3[j:], x[j:], stride, c0, c1, c2, c3, k, 1, false)
 }
 
 // Axpy4Skip is Axpy4Rows that, term by term, leaves alone every row whose
@@ -58,7 +70,7 @@ func checkAxpy4(c0, c1, c2, c3, x []float32, stride int, y0, y1, y2, y3 []float3
 func axpy1Go(d, b []float32, a float32) {
 	d = d[:len(b)]
 	for j, bv := range b {
-		d[j] += a * bv
+		d[j] += float32(a * bv)
 	}
 }
 
@@ -81,10 +93,32 @@ func axpy4RowsGo(d0, d1, d2, d3, b []float32, stride int, c0, c1, c2, c3 []float
 			continue
 		}
 		for j, bv := range x {
-			d0[j] += a0 * bv
-			d1[j] += a1 * bv
-			d2[j] += a2 * bv
-			d3[j] += a3 * bv
+			d0[j] += float32(a0 * bv)
+			d1[j] += float32(a1 * bv)
+			d2[j] += float32(a2 * bv)
+			d3[j] += float32(a3 * bv)
 		}
 	}
+}
+
+// packPanelsGo is the portable body of packPanels: it copies the k×n
+// row-major b into dst as column panels nrTile wide, the one of column j (a
+// multiple of nrTile) at j*k with its rows nrTile apart, the last one
+// padded with zeros, and reports whether every value of b is finite (v-v is
+// 0 exactly when v is).
+func packPanelsGo(dst, b []float32, k, n int) bool {
+	finite := true
+	for j := 0; j < n; j += nrTile {
+		w := min(nrTile, n-j)
+		panel := dst[j*k : j*k+nrTile*k]
+		for p := 0; p < k; p++ {
+			row := panel[p*nrTile : (p+1)*nrTile]
+			for c, v := range b[p*n+j : p*n+j+w] {
+				row[c] = v
+				finite = finite && v-v == 0
+			}
+			clear(row[w:])
+		}
+	}
+	return finite
 }

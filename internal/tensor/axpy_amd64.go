@@ -2,21 +2,27 @@
 
 package tensor
 
-// useAVX picks the bodies both functions run: the AVX loops in
+// useAVX picks the bodies all four functions run: the AVX loops in
 // axpy_amd64.s where HasAVX holds, the Go loops everywhere else. It is set
 // here, once, at package init; the package's tests switch it to hold every
 // body the host can execute to the same oracle.
 var useAVX = HasAVX()
 
-// Implemented in axpy_amd64.s. Both trust their caller for the lengths;
-// the wrappers in axpy.go and saxpyRows in blocked.go are the only callers
-// of axpy1 and axpy4Rows below, and check them.
+// Implemented in axpy_amd64.s. All four trust their caller for the
+// lengths; the wrappers in axpy.go and the kernels in blocked.go are the
+// only callers of the Go functions below, and check them.
 
 //go:noescape
 func axpy1AVX(d, b []float32, a float32)
 
 //go:noescape
 func axpy4RowsAVX(d0, d1, d2, d3, b []float32, stride int, c0, c1, c2, c3 []float32, k, cstride int, skip bool)
+
+//go:noescape
+func axpy4TileAVX(d0, d1, d2, d3, b []float32, stride int, c0, c1, c2, c3 []float32, k, cstride int)
+
+//go:noescape
+func packPanelsAVX(dst, b []float32, k, n int) bool
 
 func axpy1(d, b []float32, a float32) {
 	if useAVX {
@@ -32,6 +38,21 @@ func axpy4Rows(d0, d1, d2, d3, b []float32, stride int, c0, c1, c2, c3 []float32
 		return
 	}
 	axpy4RowsGo(d0, d1, d2, d3, b, stride, c0, c1, c2, c3, k, cstride, skip)
+}
+
+func axpy4Tile(d0, d1, d2, d3, b []float32, stride int, c0, c1, c2, c3 []float32, k, cstride int) {
+	if useAVX {
+		axpy4TileAVX(d0, d1, d2, d3, b, stride, c0, c1, c2, c3, k, cstride)
+		return
+	}
+	axpy4RowsGo(d0, d1, d2, d3, b, stride, c0, c1, c2, c3, k, cstride, false)
+}
+
+func packPanels(dst, b []float32, k, n int) bool {
+	if useAVX {
+		return packPanelsAVX(dst, b, k, n)
+	}
+	return packPanelsGo(dst, b, k, n)
 }
 
 // HasAVX reports whether the CPU executes AVX and the OS saves the YMM

@@ -1,12 +1,14 @@
 // The AVX bodies of the package's one vector primitive (see axpy.go) on
-// amd64, eight lanes wide. The Go wrappers in axpy_amd64.go call them where
-// useAVX is set (once, at package init, from HasAVX) and run axpy1Go /
-// axpy4RowsGo everywhere else. Lanes run across different elements j; each
-// element is computed as d[j] + a*b[j] with one multiply and one add
-// (VMULPS then VADDPS; never a fused multiply-add), with the operand roles
-// the compiler's scalar code has (product = b*a, then product + d), so every
-// element is bit-for-bit what axpy1Go / axpy4RowsGo produce. No body runs a
-// legacy-SSE instruction, and each ends in VZEROUPPER. The callers in
+// amd64, eight lanes wide: the single- and four-row passes, the 4×16
+// register-held tile, and the panel pack the matmul kernels feed the tile
+// from. The Go wrappers in axpy_amd64.go call them where useAVX is set
+// (once, at package init, from HasAVX) and run the *Go loops of axpy.go
+// everywhere else. Lanes run across different elements j; each element is
+// computed as d[j] + a*b[j] with one multiply and one add (VMULPS then
+// VADDPS; never a fused multiply-add), with the operand roles the
+// compiler's scalar code has (product = b*a, then product + d), so every
+// element is bit-for-bit what axpy1Go / axpy4RowsGo produce. No body runs
+// a legacy-SSE instruction, and each ends in VZEROUPPER. The callers in
 // axpy.go and blocked.go have checked every length.
 
 #include "textflag.h"
@@ -197,6 +199,152 @@ next:
 	JMP  term
 
 done:
+	VZEROUPPER
+	RET
+
+// VTILE does acc[0:8] += a*b[0:8] on a register-held accumulator, with
+// VROW's operand roles: the product's first source is b, the sum's is the
+// product.
+#define VTILE(bvec, avec, t, acc) \
+	VMULPS avec, bvec, t       \
+	VADDPS acc, t, acc
+
+// func axpy4TileAVX(d0, d1, d2, d3, b []float32, stride int, c0, c1, c2, c3 []float32, k, cstride int)
+//
+// A 4×16 output tile held in Y8–Y15 across the whole term loop: for p in
+// 0..k, d_r[j] += c_r[p*cstride]*b[p*stride+j] for j in 0..16, each
+// element fed its terms one at a time in ascending p, so the tile ends
+// bit for bit where axpy4RowsAVX without skip ends, having loaded and
+// stored each element once instead of once per term. Y0–Y3 hold the four
+// coefficients of a term, Y4–Y5 its sixteen b elements, Y6–Y7 products.
+TEXT ·axpy4TileAVX(SB), NOSPLIT, $0-240
+	MOVQ d0_base+0(FP), R8
+	MOVQ d1_base+24(FP), R9
+	MOVQ d2_base+48(FP), R10
+	MOVQ d3_base+72(FP), R11
+	MOVQ b_base+96(FP), SI
+	MOVQ stride+120(FP), BX
+	SHLQ $2, BX
+	MOVQ c0_base+128(FP), R12
+	MOVQ c1_base+152(FP), R13
+	MOVQ c2_base+176(FP), R14
+	MOVQ c3_base+200(FP), R15
+	MOVQ k+224(FP), DI
+	MOVQ cstride+232(FP), DX
+	SHLQ $2, DX
+	XORQ AX, AX // the term's coefficient offset, in bytes
+
+	VMOVUPS (R8), Y8
+	VMOVUPS 32(R8), Y9
+	VMOVUPS (R9), Y10
+	VMOVUPS 32(R9), Y11
+	VMOVUPS (R10), Y12
+	VMOVUPS 32(R10), Y13
+	VMOVUPS (R11), Y14
+	VMOVUPS 32(R11), Y15
+	TESTQ   DI, DI
+	JLE     tstore
+
+tterm:
+	VMOVUPS      (SI), Y4
+	VMOVUPS      32(SI), Y5
+	VBROADCASTSS (R12)(AX*1), Y0
+	VBROADCASTSS (R13)(AX*1), Y1
+	VBROADCASTSS (R14)(AX*1), Y2
+	VBROADCASTSS (R15)(AX*1), Y3
+	VTILE(Y4, Y0, Y6, Y8)
+	VTILE(Y5, Y0, Y7, Y9)
+	VTILE(Y4, Y1, Y6, Y10)
+	VTILE(Y5, Y1, Y7, Y11)
+	VTILE(Y4, Y2, Y6, Y12)
+	VTILE(Y5, Y2, Y7, Y13)
+	VTILE(Y4, Y3, Y6, Y14)
+	VTILE(Y5, Y3, Y7, Y15)
+	ADDQ         BX, SI
+	ADDQ         DX, AX
+	DECQ         DI
+	JNZ          tterm
+
+tstore:
+	VMOVUPS Y8, (R8)
+	VMOVUPS Y9, 32(R8)
+	VMOVUPS Y10, (R9)
+	VMOVUPS Y11, 32(R9)
+	VMOVUPS Y12, (R10)
+	VMOVUPS Y13, 32(R10)
+	VMOVUPS Y14, (R11)
+	VMOVUPS Y15, 32(R11)
+	VZEROUPPER
+	RET
+
+// func packPanelsAVX(dst, b []float32, k, n int) bool
+//
+// Copies the k×n row-major b into dst as column panels sixteen wide, the
+// one of column j (a multiple of 16) at j*k with its rows 16 apart, the
+// last one padded with zeros, and reports whether every value of b is
+// finite. The check rides on the copy: v-v is +0 for every finite v and a
+// NaN for ±Inf and NaN, and the ORed bits of all of them (Y7 for the
+// vectors, X6 for the tail) are zero only if each one was.
+TEXT ·packPanelsAVX(SB), NOSPLIT, $0-65
+	MOVQ   dst_base+0(FP), DI
+	MOVQ   b_base+24(FP), SI
+	MOVQ   k+48(FP), CX
+	MOVQ   n+56(FP), DX
+	MOVQ   CX, R8
+	SHLQ   $6, R8   // bytes from one panel to the next: 16*k*4
+	MOVQ   DX, R9
+	ANDQ   $-16, R9 // the columns in full panels
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	TESTQ  CX, CX
+	JLE    pdone
+
+prow:
+	XORQ AX, AX  // the column in b
+	MOVQ DI, R12 // the row's place in the current panel
+
+pvec:
+	CMPQ    AX, R9
+	JGE     ptail
+	VMOVUPS (SI)(AX*4), Y0
+	VMOVUPS 32(SI)(AX*4), Y1
+	VMOVUPS Y0, (R12)
+	VMOVUPS Y1, 32(R12)
+	VSUBPS  Y0, Y0, Y2
+	VSUBPS  Y1, Y1, Y3
+	VORPS   Y2, Y7, Y7
+	VORPS   Y3, Y7, Y7
+	ADDQ    $16, AX
+	ADDQ    R8, R12
+	JMP     pvec
+
+ptail:
+	CMPQ    AX, DX
+	JGE     pnext
+	VMOVUPS Y5, (R12) // the padding, then the tail's columns over it
+	VMOVUPS Y5, 32(R12)
+
+ptcol:
+	VMOVSS (SI)(AX*4), X0
+	VMOVSS X0, (R12)
+	VSUBSS X0, X0, X2
+	VORPS  X2, X6, X6
+	ADDQ   $4, R12
+	INCQ   AX
+	CMPQ   AX, DX
+	JLT    ptcol
+
+pnext:
+	LEAQ (SI)(DX*4), SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  prow
+
+pdone:
+	VORPS  Y6, Y7, Y7
+	VPTEST Y7, Y7
+	SETEQ  ret+64(FP)
 	VZEROUPPER
 	RET
 

@@ -5,15 +5,19 @@
 // All of the dense math sits on one vector primitive, d[j] += a*b[j] over
 // one destination row, or four rows through a run of terms that either adds
 // every term or skips zero coefficients (Axpy, Axpy4Rows, Axpy4Skip;
-// axpy.go). Each function has one assembly body, eight-lane AVX
-// (axpy_amd64.s), selected once at package init where CPUID and XGETBV
-// report it (HasAVX, the probe internal/quant selects its AVX bodies by
-// too). Every other host, amd64 without AVX included, runs the equivalent
-// Go loop, which is also the oracle the assembly is tested against. The
-// three matrix products are saxpy-form kernels over that primitive
-// (blocked.go), and the large ones are split by output row across a
-// persistent worker pool (pool.go) when the work is big enough to pay for
-// the fan-out.
+// axpy.go), and on its register-held form, a 4×16 tile of four rows that
+// adds every term (axpy4Tile). Each function has one assembly body,
+// eight-lane AVX (axpy_amd64.s), selected once at package init where CPUID
+// and XGETBV report it (HasAVX, the probe internal/quant selects its AVX
+// bodies by too). Every other host, amd64 without AVX included, runs the
+// equivalent Go loop, which is also the oracle the assembly is tested
+// against. The three matrix products (blocked.go) pack their b operand
+// into 16-column panels in scratch the caller owns (Panels) and run every
+// whole 4×16 block of the output as one tile over an L1-resident slice of
+// a panel; MatMul and MatMulTransA, whose naive loops skip zero terms,
+// fall back to the skipping four-row passes when b holds an Inf or a NaN.
+// The large products are split by output row across a persistent worker
+// pool (pool.go) when the work is big enough to pay for the fan-out.
 //
 // Vector lanes, row tiles and worker spans all cut across different output
 // elements; each element is one float32 accumulator fed its terms one at a
@@ -28,7 +32,7 @@
 // tests depend on.
 //
 // Key types: Matrix (row-major, with the MatMulWorkers and
-// MatMulTrans{A,B}Workers products), RNG
-// (splitmix-based, seeded everywhere a stream of randomness is needed),
-// and the Axpy/Axpy4Skip/Axpy4Rows/Scale/Dot vector helpers.
+// MatMulTrans{A,B}Workers products), Panels (a product's packing scratch),
+// RNG (splitmix-based, seeded everywhere a stream of randomness is
+// needed), and the Axpy/Axpy4Skip/Axpy4Rows/Scale/Dot vector helpers.
 package tensor

@@ -29,12 +29,14 @@ func (m *Matrix) Equal(n *Matrix, tol float32) bool {
 	return true
 }
 
-// MatMul is MatMulWorkers at GOMAXPROCS width.
-func MatMul(dst, a, b *Matrix) { MatMulWorkers(0, dst, a, b) }
+// MatMul is MatMulWorkers at GOMAXPROCS width, packing into scratch of its
+// own.
+func MatMul(dst, a, b *Matrix) { MatMulWorkers(0, dst, a, b, new(Panels)) }
 
-// MatMulTransB is MatMulTransBWorkers at GOMAXPROCS width without a
-// workspace.
-func MatMulTransB(dst, a, b *Matrix) { MatMulTransBWorkers(0, dst, a, b, nil) }
+// MatMulTransB is MatMulTransBWorkers at GOMAXPROCS width, packing into
+// scratch of its own.
+func MatMulTransB(dst, a, b *Matrix) { MatMulTransBWorkers(0, dst, a, b, new(Panels)) }
 
-// MatMulTransA is MatMulTransAWorkers at GOMAXPROCS width.
-func MatMulTransA(dst, a, b *Matrix) { MatMulTransAWorkers(0, dst, a, b) }
+// MatMulTransA is MatMulTransAWorkers at GOMAXPROCS width, packing into
+// scratch of its own.
+func MatMulTransA(dst, a, b *Matrix) { MatMulTransAWorkers(0, dst, a, b, new(Panels)) }

@@ -58,13 +58,13 @@ func (r *RNG) NormFloat64() float64 {
 func (r *RNG) FillUniform(x []float32, lo, hi float32) {
 	span := hi - lo
 	for i := range x {
-		x[i] = lo + span*r.Float32()
+		x[i] = lo + float32(span*r.Float32())
 	}
 }
 
 // FillNormal fills x with Gaussian samples of the given mean and stddev.
 func (r *RNG) FillNormal(x []float32, mean, std float32) {
 	for i := range x {
-		x[i] = mean + std*float32(r.NormFloat64())
+		x[i] = mean + float32(std*float32(r.NormFloat64()))
 	}
 }

@@ -59,86 +59,88 @@ func (m *Matrix) Zero() {
 
 // parallelThreshold is the number of multiply-adds below which a matmul stays
 // single-threaded at any width. A fan-out costs the caller 15–30 µs (queue a
-// span, wake a pool worker, wait for it), and the AVX kernels get through
-// 9–17 multiply-adds per nanosecond, so the work has to be worth a few
-// hundred microseconds before a second worker pays. Measured on a 2-vCPU
-// Xeon (model 207) with the AVX body, best of four, 1 worker → 2 workers,
-// for MatMulTransB / MatMul / MatMulTransA on the MLP shapes (batch × in ·
-// out; BenchmarkMatMulTransB_MLP, BenchmarkMatMul_MLP,
-// BenchmarkMatMulTransA_MLP):
+// span, wake a pool worker, wait for it), and the register-held tile gets
+// through 18–22 multiply-adds per nanosecond, so the work has to be worth
+// a few hundred microseconds before a second worker pays. Measured on a
+// 2-vCPU Xeon (model 207, one thread per core) with the AVX tile, the
+// threshold set to zero, eight interleaved runs of one and two workers,
+// median µs for MatMulTransB / MatMul / MatMulTransA on the MLP shapes
+// (batch × in · out; BenchmarkMatMulTransB_MLP, BenchmarkMatMul_MLP and
+// BenchmarkMatMulTransA_MLP, zeros=none) and the range of the three
+// products' median paired speed-ups:
 //
-//	 128×383·32   (1.6M)  125→137 µs   169→176 µs   154→160 µs   slower
-//	  96×256·128  (3.1M)  214→223 µs   240→209 µs   215→209 µs   even
-//	 128×256·128  (4.2M)  278→243 µs   276→222 µs   306→267 µs   1.1–1.2x
-//	 256×256·128  (8.4M)  606→384 µs   504→434 µs   767→355 µs   1.2–2.2x
-//	1024×256·128   (34M)  2.75→1.33 ms 2.18→1.59 ms 2.21→1.60 ms 1.4–2.1x
-//	1024×383·256  (100M)  9.2→5.6 ms   8.5→4.9 ms   10.5→6.0 ms  1.7–1.8x
+//	 128×383·32   (1.6M)    75→95 µs     111→135 µs    82→78 µs    0.8–1.0x
+//	  96×256·128  (3.1M)   196→187 µs    162→168 µs   165→162 µs   0.9–1.1x
+//	 128×256·128  (4.2M)   244→217 µs    225→195 µs   207→205 µs   1.0–1.1x
+//	 256×256·128  (8.4M)   408→295 µs    357→286 µs   396→323 µs   1.3–1.4x
+//	1024×256·128   (34M)  1.74→1.06 ms  1.83→1.04 ms 1.74→1.21 ms  1.4–1.8x
+//	1024×383·256  (100M)  5.08→3.23 ms  4.60→2.97 ms 5.54→3.19 ms  1.6–1.7x
 //
 // The break-even lies between 3.1M and 4.2M. On hosts without AVX the Go
 // loops take longer over the same product, so there the threshold only
-// errs towards staying single-threaded. The old value, 1<<17, was sized
-// for the scalar kernels (~130 µs of work then, ~10 µs now).
+// errs towards staying single-threaded.
 const parallelThreshold = 1 << 22
 
 // MatMulWorkers computes dst = a @ b where a is m×k and b is k×n. dst must
 // be m×n and is overwritten; it panics on shape mismatch. workers is the
 // row-parallel width: 0 means GOMAXPROCS, 1 forces single-threaded.
 // Products below parallelThreshold stay single-threaded at any width, so
-// small matmuls never pay fan-out overhead (or allocate). Results are
-// bitwise identical at every width and tile boundary: rows are independent,
-// and the blocked kernel preserves the naive per-element accumulation order.
-func MatMulWorkers(workers int, dst, a, b *Matrix) {
+// small matmuls never pay fan-out overhead (or allocate). pk is the
+// packing scratch the caller owns and passes again on every call (see
+// Panels). Results are bitwise
+// identical at every width and tile boundary: rows are independent, and
+// the kernels preserve the naive per-element accumulation order.
+func MatMulWorkers(workers int, dst, a, b *Matrix, pk *Panels) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shapes %dx%d @ %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
+	panels := pk.rows(b, a.Rows)
 	if workers = EffectiveWorkers(workers); workers <= 1 || a.Rows*a.Cols*b.Cols < parallelThreshold {
-		matMulBlocked(dst, a, b, 0, a.Rows)
+		saxpyRows(dst, a.Data, a.Cols, 1, a.Cols, b, panels, 0, a.Rows)
 		return
 	}
-	ParallelSpans(workers, a.Rows, func(lo, hi int) { matMulBlocked(dst, a, b, lo, hi) })
+	ParallelSpans(workers, a.Rows, func(lo, hi int) { saxpyRows(dst, a.Data, a.Cols, 1, a.Cols, b, panels, lo, hi) })
 }
 
 // MatMulTransBWorkers computes dst = a @ bᵀ where a is m×k and b is n×k;
 // dst must be m×n. This is the shape of a linear layer's forward pass. The
-// row-parallel width follows MatMulWorkers' contract. bt, when not
-// nil, is scratch the caller owns and passes again on every call: from
-// transBPackRows rows of a upward it is reshaped to k×n, filled with bᵀ and
-// the product runs saxpy-form on the vector primitive; it grows once to its
-// high-water size and is never allocated after that. With bt nil, or fewer
-// rows, the dot-form kernel reads b as it is. Both forms produce the same
-// bits.
-func MatMulTransBWorkers(workers int, dst, a, b, bt *Matrix) {
+// row-parallel width and pk follow MatMulWorkers' contract. From
+// transBPackRows rows of a upward, bᵀ is packed into pk and the product
+// runs on the tile; below, the dot-form kernel reads b as it is and pk is
+// left alone. Both forms produce the same bits.
+func MatMulTransBWorkers(workers int, dst, a, b *Matrix, pk *Panels) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransB shapes %dx%d @ (%dx%d)T -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	kernel, src := matMulTransBBlocked, b
-	if bt != nil && a.Rows >= transBPackRows {
-		packTranspose(bt, b)
-		kernel, src = matMulTransBPacked, bt
+	var panels []float32
+	if a.Rows >= transBPackRows {
+		panels = pk.transposed(b)
 	}
 	if workers = EffectiveWorkers(workers); workers <= 1 || a.Rows*a.Cols*b.Rows < parallelThreshold {
-		kernel(dst, a, src, 0, a.Rows)
+		matMulTransBRows(dst, a, b, panels, 0, a.Rows)
 		return
 	}
-	ParallelSpans(workers, a.Rows, func(lo, hi int) { kernel(dst, a, src, lo, hi) })
+	ParallelSpans(workers, a.Rows, func(lo, hi int) { matMulTransBRows(dst, a, b, panels, lo, hi) })
 }
 
 // MatMulTransAWorkers computes dst = aᵀ @ b where a is k×m and b is k×n;
 // dst must be m×n. This is the shape used by the backward pass for weights.
-// The width, over the output rows, follows MatMulWorkers' contract; it is
-// safe because the blocked kernel writes each dst row from exactly one span.
-func MatMulTransAWorkers(workers int, dst, a, b *Matrix) {
+// The width, over the output rows, and pk follow MatMulWorkers' contract;
+// the width is safe because the kernel writes each dst row from exactly
+// one span.
+func MatMulTransAWorkers(workers int, dst, a, b *Matrix, pk *Panels) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransA shapes (%dx%d)T @ %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
+	panels := pk.rows(b, a.Cols)
 	if workers = EffectiveWorkers(workers); workers <= 1 || a.Rows*a.Cols*b.Cols < parallelThreshold {
-		matMulTransABlocked(dst, a, b, 0, a.Cols)
+		saxpyRows(dst, a.Data, 1, a.Cols, a.Rows, b, panels, 0, a.Cols)
 		return
 	}
-	ParallelSpans(workers, a.Cols, func(lo, hi int) { matMulTransABlocked(dst, a, b, lo, hi) })
+	ParallelSpans(workers, a.Cols, func(lo, hi int) { saxpyRows(dst, a.Data, 1, a.Cols, a.Rows, b, panels, lo, hi) })
 }
 
 // AddRowVec adds vector v (len == m.Cols) to every row of m in place.
@@ -185,7 +187,7 @@ func Dot(x, y []float32) float32 {
 	}
 	var s float32
 	for i, v := range x {
-		s += v * y[i]
+		s += float32(v * y[i])
 	}
 	return s
 }
