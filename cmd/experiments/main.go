@@ -137,7 +137,7 @@ func smokeSpecs() []scenario.Spec {
 // (or the full scenario.Results as JSON).
 func runSmoke(jsonOut bool) {
 	specs := smokeSpecs()
-	results, err := scenario.Sweep(specs, scenario.SweepOptions{})
+	results, err := scenario.Sweep(specs)
 	if jsonOut {
 		emitJSON(results)
 	} else {

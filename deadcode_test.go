@@ -2,8 +2,8 @@
 // staticcheck's U1000 only sees unexported names, so an exported function
 // under internal/ that only its own tests call would otherwise stay
 // forever. The gate type-checks every program of the repo (the facade,
-// cmd/, examples/ and the nested bench/ module) without their tests and
-// fails on each exported internal declaration that none of them reaches.
+// cmd/ and the nested bench/ module) without their tests and fails on
+// each exported internal declaration that none of them reaches.
 package dlrmcomp_test
 
 import (

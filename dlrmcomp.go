@@ -18,7 +18,7 @@
 //   - the declarative scenario engine: one Scenario value (or JSON file)
 //     describes dataset, cluster shape, topology, codec, error-bound
 //     schedule, and overlap, and RunScenario/SweepScenarios build and run
-//     it (bit-identically at any sweep worker count);
+//     it (bit-identically at any sweep pool width);
 //   - the experiment drivers regenerating every table and figure of the
 //     paper's evaluation (RunExperiment, ExperimentIDs).
 //
@@ -26,7 +26,8 @@
 //
 //	c := dlrmcomp.NewCompressor(0.01, dlrmcomp.ModeAuto)
 //	frame, _ := c.Compress(batch, dim)     // batch: row-major []float32
-//	recon, _, _ := c.Decompress(frame)     // |recon[i]-batch[i]| <= 0.01
+//	recon := make([]float32, len(batch))
+//	c.DecompressInto(recon, frame)         // |recon[i]-batch[i]| <= 0.01
 package dlrmcomp
 
 import (
@@ -57,8 +58,9 @@ type Codec = codec.Codec
 type ErrorBounded = codec.ErrorBounded
 
 // Compressor is the paper's hybrid error-bounded compressor. Beside the
-// Codec methods it has Compress and Decompress, which allocate their result
-// for callers that keep no buffers of their own.
+// Codec methods it has Compress, which allocates the frame for callers that
+// keep no send buffer of their own. Decoding has one entry, DecompressInto,
+// into a destination the caller sized.
 type Compressor = hybrid.Codec
 
 // Mode selects the hybrid compressor's lossless stage.
@@ -148,9 +150,8 @@ func AnalyzeTable(tableID int, sample []float32, dim int, eb float32) (PatternSt
 	return adapt.AnalyzeTable(tableID, sample, dim, eb)
 }
 
-// OfflineAnalysis runs the paper's offline phase — table classification
-// (Algorithm 1) and compressor selection (Algorithm 2) — over per-table
-// sampled lookup batches.
+// OfflineAnalysis runs the paper's table classification (Algorithm 1) over
+// per-table sampled lookup batches.
 func OfflineAnalysis(samples [][]float32, dim int, opts OfflineOptions) (*OfflineResult, error) {
 	return adapt.OfflineAnalysis(samples, dim, opts)
 }
@@ -283,8 +284,6 @@ type (
 	// ScenarioAxes expands per-axis value lists into the cross product of
 	// Scenarios for SweepScenarios.
 	ScenarioAxes = scenario.Axes
-	// SweepOptions tunes the parallel sweep runner.
-	SweepOptions = scenario.SweepOptions
 	// Breakdown is a labelled set of sim-time buckets
 	// (ScenarioResult.SimTime).
 	Breakdown = profileutil.Breakdown
@@ -293,10 +292,11 @@ type (
 // RunScenario validates, builds, and runs one scenario.
 func RunScenario(s Scenario) (*ScenarioResult, error) { return scenario.Run(s) }
 
-// SweepScenarios runs every scenario on a bounded worker pool, returning
-// results in input order; results are bit-identical at any worker count.
-func SweepScenarios(specs []Scenario, opts SweepOptions) ([]*ScenarioResult, error) {
-	return scenario.Sweep(specs, opts)
+// SweepScenarios runs every scenario on a pool of min(GOMAXPROCS,
+// len(specs)) workers, returning results in input order; results are
+// bit-identical at any pool width.
+func SweepScenarios(specs []Scenario) ([]*ScenarioResult, error) {
+	return scenario.Sweep(specs)
 }
 
 // LoadScenario reads a Scenario from a JSON file (unknown fields are an

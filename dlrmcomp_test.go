@@ -12,7 +12,8 @@ func TestFacadeCompressor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, dim, err := c.Decompress(frame)
+	recon := make([]float32, len(src))
+	dim, err := c.DecompressInto(recon, frame)
 	if err != nil || dim != 16 {
 		t.Fatalf("decompress: %v dim %d", err, dim)
 	}

@@ -66,10 +66,10 @@ func ExampleCodec() {
 	// compresses: true
 }
 
-// ExampleCompressor shows the hybrid compressor's convenience pair for
-// callers that keep no buffers: Compress returns a fresh frame —
-// byte-identical to what CompressAppend appends — and Decompress sizes the
-// reconstruction from the frame's own header.
+// ExampleCompressor shows the hybrid compressor's convenience encoder for
+// callers that keep no send buffer: Compress returns a fresh frame —
+// byte-identical to what CompressAppend appends — that DecompressInto
+// reconstructs into a destination the caller sized.
 func ExampleCompressor() {
 	batch := []float32{0.11, 0.52, -0.31, 0.11, 0.52, -0.31, 0.9, -0.7, 0.25}
 
@@ -82,7 +82,8 @@ func ExampleCompressor() {
 	if err != nil {
 		panic(err)
 	}
-	recon, dim, err := c.Decompress(frame)
+	recon := make([]float32, len(batch))
+	dim, err := c.DecompressInto(recon, frame)
 	if err != nil {
 		panic(err)
 	}
@@ -123,6 +124,69 @@ func ExampleTrainer_Step() {
 	fmt.Println("loss decreased:", last < first)
 	fmt.Println("compression ratio > 2x:", tr.CompressionRatio() > 2)
 	// Output:
+	// loss decreased: true
+	// compression ratio > 2x: true
+}
+
+// ExampleNewController runs the paper's dual-level adaptive strategy end
+// to end: the offline phase samples one lookup batch per table from a
+// fresh model and classifies the tables by their Homogenization Index
+// (Algorithm 1), and the controller built from those classes sets every
+// table's error bound per iteration — decaying from twice the class bound
+// over the first half of training — through TrainerOptions.Controller.
+func ExampleNewController() {
+	spec := dlrmcomp.ScaledSpec(dlrmcomp.KaggleSpec(), 100000)
+	cfg := exampleModel(spec)
+	gen := dlrmcomp.NewGenerator(spec)
+
+	probe, err := dlrmcomp.NewModel(cfg)
+	if err != nil {
+		panic(err)
+	}
+	b := gen.NextBatch(128)
+	samples := make([][]float32, len(probe.Emb.Tables))
+	for t, tab := range probe.Emb.Tables {
+		samples[t] = tab.Lookup(b.Indices[t]).Data
+	}
+	offline, err := dlrmcomp.OfflineAnalysis(samples, cfg.EmbeddingDim, dlrmcomp.OfflineOptions{SampleEB: 0.01})
+	if err != nil {
+		panic(err)
+	}
+	l, m, s := offline.ClassCounts()
+	fmt.Printf("classes: L=%d M=%d S=%d\n", l, m, s)
+
+	const steps = 30
+	ctrl, err := dlrmcomp.NewController(offline.Classes, dlrmcomp.PaperEBConfig(),
+		dlrmcomp.ScheduleStepwise, steps/2, 2)
+	if err != nil {
+		panic(err)
+	}
+	tr, err := dlrmcomp.NewTrainer(dlrmcomp.TrainerOptions{
+		Ranks:      4,
+		Model:      cfg,
+		Controller: ctrl,
+		CodecFor: func(t int) dlrmcomp.Codec {
+			return dlrmcomp.NewCompressor(offline.EBs[t], dlrmcomp.ModeAuto)
+		},
+	})
+	if err != nil {
+		panic(err)
+	}
+	var first, last float32
+	for i := 0; i < steps; i++ {
+		loss, err := tr.Step(gen.NextBatch(64))
+		if err != nil {
+			panic(err)
+		}
+		if i == 0 {
+			first = loss
+		}
+		last = loss
+	}
+	fmt.Println("loss decreased:", last < first)
+	fmt.Println("compression ratio > 2x:", tr.CompressionRatio() > 2)
+	// Output:
+	// classes: L=20 M=0 S=6
 	// loss decreased: true
 	// compression ratio > 2x: true
 }

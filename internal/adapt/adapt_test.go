@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"dlrmcomp/internal/hybrid"
 	"dlrmcomp/internal/tensor"
 )
 
@@ -236,31 +235,6 @@ func TestOfflineAnalysisClassifiesBySkew(t *testing.T) {
 	l, m, s := res.ClassCounts()
 	if l != 1 || s != 1 || m != 0 {
 		t.Fatalf("counts = %d/%d/%d", l, m, s)
-	}
-}
-
-func TestOfflineAnalysisEncoderSelection(t *testing.T) {
-	rng := tensor.NewRNG(2)
-	dim := 16
-	samples := [][]float32{
-		batchOf(rng, 256, dim, 8, 1.0),    // repeats -> vlz-friendly
-		batchOf(rng, 256, dim, 256, 0.02), // unique, concentrated -> huffman
-	}
-	res, err := OfflineAnalysis(samples, dim, OfflineOptions{
-		SampleEB:       0.01,
-		SelectEncoders: true,
-		NetBandwidth:   4e9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ti := range samples {
-		if len(res.Candidates[ti]) != 2 {
-			t.Fatalf("table %d: %d candidates", ti, len(res.Candidates[ti]))
-		}
-		if res.Modes[ti] != hybrid.VectorLZ && res.Modes[ti] != hybrid.Entropy {
-			t.Fatalf("table %d: mode %v", ti, res.Modes[ti])
-		}
 	}
 }
 

@@ -83,12 +83,12 @@ func DecayFactor(s Schedule, iter, phaseLen int, startFactor float64) float64 {
 		// K equal steps: startFactor at t=0, stepping down to the last
 		// step just above 1; reaches 1 when the phase ends.
 		step := math.Floor(t * StepwiseSteps)
-		return startFactor - (startFactor-1)*step/StepwiseSteps
+		return startFactor - float64((startFactor-1)*step/StepwiseSteps)
 	case ScheduleLogarithmic:
 		// Fast early decay: log(1+9t) sweeps 0 → log(10) as t goes 0 → 1.
-		return 1 + (startFactor-1)*(1-math.Log1p(9*t)/math.Log(10))
+		return 1 + float64((startFactor-1)*(1-math.Log1p(9*t)/math.Log(10)))
 	case ScheduleLinear:
-		return startFactor - (startFactor-1)*t
+		return startFactor - float64((startFactor-1)*t)
 	case ScheduleExponential:
 		return math.Pow(startFactor, 1-t)
 	case ScheduleDrop:

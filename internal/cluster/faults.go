@@ -244,7 +244,7 @@ func (c *Cluster) faultScale() float64 {
 	}
 	m := fi.slowMax
 	if fi.jitter > 0 {
-		m *= 1 + fi.jitter*unitFloat(fi.seed, seq)
+		m *= 1 + float64(fi.jitter*unitFloat(fi.seed, seq))
 	}
 	return m
 }

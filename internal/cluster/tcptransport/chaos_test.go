@@ -17,7 +17,7 @@ import (
 func TestChaosMidCollectiveKill(t *testing.T) {
 	for _, world := range []int{2, 4, 8} {
 		t.Run(fmt.Sprintf("world%d", world), func(t *testing.T) {
-			eps := dialGroup(t, world, nil)
+			eps := dialGroup(t, world)
 			victim := world / 2 // never rank 0, so the star barrier keeps its hub
 
 			// One warm-up collective with everyone present proves the group

@@ -42,7 +42,6 @@ const (
 // a barrier it can no longer join — poisons the endpoint, so a group
 // whose member left too early still errors instead of deadlocking.
 type endpoint struct {
-	opts  Options
 	rank  int
 	world int
 	conns []net.Conn // by peer rank; conns[rank] is nil
@@ -68,7 +67,6 @@ type endpoint struct {
 
 func newEndpoint(o Options, conns []net.Conn) *endpoint {
 	e := &endpoint{
-		opts:     o,
 		rank:     o.Rank,
 		world:    o.World,
 		conns:    conns,
@@ -102,8 +100,8 @@ func (e *endpoint) Send(to int, buf []byte) error {
 	if to < 0 || to >= e.world {
 		return fmt.Errorf("tcptransport: send to rank %d outside world of %d", to, e.world)
 	}
-	if int64(len(buf)) > e.opts.MaxFrameBytes {
-		return fmt.Errorf("tcptransport: rank %d: %d-byte frame to rank %d exceeds the %d-byte limit", e.rank, len(buf), to, e.opts.MaxFrameBytes)
+	if int64(len(buf)) > maxFrameBytes {
+		return fmt.Errorf("tcptransport: rank %d: %d-byte frame to rank %d exceeds the %d-byte limit", e.rank, len(buf), to, maxFrameBytes)
 	}
 	if err := e.errIfPoisoned(); err != nil {
 		return err
@@ -211,7 +209,7 @@ func (e *endpoint) Barrier() error {
 // talking to the ranks still in the group.
 func (e *endpoint) Close() error {
 	e.closeOnce.Do(func() {
-		deadline := time.Now().Add(e.opts.CloseTimeout)
+		deadline := time.Now().Add(closeTimeout)
 		for r, c := range e.conns {
 			if c == nil {
 				continue
@@ -274,8 +272,8 @@ func (e *endpoint) readLoop(from int, c net.Conn) {
 		}
 		kind := hdr[0]
 		n := int64(binary.LittleEndian.Uint32(hdr[1:]))
-		if n > e.opts.MaxFrameBytes {
-			e.poison(fmt.Errorf("tcptransport: rank %d: %d-byte frame from rank %d exceeds the %d-byte limit", e.rank, n, from, e.opts.MaxFrameBytes))
+		if n > maxFrameBytes {
+			e.poison(fmt.Errorf("tcptransport: rank %d: %d-byte frame from rank %d exceeds the %d-byte limit", e.rank, n, from, maxFrameBytes))
 			return
 		}
 		payload := []byte{}

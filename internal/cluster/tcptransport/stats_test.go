@@ -12,7 +12,7 @@ import (
 // of one direction agree exactly.
 func TestTransportStatsCounters(t *testing.T) {
 	sizes := []int{0, 1, 100, 4096}
-	eps := dialGroup(t, 2, nil)
+	eps := dialGroup(t, 2)
 
 	for seq, size := range sizes {
 		if err := eps[0].Send(1, payload(0, 1, seq, size)); err != nil {

@@ -36,7 +36,7 @@
 // is published, every connection is closed (which cascades the failure
 // to all peers as EOF), and every blocked Recv, Send, or Barrier returns
 // the error instead of deadlocking. Close is the graceful flavor: it
-// sends a close-notify frame to each peer under a CloseTimeout write
+// sends a close-notify frame to each peer under a closeTimeout write
 // deadline, then poisons locally and joins the reader goroutines. A
 // close notify marks only its sender departed, so the first rank to
 // finish does not tear down the sockets slower ranks still use; a rank
@@ -78,10 +78,20 @@ const (
 
 	maxAddrBytes = 256
 
-	defaultDialTimeout      = 10 * time.Second
-	defaultHandshakeTimeout = 10 * time.Second
-	defaultCloseTimeout     = 2 * time.Second
-	defaultMaxFrameBytes    = 1 << 30
+	defaultDialTimeout = 10 * time.Second
+)
+
+// Limits every endpoint of the process shares. They are variables, not
+// Options fields, so that in-package tests can shorten or tighten them.
+var (
+	// handshakeTimeout bounds the whole hello/welcome/pair exchange once
+	// connected.
+	handshakeTimeout = 10 * time.Second
+	// closeTimeout bounds the close-notify writes during a graceful Close.
+	closeTimeout = 2 * time.Second
+	// maxFrameBytes caps a single frame's payload; an incoming frame above
+	// it poisons the endpoint, an outgoing one fails the Send.
+	maxFrameBytes int64 = 1 << 30
 )
 
 // Options configures one rank's endpoint. Every rank of a group must use
@@ -105,31 +115,12 @@ type Options struct {
 	// DialTimeout bounds how long a worker keeps retrying the rendezvous
 	// dial while rank 0 is still coming up. Default 10s.
 	DialTimeout time.Duration
-	// HandshakeTimeout bounds the whole hello/welcome/pair exchange once
-	// connected. Default 10s.
-	HandshakeTimeout time.Duration
-	// CloseTimeout bounds the close-notify writes during a graceful
-	// Close. Default 2s.
-	CloseTimeout time.Duration
-	// MaxFrameBytes caps a single frame's payload; an incoming frame
-	// above it poisons the endpoint, an outgoing one fails the Send.
-	// Default 1 GiB.
-	MaxFrameBytes int64
 }
 
 // withDefaults resolves zero fields to their defaults.
 func (o Options) withDefaults() Options {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = defaultDialTimeout
-	}
-	if o.HandshakeTimeout <= 0 {
-		o.HandshakeTimeout = defaultHandshakeTimeout
-	}
-	if o.CloseTimeout <= 0 {
-		o.CloseTimeout = defaultCloseTimeout
-	}
-	if o.MaxFrameBytes <= 0 {
-		o.MaxFrameBytes = defaultMaxFrameBytes
 	}
 	return o
 }
@@ -175,7 +166,7 @@ func rendezvousLead(o Options) (cluster.Transport, error) {
 		}
 		defer ln.Close()
 	}
-	deadline := time.Now().Add(o.HandshakeTimeout)
+	deadline := time.Now().Add(handshakeTimeout)
 	conns := make([]net.Conn, o.World)
 	addrs := make([]string, o.World)
 	fail := func(err error) (cluster.Transport, error) {
@@ -252,7 +243,7 @@ func rendezvousWorker(o Options) (cluster.Transport, error) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	deadline := time.Now().Add(o.HandshakeTimeout)
+	deadline := time.Now().Add(handshakeTimeout)
 	if err := writeHello(conns[0], o, ln.Addr().String(), deadline); err != nil {
 		return fail(fmt.Errorf("tcptransport: rank %d hello: %w", o.Rank, err))
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,9 +26,25 @@ func rendezvousListener(t *testing.T) (net.Listener, string) {
 	return ln, ln.Addr().String()
 }
 
+// TestMain shortens the handshake and close limits, so a broken
+// rendezvous or teardown fails a test in seconds.
+func TestMain(m *testing.M) {
+	handshakeTimeout, closeTimeout = 5*time.Second, time.Second
+	os.Exit(m.Run())
+}
+
+// limitFrames caps every endpoint's frame payload at n bytes for the rest
+// of the test; the endpoints it dials afterwards are closed before the cap
+// is restored.
+func limitFrames(t *testing.T, n int64) {
+	old := maxFrameBytes
+	maxFrameBytes = n
+	t.Cleanup(func() { maxFrameBytes = old })
+}
+
 // dialGroup brings up a world-rank group on loopback, all endpoints in
-// this process. mod, when non-nil, tweaks each rank's Options.
-func dialGroup(t *testing.T, world int, mod func(rank int, o *Options)) []cluster.Transport {
+// this process.
+func dialGroup(t *testing.T, world int) []cluster.Transport {
 	t.Helper()
 	ln, addr := rendezvousListener(t)
 	eps := make([]cluster.Transport, world)
@@ -38,18 +55,13 @@ func dialGroup(t *testing.T, world int, mod func(rank int, o *Options)) []cluste
 		go func(r int) {
 			defer wg.Done()
 			o := Options{
-				Rank:             r,
-				World:            world,
-				Addr:             addr,
-				DialTimeout:      5 * time.Second,
-				HandshakeTimeout: 5 * time.Second,
-				CloseTimeout:     time.Second,
+				Rank:        r,
+				World:       world,
+				Addr:        addr,
+				DialTimeout: 5 * time.Second,
 			}
 			if r == 0 {
 				o.Listener = ln
-			}
-			if mod != nil {
-				mod(r, &o)
 			}
 			eps[r], errs[r] = Dial(o)
 		}(r)
@@ -85,7 +97,7 @@ func payload(from, to, seq, size int) []byte {
 func TestPairwiseFIFOAndRagged(t *testing.T) {
 	const world = 3
 	sizes := []int{0, 1, 7, 4096, 0, 65, 1000}
-	eps := dialGroup(t, world, nil)
+	eps := dialGroup(t, world)
 	var wg sync.WaitGroup
 	errc := make(chan error, world)
 	for r := 0; r < world; r++ {
@@ -133,7 +145,7 @@ func TestPairwiseFIFOAndRagged(t *testing.T) {
 
 func TestBarrierSynchronizes(t *testing.T) {
 	const world, rounds = 4, 20
-	eps := dialGroup(t, world, nil)
+	eps := dialGroup(t, world)
 	var counter atomic.Int64
 	var wg sync.WaitGroup
 	errc := make(chan error, world)
@@ -168,11 +180,8 @@ func TestBarrierSynchronizes(t *testing.T) {
 // TestOversizedSendRejected: the sender-side cap fails the Send without
 // killing the endpoint, so a capped rank keeps working under the limit.
 func TestOversizedSendRejected(t *testing.T) {
-	eps := dialGroup(t, 2, func(rank int, o *Options) {
-		if rank == 0 {
-			o.MaxFrameBytes = 64
-		}
-	})
+	limitFrames(t, 64)
+	eps := dialGroup(t, 2)
 	if err := eps[0].Send(1, make([]byte, 100)); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Fatalf("oversized send: got %v, want frame-limit error", err)
 	}
@@ -201,13 +210,12 @@ func TestOversizedSendRejected(t *testing.T) {
 // receiver, and the teardown cascades to the sender instead of leaving
 // it blocked.
 func TestOversizedRecvPoisons(t *testing.T) {
-	eps := dialGroup(t, 2, func(rank int, o *Options) {
-		if rank == 0 {
-			o.MaxFrameBytes = 64
-		}
-	})
-	if err := eps[1].Send(0, make([]byte, 1000)); err != nil {
-		t.Fatalf("send: %v", err) // within rank 1's own cap; the receiver enforces its limit
+	limitFrames(t, 64)
+	eps := dialGroup(t, 2)
+	// Written past Send's own check of the cap: the receiver must enforce it
+	// against a peer that does not.
+	if err := eps[1].(*endpoint).writeFrame(0, kData, make([]byte, 1000)); err != nil {
+		t.Fatalf("send: %v", err)
 	}
 	recvErr := make(chan error, 1)
 	go func() {
@@ -241,7 +249,7 @@ func TestOversizedRecvPoisons(t *testing.T) {
 // blocking Recv and Barrier must error both out promptly — never
 // deadlock them.
 func TestMidCollectiveCloseErrors(t *testing.T) {
-	eps := dialGroup(t, 3, nil)
+	eps := dialGroup(t, 3)
 	blocked := make(chan error, 2)
 	go func() {
 		_, err := eps[1].Recv(0)
@@ -269,7 +277,7 @@ func TestMidCollectiveCloseErrors(t *testing.T) {
 // TestGracefulCloseDrains: frames delivered before the peer's close stay
 // readable; the error surfaces only once the queue is dry.
 func TestGracefulCloseDrains(t *testing.T) {
-	eps := dialGroup(t, 2, nil)
+	eps := dialGroup(t, 2)
 	for seq := 0; seq < 3; seq++ {
 		if err := eps[0].Send(1, payload(0, 1, seq, 32)); err != nil {
 			t.Fatalf("send %d: %v", seq, err)
@@ -313,7 +321,7 @@ func TestGracefulCloseDrains(t *testing.T) {
 // seen rank 2's notify, they still exchange frames; rank 2's last frame
 // drains, and only a Recv past it fails, naming the departure.
 func TestPeerCloseLeavesGroupRunning(t *testing.T) {
-	eps := dialGroup(t, 3, nil)
+	eps := dialGroup(t, 3)
 	for to := 0; to < 2; to++ {
 		if err := eps[2].Send(to, payload(2, to, 0, 16)); err != nil {
 			t.Fatalf("rank 2 send to %d: %v", to, err)
@@ -407,7 +415,7 @@ func TestUnknownFrameKindPoisons(t *testing.T) {
 func TestStaleRendezvousDialerRejected(t *testing.T) {
 	ln, addr := rendezvousListener(t)
 	opts := func(rank int) Options {
-		return Options{Rank: rank, World: 2, Addr: addr, DialTimeout: 5 * time.Second, HandshakeTimeout: 5 * time.Second}
+		return Options{Rank: rank, World: 2, Addr: addr, DialTimeout: 5 * time.Second}
 	}
 	lead := make(chan struct{})
 	var ep0 cluster.Transport

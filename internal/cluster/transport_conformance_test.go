@@ -164,12 +164,11 @@ func runTCP(t *testing.T, world int, topo netmodel.Topology) *progResult {
 		go func(rank int) {
 			defer wg.Done()
 			ep, err := tcptransport.Dial(tcptransport.Options{
-				Rank:             rank,
-				World:            world,
-				Addr:             addr,
-				Listener:         ln, // used by rank 0 only
-				DialTimeout:      10 * time.Second,
-				HandshakeTimeout: 10 * time.Second,
+				Rank:        rank,
+				World:       world,
+				Addr:        addr,
+				Listener:    ln, // used by rank 0 only
+				DialTimeout: 10 * time.Second,
 			})
 			if err != nil {
 				errs[rank] = fmt.Errorf("dial: %w", err)
@@ -282,7 +281,7 @@ func TestTCPMidCollectiveCloseErrors(t *testing.T) {
 			defer dialWG.Done()
 			eps[rank], dialErrs[rank] = tcptransport.Dial(tcptransport.Options{
 				Rank: rank, World: world, Addr: addr, Listener: ln,
-				DialTimeout: 10 * time.Second, HandshakeTimeout: 10 * time.Second,
+				DialTimeout: 10 * time.Second,
 			})
 		}(rank)
 	}

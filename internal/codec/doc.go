@@ -19,6 +19,6 @@
 // faster one, and instances are safe to share across rank goroutines.
 // ErrorBounded is a Codec with a tunable absolute error bound, the hook the
 // adaptive Controller drives per table per iteration. The hybrid codec
-// alone keeps allocating Compress/Decompress wrappers, on its concrete
-// type, for the facade quick start.
+// alone keeps an allocating Compress wrapper, on its concrete type, for
+// the facade quick start; decoding has no allocating form.
 package codec

@@ -55,7 +55,7 @@ func (z *Zipf) Next() uint64 {
 	}
 	for {
 		r := z.rng.Float64()
-		ur := z.hxm + r*z.hx0minusHxm
+		ur := z.hxm + float64(r*z.hx0minusHxm)
 		x := z.hinv(ur)
 		k := math.Floor(x + 0.5)
 		if k-x <= z.s {

@@ -176,7 +176,7 @@ func entropy(codes []int32) float64 {
 	n := float64(len(codes))
 	for _, f := range freq {
 		p := float64(f) / n
-		h -= p * math.Log2(p)
+		h -= float64(p * math.Log2(p))
 	}
 	return h
 }

@@ -692,7 +692,7 @@ func TestTrainerCloseAfterTransportFailure(t *testing.T) {
 			defer dialWG.Done()
 			eps[r], dialErrs[r] = tcptransport.Dial(tcptransport.Options{
 				Rank: r, World: world, Addr: addr, Listener: ln,
-				DialTimeout: 10 * time.Second, HandshakeTimeout: 10 * time.Second,
+				DialTimeout: 10 * time.Second,
 			})
 		}(r)
 	}

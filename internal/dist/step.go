@@ -351,7 +351,7 @@ func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 		st.compress, st.decompress = max(st.compress, s.compress), max(st.decompress, s.decompress)
 		t.fwdRawBytes += s.fwdRaw
 		t.fwdCompBytes += s.fwdComp
-		loss += float64(s.loss) * float64(count[r])
+		loss += float64(float64(s.loss) * float64(count[r]))
 	}
 	st.mlp = t.opts.Device.MLPTime(t.stepFlops(maxCnt))
 	t.cl.AddSimTime("mlp", st.mlp)

@@ -89,12 +89,11 @@ func runTrainTCP(t *testing.T, opts Options, spec criteo.Spec) trainRun {
 		go func(rank int) {
 			defer wg.Done()
 			ep, err := tcptransport.Dial(tcptransport.Options{
-				Rank:             rank,
-				World:            world,
-				Addr:             addr,
-				Listener:         ln, // used by rank 0 only
-				DialTimeout:      10 * time.Second,
-				HandshakeTimeout: 10 * time.Second,
+				Rank:        rank,
+				World:       world,
+				Addr:        addr,
+				Listener:    ln, // used by rank 0 only
+				DialTimeout: 10 * time.Second,
 			})
 			if err != nil {
 				errs[rank] = fmt.Errorf("dial: %w", err)
@@ -267,7 +266,7 @@ func TestTrainerDistributedRejectsPipelined(t *testing.T) {
 			defer wg.Done()
 			ep, err := tcptransport.Dial(tcptransport.Options{
 				Rank: rank, World: 2, Addr: addr, Listener: ln,
-				DialTimeout: 10 * time.Second, HandshakeTimeout: 10 * time.Second,
+				DialTimeout: 10 * time.Second,
 			})
 			if err != nil {
 				errs[rank] = err

@@ -97,7 +97,7 @@ func (t *Table) ApplySGD(sg SparseGrad, lr float32) {
 		row := t.Weights.Row(int(idx))
 		g := sg.Grad.Row(i)
 		for j, gv := range g {
-			row[j] -= lr * gv
+			row[j] -= float32(lr * gv)
 		}
 	}
 }

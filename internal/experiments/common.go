@@ -168,8 +168,8 @@ func moments(x []float32) (mean, std, kurtosis float64) {
 	var m2, m4 float64
 	for _, v := range x {
 		d := float64(v) - mean
-		m2 += d * d
-		m4 += d * d * d * d
+		m2 += float64(d * d)
+		m4 += float64(d * d * d * d)
 	}
 	m2 /= n
 	m4 /= n

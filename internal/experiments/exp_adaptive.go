@@ -6,6 +6,7 @@ import (
 
 	"dlrmcomp/internal/adapt"
 	"dlrmcomp/internal/criteo"
+	"dlrmcomp/internal/hybrid"
 	"dlrmcomp/internal/scenario"
 )
 
@@ -46,8 +47,8 @@ func runFig6(_ Options) (*Result, error) {
 }
 
 // homoAnalysis runs the offline analysis for one dataset over the standard
-// warmed probe environment.
-func homoAnalysis(base criteo.Spec, opts Options, batch int, eb float32) (*scenario.Env, *adapt.OfflineResult, error) {
+// warmed probe environment, returning the sampled lookups (dim 16) with it.
+func homoAnalysis(base criteo.Spec, opts Options, batch int, eb float32) ([][]float32, *adapt.OfflineResult, error) {
 	e, err := expSpec(base, 16, opts).BuildEnv()
 	if err != nil {
 		return nil, nil, err
@@ -57,11 +58,14 @@ func homoAnalysis(base criteo.Spec, opts Options, batch int, eb float32) (*scena
 	if err != nil {
 		return nil, nil, err
 	}
-	return e, res, nil
+	return samples, res, nil
 }
 
-// runTable2 reproduces Table II: the L/M/S classification of all 26 tables
-// on both datasets.
+// runTable2 reproduces Table II, the L/M/S classification of all 26 tables
+// on both datasets (Algorithm 1), and adds the rest of the offline phase:
+// the encoder Algorithm 2 picks for each table's sample at its class bound
+// under the paper's 4 GB/s all-to-all. That choice is timed, so the encoder
+// row can differ from run to run where the two encoders are close.
 func runTable2(opts Options) (*Result, error) {
 	var sb strings.Builder
 	for _, spec := range []criteo.Spec{criteo.KaggleSpec(), criteo.TerabyteSpec()} {
@@ -69,17 +73,27 @@ func runTable2(opts Options) (*Result, error) {
 		if opts.Quick {
 			batch = 128
 		}
-		_, res, err := homoAnalysis(spec, opts, batch, probeEB(spec))
+		samples, res, err := homoAnalysis(spec, opts, batch, probeEB(spec))
 		if err != nil {
 			return nil, err
 		}
 		header := []string{"EMB ID"}
 		row := []string{spec.Name}
+		encoders := []string{"encoder"}
 		for t, cl := range res.Classes {
 			header = append(header, fmt.Sprintf("%d", t))
 			row = append(row, cl.String())
+			mode, _, err := hybrid.SelectEncoder(samples[t], 16, res.EBs[t], 4e9)
+			if err != nil {
+				return nil, fmt.Errorf("table %d: %w", t, err)
+			}
+			enc := "vlz"
+			if mode == hybrid.Entropy {
+				enc = "huffman"
+			}
+			encoders = append(encoders, enc)
 		}
-		sb.WriteString(table(header, [][]string{row}))
+		sb.WriteString(table(header, [][]string{row, encoders}))
 		l, m, s := res.ClassCounts()
 		fmt.Fprintf(&sb, "counts: L=%d M=%d S=%d\n\n", l, m, s)
 	}
@@ -172,7 +186,7 @@ func runFig5(opts Options) (*Result, error) {
 	for i, sched := range schedules {
 		specs[i] = adaptiveSpec(criteo.KaggleSpec(), opts, sched.String(), phase, 2)
 	}
-	results, err := scenario.Sweep(specs, scenario.SweepOptions{})
+	results, err := scenario.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +218,7 @@ func runFig9(opts Options) (*Result, error) {
 		tableWise.Classes = "offline"
 		tableWise.OfflineBatch = batch
 		tableWise.OfflineEB = float64(probeEB(spec))
-		results, err := scenario.Sweep([]scenario.Spec{global, tableWise}, scenario.SweepOptions{})
+		results, err := scenario.Sweep([]scenario.Spec{global, tableWise})
 		if err != nil {
 			return nil, err
 		}
@@ -242,7 +256,7 @@ func runFig10(opts Options) (*Result, error) {
 	for i, cse := range cases {
 		specs[i] = adaptiveSpec(criteo.KaggleSpec(), opts, cse.schedule, phase, cse.factor)
 	}
-	results, err := scenario.Sweep(specs, scenario.SweepOptions{})
+	results, err := scenario.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}

@@ -56,7 +56,7 @@ func runOverlap(opts Options) (*Result, error) {
 			}
 		}
 	}
-	results, err := scenario.Sweep(specs, scenario.SweepOptions{})
+	results, err := scenario.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}

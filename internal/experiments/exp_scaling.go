@@ -66,7 +66,7 @@ func runScaling(opts Options) (*Result, error) {
 			specs = append(specs, mk(ranks, false, compressed), mk(ranks, true, compressed))
 		}
 	}
-	results, err := scenario.Sweep(specs, scenario.SweepOptions{})
+	results, err := scenario.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}

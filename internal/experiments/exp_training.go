@@ -38,7 +38,7 @@ func runFig1(opts Options) (*Result, error) {
 	steps := timingSteps(opts.Quick)
 	sp := timingSpec(criteo.TerabyteSpec(), opts)
 	sp.Ranks, sp.Batch, sp.Steps = ranks, batch, steps
-	results, err := scenario.Sweep([]scenario.Spec{sp}, scenario.SweepOptions{})
+	results, err := scenario.Sweep([]scenario.Spec{sp})
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +67,7 @@ func runFig12(opts Options) (*Result, error) {
 			}
 			return sp
 		}
-		results, err := scenario.Sweep([]scenario.Spec{mk("none"), mk("hybrid")}, scenario.SweepOptions{})
+		results, err := scenario.Sweep([]scenario.Spec{mk("none"), mk("hybrid")})
 		if err != nil {
 			return nil, err
 		}
@@ -114,7 +114,7 @@ func runFig8(opts Options) (*Result, error) {
 		sp.Codec, sp.ErrorBound = cf.codec, cf.eb
 		specs[i] = sp
 	}
-	results, err := scenario.Sweep(specs, scenario.SweepOptions{})
+	results, err := scenario.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}

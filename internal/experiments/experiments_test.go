@@ -69,6 +69,26 @@ func TestTable2HasAllTables(t *testing.T) {
 			t.Fatalf("table2 missing %q:\n%s", tok, res.Text)
 		}
 	}
+	// Algorithm 2: one encoder row per dataset, one choice per table.
+	var rows int
+	for _, line := range strings.Split(res.Text, "\n") {
+		cells := strings.Fields(line)
+		if len(cells) == 0 || cells[0] != "encoder" {
+			continue
+		}
+		rows++
+		if len(cells) != 27 {
+			t.Fatalf("encoder row has %d cells, want 26:\n%s", len(cells)-1, res.Text)
+		}
+		for _, c := range cells[1:] {
+			if c != "vlz" && c != "huffman" {
+				t.Fatalf("encoder cell %q is neither vlz nor huffman:\n%s", c, res.Text)
+			}
+		}
+	}
+	if rows != 2 {
+		t.Fatalf("table2 has %d encoder rows, want one per dataset:\n%s", rows, res.Text)
+	}
 }
 
 func TestTable6WindowSweep(t *testing.T) {

@@ -676,48 +676,3 @@ func (d *Decoder) decodeBits(dst []uint32, stream []byte) error {
 	}
 	return nil
 }
-
-// SymbolCount reads the number of symbols a frame decodes to, without
-// decoding it (so callers can size the DecodeInto destination).
-func SymbolCount(data []byte) (int, error) {
-	if len(data) == 0 {
-		return 0, errCorrupt
-	}
-	rest := data[1:]
-	switch data[0] {
-	case modeConst:
-		count, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, errCorrupt
-		}
-		return int(count), nil
-	case modeRaw:
-		if len(rest) < 1 {
-			return 0, errCorrupt
-		}
-		count, n := binary.Uvarint(rest[1:])
-		if n <= 0 {
-			return 0, errCorrupt
-		}
-		return int(count), nil
-	case modeHuffman:
-		numDistinct, n := binary.Uvarint(rest)
-		if n <= 0 || numDistinct == 0 {
-			return 0, errCorrupt
-		}
-		rest = rest[n:]
-		for i := uint64(0); i < numDistinct; i++ {
-			_, n2 := binary.Uvarint(rest)
-			if n2 <= 0 || len(rest) < n2+1 {
-				return 0, errCorrupt
-			}
-			rest = rest[n2+1:]
-		}
-		count, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, errCorrupt
-		}
-		return int(count), nil
-	}
-	return 0, errCorrupt
-}

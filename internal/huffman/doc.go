@@ -28,8 +28,7 @@
 // before its symbols do. Decoder.DecodePrefixInto is the same body for the
 // first len(dst) symbols of a longer frame: it stops reading the bitstream
 // there, which is what lets the hybrid codec decode a frame's leading rows
-// without the rest. SymbolCount sizes a DecodeInto destination
-// without decoding; BitWriter/BitReader are the bit I/O of the cold paths
+// without the rest. BitWriter/BitReader are the bit I/O of the cold paths
 // (raw frames, alphabets of 2¹⁶ symbols and up). huffman.go holds the
 // frame format, append.go the coder, and oracle_test.go the original
 // allocating Encode that the parity tests hold the coder to byte for byte.

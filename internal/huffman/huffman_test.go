@@ -2,6 +2,7 @@ package huffman
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -9,8 +10,55 @@ import (
 	"dlrmcomp/internal/tensor"
 )
 
+// SymbolCount reads the number of symbols a frame decodes to, without
+// decoding it, so a test can size the DecodeInto destination of a frame it
+// did not encode (the fuzzer's inputs). Programs know the count from their
+// own framing, as the hybrid codec header does.
+func SymbolCount(data []byte) (int, error) {
+	if len(data) == 0 {
+		return 0, errCorrupt
+	}
+	rest := data[1:]
+	switch data[0] {
+	case modeConst:
+		count, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return 0, errCorrupt
+		}
+		return int(count), nil
+	case modeRaw:
+		if len(rest) < 1 {
+			return 0, errCorrupt
+		}
+		count, n := binary.Uvarint(rest[1:])
+		if n <= 0 {
+			return 0, errCorrupt
+		}
+		return int(count), nil
+	case modeHuffman:
+		numDistinct, n := binary.Uvarint(rest)
+		if n <= 0 || numDistinct == 0 {
+			return 0, errCorrupt
+		}
+		rest = rest[n:]
+		for i := uint64(0); i < numDistinct; i++ {
+			_, n2 := binary.Uvarint(rest)
+			if n2 <= 0 || len(rest) < n2+1 {
+				return 0, errCorrupt
+			}
+			rest = rest[n2+1:]
+		}
+		count, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return 0, errCorrupt
+		}
+		return int(count), nil
+	}
+	return 0, errCorrupt
+}
+
 // decodeFrame sizes the destination with SymbolCount and decodes through a
-// fresh Decoder — the shipped way to read a frame of unknown length.
+// fresh Decoder.
 func decodeFrame(frame []byte) ([]uint32, error) {
 	n, err := SymbolCount(frame)
 	if err != nil {

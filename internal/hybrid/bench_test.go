@@ -24,8 +24,7 @@ func benchSample(rows, dim int) []float32 {
 
 // benchRoundTripBuffered measures the steady-state round trip the trainer
 // runs: CompressAppend into a reused frame, DecompressInto a reused batch.
-// (Compress/Decompress wrap the same code plus one make each; the root
-// BenchmarkCodec_Hybrid* rows cover them.)
+// (Compress wraps the same code plus one make.)
 func benchRoundTripBuffered(b *testing.B, mode Mode) {
 	b.Helper()
 	src := benchSample(2048, 64)

@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-
-	"dlrmcomp/internal/huffman"
-	"dlrmcomp/internal/vlz"
 )
 
 var errCorrupt = errors.New("hybrid: corrupt frame")
@@ -108,41 +105,6 @@ func (c *Codec) Compress(src []float32, dim int) ([]byte, error) {
 	return c.CompressAppend(nil, src, dim)
 }
 
-// Decompress is DecompressInto a fresh buffer sized from the header, for
-// callers that do not know the frame's value count. The header's count is
-// untrusted, so nothing is allocated until the payload's own count agrees
-// with it — a damaged or header-only frame claiming billions of values is
-// rejected for the price of two varints.
-func (c *Codec) Decompress(frame []byte) ([]float32, int, error) {
-	h, err := parseHeader(frame)
-	if err != nil {
-		return nil, 0, err
-	}
-	payload := frame[headerLen:]
-	if h.sub == subVLZ {
-		rows, dim, err := vlz.RowCount(payload)
-		if err != nil {
-			return nil, 0, err
-		}
-		if dim != h.dim || rows != h.n/h.dim {
-			return nil, 0, errCorrupt
-		}
-	} else {
-		count, err := huffman.SymbolCount(payload)
-		if err != nil {
-			return nil, 0, err
-		}
-		if count != h.n {
-			return nil, 0, errCorrupt
-		}
-	}
-	out := make([]float32, h.n)
-	if err := decodeRows(out, h, payload, 0, h.n/h.dim); err != nil {
-		return nil, 0, err
-	}
-	return out, h.dim, nil
-}
-
 // SubEncoderOf reports which lossless stage produced the frame ("vlz" or
 // "huffman"), for experiment reporting.
 func SubEncoderOf(frame []byte) (string, error) {
@@ -175,7 +137,7 @@ func Speedup(cr, netBandwidth float64, tp Throughput) float64 {
 	if cr <= 0 || tp.Compress <= 0 || tp.Decompress <= 0 {
 		return 0
 	}
-	return 1.0 / (1.0/cr + netBandwidth*(1.0/tp.Compress+1.0/tp.Decompress))
+	return 1.0 / (1.0/cr + float64(netBandwidth*(1.0/tp.Compress+1.0/tp.Decompress)))
 }
 
 // Candidate couples a mode with its measured stats on sampled data.
@@ -204,9 +166,8 @@ const selectReps = 3
 // returned candidates are sorted by evaluation order (VectorLZ, Entropy)
 // for reporting.
 //
-// This is the reproduction of the paper's Algorithm 2, reached through
-// adapt.OfflineOptions.SelectEncoders by cmd/offline and
-// examples/codec_explorer. It is not a trainer speed feature: Auto decides
+// This is the reproduction of the paper's Algorithm 2, reported per table
+// by the table2 experiment. It is not a trainer speed feature: Auto decides
 // per chunk from sizes for the price of one histogram, so the trainer runs
 // Auto and has no use for a timed offline choice.
 func SelectEncoder(sample []float32, dim int, eb float32, netBandwidth float64) (Mode, []Candidate, error) {

@@ -34,7 +34,7 @@ func BCEWithLogitsInto(grad, logits *tensor.Matrix, labels []float32) float32 {
 	for i, y := range labels {
 		z := float64(logits.Data[i])
 		// Stable BCE-with-logits.
-		loss := math.Max(z, 0) - z*float64(y) + math.Log1p(math.Exp(-math.Abs(z)))
+		loss := math.Max(z, 0) - float64(z*float64(y)) + math.Log1p(math.Exp(-math.Abs(z)))
 		total += loss
 		p := 1.0 / (1.0 + math.Exp(-z))
 		grad.Data[i] = float32((p - float64(y)) / n)
@@ -66,7 +66,7 @@ func LogLoss(logits *tensor.Matrix, labels []float32) float64 {
 	var total float64
 	for i, y := range labels {
 		z := float64(logits.Data[i])
-		total += math.Max(z, 0) - z*float64(y) + math.Log1p(math.Exp(-math.Abs(z)))
+		total += math.Max(z, 0) - float64(z*float64(y)) + math.Log1p(math.Exp(-math.Abs(z)))
 	}
 	if logits.Rows == 0 {
 		return 0

@@ -30,13 +30,13 @@ func (o *SGD) Step(params []Param) {
 		grad, value := p.Grad, p.Value
 		if o.Workers == 1 || len(grad) < sgdParallelMin {
 			for i, g := range grad {
-				value[i] -= o.LR * g
+				value[i] -= float32(o.LR * g)
 			}
 			continue
 		}
 		tensor.ParallelSpans(o.Workers, len(grad), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				value[i] -= o.LR * grad[i]
+				value[i] -= float32(o.LR * grad[i])
 			}
 		})
 	}

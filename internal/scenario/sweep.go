@@ -126,26 +126,22 @@ func Run(s Spec) (*Result, error) {
 	return b.Run()
 }
 
-// SweepOptions tunes the sweep runner.
-type SweepOptions struct {
-	// Workers bounds the worker pool (<= 0 = GOMAXPROCS). Results are
-	// bit-identical at any worker count: every scenario seeds its own
-	// generator and model from its Spec alone.
-	Workers int `json:"workers,omitempty"`
-}
+// sweepWorkers, when positive, replaces GOMAXPROCS as the pool width.
+// Only tests set it, to prove the results do not depend on the width.
+var sweepWorkers int
 
-// Sweep runs every spec on a bounded worker pool and returns the results
-// in spec order. A failed scenario leaves a nil slot in the results and
+// Sweep runs every spec on a pool of min(GOMAXPROCS, len(specs)) workers
+// and returns the results in spec order. Results are bit-identical at any
+// pool width: every scenario seeds its own generator and model from its
+// Spec alone. A failed scenario leaves a nil slot in the results and
 // contributes one error to the joined return error, so one bad cell does
 // not discard the rest of the grid.
-func Sweep(specs []Spec, opts SweepOptions) ([]*Result, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+func Sweep(specs []Spec) ([]*Result, error) {
+	workers := runtime.GOMAXPROCS(0)
+	if sweepWorkers > 0 {
+		workers = sweepWorkers
 	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
+	workers = min(workers, len(specs))
 	results := make([]*Result, len(specs))
 	errs := make([]error, len(specs))
 	next := make(chan int)

@@ -54,6 +54,13 @@ func sweepSpecs() []Spec {
 	}.Expand()
 }
 
+// sweepAt runs Sweep on a pool of exactly workers goroutines.
+func sweepAt(workers int, specs []Spec) ([]*Result, error) {
+	sweepWorkers = workers
+	defer func() { sweepWorkers = 0 }()
+	return Sweep(specs)
+}
+
 // TestSweepDeterministicAcrossWorkers is the parallel-runner contract:
 // every scenario seeds its own generator and model from its Spec alone, so
 // the Results — losses, sim-time buckets, compression ratios, eval metrics
@@ -63,7 +70,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	specs := sweepSpecs()
 	var baseline []*Result
 	for _, workers := range []int{1, 2, 4} {
-		results, err := Sweep(specs, SweepOptions{Workers: workers})
+		results, err := sweepAt(workers, specs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -91,7 +98,7 @@ func TestSweepParityAcrossWidths(t *testing.T) {
 	specs := sweepSpecs()[:2]
 	sweep := func(procs int) []*Result {
 		testutil.SetGOMAXPROCS(t, procs)
-		results, err := Sweep(specs, SweepOptions{Workers: 1})
+		results, err := sweepAt(1, specs)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
@@ -113,7 +120,7 @@ func TestSweepKeepsGoodCellsOnError(t *testing.T) {
 	bad.Codec = "zstd"
 	bad.Name = "bad-cell"
 	specs := []Spec{sweepSpecs()[0], bad, sweepSpecs()[1]}
-	results, err := Sweep(specs, SweepOptions{Workers: 2})
+	results, err := sweepAt(2, specs)
 	if err == nil || !strings.Contains(err.Error(), "bad-cell") {
 		t.Fatalf("want an error naming the bad cell, got %v", err)
 	}

@@ -149,8 +149,8 @@ func NewDecoder() *Decoder { return &Decoder{} }
 
 // DecodeInto reconstructs the code rows of a frame produced by AppendEncode
 // into dst, whose length must equal rows×dim of the frame (callers learn the
-// count from their own framing, as the hybrid codec header does, or from
-// RowCount). Returns the frame's row length dim.
+// count from their own framing, as the hybrid codec header does). Returns
+// the frame's row length dim.
 func (d *Decoder) DecodeInto(dst []int32, data []byte) (int, error) {
 	return d.decode(dst, data, false)
 }
@@ -255,18 +255,4 @@ func (d *Decoder) decode(dst []int32, data []byte, prefix bool) (int, error) {
 		}
 	}
 	return dim, nil
-}
-
-// RowCount reads a frame's (rows, dim) header without decoding it, so
-// callers can size the DecodeInto destination.
-func RowCount(data []byte) (rows, dim int, err error) {
-	d64, n := binary.Uvarint(data)
-	if n <= 0 || d64 == 0 {
-		return 0, 0, errCorrupt
-	}
-	rows64, n2 := binary.Uvarint(data[n:])
-	if n2 <= 0 || d64 > math.MaxInt || rows64 > math.MaxInt/d64 {
-		return 0, 0, errCorrupt // rows×dim would not fit the destination's length
-	}
-	return int(rows64), int(d64), nil
 }

@@ -1,14 +1,32 @@
 package vlz
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
 
 	"dlrmcomp/internal/tensor"
 )
 
+// RowCount reads a frame's (rows, dim) header without decoding it, so a
+// test can size the DecodeInto destination of a frame it did not encode
+// (the fuzzer's inputs). Programs know the shape from their own framing, as
+// the hybrid codec header does.
+func RowCount(data []byte) (rows, dim int, err error) {
+	d64, n := binary.Uvarint(data)
+	if n <= 0 || d64 == 0 {
+		return 0, 0, errCorrupt
+	}
+	rows64, n2 := binary.Uvarint(data[n:])
+	if n2 <= 0 || d64 > math.MaxInt || rows64 > math.MaxInt/d64 {
+		return 0, 0, errCorrupt // rows×dim would not fit the destination's length
+	}
+	return int(rows64), int(d64), nil
+}
+
 // decodeFrame sizes the destination with RowCount and decodes through a
-// fresh Decoder — the shipped way to read a frame of unknown shape.
+// fresh Decoder.
 func decodeFrame(frame []byte) (codes []int32, dim int, err error) {
 	rows, dim, err := RowCount(frame)
 	if err != nil {
