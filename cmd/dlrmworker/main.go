@@ -11,7 +11,8 @@
 //	done; wait
 //
 // Every worker prints a RESULT line with the final global loss (exact
-// bits and decimal); rank 0's SIMTIME line carries the sim-time buckets.
+// bits and decimal); rank 0's SIMTIME line carries the sim-time buckets
+// and the overlapped clock.
 // The -inproc flag instead runs the whole scenario in this one process
 // over the in-process fabric — the baseline the CI smoke test compares
 // worker output against, byte for byte.
@@ -136,9 +137,9 @@ func fail(code int, err error) {
 }
 
 // report prints the machine-checkable outcome: the final global loss as
-// exact float bits (the conformance currency) plus decimal, and the
-// sim-time buckets in sorted order (meaningful on rank 0 and the
-// in-process baseline; other ranks print an empty set).
+// exact float bits (the conformance currency) plus decimal, the sim-time
+// buckets in sorted order, and the overlapped clock (all complete on rank
+// 0 and the in-process baseline; other ranks hold device costs only).
 func report(tag string, res *scenario.Result) {
 	last := float32(math.NaN())
 	if n := len(res.Losses); n > 0 {
@@ -155,5 +156,5 @@ func report(tag string, res *scenario.Result) {
 	for _, k := range keys {
 		parts = append(parts, fmt.Sprintf("%s=%dns", k, res.SimTime[k].Nanoseconds()))
 	}
-	fmt.Printf("SIMTIME rank=%s %s\n", tag, strings.Join(parts, ";"))
+	fmt.Printf("SIMTIME rank=%s %s overlapped=%dns\n", tag, strings.Join(parts, ";"), res.OverlappedSimTime.Nanoseconds())
 }

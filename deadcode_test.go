@@ -27,7 +27,7 @@ import (
 // it; each value is the reason it stays.
 var deadcodeAllow = map[string]string{
 	"cluster.Cluster.SimTime":    "reads one bucket in dist's TestCheckpointReshardParity, and parity tests stay byte-for-byte",
-	"model.DLRM.Evaluate":        "the single-process reference of dist's eval-parity tests (one-rank, hierarchical, overlap); parity tests stay byte-for-byte",
+	"model.DLRM.Evaluate":        "the single-process reference of dist's eval-parity tests (one-rank, hierarchical, the one-rank overlapped clock); parity tests stay byte-for-byte",
 	"tcptransport.endpoint.Kill": "the chaos API: tests sever a rank mid-collective to prove every survivor errors instead of deadlocking",
 }
 

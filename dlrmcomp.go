@@ -11,14 +11,14 @@
 //     and classification (OfflineAnalysis) and the iteration-wise decay
 //     controller (NewController);
 //   - the hybrid-parallel DLRM trainer on the simulated multi-GPU cluster
-//     (NewTrainer), whose forward all-to-all the codecs accelerate — with
-//     both the synchronous schedule (Trainer.Step) and the comm/compute
-//     overlap schedule (Trainer.RunPipelined, bit-identical math with the
+//     (NewTrainer), whose forward all-to-all the codecs accelerate; every
+//     Trainer.Step keeps two clocks, the synchronous sim-time buckets and
+//     the comm/compute overlap schedule (Trainer.OverlappedSimTime, the
 //     next batch's all-to-all hidden under the current batch's MLP);
 //   - the declarative scenario engine: one Scenario value (or JSON file)
-//     describes dataset, cluster shape, topology, codec, error-bound
-//     schedule, and overlap, and RunScenario/SweepScenarios build and run
-//     it (bit-identically at any sweep pool width);
+//     describes dataset, cluster shape, topology, codec, and error-bound
+//     schedule, and RunScenario/SweepScenarios build and run it
+//     (bit-identically at any sweep pool width);
 //   - the experiment drivers regenerating every table and figure of the
 //     paper's evaluation (RunExperiment, ExperimentIDs).
 //
@@ -214,11 +214,6 @@ type (
 	// LinkCost attributes a collective's simulated time to the intra- and
 	// inter-node link classes of a hierarchical machine.
 	LinkCost = netmodel.LinkCost
-	// Timeline is the per-link occupancy clock behind the comm/compute
-	// overlap engine: reservations on different links overlap, contenders
-	// for one link serialize. Trainer.RunPipelined uses one internally;
-	// it is exported for custom schedule studies.
-	Timeline = netmodel.Timeline
 	// Transport moves bytes between ranks. By default NewTrainer runs every
 	// rank in one process over the in-process fabric; setting
 	// TrainerOptions.Transport to a DialTCPTransport endpoint instead runs
@@ -230,9 +225,6 @@ type (
 	// backend: rank, world size, and rank 0's rendezvous address.
 	TCPTransportOptions = tcptransport.Options
 )
-
-// NewTimeline returns an empty per-link occupancy timeline.
-func NewTimeline() *Timeline { return netmodel.NewTimeline() }
 
 // NewModel builds a single-process DLRM.
 func NewModel(cfg ModelConfig) (*DLRM, error) { return model.New(cfg) }
@@ -274,12 +266,12 @@ func PaperHierarchical(ranksPerNode int) Hierarchical {
 // Scenario types: the declarative configuration layer. A Scenario is pure
 // data (JSON round-trip) describing a complete training run — dataset,
 // model shape, cluster shape and topology, codec and error bound, adaptive
-// schedule, overlap — and the engine builds and runs it.
+// schedule — and the engine builds and runs it.
 type (
 	// Scenario declares one training scenario (internal/scenario.Spec).
 	Scenario = scenario.Spec
 	// ScenarioResult is one completed scenario: loss curve, eval metrics,
-	// compression ratio, and the sim-time breakdown.
+	// compression ratio, the sim-time breakdown, and the overlapped clock.
 	ScenarioResult = scenario.Result
 	// ScenarioAxes expands per-axis value lists into the cross product of
 	// Scenarios for SweepScenarios.

@@ -110,7 +110,7 @@ func TestFacadeExamplesExist(t *testing.T) {
 	}
 	for _, want := range []string{
 		"func ExampleCodec", "func ExampleTrainer_Step", "func ExampleHierarchical",
-		"func ExampleTrainer_RunPipelined", "func ExampleRunScenario", "func ExampleNewController",
+		"func ExampleTrainer_OverlappedSimTime", "func ExampleRunScenario", "func ExampleNewController",
 	} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("example_test.go lacks %s", want)

@@ -366,8 +366,7 @@ func (r *Rank) exchange(send [][]byte, variable bool) ([][]byte, netmodel.LinkCo
 // rank order — seed zero, then rank 0's own part, then rank 1's, … —
 // and broadcasts the result. Floating-point addition is not associative, so
 // an accumulate-on-arrival scheme would make training results depend on
-// scheduling; the fixed fold order keeps every run — and the
-// synchronous-vs-pipelined driver pair — bit-identical.
+// scheduling; the fixed fold order keeps every run bit-identical.
 //
 // A length mismatch between ranks is reported as an error on every rank
 // (rank 0 detects it and broadcasts an error verdict instead of a result),

@@ -29,9 +29,10 @@ import (
 // redistributes the tables round-robin automatically. PlanReshard (see
 // reshard.go) reports which tables move and what the transfer costs.
 //
-// Checkpoints capture between-steps state only: SaveCheckpoint on a
-// trainer with an in-flight pipelined step (RunPipelined) is the caller's
-// bug, and restore resets no overlap-schedule state. The dense optimizer
+// Checkpoints capture between-steps state only, which is all a trainer
+// holds once Step returns. The overlapped clock is accounting, like the
+// sim-time buckets: neither is saved, and restore leaves both as they
+// were. The dense optimizer
 // is plain SGD (stateless), so no optimizer moments are serialized; the
 // format has a flags byte to version that in if an optimizer with state
 // ever lands on the dense path.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"time"
 
 	"dlrmcomp/internal/adapt"
 	"dlrmcomp/internal/cluster"
@@ -126,16 +125,9 @@ type Trainer struct {
 	// [shard, dim] matrix for table and indices the shard's global rows.
 	fwdHook func(rank, table int, recon *tensor.Matrix, indices []int32)
 
-	// Overlap-schedule state (RunPipelined only). tl is the per-link
-	// occupancy timeline the pipelined steps are replayed onto; pipeSerial
-	// accumulates what the same steps would cost scheduled serially.
-	// pending/pendingFwdDone carry the one-step lookahead: the stats of the
-	// step whose compute is not yet scheduled and the modelled completion
-	// of its (prefetched) forward transfer.
-	tl             *netmodel.Timeline
-	pipeSerial     time.Duration
-	pending        *stepStats
-	pendingFwdDone time.Duration
+	// clock is the overlapped clock every successful Step books onto
+	// (overlap.go).
+	clock overlapClock
 
 	// Close-once state: the first Close's result, replayed by later calls.
 	closed   bool

@@ -38,19 +38,19 @@
 //     derives from GOMAXPROCS/Ranks; Evaluate scores the trained weights
 //     single-process.
 //
-// Two drivers share the same step internals and therefore the same math
-// and the same buckets:
+// Step is the one driver, and every Step keeps two clocks of the same
+// modelled component costs:
 //
-//   - Step — the synchronous schedule: every component back to back.
-//   - RunPipelined — the comm/compute overlap schedule (overlap.go): the
+//   - the sim-time buckets (Cluster().SimTimes()): every component back to
+//     back, so their total is the synchronous step time;
+//   - the overlapped clock (overlap.go, read with OverlappedSimTime): the
 //     forward all-to-all of batch k+1 is pipelined behind the MLP compute
-//     of batch k on a netmodel.Timeline with per-link occupancy, double-
-//     buffered lookups, and the codec work hidden under the head of the
-//     NIC transfer. Losses and parameters are bit-identical to a Step
-//     loop (and, at one rank, to single-process model.DLRM training);
-//     only the end-to-end clock differs. OverlappedSimTime reports the
-//     pipelined makespan, SerialSimTime the synchronous cost of the same
-//     steps.
+//     of batch k on a netmodel.Timeline with per-link occupancy, and the
+//     codec work is hidden under the head of the NIC transfer.
+//
+// The clock is bookkeeping after the step's math, so losses and
+// parameters are the same whichever clock is read (and, at one rank,
+// bit-identical to single-process model.DLRM training).
 //
 // Sim-time buckets charged per step (read them back through
 // profileutil.Breakdown on Cluster().SimTimes()): "fwd-a2a", "bwd-a2a"

@@ -65,7 +65,7 @@ func newExchangeFixture(tb testing.TB) *exchangeFixture {
 
 func slotOff(i int) int { return slotGuard + i*(fixtureBatch*fixtureDim+slotGuard) }
 
-// expect arms rank 1's exchange for direction dir the way runStep does —
+// expect arms rank 1's exchange for direction dir the way Step does —
 // every (table, source) block rank 1 receives, leaving out its self-routes,
 // which never cross the wire — over a freshly sentinel-filled arena.
 func (f *exchangeFixture) expect(dir int) {
@@ -188,7 +188,7 @@ func TestExchangeReceiveRejects(t *testing.T) {
 // and, error or not, only expected slots land, a second copy of one is an
 // error rather than a second fill, and no float is written outside the
 // landed slots. Whether every expected slot arrived is the caller's check,
-// as in runStep; the replay test pins that real traffic lands them all.
+// as in Step; the replay test pins that real traffic lands them all.
 func FuzzExchangeReceive(f *testing.F) {
 	fx := newExchangeFixture(f)
 	for dir, bufs := range fx.recv {

@@ -1,24 +1,23 @@
 package dist
 
 import (
-	"fmt"
 	"time"
 
-	"dlrmcomp/internal/criteo"
 	"dlrmcomp/internal/netmodel"
 )
 
-// This file implements the comm/compute overlap engine: a double-buffered
-// training driver that pipelines the forward all-to-all of batch k+1
-// behind the MLP compute of batch k.
+// This file implements the trainer's overlapped clock: every Step books
+// its modelled component costs on a netmodel.Timeline with per-link
+// occupancy, pipelining the forward all-to-all of batch k+1 behind the MLP
+// compute of batch k.
 //
-// The math is executed in exactly the synchronous order — RunPipelined
-// calls the same runStep as Step, so losses, parameters, and every
-// accounting bucket are bit-identical to a Step loop. What changes is how
-// the modelled component costs compose into an end-to-end time: instead of
-// summing serially, each component is reserved on a netmodel.Timeline
-// resource (device lane, intra link, inter link), so a transfer in flight
-// on the NIC genuinely overlaps device compute, while two transfers
+// The math is executed in the synchronous order, and the clock is pure
+// bookkeeping after a step succeeds, so losses, parameters, and every
+// accounting bucket are what they would be without it. What the clock
+// changes is how the modelled component costs compose into an end-to-end
+// time: instead of summing serially (the bucket total), each component is
+// reserved on its lane (device, intra link, inter link), so a transfer in
+// flight on the NIC overlaps device compute, while two transfers
 // contending for the same link serialize.
 //
 // The steady-state schedule per step k (device lane left, links right):
@@ -33,122 +32,90 @@ import (
 // under the head of its own transfer (the wire starts once the first
 // per-destination chunk is compressed). The modelled prefetch assumes the
 // owner-side gather of batch k may proceed while batch k-1's dense
-// backward is still on the device — the standard DLRM prefetch discipline;
-// the executed math keeps the synchronous order, so enabling overlap never
-// changes results, only the clock.
+// backward is still on the device — the standard DLRM prefetch discipline.
+// The executed step awaits each collective as soon as it issues it; only
+// the clock models them in flight.
 
-// RunPipelined runs steps training iterations with the comm/compute
-// overlap schedule, fetching batch k from next(k). It returns the
-// per-step global-batch losses, which are bit-identical to calling Step
-// on the same batches (and therefore to single-process training at one
-// rank). After it returns, OverlappedSimTime reports the modelled
-// end-to-end time of the pipelined run and SerialSimTime what the same
-// steps cost scheduled serially; the per-bucket breakdown in
-// Cluster().SimTimes() is unchanged by overlap.
-//
-// On a step error the driver stops, flushes the schedule, and returns the
-// losses of the completed steps alongside the error (the failed step
-// applied no updates, as with Step).
-func (t *Trainer) RunPipelined(steps int, next func(step int) *criteo.Batch) ([]float32, error) {
-	if steps <= 0 {
-		return nil, fmt.Errorf("dist: RunPipelined needs a positive step count, got %d", steps)
-	}
-	if t.cl.Distributed() {
-		// The overlap timeline needs every rank's collective costs in one
-		// process; distributed runs use synchronous Steps.
-		return nil, fmt.Errorf("dist: RunPipelined requires all ranks in-process; the distributed transport runs synchronous steps only")
-	}
-	if t.tl == nil {
-		t.tl = netmodel.NewTimeline()
-	}
-	losses := make([]float32, 0, steps)
-	for k := 0; k < steps; k++ {
-		loss, st, err := t.runStep(next(k))
-		if err != nil {
-			t.flush()
-			return losses, err
-		}
-		losses = append(losses, loss)
-		t.pipeSerial += st.serial()
-		if t.pending == nil {
-			// Cold start: nothing to overlap the first transfer with.
-			t.pendingFwdDone = t.schedulePrefetch(&st)
-		} else {
-			t.pendingFwdDone = t.scheduleCompute(t.pending, t.pendingFwdDone, &st)
-		}
-		stCopy := st
-		t.pending = &stCopy
-	}
-	t.flush()
-	return losses, nil
+// overlapClock is the trainer's overlapped clock. The compute half of the
+// latest step waits in pending until the next step's prefetch is booked
+// ahead of it; OverlappedSimTime books it on a copy.
+type overlapClock struct {
+	tl      netmodel.Timeline
+	pending stepStats     // the latest step, its compute not yet booked
+	fwdDone time.Duration // modelled completion of pending's forward transfer
+	primed  bool          // pending holds a step
 }
 
-// flush schedules the trailing step's compute (which has no successor to
-// prefetch) and clears the lookahead state so a subsequent RunPipelined
-// cold-starts cleanly after the current makespan.
-func (t *Trainer) flush() {
-	if t.pending != nil {
-		t.scheduleCompute(t.pending, t.pendingFwdDone, nil)
-		t.pending = nil
-		t.pendingFwdDone = 0
+// book adds one completed step: its prefetch slots in under the previous
+// step's compute, or starts cold on the first step.
+func (c *overlapClock) book(st stepStats, ranks int) {
+	if c.primed {
+		c.fwdDone = c.compute(&c.pending, c.fwdDone, &st, ranks)
+	} else {
+		c.fwdDone = c.prefetch(&st, ranks)
+		c.primed = true
 	}
+	c.pending = st
 }
 
-// schedulePrefetch books a step's owner-side gather (lookup + compress) on
-// the device lane and its forward all-to-all on the links, returning the
+// end returns the makespan with the pending step's compute booked. The
+// receiver is a copy, so reading the clock changes nothing.
+func (c overlapClock) end(ranks int) time.Duration {
+	if c.primed {
+		c.compute(&c.pending, c.fwdDone, nil, ranks)
+	}
+	return c.tl.End()
+}
+
+// prefetch books a step's owner-side gather (lookup + compress) on the
+// device lane and its forward all-to-all on the links, returning the
 // modelled completion of the transfer. The wire starts once the first
 // per-destination chunk is compressed, so all but 1/(ranks-1) of the codec
 // time hides under the transfer itself.
-func (t *Trainer) schedulePrefetch(st *stepStats) time.Duration {
-	lookupDone := t.tl.Reserve(netmodel.ResDevice, 0, st.lookup)
-	compressDone := t.tl.Reserve(netmodel.ResDevice, lookupDone, st.compress)
+func (c *overlapClock) prefetch(st *stepStats, ranks int) time.Duration {
+	lookupDone := c.tl.ReserveDevice(0, st.lookup)
+	compressDone := c.tl.ReserveDevice(lookupDone, st.compress)
 	wireReady := compressDone
 	if st.compress > 0 {
-		chunks := t.opts.Ranks - 1
-		if chunks < 1 {
-			chunks = 1
-		}
+		chunks := max(ranks-1, 1)
 		wireReady = compressDone - st.compress + st.compress/time.Duration(chunks)
 	}
-	return t.tl.ReserveLinkCost(wireReady, st.fwd)
+	return c.tl.ReserveLinkCost(wireReady, st.fwd)
 }
 
-// scheduleCompute books the receive-and-compute half of the step whose
-// forward transfer completed at fwdDone: decompress, then — before the MLP,
-// so its wire time hides under it — the prefetch of nextSt (when non-nil),
-// then the MLP (+ other compute), the backward all-to-all, and the dense
-// allreduce. Returns the modelled completion of nextSt's forward transfer
-// (zero when nextSt is nil).
-func (t *Trainer) scheduleCompute(st *stepStats, fwdDone time.Duration, nextSt *stepStats) time.Duration {
-	t.tl.Reserve(netmodel.ResDevice, fwdDone, st.decompress)
+// compute books the receive-and-compute half of the step whose forward
+// transfer completed at fwdDone: decompress, then — before the MLP, so its
+// wire time hides under it — the prefetch of next (when non-nil), then the
+// MLP (+ other compute), the backward all-to-all, and the dense allreduce
+// on the inter link. Returns the modelled completion of next's forward
+// transfer (zero when next is nil).
+func (c *overlapClock) compute(st *stepStats, fwdDone time.Duration, next *stepStats, ranks int) time.Duration {
+	c.tl.ReserveDevice(fwdDone, st.decompress)
 	var nextFwdDone time.Duration
-	if nextSt != nil {
+	if next != nil {
 		// The prefetch gather needs only the device, not this step's
 		// inbound data, so it may run while the transfer is still in
 		// flight (it slots in here, before the MLP).
-		nextFwdDone = t.schedulePrefetch(nextSt)
+		nextFwdDone = c.prefetch(next, ranks)
 	}
 	// The MLP consumes this step's lookups: it must wait for the transfer
 	// even when there is no decompress reservation to carry that edge
 	// (codec none ⇒ st.decompress == 0 ⇒ the reservation above was a
 	// no-op that did not advance the device clock past fwdDone).
-	mlpDone := t.tl.Reserve(netmodel.ResDevice, fwdDone, st.mlp+st.other)
-	bwdDone := t.tl.ReserveLinkCost(mlpDone, st.bwd)
-	t.tl.Reserve(netmodel.ResInter, bwdDone, st.allreduce)
+	mlpDone := c.tl.ReserveDevice(fwdDone, st.mlp+st.other)
+	bwdDone := c.tl.ReserveLinkCost(mlpDone, st.bwd)
+	c.tl.ReserveLinkCost(bwdDone, netmodel.LinkCost{Inter: st.allreduce})
 	return nextFwdDone
 }
 
-// OverlappedSimTime returns the modelled end-to-end duration of all steps
-// driven through RunPipelined so far — the makespan of the per-link
-// occupancy timeline. Zero if RunPipelined has not run.
+// OverlappedSimTime returns the modelled end-to-end duration of every step
+// this trainer has run, with the comm/compute overlap schedule above: the
+// makespan of the per-link occupancy timeline, the trailing step's compute
+// included. It is a pure read; SimTimes' bucket total is the same steps
+// scheduled serially. A reshard charged with ChargeReshard occupies the
+// links ahead of the first step. Like the collective buckets, the clock is
+// complete only where rank 0 runs: another process of a distributed run
+// books its device work alone. Zero on a fresh trainer.
 func (t *Trainer) OverlappedSimTime() time.Duration {
-	if t.tl == nil {
-		return 0
-	}
-	return t.tl.End()
+	return t.clock.end(t.opts.Ranks)
 }
-
-// SerialSimTime returns what the RunPipelined steps would have cost under
-// the synchronous schedule (every component back to back) — the baseline
-// the overlap win is measured against. Zero if RunPipelined has not run.
-func (t *Trainer) SerialSimTime() time.Duration { return t.pipeSerial }

@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"testing"
+	"time"
 
 	"dlrmcomp/internal/codec"
 	"dlrmcomp/internal/criteo"
@@ -33,9 +34,26 @@ func paperishOptions(ranks int, hier, compressed bool) Options {
 	return o
 }
 
-// TestPipelinedSingleRankBitParity checks the 1-rank pipelined run is the
-// degenerate no-op case: bit-identical to single-process training AND zero
-// overlap benefit (no links, so the timeline is one serial device lane).
+// serial is the synchronous cost of one booked step: every component back
+// to back.
+func serial(s stepStats) time.Duration {
+	return s.lookup + s.compress + s.fwd.Total() + s.decompress +
+		s.mlp + s.other + s.bwd.Total() + s.allreduce
+}
+
+// bucketSum is the synchronous clock: the total of every sim-time bucket.
+func bucketSum(tr *Trainer) time.Duration {
+	var total time.Duration
+	for _, d := range tr.Cluster().SimTimes() {
+		total += d
+	}
+	return total
+}
+
+// TestPipelinedSingleRankBitParity checks the 1-rank overlapped clock is
+// the degenerate no-op case: a Step loop stays bit-identical to
+// single-process training AND the clock shows zero overlap benefit (no
+// links, so the timeline is one serial device lane).
 func TestPipelinedSingleRankBitParity(t *testing.T) {
 	spec := testSpec()
 	cfg := testConfig(spec, 8)
@@ -51,81 +69,88 @@ func TestPipelinedSingleRankBitParity(t *testing.T) {
 
 	genD := criteo.NewGenerator(spec)
 	genS := criteo.NewGenerator(spec)
-	losses, err := tr.RunPipelined(12, func(int) *criteo.Batch { return genD.NextBatch(32) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, lossD := range losses {
+	for i := 0; i < 12; i++ {
+		lossD, err := tr.Step(genD.NextBatch(32))
+		if err != nil {
+			t.Fatal(err)
+		}
 		bs := genS.NextBatch(32)
 		lossS := ref.TrainStep(bs.Dense, bs.Indices, bs.Labels, opt, DefaultEmbLR)
 		if lossD != lossS {
-			t.Fatalf("step %d: pipelined loss %v != single-process loss %v", i, lossD, lossS)
+			t.Fatalf("step %d: distributed loss %v != single-process loss %v", i, lossD, lossS)
 		}
 	}
 	eb := genD.NextBatch(256)
 	accD, llD := tr.Evaluate(eb)
 	accS, llS := ref.Evaluate(eb.Dense, eb.Indices, eb.Labels)
 	if accD != accS || math.Abs(llD-llS) > 1e-12 {
-		t.Fatalf("eval mismatch: pipelined (%v, %v) vs single (%v, %v)", accD, llD, accS, llS)
+		t.Fatalf("eval mismatch: distributed (%v, %v) vs single (%v, %v)", accD, llD, accS, llS)
 	}
-	// One rank has no peers: nothing to overlap, so the overlapped and
-	// serial schedules must coincide exactly.
-	if tr.OverlappedSimTime() != tr.SerialSimTime() {
-		t.Fatalf("1-rank overlap benefit: overlapped %v != serial %v",
-			tr.OverlappedSimTime(), tr.SerialSimTime())
+	// One rank has no peers: nothing to overlap, so the overlapped clock
+	// and the bucket sum must coincide exactly.
+	if over, sum := tr.OverlappedSimTime(), bucketSum(tr); over != sum {
+		t.Fatalf("1-rank overlap benefit: overlapped %v != bucket sum %v", over, sum)
 	}
 	if tr.OverlappedSimTime() <= 0 {
-		t.Fatal("1-rank pipelined run modelled zero time")
+		t.Fatal("1-rank run modelled zero time")
 	}
 }
 
-// TestPipelinedLossParityWithStep checks an N-rank pipelined run produces
-// bit-identical losses and buckets to a Step loop over the same batches —
-// the math is shared; only the end-to-end clock composition differs.
-func TestPipelinedLossParityWithStep(t *testing.T) {
-	for _, compressed := range []bool{false, true} {
-		trP, err := NewTrainer(paperishOptions(8, true, compressed))
+// TestOverlappedSimTimeReadIsPure pins the clock's read contract: reading
+// OverlappedSimTime after every Step leaves the final value, the losses
+// and the buckets exactly as one read at the end does. A read that booked
+// the trailing compute on the live timeline would cold-start every next
+// step and end later.
+func TestOverlappedSimTimeReadIsPure(t *testing.T) {
+	trR, err := NewTrainer(paperishOptions(8, true, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trE, err := NewTrainer(paperishOptions(8, true, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	genR := criteo.NewGenerator(testSpec())
+	genE := criteo.NewGenerator(testSpec())
+	if trR.OverlappedSimTime() != 0 {
+		t.Fatalf("fresh trainer's clock reads %v, want 0", trR.OverlappedSimTime())
+	}
+	prev := time.Duration(0)
+	for i := 0; i < 6; i++ {
+		lr, err := trR.Step(genR.NextBatch(64))
 		if err != nil {
 			t.Fatal(err)
 		}
-		trS, err := NewTrainer(paperishOptions(8, true, compressed))
+		le, err := trE.Step(genE.NextBatch(64))
 		if err != nil {
 			t.Fatal(err)
 		}
-		genP := criteo.NewGenerator(testSpec())
-		genS := criteo.NewGenerator(testSpec())
-
-		pipeLosses, err := trP.RunPipelined(8, func(int) *criteo.Batch { return genP.NextBatch(64) })
-		if err != nil {
-			t.Fatal(err)
+		if lr != le {
+			t.Fatalf("step %d: loss %v with reads != %v without", i, lr, le)
 		}
-		for i, pl := range pipeLosses {
-			sl, err := trS.Step(genS.NextBatch(64))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pl != sl {
-				t.Fatalf("compressed=%v step %d: pipelined loss %v != Step loss %v", compressed, i, pl, sl)
-			}
+		over := trR.OverlappedSimTime()
+		if over <= prev || over != trR.OverlappedSimTime() {
+			t.Fatalf("step %d: clock read %v after %v, or a second read differs", i, over, prev)
 		}
-		// The breakdown buckets are charged by the shared step internals and
-		// must not depend on the driver.
-		p, s := trP.Cluster().SimTimes(), trS.Cluster().SimTimes()
-		if len(p) != len(s) {
-			t.Fatalf("compressed=%v: bucket sets differ: %v vs %v", compressed, p, s)
-		}
-		for k, v := range s {
-			if p[k] != v {
-				t.Fatalf("compressed=%v bucket %q: pipelined %v != sync %v", compressed, k, p[k], v)
-			}
+		prev = over
+	}
+	if got, want := trR.OverlappedSimTime(), trE.OverlappedSimTime(); got != want {
+		t.Fatalf("clock read after every step ends at %v, read once at %v", got, want)
+	}
+	r, e := trR.Cluster().SimTimes(), trE.Cluster().SimTimes()
+	if len(r) != len(e) {
+		t.Fatalf("bucket sets differ: %v vs %v", r, e)
+	}
+	for k, v := range e {
+		if r[k] != v {
+			t.Fatalf("bucket %q: %v with reads != %v without", k, r[k], v)
 		}
 	}
 }
 
 // TestPipelinedOverlapStrictlyFaster is the headline property: at 8+ ranks
-// on the hierarchical topology, the overlapped schedule must finish
-// strictly earlier than the serial one — with and without the codec — and
-// must never beat the device-lane lower bound.
+// on the hierarchical topology, the overlapped clock of a Step loop must
+// end strictly earlier than the bucket sum — with and without the codec.
 func TestPipelinedOverlapStrictlyFaster(t *testing.T) {
 	for _, ranks := range []int{8, 16} {
 		for _, compressed := range []bool{false, true} {
@@ -134,75 +159,41 @@ func TestPipelinedOverlapStrictlyFaster(t *testing.T) {
 				t.Fatal(err)
 			}
 			gen := criteo.NewGenerator(testSpec())
-			if _, err := tr.RunPipelined(4, func(int) *criteo.Batch { return gen.NextBatch(128) }); err != nil {
-				t.Fatal(err)
+			for i := 0; i < 4; i++ {
+				if _, err := tr.Step(gen.NextBatch(128)); err != nil {
+					t.Fatal(err)
+				}
 			}
-			over, serial := tr.OverlappedSimTime(), tr.SerialSimTime()
-			if over <= 0 || serial <= 0 {
-				t.Fatalf("ranks=%d compressed=%v: degenerate times over=%v serial=%v", ranks, compressed, over, serial)
+			over, sum := tr.OverlappedSimTime(), bucketSum(tr)
+			if over <= 0 || sum <= 0 {
+				t.Fatalf("ranks=%d compressed=%v: degenerate times over=%v sum=%v", ranks, compressed, over, sum)
 			}
-			if over >= serial {
-				t.Fatalf("ranks=%d compressed=%v: overlapped %v not strictly below serial %v",
-					ranks, compressed, over, serial)
+			if over >= sum {
+				t.Fatalf("ranks=%d compressed=%v: overlapped %v not strictly below bucket sum %v",
+					ranks, compressed, over, sum)
 			}
 		}
 	}
 }
 
-// TestPipelinedSerialMatchesBreakdown ties SerialSimTime to the public
-// accounting: for a trainer driven only through RunPipelined, the serial
-// schedule cost is exactly the sum of all breakdown buckets.
+// TestPipelinedSerialMatchesBreakdown ties the clock to the public
+// accounting: the components every Step books on the overlapped clock sum
+// to exactly the breakdown buckets, so the bucket total is the serial
+// schedule of the very costs the clock overlaps.
 func TestPipelinedSerialMatchesBreakdown(t *testing.T) {
 	tr, err := NewTrainer(paperishOptions(8, true, true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen := criteo.NewGenerator(testSpec())
-	if _, err := tr.RunPipelined(3, func(int) *criteo.Batch { return gen.NextBatch(64) }); err != nil {
-		t.Fatal(err)
+	var booked time.Duration
+	for i := 0; i < 3; i++ {
+		if _, err := tr.Step(gen.NextBatch(64)); err != nil {
+			t.Fatal(err)
+		}
+		booked += serial(tr.clock.pending)
 	}
-	var total int64
-	for _, d := range tr.Cluster().SimTimes() {
-		total += int64(d)
-	}
-	if got := int64(tr.SerialSimTime()); got != total {
-		t.Fatalf("SerialSimTime %v != bucket sum %v", tr.SerialSimTime(), total)
-	}
-}
-
-// TestPipelinedRunsCompose checks two consecutive RunPipelined calls extend
-// one timeline monotonically (the second cold-starts after the first's
-// makespan, never before).
-func TestPipelinedRunsCompose(t *testing.T) {
-	tr, err := NewTrainer(paperishOptions(4, false, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := criteo.NewGenerator(testSpec())
-	next := func(int) *criteo.Batch { return gen.NextBatch(32) }
-	if _, err := tr.RunPipelined(2, next); err != nil {
-		t.Fatal(err)
-	}
-	first := tr.OverlappedSimTime()
-	if _, err := tr.RunPipelined(2, next); err != nil {
-		t.Fatal(err)
-	}
-	if second := tr.OverlappedSimTime(); second <= first {
-		t.Fatalf("second run did not extend the timeline: %v -> %v", first, second)
-	}
-	if tr.OverlappedSimTime() >= tr.SerialSimTime() {
-		t.Fatalf("composed runs lost the overlap win: overlapped %v, serial %v",
-			tr.OverlappedSimTime(), tr.SerialSimTime())
-	}
-}
-
-// TestPipelinedStepCountValidation covers the trivial input contract.
-func TestPipelinedStepCountValidation(t *testing.T) {
-	tr, err := NewTrainer(paperishOptions(2, false, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.RunPipelined(0, func(int) *criteo.Batch { return nil }); err == nil {
-		t.Fatal("RunPipelined(0) succeeded, want error")
+	if sum := bucketSum(tr); booked != sum {
+		t.Fatalf("booked serial cost %v != bucket sum %v", booked, sum)
 	}
 }

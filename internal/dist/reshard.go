@@ -85,9 +85,12 @@ func (p ReshardPlan) Cost(net netmodel.Topology) netmodel.LinkCost {
 }
 
 // ChargeReshard charges the plan's modelled transfer cost to the
-// trainer's "reshard" sim-time bucket. Call it on the trainer that takes
-// over after the restore, so the cost appears in the profile of the run
-// that paid it.
+// trainer's "reshard" sim-time bucket and books it on the links of the
+// overlapped clock. Call it on the trainer that takes over after the
+// restore, before its first step, so the cost appears in the profile of
+// the run that paid it and the first forward exchange queues behind it.
 func (t *Trainer) ChargeReshard(p ReshardPlan) {
-	t.cl.ChargeLinkCost("reshard", p.Cost(t.opts.Net))
+	c := p.Cost(t.opts.Net)
+	t.cl.ChargeLinkCost("reshard", c)
+	t.clock.tl.ReserveLinkCost(0, c)
 }

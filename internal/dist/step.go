@@ -64,8 +64,8 @@ func stepMacsFor(cfg model.Config) float64 {
 // its components, each tagged (implicitly) with the resource it occupies:
 // lookup/compress/decompress/mlp/other run on the device lane, the two
 // all-to-alls on the intra-/inter-node links, the allreduce on the inter
-// link. Step sums them serially; the pipelined driver replays them onto a
-// netmodel.Timeline so transfer components overlap compute.
+// link. The buckets sum them serially; the overlapped clock books them onto
+// a netmodel.Timeline so transfer components overlap compute.
 type stepStats struct {
 	lookup     time.Duration
 	compress   time.Duration
@@ -75,12 +75,6 @@ type stepStats struct {
 	fwd        netmodel.LinkCost // forward all-to-all, metadata included
 	bwd        netmodel.LinkCost // backward all-to-all
 	allreduce  time.Duration
-}
-
-// serial is the synchronous step cost: every component back to back.
-func (s stepStats) serial() time.Duration {
-	return s.lookup + s.compress + s.fwd.Total() + s.decompress +
-		s.mlp + s.other + s.bwd.Total() + s.allreduce
 }
 
 // Step runs one synchronous training iteration over the global batch:
@@ -97,7 +91,8 @@ func (s stepStats) serial() time.Duration {
 // codec this reproduces model.DLRM.TrainStep bit-for-bit. If any rank
 // fails (e.g. a codec error), the step completes its collectives but
 // applies no parameter updates, so an errored Step leaves the model as it
-// was.
+// was. A successful Step books its modelled costs on the overlapped clock
+// (see OverlappedSimTime) after the math is done.
 //
 // Every buffer the step touches lives in per-rank workspaces allocated in
 // NewTrainer, so steady-state stepping performs only a small, bounded
@@ -105,29 +100,19 @@ func (s stepStats) serial() time.Duration {
 // codec work inside a rank fans out at the trainer's intra-rank width
 // when cores are spare.
 func (t *Trainer) Step(b *criteo.Batch) (float32, error) {
-	loss, _, err := t.runStep(b)
-	return loss, err
-}
-
-// runStep executes the step's math and bucket accounting and additionally
-// returns the step's modelled component costs for schedulers. The math and
-// every charged bucket are identical no matter which driver (Step or
-// RunPipelined) calls it — only how the components compose into an
-// end-to-end time differs between drivers.
-func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 	n := b.N()
 	ranks := t.opts.Ranks
 	numTables := len(t.opts.Model.TableSizes)
 	dim := t.opts.Model.EmbeddingDim
 	if n == 0 {
-		return 0, stepStats{}, fmt.Errorf("dist: empty batch")
+		return 0, fmt.Errorf("dist: empty batch")
 	}
 	if len(b.Indices) != numTables {
-		return 0, stepStats{}, fmt.Errorf("dist: batch has %d index slices for %d tables", len(b.Indices), numTables)
+		return 0, fmt.Errorf("dist: batch has %d index slices for %d tables", len(b.Indices), numTables)
 	}
 	for tb, idx := range b.Indices {
 		if len(idx) != n {
-			return 0, stepStats{}, fmt.Errorf("dist: table %d has %d indices for %d samples", tb, len(idx), n)
+			return 0, fmt.Errorf("dist: table %d has %d indices for %d samples", tb, len(idx), n)
 		}
 	}
 	iter := t.iter
@@ -319,7 +304,7 @@ func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 	local := t.cl.Local()
 	for _, r := range local {
 		if sc.fatal[r] {
-			return 0, stepStats{}, sc.errs[r]
+			return 0, sc.errs[r]
 		}
 	}
 	// Fill the rank-indexed accounting from the gathered records — globally
@@ -328,7 +313,7 @@ func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 	for r, rec := range t.ws[local[0]].gathered {
 		s, err := decodeRankStats(rec)
 		if err != nil {
-			return 0, stepStats{}, fmt.Errorf("dist: rank %d step stats: %w", r, err)
+			return 0, fmt.Errorf("dist: rank %d step stats: %w", r, err)
 		}
 		sc.stats[r] = s
 		if sc.errs[r] == nil && s.errStr != "" {
@@ -338,7 +323,7 @@ func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 
 	for _, err := range sc.errs {
 		if err != nil {
-			return 0, stepStats{}, err
+			return 0, err
 		}
 	}
 
@@ -367,10 +352,11 @@ func (t *Trainer) runStep(b *criteo.Batch) (float32, stepStats, error) {
 	if st.decompress > 0 {
 		t.cl.AddSimTime("decompress", st.decompress)
 	}
+	t.clock.book(st, ranks)
 	if ranks == 1 {
-		return sc.stats[0].loss, st, nil
+		return sc.stats[0].loss, nil
 	}
-	return float32(loss / float64(n)), st, nil
+	return float32(loss / float64(n)), nil
 }
 
 func flattenGrads(params []nn.Param, buf []float32) {

@@ -18,16 +18,18 @@ import (
 
 // Trainer-level transport conformance: the same Spec-configured training
 // run — same model, same deterministic batch stream — must produce
-// bit-identical per-step losses and rank-0 sim-time buckets whether the
-// ranks are goroutines over the in-process fabric or endpoints over the
-// TCP transport, at every world size and with either all-to-all
-// algorithm. CI pins this as the transport-conformance invariant.
+// bit-identical per-step losses, rank-0 sim-time buckets and rank-0
+// overlapped clock whether the ranks are goroutines over the in-process
+// fabric or endpoints over the TCP transport, at every world size and with
+// either all-to-all algorithm. CI pins this as the transport-conformance
+// invariant.
 
 const transportParitySteps = 5
 
 type trainRun struct {
-	losses []float32
-	sims   map[string]time.Duration
+	losses     []float32
+	sims       map[string]time.Duration
+	overlapped time.Duration
 }
 
 // reserveLoopbackAddr binds rank 0's rendezvous port on loopback; the
@@ -69,7 +71,7 @@ func runTrainInproc(t *testing.T, opts Options, spec criteo.Spec) trainRun {
 	if err != nil {
 		t.Fatalf("in-proc run: %v", err)
 	}
-	return trainRun{losses: losses, sims: tr.Cluster().SimTimes()}
+	return trainRun{losses: losses, sims: tr.Cluster().SimTimes(), overlapped: tr.OverlappedSimTime()}
 }
 
 // runTrainTCP runs opts.Ranks full trainers, each over its own TCP
@@ -113,7 +115,7 @@ func runTrainTCP(t *testing.T, opts Options, spec criteo.Spec) trainRun {
 				errs[rank] = err
 				return
 			}
-			runs[rank] = trainRun{losses: losses, sims: tr.Cluster().SimTimes()}
+			runs[rank] = trainRun{losses: losses, sims: tr.Cluster().SimTimes(), overlapped: tr.OverlappedSimTime()}
 		}(rank)
 	}
 	wg.Wait()
@@ -143,6 +145,11 @@ func compareRuns(t *testing.T, want, got trainRun, label string) {
 			t.Errorf("%s: step %d loss %v (tcp) != %v (in-proc) — not bit-identical",
 				label, i, got.losses[i], want.losses[i])
 		}
+	}
+	// Rank 0 prices every collective from the global size matrix, so its
+	// overlapped clock books the same costs the in-process trainer does.
+	if want.overlapped <= 0 || got.overlapped != want.overlapped {
+		t.Errorf("%s: overlapped clock %v (tcp rank 0) != %v (in-proc)", label, got.overlapped, want.overlapped)
 	}
 	if len(want.sims) != len(got.sims) {
 		t.Errorf("%s: sim bucket sets differ:\n in-proc: %v\n     tcp: %v", label, want.sims, got.sims)
@@ -248,47 +255,5 @@ func TestTrainerTransportWorldMismatch(t *testing.T) {
 	defer ep.Close()
 	if _, err := NewTrainer(Options{Ranks: 2, Model: cfg, Transport: ep}); err == nil {
 		t.Fatal("NewTrainer accepted a transport with world 1 for 2 ranks")
-	}
-}
-
-// TestTrainerDistributedRejectsPipelined: the overlap driver needs every
-// rank's costs in one process; over a distributed transport it must
-// refuse rather than deadlock.
-func TestTrainerDistributedRejectsPipelined(t *testing.T) {
-	spec := testSpec()
-	cfg := testConfig(spec, 8)
-	ln, addr := reserveLoopbackAddr(t)
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for rank := 0; rank < 2; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			ep, err := tcptransport.Dial(tcptransport.Options{
-				Rank: rank, World: 2, Addr: addr, Listener: ln,
-				DialTimeout: 10 * time.Second,
-			})
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			tr, err := NewTrainer(Options{Ranks: 2, Model: cfg, Transport: ep})
-			if err != nil {
-				errs[rank] = err
-				ep.Close()
-				return
-			}
-			defer tr.Close()
-			gen := criteo.NewGenerator(spec)
-			if _, err := tr.RunPipelined(2, func(int) *criteo.Batch { return gen.NextBatch(32) }); err == nil {
-				errs[rank] = fmt.Errorf("RunPipelined ran over a distributed transport")
-			}
-		}(rank)
-	}
-	wg.Wait()
-	for rank, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", rank, err)
-		}
 	}
 }

@@ -27,11 +27,11 @@
 //     gathers (A100 returns the calibrated instance).
 //   - CodecRates / CodecTime — calibrated GPU (de)compression throughputs
 //     keyed by codec name (PaperCodecRates).
-//   - Timeline — per-link occupancy clocks for the comm/compute overlap
-//     engine: work is reserved on a named resource (ResDevice, ResIntra,
-//     ResInter) no earlier than its dependencies and no earlier than the
-//     resource frees up, so in-flight transfers on different links overlap
-//     while contenders for one link serialize. The pipelined trainer in
-//     internal/dist replays each step's component costs onto a Timeline and
-//     reads the makespan as the overlapped end-to-end time.
+//   - Timeline — a value with one busy-until clock per lane (Device,
+//     Intra, Inter) for the comm/compute overlap schedule: work is
+//     reserved on a lane no earlier than its dependencies and no earlier
+//     than the lane frees up, so in-flight transfers on different links
+//     overlap while contenders for one link serialize. Every step of the
+//     trainer in internal/dist books its component costs onto a Timeline,
+//     whose makespan is the overlapped end-to-end time.
 package netmodel

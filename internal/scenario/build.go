@@ -128,9 +128,6 @@ func (s Spec) BuildWorker(tr cluster.Transport) (*Built, error) {
 	if tr.World() != rs.Ranks {
 		return nil, fmt.Errorf("scenario: transport world %d does not match the spec's %d ranks", tr.World(), rs.Ranks)
 	}
-	if rs.Overlap {
-		return nil, fmt.Errorf("scenario: overlap needs every rank in one process; BuildWorker cannot run it")
-	}
 	if rs.Eval > 0 {
 		return nil, fmt.Errorf("scenario: eval needs the whole trained model in one process; BuildWorker cannot run it")
 	}

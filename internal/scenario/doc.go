@@ -1,8 +1,8 @@
 // Package scenario is the declarative configuration layer of the
 // reproduction: one Spec type describes a complete training scenario —
 // dataset and scale, model shape, cluster shape and topology, all-to-all
-// algorithm, codec and error bound, adaptive error-bound schedule,
-// comm/compute overlap — as plain data that round-trips through JSON.
+// algorithm, codec and error bound, adaptive error-bound schedule, fault
+// plan and checkpoints — as plain data that round-trips through JSON.
 //
 // The layer replaces the three hand-rolled construction paths that grew
 // around the trainer (cmd/dlrmtrain's flags, each experiment's private
@@ -19,13 +19,14 @@
 //   - Spec.BuildEnv assembles the warmed single-process probe environment
 //     the offline-analysis experiments sample lookups from;
 //   - Run executes one scenario and returns a structured Result (loss
-//     curve, sim-time buckets, compression ratio, eval metrics,
-//     wall-clock);
+//     curve, sim-time buckets, overlapped clock, compression ratio, eval
+//     metrics, wall-clock);
 //   - Axes expands per-axis value lists into the cross product of Specs,
 //     and Sweep runs a Spec list on a bounded worker pool. Every scenario
 //     seeds its own generator and model from the Spec alone, so sweep
 //     results are bit-identical at any worker count.
 //
 // Sim-time buckets are charged by the layers below (internal/cluster,
-// internal/dist); this package only aggregates them into Result.SimTime.
+// internal/dist); this package only aggregates them into Result.SimTime,
+// and the trainer's overlapped clock into Result.OverlappedSimTime.
 package scenario

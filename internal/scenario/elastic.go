@@ -11,15 +11,15 @@ import (
 	"dlrmcomp/internal/profileutil"
 )
 
-// This file runs the elastic (event-bearing) scenarios and the in-run
-// checkpointing both run modes share. A fault plan's drop/rejoin events
-// slice the run into segments: before the step an event names, the runner
+// This file runs every scenario, with its in-run checkpointing. A fault
+// plan's drop/rejoin events slice the run into segments (a plan with no
+// events is one segment): before the step an event names, the runner
 // checkpoints the trainer to memory, tears it down, rebuilds it at the
 // surviving world size (which reshards the tables round-robin, since
 // ownership is positional), restores the checkpoint, and charges the
 // modelled redistribution traffic to the "reshard" sim-time bucket. The
 // batch stream and the loss curve run straight through the boundaries;
-// sim-time buckets accumulate across segments.
+// sim-time buckets and the overlapped clock accumulate across segments.
 
 // checkpointer owns a run's in-memory checkpoint buffer and traffic
 // accounting. The zero spec (nil) checkpointer only serves the elastic
@@ -145,26 +145,31 @@ func (b *Built) rebuildAt(live []int, step int) (*dist.Trainer, error) {
 	return dist.NewTrainer(opts)
 }
 
-// runElastic executes an event-bearing scenario as a sequence of
-// fixed-world segments. Validation guarantees the spec is in-process and
-// un-overlapped, every event step is inside (0, Steps), and the simulated
-// event sequence never empties the world.
-func (b *Built) runElastic(start time.Time) (*Result, error) {
+// Run executes the built scenario as a sequence of fixed-world segments
+// (one when the fault plan schedules no events), then the optional
+// evaluation and the metric harvest. Validation guarantees an event-bearing
+// spec is in-process, every event step is inside (0, Steps), and the
+// simulated event sequence never empties the world.
+func (b *Built) Run() (*Result, error) {
+	start := time.Now()
 	rs := b.Spec
-	res := &Result{Spec: rs}
+	res := &Result{Spec: rs, SimTime: profileutil.Breakdown{}}
 	ck := newCheckpointer(rs.Checkpoint)
-	events := rs.Faults.Events
+	var events []cluster.FaultEvent
+	if rs.Faults != nil {
+		events = rs.Faults.Events
+	}
 
 	live := make([]int, rs.Ranks)
 	for i := range live {
 		live[i] = i
 	}
 	tr := b.Trainer
-	simTime := profileutil.Breakdown{}
 	harvest := func() {
 		for k, v := range tr.Cluster().SimTimes() {
-			simTime[k] += v
+			res.SimTime[k] += v
 		}
+		res.OverlappedSimTime += tr.OverlappedSimTime()
 	}
 
 	res.Losses = make([]float32, 0, rs.Steps)
@@ -218,7 +223,6 @@ func (b *Built) runElastic(start time.Time) (*Result, error) {
 	// The compression counters ride through every checkpoint restore, so
 	// the final trainer's ratio covers the whole run.
 	res.CompressionRatio = tr.CompressionRatio()
-	res.SimTime = simTime
 	res.Checkpoints = ck.report()
 	if b.Offline != nil {
 		l, m, s := b.Offline.ClassCounts()

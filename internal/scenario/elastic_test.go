@@ -30,7 +30,8 @@ func elasticSpec() Spec {
 // TestElasticRunSegments drives a drop/rejoin scenario end to end: the
 // loss curve runs straight through both boundaries, each boundary reports
 // its reshard (4→3→4), the redistribution lands in the "reshard" sim-time
-// bucket, and the whole thing is deterministic.
+// bucket, the segments' overlapped clocks sum to a makespan no longer than
+// the bucket total, and the whole thing is deterministic.
 func TestElasticRunSegments(t *testing.T) {
 	res, err := Run(elasticSpec())
 	if err != nil {
@@ -63,6 +64,9 @@ func TestElasticRunSegments(t *testing.T) {
 	if res.SimTime["fwd-a2a-intra"]+res.SimTime["fwd-a2a"] <= 0 {
 		t.Fatalf("training sim-time missing: %v", res.SimTime)
 	}
+	if over := res.OverlappedSimTime; over <= 0 || over > res.SimTime.Total() {
+		t.Fatalf("overlapped clock %v outside (0, bucket sum %v]", over, res.SimTime.Total())
+	}
 	// Two boundary checkpoints, no periodic ones (Checkpoint is unset).
 	if res.Checkpoints == nil || res.Checkpoints.Count != 2 {
 		t.Fatalf("checkpoint report = %+v, want 2 boundary saves", res.Checkpoints)
@@ -84,9 +88,9 @@ func TestElasticRunSegments(t *testing.T) {
 
 // TestCheckpointVerifyParity is the scenario-level resume-parity pin: a
 // run that checkpoints every 2 steps and restores each checkpoint
-// straight back (Verify) must produce bit-identical losses and sim-time
-// to the same run without any checkpointing — save/restore is a no-op
-// exactly when it is bit-faithful.
+// straight back (Verify) must produce bit-identical losses, sim-time and
+// overlapped clock to the same run without any checkpointing —
+// save/restore is a no-op exactly when it is bit-faithful.
 func TestCheckpointVerifyParity(t *testing.T) {
 	plain := tinySpec()
 	plain.Steps = 6
@@ -108,6 +112,9 @@ func TestCheckpointVerifyParity(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rp.SimTime, rv.SimTime) {
 		t.Fatalf("verified run charged different sim-time:\nplain    %v\nverified %v", rp.SimTime, rv.SimTime)
+	}
+	if rp.OverlappedSimTime <= 0 || rv.OverlappedSimTime != rp.OverlappedSimTime {
+		t.Fatalf("verified run's overlapped clock %v != plain %v", rv.OverlappedSimTime, rp.OverlappedSimTime)
 	}
 	if rv.Checkpoints == nil || rv.Checkpoints.Count != 3 {
 		t.Fatalf("checkpoint report = %+v, want 3 periodic saves", rv.Checkpoints)

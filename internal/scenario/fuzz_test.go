@@ -22,9 +22,10 @@ import (
 //
 //   - FuzzSpecBuild: any Validate-clean spec (clamped to a tiny budget)
 //     must actually build and train two steps without an error or a
-//     panic, producing finite losses — Validate's documented contract
-//     ("nil means Build will accept the spec") checked by brute force,
-//     elastic/checkpoint paths included.
+//     panic, producing finite losses and an overlapped clock inside
+//     (0, bucket sum] — Validate's documented contract ("nil means Build
+//     will accept the spec") checked by brute force, elastic/checkpoint
+//     paths included.
 //
 // Corpus policy (see CONTRIBUTING.md): seeds live in code (f.Add) and in
 // the committed example scenarios; crashers that CI finds are uploaded as
@@ -106,7 +107,7 @@ func FuzzSpecRoundTrip(f *testing.F) {
 // logic — combinations the clamps cannot reconcile are skipped by the
 // Validate gate in FuzzSpecBuild.
 func fuzzSpec(terabyte bool, scale uint16, dim, ranks, batch uint8, codecIdx uint8, eb float64,
-	adaptive, uniform, hier, overlap bool, schedIdx uint8, jitter float64, slowRank uint8, slowFactor float64,
+	adaptive, uniform, hier bool, schedIdx uint8, jitter float64, slowRank uint8, slowFactor float64,
 	withEvents bool, every uint8, verify bool) Spec {
 
 	codecs := []string{"", "none", "hybrid", "vector", "fp16", "lz4"}
@@ -122,7 +123,6 @@ func fuzzSpec(terabyte bool, scale uint16, dim, ranks, batch uint8, codecIdx uin
 		TopMLP:    []int{16, 8},
 		Codec:     codecs[int(codecIdx)%len(codecs)],
 		Adaptive:  adaptive,
-		Overlap:   overlap,
 	}
 	if terabyte {
 		s.Dataset = "terabyte"
@@ -153,14 +153,14 @@ func fuzzSpec(terabyte bool, scale uint16, dim, ranks, batch uint8, codecIdx uin
 			Factor: 1 + math.Abs(math.Mod(slowFactor, 100)),
 		}}
 	}
-	if withEvents && s.Ranks >= 2 && !s.Overlap {
+	if withEvents && s.Ranks >= 2 {
 		// Steps is 2, so the only legal event step is 1.
 		fp.Events = []cluster.FaultEvent{{Step: 1, Kind: "drop", Rank: int(slowRank+1) % s.Ranks}}
 	}
 	if fp.Active() || len(fp.Events) > 0 {
 		s.Faults = &fp
 	}
-	if every%3 != 0 && !s.Overlap {
+	if every%3 != 0 {
 		s.Checkpoint = &CheckpointSpec{
 			Every:  int(every) % 3,
 			Verify: verify,
@@ -174,20 +174,20 @@ func FuzzSpecBuild(f *testing.F) {
 	// argument tuple, plus hand seeds covering the elastic and checkpoint
 	// paths.
 	f.Add(false, uint16(0), uint8(0), uint8(4), uint8(32), uint8(1), 0.0,
-		false, false, false, false, uint8(0), 0.0, uint8(0), 0.0, false, uint8(0), false)
+		false, false, false, uint8(0), 0.0, uint8(0), 0.0, false, uint8(0), false)
 	f.Add(false, uint16(100), uint8(8), uint8(8), uint8(60), uint8(2), 0.02,
-		true, false, true, false, uint8(2), 0.2, uint8(5), 10.0, true, uint8(1), true)
+		true, false, true, uint8(2), 0.2, uint8(5), 10.0, true, uint8(1), true)
 	f.Add(true, uint16(999), uint8(16), uint8(2), uint8(16), uint8(4), 0.0,
-		false, false, false, true, uint8(0), 0.0, uint8(0), 0.0, false, uint8(0), false)
+		false, false, false, uint8(0), 0.0, uint8(0), 0.0, false, uint8(0), false)
 	f.Add(false, uint16(7), uint8(4), uint8(3), uint8(9), uint8(5), 0.0,
-		false, true, false, false, uint8(1), 1.5, uint8(1), 3.0, true, uint8(2), false)
+		false, true, false, uint8(1), 1.5, uint8(1), 3.0, true, uint8(2), false)
 
 	f.Fuzz(func(t *testing.T, terabyte bool, scale uint16, dim, ranks, batch uint8, codecIdx uint8, eb float64,
-		adaptive, uniform, hier, overlap bool, schedIdx uint8, jitter float64, slowRank uint8, slowFactor float64,
+		adaptive, uniform, hier bool, schedIdx uint8, jitter float64, slowRank uint8, slowFactor float64,
 		withEvents bool, every uint8, verify bool) {
 
 		s := fuzzSpec(terabyte, scale, dim, ranks, batch, codecIdx, eb,
-			adaptive, uniform, hier, overlap, schedIdx, jitter, slowRank, slowFactor,
+			adaptive, uniform, hier, schedIdx, jitter, slowRank, slowFactor,
 			withEvents, every, verify)
 		if s.Validate() != nil {
 			t.Skip("clamps could not reconcile this combination")
@@ -205,6 +205,12 @@ func FuzzSpecBuild(f *testing.F) {
 				m, _ := json.Marshal(s)
 				t.Fatalf("loss[%d] = %v\nspec %s", i, l, m)
 			}
+		}
+		// The overlapped clock books the very costs the buckets sum, so it
+		// can hide some of them but never exceed their total.
+		if over := res.OverlappedSimTime; over <= 0 || over > res.SimTime.Total() {
+			m, _ := json.Marshal(s)
+			t.Fatalf("overlapped clock %v outside (0, bucket sum %v]\nspec %s", over, res.SimTime.Total(), m)
 		}
 	})
 }

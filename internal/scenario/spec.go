@@ -52,10 +52,10 @@ type Spec struct {
 	// Transport selects the collective fabric: "inproc" (default; every
 	// rank a goroutine in one process) or "tcp" (one OS process per rank
 	// over cluster/tcptransport; launch with cmd/dlrmworker). The two
-	// transports produce bit-identical losses and sim-time buckets — the
-	// conformance suite enforces it. A "tcp" spec cannot Overlap (the
-	// pipelined clock needs every rank's costs in one process) and cannot
-	// Eval (no single process holds the whole trained model).
+	// transports produce bit-identical losses, sim-time buckets and
+	// overlapped clock (on rank 0) — the conformance suite enforces it. A
+	// "tcp" spec cannot Eval (no single process holds the whole trained
+	// model).
 	Transport string `json:"transport,omitempty"`
 
 	// Codec names the forward all-to-all compressor: "none" (default),
@@ -88,10 +88,6 @@ type Spec struct {
 	// (0 = ErrorBound).
 	OfflineEB float64 `json:"offline_eb,omitempty"`
 
-	// Overlap pipelines the forward all-to-all of batch k+1 behind the MLP
-	// of batch k (dist.Trainer.RunPipelined; same math, overlapped clock).
-	Overlap bool `json:"overlap,omitempty"`
-
 	// BottomMLP / TopMLP are the dense MLP layer widths (nil = [64, 32]).
 	BottomMLP []int `json:"bottom_mlp,omitempty"`
 	TopMLP    []int `json:"top_mlp,omitempty"`
@@ -120,7 +116,7 @@ type Spec struct {
 	// rebuilds the trainer at the surviving world size (resharding the
 	// tables round-robin and charging the redistribution to the "reshard"
 	// bucket), restores, and trains on. Events need the in-process
-	// transport and no overlap; jitter and slow ranks work everywhere.
+	// transport; jitter and slow ranks work everywhere.
 	Faults *cluster.FaultPlan `json:"faults,omitempty"`
 	// Checkpoint, when non-nil, checkpoints the trainer during the run.
 	Checkpoint *CheckpointSpec `json:"checkpoint,omitempty"`
@@ -157,8 +153,7 @@ type ServeSpec struct {
 // CheckpointSpec configures in-run checkpointing. Checkpoints serialize to
 // memory — the scenario layer measures and verifies them; persisting to
 // disk is the driver's business. Requires the in-process transport (a
-// worker process holds only its own rank's fresh state) and no overlap
-// (checkpoints capture between-steps state).
+// worker process holds only its own rank's fresh state).
 type CheckpointSpec struct {
 	// Every saves a checkpoint after every Every-th step (0 = only the
 	// segment-boundary checkpoints an elastic run takes anyway).
@@ -247,9 +242,6 @@ func (s Spec) Validate() error {
 	if !transportNames[s.Transport] {
 		add("unknown transport %q (want inproc or tcp)", s.Transport)
 	}
-	if s.Transport == "tcp" && s.Overlap {
-		add("transport tcp cannot overlap: the pipelined driver needs every rank's collective costs in one process")
-	}
 	if s.Transport == "tcp" && s.Eval > 0 {
 		add("transport tcp cannot eval: no worker process holds the whole trained model; evaluate with an in-process scenario")
 	}
@@ -330,9 +322,6 @@ func (s Spec) Validate() error {
 		if s.Transport == "tcp" {
 			add("fault events need the in-process transport: the elastic runner checkpoints and rebuilds the whole world in one process")
 		}
-		if s.Overlap {
-			add("fault events cannot overlap: segment boundaries checkpoint between steps, and the pipelined driver keeps steps in flight")
-		}
 	}
 	if c := s.Checkpoint; c != nil {
 		if c.Every < 0 {
@@ -340,9 +329,6 @@ func (s Spec) Validate() error {
 		}
 		if s.Transport == "tcp" {
 			add("checkpoints need the in-process transport: a worker process holds fresh state only for its own rank")
-		}
-		if s.Overlap {
-			add("checkpoints cannot overlap: they capture between-steps state, and the pipelined driver keeps steps in flight")
 		}
 	}
 

@@ -25,7 +25,7 @@ func fullSpec() Spec {
 		Nodes:              2,
 		RanksPerNode:       4,
 		Topology:           "hier",
-		Transport:          "inproc", // Overlap below; a tcp spec cannot overlap
+		Transport:          "inproc", // events and checkpoints need it
 		Codec:              "hybrid",
 		ErrorBound:         0.02,
 		Adaptive:           true,
@@ -35,7 +35,6 @@ func fullSpec() Spec {
 		DecayFactor:        2,
 		OfflineBatch:       256,
 		OfflineEB:          0.005,
-		Overlap:            true,
 		BottomMLP:          []int{64, 32},
 		TopMLP:             []int{64, 32},
 		Device:             "paper",
@@ -43,9 +42,6 @@ func fullSpec() Spec {
 		Seed:               7,
 		ModelSeed:          9,
 		WarmSteps:          4,
-		// Overlap above conflicts with events and checkpoints, so fullSpec
-		// is marshal-complete but not Validate-clean; tests that resolve it
-		// clear Overlap first.
 		Faults: &cluster.FaultPlan{
 			Seed:   11,
 			Jitter: 0.25,
@@ -77,7 +73,6 @@ func TestValidate(t *testing.T) {
 		{"unknown codec", Spec{Codec: "zstd"}, []string{"unknown codec"}},
 		{"tcp transport", Spec{Transport: "tcp", Ranks: 4, Steps: 5}, nil},
 		{"unknown transport", Spec{Transport: "mpi"}, []string{"unknown transport"}},
-		{"tcp cannot overlap", Spec{Transport: "tcp", Overlap: true}, []string{"transport tcp cannot overlap"}},
 		{"tcp cannot eval", Spec{Transport: "tcp", Eval: 100}, []string{"transport tcp cannot eval"}},
 		{"unknown topology", Spec{Topology: "torus"}, []string{"unknown topology"}},
 		{"unknown schedule", Spec{Schedule: "cosine"}, []string{"decay schedule"}},
@@ -139,11 +134,6 @@ func TestValidate(t *testing.T) {
 			[]string{"fault events need the in-process transport"},
 		},
 		{
-			"fault events under overlap",
-			Spec{Overlap: true, Ranks: 4, Steps: 10, Faults: &cluster.FaultPlan{Events: []cluster.FaultEvent{{Step: 5, Kind: "drop", Rank: 1}}}},
-			[]string{"fault events cannot overlap"},
-		},
-		{
 			"jitter and stragglers alone are fine under tcp and overlap",
 			Spec{Transport: "tcp", Ranks: 4, Steps: 10, Faults: &cluster.FaultPlan{Jitter: 0.1, Slow: []cluster.SlowRank{{Rank: 2, Factor: 3}}}},
 			nil,
@@ -158,11 +148,6 @@ func TestValidate(t *testing.T) {
 			"checkpoints over tcp",
 			Spec{Transport: "tcp", Checkpoint: &CheckpointSpec{Every: 5}},
 			[]string{"checkpoints need the in-process transport"},
-		},
-		{
-			"checkpoints under overlap",
-			Spec{Overlap: true, Checkpoint: &CheckpointSpec{Every: 5}},
-			[]string{"checkpoints cannot overlap"},
 		},
 		{"served run", Spec{Steps: 10, Serve: &ServeSpec{Codec: "lzss", Shards: 4}}, nil},
 		{"served run with quant", Spec{Serve: &ServeSpec{Codec: "quant", QuantEB: 0.01}}, nil},
@@ -283,12 +268,7 @@ func TestResolvedServeCodecDefault(t *testing.T) {
 }
 
 func TestResolvedIdempotent(t *testing.T) {
-	// fullSpec combines overlap with fault events and checkpoints, which
-	// Validate rejects (it exists for the JSON golden); resolve the
-	// un-overlapped variant.
-	s := fullSpec()
-	s.Overlap = false
-	rs, err := s.Resolved()
+	rs, err := fullSpec().Resolved()
 	if err != nil {
 		t.Fatal(err)
 	}

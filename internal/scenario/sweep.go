@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"dlrmcomp/internal/criteo"
 	"dlrmcomp/internal/profileutil"
 )
 
@@ -25,9 +24,9 @@ type Result struct {
 	CompressionRatio float64 `json:"compression_ratio,omitempty"`
 	// SimTime is the simulated time breakdown by bucket.
 	SimTime profileutil.Breakdown `json:"sim_time,omitempty"`
-	// SerialSimTime / OverlappedSimTime report both clocks of an overlapped
-	// run (zero unless Spec.Overlap).
-	SerialSimTime     time.Duration `json:"serial_sim_time,omitempty"`
+	// OverlappedSimTime is the same steps on the trainer's overlapped clock
+	// (dist.Trainer.OverlappedSimTime), summed over the segments of an
+	// elastic run; SimTime.Total() is their synchronous time.
 	OverlappedSimTime time.Duration `json:"overlapped_sim_time,omitempty"`
 	// Offline reports the L/M/S table counts when the offline
 	// classification ran.
@@ -69,52 +68,6 @@ type OfflineCounts struct {
 	L int `json:"l"`
 	M int `json:"m"`
 	S int `json:"s"`
-}
-
-// Run executes the built scenario: Steps training steps (pipelined when
-// Spec.Overlap, segmented when the fault plan schedules drop/rejoin
-// events), the optional evaluation, and the metric harvest.
-func (b *Built) Run() (*Result, error) {
-	start := time.Now()
-	rs := b.Spec
-	if rs.Faults != nil && len(rs.Faults.Events) > 0 {
-		return b.runElastic(start)
-	}
-	res := &Result{Spec: rs}
-	ck := newCheckpointer(rs.Checkpoint)
-	if rs.Overlap {
-		losses, err := b.Trainer.RunPipelined(rs.Steps, func(int) *criteo.Batch { return b.Gen.NextBatch(rs.Batch) })
-		if err != nil {
-			return nil, err
-		}
-		res.Losses = losses
-		res.SerialSimTime = b.Trainer.SerialSimTime()
-		res.OverlappedSimTime = b.Trainer.OverlappedSimTime()
-	} else {
-		res.Losses = make([]float32, 0, rs.Steps)
-		for i := 0; i < rs.Steps; i++ {
-			loss, err := b.Trainer.Step(b.Gen.NextBatch(rs.Batch))
-			if err != nil {
-				return nil, err
-			}
-			res.Losses = append(res.Losses, loss)
-			if err := ck.maybe(b.Trainer); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if rs.Eval > 0 {
-		res.Accuracy, res.LogLoss = b.Trainer.Evaluate(b.Gen.NextBatch(rs.Eval))
-	}
-	res.CompressionRatio = b.Trainer.CompressionRatio()
-	res.SimTime = profileutil.Breakdown(b.Trainer.Cluster().SimTimes())
-	res.Checkpoints = ck.report()
-	if b.Offline != nil {
-		l, m, s := b.Offline.ClassCounts()
-		res.Offline = &OfflineCounts{L: l, M: m, S: s}
-	}
-	res.WallClock = time.Since(start)
-	return res, nil
 }
 
 // Run builds and executes one scenario.
@@ -175,8 +128,8 @@ func Sweep(specs []Spec) ([]*Result, error) {
 // Axes expands per-axis value lists into the cross product of Specs: every
 // listed axis replaces the corresponding Base field; an empty axis keeps
 // Base's value. Expansion order is fixed and documented — Datasets
-// outermost, then Ranks, Topologies, Codecs, ErrorBounds, Schedules,
-// Overlaps innermost — so sweep output rows land in a predictable order.
+// outermost, then Ranks, Topologies, Codecs, ErrorBounds, Schedules
+// innermost — so sweep output rows land in a predictable order.
 type Axes struct {
 	Base        Spec      `json:"base"`
 	Datasets    []string  `json:"datasets,omitempty"`
@@ -185,7 +138,6 @@ type Axes struct {
 	Codecs      []string  `json:"codecs,omitempty"`
 	ErrorBounds []float64 `json:"ebs,omitempty"`
 	Schedules   []string  `json:"schedules,omitempty"`
-	Overlaps    []bool    `json:"overlaps,omitempty"`
 }
 
 // expandAxis crosses the current spec list with one axis.
@@ -213,6 +165,5 @@ func (a Axes) Expand() []Spec {
 	out = expandAxis(out, a.Codecs, func(s *Spec, v string) { s.Codec = v })
 	out = expandAxis(out, a.ErrorBounds, func(s *Spec, v float64) { s.ErrorBound = v })
 	out = expandAxis(out, a.Schedules, func(s *Spec, v string) { s.Schedule = v })
-	out = expandAxis(out, a.Overlaps, func(s *Spec, v bool) { s.Overlap = v })
 	return out
 }

@@ -131,20 +131,3 @@ func TestSweepKeepsGoodCellsOnError(t *testing.T) {
 		t.Fatal("bad cell must leave a nil slot")
 	}
 }
-
-func TestRunOverlapReportsBothClocks(t *testing.T) {
-	sp := tinySpec()
-	sp.Ranks, sp.Batch = 8, 64
-	sp.Topology = "hier"
-	sp.Overlap = true
-	res, err := Run(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SerialSimTime <= 0 || res.OverlappedSimTime <= 0 {
-		t.Fatalf("overlap clocks missing: serial %v overlapped %v", res.SerialSimTime, res.OverlappedSimTime)
-	}
-	if res.OverlappedSimTime > res.SerialSimTime {
-		t.Fatalf("overlapped %v exceeds serial %v", res.OverlappedSimTime, res.SerialSimTime)
-	}
-}
