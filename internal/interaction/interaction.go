@@ -2,6 +2,7 @@ package interaction
 
 import (
 	"fmt"
+	"math"
 
 	"dlrmcomp/internal/tensor"
 )
@@ -42,48 +43,58 @@ type DotInteraction struct {
 	spans []spanScratch
 }
 
-// accRows is the number of interaction rows accumulated per pass (the width
-// of tensor.Axpy4Rows and Axpy4Skip).
+// accRows is the number of interaction rows accumulated per pass (the
+// height of tensor.MatMul4Rows, Axpy4Rows and Axpy4Skip).
 const accRows = 4
 
 // spanScratch is the per-sample workspace of one span, reused for every
-// sample the span owns. With F = NumSparse+1 and fPad = F rounded up to the
-// vector width:
+// sample the span owns. With F = NumSparse+1:
 //
-//	vt   [Dim][fPad]      forward: the sample's features transposed, vt[p][b] = v_b[p];
-//	                      columns from F-1 on only ever feed surplus lanes.
-//	                      backward: the sample's features as rows, vt[b][p] = v_b[p]
-//	acc  [accRows][fPad]  forward: the dot accumulators of accRows output rows
-//	dz   [fPad][F]        backward: the sample's upstream dot gradients as a
-//	                      symmetric matrix; the diagonal is never written and
-//	                      stays zero, and the padding rows from F on are all ones
-//	sink [accRows-1][Dim] backward: the gradient rows of the padding rows, never read
+//	vt    forward: the sample's partner features transposed, [Dim][vtWidth],
+//	      vt[p][b] = v_b[p]; columns from F-1 on only ever feed surplus lanes.
+//	      backward: the sample's features as rows, [F][Dim], v[b][p] = v_b[p]
+//	acc   forward: the dot accumulators, [1+padTo4(F-1)][vtWidth], the dot
+//	      rows in whole four-row tiles after the unused row 0; row a holds
+//	      output row a's dots in its first a columns, and the rows past F-1
+//	      are the padding rows of the last tile, never read
+//	dz    backward: the sample's upstream dot gradients as a symmetric
+//	      matrix, [fs][fs], fs = F rounded up to accRows; the diagonal is
+//	      never written and stays zero, and the padding rows from F on are
+//	      all ones
+//	sink  backward: the gradient rows of the padding rows, [accRows-1][Dim],
+//	      never read
 type spanScratch struct {
 	vt, acc, dz, sink []float32
 }
 
-// padTo4 rounds n up to a multiple of four, the primitive's narrowest vector
-// step, so that a padded row is processed by whole vectors with no scalar
-// tail.
+// padTo4 rounds n up to a multiple of four, the height of a row tile.
 func padTo4(n int) int { return (n + 3) &^ 3 }
+
+// padTo8 rounds n up to a multiple of eight, the width of the register
+// tile's half, so that a padded row runs as register tiles alone.
+func padTo8(n int) int { return (n + 7) &^ 7 }
+
+// vtWidth is the row length of the forward's Vᵀ: one column per partner
+// feature (the last feature is nobody's partner), padded to whole tiles.
+func (di *DotInteraction) vtWidth() int { return padTo8(di.NumSparse) }
 
 // scratch returns one workspace per span for a batch of n samples: Workers of
 // them, but never more than there are samples and at least the one the
 // serial path uses. The table grows the first time a width is seen.
 func (di *DotInteraction) scratch(n int) []spanScratch {
 	w := max(1, min(tensor.EffectiveWorkers(di.Workers), n))
-	f := di.NumSparse + 1
-	fPad := padTo4(f)
+	f, d := di.NumSparse+1, di.Dim
+	fs, vtW := padTo4(f), di.vtWidth()
+	v, acc := max(d*vtW, f*d), (1+padTo4(f-1))*vtW
 	for len(di.spans) < w {
-		d := di.Dim
-		buf := make([]float32, d*fPad+accRows*fPad+fPad*f+(accRows-1)*d)
+		buf := make([]float32, v+acc+fs*fs+(accRows-1)*d)
 		take := func(n int) []float32 {
 			s := buf[:n:n]
 			buf = buf[n:]
 			return s
 		}
-		sc := spanScratch{vt: take(d * fPad), acc: take(accRows * fPad), dz: take(fPad * f), sink: take((accRows - 1) * d)}
-		for i := f * f; i < fPad*f; i++ {
+		sc := spanScratch{vt: take(v), acc: take(acc), dz: take(fs * fs), sink: take((accRows - 1) * d)}
+		for i := f * fs; i < fs*fs; i++ {
 			sc.dz[i] = 1
 		}
 		di.spans = append(di.spans, sc)
@@ -152,47 +163,43 @@ func (di *DotInteraction) Forward(dense *tensor.Matrix, sparse []*tensor.Matrix)
 // are safe to run concurrently and the result is independent of the split.
 //
 // Per sample the dots are rows of V·Vᵀ cut to the strict lower triangle, in
-// saxpy form: row a is acc[0:a] += v_a[p]*vt[p][0:a] for ascending p, so
-// every dot is still one float32 accumulator fed in ascending-p order — the
-// exact tensor.Dot accumulation order — while the vector lanes run across
-// the partners b. Four rows share each pass over vt (tensor.Axpy4Rows) and
-// accumulate over the widest of them, padded to whole vectors; the surplus
-// lanes are computed and not copied out. The F-1 mod 4 leftover rows are one
-// padded tile the same way: a missing row repeats the last real one, and
-// its accumulator row is not copied out either.
+// saxpy form: row a is acc[a][0:a] = sum over ascending p of
+// v_a[p]*vt[p][0:a], so every dot is still one float32 accumulator that
+// starts at +0 and is fed in ascending-p order — the exact tensor.Dot
+// accumulation order — while the vector lanes run across the partners b.
+// Four rows share each pass over vt (tensor.MatMul4Rows) and accumulate
+// over the widest of them, padded to a multiple of eight lanes, so every
+// pass runs on the register tile and its eight-lane half; the surplus
+// lanes are computed and never copied out. The F-1 mod 4 leftover rows are
+// one padded tile the same way: a missing row repeats the last real one
+// into an accumulator row past F-1. vt is filled four partners at a time
+// (tensor.Transpose4), the last group repeating the last partner into
+// surplus columns, and the triangle is copied out in one pass
+// (tensor.PackLower).
 func (di *DotInteraction) forwardSpan(sc *spanScratch, lo, hi int) {
 	d, outDim, f := di.Dim, di.OutDim(), di.NumSparse+1
 	feats, out := di.featData[:f], di.out
-	fPad := padTo4(f)
-	vt := sc.vt
-	acc0, acc1, acc2, acc3 := sc.acc[:fPad], sc.acc[fPad:2*fPad], sc.acc[2*fPad:3*fPad], sc.acc[3*fPad:4*fPad]
+	vtW := di.vtWidth()
+	vt := sc.vt[:d*vtW]
+	var c, acc [accRows][]float32 // a tile's coefficient rows and accumulator rows
 	for i := lo; i < hi; i++ {
 		row := out.Data[i*outDim : (i+1)*outDim]
 		off := i * d
 		copy(row[:d], feats[0][off:off+d])
-		// The last feature is nobody's partner b < a, so the ragged edge
-		// stops short of it.
-		b := 0
-		for ; b+4 <= f; b += 4 {
-			tensor.Transpose4(vt[b:], fPad, feats[b][off:off+d], feats[b+1][off:off+d], feats[b+2][off:off+d], feats[b+3][off:off+d])
+		// The last feature is nobody's partner b < a.
+		for b, last := 0, f-2; b <= last; b += 4 {
+			tensor.Transpose4(vt[b:], vtW, feats[b][off:off+d], feats[min(b+1, last)][off:off+d], feats[min(b+2, last)][off:off+d], feats[min(b+3, last)][off:off+d])
 		}
-		for ; b < f-1; b++ {
-			col := vt[b:]
-			for p, v := range feats[b][off : off+d] {
-				col[p*fPad] = v
-			}
-		}
-		pos := d
 		for a := 1; a < f; a += accRows {
 			last := min(a+accRows, f) - 1
-			w := padTo4(last)
-			clear(sc.acc)
-			v0, v1, v2, v3 := feats[a][off:off+d], feats[min(a+1, last)][off:off+d], feats[min(a+2, last)][off:off+d], feats[min(a+3, last)][off:off+d]
-			tensor.Axpy4Rows(v0, v1, v2, v3, vt, fPad, acc0[:w], acc1[:w], acc2[:w], acc3[:w])
-			for r := range last - a + 1 {
-				pos += copy(row[pos:], sc.acc[r*fPad:r*fPad+a+r])
+			w := padTo8(last)
+			for r := range c {
+				c[r] = feats[min(a+r, last)][off : off+d]
+				acc[r] = sc.acc[(a+r)*vtW : (a+r)*vtW+w]
 			}
+			tensor.MatMul4Rows(&c, vt, vtW, &acc)
 		}
+		tensor.PackLower(row[d:], sc.acc, vtW, f)
 	}
 }
 
@@ -207,9 +214,9 @@ func (di *DotInteraction) Backward(dOut *tensor.Matrix) (dDense *tensor.Matrix, 
 	if dOut.Rows != n || dOut.Cols != di.OutDim() {
 		panic("interaction: Backward shape mismatch")
 	}
-	// dDense needs no upfront zeroing: the pass-through copy in backwardSpan
-	// fully overwrites each row before any dot gradient accumulates into it,
-	// and each dSparse row is cleared by the one span that owns its sample.
+	// The gradients need no upfront zeroing: backwardSpan starts each dDense
+	// row at its pass-through and each dSparse row at +0, in the one span
+	// that owns the sample.
 	di.dDense = di.dDense.Resize(n, di.Dim)
 	dDense = di.dDense
 	if di.dSparse == nil {
@@ -256,19 +263,33 @@ func (di *DotInteraction) Backward(dOut *tensor.Matrix) (dDense *tensor.Matrix, 
 // gradient element receives the same terms in the same order, and the vector
 // lanes run across the elements p of a row.
 //
-// The sample's F feature rows are first copied into vt, so that the partners
-// are one strided source, and each four-row tile of G is then a single
-// tensor.Axpy4Skip over all F partners. Inside it a partner whose four
+// dz is unpacked from the lower triangle of the sample's dOut row
+// (tensor.Symmetrize), and the sample's F feature rows are copied into one
+// strided source (tensor.GatherRows). Each four-row tile of G is then one
+// pass over all F partners that adds every term, zero ones included, on the
+// register tile: tensor.Axpy4Rows for the first tile, whose row 0 starts at
+// the dense pass-through, and tensor.MatMul4Rows, whose rows start at +0,
+// for the rest. Adding the zero terms leaves every bit where the skip
+// leaves it (DESIGN.md has the proof) as long as no accumulator holds -0
+// and every v_b is finite: a skipped term is (±0)·v_b[p] = ±0, and adding
+// ±0 to a value that is not -0 changes no bit. The sparse rows start at +0
+// and only ever add, and in round-to-nearest x+y is -0 only when x and y
+// both are, so they never hold -0; row 0 starts at the pass-through, which
+// can. So a sample falls back to the skipping pass, tensor.Axpy4Skip, when
+// one of its feature values is not finite (the gather reports that) or its
+// pass-through holds a -0. Inside the skip a partner whose four
 // coefficients are all non-zero is one four-row pass; a partner holding an
-// exact zero — the tile's own diagonal block, or a zero upstream gradient —
-// updates only its non-zero rows, which is where the naive loop's skip
-// lives. The F mod 4 leftover rows are one padded tile: the padding rows of
-// dz are ones, so they never hold a partner back from the four-row pass,
-// and their gradient rows are the span's sink, which is never copied out.
+// exact zero updates only its non-zero rows, which is where the naive
+// loop's skip lives.
+//
+// The F mod 4 leftover rows are one padded tile: the padding rows of dz are
+// ones, so they never hold a partner back from the skip's four-row pass,
+// and their gradient rows are the span's sink, which is never read.
 func (di *DotInteraction) backwardSpan(sc *spanScratch, lo, hi int) {
 	d, outDim, f := di.Dim, di.OutDim(), di.NumSparse+1
 	feats, grads, dOut := di.featData[:f], di.gradData[:f], di.dOut
-	dz, v := sc.dz, sc.vt
+	fs := padTo4(f)
+	dz, v := sc.dz, sc.vt[:f*d]
 	// row returns gradient row a of the sample at off; a padding row is a
 	// row of the sink.
 	row := func(a, off int) []float32 {
@@ -277,32 +298,47 @@ func (di *DotInteraction) backwardSpan(sc *spanScratch, lo, hi int) {
 		}
 		return sc.sink[(a-f)*d : (a-f+1)*d]
 	}
+	var g, z [accRows][]float32 // a tile's gradient rows and coefficient rows
 	for i := lo; i < hi; i++ {
 		up := dOut.Data[i*outDim : (i+1)*outDim]
 		off := i * d
-		// Pass-through for the copied dense features; clear the sparse
-		// gradient rows this sample owns.
-		copy(grads[0][off:off+d], up[:d])
-		for t := 1; t < f; t++ {
-			clear(grads[t][off : off+d])
-		}
-		pos := d
-		for a := 1; a < f; a++ {
-			lower := up[pos : pos+a]
-			za := dz[a*f : a*f+len(lower)]
-			for b, z := range lower {
-				za[b], dz[b*f+a] = z, z
-			}
-			pos += a
-		}
+		tensor.Symmetrize(dz, fs, f, up[d:])
 		// The features as the rows of one strided source.
-		for b := range f {
-			copy(v[b*d:(b+1)*d], feats[b][off:off+d])
+		tiled := tensor.GatherRows(v, feats, off, d) && !holdsNegZero(up[:d])
+		// Row 0 starts at the pass-through of the copied dense features,
+		// the sparse rows at +0.
+		copy(grads[0][off:off+d], up[:d])
+		if !tiled {
+			for t := 1; t < f; t++ {
+				clear(grads[t][off : off+d])
+			}
 		}
 		for a := 0; a < f; a += accRows {
-			g0, g1, g2, g3 := row(a, off), row(a+1, off), row(a+2, off), row(a+3, off)
-			z0, z1, z2, z3 := dz[a*f:(a+1)*f], dz[(a+1)*f:(a+2)*f], dz[(a+2)*f:(a+3)*f], dz[(a+3)*f:(a+4)*f]
-			tensor.Axpy4Skip(z0, z1, z2, z3, v, d, g0, g1, g2, g3)
+			for r := range g {
+				g[r] = row(a+r, off)
+				z[r] = dz[(a+r)*fs : (a+r)*fs+f]
+			}
+			switch {
+			case !tiled:
+				tensor.Axpy4Skip(&z, v, d, &g)
+			case a == 0:
+				clear(g[1])
+				clear(g[2])
+				clear(g[3])
+				tensor.Axpy4Rows(&z, v, d, &g)
+			default:
+				tensor.MatMul4Rows(&z, v, d, &g)
+			}
 		}
 	}
+}
+
+// holdsNegZero reports whether x holds a -0.
+func holdsNegZero(x []float32) bool {
+	for _, v := range x {
+		if math.Float32bits(v) == 1<<31 {
+			return true
+		}
+	}
+	return false
 }

@@ -131,19 +131,37 @@ func requireBitwise(t *testing.T, got, want []float32, label string) {
 // z_ab, a > b.
 func dzIndex(d, a, b int) int { return d + a*(a-1)/2 + b }
 
-// poison plants, in two of the case's samples, the inputs where skipping a
-// zero term instead of adding it shows in the bits:
-//   - sample 3: +Inf, -Inf and NaN in feature k's row, and an exact zero (of
-//     alternating sign) in every second gradient facing it, so that a zero
-//     term added instead of skipped turns a finite gradient into NaN;
+// poison plants, in five of the case's samples (n ≥ 11), the inputs where
+// adding a zero term instead of skipping it shows in the bits, and so where
+// Backward must leave the register tile for the skipping pass:
+//   - samples 3, 0 and n-1 (poisonNonFinite): +Inf, -Inf and NaN in feature
+//     k's row. Sample 0 lies in the first span and sample n-1 in the last at
+//     every worker count, so the fallback is taken at both ends of a span
+//     split;
 //   - sample 5: -0 in the whole dense pass-through and a zero gradient on
 //     every dense dot, so that only skipping leaves the -0 in place (adding
-//     a +0 term would make it +0).
+//     a +0 term would make it +0);
+//   - sample 7: the same with a single -0 in the pass-through, at an
+//     element where the dense feature is positive, so that the diagonal's
+//     +0·v_0 term alone would already turn it into +0.
 func (c interactionCase) poison(k int) {
+	n := c.dense.Rows
+	for _, i := range []int{3, 0, n - 1} {
+		c.poisonNonFinite(i, k)
+	}
+	c.poisonNegZero(5, -1)
+	c.poisonNegZero(7, c.dense.Cols/2)
+}
+
+// poisonNonFinite puts +Inf, -Inf and NaN in feature k's row of sample i,
+// and an exact zero (of alternating sign) in every second gradient facing
+// it, so that a zero term added instead of skipped turns a finite gradient
+// into NaN.
+func (c interactionCase) poisonNonFinite(i, k int) {
 	feats := c.feats()
 	f, d := len(feats), c.dense.Cols
-	row := c.dOut.Data[3*c.dOut.Cols : 4*c.dOut.Cols]
-	v := feats[k][3*d : 4*d]
+	row := c.dOut.Data[i*c.dOut.Cols : (i+1)*c.dOut.Cols]
+	v := feats[k][i*d : (i+1)*d]
 	// The NaN is made by arithmetic, so it has the payload of every NaN the
 	// loops make themselves (Inf-Inf, 0*Inf): an add of two NaNs keeps one
 	// operand's payload, and which one is a matter of operand roles, not of
@@ -165,21 +183,37 @@ func (c interactionCase) poison(k int) {
 		}
 		row[dzIndex(d, max(k, b), min(k, b))] = z
 	}
+}
 
-	row = c.dOut.Data[5*c.dOut.Cols : 6*c.dOut.Cols]
-	for p := range d {
+// poisonNegZero puts -0 in sample i's dense pass-through, in every element
+// when p < 0 and in element p alone otherwise (whose dense feature it makes
+// positive), and a zero gradient on every dense dot.
+func (c interactionCase) poisonNegZero(i, p int) {
+	f, d := len(c.sparse)+1, c.dense.Cols
+	row := c.dOut.Data[i*c.dOut.Cols : (i+1)*c.dOut.Cols]
+	negZero := float32(math.Copysign(0, -1))
+	if p < 0 {
+		for q := range d {
+			row[q] = negZero
+		}
+	} else {
 		row[p] = negZero
+		c.dense.Data[i*d+p] = 1.5
 	}
 	for a := 1; a < f; a++ {
 		row[dzIndex(d, a, 0)] = 0
 	}
 }
 
+// TestInteractionBitwiseParity holds Forward and Backward to the naive loops
+// bit for bit at feature counts around the 4-row tile and the 8- and
+// 16-lane tile widths and at dims around the tile and its half, clean and
+// poisoned, at workers 1, 2 and 8, on fresh and on reused scratch.
 func TestInteractionBitwiseParity(t *testing.T) {
 	rng := tensor.NewRNG(77)
 	const n = 11 // not a multiple of any worker count below
-	for _, f := range []int{2, 4, 5, 8, 27} {
-		for _, dim := range []int{1, 5, 13, 32} {
+	for _, f := range []int{2, 4, 5, 8, 9, 15, 16, 17, 27, 32, 33} {
+		for _, dim := range []int{1, 5, 13, 16, 24, 32, 48} {
 			for _, poisoned := range []bool{false, true} {
 				c := newInteractionCase(rng, n, f, dim)
 				if poisoned {
@@ -214,23 +248,47 @@ func TestInteractionBitwiseParity(t *testing.T) {
 	}
 }
 
-func benchInteraction(b *testing.B, backward bool) {
-	const n, f, dim = 128, 27, 32
-	rng := tensor.NewRNG(1)
-	c := newInteractionCase(rng, n, f, dim)
-	rng.FillNormal(c.dOut.Data, 0, 1) // a training gradient is dense
+// TestInteractionAllocs: after a warm-up call, the single-threaded Forward
+// and Backward run on layer-owned scratch and allocate nothing.
+func TestInteractionAllocs(t *testing.T) {
+	const n, f, dim = 64, 27, 32
+	c := newInteractionCase(tensor.NewRNG(3), n, f, dim)
 	di := NewDotInteraction(f-1, dim)
 	di.Workers = 1
-	di.Forward(c.dense, c.sparse)
-	di.Backward(c.dOut) // grows the gradient matrices outside the timed loop
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if backward {
-			di.Backward(c.dOut)
-		} else {
+	step := func() {
+		di.Forward(c.dense, c.sparse)
+		di.Backward(c.dOut)
+	}
+	step()
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		t.Fatalf("Forward+Backward allocate %v times per call after warm-up, want 0", allocs)
+	}
+}
+
+// benchInteraction times one pass at the per-rank batch of each workload
+// that runs the layer: n=1 is a serving Score call, n=128 a train-comm8
+// rank (1024 samples over 8 ranks), n=512 a train-tcp2 rank (over 2).
+func benchInteraction(b *testing.B, backward bool) {
+	const f, dim = 27, 32
+	for _, n := range []int{1, 128, 512} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := tensor.NewRNG(1)
+			c := newInteractionCase(rng, n, f, dim)
+			rng.FillNormal(c.dOut.Data, 0, 1) // a training gradient is dense
+			di := NewDotInteraction(f-1, dim)
+			di.Workers = 1
 			di.Forward(c.dense, c.sparse)
-		}
+			di.Backward(c.dOut) // grows the gradient matrices outside the timed loop
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if backward {
+					di.Backward(c.dOut)
+				} else {
+					di.Forward(c.dense, c.sparse)
+				}
+			}
+		})
 	}
 }
 

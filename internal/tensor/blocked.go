@@ -106,18 +106,6 @@ func (pk *Panels) transposed(b *Matrix) []float32 {
 // column panel of k rows per nrTile columns, the last padded with zeros.
 func panelsSize(k, n int) int { return (n + nrTile - 1) / nrTile * nrTile * k }
 
-// Transpose4 writes four equal-length rows as four adjacent columns of a
-// row-major destination: dst[p*stride+r] = s_r[p]. Moving four rows at once
-// makes every store run 16 contiguous bytes, which is what a transposition
-// costs least with; callers finish a ragged edge column by column.
-func Transpose4(dst []float32, stride int, s0, s1, s2, s3 []float32) {
-	s1, s2, s3 = s1[:len(s0)], s2[:len(s0)], s3[:len(s0)]
-	for p, v := range s0 {
-		q := dst[p*stride : p*stride+4 : p*stride+4]
-		q[0], q[1], q[2], q[3] = v, s1[p], s2[p], s3[p]
-	}
-}
-
 // panelRows computes the whole four-row tiles of rows [lo, hi) of
 // dst = A @ B from B's panels pk, adding every term, and returns the first
 // row it left. A is rows×k with element A[i][p] at ad[i*rs+p*ps]: (rs, ps)
@@ -134,7 +122,10 @@ func panelRows(dst *Matrix, ad []float32, rs, ps, k int, pk []float32, lo, hi in
 	end := lo + (hi-lo)/mrMatMul*mrMatMul
 	clear(dst.Data[lo*n : end*n])
 	var edge [mrMatMul * nrTile]float32
-	e0, e1, e2, e3 := edge[0:nrTile], edge[nrTile:2*nrTile], edge[2*nrTile:3*nrTile], edge[3*nrTile:]
+	var d, c, e [mrMatMul][]float32 // a tile's rows, their coefficients, and the edge tile's rows
+	for r := range e {
+		e[r] = edge[r*nrTile : (r+1)*nrTile]
+	}
 	for p0 := 0; p0 < k; p0 += kcPanel {
 		kb := min(kcPanel, k-p0)
 		span := (kb-1)*ps + 1 // the elements of ad one row of the block runs over
@@ -142,21 +133,21 @@ func panelRows(dst *Matrix, ad []float32, rs, ps, k int, pk []float32, lo, hi in
 			w := min(nrTile, n-j)
 			panel := pk[j*k+p0*nrTile : j*k+(p0+kb)*nrTile]
 			for i := lo; i < end; i += mrMatMul {
-				d0, d1, d2, d3 := dst.Data[(i+0)*n+j:][:w], dst.Data[(i+1)*n+j:][:w], dst.Data[(i+2)*n+j:][:w], dst.Data[(i+3)*n+j:][:w]
-				c0, c1, c2, c3 := ad[(i+0)*rs+p0*ps:][:span], ad[(i+1)*rs+p0*ps:][:span], ad[(i+2)*rs+p0*ps:][:span], ad[(i+3)*rs+p0*ps:][:span]
+				for r := range d {
+					d[r] = dst.Data[(i+r)*n+j:][:w]
+					c[r] = ad[(i+r)*rs+p0*ps:][:span]
+				}
 				if w == nrTile {
-					axpy4Tile(d0, d1, d2, d3, panel, nrTile, c0, c1, c2, c3, kb, ps)
+					axpy4Tile(&d, panel, nrTile, &c, kb, ps, false)
 					continue
 				}
-				copy(e0, d0)
-				copy(e1, d1)
-				copy(e2, d2)
-				copy(e3, d3)
-				axpy4Tile(e0, e1, e2, e3, panel, nrTile, c0, c1, c2, c3, kb, ps)
-				copy(d0, e0)
-				copy(d1, e1)
-				copy(d2, e2)
-				copy(d3, e3)
+				for r := range d {
+					copy(e[r], d[r])
+				}
+				axpy4Tile(&e, panel, nrTile, &c, kb, ps, false)
+				for r := range d {
+					copy(d[r], e[r])
+				}
 			}
 		}
 	}

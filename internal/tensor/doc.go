@@ -4,9 +4,11 @@
 //
 // All of the dense math sits on one vector primitive, d[j] += a*b[j] over
 // one destination row, or four rows through a run of terms that either adds
-// every term or skips zero coefficients (Axpy, Axpy4Rows, Axpy4Skip;
-// axpy.go), and on its register-held form, a 4×16 tile of four rows that
-// adds every term (axpy4Tile). Each function has one assembly body,
+// every term or skips zero coefficients (Axpy, Axpy4Rows, MatMul4Rows,
+// Axpy4Skip; axpy.go), and on its register-held form, a 4×16 tile of four
+// rows that adds every term (axpy4Tile), with the moves that lay operands
+// out for it (Transpose4, GatherRows, Symmetrize, PackLower). Each
+// function has one assembly body,
 // eight-lane AVX (axpy_amd64.s), selected once at package init where CPUID
 // and XGETBV report it (HasAVX, the probe internal/quant selects its AVX
 // bodies by too). Every other host, amd64 without AVX included, runs the
@@ -34,5 +36,6 @@
 // Key types: Matrix (row-major, with the MatMulWorkers and
 // MatMulTrans{A,B}Workers products), Panels (a product's packing scratch),
 // RNG (splitmix-based, seeded everywhere a stream of randomness is
-// needed), and the Axpy/Axpy4Skip/Axpy4Rows/Scale/Dot vector helpers.
+// needed), and the Axpy/Axpy4Rows/MatMul4Rows/Axpy4Skip/Scale/Dot vector
+// helpers.
 package tensor
