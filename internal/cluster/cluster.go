@@ -53,15 +53,13 @@ type Cluster struct {
 // here so the steady-state hot path allocates nothing.
 type rankScratch struct {
 	sizeRow []byte // payload-size row, sent to rank 0 each all-to-all
-	flagBuf []byte // 1-byte OrFlag contribution
 	sendBuf []byte // allreduce contribution, grown on demand
 
 	// Rank 0 only: the global payload-size matrix the cost model reads,
 	// and the response buffers for the star collectives.
-	sizes    [][]int64
-	respBuf  []byte // allreduce result broadcast (status byte + floats)
-	flagResp []byte // 1-byte OrFlag verdict
-	gather   []byte // length-prefixed concatenation of all GatherAll blobs
+	sizes   [][]int64
+	respBuf []byte // allreduce result broadcast (status byte + floats)
+	gather  []byte // length-prefixed concatenation of all GatherAll blobs
 }
 
 // layout checks the topology's rank-to-node map for n ranks: every rank
@@ -112,16 +110,12 @@ func newCluster(eps []Transport, net netmodel.Topology) (*Cluster, error) {
 			continue
 		}
 		c.local = append(c.local, id)
-		scr := &rankScratch{
-			sizeRow: make([]byte, sizeRowBytes(n)),
-			flagBuf: make([]byte, 1),
-		}
+		scr := &rankScratch{sizeRow: make([]byte, sizeRowBytes(n))}
 		if id == 0 {
 			scr.sizes = make([][]int64, n)
 			for i := range scr.sizes {
 				scr.sizes[i] = make([]int64, n)
 			}
-			scr.flagResp = make([]byte, 1)
 		}
 		c.scratch[id] = scr
 	}
@@ -265,8 +259,34 @@ type Rank struct {
 	scr *rankScratch
 }
 
-// Barrier blocks until every rank reaches it.
-func (r *Rank) Barrier() error { return r.tr.Barrier() }
+// Barrier blocks until every rank reaches it. It is a star through
+// rank 0 over Send and Recv: each peer sends rank 0 an empty message and
+// waits for an empty release; rank 0 receives one message from every peer
+// in rank order, then releases each. Per-pair FIFO orders both behind
+// whatever the same pair sent before, so a barrier message never
+// overtakes a collective's payload. A peer that leaves before arriving
+// fails rank 0's Recv, and rank 0's failure reaches the others as an
+// error, not a hang.
+func (r *Rank) Barrier() error {
+	if r.ID != 0 {
+		if err := r.tr.Send(0, nil); err != nil {
+			return err
+		}
+		_, err := r.tr.Recv(0)
+		return err
+	}
+	for from := 1; from < r.c.N; from++ {
+		if _, err := r.tr.Recv(from); err != nil {
+			return err
+		}
+	}
+	for to := 1; to < r.c.N; to++ {
+		if err := r.tr.Send(to, nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // postSizeRow publishes this rank's payload-size row for rank 0's cost
 // accounting: rank 0 fills its own matrix row in place, everyone else
@@ -353,7 +373,7 @@ func (r *Rank) exchange(send [][]byte, variable bool) ([][]byte, netmodel.LinkCo
 		}
 		recv[from] = buf
 	}
-	if err := r.tr.Barrier(); err != nil {
+	if err := r.Barrier(); err != nil {
 		return nil, cost, err
 	}
 	return recv, cost, nil
@@ -456,58 +476,12 @@ func (r *Rank) reduce(x []float32) (time.Duration, error) {
 	return c.Net.AllReduceTime(c.N, int64(len(x)*4)), nil
 }
 
-// OrFlag is a logical-OR allreduce over one boolean: it returns true on
-// every rank iff any rank passed true. It models the control-plane flag
-// exchange a real trainer uses to agree on aborting a step, so it charges
-// no simulated time.
-func (r *Rank) OrFlag(v bool) (bool, error) {
-	c := r.c
-	if r.ID != 0 {
-		r.scr.flagBuf[0] = 0
-		if v {
-			r.scr.flagBuf[0] = 1
-		}
-		if err := r.tr.Send(0, r.scr.flagBuf); err != nil {
-			return false, err
-		}
-		resp, err := r.tr.Recv(0)
-		if err != nil {
-			return false, err
-		}
-		if len(resp) != 1 {
-			return false, fmt.Errorf("cluster: OrFlag verdict is %d bytes", len(resp))
-		}
-		return resp[0] != 0, nil
-	}
-	out := v
-	for from := 1; from < c.N; from++ {
-		flag, err := r.tr.Recv(from)
-		if err != nil {
-			return false, err
-		}
-		if len(flag) != 1 {
-			return false, fmt.Errorf("cluster: OrFlag contribution from rank %d is %d bytes", from, len(flag))
-		}
-		out = out || flag[0] != 0
-	}
-	r.scr.flagResp[0] = 0
-	if out {
-		r.scr.flagResp[0] = 1
-	}
-	for to := 1; to < c.N; to++ {
-		if err := r.tr.Send(to, r.scr.flagResp); err != nil {
-			return false, err
-		}
-	}
-	return out, nil
-}
-
 // GatherAll delivers every rank's blob to every rank: into (length N, the
 // caller's persistent slot table) holds rank i's blob at index i on
 // return. The slots alias transport-owned memory valid until the next
 // GatherAll. It is the control-plane allgather the distributed trainer
-// uses to agree on per-step statistics; like OrFlag it charges no
-// simulated time.
+// uses to agree on per-step statistics and on whether the step failed;
+// it charges no simulated time.
 func (r *Rank) GatherAll(blob []byte, into [][]byte) error {
 	c := r.c
 	if len(into) != c.N {

@@ -13,8 +13,9 @@
 // Key types:
 //
 //   - Transport — the point-to-point substrate a Cluster's collectives
-//     run over: per-rank endpoints with FIFO Send/Recv per directed pair
-//     plus a group Barrier. NewInprocFabric returns the reference
+//     run over: per-rank endpoints with FIFO Send/Recv per directed pair,
+//     and nothing else; even Rank.Barrier is a star through rank 0 built
+//     from Send and Recv. NewInprocFabric returns the reference
 //     implementation (all ranks in one process, goroutines and channels,
 //     zero-copy delivery); internal/cluster/tcptransport provides a real
 //     multi-process backend over loopback/network sockets. Collectives,
@@ -52,7 +53,7 @@
 //
 // Failure semantics: collectives return errors, not panics. A transport
 // that loses a peer (connection close, process exit) poisons in-flight
-// and subsequent Send/Recv/Barrier calls with a descriptive error, which
+// and subsequent Send/Recv calls with a descriptive error, which
 // the collectives propagate to their callers — a dying peer surfaces as
 // a prompt error on every surviving rank, never a deadlock.
 //

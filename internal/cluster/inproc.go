@@ -8,25 +8,23 @@ import (
 // The in-process channel fabric: the reference Transport implementation.
 // Every directed rank pair owns a buffered channel; Send passes the buffer
 // pointer through it (zero-copy — receiver and sender alias the same
-// memory, exactly like the shared-memory mailboxes this fabric replaced),
-// and Barrier is a reusable cyclic barrier. Closing any endpoint tears the
-// whole fabric down: pending Sends, Recvs, and Barriers unblock with
-// errors, which is what lets an in-process trainer abort cleanly instead
-// of deadlocking when a rank bails out mid-collective.
+// memory, exactly like the shared-memory mailboxes this fabric replaced).
+// Closing any endpoint tears the whole fabric down: pending Sends and
+// Recvs unblock with errors, which is what lets an in-process trainer
+// abort cleanly instead of deadlocking when a rank bails out
+// mid-collective.
 
-// inprocChanCap bounds in-flight messages per directed pair. A collective
-// posts at most two messages per pair before the matching receives (size
-// row + payload), and the trailing synchronization of each
-// collective keeps back-to-back collectives from stacking more than one
-// collective's worth, so a small constant suffices; sends never block in
-// practice.
+// inprocChanCap bounds in-flight messages per directed pair. An
+// all-to-all posts at most three messages per pair before rank 0 receives
+// them (size row, payload and barrier arrive), and the trailing barrier
+// keeps back-to-back collectives from stacking more than one collective's
+// worth, so a small constant suffices; sends never block in practice.
 const inprocChanCap = 16
 
 // inprocFabric is the shared state behind one group of in-process endpoints.
 type inprocFabric struct {
 	n     int
 	chans [][]chan []byte // [from][to]
-	bar   *barrier
 
 	closeOnce sync.Once
 	done      chan struct{}
@@ -45,7 +43,6 @@ func NewInprocFabric(n int) []Transport {
 		panic(fmt.Sprintf("cluster: invalid rank count %d", n))
 	}
 	f := &inprocFabric{n: n, done: make(chan struct{})}
-	f.bar = newBarrier(n, f.done)
 	f.chans = make([][]chan []byte, n)
 	for from := range f.chans {
 		f.chans[from] = make([]chan []byte, n)
@@ -95,66 +92,9 @@ func (e *inprocEndpoint) Recv(from int) ([]byte, error) {
 	}
 }
 
-func (e *inprocEndpoint) Barrier() error {
-	if !e.f.bar.await() {
-		return fmt.Errorf("cluster: rank %d barrier: fabric closed", e.rank)
-	}
-	return nil
-}
-
 // Close tears down the whole fabric (the group shares one process; a
 // single rank abandoning the collectives must unblock everyone).
 func (e *inprocEndpoint) Close() error {
-	e.f.closeOnce.Do(func() {
-		close(e.f.done)
-		e.f.bar.close()
-	})
+	e.f.closeOnce.Do(func() { close(e.f.done) })
 	return nil
-}
-
-// barrier is a reusable cyclic barrier that aborts when its fabric closes.
-type barrier struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	n      int
-	count  int
-	gen    uint64
-	closed bool
-	done   chan struct{}
-}
-
-func newBarrier(n int, done chan struct{}) *barrier {
-	b := &barrier{n: n, done: done}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// await blocks until all n ranks arrive; it returns false if the fabric
-// closed before the barrier tripped.
-func (b *barrier) await() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return false
-	}
-	gen := b.gen
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		return true
-	}
-	for gen == b.gen && !b.closed {
-		b.cond.Wait()
-	}
-	return gen != b.gen
-}
-
-// close aborts current and future waiters.
-func (b *barrier) close() {
-	b.mu.Lock()
-	b.closed = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
 }

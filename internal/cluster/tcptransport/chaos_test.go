@@ -66,7 +66,16 @@ func TestChaosMidCollectiveKill(t *testing.T) {
 					})
 				}(r)
 			}
-			time.Sleep(100 * time.Millisecond) // let the survivors block
+			// Each survivor sends the victim its payload inside the
+			// collective; the victim dies only once it holds them all.
+			for r := range eps {
+				if r == victim {
+					continue
+				}
+				if _, err := eps[victim].Recv(r); err != nil {
+					t.Fatalf("victim recv from rank %d: %v", r, err)
+				}
+			}
 			killer, ok := eps[victim].(interface{ Kill() })
 			if !ok {
 				t.Fatalf("endpoint %T does not expose Kill", eps[victim])
@@ -87,7 +96,7 @@ func TestChaosMidCollectiveKill(t *testing.T) {
 					continue
 				}
 				start := time.Now()
-				if err := ep.Barrier(); err == nil {
+				if err := barrier(ep); err == nil {
 					t.Errorf("rank %d barrier succeeded on a poisoned endpoint", r)
 				}
 				if err := ep.Send((r+1)%world, []byte{1}); err == nil {

@@ -13,19 +13,17 @@ import (
 // Post-handshake frame kinds. Every frame is
 // kind byte | payload length uint32 LE | payload.
 const (
-	kData           = 1 // a Send payload, delivered to the per-source inbox
-	kBarrierArrive  = 2 // worker -> rank 0: entered the barrier
-	kBarrierRelease = 3 // rank 0 -> worker: all ranks arrived, proceed
-	kCloseNotify    = 4 // sender is leaving the group gracefully
+	kData        = 1 // a Send payload, delivered to the per-source inbox
+	kCloseNotify = 4 // sender is leaving the group gracefully
 
 	frameHeaderBytes = 5
 )
 
 // endpoint is one rank's live connection set, implementing
 // cluster.Transport. One reader goroutine per peer connection demuxes
-// frames into per-source inboxes and barrier channels; Send, Recv,
-// Barrier, and Close run on the owning rank's goroutine, so each
-// connection has a single writer and no write lock.
+// frames into per-source inboxes; Send, Recv and Close run on the owning
+// rank's goroutine, so each connection has a single writer and no write
+// lock.
 //
 // Failure model: the first connection-level error (EOF, short read,
 // oversized or unknown frame) poisons the endpoint — the error is
@@ -38,9 +36,9 @@ const (
 // and the ranks still running must be able to finish the step it already
 // sent its share of. It marks only that peer departed: its inbox drains
 // and then reports the departure, and its reader stops. Needing something
-// from a departed peer — a Recv past its drained inbox, a Send to it, or
-// a barrier it can no longer join — poisons the endpoint, so a group
-// whose member left too early still errors instead of deadlocking.
+// from a departed peer — a Recv past its drained inbox or a Send to it —
+// poisons the endpoint, so a group whose member left too early still
+// errors instead of deadlocking.
 type endpoint struct {
 	rank  int
 	world int
@@ -50,16 +48,11 @@ type endpoint struct {
 
 	inboxes []*inbox // by source rank; inboxes[rank] is the self-send loop
 
-	arrive  chan int      // rank 0: one token per peer arrival (cap world: ≤1 outstanding per peer)
-	release chan struct{} // workers: rank 0's release for the barrier in flight
-
-	gone    []chan struct{} // by peer rank: closed by that peer's reader on its close notify
-	anyGone chan struct{}   // closed on the first departure
+	gone []chan struct{} // by peer rank: closed by that peer's reader on its close notify
 
 	mu       sync.Mutex
 	perr     error
 	poisoned chan struct{} // closed on first poison
-	departed bool          // anyGone is closed
 
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -72,10 +65,7 @@ func newEndpoint(o Options, conns []net.Conn) *endpoint {
 		conns:    conns,
 		counters: make([]peerCounters, o.World),
 		inboxes:  make([]*inbox, o.World),
-		arrive:   make(chan int, o.World),
-		release:  make(chan struct{}, 1),
 		gone:     make([]chan struct{}, o.World),
-		anyGone:  make(chan struct{}),
 		poisoned: make(chan struct{}),
 	}
 	for r := range e.inboxes {
@@ -142,65 +132,6 @@ func (e *endpoint) Recv(from int) ([]byte, error) {
 	return buf, nil
 }
 
-// Barrier is a star through rank 0: workers post an arrive frame and
-// block on the release; rank 0 collects world-1 arrivals, then releases
-// everyone. Per-pair FIFO means a worker's release cannot overtake data
-// rank 0 sent before it, and cap-1 release buffering suffices because a
-// worker cannot enter the next barrier before consuming this release.
-//
-// A departed rank can no longer arrive: a worker leaves only after
-// rank 0 released it, so a departure rank 0 sees while collecting means
-// the barrier cannot complete, and rank 0 poisons the group. A worker
-// fails only on rank 0's departure — another worker may legitimately
-// leave between its own release and this worker's — and checks for a
-// release first, because rank 0's reader delivers the release before
-// the notify behind it.
-func (e *endpoint) Barrier() error {
-	if err := e.errIfPoisoned(); err != nil {
-		return err
-	}
-	if e.world == 1 {
-		return nil
-	}
-	if e.rank == 0 {
-		for i := 0; i < e.world-1; i++ {
-			select {
-			case <-e.arrive:
-			case <-e.anyGone:
-				e.poison(fmt.Errorf("tcptransport: rank 0 barrier: a rank left the group before arriving"))
-				return e.err()
-			case <-e.poisoned:
-				return e.err()
-			}
-		}
-		for r := 1; r < e.world; r++ {
-			if err := e.writeFrame(r, kBarrierRelease, nil); err != nil {
-				e.poison(fmt.Errorf("tcptransport: rank 0 barrier release to rank %d: %w", r, err))
-				return e.err()
-			}
-		}
-		return nil
-	}
-	if err := e.writeFrame(0, kBarrierArrive, nil); err != nil {
-		e.poison(fmt.Errorf("tcptransport: rank %d barrier arrive: %w", e.rank, err))
-		return e.err()
-	}
-	select {
-	case <-e.release:
-		return nil
-	case <-e.gone[0]:
-		select {
-		case <-e.release:
-			return nil
-		default:
-		}
-		e.poison(fmt.Errorf("tcptransport: rank %d barrier: %w", e.rank, errLeft(0)))
-		return e.err()
-	case <-e.poisoned:
-		return e.err()
-	}
-}
-
 // Close leaves the group gracefully: notify every peer under a bounded
 // write deadline, then poison locally (closing the connections) and join
 // the readers. Each peer marks this rank departed when the notify
@@ -259,9 +190,7 @@ func (e *endpoint) writeFrame(to int, kind byte, payload []byte) error {
 
 // readLoop demuxes frames from one peer until the connection dies or the
 // endpoint is poisoned. Inbox pushes never block, so a slow local Recv
-// cannot stall the wire; the barrier channels are sized so a post only
-// blocks when the owning goroutine is gone, in which case the poisoned
-// select arm frees the reader.
+// cannot stall the wire.
 func (e *endpoint) readLoop(from int, c net.Conn) {
 	defer e.wg.Done()
 	var hdr [frameHeaderBytes]byte
@@ -294,18 +223,6 @@ func (e *endpoint) readLoop(from int, c net.Conn) {
 		switch kind {
 		case kData:
 			e.inboxes[from].push(payload)
-		case kBarrierArrive:
-			select {
-			case e.arrive <- from:
-			case <-e.poisoned:
-				return
-			}
-		case kBarrierRelease:
-			select {
-			case e.release <- struct{}{}:
-			case <-e.poisoned:
-				return
-			}
 		case kCloseNotify:
 			e.depart(from)
 			return
@@ -318,7 +235,7 @@ func (e *endpoint) readLoop(from int, c net.Conn) {
 
 // poison publishes the endpoint's terminal error exactly once, closes
 // every connection (cascading the failure to peers as EOF), and wakes
-// every blocked Recv and Barrier. Safe from any goroutine.
+// every blocked Recv. Safe from any goroutine.
 func (e *endpoint) poison(err error) {
 	e.mu.Lock()
 	if e.perr != nil {
@@ -339,17 +256,11 @@ func (e *endpoint) poison(err error) {
 }
 
 // depart records that peer from left the group gracefully: its inbox
-// drains and then fails, and Send and Barrier see gone[from]. Called
-// once per peer, from that peer's reader.
+// drains and then fails, and Send sees gone[from]. Called once per peer,
+// from that peer's reader.
 func (e *endpoint) depart(from int) {
 	e.inboxes[from].kill(fmt.Errorf("tcptransport: rank %d: %w", e.rank, errLeft(from)))
 	close(e.gone[from])
-	e.mu.Lock()
-	if !e.departed {
-		e.departed = true
-		close(e.anyGone)
-	}
-	e.mu.Unlock()
 }
 
 func errLeft(rank int) error {

@@ -7,9 +7,9 @@ import (
 
 // TestTransportStatsCounters drives a known frame schedule across a
 // 2-rank group and checks the per-peer accounting on both ends: every
-// wire frame (data, barrier arrive, barrier release) is counted with its
-// header, self-sends never touch the wire, and the two endpoints' views
-// of one direction agree exactly.
+// wire frame (payloads and a barrier's empty arrive and release) is
+// counted with its header, self-sends never touch the wire, and the two
+// endpoints' views of one direction agree exactly.
 func TestTransportStatsCounters(t *testing.T) {
 	sizes := []int{0, 1, 100, 4096}
 	eps := dialGroup(t, 2)
@@ -31,16 +31,16 @@ func TestTransportStatsCounters(t *testing.T) {
 			t.Fatalf("recv %d: %v", seq, err)
 		}
 	}
-	// One barrier: rank 1 sends an arrive frame, rank 0 a release frame,
-	// both empty-payload (header bytes only). Counters are bumped before
-	// the frame is delivered to the barrier machinery, so once both
-	// Barrier calls return the counts are settled.
+	// One barrier: rank 1 sends an empty arrive frame, rank 0 an empty
+	// release frame (header bytes only). Counters are bumped before a
+	// frame reaches its inbox, so once both barriers return the counts are
+	// settled.
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			if err := eps[r].Barrier(); err != nil {
+			if err := barrier(eps[r]); err != nil {
 				t.Errorf("rank %d barrier: %v", r, err)
 			}
 		}(r)

@@ -27,21 +27,22 @@
 //	kind byte | payload length uint32 LE | payload
 //
 // mirroring the length-prefixed fused frames of internal/dist's wire
-// format. Data frames are queued per source rank (unbounded, so a reader
-// never stalls the wire); barrier frames implement a star barrier through
-// rank 0.
+// format. There are two kinds: data frames, queued per source rank
+// (unbounded, so a reader never stalls the wire), and the close notify.
+// The transport has no barrier of its own; cluster builds its barrier
+// from data frames.
 //
 // Failure and shutdown: the first error on any connection — EOF, a
 // malformed or oversized frame — poisons the endpoint: the stored error
 // is published, every connection is closed (which cascades the failure
-// to all peers as EOF), and every blocked Recv, Send, or Barrier returns
-// the error instead of deadlocking. Close is the graceful flavor: it
+// to all peers as EOF), and every blocked Recv or Send returns the error
+// instead of deadlocking. Close is the graceful flavor: it
 // sends a close-notify frame to each peer under a closeTimeout write
 // deadline, then poisons locally and joins the reader goroutines. A
 // close notify marks only its sender departed, so the first rank to
 // finish does not tear down the sockets slower ranks still use; a rank
-// that then needs the departed peer — a Recv past its drained inbox, a
-// Send to it, a barrier — poisons as above. Messages already delivered
+// that then needs the departed peer — a Recv past its drained inbox or a
+// Send to it — poisons as above. Messages already delivered
 // before a close or failure remain drainable from Recv, matching the
 // in-process fabric.
 //
@@ -62,10 +63,12 @@ import (
 )
 
 // Wire constants. The magic spells "DLRM"; bump version on any change to
-// the handshake or frame layout.
+// the handshake, the frame layout or the frame kinds. Version 2 dropped
+// the barrier frames: a version-1 peer would wait on a barrier frame that
+// never comes, so the handshake must turn it away.
 const (
 	magic   = 0x444C524D
-	version = 1
+	version = 2
 
 	// Handshake message kinds.
 	hkHello   = 1 // worker -> rank 0: rank + pair-listener address

@@ -7,7 +7,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,6 +81,17 @@ func dialGroup(t *testing.T, world int) []cluster.Transport {
 	return eps
 }
 
+// barrier runs one cluster barrier over ep: the star through rank 0 that
+// every all-to-all ends with, built from Send and Recv.
+func barrier(ep cluster.Transport) error {
+	cl, err := cluster.NewOverTransport(ep, nil)
+	if err != nil {
+		return err
+	}
+	cl.Run(func(r *cluster.Rank) { err = r.Barrier() })
+	return err
+}
+
 // payload builds a deterministic ragged test payload.
 func payload(from, to, seq, size int) []byte {
 	b := make([]byte, size)
@@ -126,7 +136,7 @@ func TestPairwiseFIFOAndRagged(t *testing.T) {
 					}
 				}
 			}
-			if err := e.Barrier(); err != nil {
+			if err := barrier(e); err != nil {
 				errc <- fmt.Errorf("rank %d barrier: %w", r, err)
 			}
 		}(r)
@@ -142,40 +152,6 @@ func TestPairwiseFIFOAndRagged(t *testing.T) {
 // interleave destinations, so the inboxes also prove sends to different
 // destinations don't block each other: every rank posts all its frames
 // before reading any.
-
-func TestBarrierSynchronizes(t *testing.T) {
-	const world, rounds = 4, 20
-	eps := dialGroup(t, world)
-	var counter atomic.Int64
-	var wg sync.WaitGroup
-	errc := make(chan error, world)
-	for r := 0; r < world; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for round := 1; round <= rounds; round++ {
-				counter.Add(1)
-				if err := eps[r].Barrier(); err != nil {
-					errc <- err
-					return
-				}
-				if got := counter.Load(); got < int64(world*round) {
-					errc <- fmt.Errorf("rank %d escaped barrier round %d with counter %d", r, round, got)
-					return
-				}
-				if err := eps[r].Barrier(); err != nil {
-					errc <- err
-					return
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
-	}
-}
 
 // TestOversizedSendRejected: the sender-side cap fails the Send without
 // killing the endpoint, so a capped rank keeps working under the limit.
@@ -246,19 +222,30 @@ func TestOversizedRecvPoisons(t *testing.T) {
 }
 
 // TestMidCollectiveCloseErrors: a rank closing while its peers sit in
-// blocking Recv and Barrier must error both out promptly — never
+// a blocking Recv and a barrier must error both out promptly — never
 // deadlock them.
 func TestMidCollectiveCloseErrors(t *testing.T) {
 	eps := dialGroup(t, 3)
 	blocked := make(chan error, 2)
 	go func() {
+		if err := eps[1].Send(0, []byte{1}); err != nil {
+			blocked <- err
+			return
+		}
 		_, err := eps[1].Recv(0)
 		blocked <- err
 	}()
 	go func() {
-		blocked <- eps[2].Barrier()
+		blocked <- barrier(eps[2])
 	}()
-	time.Sleep(50 * time.Millisecond) // let both calls block
+	// Rank 1's message and rank 2's barrier arrival are the last things
+	// each sends before it blocks on rank 0; rank 0 closes only once it
+	// holds both.
+	for from := 1; from < 3; from++ {
+		if _, err := eps[0].Recv(from); err != nil {
+			t.Fatalf("rank 0 recv from rank %d: %v", from, err)
+		}
+	}
 	if err := eps[0].Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -354,6 +341,69 @@ func TestPeerCloseLeavesGroupRunning(t *testing.T) {
 		if _, err := eps[r].Recv(2); err == nil || !strings.Contains(err.Error(), "rank 2 left the group") {
 			t.Fatalf("rank %d recv past rank 2's drained inbox: got %v, want departure error", r, err)
 		}
+	}
+}
+
+// TestBarrierLeaveAfterReleaseFailsNoOne: a rank that leaves as soon as
+// its barrier returns has drained everything the barrier sent it, so its
+// departure fails no one. Rank 1 is released first and leaves while
+// rank 0 may still be releasing rank 2; both barriers return, and ranks 0
+// and 2 keep talking once they have seen rank 1's close notify.
+func TestBarrierLeaveAfterReleaseFailsNoOne(t *testing.T) {
+	eps := dialGroup(t, 3)
+	errc := make(chan error, len(eps))
+	for r := range eps {
+		go func(r int) {
+			err := barrier(eps[r])
+			if err == nil && r == 1 {
+				err = eps[r].Close()
+			}
+			errc <- err
+		}(r)
+	}
+	for range eps {
+		if err := waitErr(t, errc, 10*time.Second, "barrier"); err != nil {
+			t.Fatalf("barrier with a rank leaving after its release: %v", err)
+		}
+	}
+	for _, r := range []int{0, 2} {
+		select {
+		case <-eps[r].(*endpoint).gone[1]:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("rank %d never saw rank 1's close notify", r)
+		}
+	}
+	for _, r := range []int{0, 2} {
+		if err := eps[r].Send(2-r, payload(r, 2-r, 0, 8)); err != nil {
+			t.Fatalf("rank %d send after rank 1 left: %v", r, err)
+		}
+	}
+	for _, r := range []int{0, 2} {
+		if got, err := eps[r].Recv(2 - r); err != nil || !bytes.Equal(got, payload(2-r, r, 0, 8)) {
+			t.Fatalf("rank %d recv after rank 1 left: %d bytes, %v", r, len(got), err)
+		}
+	}
+}
+
+// TestBarrierLeaveBeforeArriveErrors: a rank that leaves before it
+// arrives fails rank 0's barrier, naming the departure, and rank 0's
+// failure reaches the rank waiting for its release. Both error; neither
+// hangs.
+func TestBarrierLeaveBeforeArriveErrors(t *testing.T) {
+	eps := dialGroup(t, 3)
+	if err := eps[2].Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	errs := make([]chan error, 2)
+	for r := range errs {
+		errs[r] = make(chan error, 1)
+		go func(r int) { errs[r] <- barrier(eps[r]) }(r)
+	}
+	if err := waitErr(t, errs[0], 10*time.Second, "rank 0's barrier"); err == nil || !strings.Contains(err.Error(), "rank 2 left the group") {
+		t.Fatalf("rank 0 barrier: got %v, want rank 2's departure", err)
+	}
+	if err := waitErr(t, errs[1], 10*time.Second, "rank 1's barrier"); err == nil {
+		t.Fatal("rank 1's barrier returned nil after rank 2 left before arriving")
 	}
 }
 
@@ -496,7 +546,7 @@ func TestWorldOfOne(t *testing.T) {
 	if got, err := ep.Recv(0); err != nil || string(got) != "self" {
 		t.Fatalf("self recv: %q, %v", got, err)
 	}
-	if err := ep.Barrier(); err != nil {
+	if err := barrier(ep); err != nil {
 		t.Fatalf("barrier: %v", err)
 	}
 }

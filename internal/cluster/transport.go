@@ -6,12 +6,11 @@ import (
 )
 
 // Transport is one rank's endpoint onto the fabric that moves wire frames
-// between ranks. Every collective in this package — the
-// all-to-all, the rank-order allreduce, the flag/stats
-// exchanges — is written against this interface alone, so any fabric that
-// implements it (the in-process channel fabric, the TCP backend in
-// cluster/tcptransport) runs the same collective code and delivers
-// bit-identical results.
+// between ranks. Every collective in this package — the all-to-all, the
+// rank-order allreduce, the stats gather and the barrier — is written
+// against Send and Recv alone, so any fabric that implements it (the
+// in-process channel fabric, the TCP backend in cluster/tcptransport) runs
+// the same collective code and delivers bit-identical results.
 //
 // Contract:
 //
@@ -23,7 +22,6 @@ import (
 //     in-process fabric delivers zero-copy — the receiver aliases the
 //     sender's buffer — so a sender must not mutate a sent buffer until the
 //     enclosing collective's synchronization point; wire transports copy.
-//   - Barrier blocks until every rank of the group reaches it.
 //   - Close tears the endpoint down. Pending and future operations on a
 //     closed (or peer-failed) endpoint return errors instead of blocking:
 //     a transport failure surfaces as an error from the collective that
@@ -41,8 +39,6 @@ type Transport interface {
 	Send(to int, buf []byte) error
 	// Recv blocks for the next buffer from rank from.
 	Recv(from int) ([]byte, error)
-	// Barrier blocks until all World ranks have entered it.
-	Barrier() error
 	// Close releases the endpoint. For group-scoped fabrics (the in-process
 	// one) closing any endpoint tears down the whole group.
 	Close() error

@@ -13,6 +13,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,17 +22,21 @@ import (
 	"dlrmcomp/internal/netmodel"
 )
 
-const progRounds = 3
+const (
+	progRounds    = 3
+	barrierRounds = 20
+)
 
 // progResult is everything a conformance program observes, per rank.
-// Slots are written only by their own rank, so no locking is needed.
+// Slots are written only by their own rank, so no locking is needed;
+// arrivals is the one counter the run's ranks share.
 type progResult struct {
 	sync     [][]byte    // flattened deliveries of the synchronous a2as
 	async    [][]byte    // flattened deliveries of the interleaved nonblocking a2as
 	reduced  [][]float32 // allreduce outputs
-	flags    []bool      // OrFlag verdicts
 	gathered [][]byte    // flattened GatherAll bundles
 	sims     map[string]time.Duration
+	arrivals atomic.Int64 // barrier entries, across ranks
 }
 
 func newProgResult(world int) *progResult {
@@ -39,7 +44,6 @@ func newProgResult(world int) *progResult {
 		sync:     make([][]byte, world),
 		async:    make([][]byte, world),
 		reduced:  make([][]float32, world),
-		flags:    make([]bool, world),
 		gathered: make([][]byte, world),
 	}
 }
@@ -66,7 +70,7 @@ func appendFlat(dst []byte, recv [][]byte) []byte {
 // program is the collective workload every conformance run executes: per
 // round a variable all-to-all, an interleaved
 // nonblocking pair (two a2as and an allreduce awaited out of issue
-// order), an OrFlag, and a GatherAll.
+// order), a barrier, and a GatherAll.
 func program(r *cluster.Rank, res *progResult) error {
 	n := r.N()
 	for round := 0; round < progRounds; round++ {
@@ -102,11 +106,9 @@ func program(r *cluster.Rank, res *progResult) error {
 		}
 		res.async[r.ID] = appendFlat(res.async[r.ID], recvA)
 
-		flag, err := r.OrFlag(r.ID == round%n)
-		if err != nil {
-			return fmt.Errorf("rank %d round %d orflag: %w", r.ID, round, err)
+		if err := r.Barrier(); err != nil {
+			return fmt.Errorf("rank %d round %d barrier: %w", r.ID, round, err)
 		}
-		res.flags[r.ID] = flag
 
 		into := make([][]byte, n)
 		if err := r.GatherAll(send[(r.ID+1)%n], into); err != nil {
@@ -117,7 +119,29 @@ func program(r *cluster.Rank, res *progResult) error {
 	return nil
 }
 
-func runInproc(t *testing.T, world int, topo netmodel.Topology) *progResult {
+// barrierProgram checks the barrier's ordering. Each round every rank
+// counts its entry, passes a barrier, reads the count and passes a second
+// barrier. No rank may leave the first barrier before every rank entered
+// it, and none may enter the next round before every rank has read the
+// count, so each read sees exactly world entries per round.
+func barrierProgram(r *cluster.Rank, res *progResult) error {
+	n := int64(r.N())
+	for round := int64(1); round <= barrierRounds; round++ {
+		res.arrivals.Add(1)
+		if err := r.Barrier(); err != nil {
+			return fmt.Errorf("rank %d round %d barrier: %w", r.ID, round, err)
+		}
+		if got := res.arrivals.Load(); got != n*round {
+			return fmt.Errorf("rank %d left round %d's barrier with %d entries, want %d", r.ID, round, got, n*round)
+		}
+		if err := r.Barrier(); err != nil {
+			return fmt.Errorf("rank %d round %d second barrier: %w", r.ID, round, err)
+		}
+	}
+	return nil
+}
+
+func runInproc(t *testing.T, world int, topo netmodel.Topology, prog func(*cluster.Rank, *progResult) error) *progResult {
 	t.Helper()
 	cl := cluster.New(world, topo)
 	defer cl.Close()
@@ -125,12 +149,13 @@ func runInproc(t *testing.T, world int, topo netmodel.Topology) *progResult {
 	var mu sync.Mutex
 	var firstErr error
 	cl.Run(func(r *cluster.Rank) {
-		if err := program(r, res); err != nil {
+		if err := prog(r, res); err != nil {
 			mu.Lock()
 			if firstErr == nil {
 				firstErr = err
 			}
 			mu.Unlock()
+			cl.Close() // unblock the ranks still waiting on this one
 		}
 	})
 	if firstErr != nil {
@@ -152,7 +177,7 @@ func reserveAddr(t *testing.T) (net.Listener, string) {
 	return ln, ln.Addr().String()
 }
 
-func runTCP(t *testing.T, world int, topo netmodel.Topology) *progResult {
+func runTCP(t *testing.T, world int, topo netmodel.Topology, prog func(*cluster.Rank, *progResult) error) *progResult {
 	t.Helper()
 	ln, addr := reserveAddr(t)
 	res := newProgResult(world)
@@ -182,7 +207,7 @@ func runTCP(t *testing.T, world int, topo netmodel.Topology) *progResult {
 			}
 			defer cl.Close()
 			cl.Run(func(r *cluster.Rank) {
-				errs[rank] = program(r, res)
+				errs[rank] = prog(r, res)
 			})
 			sims[rank] = cl.SimTimes()
 		}(rank)
@@ -229,9 +254,6 @@ func compareResults(t *testing.T, want, got *progResult, label string) {
 				break
 			}
 		}
-		if want.flags[r] != got.flags[r] {
-			t.Errorf("%s: rank %d OrFlag differs", label, r)
-		}
 		if !bytes.Equal(want.gathered[r], got.gathered[r]) {
 			t.Errorf("%s: rank %d GatherAll bundles differ", label, r)
 		}
@@ -242,24 +264,27 @@ func compareResults(t *testing.T, want, got *progResult, label string) {
 }
 
 // TestTransportConformance holds the two fabrics to identical observable
-// behavior across world sizes and topologies.
+// behavior across world sizes and topologies, and to the barrier's
+// ordering.
 func TestTransportConformance(t *testing.T) {
 	flat := netmodel.Network{AllToAllBandwidth: 4e9, AllReduceBandwidth: 8e9, Latency: time.Microsecond}
 	cases := []struct {
 		name  string
 		world int
 		topo  netmodel.Topology
+		prog  func(*cluster.Rank, *progResult) error
 	}{
-		{"2ranks_flat", 2, flat},
-		{"2ranks_hier", 2, netmodel.PaperHierarchical(2)},
-		{"4ranks_hier", 4, netmodel.PaperHierarchical(2)},
-		{"8ranks_hier", 8, netmodel.PaperHierarchical(2)},
-		{"8ranks_hier4", 8, netmodel.PaperHierarchical(4)},
+		{"2ranks_flat", 2, flat, program},
+		{"2ranks_hier", 2, netmodel.PaperHierarchical(2), program},
+		{"4ranks_hier", 4, netmodel.PaperHierarchical(2), program},
+		{"8ranks_hier", 8, netmodel.PaperHierarchical(2), program},
+		{"8ranks_hier4", 8, netmodel.PaperHierarchical(4), program},
+		{"4ranks_barrier_order", 4, flat, barrierProgram},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := runInproc(t, tc.world, tc.topo)
-			got := runTCP(t, tc.world, tc.topo)
+			want := runInproc(t, tc.world, tc.topo, tc.prog)
+			got := runTCP(t, tc.world, tc.topo, tc.prog)
 			compareResults(t, want, got, tc.name)
 		})
 	}
@@ -310,7 +335,13 @@ func TestTCPMidCollectiveCloseErrors(t *testing.T) {
 			})
 		}(rank)
 	}
-	time.Sleep(100 * time.Millisecond) // let the survivors block on rank 0
+	// A survivor's size row is the first message of its all-to-all: once
+	// rank 0 holds every survivor's, each of them is inside the collective.
+	for from := 1; from < world; from++ {
+		if _, err := eps[0].Recv(from); err != nil {
+			t.Fatalf("rank 0 recv of rank %d's size row: %v", from, err)
+		}
+	}
 	if err := eps[0].Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}

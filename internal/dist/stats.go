@@ -8,10 +8,11 @@ import (
 )
 
 // Per-rank step statistics travel the control plane once per step (a
-// cluster.Rank.GatherAll at the end of the rank body), so every process —
-// whether it hosts all ranks or one — aggregates the global loss and the
-// fleet-maxima device buckets from identical inputs. The record is fixed
-// layout, little endian:
+// cluster.Rank.GatherAll right after the backward all-to-all), so every
+// process — whether it hosts all ranks or one — aggregates the global loss
+// and the fleet-maxima device buckets from identical inputs, and every
+// rank decides from the same records whether the step failed before it
+// touches a parameter. The record is fixed layout, little endian:
 //
 //	lossBits uint32 | lookupBytes int64 | compressNs int64 |
 //	decompressNs int64 | fwdRawBytes int64 | fwdCompBytes int64 |
@@ -63,4 +64,16 @@ func decodeRankStats(b []byte) (rankStats, error) {
 	}
 	s.errStr = string(b[rankStatsFixedBytes:])
 	return s, nil
+}
+
+// anyRankFailed reports whether a step's gathered records mark it failed:
+// some rank published an error, or a record does not parse. Every rank
+// reads the same records, so every rank reaches the same verdict.
+func anyRankFailed(recs [][]byte) bool {
+	for _, rec := range recs {
+		if s, err := decodeRankStats(rec); err != nil || s.errStr != "" {
+			return true
+		}
+	}
+	return false
 }

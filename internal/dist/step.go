@@ -143,7 +143,7 @@ func (t *Trainer) Step(b *criteo.Batch) (float32, error) {
 		ws := t.ws[r]
 		// fail records a step-level failure (e.g. a codec error) and keeps
 		// going: the rank still runs its collectives so the fleet stays
-		// aligned, and the OrFlag exchange below makes every rank skip the
+		// aligned, and the stats gather below makes every rank skip the
 		// parameter updates — an errored Step leaves the model untouched.
 		// abort is for transport failures: the fabric itself is broken, so
 		// the rank records the error and bails out (every peer's collectives
@@ -255,14 +255,21 @@ func (t *Trainer) Step(b *criteo.Batch) (float32, error) {
 		if r == 0 {
 			st.bwd = bwd
 		}
-		// Agree fleet-wide on whether any rank failed in stages 1-4 (there
+		// Publish this rank's statistics, its error included, so every
+		// process aggregates the step's global accounting from identical
+		// inputs and agrees on whether any rank failed in stages 1-4 (there
 		// are no failure sources between here and the optimizer): if one
 		// did, every rank skips all updates so the model stays untouched.
-		stepBad, err := rank.OrFlag(sc.errs[r] != nil)
-		if err != nil {
+		pub := *rs
+		if sc.errs[r] != nil {
+			pub.errStr = sc.errs[r].Error()
+		}
+		ws.statsBlob = appendRankStats(ws.statsBlob[:0], pub)
+		if err := rank.GatherAll(ws.statsBlob, ws.gathered); err != nil {
 			abort(err)
 			return
 		}
+		stepBad := anyRankFailed(ws.gathered)
 		if !stepBad {
 			// Scatter in table order so duplicate-index accumulation
 			// matches the single-process trainer.
@@ -285,17 +292,6 @@ func (t *Trainer) Step(b *criteo.Batch) (float32, error) {
 		if !stepBad {
 			unflattenGrads(ws.gradBuf, ws.params)
 			rp.opt.Step(ws.params)
-		}
-
-		// Publish this rank's statistics so every process aggregates the
-		// step's global accounting from identical inputs.
-		pub := *rs
-		if sc.errs[r] != nil {
-			pub.errStr = sc.errs[r].Error()
-		}
-		ws.statsBlob = appendRankStats(ws.statsBlob[:0], pub)
-		if err := rank.GatherAll(ws.statsBlob, ws.gathered); err != nil {
-			abort(err)
 		}
 	})
 

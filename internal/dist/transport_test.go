@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -74,16 +75,16 @@ func runTrainInproc(t *testing.T, opts Options, spec criteo.Spec) trainRun {
 	return trainRun{losses: losses, sims: tr.Cluster().SimTimes(), overlapped: tr.OverlappedSimTime()}
 }
 
-// runTrainTCP runs opts.Ranks full trainers, each over its own TCP
-// endpoint — the same shape as one trainer per OS process, compressed
-// into one test binary. Every rank's loss sequence must already agree
-// (each process aggregates the global loss from the gathered stats); the
-// returned run carries rank 0's view.
-func runTrainTCP(t *testing.T, opts Options, spec criteo.Spec) trainRun {
+// onTCPRanks builds opts.Ranks trainers, each over its own TCP endpoint —
+// the shape of one trainer per OS process, compressed into one test
+// binary — runs body on every rank concurrently and closes the trainers.
+// A failed dial or construction fails the test; body's errors come back
+// by rank.
+func onTCPRanks(t *testing.T, opts Options, body func(rank int, tr *Trainer) error) []error {
 	t.Helper()
 	ln, addr := reserveLoopbackAddr(t)
 	world := opts.Ranks
-	runs := make([]trainRun, world)
+	setup := make([]error, world)
 	errs := make([]error, world)
 	var wg sync.WaitGroup
 	for rank := 0; rank < world; rank++ {
@@ -98,33 +99,51 @@ func runTrainTCP(t *testing.T, opts Options, spec criteo.Spec) trainRun {
 				DialTimeout: 10 * time.Second,
 			})
 			if err != nil {
-				errs[rank] = fmt.Errorf("dial: %w", err)
+				setup[rank] = fmt.Errorf("dial: %w", err)
 				return
 			}
 			o := opts
 			o.Transport = ep
 			tr, err := NewTrainer(o)
 			if err != nil {
-				errs[rank] = err
+				setup[rank] = err
 				ep.Close()
 				return
 			}
 			defer tr.Close()
-			losses, err := trainSteps(tr, spec)
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			runs[rank] = trainRun{losses: losses, sims: tr.Cluster().SimTimes(), overlapped: tr.OverlappedSimTime()}
+			errs[rank] = body(rank, tr)
 		}(rank)
 	}
 	wg.Wait()
+	for rank, err := range setup {
+		if err != nil {
+			t.Fatalf("tcp rank %d: %v", rank, err)
+		}
+	}
+	return errs
+}
+
+// runTrainTCP runs the parity steps on every rank of a TCP group. Every
+// rank's loss sequence must already agree (each process aggregates the
+// global loss from the gathered stats); the returned run carries rank 0's
+// view.
+func runTrainTCP(t *testing.T, opts Options, spec criteo.Spec) trainRun {
+	t.Helper()
+	runs := make([]trainRun, opts.Ranks)
+	errs := onTCPRanks(t, opts, func(rank int, tr *Trainer) error {
+		losses, err := trainSteps(tr, spec)
+		if err != nil {
+			return err
+		}
+		runs[rank] = trainRun{losses: losses, sims: tr.Cluster().SimTimes(), overlapped: tr.OverlappedSimTime()}
+		return nil
+	})
 	for rank, err := range errs {
 		if err != nil {
 			t.Fatalf("tcp rank %d: %v", rank, err)
 		}
 	}
-	for rank := 1; rank < world; rank++ {
+	for rank := 1; rank < opts.Ranks; rank++ {
 		for i, loss := range runs[rank].losses {
 			if math.Float32bits(loss) != math.Float32bits(runs[0].losses[i]) {
 				t.Fatalf("tcp rank %d step %d loss %v differs from rank 0's %v — processes disagree on the global loss",
@@ -255,5 +274,59 @@ func TestTrainerTransportWorldMismatch(t *testing.T) {
 	defer ep.Close()
 	if _, err := NewTrainer(Options{Ranks: 2, Model: cfg, Transport: ep}); err == nil {
 		t.Fatal("NewTrainer accepted a transport with world 1 for 2 ranks")
+	}
+}
+
+// TestFailedStepOverTCPAppliesNoUpdates: a failed step's verdict rides the
+// stats gather to every process. Table 1's codec fails on rank 1, which
+// owns the table; rank 0 sees nothing wrong locally (a failed compress
+// falls back to a raw frame), yet both processes' Step must return the
+// error, and rank 0's dense parameters and owned tables must not move.
+func TestFailedStepOverTCPAppliesNoUpdates(t *testing.T) {
+	spec := testSpec()
+	opts := Options{
+		Ranks: 2,
+		Model: testConfig(spec, 4),
+		CodecFor: func(tb int) codec.Codec {
+			if tb == 1 {
+				return failingCodec{}
+			}
+			return hybrid.New(0.01, hybrid.Auto)
+		},
+	}
+	// rank0Params copies rank 0's dense parameters and the tables it owns.
+	rank0Params := func(tr *Trainer) []float32 {
+		var out []float32
+		for _, p := range tr.tmpl.DenseParams() {
+			out = append(out, p.Value...)
+		}
+		for _, tb := range tr.owned[0] {
+			out = append(out, tr.tmpl.Emb.Tables[tb].Weights.Data...)
+		}
+		return out
+	}
+	var before, after []float32
+	errs := onTCPRanks(t, opts, func(rank int, tr *Trainer) error {
+		if rank == 0 {
+			before = rank0Params(tr)
+		}
+		_, err := tr.Step(criteo.NewGenerator(spec).NextBatch(32))
+		if rank == 0 {
+			after = rank0Params(tr)
+		}
+		return err
+	})
+	for rank, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Errorf("rank %d Step: got %v, want rank 1's codec error", rank, err)
+		}
+	}
+	if len(before) == 0 || len(before) != len(after) {
+		t.Fatalf("rank 0 parameter snapshots hold %d and %d values", len(before), len(after))
+	}
+	for i := range before {
+		if math.Float32bits(before[i]) != math.Float32bits(after[i]) {
+			t.Fatalf("rank 0 parameter %d changed after a failed step: %v -> %v", i, before[i], after[i])
+		}
 	}
 }
