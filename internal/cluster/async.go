@@ -18,9 +18,10 @@ import (
 // then Await at the simulated completion point.
 //
 // Because delivery is eager, Await calls are order-independent: two
-// collectives may be issued back to back and awaited in either order (each
-// all-to-all's trailing barrier protects its reads before the next one
-// reuses send buffers). Every rank of a collective must issue it — the
+// collectives may be issued back to back and awaited in either order. No
+// collective ends in a barrier, so a caller keeps a sent buffer unchanged
+// until a later collective that every peer joins only after reading it
+// (the Transport contract). Every rank of a collective must issue it — the
 // protocol inside is fleet-wide — and each rank must eventually Await its
 // own handle exactly as it would call the synchronous collective, or the
 // collective's time silently never lands in a bucket.
@@ -71,7 +72,7 @@ func (p *PendingAllToAll) Await() ([][]byte, error) {
 	if !p.awaited {
 		p.awaited = true
 		if p.err == nil && p.rank == 0 {
-			p.c.chargeA2A(p.label, p.cost)
+			p.c.ChargeLinkCost(p.label, p.cost)
 		}
 	}
 	return p.recv, p.err

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dlrmcomp/internal/netmodel"
+	"dlrmcomp/internal/tensor"
 )
 
 // MetadataBytesPerPair is the size-exchange header each rank sends every
@@ -49,17 +50,18 @@ type Cluster struct {
 }
 
 // rankScratch is one hosted rank's persistent collective workspace: every
-// buffer a collective sends from (or, on rank 0, aggregates into) lives
-// here so the steady-state hot path allocates nothing.
+// buffer a collective sends from lives here, so the steady-state hot path
+// allocates nothing. Each is rewritten only after every reader has sent
+// this rank a message that follows its last read of it: rank 0's payload
+// for sizeRow, every peer's round-2 message for part, and every peer's
+// next round-1 message for sum.
 type rankScratch struct {
-	sizeRow []byte // payload-size row, sent to rank 0 each all-to-all
-	sendBuf []byte // allreduce contribution, grown on demand
-
-	// Rank 0 only: the global payload-size matrix the cost model reads,
-	// and the response buffers for the star collectives.
-	sizes   [][]int64
-	respBuf []byte // allreduce result broadcast (status byte + floats)
-	gather  []byte // length-prefixed concatenation of all GatherAll blobs
+	sizeRow []byte    // payload-size row, sent to rank 0 each all-to-all
+	out, in [][]byte  // one round's message to and from each rank (length N)
+	part    []byte    // allreduce round 1: every chunk of x but this rank's
+	sum     []byte    // allreduce round 2: verdict byte, then the summed chunk
+	fold    []float32 // allreduce: the running sum of the ranks before this one
+	sizes   [][]int64 // rank 0 only: the global payload-size matrix
 }
 
 // layout checks the topology's rank-to-node map for n ranks: every rank
@@ -110,7 +112,11 @@ func newCluster(eps []Transport, net netmodel.Topology) (*Cluster, error) {
 			continue
 		}
 		c.local = append(c.local, id)
-		scr := &rankScratch{sizeRow: make([]byte, sizeRowBytes(n))}
+		scr := &rankScratch{
+			sizeRow: make([]byte, sizeRowBytes(n)),
+			out:     make([][]byte, n),
+			in:      make([][]byte, n),
+		}
 		if id == 0 {
 			scr.sizes = make([][]int64, n)
 			for i := range scr.sizes {
@@ -219,10 +225,13 @@ func (c *Cluster) AddSimTime(label string, d time.Duration) {
 	c.mu.Unlock()
 }
 
-// chargeA2A attributes an all-to-all's cost. Multi-node topologies split
-// into per-link "<label>-intra" / "<label>-inter" buckets (zero components
-// are skipped); flat and single-node clusters keep the plain label.
-func (c *Cluster) chargeA2A(label string, cost netmodel.LinkCost) {
+// ChargeLinkCost charges a modelled link cost to the labelled bucket:
+// multi-node topologies split it into per-link "<label>-intra" /
+// "<label>-inter" buckets (zero components are skipped); flat and
+// single-node clusters keep the plain label. It is how every all-to-all's
+// cost lands, and how out-of-band modelled traffic (e.g. the elastic
+// reshard transfer) reaches the sim-time profile.
+func (c *Cluster) ChargeLinkCost(label string, cost netmodel.LinkCost) {
 	if c.nodes > 1 {
 		if cost.Intra > 0 {
 			c.AddSimTime(label+"-intra", cost.Intra)
@@ -233,15 +242,6 @@ func (c *Cluster) chargeA2A(label string, cost netmodel.LinkCost) {
 		return
 	}
 	c.AddSimTime(label, cost.Total())
-}
-
-// ChargeLinkCost charges a modelled link cost to the labelled bucket with
-// the same per-link attribution the collectives use (multi-node topologies
-// split into "<label>-intra"/"<label>-inter"). It is how out-of-band
-// modelled traffic — e.g. the elastic reshard transfer — lands in the
-// sim-time profile.
-func (c *Cluster) ChargeLinkCost(label string, cost netmodel.LinkCost) {
-	c.chargeA2A(label, cost)
 }
 
 // ResetSimTime clears all buckets.
@@ -288,24 +288,48 @@ func (r *Rank) Barrier() error {
 	return nil
 }
 
-// postSizeRow publishes this rank's payload-size row for rank 0's cost
-// accounting: rank 0 fills its own matrix row in place, everyone else
-// sends the encoded row ahead of the payloads (per-pair FIFO delivers it
-// first).
-func (r *Rank) postSizeRow(send [][]byte) error {
-	if r.ID == 0 {
-		for to, buf := range send {
-			r.scr.sizes[0][to] = int64(len(buf))
+// sendAll sends send[to] to every other rank, in rank order.
+func (r *Rank) sendAll(send [][]byte) error {
+	for to, buf := range send {
+		if to == r.ID {
+			continue
 		}
-		return nil
+		if err := r.tr.Send(to, buf); err != nil {
+			return err
+		}
 	}
-	encodeSizeRow(r.scr.sizeRow, send)
-	return r.tr.Send(0, r.scr.sizeRow)
+	return nil
 }
 
-// gatherSizeRows (rank 0 only) receives every peer's size row into the
-// global matrix.
-func (r *Rank) gatherSizeRows() error {
+// recvAll receives one message from every other rank, in rank order, into
+// recv (length N); recv[r.ID] is own.
+func (r *Rank) recvAll(recv [][]byte, own []byte) error {
+	for from := range recv {
+		if from == r.ID {
+			recv[from] = own
+			continue
+		}
+		var err error
+		if recv[from], err = r.tr.Recv(from); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// gatherSizes moves every rank's payload-size row to rank 0, which holds
+// the global matrix its cost model reads on return. Rank 0 reads every row
+// before it sends a payload, and a peer leaves the all-to-all only with
+// rank 0's payload in hand, so no peer rewrites its reused sizeRow before
+// rank 0 has read it.
+func (r *Rank) gatherSizes(send [][]byte) error {
+	if r.ID != 0 {
+		encodeSizeRow(r.scr.sizeRow, send)
+		return r.tr.Send(0, r.scr.sizeRow)
+	}
+	for to, buf := range send {
+		r.scr.sizes[0][to] = int64(len(buf))
+	}
 	for from := 1; from < r.c.N; from++ {
 		row, err := r.tr.Recv(from)
 		if err != nil {
@@ -329,229 +353,161 @@ func (r *Rank) gatherSizeRows() error {
 // the direct exchange's AllToAllCost on flat and single-node topologies),
 // computed once on rank 0 from the global payload-size matrix: the model
 // prices the staged route a multi-node fabric would take, and on one host
-// the bytes need not take it. The trailing barrier makes the collective a
-// fleet-wide synchronization point, which is what allows callers to reuse
-// their send buffers one collective later even though the in-process
-// fabric delivers by reference.
+// the bytes need not take it. No barrier follows: a rank may leave while
+// peers still read the payloads it sent, which on the in-process fabric
+// alias its send buffers. The caller keeps those buffers unchanged until
+// a later collective that every peer joins only after landing this one.
 func (r *Rank) exchange(send [][]byte, variable bool) ([][]byte, netmodel.LinkCost, error) {
 	c := r.c
 	if len(send) != c.N {
 		panic(fmt.Sprintf("cluster: rank %d sent %d buffers for %d ranks", r.ID, len(send), c.N))
 	}
 	var cost netmodel.LinkCost
-	if err := r.postSizeRow(send); err != nil {
+	if err := r.gatherSizes(send); err != nil {
 		return nil, cost, err
 	}
-	for to := 0; to < c.N; to++ {
-		if to == r.ID {
-			continue
-		}
-		if err := r.tr.Send(to, send[to]); err != nil {
-			return nil, cost, err
-		}
-	}
-
 	if r.ID == 0 {
-		if err := r.gatherSizeRows(); err != nil {
-			return nil, cost, err
-		}
 		cost = c.Net.TwoPhaseAllToAllCost(r.scr.sizes)
 		if variable {
 			cost = cost.Add(c.Net.MetadataCost(c.N, MetadataBytesPerPair))
 		}
 	}
-
 	recv := make([][]byte, c.N)
-	recv[r.ID] = send[r.ID]
-	for from := 0; from < c.N; from++ {
-		if from == r.ID {
-			continue
-		}
-		buf, err := r.tr.Recv(from)
-		if err != nil {
-			return nil, cost, err
-		}
-		recv[from] = buf
+	if err := r.sendAll(send); err != nil {
+		return nil, cost, err
 	}
-	if err := r.Barrier(); err != nil {
+	if err := r.recvAll(recv, send[r.ID]); err != nil {
 		return nil, cost, err
 	}
 	return recv, cost, nil
 }
 
+// chunk returns the bounds of rank j's chunk of an n-element allreduce
+// vector: the first n mod N chunks are one element longer.
+func (c *Cluster) chunk(j, n int) (lo, hi int) {
+	q, m := n/c.N, n%c.N
+	lo = j*q + min(j, m)
+	hi = lo + q
+	if j < m {
+		hi++
+	}
+	return lo, hi
+}
+
 // reduce runs the data movement of one allreduce (x holds the global sum on
 // return) and returns, on rank 0 only, the collective's simulated cost.
 //
-// The reduction is bitwise deterministic: rank 0 folds the contributions in
-// rank order — seed zero, then rank 0's own part, then rank 1's, … —
-// and broadcasts the result. Floating-point addition is not associative, so
-// an accumulate-on-arrival scheme would make training results depend on
-// scheduling; the fixed fold order keeps every run bit-identical.
-//
-// A length mismatch between ranks is reported as an error on every rank
-// (rank 0 detects it and broadcasts an error verdict instead of a result),
-// never as a deadlock.
+// It is a reduce-scatter then an allgather (Thakur, Rabenseifner and
+// Gropp, "Optimization of Collective Communication Operations in MPICH",
+// IJHPCA 2005), each one symmetric round. Round 1 sends chunk j of x to
+// rank j. Rank j folds its chunk from +0 in rank order, the running sum
+// always the left operand: 0 + x0 + x1 + … for every element, whatever
+// the arrival order, so training stays bit-identical across runs and
+// transports. Round 2 sends every rank the verdict byte 0 and the summed
+// chunk, or 1 and a message when a chunk arrived at the wrong length; each
+// rank returns the first error in rank order, so a length mismatch is an
+// error on every rank, never a hang.
 func (r *Rank) reduce(x []float32) (time.Duration, error) {
-	c := r.c
+	c, scr := r.c, r.scr
+	scr.part = scr.part[:0]
+	for j := range scr.out {
+		if j != r.ID {
+			lo, hi := c.chunk(j, len(x))
+			o := len(scr.part)
+			scr.part = tensor.AppendFloats(scr.part, x[lo:hi])
+			scr.out[j] = scr.part[o:]
+		}
+	}
+	if err := r.sendAll(scr.out); err != nil {
+		return 0, err
+	}
+	if err := r.recvAll(scr.in, nil); err != nil {
+		return 0, err
+	}
+
+	lo, hi := c.chunk(r.ID, len(x))
+	mine := x[lo:hi]
+	scr.sum = append(scr.sum[:0], 0)
+	for from, part := range scr.in {
+		if from != r.ID && len(part) != 4*len(mine) {
+			scr.sum[0] = 1
+			scr.sum = fmt.Appendf(scr.sum, "cluster: allreduce length mismatch: rank %d sent %d bytes of rank %d's chunk, which holds %d elements",
+				from, len(part), r.ID, len(mine))
+			break
+		}
+	}
+	if scr.sum[0] == 0 {
+		fold := append(scr.fold[:0], make([]float32, len(mine))...)
+		scr.fold = fold
+		for from := 0; from < r.ID; from++ {
+			addFloats(fold, scr.in[from])
+		}
+		for i, v := range mine {
+			mine[i] = fold[i] + v
+		}
+		for from := r.ID + 1; from < c.N; from++ {
+			addFloats(mine, scr.in[from])
+		}
+		scr.sum = tensor.AppendFloats(scr.sum, mine)
+	}
+
+	for j := range scr.out {
+		scr.out[j] = scr.sum
+	}
+	if err := r.sendAll(scr.out); err != nil {
+		return 0, err
+	}
+	if err := r.recvAll(scr.in, scr.sum); err != nil {
+		return 0, err
+	}
+	for _, v := range scr.in {
+		if len(v) == 0 {
+			return 0, errors.New("cluster: empty allreduce verdict")
+		}
+		if v[0] != 0 {
+			return 0, errors.New(string(v[1:]))
+		}
+	}
+	for j, v := range scr.in {
+		if j == r.ID {
+			continue
+		}
+		lo, hi := c.chunk(j, len(x))
+		if err := tensor.FloatsFrom(x[lo:hi], v[1:]); err != nil {
+			return 0, err
+		}
+	}
 	if r.ID != 0 {
-		// Contribute, then adopt rank 0's verdict.
-		r.scr.sendBuf = growBytes(r.scr.sendBuf, 4*len(x))
-		part := r.scr.sendBuf
-		for i, v := range x {
-			binary.LittleEndian.PutUint32(part[4*i:], math.Float32bits(v))
-		}
-		if err := r.tr.Send(0, part); err != nil {
-			return 0, err
-		}
-		resp, err := r.tr.Recv(0)
-		if err != nil {
-			return 0, err
-		}
-		if len(resp) < 1 {
-			return 0, errors.New("cluster: empty allreduce response")
-		}
-		if resp[0] != 0 {
-			return 0, errors.New(string(resp[1:]))
-		}
-		if len(resp) != 1+4*len(x) {
-			return 0, fmt.Errorf("cluster: allreduce result carries %d bytes, rank %d wants %d", len(resp)-1, r.ID, 4*len(x))
-		}
-		for i := range x {
-			x[i] = math.Float32frombits(binary.LittleEndian.Uint32(resp[1+4*i:]))
-		}
 		return 0, nil
-	}
-
-	// Rank 0 reduces in rank order into its own buffer: deterministic and
-	// O(N·len) total (a fleet-wide reduction would be O(N²·len)). The
-	// explicit zero seed reproduces the historical fold exactly, including
-	// its treatment of signed zeros.
-	var reduceErr error
-	for i := range x {
-		x[i] = 0 + x[i]
-	}
-	for from := 1; from < c.N; from++ {
-		part, err := r.tr.Recv(from)
-		if err != nil {
-			return 0, err
-		}
-		if len(part) != 4*len(x) {
-			if reduceErr == nil {
-				reduceErr = fmt.Errorf("cluster: allreduce length mismatch: rank %d sent %d elements, rank 0 sent %d",
-					from, len(part)/4, len(x))
-			}
-			continue // keep draining so every peer gets a verdict
-		}
-		if reduceErr == nil {
-			for i := range x {
-				x[i] += math.Float32frombits(binary.LittleEndian.Uint32(part[4*i:]))
-			}
-		}
-	}
-
-	// Broadcast the result — or the error, so no peer is left blocking.
-	var resp []byte
-	if reduceErr != nil {
-		msg := reduceErr.Error()
-		r.scr.respBuf = growBytes(r.scr.respBuf, 1+len(msg))
-		resp = r.scr.respBuf
-		resp[0] = 1
-		copy(resp[1:], msg)
-	} else {
-		r.scr.respBuf = growBytes(r.scr.respBuf, 1+4*len(x))
-		resp = r.scr.respBuf
-		resp[0] = 0
-		for i, v := range x {
-			binary.LittleEndian.PutUint32(resp[1+4*i:], math.Float32bits(v))
-		}
-	}
-	for to := 1; to < c.N; to++ {
-		if err := r.tr.Send(to, resp); err != nil {
-			return 0, err
-		}
-	}
-	if reduceErr != nil {
-		return 0, reduceErr
 	}
 	return c.Net.AllReduceTime(c.N, int64(len(x)*4)), nil
 }
 
+// addFloats adds the wire-format floats in b to acc element by element,
+// the running sum acc[i] the left operand. It is the allreduce's fold.
+func addFloats(acc []float32, b []byte) {
+	for i := range acc {
+		acc[i] += math.Float32frombits(binary.LittleEndian.Uint32(b))
+		b = b[4:]
+	}
+}
+
 // GatherAll delivers every rank's blob to every rank: into (length N, the
 // caller's persistent slot table) holds rank i's blob at index i on
-// return. The slots alias transport-owned memory valid until the next
-// GatherAll. It is the control-plane allgather the distributed trainer
-// uses to agree on per-step statistics and on whether the step failed;
-// it charges no simulated time.
+// return. On the in-process fabric each slot aliases its sender's blob, so
+// a sender keeps its blob unchanged until every peer is done reading the
+// slots; wire transports copy. It is the control-plane allgather the
+// distributed trainer uses to agree on per-step statistics and on whether
+// the step failed; it charges no simulated time.
 func (r *Rank) GatherAll(blob []byte, into [][]byte) error {
-	c := r.c
-	if len(into) != c.N {
-		return fmt.Errorf("cluster: GatherAll got %d slots for %d ranks", len(into), c.N)
+	if len(into) != r.c.N {
+		return fmt.Errorf("cluster: GatherAll got %d slots for %d ranks", len(into), r.c.N)
 	}
-	var all []byte
-	if r.ID == 0 {
-		// Collect every contribution before touching the bundle buffer: a
-		// peer's send proves it consumed the previous broadcast, so only
-		// after all N-1 receives is rewriting the (alias-shared) bundle safe.
-		into[0] = blob
-		for from := 1; from < c.N; from++ {
-			var err error
-			if into[from], err = r.tr.Recv(from); err != nil {
-				return err
-			}
-		}
-		buf := r.scr.gather[:0]
-		for _, b := range into {
-			var hdr [4]byte
-			binary.LittleEndian.PutUint32(hdr[:], uint32(len(b)))
-			buf = append(buf, hdr[:]...)
-			buf = append(buf, b...)
-		}
-		r.scr.gather = buf
-		for to := 1; to < c.N; to++ {
-			if err := r.tr.Send(to, buf); err != nil {
-				return err
-			}
-		}
-		all = buf
-	} else {
-		if err := r.tr.Send(0, blob); err != nil {
-			return err
-		}
-		var err error
-		if all, err = r.tr.Recv(0); err != nil {
-			return err
-		}
+	for to := range r.scr.out {
+		r.scr.out[to] = blob
 	}
-	return splitGatherBundle(all, into)
-}
-
-// splitGatherBundle parses a GatherAll bundle — one u32 little-endian
-// length then that many bytes, per slot — into into, which must end up
-// exactly filled: each slot aliases its bytes of all, and a short, long or
-// truncated bundle is an error.
-func splitGatherBundle(all []byte, into [][]byte) error {
-	for i := range into {
-		if len(all) < 4 {
-			return fmt.Errorf("cluster: truncated GatherAll bundle at slot %d", i)
-		}
-		n := binary.LittleEndian.Uint32(all)
-		all = all[4:]
-		if uint64(len(all)) < uint64(n) {
-			return fmt.Errorf("cluster: GatherAll slot %d wants %d bytes, have %d", i, n, len(all))
-		}
-		into[i] = all[:n]
-		all = all[n:]
+	if err := r.sendAll(r.scr.out); err != nil {
+		return err
 	}
-	if len(all) != 0 {
-		return fmt.Errorf("cluster: %d trailing bytes after GatherAll bundle", len(all))
-	}
-	return nil
-}
-
-// growBytes returns buf resized to n bytes, reallocating only on growth.
-func growBytes(buf []byte, n int) []byte {
-	if cap(buf) < n {
-		return make([]byte, n)
-	}
-	return buf[:n]
+	return r.recvAll(into, blob)
 }

@@ -14,8 +14,11 @@
 //
 //   - Transport — the point-to-point substrate a Cluster's collectives
 //     run over: per-rank endpoints with FIFO Send/Recv per directed pair,
-//     and nothing else; even Rank.Barrier is a star through rank 0 built
-//     from Send and Recv. NewInprocFabric returns the reference
+//     and nothing else. Every collective but Rank.Barrier is a symmetric
+//     round — each rank sends one message to every peer and receives one
+//     from each, in rank order — and the allreduce is two such rounds;
+//     the barrier is a star through rank 0, also built from Send and Recv.
+//     No collective ends in a barrier. NewInprocFabric returns the reference
 //     implementation (all ranks in one process, goroutines and channels,
 //     zero-copy delivery); internal/cluster/tcptransport provides a real
 //     multi-process backend over loopback/network sockets. Collectives,
@@ -45,11 +48,13 @@
 //     under modelled compute. Await order is free — collectives may be
 //     issued back to back and awaited out of order.
 //
-// Determinism: the allreduce reduces rank contributions in rank order
-// (not arrival order), so training on this runtime is bitwise
-// reproducible regardless of goroutine scheduling or transport — the
-// property the synchronous-vs-pipelined parity tests in internal/dist
-// and the transport conformance suite rely on.
+// Determinism: the allreduce is a reduce-scatter then an allgather, and
+// the rank owning each chunk folds the contributions from +0 in rank order
+// (not arrival order), so every element is 0 + x0 + x1 + … and training on
+// this runtime is bitwise reproducible regardless of goroutine scheduling
+// or transport. TestAllReduceFoldBitwise and TestTransportConformance here,
+// and TestTrainerTransportConformance, TestCodecWorkersParity and
+// TestComputeWorkersParity in internal/dist, pin it.
 //
 // Failure semantics: collectives return errors, not panics. A transport
 // that loses a peer (connection close, process exit) poisons in-flight

@@ -14,11 +14,12 @@ import (
 // abort cleanly instead of deadlocking when a rank bails out
 // mid-collective.
 
-// inprocChanCap bounds in-flight messages per directed pair. An
-// all-to-all posts at most three messages per pair before rank 0 receives
-// them (size row, payload and barrier arrive), and the trailing barrier
-// keeps back-to-back collectives from stacking more than one collective's
-// worth, so a small constant suffices; sends never block in practice.
+// inprocChanCap bounds in-flight messages per directed pair. A collective
+// posts at most two per pair (an all-to-all's size row and payload, or the
+// allreduce's two rounds) and receives every message of it before it
+// leaves, and no rank leaves a collective before every peer has joined it.
+// So a rank runs at most one collective ahead of any peer, at most four
+// messages wait per pair, and sends never block in practice.
 const inprocChanCap = 16
 
 // inprocFabric is the shared state behind one group of in-process endpoints.

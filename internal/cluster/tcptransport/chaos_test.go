@@ -66,10 +66,12 @@ func TestChaosMidCollectiveKill(t *testing.T) {
 					})
 				}(r)
 			}
-			// Each survivor sends the victim its payload inside the
-			// collective; the victim dies only once it holds them all.
+			// Each survivor but rank 0 sends the victim its payload inside
+			// the collective; the victim dies only once it holds them all.
+			// Rank 0 sends payloads only after reading every size row, and
+			// the victim's never comes.
 			for r := range eps {
-				if r == victim {
+				if r == victim || r == 0 {
 					continue
 				}
 				if _, err := eps[victim].Recv(r); err != nil {

@@ -7,7 +7,7 @@ import (
 
 // Transport is one rank's endpoint onto the fabric that moves wire frames
 // between ranks. Every collective in this package — the all-to-all, the
-// rank-order allreduce, the stats gather and the barrier — is written
+// reduce-scatter allreduce, the stats gather and the barrier — is written
 // against Send and Recv alone, so any fabric that implements it (the
 // in-process channel fabric, the TCP backend in cluster/tcptransport) runs
 // the same collective code and delivers bit-identical results.
@@ -20,8 +20,10 @@ import (
 //     legal and loop back locally.
 //   - Recv blocks until the next buffer from the named source arrives. The
 //     in-process fabric delivers zero-copy — the receiver aliases the
-//     sender's buffer — so a sender must not mutate a sent buffer until the
-//     enclosing collective's synchronization point; wire transports copy.
+//     sender's buffer — and no collective ends in a barrier, so a sender
+//     may leave a collective while peers still read what it sent. It
+//     must not mutate a sent buffer until a later collective that every
+//     peer joins only after reading it; wire transports copy.
 //   - Close tears the endpoint down. Pending and future operations on a
 //     closed (or peer-failed) endpoint return errors instead of blocking:
 //     a transport failure surfaces as an error from the collective that

@@ -34,7 +34,7 @@ type progResult struct {
 	sync     [][]byte    // flattened deliveries of the synchronous a2as
 	async    [][]byte    // flattened deliveries of the interleaved nonblocking a2as
 	reduced  [][]float32 // allreduce outputs
-	gathered [][]byte    // flattened GatherAll bundles
+	gathered [][]byte    // flattened GatherAll slots, or allreduce errors
 	sims     map[string]time.Duration
 	arrivals atomic.Int64 // barrier entries, across ranks
 }
@@ -137,6 +137,33 @@ func barrierProgram(r *cluster.Rank, res *progResult) error {
 		if err := r.Barrier(); err != nil {
 			return fmt.Errorf("rank %d round %d second barrier: %w", r.ID, round, err)
 		}
+	}
+	return nil
+}
+
+// mismatchProgram has each rank in turn pass the allreduce one extra
+// element. Every rank must get an error back, not a result and not a
+// hang, and the same error on both fabrics; a matched allreduce after
+// each shows the fabric stays aligned.
+func mismatchProgram(r *cluster.Rank, res *progResult) error {
+	for odd := 0; odd < r.N(); odd++ {
+		x := make([]float32, 9)
+		if r.ID == odd {
+			x = append(x, 1)
+		}
+		err := r.AllReduceSum(x, "allreduce")
+		if err == nil {
+			return fmt.Errorf("rank %d: rank %d's extra element went unnoticed", r.ID, odd)
+		}
+		res.gathered[r.ID] = append(res.gathered[r.ID], err.Error()...)
+		x = x[:9]
+		for i := range x {
+			x[i] = float32(r.ID + i)
+		}
+		if err := r.AllReduceSum(x, "allreduce"); err != nil {
+			return fmt.Errorf("rank %d: allreduce after rank %d's mismatch: %w", r.ID, odd, err)
+		}
+		res.reduced[r.ID] = append(res.reduced[r.ID], x...)
 	}
 	return nil
 }
@@ -255,7 +282,7 @@ func compareResults(t *testing.T, want, got *progResult, label string) {
 			}
 		}
 		if !bytes.Equal(want.gathered[r], got.gathered[r]) {
-			t.Errorf("%s: rank %d GatherAll bundles differ", label, r)
+			t.Errorf("%s: rank %d GatherAll slots or allreduce errors differ", label, r)
 		}
 	}
 	if !sameSims(want.sims, got.sims) {
@@ -264,8 +291,8 @@ func compareResults(t *testing.T, want, got *progResult, label string) {
 }
 
 // TestTransportConformance holds the two fabrics to identical observable
-// behavior across world sizes and topologies, and to the barrier's
-// ordering.
+// behavior across world sizes and topologies, to the barrier's ordering,
+// and to an error on every rank when allreduce lengths disagree.
 func TestTransportConformance(t *testing.T) {
 	flat := netmodel.Network{AllToAllBandwidth: 4e9, AllReduceBandwidth: 8e9, Latency: time.Microsecond}
 	cases := []struct {
@@ -280,6 +307,9 @@ func TestTransportConformance(t *testing.T) {
 		{"8ranks_hier", 8, netmodel.PaperHierarchical(2), program},
 		{"8ranks_hier4", 8, netmodel.PaperHierarchical(4), program},
 		{"4ranks_barrier_order", 4, flat, barrierProgram},
+		{"2ranks_allreduce_mismatch", 2, flat, mismatchProgram},
+		{"3ranks_allreduce_mismatch", 3, flat, mismatchProgram},
+		{"4ranks_allreduce_mismatch", 4, netmodel.PaperHierarchical(2), mismatchProgram},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"slices"
 
 	"dlrmcomp/internal/adapt"
+	"dlrmcomp/internal/tensor"
 )
 
 // This file implements checkpoint/restore of the full trainer state: the
@@ -121,9 +122,7 @@ func (t *Trainer) SaveCheckpoint(w io.Writer, _ CheckpointOptions) (CheckpointSt
 		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(c.PhaseLen))
 		hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(c.StartFactor))
 		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(c.BaseEB)))
-		for _, eb := range c.BaseEB {
-			hdr = binary.LittleEndian.AppendUint32(hdr, math.Float32bits(eb))
-		}
+		hdr = tensor.AppendFloats(hdr, c.BaseEB)
 	}
 	if _, err := w.Write(hdr); err != nil {
 		return stats, err
@@ -133,7 +132,7 @@ func (t *Trainer) SaveCheckpoint(w io.Writer, _ CheckpointOptions) (CheckpointSt
 	frame := make([]byte, 0, 1<<16)
 	writeFrame := func(vals []float32) error {
 		frame = binary.LittleEndian.AppendUint32(frame[:0], uint32(4*len(vals)))
-		frame = appendFloats(frame, vals)
+		frame = tensor.AppendFloats(frame, vals)
 		frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame[4:]))
 		if _, err := w.Write(frame); err != nil {
 			return err
@@ -232,7 +231,7 @@ func readFrame(d *ckptReader, want int, dst []float32) ([]float32, error) {
 	if dst == nil {
 		dst = make([]float32, want)
 	}
-	return dst, bytesToFloats(dst, frame)
+	return dst, tensor.FloatsFrom(dst, frame)
 }
 
 // ckptValues returns the value count of a rows×dim tensor read off the

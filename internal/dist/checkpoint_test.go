@@ -20,6 +20,7 @@ import (
 	"dlrmcomp/internal/criteo"
 	"dlrmcomp/internal/hybrid"
 	"dlrmcomp/internal/model"
+	"dlrmcomp/internal/tensor"
 )
 
 // stepN drives n steps from gen and returns the per-step losses.
@@ -593,7 +594,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 				t.Fatalf("tensor %d was read from a frame whose CRC does not match", i)
 			}
 			dec := make([]float32, want)
-			if err := bytesToFloats(dec, frame); err != nil || !slices.Equal(math32Bits(dec), math32Bits(got)) {
+			if err := tensor.FloatsFrom(dec, frame); err != nil || !slices.Equal(math32Bits(dec), math32Bits(got)) {
 				t.Fatalf("tensor %d is not its frame's bytes (err %v)", i, err)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"dlrmcomp/internal/cluster"
 	"dlrmcomp/internal/codec"
 	"dlrmcomp/internal/netmodel"
+	"dlrmcomp/internal/tensor"
 )
 
 // exchange is one rank's side of an embedding all-to-all, the one path both
@@ -96,6 +97,12 @@ func (x *exchange) arrived(tb, src int) bool { return x.got[tb*x.t.opts.Ranks+sr
 // Step-level failures (codec errors, bad frames) go to fail and the
 // exchange carries on, keeping the fleet aligned; a transport failure is
 // returned.
+//
+// The all-to-all ends in no barrier, so on the zero-copy in-process fabric
+// peers may still be landing frames that alias send when run returns. The
+// caller rewrites send only in the next step's run over it, which no rank
+// reaches before the step's stats GatherAll, and no rank enters that before
+// landing both exchanges. Hence the two directions keep separate send sets.
 func (x *exchange) run(rank *cluster.Rank, op string, send [][]byte, fail func(error)) (netmodel.LinkCost, error) {
 	x.raw, x.comp, x.encode = 0, 0, 0
 	if x.codecs != nil {
@@ -172,7 +179,7 @@ func (x *exchange) receive(src, tb int, enc byte, payload []byte) error {
 	x.got[i] = true
 	switch {
 	case enc == encRaw:
-		return bytesToFloats(x.slots[i], payload)
+		return tensor.FloatsFrom(x.slots[i], payload)
 	case enc == encCodec && x.codecs != nil && x.codecs[tb] != nil:
 		x.jobs = append(x.jobs, block{tb: tb, peer: src, vals: x.slots[i], frame: payload})
 		return nil

@@ -236,9 +236,9 @@ func appendFrame(dst []byte, table int, enc byte, payload []byte) []byte {
 func TestWireRoundTrip(t *testing.T) {
 	vals := []float32{1.5, -2.25, 0, 3e-7}
 	var buf []byte
-	buf = appendFrame(buf, 7, encRaw, appendFloats(nil, vals))
+	buf = appendFrame(buf, 7, encRaw, tensor.AppendFloats(nil, vals))
 	if fused := appendFrameFloats(nil, 7, vals); !bytes.Equal(fused, buf) {
-		t.Fatalf("appendFrameFloats wrote %x, header+appendFloats %x", fused, buf)
+		t.Fatalf("appendFrameFloats wrote %x, header+AppendFloats %x", fused, buf)
 	}
 	buf = appendFrame(buf, 21, encCodec, []byte{9, 8, 7})
 
@@ -248,7 +248,7 @@ func TestWireRoundTrip(t *testing.T) {
 		switch table {
 		case 7:
 			got := make([]float32, len(vals))
-			if err := bytesToFloats(got, payload); err != nil {
+			if err := tensor.FloatsFrom(got, payload); err != nil {
 				return err
 			}
 			for i := range vals {

@@ -3,8 +3,9 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
+
+	"dlrmcomp/internal/tensor"
 )
 
 // Every all-to-all payload in the trainer is a sequence of frames, one per
@@ -45,23 +46,8 @@ func patchFrameLen(dst []byte, off int) {
 // the floats straight into dst after one grow for header and payload.
 func appendFrameFloats(dst []byte, table int, vals []float32) []byte {
 	dst, off := appendFrameHeader(slices.Grow(dst, frameHeaderBytes+4*len(vals)), table, encRaw)
-	dst = appendFloats(dst, vals)
+	dst = tensor.AppendFloats(dst, vals)
 	patchFrameLen(dst, off)
-	return dst
-}
-
-// appendFloats appends vals as little-endian float32: one grow, then stores
-// over every new byte, so nothing is cleared first. The floats go through a
-// four-byte cursor, which runs 1.3-1.4x faster than indexing dst[o+4*i:] on
-// 16 KB tables.
-func appendFloats(dst []byte, vals []float32) []byte {
-	o := len(dst)
-	dst = slices.Grow(dst, 4*len(vals))[:o+4*len(vals)]
-	w := dst[o:]
-	for _, v := range vals {
-		binary.LittleEndian.PutUint32(w, math.Float32bits(v))
-		w = w[4:]
-	}
 	return dst
 }
 
@@ -82,19 +68,6 @@ func parseFrames(buf []byte, fn func(table int, enc byte, payload []byte) error)
 			return err
 		}
 		buf = buf[n:]
-	}
-	return nil
-}
-
-// bytesToFloats deserializes b into dst, which must match exactly. It reads
-// through a four-byte cursor, as appendFloats writes.
-func bytesToFloats(dst []float32, b []byte) error {
-	if len(b) != 4*len(dst) {
-		return fmt.Errorf("dist: raw payload is %d bytes, want %d", len(b), 4*len(dst))
-	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b))
-		b = b[4:]
 	}
 	return nil
 }

@@ -36,8 +36,9 @@ type stepWorkspace struct {
 	params    []nn.Param     // cached DenseParams of this rank's replica
 
 	// Step-statistics allgather scratch: this rank's encoded contribution
-	// and the per-rank slot table GatherAll fills (slots alias
-	// transport-owned memory valid until the next gather).
+	// and the per-rank slot table GatherAll fills. In process each slot
+	// aliases its sender's statsBlob, which the sender rewrites only in the
+	// next step; over a wire transport the slots are copies.
 	statsBlob []byte
 	gathered  [][]byte
 }

@@ -7,7 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
+
+	"dlrmcomp/internal/tensor"
 )
 
 var errCorrupt = errors.New("lz4like: corrupt frame")
@@ -31,14 +32,6 @@ func (LZSSCodec) Name() string { return "lz4-like" }
 // Lossy implements codec.Codec.
 func (LZSSCodec) Lossy() bool { return false }
 
-func toBytes(src []float32) []byte {
-	out := make([]byte, len(src)*4)
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
-	}
-	return out
-}
-
 // headerLen is the frame prefix both codecs share: row length dim and value
 // count n, little-endian uint32 each.
 const headerLen = 8
@@ -60,12 +53,6 @@ func parseHeader(frame []byte, n int) (dim int, payload []byte, err error) {
 		return 0, nil, errCorrupt
 	}
 	return dim, frame[headerLen:], nil
-}
-
-func fromBytes(dst []float32, raw []byte) {
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
 }
 
 func hash4(b []byte) uint32 {
@@ -189,7 +176,7 @@ func (LZSSCodec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, err
 	if dim <= 0 || len(src)%dim != 0 {
 		return nil, fmt.Errorf("lz4like: bad shape len=%d dim=%d", len(src), dim)
 	}
-	return CompressBytes(appendHeader(dst, dim, len(src)), toBytes(src)), nil
+	return CompressBytes(appendHeader(dst, dim, len(src)), tensor.AppendFloats(nil, src)), nil
 }
 
 // DecompressInto implements codec.Codec.
@@ -202,8 +189,7 @@ func (LZSSCodec) DecompressInto(dst []float32, frame []byte) (int, error) {
 	if err := DecompressBytes(raw, payload); err != nil {
 		return 0, err
 	}
-	fromBytes(dst, raw)
-	return dim, nil
+	return dim, tensor.FloatsFrom(dst, raw)
 }
 
 // DeflateCodec wraps compress/flate as the nvCOMP-Deflate stand-in.
@@ -225,7 +211,7 @@ func (DeflateCodec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, 
 	if err != nil {
 		return nil, err
 	}
-	if _, err := w.Write(toBytes(src)); err != nil {
+	if _, err := w.Write(tensor.AppendFloats(nil, src)); err != nil {
 		return nil, err
 	}
 	if err := w.Close(); err != nil {
@@ -251,6 +237,5 @@ func (DeflateCodec) DecompressInto(dst []float32, frame []byte) (int, error) {
 	if n, err := r.Read(spare[:]); n != 0 || err != io.EOF {
 		return 0, errCorrupt
 	}
-	fromBytes(dst, raw)
-	return dim, nil
+	return dim, tensor.FloatsFrom(dst, raw)
 }

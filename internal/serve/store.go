@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
@@ -63,10 +61,7 @@ func (cc *coldCodec) encodeAppend(dst []byte, src []float32, dim int) ([]byte, e
 	case cc.block != nil:
 		return cc.block.CompressAppend(dst, src, dim)
 	}
-	for _, v := range src {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
-	}
-	return dst, nil
+	return tensor.AppendFloats(dst, src), nil
 }
 
 // decodeRows returns rows [lo, hi) of a frame holding rows×dim values,
@@ -87,10 +82,7 @@ func (cc *coldCodec) decodeRows(scratch []float32, frame []byte, rows, dim, lo, 
 	if len(frame) != 4*rows*dim {
 		return nil, fmt.Errorf("serve: raw frame is %d bytes, want %d", len(frame), 4*rows*dim)
 	}
-	for i, b := 0, frame[4*lo*dim:]; i < len(span); i++ {
-		span[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return span, nil
+	return span, tensor.FloatsFrom(span, frame[4*lo*dim:4*hi*dim])
 }
 
 // tableStore is one table's cold tier: rows grouped into blocks of
