@@ -40,7 +40,7 @@ func main() {
 	batch := flag.Int("batch", 0, "global batch size (0 = dataset default)")
 	scale := flag.Int("scale", 400, "cardinality scale-down factor")
 	dim := flag.Int("dim", 16, "embedding dimension")
-	codecName := flag.String("codec", "hybrid", "none|hybrid|vector|huffman|fp16|fp8|cusz|fzgpu|lz4|deflate")
+	codecName := flag.String("codec", "hybrid", strings.Join(scenario.CodecNames(), "|"))
 	eb := flag.Float64("eb", 0.02, "error bound for lossy codecs")
 	adaptive := flag.Bool("adaptive", false, "enable dual-level adaptive error bounds")
 	phase := flag.Int("phase", 0, "decay phase length (0 = steps/2)")

@@ -73,8 +73,9 @@ func decodeNoPanic(t *testing.T, c codec.Codec, dst []float32, frame []byte, wha
 }
 
 // TestConformanceRoundTrip checks every codec across a grid of shapes and
-// value distributions.
+// value distributions; the two lossless codecs must give every value back.
 func TestConformanceRoundTrip(t *testing.T) {
+	lossless := map[string]bool{"lz4-like": true, "deflate": true}
 	rng := tensor.NewRNG(1)
 	shapes := []struct{ rows, dim int }{{1, 1}, {1, 64}, {7, 3}, {128, 16}, {33, 47}}
 	for _, c := range allCodecs() {
@@ -85,7 +86,7 @@ func TestConformanceRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %dx%d: %v", c.Name(), sh.rows, sh.dim, err)
 			}
-			if !c.Lossy() {
+			if lossless[c.Name()] {
 				for i := range src {
 					if recon[i] != src[i] {
 						t.Fatalf("%s: lossless codec changed data", c.Name())

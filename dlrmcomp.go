@@ -91,7 +91,7 @@ func Speedup(cr, netBandwidth float64, compressBps, decompressBps float64) float
 func NewFP16Codec() Codec { return lowprec.FP16Codec{} }
 
 // NewFP8Codec returns the FP8 (E4M3) low-precision baseline.
-func NewFP8Codec() Codec { return lowprec.FP8Codec{Format: lowprec.E4M3} }
+func NewFP8Codec() Codec { return lowprec.FP8Codec{} }
 
 // NewCuSZLikeCodec returns the SZ-family error-bounded baseline.
 func NewCuSZLikeCodec(eb float32) ErrorBounded { return cuszlike.New(eb, cuszlike.Lorenzo1D) }

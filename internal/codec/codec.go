@@ -10,8 +10,6 @@ package codec
 type Codec interface {
 	// Name identifies the codec in experiment output (e.g. "ours-hybrid").
 	Name() string
-	// Lossy reports whether reconstruction may differ from the input.
-	Lossy() bool
 	// CompressAppend encodes the batch and appends the frame to dst,
 	// returning the grown buffer; the bytes already in dst are preserved.
 	// On error the appended bytes are undefined and dst must be discarded.

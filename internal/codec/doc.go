@@ -10,7 +10,7 @@
 // algorithms and charges no sim time — implementations are priced by
 // netmodel.CodecRates under their Name().
 //
-// Key types: Codec — Name, Lossy and the append pair. CompressAppend grows a
+// Key types: Codec — Name and the append pair. CompressAppend grows a
 // send buffer the caller owns (the paper's §III-E buffer optimization: the
 // trainer's per-destination frames are filled in place, with no per-table
 // output to copy), and DecompressInto fills a destination the caller has

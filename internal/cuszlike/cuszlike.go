@@ -43,9 +43,6 @@ func (c *Codec) Name() string {
 	return "cusz-like"
 }
 
-// Lossy implements codec.Codec.
-func (c *Codec) Lossy() bool { return true }
-
 // SetErrorBound implements codec.ErrorBounded.
 func (c *Codec) SetErrorBound(eb float32) { c.EB = eb }
 

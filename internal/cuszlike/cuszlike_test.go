@@ -121,9 +121,6 @@ func TestErrorBoundedInterface(t *testing.T) {
 	if c.Name() != "cusz-like" || New(0.01, Lorenzo2D).Name() != "cusz-like-2d" {
 		t.Fatal("names wrong")
 	}
-	if !c.Lossy() {
-		t.Fatal("must be lossy")
-	}
 }
 
 func TestDecompressCorrupt(t *testing.T) {

@@ -149,7 +149,6 @@ func TestControllerDrivesErrorBounds(t *testing.T) {
 type failingCodec struct{}
 
 func (failingCodec) Name() string { return "failing" }
-func (failingCodec) Lossy() bool  { return false }
 func (failingCodec) CompressAppend([]byte, []float32, int) ([]byte, error) {
 	return nil, errors.New("boom")
 }

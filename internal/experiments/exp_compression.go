@@ -123,15 +123,7 @@ func runTable5(opts Options) (*Result, error) {
 			batch = 128
 		}
 		eb := probeEB(spec)
-		codecs := []codec.Codec{
-			cuszlike.New(eb, cuszlike.Lorenzo1D),
-			fzgpulike.New(eb),
-			hybrid.New(eb, hybrid.VectorLZ),
-			hybrid.New(eb, hybrid.Entropy),
-			lz4like.LZSSCodec{},
-			lz4like.DeflateCodec{},
-			hybrid.New(eb, hybrid.Auto),
-		}
+		codecs := codecSet(eb)
 		samples, _ := e.SampleLookups(batch)
 		var rows [][]string
 		sums := make([]float64, len(codecs))

@@ -22,9 +22,6 @@ func New(eb float32) *Codec { return &Codec{EB: eb} }
 // Name implements codec.Codec.
 func (c *Codec) Name() string { return "fz-gpu-like" }
 
-// Lossy implements codec.Codec.
-func (c *Codec) Lossy() bool { return true }
-
 // SetErrorBound implements codec.ErrorBounded.
 func (c *Codec) SetErrorBound(eb float32) { c.EB = eb }
 

@@ -131,8 +131,8 @@ func TestErrorBoundedInterface(t *testing.T) {
 	if c.ErrorBound() != 0.2 {
 		t.Fatal("SetErrorBound did not stick")
 	}
-	if c.Name() != "fz-gpu-like" || !c.Lossy() {
-		t.Fatal("metadata wrong")
+	if c.Name() != "fz-gpu-like" {
+		t.Fatal("name wrong")
 	}
 }
 

@@ -11,36 +11,28 @@ import (
 // across calls, so steady-state operation performs no heap allocation. The
 // frame bytes are pinned against the allocating oracle in oracle_test.go.
 
-// symCode is one symbol's canonical code assignment.
-type symCode struct {
-	code uint64
-	len  uint8
-}
-
 // Encoder compresses symbol slices with reusable internal state. Not safe
 // for concurrent use; give each goroutine its own (the hybrid codec pools
 // them).
 type Encoder struct {
-	freq   map[uint32]uint64
-	codes  map[uint32]symCode
-	freqD  []uint64 // dense frequency table (small-alphabet fast path), one or four lanes
-	codesD []uint64 // dense code table, indexed by symbol: code<<codeLenBits | len
-	syms   []uint32 // distinct symbols, ascending
-	pairs  []uint64 // (len<<32 | sym) keys in canonical order
+	freqD  []uint64 // frequency table indexed by symbol (or rank), one or four lanes
+	codesD []uint64 // code table indexed by symbol (or rank): code<<codeLenBits | len
+	alpha  []uint32 // wide plans: the input's distinct symbols, ascending
+	ranks  []uint32 // wide plans: each input symbol's index in alpha
+	pairs  []uint64 // (len<<32 | sym) keys in canonical order, sym a rank on wide plans
 	nodes  []node
 	order  []int32 // node-index heap, ordered by (freq, sym)
 	stack  []treeItem
-	w      BitWriter // raw frames and the map path; the dense Huffman emit loop writes dst directly
+	w      BitWriter // raw frames; the Huffman emit loop writes dst directly
 	plan   plan      // left by Plan for AppendPlanned
-	frame  []byte    // map path: the planned frame
-	alt    []byte    // map path: the losing candidate's buffer
 }
 
-// maxDenseSym bounds the alphabet for the dense-table encoding path: symbols
-// below it use flat slices for frequency counting and code lookup instead of
-// maps (zigzagged quantization codes cluster near zero, so in practice the
-// hybrid codec always qualifies). Larger alphabets take the map path; both
-// produce identical frames.
+// maxDenseSym bounds the alphabet the tables are indexed by symbol for:
+// zigzagged quantization codes cluster near zero, so in practice the hybrid
+// codec always stays below it. A wider input is first compacted to the ranks
+// of its distinct symbols, and the tables are indexed by rank; the rank map
+// is monotone, so the code and the frame are the ones the symbols themselves
+// give.
 const maxDenseSym = 1 << 16
 
 type treeItem struct {
@@ -49,12 +41,7 @@ type treeItem struct {
 }
 
 // NewEncoder returns an encoder with empty (lazily grown) workspaces.
-func NewEncoder() *Encoder {
-	return &Encoder{
-		freq:  make(map[uint32]uint64),
-		codes: make(map[uint32]symCode),
-	}
-}
+func NewEncoder() *Encoder { return &Encoder{} }
 
 // heapLess orders node indices by (freq, sym). The order is strict and
 // total, so the pop sequence — and with it the code lengths and the frame
@@ -134,29 +121,23 @@ func (e *Encoder) AppendEncodeMax(dst []byte, syms []uint32, maxSym uint32) []by
 // pays for emission only if this coder won. maxSym must equal max(syms), as
 // for AppendEncodeMax.
 func (e *Encoder) Plan(syms []uint32, maxSym uint32) int {
-	switch {
-	case len(syms) == 0:
+	if len(syms) == 0 {
 		e.plan = plan{mode: modeConst, size: 2}
-	case maxSym < maxDenseSym:
+	} else {
 		e.planDense(syms, maxSym)
-	default:
-		e.planMap(syms)
 	}
 	return e.plan.size
 }
 
 // plan is what the size half leaves for the emit half: which frame mode won
-// and how long the frame is. The code itself stays in e.pairs/e.codesD; a
-// planMap frame is already complete in e.frame.
+// and how long the frame is. The code itself stays in e.pairs/e.codesD.
 type plan struct {
-	mode   byte  // modeConst, modeRaw, modeHuffman, or planFrame
+	mode   byte  // modeConst, modeRaw, or modeHuffman
 	size   int   // exact frame length in bytes
 	width  uint  // modeRaw: bits per symbol
 	maxLen uint8 // modeHuffman: longest code
+	wide   bool  // modeHuffman: the code is over e.ranks, the header names e.alpha
 }
-
-// planFrame marks a plan whose frame the map path has already materialized.
-const planFrame = 0xFF
 
 // mergeAndAssignLengths runs the (freq, sym)-heap merge over the already
 // pushed leaf nodes and DFS-assigns code lengths, leaving (len<<32|sym) keys
@@ -209,14 +190,23 @@ func rawWidth(maxSym uint32) uint { return uint(max(bits.Len32(maxSym), 1)) }
 // width: mode, width, count, padded fixed-width bits.
 func rawLen(n int, width uint) int { return 2 + uvarintLen(uint64(n)) + (n*int(width)+7)/8 }
 
-// planDense is the size half for small alphabets: flat slices replace the
-// frequency and code maps, distinct symbols fall out of the table scan
+// planDense is the size half: flat slices indexed by symbol hold the
+// frequencies and the codes, distinct symbols fall out of the table scan
 // already sorted, and both candidate frame sizes (Huffman vs raw) are
-// computed arithmetically, so no frame is materialized to be compared. The
-// frame AppendPlanned emits from it is byte-identical to the map path's.
+// computed arithmetically, so no frame is materialized to be compared. An
+// alphabet of maxDenseSym symbols or more is first compacted: the tables are
+// indexed by each symbol's rank among the input's distinct symbols, and the
+// header and the size arithmetic name the symbols themselves.
 func (e *Encoder) planDense(syms []uint32, maxSym uint32) {
-	m := int(maxSym) + 1
-	freq := e.count(syms, m)
+	in, m := syms, int(maxSym)+1
+	wide := maxSym >= maxDenseSym
+	if wide {
+		e.alpha = append(e.alpha[:0], syms...)
+		slices.Sort(e.alpha)
+		e.alpha = slices.Compact(e.alpha)
+		in, m = e.compact(syms), len(e.alpha)
+	}
+	freq := e.count(in, m)
 
 	// Leaves in ascending symbol order — the table scan yields them sorted.
 	e.nodes = e.nodes[:0]
@@ -246,7 +236,7 @@ func (e *Encoder) planDense(syms []uint32, maxSym uint32) {
 	// The Huffman frame is header (mode, numDistinct, (symbol, len)*,
 	// numSymbols) plus padded code bits; its length, like the raw one, matches
 	// the materialized frame exactly, so the comparison picks the winner the
-	// map path's materialize-both comparison picks.
+	// reference encoder's materialize-both comparison picks.
 	slices.Sort(e.pairs)
 	if cap(e.codesD) < m {
 		e.codesD = make([]uint64, m)
@@ -261,15 +251,28 @@ func (e *Encoder) planDense(syms []uint32, maxSym uint32) {
 		codes[sym] = code<<codeLenBits | l
 		code++
 		prevLen = l
-		hufLen += uvarintLen(uint64(sym)) + 1
 		hufBits += freq[sym] * l
+		if wide {
+			sym = e.alpha[sym]
+		}
+		hufLen += uvarintLen(uint64(sym)) + 1
 	}
 	hufLen += int((hufBits + 7) / 8)
 	if raw.size < hufLen {
 		e.plan = raw
 		return
 	}
-	e.plan = plan{mode: modeHuffman, size: hufLen, maxLen: maxLen}
+	e.plan = plan{mode: modeHuffman, size: hufLen, maxLen: maxLen, wide: wide}
+}
+
+// compact returns syms rewritten as their ranks in e.alpha.
+func (e *Encoder) compact(syms []uint32) []uint32 {
+	e.ranks = slices.Grow(e.ranks[:0], len(syms))[:len(syms)]
+	for i, s := range syms {
+		r, _ := slices.BinarySearch(e.alpha, s)
+		e.ranks[i] = uint32(r)
+	}
+	return e.ranks
 }
 
 // count returns the frequency table of syms, all below m. An embedding batch
@@ -320,8 +323,6 @@ const codeLenBits = 6
 // them is scratch.
 func (e *Encoder) AppendPlanned(dst []byte, syms []uint32) []byte {
 	switch e.plan.mode {
-	case planFrame:
-		return append(dst, e.frame...)
 	case modeConst:
 		dst = append(dst, modeConst)
 		dst = binary.AppendUvarint(dst, uint64(len(syms)))
@@ -347,10 +348,17 @@ func (e *Encoder) AppendPlanned(dst []byte, syms []uint32) []byte {
 	dst = append(dst, modeHuffman)
 	dst = binary.AppendUvarint(dst, uint64(len(e.pairs)))
 	for _, p := range e.pairs {
-		dst = binary.AppendUvarint(dst, uint64(uint32(p)))
+		sym := uint32(p)
+		if e.plan.wide {
+			sym = e.alpha[sym]
+		}
+		dst = binary.AppendUvarint(dst, uint64(sym))
 		dst = append(dst, uint8(p>>32))
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(syms)))
+	if e.plan.wide {
+		syms = e.ranks
+	}
 
 	const lenMask = 1<<codeLenBits - 1
 	out := dst[:cap(dst)]
@@ -385,75 +393,6 @@ func (e *Encoder) AppendPlanned(dst []byte, syms []uint32) []byte {
 // pairCodeLen is the longest code two of which fit in the emit accumulator
 // beside its 7 pending bits.
 const pairCodeLen = 28
-
-// planMap is the size half for alphabets too wide for the dense tables. It
-// materializes both candidate frames and leaves the shorter in e.frame.
-func (e *Encoder) planMap(syms []uint32) {
-	clear(e.freq)
-	var maxSym uint32
-	for _, s := range syms {
-		e.freq[s]++
-		maxSym = max(maxSym, s)
-	}
-	if len(e.freq) == 1 {
-		e.plan = constPlan(syms)
-		return
-	}
-	e.frame = e.appendRaw(e.frame[:0], syms, rawWidth(maxSym))
-	e.plan = plan{mode: planFrame, size: len(e.frame)}
-
-	// Code lengths: leaves in ascending symbol order, then (freq, sym)-heap
-	// merging.
-	e.syms = e.syms[:0]
-	for s := range e.freq {
-		e.syms = append(e.syms, s)
-	}
-	slices.Sort(e.syms)
-	e.nodes = e.nodes[:0]
-	e.order = e.order[:0]
-	for _, s := range e.syms {
-		e.nodes = append(e.nodes, node{freq: e.freq[s], sym: s, left: -1, right: -1})
-		e.heapPush(int32(len(e.nodes) - 1))
-	}
-	if e.mergeAndAssignLengths() > maxCodeLen {
-		return
-	}
-
-	// Canonical assignment over (len, sym)-sorted pairs.
-	slices.Sort(e.pairs)
-	clear(e.codes)
-	var code uint64
-	var prevLen uint8
-	for _, p := range e.pairs {
-		l := uint8(p >> 32)
-		code <<= (l - prevLen)
-		e.codes[uint32(p)] = symCode{code: code, len: l}
-		code++
-		prevLen = l
-	}
-
-	// Header: mode, numDistinct, (symbol, len)*, numSymbols.
-	huf := append(e.alt[:0], modeHuffman)
-	huf = binary.AppendUvarint(huf, uint64(len(e.pairs)))
-	for _, p := range e.pairs {
-		huf = binary.AppendUvarint(huf, uint64(uint32(p)))
-		huf = append(huf, uint8(p>>32))
-	}
-	huf = binary.AppendUvarint(huf, uint64(len(syms)))
-	e.w.Reset()
-	for _, s := range syms {
-		sc := e.codes[s]
-		e.w.WriteBits(sc.code, uint(sc.len))
-	}
-	huf = append(huf, e.w.Bytes()...)
-
-	// Raw wins only when strictly shorter (tiny inputs with wide alphabets).
-	e.alt = huf
-	if len(huf) <= len(e.frame) {
-		e.frame, e.alt = huf, e.frame
-		e.plan.size = len(huf)
-	}
-}
 
 // appendRaw appends the raw frame: symbols stored with a fixed bit width.
 func (e *Encoder) appendRaw(dst []byte, syms []uint32, width uint) []byte {

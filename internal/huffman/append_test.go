@@ -244,12 +244,13 @@ func TestDecodeIntoParity(t *testing.T) {
 	}
 }
 
-// TestDensePathParity pins the dense-table encoding path against both the
-// map path and the reference Encode: for any alphabet that qualifies for the
-// dense tables, all three must emit identical bytes — including inputs
-// engineered to sit near the Huffman-vs-raw decision boundary, where the
-// dense path's arithmetic size comparison must pick the same winner the
-// materialize-both comparison does.
+// TestDensePathParity pins the one planner against the reference Encode on
+// every alphabet: symbols that index the tables directly, and alphabets of
+// maxDenseSym symbols and up, which are first compacted to ranks. Both must
+// emit the reference bytes — including inputs engineered to sit near the
+// Huffman-vs-raw decision boundary, where the arithmetic size comparison
+// must pick the winner the materialize-both comparison does — and Plan must
+// name the frame's length.
 func TestDensePathParity(t *testing.T) {
 	rng := tensor.NewRNG(77)
 	inputs := map[string][]uint32{
@@ -258,6 +259,11 @@ func TestDensePathParity(t *testing.T) {
 		"near-dense":  {maxDenseSym - 1, 0, 1, maxDenseSym - 1, 2},
 		"raw-wins":    {0, 1, 2, 3, 4, 5, 6, 7}, // uniform tiny input: raw beats Huffman
 		"single-rare": {9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 3},
+		"wide-2^16":   {0, 1, maxDenseSym, 0, 0, 1, 0},
+		"wide-2^16+1": {maxDenseSym + 1, 5, 5, maxDenseSym, 5, 5, 5, 0},
+		"wide-max":    {0xFFFFFFFF, 3, 3, 3, 0xFFFFFFFF, 7, 3, 3},
+		"wide-single": {1 << 20, 1 << 20, 1 << 20},
+		"wide-raw":    appendTestInputs()["wide-raw"],
 	}
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(300)
@@ -270,27 +276,27 @@ func TestDensePathParity(t *testing.T) {
 			}
 		}
 		inputs[string(rune('a'+trial%26))+"-fuzz"] = fuzz
+		wide := slices.Clone(fuzz)
+		for i := range wide {
+			if rng.Float64() < 0.1 {
+				wide[i] = uint32(rng.Uint64())
+			}
+		}
+		wide[0] = maxDenseSym + uint32(trial)
+		inputs[string(rune('a'+trial%26))+"-wide"] = wide
 	}
 	enc := NewEncoder()
 	for name, syms := range inputs {
 		maxSym := maxOf(syms)
-		if maxSym >= maxDenseSym {
-			t.Fatalf("%s: test input does not qualify for the dense path", name)
-		}
 		ref := Encode(syms)
-		enc.planDense(syms, maxSym)
-		dense := enc.AppendPlanned(nil, syms)
-		if !bytes.Equal(ref, dense) || enc.plan.size != len(ref) {
-			t.Fatalf("%s: dense path differs from Encode (planned %d, emitted %d, want %d bytes)", name, enc.plan.size, len(dense), len(ref))
+		if n := enc.Plan(syms, maxSym); n != len(ref) {
+			t.Fatalf("%s: Plan sized the frame at %d bytes, Encode wrote %d", name, n, len(ref))
 		}
-		enc.planMap(syms)
-		mapped := enc.AppendPlanned(nil, syms)
-		if !bytes.Equal(ref, mapped) || enc.plan.size != len(ref) {
-			t.Fatalf("%s: map path differs from Encode (planned %d, emitted %d, want %d bytes)", name, enc.plan.size, len(mapped), len(ref))
+		if got := enc.AppendPlanned(nil, syms); !bytes.Equal(ref, got) {
+			t.Fatalf("%s: AppendPlanned differs from Encode (%d vs %d bytes)", name, len(got), len(ref))
 		}
-		viaMax := enc.AppendEncodeMax(nil, syms, maxSym)
-		if !bytes.Equal(ref, viaMax) {
-			t.Fatalf("%s: AppendEncodeMax differs from Encode", name)
+		if got := enc.AppendEncode(nil, syms); !bytes.Equal(ref, got) {
+			t.Fatalf("%s: AppendEncode differs from Encode", name)
 		}
 	}
 }

@@ -28,8 +28,10 @@
 // before its symbols do. Decoder.DecodePrefixInto is the same body for the
 // first len(dst) symbols of a longer frame: it stops reading the bitstream
 // there, which is what lets the hybrid codec decode a frame's leading rows
-// without the rest. BitWriter/BitReader are the bit I/O of the cold paths
-// (raw frames, alphabets of 2¹⁶ symbols and up). huffman.go holds the
+// without the rest. One planner serves every alphabet: symbols below 2¹⁶
+// index its tables directly, and a wider input is first compacted to the
+// ranks of its distinct symbols, which gives the same code and frame.
+// BitWriter/BitReader are the bit I/O of raw frames. huffman.go holds the
 // frame format, append.go the coder, and oracle_test.go the original
 // allocating Encode that the parity tests hold the coder to byte for byte.
 package huffman

@@ -1,6 +1,7 @@
 package huffman
 
 import (
+	"bytes"
 	"hash/crc32"
 	"slices"
 	"testing"
@@ -13,8 +14,10 @@ const fuzzMaxSymbols = 1 << 16
 // FuzzDecodeInto feeds arbitrary bytes to the decoder, seeded with real
 // frames of every mode and with cuts of them. The decoder must not panic,
 // must either fail or fill exactly the destination, and whatever it accepts
-// must survive a re-encode: encoding the decoded symbols and decoding that
-// gives the same symbols. The prefix form runs on the same input for a
+// must survive a re-encode: encoding the decoded symbols gives the oracle
+// Encode's bytes, and decoding that gives the same symbols. Decoded symbols
+// reach 2³²−1, so the re-encode drives the planner's compacted path for
+// wide alphabets as well as its direct one. The prefix form runs on the same input for a
 // prefix length derived from it: it must not panic, must either fail or
 // fill exactly its destination, and on a frame the whole decode accepts it
 // must write exactly the whole decode's first symbols.
@@ -55,8 +58,12 @@ func FuzzDecodeInto(f *testing.F) {
 		if preErr != nil || !slices.Equal(pre, dst[:k]) {
 			t.Fatalf("prefix of %d symbols (error %v) differs from the whole decode's", k, preErr)
 		}
+		re := NewEncoder().AppendEncode(nil, dst)
+		if !bytes.Equal(re, Encode(dst)) {
+			t.Fatal("re-encoded frame differs from the oracle Encode")
+		}
 		again := make([]uint32, len(dst))
-		if _, err := NewDecoder().DecodeInto(again, NewEncoder().AppendEncode(nil, dst)); err != nil {
+		if _, err := NewDecoder().DecodeInto(again, re); err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
 		if !slices.Equal(again, dst) {

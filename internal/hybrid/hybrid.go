@@ -48,9 +48,6 @@ func New(eb float32, mode Mode) *Codec { return &Codec{EB: eb, Mode: mode} }
 // Name implements codec.Codec.
 func (c *Codec) Name() string { return c.Mode.String() }
 
-// Lossy implements codec.Codec.
-func (c *Codec) Lossy() bool { return true }
-
 // SetErrorBound implements codec.ErrorBounded.
 func (c *Codec) SetErrorBound(eb float32) { c.EB = eb }
 

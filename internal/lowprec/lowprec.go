@@ -85,114 +85,69 @@ func F16ToF32(h uint16) float32 {
 
 // --- FP8 ---------------------------------------------------------------
 
-// FP8Format selects one of the two FP8 encodings.
-type FP8Format int
-
+// FP8 is E4M3: 4 exponent bits (bias 7) and 3 mantissa bits, with no
+// infinity; exponent field 15 with mantissa 7 is NaN, so the largest finite
+// value is field 15 with mantissa 6, 448.
 const (
-	// E4M3: 4 exponent bits (bias 7), 3 mantissa bits; max finite 448.
-	E4M3 FP8Format = iota
-	// E5M2: 5 exponent bits (bias 15), 2 mantissa bits; max finite 57344.
-	E5M2
+	f8ExpBits   = 4
+	f8ManBits   = 3
+	f8Bias      = 1<<(f8ExpBits-1) - 1
+	f8MaxExp    = 1<<f8ExpBits - 1
+	f8MaxFinite = 448
 )
 
-func (f FP8Format) String() string {
-	if f == E4M3 {
-		return "e4m3"
-	}
-	return "e5m2"
-}
-
-// F32ToF8 converts f to the chosen FP8 format with round-to-nearest and
-// saturation at the maximum finite value.
-func F32ToF8(f float32, format FP8Format) uint8 {
-	var expBits, manBits uint
-	if format == E4M3 {
-		expBits, manBits = 4, 3
-	} else {
-		expBits, manBits = 5, 2
-	}
-	bias := (1 << (expBits - 1)) - 1
-	maxExpField := (1 << expBits) - 1
-
+// F32ToF8 converts f to E4M3 with round-to-nearest and saturation at the
+// maximum finite value.
+func F32ToF8(f float32) uint8 {
 	b := math.Float32bits(f)
 	sign := uint8(b >> 31 << 7)
 	if f != f { // NaN
-		return sign | uint8(maxExpField)<<manBits | 1
+		return sign | f8MaxExp<<f8ManBits | 1
 	}
-	af := math.Abs(float64(f))
+	af := min(math.Abs(float64(f)), f8MaxFinite) // saturate
 	if af == 0 {
 		return sign
 	}
-	// Max finite: E4M3 uses exp field 15 with mantissa up to 6 (448);
-	// E5M2 reserves exp 31 for Inf/NaN, max finite 57344.
-	var maxFinite float64
-	if format == E4M3 {
-		maxFinite = 448
-	} else {
-		maxFinite = 57344
-	}
-	if af > maxFinite {
-		af = maxFinite // saturate
-	}
 	exp := int(math.Floor(math.Log2(af)))
-	minExp := 1 - bias
+	minExp := 1 - f8Bias
 	if exp < minExp {
 		// Subnormal: value = m · 2^(minExp − manBits).
-		m := int(math.Round(af / math.Ldexp(1, minExp-int(manBits))))
-		if m >= 1<<manBits { // rounds up into the smallest normal
-			return sign | uint8(1)<<manBits
+		m := int(math.Round(af / math.Ldexp(1, minExp-f8ManBits)))
+		if m >= 1<<f8ManBits { // rounds up into the smallest normal
+			return sign | 1<<f8ManBits
 		}
 		return sign | uint8(m)
 	}
 	mant := af/math.Ldexp(1, exp) - 1 // in [0,1)
-	m := int(math.Round(mant * float64(int(1)<<manBits)))
-	if m == 1<<manBits {
+	m := int(math.Round(mant * (1 << f8ManBits)))
+	if m == 1<<f8ManBits {
 		m = 0
 		exp++
 	}
-	expField := exp + bias
-	if format == E4M3 {
-		// E4M3 has no Inf; exp field 15 + mantissa 7 is NaN, so max is
-		// field 15 mantissa 6.
-		if expField > maxExpField || (expField == maxExpField && m > 6) {
-			expField, m = maxExpField, 6
-		}
-	} else {
-		if expField >= maxExpField { // saturate below Inf
-			expField, m = maxExpField-1, (1<<manBits)-1
-		}
+	expField := exp + f8Bias
+	if expField > f8MaxExp || (expField == f8MaxExp && m > 6) {
+		expField, m = f8MaxExp, 6
 	}
-	return sign | uint8(expField)<<manBits | uint8(m)
+	return sign | uint8(expField)<<f8ManBits | uint8(m)
 }
 
-// F8ToF32 decodes an FP8 value.
-func F8ToF32(v uint8, format FP8Format) float32 {
-	var expBits, manBits uint
-	if format == E4M3 {
-		expBits, manBits = 4, 3
-	} else {
-		expBits, manBits = 5, 2
-	}
-	bias := (1 << (expBits - 1)) - 1
+// F8ToF32 decodes an E4M3 value.
+func F8ToF32(v uint8) float32 {
 	sign := float64(1)
 	if v&0x80 != 0 {
 		sign = -1
 	}
-	expField := int(v>>manBits) & ((1 << expBits) - 1)
-	m := int(v) & ((1 << manBits) - 1)
-	if format == E5M2 && expField == (1<<expBits)-1 {
-		if m == 0 {
-			return float32(sign * math.Inf(1))
-		}
-		return float32(math.NaN())
-	}
-	if format == E4M3 && expField == (1<<expBits)-1 && m == 7 {
+	expField := int(v>>f8ManBits) & f8MaxExp
+	m := int(v) & (1<<f8ManBits - 1)
+	if expField == f8MaxExp && m == 7 {
 		return float32(math.NaN())
 	}
 	if expField == 0 {
-		return float32(sign * float64(m) * math.Ldexp(1, 1-bias-int(manBits)))
+		return float32(sign * float64(m) * math.Ldexp(1, 1-f8Bias-f8ManBits))
 	}
-	return float32(sign * (1 + float64(m)/float64(int(1)<<manBits)) * math.Ldexp(1, expField-bias))
+	// The conversion keeps m/8 (a multiply by 1/8 once compiled) from
+	// fusing with the add.
+	return float32(sign * (1 + float64(float64(m)/(1<<f8ManBits))) * math.Ldexp(1, expField-f8Bias))
 }
 
 // --- Codec wrappers -------------------------------------------------------
@@ -202,9 +157,6 @@ type FP16Codec struct{}
 
 // Name implements codec.Codec.
 func (FP16Codec) Name() string { return "fp16" }
-
-// Lossy implements codec.Codec.
-func (FP16Codec) Lossy() bool { return true }
 
 // CompressAppend casts every value to binary16.
 func (FP16Codec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, error) {
@@ -236,27 +188,25 @@ func (FP16Codec) DecompressInto(dst []float32, frame []byte) (int, error) {
 	return dim, nil
 }
 
-// FP8Codec is the FP8 communication baseline (paper's SOTA low-precision
-// comparator).
-type FP8Codec struct{ Format FP8Format }
+// FP8Codec is the FP8 (E4M3) communication baseline (paper's SOTA
+// low-precision comparator). Its frame keeps a format byte, always 0: a
+// frame with any other value there is rejected.
+type FP8Codec struct{}
 
 // Name implements codec.Codec.
-func (c FP8Codec) Name() string { return "fp8-" + c.Format.String() }
-
-// Lossy implements codec.Codec.
-func (FP8Codec) Lossy() bool { return true }
+func (FP8Codec) Name() string { return "fp8-e4m3" }
 
 // CompressAppend casts every value to FP8.
-func (c FP8Codec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, error) {
+func (FP8Codec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, error) {
 	if dim <= 0 || len(src)%dim != 0 {
 		return nil, fmt.Errorf("lowprec: bad shape len=%d dim=%d", len(src), dim)
 	}
 	dst = slices.Grow(dst, 9+len(src))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(dim))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
-	dst = append(dst, byte(c.Format))
+	dst = append(dst, 0) // format byte: E4M3
 	for _, v := range src {
-		dst = append(dst, F32ToF8(v, c.Format))
+		dst = append(dst, F32ToF8(v))
 	}
 	return dst, nil
 }
@@ -268,15 +218,11 @@ func (FP8Codec) DecompressInto(dst []float32, frame []byte) (int, error) {
 	}
 	dim := int(binary.LittleEndian.Uint32(frame[0:]))
 	n := int(binary.LittleEndian.Uint32(frame[4:]))
-	format := FP8Format(frame[8])
-	if n != len(dst) || len(frame) != 9+n || dim <= 0 || n%dim != 0 {
-		return 0, errCorrupt
-	}
-	if format != E4M3 && format != E5M2 {
+	if n != len(dst) || len(frame) != 9+n || dim <= 0 || n%dim != 0 || frame[8] != 0 {
 		return 0, errCorrupt
 	}
 	for i := range dst {
-		dst[i] = F8ToF32(frame[9+i], format)
+		dst[i] = F8ToF32(frame[9+i])
 	}
 	return dim, nil
 }

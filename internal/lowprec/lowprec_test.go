@@ -66,62 +66,46 @@ func TestF16SpecialValues(t *testing.T) {
 
 func TestF8E4M3KnownValues(t *testing.T) {
 	// 1.0 = sign 0, exp field 7 (bias 7), mant 0 -> 0x38
-	if got := F32ToF8(1, E4M3); got != 0x38 {
+	if got := F32ToF8(1); got != 0x38 {
 		t.Fatalf("F32ToF8(1) = %#x, want 0x38", got)
 	}
-	if got := F8ToF32(0x38, E4M3); got != 1 {
+	if got := F8ToF32(0x38); got != 1 {
 		t.Fatalf("F8ToF32(0x38) = %v", got)
 	}
 	// Max finite E4M3 = 448.
-	if got := F8ToF32(F32ToF8(10000, E4M3), E4M3); got != 448 {
+	if got := F8ToF32(F32ToF8(10000)); got != 448 {
 		t.Fatalf("E4M3 saturation = %v, want 448", got)
 	}
-	if got := F8ToF32(F32ToF8(-10000, E4M3), E4M3); got != -448 {
+	if got := F8ToF32(F32ToF8(-10000)); got != -448 {
 		t.Fatalf("E4M3 negative saturation = %v", got)
-	}
-}
-
-func TestF8E5M2Saturation(t *testing.T) {
-	if got := F8ToF32(F32ToF8(1e9, E5M2), E5M2); got != 57344 {
-		t.Fatalf("E5M2 saturation = %v, want 57344", got)
 	}
 }
 
 func TestF8RoundTripRelError(t *testing.T) {
 	rng := tensor.NewRNG(2)
-	for _, format := range []FP8Format{E4M3, E5M2} {
-		maxRel := 1.0 / 16 // e4m3: 3 mantissa bits -> 2^-4 = 1/16 half-ulp bound
-		if format == E5M2 {
-			maxRel = 1.0 / 8
+	const maxRel = 1.0 / 16 // 3 mantissa bits -> 2^-4 = 1/16 half-ulp bound
+	// E4M3 normals start at 2^-6; below that the format is subnormal with
+	// absolute (not relative) precision.
+	minNormal := math.Ldexp(1, -6)
+	for i := 0; i < 5000; i++ {
+		f := float32(rng.NormFloat64() * 0.5)
+		if math.Abs(float64(f)) < minNormal {
+			continue
 		}
-		// E4M3 normals start at 2^-6, E5M2 normals at 2^-14; below that the
-		// format is subnormal with absolute (not relative) precision.
-		minNormal := math.Ldexp(1, -6)
-		if format == E5M2 {
-			minNormal = math.Ldexp(1, -14)
-		}
-		for i := 0; i < 5000; i++ {
-			f := float32(rng.NormFloat64() * 0.5)
-			if math.Abs(float64(f)) < minNormal {
-				continue
-			}
-			back := F8ToF32(F32ToF8(f, format), format)
-			rel := math.Abs(float64(back-f)) / math.Abs(float64(f))
-			if rel > maxRel+1e-6 {
-				t.Fatalf("%v: rel err %v for %v -> %v", format, rel, f, back)
-			}
+		back := F8ToF32(F32ToF8(f))
+		rel := math.Abs(float64(back-f)) / math.Abs(float64(f))
+		if rel > maxRel+1e-6 {
+			t.Fatalf("rel err %v for %v -> %v", rel, f, back)
 		}
 	}
 }
 
 func TestF8ZeroAndSign(t *testing.T) {
-	for _, format := range []FP8Format{E4M3, E5M2} {
-		if F8ToF32(F32ToF8(0, format), format) != 0 {
-			t.Fatal("zero must round trip")
-		}
-		if F8ToF32(F32ToF8(-2, format), format) != -2 {
-			t.Fatalf("%v: -2 must round trip exactly", format)
-		}
+	if F8ToF32(F32ToF8(0)) != 0 {
+		t.Fatal("zero must round trip")
+	}
+	if F8ToF32(F32ToF8(-2)) != -2 {
+		t.Fatal("-2 must round trip exactly")
 	}
 }
 
@@ -164,7 +148,7 @@ func TestFP8CodecRoundTrip(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	src := make([]float32, 512)
 	rng.FillNormal(src, 0, 0.1)
-	c := FP8Codec{Format: E4M3}
+	c := FP8Codec{}
 	if c.Name() != "fp8-e4m3" {
 		t.Fatalf("name %q", c.Name())
 	}
@@ -195,7 +179,7 @@ func TestCodecCorruptFrames(t *testing.T) {
 	if _, err := (FP16Codec{}).CompressAppend(nil, []float32{1, 2, 3}, 2); err == nil {
 		t.Fatal("bad shape should error")
 	}
-	for _, c := range []codec.Codec{FP16Codec{}, FP8Codec{Format: E4M3}} {
+	for _, c := range []codec.Codec{FP16Codec{}, FP8Codec{}} {
 		valid, err := c.CompressAppend(nil, []float32{1, 2}, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -209,23 +193,21 @@ func TestCodecCorruptFrames(t *testing.T) {
 	}
 }
 
-// TestFP8RejectsUnknownFormat: the format byte names E4M3 or E5M2; any other
-// value is a damaged frame, never a third decoding of the same bytes.
+// TestFP8RejectsUnknownFormat: the format byte is 0, E4M3; any other value
+// is a damaged frame, never a second decoding of the same bytes.
 func TestFP8RejectsUnknownFormat(t *testing.T) {
-	for _, format := range []FP8Format{E4M3, E5M2} {
-		frame, err := FP8Codec{Format: format}.CompressAppend(nil, []float32{0.5, -2}, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst := make([]float32, 2)
-		if _, err := (FP8Codec{}).DecompressInto(dst, frame); err != nil || dst[0] != 0.5 || dst[1] != -2 {
-			t.Fatalf("%s frame: decoded %v, err %v", format, dst, err)
-		}
-		for _, b := range []byte{2, 7, 0xff} {
-			frame[8] = b
-			if _, err := (FP8Codec{}).DecompressInto(dst, frame); err == nil {
-				t.Fatalf("format byte %d decoded as %v", b, dst)
-			}
+	frame, err := FP8Codec{}.CompressAppend(nil, []float32{0.5, -2}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float32, 2)
+	if _, err := (FP8Codec{}).DecompressInto(dst, frame); err != nil || dst[0] != 0.5 || dst[1] != -2 {
+		t.Fatalf("decoded %v, err %v", dst, err)
+	}
+	for _, b := range []byte{1, 2, 7, 0xff} {
+		frame[8] = b
+		if _, err := (FP8Codec{}).DecompressInto(dst, frame); err == nil {
+			t.Fatalf("format byte %d decoded as %v", b, dst)
 		}
 	}
 }

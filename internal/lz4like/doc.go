@@ -13,5 +13,6 @@
 // internal/vlz to quantify the paper's fixed-pattern-length advantage.
 //
 // Key types: LZSSCodec and DeflateCodec (both stateless values — safe to
-// share across rank goroutines).
+// share across rank goroutines; LZSSCodec draws its per-call scratch from a
+// sync.Pool, so its steady state does not allocate).
 package lz4like

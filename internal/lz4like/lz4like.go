@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 
 	"dlrmcomp/internal/tensor"
 )
@@ -28,9 +30,6 @@ type LZSSCodec struct{}
 
 // Name implements codec.Codec.
 func (LZSSCodec) Name() string { return "lz4-like" }
-
-// Lossy implements codec.Codec.
-func (LZSSCodec) Lossy() bool { return false }
 
 // headerLen is the frame prefix both codecs share: row length dim and value
 // count n, little-endian uint32 each.
@@ -60,17 +59,18 @@ func hash4(b []byte) uint32 {
 	return (v * 2654435761) >> (32 - hashBits)
 }
 
-// CompressBytes runs LZSS over an arbitrary byte slice and appends the token
+// compressBytes runs LZSS over an arbitrary byte slice and appends the token
 // stream to out: control byte 0 = literal run (uvarint length + bytes),
-// 1 = match (uvarint distance, uvarint length).
-func CompressBytes(out, src []byte) []byte {
+// 1 = match (uvarint distance, uvarint length). prev is the hash chain, one
+// entry per byte of src; its contents do not matter, because an entry is
+// written when its position enters the chain, before anything reads it.
+func compressBytes(out, src []byte, prev []int32) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 
 	head := make([]int32, 1<<hashBits)
 	for i := range head {
 		head[i] = -1
 	}
-	prev := make([]int32, len(src))
 
 	emitLiterals := func(lo, hi int) {
 		if hi <= lo {
@@ -126,7 +126,7 @@ func CompressBytes(out, src []byte) []byte {
 	return out
 }
 
-// DecompressBytes inverts CompressBytes into dst, which the stream must fill
+// DecompressBytes inverts compressBytes into dst, which the stream must fill
 // exactly: a literal run or match longer than the room left is rejected
 // before a byte of it is copied, so a damaged length cannot make the decoder
 // work or allocate past the destination.
@@ -171,12 +171,27 @@ func DecompressBytes(dst, data []byte) error {
 	return nil
 }
 
+// lzssScratch is one LZSSCodec call's working memory: the batch's bytes
+// (serialized for compression, decoded for decompression) and the match
+// finder's hash chain. It is pooled, so a steady stream of calls — the
+// serving tier's cold-block decodes — stays off the heap.
+type lzssScratch struct {
+	raw  []byte
+	prev []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(lzssScratch) }}
+
 // CompressAppend implements codec.Codec over the float batch bytes.
 func (LZSSCodec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, error) {
 	if dim <= 0 || len(src)%dim != 0 {
 		return nil, fmt.Errorf("lz4like: bad shape len=%d dim=%d", len(src), dim)
 	}
-	return CompressBytes(appendHeader(dst, dim, len(src)), tensor.AppendFloats(nil, src)), nil
+	s := scratchPool.Get().(*lzssScratch)
+	defer scratchPool.Put(s)
+	s.raw = tensor.AppendFloats(s.raw[:0], src)
+	s.prev = slices.Grow(s.prev[:0], len(s.raw))[:len(s.raw)]
+	return compressBytes(appendHeader(dst, dim, len(src)), s.raw, s.prev), nil
 }
 
 // DecompressInto implements codec.Codec.
@@ -185,11 +200,13 @@ func (LZSSCodec) DecompressInto(dst []float32, frame []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	raw := make([]byte, 4*len(dst))
-	if err := DecompressBytes(raw, payload); err != nil {
+	s := scratchPool.Get().(*lzssScratch)
+	defer scratchPool.Put(s)
+	s.raw = slices.Grow(s.raw[:0], 4*len(dst))[:4*len(dst)]
+	if err := DecompressBytes(s.raw, payload); err != nil {
 		return 0, err
 	}
-	return dim, tensor.FloatsFrom(dst, raw)
+	return dim, tensor.FloatsFrom(dst, s.raw)
 }
 
 // DeflateCodec wraps compress/flate as the nvCOMP-Deflate stand-in.
@@ -197,9 +214,6 @@ type DeflateCodec struct{}
 
 // Name implements codec.Codec.
 func (DeflateCodec) Name() string { return "deflate" }
-
-// Lossy implements codec.Codec.
-func (DeflateCodec) Lossy() bool { return false }
 
 // CompressAppend implements codec.Codec.
 func (DeflateCodec) CompressAppend(dst []byte, src []float32, dim int) ([]byte, error) {

@@ -14,7 +14,7 @@ import (
 
 func byteRoundTrip(t *testing.T, src []byte) []byte {
 	t.Helper()
-	enc := CompressBytes(nil, src)
+	enc := compressBytes(nil, src, make([]int32, len(src)))
 	dec := make([]byte, len(src))
 	if err := DecompressBytes(dec, enc); err != nil {
 		t.Fatalf("DecompressBytes: %v", err)
@@ -75,7 +75,7 @@ func TestBytesWindowLimit(t *testing.T) {
 func TestBytesRoundTripProperty(t *testing.T) {
 	f := func(src []byte) bool {
 		dec := make([]byte, len(src))
-		return DecompressBytes(dec, CompressBytes(nil, src)) == nil && bytes.Equal(dec, src)
+		return DecompressBytes(dec, compressBytes(nil, src, make([]int32, len(src)))) == nil && bytes.Equal(dec, src)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -194,11 +194,11 @@ func TestDeflateCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecNames(t *testing.T) {
-	if (LZSSCodec{}).Name() != "lz4-like" || (LZSSCodec{}).Lossy() {
-		t.Fatal("LZSS metadata wrong")
+	if (LZSSCodec{}).Name() != "lz4-like" {
+		t.Fatal("LZSS name wrong")
 	}
-	if (DeflateCodec{}).Name() != "deflate" || (DeflateCodec{}).Lossy() {
-		t.Fatal("Deflate metadata wrong")
+	if (DeflateCodec{}).Name() != "deflate" {
+		t.Fatal("Deflate name wrong")
 	}
 }
 
@@ -211,6 +211,6 @@ func BenchmarkCompressBytes64K(b *testing.B) {
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		CompressBytes(nil, src)
+		compressBytes(nil, src, make([]int32, len(src)))
 	}
 }

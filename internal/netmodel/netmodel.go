@@ -155,7 +155,6 @@ func PaperCodecRates() map[string]CodecRates {
 		"cusz-like":   {Compress: 90e9, Decompress: 60e9},
 		"fp16":        {Compress: 600e9, Decompress: 600e9}, // a cast kernel
 		"fp8-e4m3":    {Compress: 600e9, Decompress: 600e9},
-		"fp8-e5m2":    {Compress: 600e9, Decompress: 600e9},
 	}
 }
 

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"dlrmcomp/internal/adapt"
 	"dlrmcomp/internal/cluster"
@@ -39,31 +41,36 @@ type Built struct {
 	Offline *adapt.OfflineResult
 }
 
-// codecFactory maps a resolved codec name onto a constructor returning a
-// fresh instance per call (per-table instances keep the adaptive
-// controller's per-table bounds independent). "none" returns nil.
-func codecFactory(name string, eb float32) func() codec.Codec {
-	switch name {
-	case "hybrid":
-		return func() codec.Codec { return hybrid.New(eb, hybrid.Auto) }
-	case "vector":
-		return func() codec.Codec { return hybrid.New(eb, hybrid.VectorLZ) }
-	case "huffman":
-		return func() codec.Codec { return hybrid.New(eb, hybrid.Entropy) }
-	case "fp16":
-		return func() codec.Codec { return lowprec.FP16Codec{} }
-	case "fp8":
-		return func() codec.Codec { return lowprec.FP8Codec{Format: lowprec.E4M3} }
-	case "cusz":
-		return func() codec.Codec { return cuszlike.New(eb, cuszlike.Lorenzo1D) }
-	case "fzgpu":
-		return func() codec.Codec { return fzgpulike.New(eb) }
-	case "lz4":
-		return func() codec.Codec { return lz4like.LZSSCodec{} }
-	case "deflate":
-		return func() codec.Codec { return lz4like.DeflateCodec{} }
+// codecMenu is every codec a Spec may name, each mapped onto a constructor
+// returning a fresh instance per call (per-table instances keep the adaptive
+// controller's per-table bounds independent); "none" constructs nil. A name
+// is error-bounded — its frames honor ErrorBound and the adaptive controller
+// can drive it — exactly when its codec implements codec.ErrorBounded.
+var codecMenu = map[string]func(eb float32) codec.Codec{
+	"none":    func(float32) codec.Codec { return nil },
+	"hybrid":  func(eb float32) codec.Codec { return hybrid.New(eb, hybrid.Auto) },
+	"vector":  func(eb float32) codec.Codec { return hybrid.New(eb, hybrid.VectorLZ) },
+	"huffman": func(eb float32) codec.Codec { return hybrid.New(eb, hybrid.Entropy) },
+	"fp16":    func(float32) codec.Codec { return lowprec.FP16Codec{} },
+	"fp8":     func(float32) codec.Codec { return lowprec.FP8Codec{} },
+	"cusz":    func(eb float32) codec.Codec { return cuszlike.New(eb, cuszlike.Lorenzo1D) },
+	"fzgpu":   func(eb float32) codec.Codec { return fzgpulike.New(eb) },
+	"lz4":     func(float32) codec.Codec { return lz4like.LZSSCodec{} },
+	"deflate": func(float32) codec.Codec { return lz4like.DeflateCodec{} },
+}
+
+// CodecNames returns every codec name a Spec accepts, sorted.
+func CodecNames() []string { return slices.Sorted(maps.Keys(codecMenu)) }
+
+// errorBounded reports whether name is a menu codec that honors an error
+// bound.
+func errorBounded(name string) bool {
+	newCodec, ok := codecMenu[name]
+	if !ok {
+		return false
 	}
-	return nil
+	_, ok = newCodec(1).(codec.ErrorBounded)
+	return ok
 }
 
 // scaledData returns the (possibly seed-overridden) scaled dataset spec of
@@ -140,7 +147,7 @@ func (s Spec) BuildWorker(tr cluster.Transport) (*Built, error) {
 // fault plan rides along as-is — the dist layer consumes its jitter and
 // slow multipliers and ignores its events, which only the elastic runner
 // acts on.
-func trainerOptions(rs Spec, cfg model.Config, net netmodel.Topology, tr cluster.Transport) (dist.Options, error) {
+func trainerOptions(rs Spec, cfg model.Config, net netmodel.Topology, tr cluster.Transport) dist.Options {
 	opts := dist.Options{
 		Ranks:              rs.Ranks,
 		Transport:          tr,
@@ -152,16 +159,11 @@ func trainerOptions(rs Spec, cfg model.Config, net netmodel.Topology, tr cluster
 	if rs.Device == "paper" {
 		opts.Device = netmodel.PaperDevice()
 	}
-	makeCodec := codecFactory(rs.Codec, float32(rs.ErrorBound))
-	if makeCodec != nil {
-		opts.CodecFor = func(int) codec.Codec { return makeCodec() }
-	} else if rs.Codec != "none" {
-		// Validation accepted the name but the factory has no case for it:
-		// a drift between codecNames and codecFactory. Running uncompressed
-		// silently is exactly the failure mode this layer removes.
-		return dist.Options{}, fmt.Errorf("scenario: codec %q validated but has no factory; codecNames and codecFactory have drifted", rs.Codec)
+	if rs.Codec != "none" {
+		newCodec, eb := codecMenu[rs.Codec], float32(rs.ErrorBound)
+		opts.CodecFor = func(int) codec.Codec { return newCodec(eb) }
 	}
-	return opts, nil
+	return opts
 }
 
 // build assembles a resolved scenario, over the in-process fabric when tr
@@ -174,10 +176,7 @@ func build(rs Spec, tr cluster.Transport) (*Built, error) {
 		return nil, err
 	}
 	cfg := modelConfig(rs, data)
-	opts, err := trainerOptions(rs, cfg, net, tr)
-	if err != nil {
-		return nil, err
-	}
+	opts := trainerOptions(rs, cfg, net, tr)
 
 	b := &Built{Spec: rs, Data: data, Gen: gen, Net: net}
 	if rs.Adaptive {

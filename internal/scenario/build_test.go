@@ -148,3 +148,35 @@ func TestBuildRejectsInvalidSpec(t *testing.T) {
 		t.Fatal("inconsistent cluster shape must not build")
 	}
 }
+
+// TestCodecMenu holds every menu name to a run: it validates (with an error
+// bound exactly when its codec is error-bounded), builds, and sends the
+// forward all-to-all through its codec, and the codec's Name has a paper
+// rate, so no menu codec is priced at the trainer's default rate.
+func TestCodecMenu(t *testing.T) {
+	rates := netmodel.PaperCodecRates()
+	for _, name := range CodecNames() {
+		sp := tinySpec()
+		sp.Codec, sp.Steps = name, 1
+		if errorBounded(name) {
+			sp.ErrorBound = 0.02
+		}
+		res, err := Run(sp)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if compressed := res.CompressionRatio != 1; compressed != (name != "none") {
+			t.Fatalf("%s: compression ratio %v after a step", name, res.CompressionRatio)
+		}
+		if c := codecMenu[name](0.02); c != nil {
+			if _, ok := rates[c.Name()]; !ok {
+				t.Errorf("%s: codec %q has no paper rate", name, c.Name())
+			}
+		}
+	}
+	for name, want := range map[string]bool{"hybrid": true, "cusz": true, "fp8": false, "lz4": false, "none": false, "zstd": false} {
+		if errorBounded(name) != want {
+			t.Errorf("errorBounded(%q) = %v, want %v", name, !want, want)
+		}
+	}
+}

@@ -123,10 +123,7 @@ func (b *Built) rebuildAt(live []int, step int) (*dist.Trainer, error) {
 	}
 	seg.Faults = proj
 	cfg := modelConfig(rs, b.Data)
-	opts, err := trainerOptions(seg, cfg, b.Net, nil)
-	if err != nil {
-		return nil, err
-	}
+	opts := trainerOptions(seg, cfg, b.Net, nil)
 	if rs.Adaptive {
 		classes := make([]adapt.Class, len(cfg.TableSizes))
 		for i := range classes {

@@ -139,7 +139,7 @@ func fuzzSpec(terabyte bool, scale uint16, dim, ranks, batch uint8, codecIdx uin
 			s.Classes = "uniform"
 		}
 	}
-	if errorBoundedCodecs[s.Codec] {
+	if errorBounded(s.Codec) {
 		s.ErrorBound = 0.001 + math.Abs(math.Mod(eb, 0.1))
 	}
 

@@ -58,9 +58,8 @@ type Spec struct {
 	// model).
 	Transport string `json:"transport,omitempty"`
 
-	// Codec names the forward all-to-all compressor: "none" (default),
-	// "hybrid", "vector", "huffman", "fp16", "fp8", "cusz", "fzgpu", "lz4",
-	// or "deflate".
+	// Codec names the forward all-to-all compressor: "none" (default) or
+	// any other name CodecNames returns.
 	Codec string `json:"codec,omitempty"`
 	// ErrorBound is the absolute error bound for error-bounded codecs.
 	// Required (> 0) when Codec is error-bounded and Adaptive is off.
@@ -174,18 +173,6 @@ var (
 	transportNames = map[string]bool{"": true, "inproc": true, "tcp": true}
 )
 
-// errorBoundedCodecs are the codec names whose frames honor ErrorBound (and
-// which the adaptive controller can drive).
-var errorBoundedCodecs = map[string]bool{
-	"hybrid": true, "vector": true, "huffman": true, "cusz": true, "fzgpu": true,
-}
-
-// codecNames is every accepted Codec value ("" = "none").
-var codecNames = map[string]bool{
-	"": true, "none": true, "hybrid": true, "vector": true, "huffman": true,
-	"fp16": true, "fp8": true, "cusz": true, "fzgpu": true, "lz4": true, "deflate": true,
-}
-
 // serveCodecNames is every accepted ServeSpec.Codec value, taken from the
 // serve layer's menu so the two cannot drift ("" = the default).
 var serveCodecNames = func() map[string]bool {
@@ -236,8 +223,13 @@ func (s Spec) Validate() error {
 	if !classNames[s.Classes] {
 		add("unknown classes %q (want offline or uniform)", s.Classes)
 	}
-	if !codecNames[s.Codec] {
-		add("unknown codec %q (want none, hybrid, vector, huffman, fp16, fp8, cusz, fzgpu, lz4, or deflate)", s.Codec)
+	codecName := s.Codec
+	if codecName == "" {
+		codecName = "none"
+	}
+	_, knownCodec := codecMenu[codecName]
+	if !knownCodec {
+		add("unknown codec %q (want one of %v)", s.Codec, CodecNames())
 	}
 	if !transportNames[s.Transport] {
 		add("unknown transport %q (want inproc or tcp)", s.Transport)
@@ -362,17 +354,13 @@ func (s Spec) Validate() error {
 	}
 
 	// Codec / adaptive consistency.
-	codecName := s.Codec
-	if codecName == "" {
-		codecName = "none"
-	}
-	if codecNames[s.Codec] {
+	if knownCodec {
 		switch {
 		case s.Adaptive && codecName == "none":
 			add("adaptive error bounds need a codec; set codec (e.g. hybrid)")
-		case s.Adaptive && !errorBoundedCodecs[codecName]:
+		case s.Adaptive && !errorBounded(codecName):
 			add("adaptive error bounds need an error-bounded codec, not %q", codecName)
-		case !s.Adaptive && errorBoundedCodecs[codecName] && s.ErrorBound == 0:
+		case !s.Adaptive && errorBounded(codecName) && s.ErrorBound == 0:
 			add("codec %q is error-bounded; set eb > 0", codecName)
 		}
 	}

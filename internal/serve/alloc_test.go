@@ -38,6 +38,10 @@ func TestScoreBatchAllocsSteadyState(t *testing.T) {
 		// through the hybrid codec's buffered path. sync.Pool can drop a
 		// workspace across a GC mid-run, so a small non-zero bound.
 		{"quant_uncached", Options{ColdCodec: "quant", QuantEB: 0.02, HotBytes: -1}, 4},
+		// Miss-every-row: no cache, every lookup decodes its whole block
+		// through the LZSS codec, whose scratch is pooled: the same
+		// sync.Pool caveat and bound.
+		{"lzss_uncached", Options{ColdCodec: "lzss", HotBytes: -1}, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

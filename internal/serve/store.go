@@ -26,11 +26,10 @@ const DefaultColdCodec = "raw"
 // reads only the span's bytes; quant decodes a frame only up to the span's
 // last row and dequantizes only the span; block (lzss: no random access)
 // decodes the whole block. The codecs append to and decode into buffers
-// the caller owns (codec.Codec's one contract), so the raw and quant paths
-// decode without allocating and lzss allocates only scratch sized by the
-// block. Every path is safe for concurrent use (the hybrid codec pools its
-// workspaces; the lzss codec is stateless), which is what lets a shard
-// decode outside its lock.
+// the caller owns (codec.Codec's one contract), and the quant and lzss
+// codecs draw their scratch from pools, so no path allocates in steady
+// state. Every path is safe for concurrent use (both pools hand each call
+// its own workspace), which is what lets a shard decode outside its lock.
 type coldCodec struct {
 	name  string
 	quant *hybrid.Codec

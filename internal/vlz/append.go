@@ -133,6 +133,7 @@ func (e *Encoder) AppendEncodeWithin(dst []byte, codes []int32, dim, budget int)
 	if len(dst)-base > budget {
 		return dst[:base], false, nil
 	}
+	e.literals = int(total)
 	return dst, true, nil
 }
 

@@ -26,7 +26,8 @@
 // outgrown a competing frame's length — Decoder.DecodeInto and
 // DecodePrefixInto (the same body for a frame's first rows: it stops at the
 // last of them and clips a run token that crosses it), EncodeStats
-// (match/literal counts for Fig. 13), and DefaultWindow — the paper's
+// (match/literal counts for Fig. 13, the literal count the encoder keeps as
+// it writes the frame), and DefaultWindow — the paper's
 // 255-row setting swept in table6. Both directions reuse their workspaces
 // — zero steady-state allocation, one instance per goroutine — and window
 // eviction is O(1) amortized via a sequence-numbered hash chain whose heads

@@ -1,7 +1,6 @@
 package vlz
 
 import (
-	"encoding/binary"
 	"errors"
 	"math/bits"
 )
@@ -22,6 +21,9 @@ type Encoder struct {
 	ring []int
 	prev []int32
 	head []int32
+
+	// literals is the literal-row count of the last frame completed.
+	literals int
 }
 
 // New returns an Encoder with the given window (rows). window <= 0 selects
@@ -88,72 +90,12 @@ func (e *Encoder) EncodeStats(codes []int32, dim int) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	st := Stats{Rows: len(codes) / dim, PayloadSize: len(out)}
-	// Re-derive match/literal counts by a cheap scan of the token stream.
-	_, st.Matched, st.Literals, err = scanTokens(out)
-	if err != nil {
-		return Stats{}, err
-	}
+	st := Stats{Rows: len(codes) / dim, Literals: e.literals, PayloadSize: len(out)}
+	st.Matched = st.Rows - st.Literals
 	uniq := make(map[uint64]bool)
 	for r := 0; r < st.Rows; r++ {
 		uniq[hashRow(codes[r*dim:(r+1)*dim])] = true
 	}
 	st.UniqueRows = len(uniq)
 	return st, nil
-}
-
-func scanTokens(data []byte) (dim int, matched, literals int, err error) {
-	d, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, 0, 0, errCorrupt
-	}
-	data = data[n:]
-	rows, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, 0, 0, errCorrupt
-	}
-	data = data[n:]
-	for covered := uint64(0); covered < rows; {
-		if len(data) == 0 {
-			return 0, 0, 0, errCorrupt
-		}
-		tok := data[0]
-		data = data[1:]
-		switch tok {
-		case 1:
-			_, n := binary.Uvarint(data)
-			if n <= 0 {
-				return 0, 0, 0, errCorrupt
-			}
-			data = data[n:]
-			matched++
-			covered++
-		case 2:
-			_, n := binary.Uvarint(data)
-			if n <= 0 {
-				return 0, 0, 0, errCorrupt
-			}
-			data = data[n:]
-			cnt, n2 := binary.Uvarint(data)
-			if n2 <= 0 || cnt == 0 {
-				return 0, 0, 0, errCorrupt
-			}
-			data = data[n2:]
-			matched += int(cnt)
-			covered += cnt
-		case 0:
-			for j := uint64(0); j < d; j++ {
-				_, n := binary.Uvarint(data)
-				if n <= 0 {
-					return 0, 0, 0, errCorrupt
-				}
-				data = data[n:]
-			}
-			literals++
-			covered++
-		default:
-			return 0, 0, 0, errCorrupt
-		}
-	}
-	return int(d), matched, literals, nil
 }

@@ -63,6 +63,20 @@ func roundTrip(t *testing.T, enc *Encoder, codes []int32, dim int) []byte {
 	return frame
 }
 
+// encodeStats runs EncodeStats and checks that its counts cover the batch:
+// every row is either matched or literal.
+func encodeStats(t *testing.T, enc *Encoder, codes []int32, dim int) Stats {
+	t.Helper()
+	st, err := enc.EncodeStats(codes, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Rows != len(codes)/dim || st.Matched+st.Literals != st.Rows {
+		t.Fatalf("stats %+v do not cover the %d rows", st, len(codes)/dim)
+	}
+	return st
+}
+
 func TestEmptyBatch(t *testing.T) {
 	roundTrip(t, New(0), nil, 4)
 }
@@ -85,10 +99,7 @@ func TestAllIdenticalRows(t *testing.T) {
 	if len(frame) > 3+dim*2+rows*3 {
 		t.Fatalf("identical rows frame too large: %d bytes", len(frame))
 	}
-	st, err := New(64).EncodeStats(codes, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := encodeStats(t, New(64), codes, dim)
 	if st.Matched != rows-1 || st.Literals != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -104,10 +115,7 @@ func TestAllDistinctRows(t *testing.T) {
 	for i := range codes {
 		codes[i] = int32(i)
 	}
-	st, err := New(32).EncodeStats(codes, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := encodeStats(t, New(32), codes, dim)
 	if st.Matched != 0 || st.Literals != rows {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -152,14 +160,8 @@ func TestWindowLimitsMatches(t *testing.T) {
 		base := int32(r % period)
 		codes = append(codes, base, base+1, base+2, base+3)
 	}
-	small, err := New(16).EncodeStats(codes, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := New(128).EncodeStats(codes, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := encodeStats(t, New(16), codes, dim)
+	large := encodeStats(t, New(128), codes, dim)
 	if small.Matched != 0 {
 		t.Fatalf("window 16 should miss period-64 repeats, matched %d", small.Matched)
 	}
@@ -264,10 +266,7 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestWindowOneStillCatchesAdjacentDuplicates(t *testing.T) {
 	codes := []int32{5, 5, 5, 5, 9, 9} // rows: [5 5] [5 5] [9 9]
-	st, err := New(1).EncodeStats(codes, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := encodeStats(t, New(1), codes, 2)
 	if st.Matched != 1 {
 		t.Fatalf("adjacent duplicate should match with window 1, stats %+v", st)
 	}
@@ -329,10 +328,7 @@ func TestRunTokenAlternatingOffsets(t *testing.T) {
 		codes = append(codes, b...)
 	}
 	roundTrip(t, New(8), codes, 2)
-	st, err := New(8).EncodeStats(codes, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := encodeStats(t, New(8), codes, 2)
 	if st.Literals != 2 || st.Matched != 126 {
 		t.Fatalf("stats = %+v", st)
 	}
